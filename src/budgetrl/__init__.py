@@ -35,6 +35,7 @@ from .allocator import (
     WindowStore,
     assign,
     dual_objective,
+    envelope_drops,
     repair_feasibility,
     solve_and_assign,
     solve_lambda,

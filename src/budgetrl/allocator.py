@@ -2,10 +2,10 @@
 
 The primal assigns one action per customer maximizing total value subject to
 an average-cost budget. Its dual is a convex piecewise-linear function of a
-single multiplier, minimized here by bisection on the subgradient; a repair
-pass then walks the multiplier up through breakpoints until the hard budget
-holds. A sliding-window store recomputes the multiplier on recent traffic so
-online decisions track the budget in near real time.
+single multiplier, minimized exactly from the sorted breakpoints of each
+customer's upper concave (cost, value) envelope (the LP relaxation of the
+multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979). A
+sliding-window store caches them per row to track recent traffic.
 
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
@@ -14,8 +14,8 @@ currency units.
 
 from __future__ import annotations
 
+import bisect
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,41 +106,80 @@ def dual_objective(problem: AllocationProblem, lam: float) -> float:
     return float(scores.max(axis=1).sum() + lam * problem.n * problem.budget_units)
 
 
-def solve_lambda(problem: AllocationProblem, tol: float = 1e-9) -> float:
-    """Minimize the piecewise-linear dual over lam >= 0 by subgradient bisection.
+def envelope_drops(q: np.ndarray, costs_cents) -> tuple[np.ndarray, np.ndarray]:
+    """Walk each row's upper concave envelope over (cost, value) as lam rises.
 
-    Returns 0 when the unconstrained greedy assignment already fits the
-    budget, and raises InfeasibleProblemError when even the cheapest eligible
-    assignment does not.
+    From the greedy argmax (cheaper on ties), the dual choice a next moves at
+    lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j, to the
+    cheapest j attaining it. Returns ``(lams, drops)``, both (N, M-1): each
+    row's breakpoints (inf past the last) and integer-cent cost drops there.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    budget_total = problem.n * problem.budget_cents
-    if _selection_cost_cents(problem, _dual_selection(problem, 0.0)) <= budget_total:
+    q = np.asarray(q, dtype=float)
+    n, m = q.shape
+    cents = np.asarray(costs_cents, dtype=np.int64)
+    costs = cents / 100.0
+    present = np.isfinite(q)
+    lams = np.full((n, m - 1), np.inf)
+    drops = np.zeros((n, m - 1), dtype=np.int64)
+    cur = _argmax_cheapest(np.where(present, q, -np.inf), costs)
+    rows = np.arange(n)
+    for step in range(m - 1):
+        ratio = q[rows]
+        np.subtract(q[rows, cur][:, None], ratio, out=ratio)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ratio, costs[cur][:, None] - costs[None, :], out=ratio)
+        ratio[~(present[rows] & (cents[None, :] < cents[cur][:, None]))] = np.inf
+        lam = ratio.min(axis=1)
+        moves = lam < np.inf
+        rows, cur, lam, ratio = rows[moves], cur[moves], lam[moves], ratio[moves]
+        if not rows.size:
+            break
+        nxt = np.argmin(np.where(ratio == lam[:, None], costs[None, :], np.inf), axis=1)
+        lams[rows, step] = lam
+        drops[rows, step] = cents[cur] - cents[nxt]
+        cur = nxt
+    return lams, drops
+
+
+def _step_up_until(fits, lam: float) -> float:
+    """First lam' >= lam where ``fits`` holds, stepping up 1, 2, 4, ... ulps:
+    at an exact breakpoint float rounding can leave a choice on the dearer side."""
+    step = 0.0
+    while not fits(lam):
+        step = max(2.0 * step, float(np.spacing(lam)))
+        lam += step
+    return lam
+
+
+def _exact_lambda(problem: AllocationProblem, total_cents: int, envelope=None) -> float:
+    """Smallest lam at which the selection costs at most ``total_cents`` in all."""
+    excess = _selection_cost_cents(problem, _dual_selection(problem, 0.0)) - total_cents
+    if excess <= 0:
         return 0.0
-    if _cheapest_total_cents(problem) > budget_total:
+    lams, drops = envelope_drops(problem.q, problem.costs_cents) if envelope is None else envelope
+    lams, drops = lams[lams < np.inf], drops[lams < np.inf]
+    order = np.argsort(lams)
+    k = int(np.searchsorted(np.cumsum(drops[order]), excess))
+    if k == lams.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
 
-    # Beyond lam_max every row prefers its cheapest action: value differences
-    # can no longer outweigh lam times the smallest positive cost gap.
-    q = problem.q
-    row_range = np.nanmax(q, axis=1) - np.nanmin(q, axis=1)
-    gaps = np.diff(np.unique(problem.costs_units()))
-    gaps = gaps[gaps > 0]
-    lam_max = float(np.max(row_range)) / float(gaps.min()) if gaps.size else 1.0
-    lam_max = max(lam_max * (1.0 + 1e-9), tol)
-    while _selection_cost_cents(problem, _dual_selection(problem, lam_max)) > budget_total:
-        lam_max *= 2.0
+    def fits(lam: float) -> bool:
+        return all(_selection_cost_cents(problem, choose(problem, lam)) <= total_cents
+                   for choose in (_dual_selection, _assign_choice))
 
-    lo, hi = 0.0, lam_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _selection_cost_cents(problem, _dual_selection(problem, mid)) <= budget_total:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _step_up_until(fits, float(lams[order[k]]))
+
+
+def solve_lambda(problem: AllocationProblem, envelope=None) -> float:
+    """Exact minimizer of the dual over lam >= 0: the breakpoint at which the
+    sorted cumulative cost drop of ``envelope_drops`` (``envelope``, if
+    precomputed) covers the greedy cost's excess over the budget, stepped up
+    by ulps until both ``assign`` and the dual selection fit. Returns 0 when
+    the greedy assignment fits, and raises InfeasibleProblemError when even
+    the cheapest eligible assignment does not.
+    """
+    return _exact_lambda(problem, problem.n * problem.budget_cents, envelope)
 
 
 def _assign_choice(problem: AllocationProblem, lam: float) -> np.ndarray:
@@ -172,64 +211,37 @@ def assign_row(q_row: np.ndarray, costs_cents, budget_cents: int, lam: float) ->
     return int(_assign_choice(problem, lam)[0])
 
 
-def _breakpoints(problem: AllocationProblem, above: float) -> np.ndarray:
-    """Candidate multipliers where any customer's assignment can change."""
-    costs = problem.costs_units()
-    bps = []
-    for i in range(problem.n):
-        present = np.flatnonzero(np.isfinite(problem.q[i]))
-        qi = problem.q[i, present]
-        ci = costs[present]
-        dq = qi[:, None] - qi[None, :]
-        dc = ci[:, None] - ci[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = dq / dc
-        bps.append(ratios[np.isfinite(ratios) & (ratios > 0)])
-        shifted = ci - problem.budget_units
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zero_cross = qi / shifted
-        bps.append(zero_cross[np.isfinite(zero_cross) & (zero_cross > 0)])
-    cand = np.unique(np.concatenate(bps)) if bps else np.array([])
-    return cand[cand > above]
-
-
 def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignment:
     """Spend leftover budget on tied rows at the current multiplier.
 
     At a breakpoint several actions share a row's best assignment score; the
-    cheapest-tie rule leaves slack that can be handed back by upgrading some
-    of those rows to their dearer tied action (the classic one-fractional-
-    customer rounding of the relaxation). Greedy, deterministic, and only
-    ever improves the objective within the budget.
+    cheapest-tie rule leaves slack that upgrading some of those rows to a
+    dearer tied action hands back (the one-fractional-customer rounding of
+    the relaxation). Greedy, deterministic, and never lowers the objective.
     """
     budget_total = problem.n * problem.budget_cents
     total = assignment.total_cost_cents
     if total > budget_total:
         return assignment
-    costs_units = problem.costs_units()
     costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    present = np.isfinite(problem.q)
-    scores = np.where(present,
-                      problem.q - assignment.lam * (costs_units[None, :] - problem.budget_units),
-                      -np.inf)
+    scores = np.where(np.isfinite(problem.q), problem.q - assignment.lam * (
+        problem.costs_units()[None, :] - problem.budget_units), -np.inf)
     rowmax = scores.max(axis=1)
-    upgrades = []  # (-extra_cost, row, action, gain)
-    for i in range(problem.n):
-        if rowmax[i] < 0.0:
-            continue  # fallback row: no assignment-rule candidates to swap among
-        tol_i = 1e-9 * max(1.0, abs(rowmax[i]))
-        cur = assignment.chosen[i]
-        for j in np.flatnonzero(scores[i] >= rowmax[i] - tol_i):
-            extra = int(costs_cents[j] - costs_cents[cur])
-            gain = float(problem.q[i, j] - problem.q[i, cur])
-            if extra > 0 and gain > 0:
-                upgrades.append((-extra, i, int(j), gain))
-    if not upgrades:
+    # Fallback rows (rowmax < 0) have no assignment-rule candidates to swap among.
+    tol = 1e-9 * np.maximum(1.0, np.abs(rowmax))
+    rows, actions = np.nonzero((rowmax >= 0.0)[:, None] & (scores >= (rowmax - tol)[:, None]))
+    cur = np.asarray(assignment.chosen, dtype=np.int64)[rows]
+    extra = costs_cents[actions] - costs_cents[cur]
+    gain = problem.q[rows, actions] - problem.q[rows, cur]
+    keep = (extra > 0) & (gain > 0)
+    if not keep.any():
         return assignment
-
+    rows, actions, extra, gain = rows[keep], actions[keep], extra[keep], gain[keep]
+    order = np.lexsort((gain, actions, rows, -extra))  # as sorted((-extra, row, action, gain))
     chosen = list(assignment.chosen)
     used_rows = set()
-    for neg_extra, i, j, gain in sorted(upgrades):
+    for neg_extra, i, j in zip((-extra[order]).tolist(), rows[order].tolist(),
+                               actions[order].tolist()):
         if i in used_rows:
             continue
         if total - neg_extra <= budget_total:
@@ -242,11 +254,9 @@ def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignmen
 
 
 def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> Assignment:
-    """Raise the multiplier through successive breakpoints until the budget holds,
-    then spend any slack on rows left tied at the final breakpoint.
-
-    Only ever moves lam upward (cost downward); raises InfeasibleProblemError
-    when no multiplier can meet the budget.
+    """Raise the multiplier to the first point where the budget holds, then
+    spend any slack on rows left tied there. Only ever moves lam upward (cost
+    downward); raises InfeasibleProblemError when no multiplier can meet it.
     """
     budget_total = problem.n * problem.budget_cents
     if assignment.total_cost_cents <= budget_total:
@@ -255,106 +265,95 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
 
-    cands = _breakpoints(problem, above=assignment.lam)
-    # Cost is non-increasing in lam, so feasibility is monotone over candidates.
-    feasible_at = {}
+    # The assignment only changes where a dual choice moves down its envelope
+    # or a score q_ij - lam (c_j - budget) crosses zero (the cheapest fallback).
+    lams, _ = envelope_drops(problem.q, problem.costs_cents)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero_cross = problem.q / (problem.costs_units() - problem.budget_units)[None, :]
+    cands = np.concatenate([lams.ravel(), zero_cross.ravel()])
+    cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
-    def feasible(idx: int) -> bool:
-        if idx not in feasible_at:
-            chosen = _assign_choice(problem, float(cands[idx]))
-            feasible_at[idx] = _selection_cost_cents(problem, chosen) <= budget_total
-        return feasible_at[idx]
+    def fits(lam: float) -> bool:
+        return _selection_cost_cents(problem, _assign_choice(problem, lam)) <= budget_total
 
-    lo, hi = 0, len(cands) - 1
-    if len(cands) == 0 or not feasible(hi):
-        # Float rounding can leave the last exact breakpoint on the expensive
-        # side; a relative nudge lands strictly past it.
-        lam = float(cands[hi]) * (1.0 + 1e-12) + 1e-15 if len(cands) else assignment.lam + 1.0
-        result = assign(problem, lam)
-        if result.total_cost_cents > budget_total:
-            raise InfeasibleProblemError("repair failed to reach a feasible assignment")
-        return _pack_slack(problem, result)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return _pack_slack(problem, assign(problem, float(cands[lo])))
+    # Cost is non-increasing in lam and constant between candidates: bisect on
+    # gap midpoints, which float rounding at a candidate cannot disturb.
+    gaps = 0.5 * (cands[:-1] + cands[1:])
+    k = bisect.bisect_left(range(gaps.size), True, key=lambda i: fits(float(gaps[i])))
+    start = float(cands[k]) if cands.size else assignment.lam
+    return _pack_slack(problem, assign(problem, _step_up_until(fits, start)))
 
 
-def solve_and_assign(problem: AllocationProblem, tol: float = 1e-9) -> Assignment:
-    """Dual solve, assignment, feasibility repair, then slack packing."""
-    lam = solve_lambda(problem, tol)
-    result = assign(problem, lam)
-    if result.total_cost_cents > problem.n * problem.budget_cents:
-        return repair_feasibility(problem, result)
-    return _pack_slack(problem, result)
+def solve_and_assign(problem: AllocationProblem) -> Assignment:
+    """Exact dual solve, assignment (which fits the budget there), then slack packing."""
+    return _pack_slack(problem, assign(problem, solve_lambda(problem)))
 
 
 # ---------------------------------------------------------------------------
 # Near-real-time multiplier maintenance
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    ts: float
-    q_row: np.ndarray
-    action_index: int
-    cost_cents: int
-
-
 class WindowStore:
     """Time-ordered record window feeding periodic multiplier refreshes.
 
-    Timestamps are logical (caller-provided seconds), so tests and
-    simulations run in virtual time. ``lambda_snapshot`` is published
-    atomically; readers never block on a refresh.
+    Timestamps are logical (caller-provided seconds), so tests and simulations
+    run in virtual time. ``lambda_snapshot`` is published atomically; readers
+    never block on a refresh, appends do. A refresh walks the envelopes of the
+    rows queued since the last one in one batch and keeps them with the rows.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
                  window_span: float = 24 * 3600.0, refresh_period: float = 600.0,
-                 initial_lambda: float = 0.0, tol: float = 1e-7):
+                 initial_lambda: float = 0.0):
         self.costs_cents = tuple(int(c) for c in costs_cents)
         self.budget_cents = int(budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
-        self.tol = tol
         self.lambda_snapshot = float(initial_lambda)
         self.last_refresh: float | None = None
-        self._records: deque[WindowRecord] = deque()
+        self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
+        self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
+        empty = np.empty((0, len(self.costs_cents)))
+        self._window = (np.empty(0), empty, *envelope_drops(empty, self.costs_cents))  # ts, q, lams, drops
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._window[0]) + len(self._pending)
 
     def append(self, ts: float, q_row: np.ndarray, action_index: int, cost_cents: int) -> None:
+        """Queue a decided customer's Q row; the multiplier needs only the row."""
+        q_row = np.asarray(q_row, dtype=float)
+        if q_row.shape != (len(self.costs_cents),):
+            raise ValueError(f"q row has shape {q_row.shape}, not ({len(self.costs_cents)},)")
         with self._lock:
-            self._records.append(WindowRecord(ts, np.asarray(q_row, dtype=float),
-                                              int(action_index), int(cost_cents)))
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window_span
-        while self._records and self._records[0].ts <= cutoff:
-            self._records.popleft()
+            self._pending.append((float(ts), q_row))
 
     def window_refresh(self, now: float) -> float:
         """Evict expired records, re-solve the multiplier, publish the snapshot.
 
-        An empty window keeps the previous snapshot; so does a transiently
-        infeasible one (the budget stays protected by the old, larger lam).
+        An empty window keeps the previous snapshot. One that no multiplier
+        fits into the budget publishes the saturating lam, at which every row
+        takes its cheapest eligible action, and counts in ``infeasible_refreshes``.
         """
         with self._lock:
-            self._evict(now)
-            rows = [r.q_row for r in self._records]
-        if rows:
-            problem = AllocationProblem(np.stack(rows), self.costs_cents, self.budget_cents)
-            try:
-                self.lambda_snapshot = solve_lambda(problem, self.tol)
-            except InfeasibleProblemError:
-                pass
-        self.last_refresh = now
-        return self.lambda_snapshot
+            if self._pending:
+                new_q = np.stack([q for _, q in self._pending])
+                self._window = tuple(np.concatenate(pair) for pair in zip(self._window, (
+                    np.array([t for t, _ in self._pending]), new_q,
+                    *envelope_drops(new_q, self.costs_cents))))
+                self._pending = []
+            # Records leave from the front, up to the first one still inside the span.
+            evicted = int(np.logical_and.accumulate(self._window[0] <= now - self.window_span).sum())
+            _, q, *envelope = self._window = tuple(a[evicted:] for a in self._window)
+            if len(q):
+                problem = AllocationProblem(q, self.costs_cents, self.budget_cents)
+                try:
+                    self.lambda_snapshot = solve_lambda(problem, envelope)
+                except InfeasibleProblemError:
+                    self.infeasible_refreshes += 1
+                    self.lambda_snapshot = _exact_lambda(problem, _cheapest_total_cents(problem), envelope)
+            self.last_refresh = now
+            return self.lambda_snapshot
 
     def allocate_online(self, q_row: np.ndarray, now: float) -> int:
         """Single-customer assignment at the current snapshot; logs the record."""

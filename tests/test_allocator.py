@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from budgetrl.allocator import (
     AllocationProblem,
     InfeasibleProblemError,
     WindowStore,
+    _pack_slack,
     assign,
     assign_row,
     dual_objective,
+    envelope_drops,
     repair_feasibility,
     solve_and_assign,
     solve_lambda,
@@ -90,7 +94,7 @@ class TestSolveLambda:
 
     def test_hand_breakpoint(self):
         # 2 - lam = 1 at lam = 1
-        assert solve_lambda(ONE_ROW, tol=1e-9) == pytest.approx(1.0, abs=1e-6)
+        assert solve_lambda(ONE_ROW) == pytest.approx(1.0, abs=1e-6)
 
     def test_all_costs_equal_budget(self):
         p = AllocationProblem(np.random.default_rng(1).random((5, 3)), (87, 87, 87), 87)
@@ -291,6 +295,334 @@ class TestWindowStore:
             q = rng.random() + 0.5 * menu.units_array()
             store.append(float(i), q, 0, 65)
         lam = store.window_refresh(now=100.0)
-        rows = np.stack([r.q_row for r in store._records])
-        expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87), store.tol)
-        assert lam == pytest.approx(expected)
+        rows = store._window[1]  # the window's stacked Q rows
+        expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
+        assert lam == expected
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the exact envelope solver: the subgradient bisection and the
+# per-row breakpoint repair it replaced, kept here verbatim in behaviour.
+
+
+def dual_cost_cents(problem, lam):
+    """Cost of the dual selection argmax_j q_ij - lam c_j (ties toward cheaper)."""
+    costs = problem.costs_units()
+    scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
+    rowmax = scores.max(axis=1, keepdims=True)
+    chosen = np.argmin(np.where(scores == rowmax, costs[None, :], np.inf), axis=1)
+    return int(np.asarray(problem.costs_cents, dtype=np.int64)[chosen].sum())
+
+
+def cheapest_total_cents(problem):
+    costs = np.asarray(problem.costs_cents, dtype=np.int64)
+    return int(np.where(np.isfinite(problem.q), costs[None, :], np.iinfo(np.int64).max)
+               .min(axis=1).sum())
+
+
+def bisection_lambda(problem, tol=1e-9):
+    budget_total = problem.n * problem.budget_cents
+    if dual_cost_cents(problem, 0.0) <= budget_total:
+        return 0.0
+    if cheapest_total_cents(problem) > budget_total:
+        raise InfeasibleProblemError("infeasible")
+    row_range = np.nanmax(problem.q, axis=1) - np.nanmin(problem.q, axis=1)
+    gaps = np.diff(np.unique(problem.costs_units()))
+    gaps = gaps[gaps > 0]
+    lam_max = float(np.max(row_range)) / float(gaps.min()) if gaps.size else 1.0
+    lam_max = max(lam_max * (1.0 + 1e-9), tol)
+    while dual_cost_cents(problem, lam_max) > budget_total:
+        lam_max *= 2.0
+    lo, hi = 0.0, lam_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if dual_cost_cents(problem, mid) <= budget_total:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def pairwise_breakpoints(problem, above):
+    """Every positive pairwise ratio and zero crossing of every row."""
+    costs = problem.costs_units()
+    bps = []
+    for i in range(problem.n):
+        present = np.flatnonzero(np.isfinite(problem.q[i]))
+        qi, ci = problem.q[i, present], costs[present]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = (qi[:, None] - qi[None, :]) / (ci[:, None] - ci[None, :])
+            zero_cross = qi / (ci - problem.budget_units)
+        bps.append(ratios[np.isfinite(ratios) & (ratios > 0)])
+        bps.append(zero_cross[np.isfinite(zero_cross) & (zero_cross > 0)])
+    cand = np.unique(np.concatenate(bps))
+    return cand[cand > above]
+
+
+def breakpoint_repair_lambda(problem, lam0):
+    """Multiplier the pairwise-breakpoint repair settles on: the smallest
+    candidate at which the assignment fits, else a nudge past the last."""
+    budget_total = problem.n * problem.budget_cents
+    cands = pairwise_breakpoints(problem, lam0)
+
+    def fits(lam):
+        return assign(problem, float(lam)).total_cost_cents <= budget_total
+
+    lo, hi = 0, len(cands) - 1
+    if len(cands) == 0 or not fits(cands[hi]):
+        return float(cands[hi]) * (1.0 + 1e-12) + 1e-15 if len(cands) else lam0 + 1.0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cands[lo])
+
+
+def loop_pack_slack(problem, assignment):
+    """Slack packing with its candidate scan as a per-row loop: (chosen, total cost)."""
+    budget_total = problem.n * problem.budget_cents
+    total = assignment.total_cost_cents
+    if total > budget_total:
+        return list(assignment.chosen), total
+    costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    scores = np.where(np.isfinite(problem.q), problem.q - assignment.lam * (
+        problem.costs_units()[None, :] - problem.budget_units), -np.inf)
+    rowmax = scores.max(axis=1)
+    upgrades = []
+    for i in range(problem.n):
+        if rowmax[i] < 0.0:
+            continue
+        tol_i = 1e-9 * max(1.0, abs(rowmax[i]))
+        cur = assignment.chosen[i]
+        for j in np.flatnonzero(scores[i] >= rowmax[i] - tol_i):
+            extra = int(costs_cents[j] - costs_cents[cur])
+            gain = float(problem.q[i, j] - problem.q[i, cur])
+            if extra > 0 and gain > 0:
+                upgrades.append((-extra, i, int(j), gain))
+    chosen, used_rows = list(assignment.chosen), set()
+    for neg_extra, i, j, _ in sorted(upgrades):
+        if i not in used_rows and total - neg_extra <= budget_total:
+            total -= neg_extra
+            chosen[i] = j
+            used_rows.add(i)
+    return chosen, int(total)
+
+
+def masked_problem(rng, from_menu=True, budget_below_min=False):
+    """random_problem with some entries NaN (each row keeps one eligible action),
+    feasible unless ``budget_below_min`` lets the budget drop below every cost."""
+    p = random_problem(rng, from_menu=from_menu)
+    q = p.q.copy()
+    hide = rng.random(q.shape) < 0.3
+    hide[np.arange(p.n), rng.integers(0, p.m, p.n)] = False
+    q[hide] = np.nan
+    floor = -(-cheapest_total_cents(AllocationProblem(q, p.costs_cents, 0)) // p.n)
+    low = min(p.costs_cents) - 30 if budget_below_min else floor
+    return AllocationProblem(q, p.costs_cents, int(rng.integers(low, max(p.costs_cents) + 1)))
+
+
+class TestEnvelope:
+    def test_cost_curve_matches_dual_selection(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            p = masked_problem(rng, from_menu=bool(rng.integers(2)))
+            lams, drops = envelope_drops(p.q, p.costs_cents)
+            start = dual_cost_cents(p, 0.0)
+            bps = np.unique(lams[np.isfinite(lams)])
+            probes = np.concatenate([(bps[:-1] + bps[1:]) / 2, bps[-1:] + 1.0, [bps[0] / 2]]) \
+                if bps.size else np.array([1.0])
+            for lam in probes:
+                assert start - int(drops[lams <= lam].sum()) == dual_cost_cents(p, lam)
+
+    def test_walk_ends_at_cheapest_eligible_action(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            p = masked_problem(rng)
+            lams, drops = envelope_drops(p.q, p.costs_cents)
+            assert dual_cost_cents(p, 0.0) - int(drops.sum()) == cheapest_total_cents(p)
+            assert (drops > 0).sum() == np.isfinite(lams).sum()
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(22)
+        p = masked_problem(rng)
+        whole = envelope_drops(p.q, p.costs_cents)
+        for i in range(p.n):
+            row = envelope_drops(p.q[i:i + 1], p.costs_cents)
+            for a, b in zip(whole, row):
+                np.testing.assert_array_equal(a[i:i + 1], b)
+
+
+class TestExactLambda:
+    def test_matches_bisection(self):
+        rng = np.random.default_rng(23)
+        infeasible = 0
+        for _ in range(600):
+            p = masked_problem(rng, from_menu=bool(rng.integers(2)),
+                               budget_below_min=bool(rng.integers(2)))
+            try:
+                expected = bisection_lambda(p)
+            except InfeasibleProblemError:
+                infeasible += 1
+                with pytest.raises(InfeasibleProblemError):
+                    solve_lambda(p)
+                continue
+            assert solve_lambda(p) == pytest.approx(expected, abs=1e-9)
+        assert infeasible > 0
+
+    def test_returns_python_float(self):
+        slack = AllocationProblem(np.array([[1.0, 2.0]]), (0, 100), 100)
+        for p in (slack, ONE_ROW):
+            assert type(solve_lambda(p)) is float
+
+    def test_duplicated_tied_rows_fit_without_repair(self):
+        # 200 copies of 5 rows tie in groups at every breakpoint; the exact
+        # breakpoint must still leave both selection rules within budget
+        rng = np.random.default_rng(24)
+        binding = 0
+        for _ in range(40):
+            base = masked_problem(rng, from_menu=bool(rng.integers(2)))
+            q = np.tile(base.q[:5], (200, 1))
+            costs = base.costs_cents
+            floor = -(-cheapest_total_cents(AllocationProblem(q, costs, 0)) // len(q))
+            greedy = dual_cost_cents(AllocationProblem(q, costs, 0), 0.0) // len(q)
+            if floor >= greedy:
+                continue  # no budget binds
+            budget = int(rng.integers(floor, greedy))
+            p = AllocationProblem(q, costs, budget)
+            lam = solve_lambda(p)
+            binding += lam > 0
+            assert assign(p, lam).total_cost_cents <= p.n * budget
+            assert dual_cost_cents(p, lam) <= p.n * budget
+        assert binding > 20
+
+
+class TestPackSlack:
+    def test_matches_loop_scan(self):
+        # tied rows come from duplicated rows solved at their exact breakpoint
+        rng = np.random.default_rng(28)
+        upgraded = 0
+        for _ in range(200):
+            base = masked_problem(rng, from_menu=bool(rng.integers(2)))
+            p = AllocationProblem(np.tile(base.q, (int(rng.integers(1, 30)), 1)),
+                                  base.costs_cents, base.budget_cents)
+            for lam in (solve_lambda(p), float(rng.random() * 3)):
+                start = assign(p, lam)
+                packed = _pack_slack(p, start)
+                chosen, total = loop_pack_slack(p, start)
+                assert (list(packed.chosen), packed.total_cost_cents) == (chosen, total)
+                upgraded += packed.chosen != start.chosen
+        assert upgraded > 20
+
+
+class TestRepairAgainstBreakpointRepair:
+    def test_same_multiplier_or_a_few_ulps_past_a_rejected_candidate(self):
+        rng = np.random.default_rng(25)
+        compared = equal = 0
+        for _ in range(400):
+            p = masked_problem(rng, from_menu=bool(rng.integers(2)))
+            lam_star = solve_lambda(p)
+            for lam0 in (0.0, float(rng.random() * lam_star)):
+                start = assign(p, lam0)
+                if start.total_cost_cents <= p.n * p.budget_cents:
+                    continue
+                compared += 1
+                result = repair_feasibility(p, start)
+                old_lam = breakpoint_repair_lambda(p, lam0)
+                old = _pack_slack(p, assign(p, old_lam))
+                assert result.total_cost_cents <= p.n * p.budget_cents
+                if result.lam == old_lam:
+                    equal += 1
+                    assert result.chosen == old.chosen
+                    continue
+                # The pairwise repair skipped a candidate at which the assignment
+                # is still over budget (a zero crossing, or float rounding at
+                # the breakpoint); the envelope repair steps a few ulps past it.
+                assert result.lam < old_lam
+                cands = pairwise_breakpoints(p, lam0)
+                skipped = float(cands[cands <= result.lam].max())
+                assert assign(p, skipped).total_cost_cents > p.n * p.budget_cents
+                assert result.lam - skipped <= 64 * np.spacing(skipped)
+                assert result.objective >= old.objective - 1e-12
+        assert compared > 100 and equal > compared // 2
+
+
+class TestWindowExactness:
+    def test_window_lambda_equals_stacked_solve(self):
+        rng = np.random.default_rng(26)
+        menu = ActionSet.default()
+        store = WindowStore(menu.all_cents, 87, window_span=300.0, refresh_period=60.0)
+        t, appended, solved = 0.0, 0, 0
+        for _ in range(60):
+            for _ in range(int(rng.integers(0, 12))):
+                q = rng.random() + 0.5 * menu.units_array() + rng.normal(0, 0.05, 12)
+                q[1:][rng.random(11) < 0.3] = np.nan  # action 0 stays eligible: feasible
+                store.append(t, q, 0, 65)
+                appended += 1
+                t += float(rng.random() * 10)
+            lam = store.window_refresh(t)
+            rows = store._window[1]  # the window's stacked Q rows
+            if len(rows):
+                expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
+                assert lam == expected
+                solved += lam > 0
+        assert solved > 30 and len(store) < appended
+        assert store.infeasible_refreshes == 0
+
+    def test_infeasible_window_publishes_saturating_lambda(self):
+        menu = ActionSet.default()
+        store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
+        rng = np.random.default_rng(27)
+        for i in range(30):
+            store.append(float(i), rng.random(12) + menu.units_array(), 0, 65)
+        lam = store.window_refresh(now=40.0)
+        assert store.infeasible_refreshes == 1
+        p = AllocationProblem(store._window[1], menu.all_cents, 60)
+        with pytest.raises(InfeasibleProblemError):
+            solve_lambda(p)
+        assert set(assign(p, lam).chosen) == {0}
+        assert dual_cost_cents(p, lam) == cheapest_total_cents(p)
+        lams = envelope_drops(p.q, menu.all_cents)[0]
+        assert lam >= lams[np.isfinite(lams)].max()
+
+    def test_concurrent_appends_and_refreshes_lose_no_row(self):
+        menu = ActionSet.default()
+        store = WindowStore(menu.all_cents, 87)
+        rows = np.random.default_rng(29).random((4, 2000, 12)) + menu.units_array()
+        done = threading.Event()
+
+        def appender(k):
+            for i, q in enumerate(rows[k]):
+                store.append(float(i), q, 0, 65)
+
+        def refresher():
+            while not done.is_set():
+                store.window_refresh(600.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=appender, args=(k,)) for k in range(4)]
+            refreshing = threading.Thread(target=refresher)
+            refreshing.start()
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            done.set()
+            refreshing.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and not refreshing.is_alive()
+        lam = store.window_refresh(600.0)
+        window = store._window[1]  # the window's stacked Q rows
+        assert len(store) == len(window) == rows.shape[0] * rows.shape[1]
+        assert sorted(map(tuple, window)) == sorted(map(tuple, rows.reshape(-1, 12)))
+        assert lam == solve_lambda(AllocationProblem(window, menu.all_cents, 87))
+
+    def test_append_rejects_wrong_width(self):
+        store = WindowStore(ActionSet.default().all_cents, 87)
+        with pytest.raises(ValueError):
+            store.append(0.0, np.ones(5), 0, 65)
+        assert len(store) == 0

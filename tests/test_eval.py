@@ -212,6 +212,16 @@ class TestSimulateOnline:
         for day_row in report.per_day[1:]:
             assert day_row["avg_cost_units"] == pytest.approx(0.65)
 
+    def test_infeasible_budget_spends_like_cheapest_policy(self):
+        # 0.60 is below the cheapest bonus (0.65), so no multiplier fits any
+        # window; the store must fall back to the cheapest actions instead of
+        # keeping lam at 0 and spending like the greedy policy
+        store = WindowStore(ACTIONS.all_cents, budget_cents=60)
+        report = simulate_online(mid_env(), ConstantRowPolicy(ACTIONS), store, 6, 40, seed=14)
+        cheapest = simulate_online(mid_env(), CheapestPolicy(ACTIONS), None, 6, 40, seed=14)
+        assert store.infeasible_refreshes > 0
+        assert report.avg_cost_units == pytest.approx(cheapest.avg_cost_units, abs=0.02)
+
     def test_no_ineligible_actions_and_claim_masks(self):
         report = simulate_online(mid_env(), CheapestPolicy(ACTIONS), None, 6, 30, seed=12)
         # day 4+ includes super claims; env.step would raise on any violation
