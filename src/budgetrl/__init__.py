@@ -10,7 +10,9 @@ from .core import (
     StateVector,
     Trajectory,
     Transition,
+    argmax_cheapest,
     cents,
+    claim_masks,
     day_mask_indices,
     load_dataset,
     units,
@@ -27,7 +29,8 @@ from .envsim import (
     oracle_value_iteration,
 )
 from .nets import Mlp, huber, train_step
-from .bcq import BcqAgent, BcqPolicy, bcq_train, eligible_actions, policy_action, q_vector, train_behavior_model
+from .bcq import (BcqAgent, BcqPolicy, bcq_train, eligible_actions, policy_action, q_vector,
+                  train_behavior_model, xi_eligible)
 from .allocator import (
     AllocationProblem,
     Assignment,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import argmax_cheapest
+
 
 class InfeasibleProblemError(ValueError):
     """The budget cannot be met even by the cheapest eligible actions."""
@@ -72,18 +74,11 @@ class Assignment:
     total_cost_cents: int
 
 
-def _argmax_cheapest(scores: np.ndarray, costs_units: np.ndarray) -> np.ndarray:
-    """Row-wise argmax with ties broken toward the cheaper action."""
-    rowmax = scores.max(axis=1, keepdims=True)
-    tie_cost = np.where(scores == rowmax, costs_units[None, :], np.inf)
-    return np.argmin(tie_cost, axis=1)
-
-
 def _dual_selection(problem: AllocationProblem, lam: float) -> np.ndarray:
     """Per-customer argmax of q_ij - lam * c_j (ties toward cheaper)."""
     costs = problem.costs_units()
     scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
-    return _argmax_cheapest(scores, costs)
+    return argmax_cheapest(scores, costs)
 
 
 def _selection_cost_cents(problem: AllocationProblem, chosen: np.ndarray) -> int:
@@ -121,7 +116,7 @@ def envelope_drops(q: np.ndarray, costs_cents) -> tuple[np.ndarray, np.ndarray]:
     present = np.isfinite(q)
     lams = np.full((n, m - 1), np.inf)
     drops = np.zeros((n, m - 1), dtype=np.int64)
-    cur = _argmax_cheapest(np.where(present, q, -np.inf), costs)
+    cur = argmax_cheapest(np.where(present, q, -np.inf), costs)
     rows = np.arange(n)
     for step in range(m - 1):
         ratio = q[rows]
@@ -190,7 +185,7 @@ def _assign_choice(problem: AllocationProblem, lam: float) -> np.ndarray:
     scores = np.where(present, problem.q - lam * (costs[None, :] - problem.budget_units), -np.inf)
     cand_scores = np.where(scores >= 0.0, scores, -np.inf)
     has_candidate = (cand_scores > -np.inf).any(axis=1)
-    from_candidates = _argmax_cheapest(cand_scores, costs)
+    from_candidates = argmax_cheapest(cand_scores, costs)
     cheapest = np.argmin(np.where(present, costs[None, :], np.inf), axis=1)
     return np.where(has_candidate, from_candidates, cheapest)
 

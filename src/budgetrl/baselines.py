@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionSet, HyperParams, StateVector, Trajectory, day_mask_indices, flatten
+from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
+                   day_mask_indices, flatten)
 from .nets import Mlp, Optimizer, softmax, train_step
 from .bcq import input_size, state_to_input
 
@@ -95,11 +96,8 @@ def train_reward_model(dataset: Sequence[Trajectory], actions: ActionSet,
 def greedy_policy(model: RewardModel, state: StateVector) -> int:
     """Best predicted immediate retention within the claim mask; cheaper on ties."""
     row = model.predict_row(state)
-    mask = np.flatnonzero(np.isfinite(row))
-    best = row[mask].max()
-    ties = mask[row[mask] == best]
-    costs = np.array([model.actions.cost_cents(int(j)) for j in ties])
-    return int(ties[np.argmin(costs)])
+    scores = np.where(np.isfinite(row), row, -np.inf)
+    return int(argmax_cheapest(scores, np.asarray(model.actions.all_cents)))
 
 
 def reward_model_q_matrix(model: RewardModel, states: Sequence[StateVector]) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionSet, HyperParams, StateVector, Trajectory, day_mask_indices, flatten
+from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest, claim_masks,
+                   day_mask_indices, flatten)
 from .nets import Mlp, Optimizer, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
@@ -47,19 +48,28 @@ def behavior_argmax(model: Mlp, state: StateVector, actions: ActionSet) -> int:
     return int(mask[np.argmax(probs)])
 
 
-def eligible_actions(behavior_model: Mlp, state: StateVector, xi: float,
-                     day_mask: np.ndarray) -> np.ndarray:
-    """Masked actions whose probability is >= xi times the masked maximum.
+def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
+    """Boolean mask of the claim-masked actions whose behavior probability is
+    >= xi times the masked maximum of their row (last axis).
 
-    Never empty for xi <= 1: the masked argmax has ratio exactly 1.
+    Never empty on a row with a non-empty claim mask for xi <= 1: the masked
+    argmax has ratio exactly 1.
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
+    masked = np.where(claim_mask, probs, 0.0)
+    return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=True))
+
+
+def eligible_actions(behavior_model: Mlp, state: StateVector, xi: float,
+                     day_mask: np.ndarray) -> np.ndarray:
+    """Indices of the masked actions that pass ``xi_eligible``."""
     day_mask = np.asarray(day_mask, dtype=int)
     if day_mask.size == 0:
         raise ValueError("day mask must not be empty")
-    probs = behavior_probs(behavior_model, state)[day_mask]
-    return day_mask[probs >= xi * probs.max()]
+    claim = np.zeros(behavior_model.output_size, dtype=bool)
+    claim[day_mask] = True
+    return np.flatnonzero(xi_eligible(behavior_probs(behavior_model, state), claim, xi))
 
 
 def train_behavior_model(dataset: Sequence[Trajectory], actions: ActionSet,
@@ -133,6 +143,7 @@ def _prepare_arrays(dataset, actions):
         raise ValueError("empty dataset")
     x = states_to_inputs([tr.state for tr in transitions])
     a = np.array([tr.action_index for tr in transitions], dtype=int)
+    claims = np.array([tr.state.bonuses_collected for tr in transitions], dtype=int)
     r = np.array([tr.reward for tr in transitions], dtype=float)
     done = np.array([tr.done for tr in transitions], dtype=bool)
     width = x.shape[1]
@@ -142,7 +153,7 @@ def _prepare_arrays(dataset, actions):
         if not tr.done:
             x_next[i] = state_to_input(tr.next_state)
             next_mask[i, day_mask_indices(actions, tr.next_state.bonuses_collected)] = True
-    return x, a, r, done, x_next, next_mask
+    return x, a, r, done, x_next, next_mask, claims
 
 
 def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperParams,
@@ -155,7 +166,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     """
     if behavior_model is None:
         behavior_model = train_behavior_model(dataset, actions, hyper)
-    x, a, r, done, x_next, next_mask = _prepare_arrays(dataset, actions)
+    x, a, r, done, x_next, next_mask, claims = _prepare_arrays(dataset, actions)
     n = x.shape[0]
 
     root = np.random.SeedSequence((hyper.seed, 1))
@@ -165,14 +176,11 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     opt = Optimizer(q_net, hyper.learning_rate, hyper.optimizer)
 
     # behavior probabilities at next states never change during Q training
-    next_probs = softmax(behavior_model.forward(x_next))
-    masked_probs = np.where(next_mask, next_probs, 0.0)
-    ratio_ok = masked_probs >= hyper.xi * masked_probs.max(axis=1, keepdims=True)
-    next_eligible = next_mask & ratio_ok
+    next_eligible = xi_eligible(softmax(behavior_model.forward(x_next)), next_mask, hyper.xi)
 
     if log_every is None:
         log_every = max(1, hyper.training_steps // 50)
-    probe = np.arange(min(256, n))
+    probe = slice(0, min(256, n))
     agent = BcqAgent(q_net=q_net, target_net=target_net, behavior_model=behavior_model,
                      hyper=hyper, actions=actions, training_log=[])
 
@@ -187,32 +195,24 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}")
         if (step + 1) % hyper.target_sync_interval == 0:
-            target_net.set_params(q_net.get_params())
+            target_net.set_params(q_net.params)
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
-            agreement = _logged_action_agreement(agent, x[probe], a[probe])
+            agreement = _logged_action_agreement(agent, x[probe], claims[probe], a[probe])
             agent.training_log.append({"step": step + 1, "loss": float(loss),
                                        "behavior_agreement": agreement})
 
-    target_net.set_params(q_net.get_params())
+    target_net.set_params(q_net.params)
     return agent
 
 
-def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, a: np.ndarray) -> float:
-    """Fraction of probe states where the greedy constrained policy matches the logged action."""
-    q = agent.q_net.forward(x_probe)
+def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,
+                             a: np.ndarray) -> float:
+    """Fraction of probe states where the greedy constrained policy matches the
+    logged action; ``claims`` are the probe states' bonuses collected."""
     probs = softmax(agent.behavior_model.forward(x_probe))
-    # the probe rows come from logged states, so reuse the logged claim mask
-    bonuses = np.rint(x_probe[:, -1] * 4.0).astype(int)
-    picks = np.empty(len(a), dtype=int)
-    for i in range(len(a)):
-        mask = day_mask_indices(agent.actions, int(bonuses[i]))
-        p = probs[i, mask]
-        elig = mask[p >= agent.hyper.xi * p.max()]
-        costs = np.array([agent.actions.cost_cents(int(j)) for j in elig])
-        scores = q[i, elig]
-        best = scores.max()
-        ties = np.flatnonzero(scores == best)
-        picks[i] = int(elig[ties[np.argmin(costs[ties])]])
+    elig = xi_eligible(probs, claim_masks(agent.actions, claims), agent.hyper.xi)
+    q = agent.q_net.forward(x_probe)
+    picks = argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents))
     return float(np.mean(picks == a))
 
 
@@ -220,22 +220,17 @@ def policy_action(agent: BcqAgent, state: StateVector, xi: float | None = None) 
     """Highest-Q action among the behavior-eligible set; cheaper action on ties."""
     if xi is None:
         xi = agent.hyper.xi
-    mask = day_mask_indices(agent.actions, state.bonuses_collected)
-    elig = eligible_actions(agent.behavior_model, state, xi, mask)
-    q = agent.q_net.forward(state_to_input(state))[elig]
-    best = q.max()
-    ties = np.flatnonzero(q == best)
-    costs = np.array([agent.actions.cost_cents(int(elig[i])) for i in ties])
-    return int(elig[ties[np.argmin(costs)]])
+    x = state_to_input(state)
+    elig = xi_eligible(softmax(agent.behavior_model.forward(x)),
+                       claim_masks(agent.actions, state.bonuses_collected), xi)
+    q = agent.q_net.forward(x)
+    return int(argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents)))
 
 
 def q_vector(agent: BcqAgent, state: StateVector) -> np.ndarray:
     """Q values over the claim-eligible actions; NaN marks ineligible entries."""
-    mask = day_mask_indices(agent.actions, state.bonuses_collected)
     q = agent.q_net.forward(state_to_input(state))
-    out = np.full(agent.actions.size, np.nan)
-    out[mask] = q[mask]
-    return out
+    return np.where(claim_masks(agent.actions, state.bonuses_collected), q, np.nan)
 
 
 class BcqPolicy:

@@ -7,6 +7,7 @@ numeric kernels.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -103,6 +104,36 @@ def day_mask_indices(actions: ActionSet, bonuses_collected: int,
     if bonuses_collected == bonuses_per_cycle - 1:
         return np.arange(actions.n_normal, actions.size)
     return np.arange(actions.n_normal)
+
+
+def claim_masks(actions: ActionSet, bonuses_collected,
+                bonuses_per_cycle: int = DEFAULT_MAX_STEPS) -> np.ndarray:
+    """Boolean form of ``day_mask_indices``, one row over the menu per claim
+    count: shape (M,) for a single count, (N, M) for N counts."""
+    b = np.asarray(bonuses_collected)
+    lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
+    if not 0 <= lo <= hi < bonuses_per_cycle:
+        raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
+    return _claim_table(actions, bonuses_per_cycle)[b]
+
+
+@functools.lru_cache(maxsize=64)
+def _claim_table(actions: ActionSet, bonuses_per_cycle: int) -> np.ndarray:
+    table = np.zeros((bonuses_per_cycle, actions.size), dtype=bool)
+    for b in range(bonuses_per_cycle):
+        table[b, day_mask_indices(actions, b, bonuses_per_cycle)] = True
+    table.flags.writeable = False
+    return table
+
+
+def argmax_cheapest(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Argmax over the last axis, ties broken toward the cheaper action.
+
+    Give ineligible entries a score of -inf; a row with no finite score takes
+    its cheapest action.
+    """
+    rowmax = scores.max(axis=-1, keepdims=True)
+    return np.where(scores == rowmax, costs, np.inf).argmin(axis=-1)
 
 
 @dataclass(frozen=True)

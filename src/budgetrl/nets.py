@@ -7,6 +7,10 @@ optional adaptive-moment update. No autodiff graph.
 Model file layout (``mlp-v1``, text/JSON):
     {"format": "mlp-v1", "layer_sizes": [in, h1, ..., out],
      "params": [flat float list: W1 row-major, b1, W2, b2, ...]}
+
+``Mlp.params`` holds the parameters in memory in exactly this ``params``
+order, as one contiguous buffer; the per-layer weights and biases are views
+into it.
 """
 
 from __future__ import annotations
@@ -45,32 +49,40 @@ def huber_grad(delta, kappa: float):
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class Mlp:
     """Fully connected net: ReLU on hidden layers, identity output.
 
-    Weight matrices have shape (fan_out, fan_in); ``forward`` accepts a
-    single vector or a (batch, fan_in) matrix.
+    Every parameter lives in one contiguous float64 vector ``params``, in the
+    ``mlp-v1`` order (W1 row-major, b1, W2, b2, ...). ``weights`` and
+    ``biases`` are tuples of views into it: weight matrices have shape
+    (fan_out, fan_in), and writing into a view updates ``params``.
+    ``forward`` accepts a single vector or a (batch, fan_in) matrix.
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2:
             raise ShapeError("need at least input and output layers")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
+        shapes = list(zip(self.layer_sizes[1:], self.layer_sizes))
+        self.params = np.zeros(sum(o * i + o for o, i in shapes))
+        weights, biases = [], []
+        idx = 0
+        for fan_out, fan_in in shapes:
+            w = self.params[idx:idx + fan_out * fan_in].reshape(fan_out, fan_in)
+            idx += w.size
+            if rng is not None:
                 bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+                w[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+            weights.append(w)
+            biases.append(self.params[idx:idx + fan_out])
+            idx += fan_out
+        self.weights: tuple[np.ndarray, ...] = tuple(weights)
+        self.biases: tuple[np.ndarray, ...] = tuple(biases)
 
     @property
     def input_size(self) -> int:
@@ -87,10 +99,12 @@ class Mlp:
         a = x[None, :] if single else x
         if a.shape[-1] != self.input_size:
             raise ShapeError(f"input width {a.shape[-1]} != {self.input_size}")
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if i < len(self.weights) - 1:
-                a = np.maximum(a, 0.0)
+            a = a @ w.T
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
         return a[0] if single else a
 
     def _forward_cached(self, x: np.ndarray):
@@ -117,44 +131,30 @@ class Mlp:
                 g = (g @ self.weights[layer]) * (pre[layer - 1] > 0.0)
         return gw, gb
 
-    # -- flat parameter view (serialization, finite differences) -----------
+    # -- flat parameter vector (serialization, finite differences) ---------
 
     def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
-        idx = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[idx:idx + w.size].reshape(w.shape).copy()
-            idx += w.size
-            self.biases[i] = flat[idx:idx + b.size].copy()
-            idx += b.size
-        if idx != flat.size:
-            raise ShapeError(f"parameter vector size {flat.size}, expected {idx}")
+        if flat.shape != self.params.shape:
+            raise ShapeError(f"parameter vector shape {flat.shape}, expected {self.params.shape}")
+        np.copyto(self.params, flat)
 
     def copy(self) -> "Mlp":
         dup = Mlp(self.layer_sizes)
-        dup.set_params(self.get_params())
+        dup.set_params(self.params)
         return dup
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": MODEL_FORMAT,
-            "layer_sizes": list(self.layer_sizes),
-            "params": [float(v) for v in self.get_params()],
-        }
-        Path(path).write_text(json.dumps(payload) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict()) + "\n")
 
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
             "layer_sizes": list(self.layer_sizes),
-            "params": [float(v) for v in self.get_params()],
+            "params": self.params.tolist(),
         }
 
     @classmethod
@@ -171,7 +171,10 @@ class Mlp:
 
 
 class Optimizer:
-    """SGD by default; ``kind='adam'`` enables adaptive moments."""
+    """SGD by default; ``kind='adam'`` enables adaptive moments.
+
+    One elementwise update over the net's flat ``params`` per step.
+    """
 
     def __init__(self, net: Mlp, lr: float, kind: str = "sgd",
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -183,26 +186,24 @@ class Optimizer:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         if kind == "adam":
-            self._m = [np.zeros_like(p) for p in net.weights + net.biases]
-            self._v = [np.zeros_like(p) for p in net.weights + net.biases]
+            self._m = np.zeros_like(net.params)
+            self._v = np.zeros_like(net.params)
 
     def apply(self, gw, gb) -> None:
-        grads = gw + gb
-        params = self.net.weights + self.net.biases
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergedError("non-finite gradient")
+        g = np.concatenate([part.ravel() for layer in zip(gw, gb) for part in layer])
+        if not np.isfinite(g).all():
+            raise TrainingDivergedError("non-finite gradient")
         self.t += 1
+        p = self.net.params
         if self.kind == "sgd":
-            for p, g in zip(params, grads):
-                p -= self.lr * g
+            p -= self.lr * g
             return
+        # the per-layer update's expressions in its order: results stay bit-identical
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * g * g
-            p -= self.lr * (self._m[i] / b1t) / (np.sqrt(self._v[i] / b2t) + self.eps)
+        self._m = self.beta1 * self._m + (1 - self.beta1) * g
+        self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        p -= self.lr * (self._m / b1t) / (np.sqrt(self._v / b2t) + self.eps)
 
 
 def batch_loss_and_grad(net: Mlp, inputs: np.ndarray, targets: np.ndarray, loss: str,

@@ -136,6 +136,20 @@ class TestGreedyPolicy:
             a = greedy_policy(model, state(bonuses=bonuses, day=bonuses + 1))
             assert a in day_mask_indices(ACTIONS, bonuses)
 
+    def test_matches_brute_force_cheapest_tie(self):
+        menu = ActionSet.default()
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            # three distinct levels over twelve actions: most rows have ties
+            model = constant_model(rng.choice([0.2, 0.5, 0.7], size=menu.size), actions=menu)
+            bonuses = int(rng.integers(0, 4))
+            s = state(bonuses=bonuses, day=bonuses + 1)
+            row = model.predict_row(s)
+            finite = [j for j in range(menu.size) if np.isfinite(row[j])]
+            best = max(row[j] for j in finite)
+            expected = min((menu.cost_cents(j), j) for j in finite if row[j] == best)[1]
+            assert greedy_policy(model, s) == expected
+
 
 class TestQMatrix:
     def test_single_state_single_action(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from budgetrl.bcq import (
     BcqAgent,
     BcqPolicy,
+    _logged_action_agreement,
     bcq_train,
     behavior_argmax,
     behavior_probs,
@@ -32,7 +33,7 @@ from budgetrl.envsim import (
     default_behavior_table,
     generate_dataset,
 )
-from budgetrl.nets import Mlp
+from budgetrl.nets import Mlp, softmax
 
 ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 FAST = HyperParams(training_steps=600, hidden_sizes=(32, 32), learning_rate=0.01,
@@ -42,7 +43,7 @@ FAST = HyperParams(training_steps=600, hidden_sizes=(32, 32), learning_rate=0.01
 def const_net(n_inputs, logits):
     """Net with constant output: zero weights, logits as output biases."""
     net = Mlp([n_inputs, len(logits)])
-    net.biases[0] = np.asarray(logits, dtype=float)
+    net.biases[0][:] = np.asarray(logits, dtype=float)
     return net
 
 
@@ -280,3 +281,91 @@ class TestAgentSerialization:
         assert policy.action(s) == policy_action(agent, s)
         np.testing.assert_array_equal(
             np.isfinite(policy.q_row(s)), np.isfinite(q_vector(agent, s)))
+
+
+def old_probe_agreement(agent, x_probe, a):
+    """The per-row probe loop, claim counts decoded from the input (reference)."""
+    q = agent.q_net.forward(x_probe)
+    probs = softmax(agent.behavior_model.forward(x_probe))
+    bonuses = np.rint(x_probe[:, -1] * 4.0).astype(int)
+    picks = np.empty(len(a), dtype=int)
+    for i in range(len(a)):
+        mask = day_mask_indices(agent.actions, int(bonuses[i]))
+        p = probs[i, mask]
+        elig = mask[p >= agent.hyper.xi * p.max()]
+        costs = np.array([agent.actions.cost_cents(int(j)) for j in elig])
+        scores = q[i, elig]
+        ties = np.flatnonzero(scores == scores.max())
+        picks[i] = int(elig[ties[np.argmin(costs[ties])]])
+    return float(np.mean(picks == a)), picks
+
+
+def tied_q_net(n_inputs, n_actions, seed, tie_groups):
+    """Random net whose output units in each group share weights, so their Q values tie."""
+    net = Mlp([n_inputs, 6, n_actions], rng=np.random.default_rng(seed))
+    for group in tie_groups:
+        net.weights[1][group[1:]] = net.weights[1][group[0]]
+        net.biases[1][group[1:]] = net.biases[1][group[0]]
+    return net
+
+
+def brute_force_policy(agent, s, xi):
+    """Cheapest highest-Q action among the xi-eligible ones, in plain Python."""
+    x = state_to_input(s)
+    probs = softmax(agent.behavior_model.forward(x))
+    q = agent.q_net.forward(x)
+    mask = day_mask_indices(agent.actions, s.bonuses_collected).tolist()
+    top = max(probs[j] for j in mask)
+    elig = [j for j in mask if probs[j] >= xi * top]
+    best = max(q[j] for j in elig)
+    return min((agent.actions.cost_cents(j), j) for j in elig if q[j] == best)[1]
+
+
+class TestBatchedKernels:
+    MENU = ActionSet.default()
+    TIES = ([0, 1, 2], [4, 9], [10, 11])
+
+    def random_agent(self, seed, xi):
+        d = 3
+        q_net = tied_q_net(input_size(d), self.MENU.size, seed, self.TIES)
+        behavior = Mlp([input_size(d), 5, self.MENU.size], rng=np.random.default_rng(seed + 1))
+        return BcqAgent(q_net=q_net, target_net=q_net.copy(), behavior_model=behavior,
+                        hyper=HyperParams(xi=xi), actions=self.MENU)
+
+    def random_states(self, seed, n=120, d=3):
+        rng = np.random.default_rng(seed)
+        return [StateVector(tuple(rng.normal(size=d)), int(b) + 1, int(b))
+                for b in rng.integers(0, 4, size=n)]
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    def test_probe_matches_per_row_loop(self, xi):
+        for seed in range(5):
+            agent = self.random_agent(seed, xi)
+            states = self.random_states(100 + seed)
+            x = np.stack([state_to_input(s) for s in states])
+            claims = np.array([s.bonuses_collected for s in states])
+            logged = np.random.default_rng(seed).integers(0, self.MENU.size, size=len(states))
+            expected, picks = old_probe_agreement(agent, x, logged)
+            assert _logged_action_agreement(agent, x, claims, logged) == expected
+            assert _logged_action_agreement(agent, x, claims, picks) == 1.0
+            # the tie groups are hit: some pick is the cheapest member of a tie
+            assert np.isin(picks, [0, 4, 10]).any()
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    def test_policy_action_matches_brute_force(self, xi):
+        for seed in range(3):
+            agent = self.random_agent(seed, 0.5)
+            for s in self.random_states(200 + seed, n=60):
+                assert policy_action(agent, s, xi) == brute_force_policy(agent, s, xi)
+
+    def test_policy_action_rejects_xi_out_of_range(self):
+        agent = self.random_agent(0, 0.3)
+        for xi in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                policy_action(agent, self.random_states(0, n=1)[0], xi)
+
+    def test_target_net_owns_its_buffer_after_sync(self):
+        trajs = TestBcqTrain().make_constant_reward_dataset(n=20)
+        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=30, target_sync_interval=10))
+        assert not np.shares_memory(agent.q_net.params, agent.target_net.params)
+        np.testing.assert_array_equal(agent.q_net.params, agent.target_net.params)

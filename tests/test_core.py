@@ -7,7 +7,9 @@ from budgetrl.core import (
     StateVector,
     Trajectory,
     Transition,
+    argmax_cheapest,
     cents,
+    claim_masks,
     day_mask_indices,
     load_dataset,
     units,
@@ -72,6 +74,50 @@ class TestDayMask:
         with pytest.raises(ValueError):
             day_mask_indices(ActionSet.default(), 4)
 
+
+class TestClaimMasks:
+    @pytest.mark.parametrize("cycle", [3, 4, 5])
+    def test_rows_match_day_mask_indices(self, cycle):
+        a = ActionSet.default()
+        counts = np.array([b for b in range(cycle) for _ in range(2)])
+        masks = claim_masks(a, counts, cycle)
+        assert masks.shape == (counts.size, a.size)
+        for b, row in zip(counts, masks):
+            assert np.flatnonzero(row).tolist() == day_mask_indices(a, b, cycle).tolist()
+            assert claim_masks(a, int(b), cycle).tolist() == row.tolist()
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            claim_masks(ActionSet.default(), 4)
+        with pytest.raises(ValueError):
+            claim_masks(ActionSet.default(), np.array([0, -1]))
+
+    def test_returned_rows_are_copies(self):
+        claim_masks(ActionSet.default(), 0)[0] = False
+        claim_masks(ActionSet.default(), np.array([0]))[0, 0] = False
+        assert claim_masks(ActionSet.default(), 0)[0]
+
+
+class TestArgmaxCheapest:
+    def test_against_brute_force_with_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            m = int(rng.integers(1, 7))
+            costs = rng.permutation(np.arange(10, 10 + 7 * m, 7))[:m].astype(float)
+            scores = rng.integers(0, 3, size=(5, m)).astype(float)
+            scores[rng.random((5, m)) < 0.3] = -np.inf
+            picks = argmax_cheapest(scores, costs)
+            for row, pick in zip(scores, picks):
+                best = row.max()
+                expected = min(range(m), key=lambda j: (row[j] != best, costs[j]))
+                assert pick == expected
+
+    def test_single_row_gives_scalar(self):
+        assert argmax_cheapest(np.array([1.0, 3.0, 3.0]), np.array([3.0, 2.0, 1.0])) == 2
+
+    def test_row_without_finite_score_takes_cheapest(self):
+        scores = np.full((1, 3), -np.inf)
+        assert argmax_cheapest(scores, np.array([5.0, 1.0, 3.0])).tolist() == [1]
 
 class TestHyperParams:
     def test_defaults_valid(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from budgetrl.nets import (
     Mlp,
     Optimizer,
     ShapeError,
+    TrainingDivergedError,
     batch_loss_and_grad,
     huber,
     huber_grad,
@@ -78,7 +81,7 @@ class TestForward:
 
     def test_identity_linear_layer(self):
         net = Mlp([3, 3])
-        net.weights[0] = np.eye(3)
+        net.weights[0][:] = np.eye(3)
         x = np.array([0.3, -1.2, 4.0])
         np.testing.assert_array_equal(net.forward(x), x)
 
@@ -223,3 +226,107 @@ class TestSerializationRoundTrip:
         path.write_text('{"format": "other", "layer_sizes": [1, 1], "params": [0, 0]}')
         with pytest.raises(ValueError):
             Mlp.load(path)
+
+
+class TestFlatParams:
+    def test_params_in_mlp_v1_order(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(6))
+        expected = np.concatenate([net.weights[0].ravel(), net.biases[0],
+                                   net.weights[1].ravel(), net.biases[1]])
+        np.testing.assert_array_equal(net.params, expected)
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.params)
+
+    def test_get_params_is_a_copy(self):
+        net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
+        flat = net.get_params()
+        flat[:] = 0.0
+        assert np.any(net.params != 0.0)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_size_rejected_before_any_write(self, delta):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(8))
+        before = net.get_params()
+        with pytest.raises(ShapeError):
+            net.set_params(np.full(before.size + delta, 7.0))
+        np.testing.assert_array_equal(net.get_params(), before)
+        assert [w.shape for w in net.weights] == [(4, 3), (2, 4)]
+
+    def test_layers_cannot_be_rebound(self):
+        net = Mlp([3, 3])
+        with pytest.raises(TypeError):
+            net.weights[0] = np.eye(3)
+        with pytest.raises(TypeError):
+            net.biases[0] = np.ones(3)
+
+    def test_copy_owns_its_buffer(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(2))
+        dup = net.copy()
+        np.testing.assert_array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+
+    def test_file_bytes(self, tmp_path):
+        net = Mlp([1, 2])
+        net.set_params([1.0, 2.0, 0.5, -0.25])
+        path = tmp_path / "model.json"
+        net.save(path)
+        assert path.read_text() == ('{"format": "mlp-v1", "layer_sizes": [1, 2], '
+                                    '"params": [1.0, 2.0, 0.5, -0.25]}\n')
+        assert path.read_text() == json.dumps(net.to_dict()) + "\n"
+
+
+def per_layer_update(params, grads, kind, lr, t, moments, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-layer SGD/Adam update, one array at a time (reference)."""
+    if kind == "sgd":
+        for p, g in zip(params, grads):
+            p -= lr * g
+        return
+    m, v = moments
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1 - beta1) * g
+        v[i] = beta2 * v[i] + (1 - beta2) * g * g
+        p -= lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
+
+
+class TestFlatOptimizer:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("loss", ["huber", "cross_entropy"])
+    def test_bit_identical_to_per_layer_update(self, kind, loss):
+        net = Mlp([4, 6, 5, 3], rng=np.random.default_rng(12))
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        moments = ([np.zeros_like(p) for p in ref_w + ref_b],
+                   [np.zeros_like(p) for p in ref_w + ref_b])
+        opt = Optimizer(net, 0.05, kind)
+        data = np.random.default_rng(13)
+        for t in range(1, 61):
+            x = data.normal(size=(8, 4))
+            if loss == "huber":
+                targets, units_idx = data.normal(size=8), data.integers(0, 3, size=8)
+            else:
+                targets, units_idx = data.integers(0, 3, size=8), None
+            _, gw, gb = batch_loss_and_grad(net, x, targets, loss, unit_indices=units_idx)
+            opt.apply(gw, gb)
+            per_layer_update(ref_w + ref_b, gw + gb, kind, 0.05, t, moments)
+            np.testing.assert_array_equal(net.params, flatten_grads(net, ref_w, ref_b))
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_any_layer_leaves_params(self, kind, bad):
+        net = Mlp([3, 4, 4, 2], rng=np.random.default_rng(3))
+        opt = Optimizer(net, 0.1, kind)
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        _, gw, gb = batch_loss_and_grad(net, x, np.zeros(5), "huber")
+        opt.apply(gw, gb)
+        before = net.get_params()
+        for grads in (gw, gb):
+            for layer in range(len(grads)):
+                bad_grads = [g.copy() for g in grads]
+                bad_grads[layer].flat[-1] = bad
+                args = (bad_grads, gb) if grads is gw else (gw, bad_grads)
+                with pytest.raises(TrainingDivergedError):
+                    opt.apply(*args)
+                np.testing.assert_array_equal(net.get_params(), before)
+                assert opt.t == 1
