@@ -27,6 +27,19 @@ class InfeasibleProblemError(ValueError):
     """The budget cannot be met even by the cheapest eligible actions."""
 
 
+def _checked_rows(q, m: int, ndim: int) -> np.ndarray:
+    """``q`` as float rows over ``m`` actions (``ndim`` 2: a matrix of at least one
+    row; 1: one row), each with an eligible action and no infinite entry."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != ndim or q.shape[-1] != m or not q.size:
+        raise ValueError(f"q has shape {q.shape}, not {'one row' if ndim == 1 else 'rows'} of {m}")
+    if not np.isfinite(q).any(axis=-1).all():
+        raise ValueError("every customer needs at least one eligible action")
+    if np.isinf(q).any():
+        raise ValueError("q entries must be finite or NaN")
+    return q
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
     """N customers x M actions: value matrix, per-action costs, per-customer budget."""
@@ -36,17 +49,7 @@ class AllocationProblem:
     budget_cents: int
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] < 1:
-            raise ValueError("q must be a 2-D matrix with at least one row")
-        if q.shape[1] != len(self.costs_cents):
-            raise ValueError(f"q has {q.shape[1]} columns, costs has {len(self.costs_cents)}")
-        present = np.isfinite(q)
-        if not present.any(axis=1).all():
-            raise ValueError("every customer needs at least one eligible action")
-        if np.isinf(q).any():
-            raise ValueError("q entries must be finite or NaN")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _checked_rows(self.q, len(self.costs_cents), 2))
 
     @property
     def n(self) -> int:
@@ -74,22 +77,10 @@ class Assignment:
     total_cost_cents: int
 
 
-def _dual_selection(problem: AllocationProblem, lam: float) -> np.ndarray:
-    """Per-customer argmax of q_ij - lam * c_j (ties toward cheaper)."""
-    costs = problem.costs_units()
-    scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
-    return argmax_cheapest(scores, costs)
-
-
-def _selection_cost_cents(problem: AllocationProblem, chosen: np.ndarray) -> int:
-    costs = np.asarray(problem.costs_cents, dtype=np.int64)
-    return int(costs[chosen].sum())
-
-
-def _cheapest_total_cents(problem: AllocationProblem) -> int:
-    costs = np.asarray(problem.costs_cents, dtype=np.int64)
-    per_row_min = np.where(np.isfinite(problem.q), costs[None, :], np.iinfo(np.int64).max).min(axis=1)
-    return int(per_row_min.sum())
+def _masked(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with ineligible entries at -inf, and each row's cheapest eligible action."""
+    present = np.isfinite(q)
+    return np.where(present, q, -np.inf), np.where(present, cents, np.inf).argmin(axis=-1)
 
 
 def dual_objective(problem: AllocationProblem, lam: float) -> float:
@@ -109,31 +100,37 @@ def envelope_drops(q: np.ndarray, costs_cents) -> tuple[np.ndarray, np.ndarray]:
     cheapest j attaining it. Returns ``(lams, drops)``, both (N, M-1): each
     row's breakpoints (inf past the last) and integer-cent cost drops there.
     """
-    q = np.asarray(q, dtype=float)
-    n, m = q.shape
-    cents = np.asarray(costs_cents, dtype=np.int64)
+    return _row_cache(np.asarray(q, dtype=float), np.asarray(costs_cents, dtype=np.int64))[3:]
+
+
+def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What the exact-lam kernel reads per row: the -inf-masked rows, the greedy
+    (lam = 0) cost where the envelope walk starts, the cheapest eligible
+    action, and the walk's breakpoints and drops (``envelope_drops``)."""
+    qm, cheapest = _masked(q, cents)
+    lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
+    drops = np.zeros(lams.shape, dtype=np.int64)
+    cur = argmax_cheapest(qm, cents)
+    start_cents = cents[cur]
     costs = cents / 100.0
-    present = np.isfinite(q)
-    lams = np.full((n, m - 1), np.inf)
-    drops = np.zeros((n, m - 1), dtype=np.int64)
-    cur = argmax_cheapest(np.where(present, q, -np.inf), costs)
-    rows = np.arange(n)
-    for step in range(m - 1):
-        ratio = q[rows]
-        np.subtract(q[rows, cur][:, None], ratio, out=ratio)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio, costs[cur][:, None] - costs[None, :], out=ratio)
-        ratio[~(present[rows] & (cents[None, :] < cents[cur][:, None]))] = np.inf
-        lam = ratio.min(axis=1)
-        moves = lam < np.inf
-        rows, cur, lam, ratio = rows[moves], cur[moves], lam[moves], ratio[moves]
-        if not rows.size:
-            break
-        nxt = np.argmin(np.where(ratio == lam[:, None], costs[None, :], np.inf), axis=1)
-        lams[rows, step] = lam
-        drops[rows, step] = cents[cur] - cents[nxt]
-        cur = nxt
-    return lams, drops
+    rows = np.arange(q.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(lams.shape[1]):
+            # An ineligible j gives (q_a + inf) / (c_a - c_j), +inf when j is cheaper.
+            ratio = qm[rows]
+            np.subtract(qm[rows, cur][:, None], ratio, out=ratio)
+            np.divide(ratio, costs[cur][:, None] - costs, out=ratio)
+            ratio[cents >= cents[cur][:, None]] = np.inf
+            nxt = argmax_cheapest(-ratio, cents)  # the cheapest j at the smallest ratio
+            lam = ratio[np.arange(rows.size), nxt]
+            moves = lam < np.inf
+            rows, cur, nxt, lam = rows[moves], cur[moves], nxt[moves], lam[moves]
+            if not rows.size:
+                break
+            lams[rows, step] = lam
+            drops[rows, step] = cents[cur] - cents[nxt]
+            cur = nxt
+    return qm, start_cents, cheapest, lams, drops
 
 
 def _step_up_until(fits, lam: float) -> float:
@@ -146,12 +143,13 @@ def _step_up_until(fits, lam: float) -> float:
     return lam
 
 
-def _exact_lambda(problem: AllocationProblem, total_cents: int, envelope=None) -> float:
-    """Smallest lam at which the selection costs at most ``total_cents`` in all."""
-    excess = _selection_cost_cents(problem, _dual_selection(problem, 0.0)) - total_cents
+def _exact_lambda(cache, cents: np.ndarray, budget_cents: int, total_cents: int) -> float:
+    """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
+    ``total_cents`` in all, under both the dual selection and ``assign``."""
+    qm, start_cents, cheapest, lams, drops = cache
+    excess = int(start_cents.sum()) - total_cents
     if excess <= 0:
         return 0.0
-    lams, drops = envelope_drops(problem.q, problem.costs_cents) if envelope is None else envelope
     lams, drops = lams[lams < np.inf], drops[lams < np.inf]
     order = np.argsort(lams)
     k = int(np.searchsorted(np.cumsum(drops[order]), excess))
@@ -160,50 +158,49 @@ def _exact_lambda(problem: AllocationProblem, total_cents: int, envelope=None) -
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
 
     def fits(lam: float) -> bool:
-        return all(_selection_cost_cents(problem, choose(problem, lam)) <= total_cents
-                   for choose in (_dual_selection, _assign_choice))
+        return (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
+                and int(cents[_assign_choice(qm, cheapest, cents, budget_cents, lam)].sum()) <= total_cents)
 
     return _step_up_until(fits, float(lams[order[k]]))
 
 
-def solve_lambda(problem: AllocationProblem, envelope=None) -> float:
+def solve_lambda(problem: AllocationProblem) -> float:
     """Exact minimizer of the dual over lam >= 0: the breakpoint at which the
-    sorted cumulative cost drop of ``envelope_drops`` (``envelope``, if
-    precomputed) covers the greedy cost's excess over the budget, stepped up
-    by ulps until both ``assign`` and the dual selection fit. Returns 0 when
-    the greedy assignment fits, and raises InfeasibleProblemError when even
-    the cheapest eligible assignment does not.
+    sorted cumulative cost drop of ``envelope_drops`` covers the greedy cost's
+    excess over the budget, stepped up by ulps until both ``assign`` and the
+    dual selection fit. Returns 0 when the greedy assignment fits, and raises
+    InfeasibleProblemError when even the cheapest eligible assignment does not.
     """
-    return _exact_lambda(problem, problem.n * problem.budget_cents, envelope)
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    return _exact_lambda(_row_cache(problem.q, cents), cents, problem.budget_cents,
+                         problem.n * problem.budget_cents)
 
 
-def _assign_choice(problem: AllocationProblem, lam: float) -> np.ndarray:
-    """Assignment rule: among actions with q_ij - lam(c_j - budget) >= 0 take the
-    highest score (cheaper on ties); if none qualifies, the cheapest eligible action."""
-    costs = problem.costs_units()
-    present = np.isfinite(problem.q)
-    scores = np.where(present, problem.q - lam * (costs[None, :] - problem.budget_units), -np.inf)
-    cand_scores = np.where(scores >= 0.0, scores, -np.inf)
-    has_candidate = (cand_scores > -np.inf).any(axis=1)
-    from_candidates = argmax_cheapest(cand_scores, costs)
-    cheapest = np.argmin(np.where(present, costs[None, :], np.inf), axis=1)
-    return np.where(has_candidate, from_candidates, cheapest)
+def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, budget_cents: int,
+                   lam: float) -> np.ndarray:
+    """Assignment rule over a matrix of -inf-masked rows: among actions with
+    q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
+    if none qualifies, the row's ``cheapest`` eligible action."""
+    scores = qm - lam * (cents / 100.0 - budget_cents / 100.0)
+    best = argmax_cheapest(scores, cents)
+    return np.where(scores[np.arange(best.size), best] >= 0.0, best, cheapest)
 
 
 def assign(problem: AllocationProblem, lam: float) -> Assignment:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    chosen = _assign_choice(problem, lam)
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    chosen = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)
     objective = float(problem.q[np.arange(problem.n), chosen].sum())
     return Assignment(chosen=tuple(int(a) for a in chosen), lam=lam, objective=objective,
-                      total_cost_cents=_selection_cost_cents(problem, chosen))
+                      total_cost_cents=int(cents[chosen].sum()))
 
 
 def assign_row(q_row: np.ndarray, costs_cents, budget_cents: int, lam: float) -> int:
     """Single-customer assignment rule (used on the online path)."""
-    problem = AllocationProblem(np.asarray(q_row, dtype=float)[None, :],
-                                tuple(costs_cents), budget_cents)
-    return int(_assign_choice(problem, lam)[0])
+    cents = np.asarray(costs_cents, dtype=np.int64)
+    qm, cheapest = _masked(_checked_rows(q_row, cents.size, 1)[None], cents)
+    return int(_assign_choice(qm, cheapest, cents, budget_cents, lam)[0])
 
 
 def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignment:
@@ -256,20 +253,21 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     budget_total = problem.n * problem.budget_cents
     if assignment.total_cost_cents <= budget_total:
         return assignment
-    if _cheapest_total_cents(problem) > budget_total:
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    qm, _, cheapest, lams, _ = _row_cache(problem.q, cents)
+    if int(cents[cheapest].sum()) > budget_total:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
 
     # The assignment only changes where a dual choice moves down its envelope
     # or a score q_ij - lam (c_j - budget) crosses zero (the cheapest fallback).
-    lams, _ = envelope_drops(problem.q, problem.costs_cents)
     with np.errstate(divide="ignore", invalid="ignore"):
         zero_cross = problem.q / (problem.costs_units() - problem.budget_units)[None, :]
     cands = np.concatenate([lams.ravel(), zero_cross.ravel()])
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
-        return _selection_cost_cents(problem, _assign_choice(problem, lam)) <= budget_total
+        return int(cents[_assign_choice(qm, cheapest, cents, problem.budget_cents, lam)].sum()) <= budget_total
 
     # Cost is non-increasing in lam and constant between candidates: bisect on
     # gap midpoints, which float rounding at a candidate cannot disturb.
@@ -293,14 +291,16 @@ class WindowStore:
 
     Timestamps are logical (caller-provided seconds), so tests and simulations
     run in virtual time. ``lambda_snapshot`` is published atomically; readers
-    never block on a refresh, appends do. A refresh walks the envelopes of the
-    rows queued since the last one in one batch and keeps them with the rows.
+    never block on a refresh, appends do. Rows are checked when they are
+    queued; a refresh fills the ``_row_cache`` arrays of the rows queued since
+    the last one in one batch, keeps them with the rows, and solves from them.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
                  window_span: float = 24 * 3600.0, refresh_period: float = 600.0,
                  initial_lambda: float = 0.0):
         self.costs_cents = tuple(int(c) for c in costs_cents)
+        self._cents = np.asarray(self.costs_cents, dtype=np.int64)
         self.budget_cents = int(budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
@@ -309,17 +309,16 @@ class WindowStore:
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
         empty = np.empty((0, len(self.costs_cents)))
-        self._window = (np.empty(0), empty, *envelope_drops(empty, self.costs_cents))  # ts, q, lams, drops
+        self._window = (np.empty(0), empty, *_row_cache(empty, self._cents))  # ts, q, row cache
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._window[0]) + len(self._pending)
 
     def append(self, ts: float, q_row: np.ndarray, action_index: int, cost_cents: int) -> None:
-        """Queue a decided customer's Q row; the multiplier needs only the row."""
-        q_row = np.asarray(q_row, dtype=float)
-        if q_row.shape != (len(self.costs_cents),):
-            raise ValueError(f"q row has shape {q_row.shape}, not ({len(self.costs_cents)},)")
+        """Queue a decided customer's Q row; the multiplier needs only the row.
+        A row ``AllocationProblem`` would reject raises ValueError and is not queued."""
+        q_row = _checked_rows(q_row, self._cents.size, 1)
         with self._lock:
             self._pending.append((float(ts), q_row))
 
@@ -334,24 +333,25 @@ class WindowStore:
             if self._pending:
                 new_q = np.stack([q for _, q in self._pending])
                 self._window = tuple(np.concatenate(pair) for pair in zip(self._window, (
-                    np.array([t for t, _ in self._pending]), new_q,
-                    *envelope_drops(new_q, self.costs_cents))))
+                    np.array([t for t, _ in self._pending]), new_q, *_row_cache(new_q, self._cents))))
                 self._pending = []
             # Records leave from the front, up to the first one still inside the span.
             evicted = int(np.logical_and.accumulate(self._window[0] <= now - self.window_span).sum())
-            _, q, *envelope = self._window = tuple(a[evicted:] for a in self._window)
+            _, q, *cache = self._window = tuple(a[evicted:] for a in self._window)
             if len(q):
-                problem = AllocationProblem(q, self.costs_cents, self.budget_cents)
                 try:
-                    self.lambda_snapshot = solve_lambda(problem, envelope)
+                    self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
+                                                         len(q) * self.budget_cents)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
-                    self.lambda_snapshot = _exact_lambda(problem, _cheapest_total_cents(problem), envelope)
+                    self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
+                                                         int(self._cents[cache[2]].sum()))
             self.last_refresh = now
             return self.lambda_snapshot
 
     def allocate_online(self, q_row: np.ndarray, now: float) -> int:
-        """Single-customer assignment at the current snapshot; logs the record."""
-        action = assign_row(q_row, self.costs_cents, self.budget_cents, self.lambda_snapshot)
-        self.append(now, q_row, action, self.costs_cents[action])
+        """Single-customer assignment at the current snapshot; queues the row as ``append`` does."""
+        action = assign_row(q_row, self._cents, self.budget_cents, self.lambda_snapshot)
+        with self._lock:
+            self._pending.append((float(now), np.asarray(q_row, dtype=float)))
         return action

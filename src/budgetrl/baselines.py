@@ -9,7 +9,6 @@ construction, which is the point of comparing them against the Q-learner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
                    day_mask_indices, flatten)
-from .nets import Mlp, Optimizer, softmax, train_step
+from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
 from .bcq import input_size, state_to_input
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
@@ -59,11 +58,11 @@ class RewardModel:
                    actions=ActionSet.from_dict(payload["actions"]))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n")
+        save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(path))
 
 
 def _pair_input(state: StateVector, action_index: int, n_actions: int) -> np.ndarray:

@@ -9,7 +9,6 @@ behavior argmax.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest, claim_masks,
                    day_mask_indices, flatten)
-from .nets import Mlp, Optimizer, softmax, train_step
+from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
 
@@ -130,11 +129,11 @@ class BcqAgent:
                    actions=ActionSet.from_dict(payload["actions"]))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n")
+        save_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "BcqAgent":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(path))
 
 
 def _prepare_arrays(dataset, actions):
@@ -192,8 +191,6 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
         targets = r[idx] + hyper.gamma * boot
         loss = train_step(q_net, x[idx], targets, "huber", hyper.learning_rate,
                           kappa=hyper.kappa, unit_indices=a[idx], optimizer=opt)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {step}")
         if (step + 1) % hyper.target_sync_interval == 0:
             target_net.set_params(q_net.params)
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:

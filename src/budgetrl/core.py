@@ -127,13 +127,24 @@ def _claim_table(actions: ActionSet, bonuses_per_cycle: int) -> np.ndarray:
 
 
 def argmax_cheapest(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Argmax over the last axis, ties broken toward the cheaper action.
+    """Argmax over the last axis, ties broken toward the cheaper action, then
+    the lower index: one argmax over the columns in stable cost order.
 
     Give ineligible entries a score of -inf; a row with no finite score takes
-    its cheapest action.
+    its cheapest action. Scores must not contain NaN.
     """
-    rowmax = scores.max(axis=-1, keepdims=True)
-    return np.where(scores == rowmax, costs, np.inf).argmin(axis=-1)
+    order = _cost_order(tuple(np.asarray(costs).tolist()))
+    if order is None:  # columns already in cost order, as on every menu
+        return scores.argmax(axis=-1)
+    return order[np.take(scores, order, axis=-1).argmax(axis=-1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _cost_order(costs: tuple) -> np.ndarray | None:
+    """Column indices in stable cost order, or None when that is the identity."""
+    order = np.argsort(costs, kind="stable")
+    order.flags.writeable = False
+    return None if (np.diff(order) > 0).all() else order
 
 
 @dataclass(frozen=True)

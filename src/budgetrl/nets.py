@@ -23,6 +23,15 @@ import numpy as np
 MODEL_FORMAT = "mlp-v1"
 
 
+def save_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as one line of JSON: the file of every net, agent and model."""
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def load_json(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text())
+
+
 class ShapeError(ValueError):
     pass
 
@@ -148,7 +157,7 @@ class Mlp:
         return dup
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()) + "\n")
+        save_json(path, self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +176,7 @@ class Mlp:
 
     @classmethod
     def load(cls, path: str | Path) -> "Mlp":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(path))
 
 
 class Optimizer:

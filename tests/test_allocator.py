@@ -158,11 +158,24 @@ class TestAssign:
 
     def test_assign_row_matches_batch(self):
         rng = np.random.default_rng(6)
-        p = random_problem(rng, n_max=6)
-        lam = float(rng.random() * 2)
-        batch = assign(p, lam)
-        for i in range(p.n):
-            assert assign_row(p.q[i], p.costs_cents, p.budget_cents, lam) == batch.chosen[i]
+        fallbacks = 0
+        for _ in range(100):
+            p = random_problem(rng, n_max=6)
+            q = p.q.copy()
+            q[rng.random(q.shape) < 0.3] = np.nan
+            q[np.arange(p.n), rng.integers(0, p.m, size=p.n)] = rng.random(p.n)
+            q[rng.random(p.n) < 0.3] -= 5.0  # all scores negative: the cheapest fallback
+            p = AllocationProblem(q, p.costs_cents, p.budget_cents)
+            lam = float(rng.random() * 2)
+            batch = assign(p, lam)
+            store = WindowStore(p.costs_cents, p.budget_cents, initial_lambda=lam)
+            for i in range(p.n):
+                assert assign_row(p.q[i], p.costs_cents, p.budget_cents, lam) == batch.chosen[i]
+                assert store.allocate_online(p.q[i], now=float(i)) == batch.chosen[i]
+                scores = p.q[i] - lam * (p.costs_units() - p.budget_units)
+                fallbacks += not (scores >= 0).any()
+            assert len(store) == p.n
+        assert fallbacks > 20
 
     def test_respects_nan_mask(self):
         q = np.array([[np.nan, 0.2, 0.9], [0.4, np.nan, np.nan]])
@@ -626,3 +639,24 @@ class TestWindowExactness:
         with pytest.raises(ValueError):
             store.append(0.0, np.ones(5), 0, 65)
         assert len(store) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_row_is_rejected_before_it_reaches_the_window(self, bad):
+        menu = ActionSet.default()
+        store = WindowStore(menu.all_cents, 87, window_span=1000.0, refresh_period=10.0)
+        rng = np.random.default_rng(30)
+        rows = rng.random((20, 12)) + menu.units_array()
+        for i, q in enumerate(rows[:10]):
+            store.append(float(i), q, 0, 65)
+        row = np.full(12, bad) if np.isnan(bad) else np.where(np.arange(12) == 3, bad, rows[10])
+        with pytest.raises(ValueError):
+            store.append(10.0, row, 0, 65)
+        with pytest.raises(ValueError):
+            store.allocate_online(row, 10.0)
+        assert len(store) == 10
+        for i, q in enumerate(rows[10:], start=10):
+            store.allocate_online(q, float(i))
+        for now in (10.0, 500.0, 900.0):
+            lam = store.window_refresh(now)
+            assert lam == solve_lambda(AllocationProblem(store._window[1], menu.all_cents, 87))
+        assert len(store) == 20 and store.infeasible_refreshes == 0

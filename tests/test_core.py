@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,13 +101,24 @@ class TestClaimMasks:
 
 
 class TestArgmaxCheapest:
+    @staticmethod
+    def random_costs(rng, kind, m):
+        if kind == "shuffled":
+            return rng.permutation(np.arange(10, 10 + 7 * m, 7))[:m].astype(float)
+        if kind == "repeated":  # non-decreasing, with runs of equal costs
+            return np.sort(rng.integers(0, 3, size=m)).astype(float)
+        return np.asarray(ActionSet.default().all_cents[:m], dtype=float)  # the menu
+
     def test_against_brute_force_with_ties(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            m = int(rng.integers(1, 7))
-            costs = rng.permutation(np.arange(10, 10 + 7 * m, 7))[:m].astype(float)
+        for kind, no_finite_rows, _ in itertools.product(
+                ("shuffled", "repeated", "menu"), (False, True), range(200)):
+            m = int(rng.integers(1, 13 if kind == "menu" else 7))
+            costs = self.random_costs(rng, kind, m)
             scores = rng.integers(0, 3, size=(5, m)).astype(float)
             scores[rng.random((5, m)) < 0.3] = -np.inf
+            if no_finite_rows:
+                scores[rng.random(5) < 0.5] = -np.inf
             picks = argmax_cheapest(scores, costs)
             for row, pick in zip(scores, picks):
                 best = row.max()
