@@ -315,7 +315,7 @@ class WindowStore:
     def __len__(self) -> int:
         return len(self._window[0]) + len(self._pending)
 
-    def append(self, ts: float, q_row: np.ndarray, action_index: int, cost_cents: int) -> None:
+    def append(self, ts: float, q_row: np.ndarray) -> None:
         """Queue a decided customer's Q row; the multiplier needs only the row.
         A row ``AllocationProblem`` would reject raises ValueError and is not queued."""
         q_row = _checked_rows(q_row, self._cents.size, 1)

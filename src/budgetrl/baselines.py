@@ -19,6 +19,7 @@ from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheap
                    day_mask_indices, flatten)
 from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
 from .bcq import input_size, state_to_input
+from .envsim import check_claim_table
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
 
@@ -117,17 +118,11 @@ class ExpertPolicy:
     actions: ActionSet
 
     def __post_init__(self):
-        for row in self.table:
-            for claim, a in enumerate(row):
-                if a not in day_mask_indices(self.actions, claim, len(row)):
-                    raise ValueError(f"expert table entry {a} violates the claim-{claim + 1} mask")
+        check_claim_table(self.table, self.actions)
 
     def action(self, state: StateVector) -> int:
         proxy = int(np.argmax(state.to_array()[:self.n_segments]))
         return self.table[proxy % len(self.table)][state.bonuses_collected]
-
-    def q_row(self, state: StateVector):
-        return None
 
 
 class CheapestPolicy:
@@ -139,9 +134,6 @@ class CheapestPolicy:
     def action(self, state: StateVector) -> int:
         return int(day_mask_indices(self.actions, state.bonuses_collected)[0])
 
-    def q_row(self, state: StateVector):
-        return None
-
 
 class UniformRandomPolicy:
     """Uniform over the claim-eligible actions, with its own seeded stream."""
@@ -152,9 +144,6 @@ class UniformRandomPolicy:
 
     def action(self, state: StateVector) -> int:
         return int(self.rng.choice(day_mask_indices(self.actions, state.bonuses_collected)))
-
-    def q_row(self, state: StateVector):
-        return None
 
 
 class RewardModelPolicy:

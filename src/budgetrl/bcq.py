@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest, claim_masks,
-                   day_mask_indices, flatten)
+from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
+                   argmax_cheapest, claim_masks, day_mask_indices, flatten)
 from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
@@ -25,7 +25,8 @@ AGENT_FORMAT = "bcq-agent-v1"
 def state_to_input(state: StateVector) -> np.ndarray:
     """Network input: opaque features plus normalized cycle counters."""
     return np.concatenate([state.to_array(),
-                           [state.day_in_cycle / 7.0, state.bonuses_collected / 4.0]])
+                           [state.day_in_cycle / CYCLE_DAYS,
+                            state.bonuses_collected / CLAIMS_PER_CYCLE]])
 
 
 def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
@@ -121,6 +122,7 @@ class BcqAgent:
         if payload.get("format") != AGENT_FORMAT:
             raise ValueError(f"unsupported agent format {payload.get('format')!r}")
         hyper_kw = dict(payload["hyper"])
+        hyper_kw.pop("epsilon", None)  # written by older versions, never read
         hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
         q_net = Mlp.from_dict(payload["q_net"])
         return cls(q_net=q_net, target_net=q_net.copy(),

@@ -161,7 +161,7 @@ def cmd_generate_data(args) -> int:
     if violations:
         return _fail(f"generated dataset failed validation: {violations[:3]}")
     out = Path(args.out)
-    write_dataset(out, dataset, actions, env_config.feature_dim, env_config.bonuses_per_cycle)
+    write_dataset(out, dataset, actions, env_config.feature_dim)
     _snapshot(out / "run", "generate-data", {
         "n_users": args.n_users, "seed": args.seed,
         "config": config_to_dict(env_config, behavior, actions),
@@ -352,8 +352,7 @@ def cmd_pipeline(args) -> int:
     violations = validate_dataset(dataset, actions, env_config.feature_dim)
     if violations:
         return _fail(f"generated dataset failed validation: {violations[:3]}")
-    write_dataset(dataset_dir, dataset, actions, env_config.feature_dim,
-                  env_config.bonuses_per_cycle)
+    write_dataset(dataset_dir, dataset, actions, env_config.feature_dim)
 
     hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
                         hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")

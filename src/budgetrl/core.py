@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_MAX_STEPS = 4
-DEFAULT_CYCLE_LENGTH = 7
+# The check-in cycle: up to four claims (three normal, then one super) within seven days.
+CLAIMS_PER_CYCLE = 4
+CYCLE_DAYS = 7
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "trajlog-v1"
@@ -92,36 +94,33 @@ class ActionSet:
         return cls(tuple(d["normal_cents"]), tuple(d["super_cents"]))
 
 
-def day_mask_indices(actions: ActionSet, bonuses_collected: int,
-                     bonuses_per_cycle: int = DEFAULT_MAX_STEPS) -> np.ndarray:
+def day_mask_indices(actions: ActionSet, bonuses_collected: int) -> np.ndarray:
     """Eligible action indices for the next claim.
 
-    Normal bonuses on claims 1..3 (bonuses_collected < bonuses_per_cycle-1),
-    super bonuses on the final claim of the cycle.
+    Normal bonuses on claims 1..3, super bonuses on the final claim of the cycle.
     """
-    if bonuses_collected < 0 or bonuses_collected >= bonuses_per_cycle:
+    if bonuses_collected < 0 or bonuses_collected >= CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
-    if bonuses_collected == bonuses_per_cycle - 1:
+    if bonuses_collected == CLAIMS_PER_CYCLE - 1:
         return np.arange(actions.n_normal, actions.size)
     return np.arange(actions.n_normal)
 
 
-def claim_masks(actions: ActionSet, bonuses_collected,
-                bonuses_per_cycle: int = DEFAULT_MAX_STEPS) -> np.ndarray:
+def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     """Boolean form of ``day_mask_indices``, one row over the menu per claim
     count: shape (M,) for a single count, (N, M) for N counts."""
     b = np.asarray(bonuses_collected)
     lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
-    if not 0 <= lo <= hi < bonuses_per_cycle:
+    if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
-    return _claim_table(actions, bonuses_per_cycle)[b]
+    return _claim_table(actions)[b]
 
 
 @functools.lru_cache(maxsize=64)
-def _claim_table(actions: ActionSet, bonuses_per_cycle: int) -> np.ndarray:
-    table = np.zeros((bonuses_per_cycle, actions.size), dtype=bool)
-    for b in range(bonuses_per_cycle):
-        table[b, day_mask_indices(actions, b, bonuses_per_cycle)] = True
+def _claim_table(actions: ActionSet) -> np.ndarray:
+    table = np.zeros((CLAIMS_PER_CYCLE, actions.size), dtype=bool)
+    for b in range(CLAIMS_PER_CYCLE):
+        table[b, day_mask_indices(actions, b)] = True
     table.flags.writeable = False
     return table
 
@@ -197,7 +196,6 @@ class HyperParams:
 
     gamma: float = 1.0
     xi: float = 0.3
-    epsilon: float = 0.01
     kappa: float = 1.0
     learning_rate: float = 0.05
     batch_size: int = 64
@@ -212,8 +210,6 @@ class HyperParams:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must be in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
         if self.kappa <= 0:
             raise ValueError("kappa must be > 0")
         if self.batch_size < 1 or self.training_steps < 0:
@@ -234,8 +230,7 @@ class HyperParams:
 # Dataset validation
 
 
-def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> list[str]:
+def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) -> list[str]:
     """Check every data-model invariant; returns a list of violations (empty = valid).
 
     Violations identify records by user_id and step so the report is
@@ -247,8 +242,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int,
             violations.append("empty trajectory")
             continue
         uid = traj.transitions[0].user_id
-        if len(traj) > max_steps:
-            violations.append(f"user {uid}: trajectory exceeds T={max_steps} (length {len(traj)})")
+        if len(traj) > CLAIMS_PER_CYCLE:
+            violations.append(
+                f"user {uid}: trajectory exceeds T={CLAIMS_PER_CYCLE} (length {len(traj)})")
         n_super = 0
         for i, tr in enumerate(traj.transitions):
             where = f"user {tr.user_id} t={tr.t}"
@@ -258,9 +254,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int,
                 violations.append(f"{where}: time step out of order (expected {i + 1})")
             if len(tr.state.features) != d:
                 violations.append(f"{where}: feature length {len(tr.state.features)} != d={d}")
-            if not 1 <= tr.state.day_in_cycle <= DEFAULT_CYCLE_LENGTH:
+            if not 1 <= tr.state.day_in_cycle <= CYCLE_DAYS:
                 violations.append(f"{where}: day_in_cycle {tr.state.day_in_cycle} out of range")
-            if not 0 <= tr.state.bonuses_collected < max_steps:
+            if not 0 <= tr.state.bonuses_collected < CLAIMS_PER_CYCLE:
                 violations.append(f"{where}: bonuses_collected {tr.state.bonuses_collected} out of range")
             if not 0 <= tr.action_index < actions.size:
                 violations.append(f"{where}: action index {tr.action_index} out of range")
@@ -273,9 +269,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int,
                     f"{actions.cost_cents(tr.action_index)} for action {tr.action_index})")
             if actions.is_super(tr.action_index):
                 n_super += 1
-                if tr.state.bonuses_collected != max_steps - 1:
-                    violations.append(f"{where}: super action before claim {max_steps}")
-            elif tr.state.bonuses_collected == max_steps - 1:
+                if tr.state.bonuses_collected != CLAIMS_PER_CYCLE - 1:
+                    violations.append(f"{where}: super action before claim {CLAIMS_PER_CYCLE}")
+            elif tr.state.bonuses_collected == CLAIMS_PER_CYCLE - 1:
                 violations.append(f"{where}: normal action at the super claim")
             if tr.done != (tr.next_state is None):
                 violations.append(f"{where}: done flag inconsistent with terminal marker")
@@ -315,41 +311,60 @@ def _transition_record(tr: Transition) -> dict:
 
 
 def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: ActionSet,
-                  d: int, max_steps: int = DEFAULT_MAX_STEPS) -> Path:
+                  d: int) -> Path:
     """Append trajectories to a dataset directory, creating it if needed.
 
-    Each call writes a fresh shard; the manifest is written once and must
-    stay consistent across appends.
+    Each call writes a fresh shard; the first call then writes the manifest,
+    which later appends must match. Each file is written under a hidden
+    temporary name and moved into place when complete, so a failed write
+    adds nothing that ``load_dataset`` reads.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": MANIFEST_FORMAT,
         "feature_dim": d,
-        "max_steps": max_steps,
+        "max_steps": CLAIMS_PER_CYCLE,
         "actions": actions.to_dict(),
     }
     manifest_path = path / MANIFEST_NAME
-    if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text())
-        if existing != manifest:
-            raise ValueError(f"dataset at {path} has a conflicting manifest")
-    else:
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    new_dataset = not manifest_path.exists()
+    if not new_dataset and json.loads(manifest_path.read_text()) != manifest:
+        raise ValueError(f"dataset at {path} has a conflicting manifest")
 
-    shard_idx = len(sorted(path.glob("data-*.jsonl")))
-    shard = path / f"data-{shard_idx:05d}.jsonl"
-    with shard.open("w") as f:
+    shard = path / f"data-{len(list(path.glob('data-*.jsonl'))):05d}.jsonl"
+
+    def write_records(f):
         for traj in dataset:
             for tr in traj.transitions:
                 f.write(json.dumps(_transition_record(tr), sort_keys=True) + "\n")
+
+    _write_complete(shard, write_records)
+    if new_dataset:
+        _write_complete(manifest_path,
+                        lambda f: f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     return shard
+
+
+def _write_complete(target: Path, write) -> None:
+    """Run ``write(file)`` on a hidden temporary file beside ``target``, then
+    move it into place; on any error the temporary file is removed."""
+    tmp = target.with_name(f".{target.name}.tmp")
+    try:
+        with tmp.open("w") as f:
+            write(f)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_manifest(path: str | Path) -> dict:
     manifest = json.loads((Path(path) / MANIFEST_NAME).read_text())
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
+    if manifest.get("max_steps") != CLAIMS_PER_CYCLE:
+        raise ValueError(f"dataset max_steps {manifest.get('max_steps')!r} != {CLAIMS_PER_CYCLE}")
     return manifest
 
 

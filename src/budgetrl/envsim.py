@@ -4,8 +4,8 @@ Users claim one bonus per day; a cycle holds up to four claims (three normal,
 then one super) inside a seven-day window. Retention is logistic in the bonus
 amount with a per-segment base rate, a streak term, and an optional carryover
 term through which yesterday's bonus lifts (or drags) today's login odds.
-A trajectory ends when the user stops logging in, collects all four bonuses,
-or the cycle window elapses.
+A trajectory ends when the user stops logging in or collects all four bonuses,
+which with one claim a day happens well inside the window.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .core import (
     ActionSet,
-    DEFAULT_CYCLE_LENGTH,
-    DEFAULT_MAX_STEPS,
+    CLAIMS_PER_CYCLE,
+    CYCLE_DAYS,
     StateVector,
     Trajectory,
     Transition,
@@ -32,7 +33,8 @@ PROB_CLAMP = 1e-12
 
 
 class IneligibleActionError(ValueError):
-    """Super bonus offered on a normal claim, or vice versa."""
+    """Super bonus offered on a normal claim, or vice versa, or a claim table
+    without exactly one such action per claim."""
 
 
 class TabularModeError(ValueError):
@@ -68,9 +70,7 @@ class EnvConfig:
     segments: tuple[SegmentParams, ...]
     segment_weights: tuple[float, ...] | None = None
     feature_noise: float = 0.05
-    cycle_length: int = DEFAULT_CYCLE_LENGTH
-    bonuses_per_cycle: int = DEFAULT_MAX_STEPS
-    seed: int = 0
+    bonuses_per_cycle: ClassVar[int] = CLAIMS_PER_CYCLE  # the fixed cycle; not a field
 
     def __post_init__(self):
         if not self.segments:
@@ -82,8 +82,6 @@ class EnvConfig:
                 raise ValueError("segment_weights must be non-negative with positive sum")
         if self.feature_noise < 0:
             raise ValueError("feature_noise must be >= 0")
-        if self.bonuses_per_cycle > self.cycle_length:
-            raise ValueError("bonuses_per_cycle cannot exceed cycle_length")
 
     @property
     def n_segments(self) -> int:
@@ -122,17 +120,31 @@ class BehaviorPolicyConfig:
             raise ValueError("noise must be in [0, 1]")
 
 
-def default_behavior_table(n_segments: int, actions: ActionSet,
-                           bonuses_per_cycle: int = DEFAULT_MAX_STEPS) -> tuple[tuple[int, ...], ...]:
+def default_behavior_table(n_segments: int, actions: ActionSet) -> tuple[tuple[int, ...], ...]:
     """Deterministic expert-style table: staggered normal bonuses, alternating supers."""
     table = []
     for seg in range(n_segments):
         row = []
-        for claim in range(bonuses_per_cycle):
-            eligible = day_mask_indices(actions, claim, bonuses_per_cycle)
+        for claim in range(CLAIMS_PER_CYCLE):
+            eligible = day_mask_indices(actions, claim)
             row.append(int(eligible[(2 * seg + claim) % len(eligible)]))
         table.append(tuple(row))
     return tuple(table)
+
+
+def check_claim_table(table, actions: ActionSet) -> None:
+    """Raise IneligibleActionError unless every row of a (segment, claim) table
+    holds one eligible action per claim of the cycle."""
+    if not table:
+        raise IneligibleActionError("claim table has no rows")
+    for row in table:
+        if len(row) != CLAIMS_PER_CYCLE:
+            raise IneligibleActionError(
+                f"claim table row {tuple(row)} needs {CLAIMS_PER_CYCLE} entries, one per claim")
+        for claim, a in enumerate(row):
+            if a not in day_mask_indices(actions, claim):
+                raise IneligibleActionError(
+                    f"claim table entry {a} violates the claim-{claim + 1} mask")
 
 
 class UserSim:
@@ -196,12 +208,10 @@ class CheckinEnv:
                            bonuses_collected=user.bonuses_collected)
 
     def spawn_user(self, user_id: int, rng: np.random.Generator,
-                   segment: int | None = None,
-                   segment_weights: np.ndarray | None = None) -> UserSim:
+                   segment: int | None = None) -> UserSim:
         """Start a fresh cycle; draws the segment from the arrival mix if not given."""
         if segment is None:
-            weights = self.config.weights_array() if segment_weights is None else segment_weights
-            segment = int(rng.choice(self.config.n_segments, p=weights))
+            segment = int(rng.choice(self.config.n_segments, p=self.config.weights_array()))
         user = UserSim(user_id, segment, rng)
         user.state = self._observe(user)
         return user
@@ -210,8 +220,7 @@ class CheckinEnv:
         """Advance one claim; returns (reward, next_state | None, done)."""
         if user.done:
             raise RuntimeError(f"user {user.user_id} already terminated")
-        eligible = day_mask_indices(self.actions, user.bonuses_collected,
-                                    self.config.bonuses_per_cycle)
+        eligible = day_mask_indices(self.actions, user.bonuses_collected)
         if action_index not in eligible:
             raise IneligibleActionError(
                 f"action {action_index} not eligible at claim {user.bonuses_collected + 1}")
@@ -229,9 +238,7 @@ class CheckinEnv:
         user.day_in_cycle += 1
         user.last_action = action_index
         user.cost_sum_cents += self.actions.cost_cents(action_index)
-        done = (reward == 0
-                or user.bonuses_collected >= self.config.bonuses_per_cycle
-                or user.day_in_cycle > self.config.cycle_length)
+        done = reward == 0 or user.bonuses_collected >= CLAIMS_PER_CYCLE
         user.done = done
         user.state = None if done else self._observe(user)
         return reward, user.state, done
@@ -239,16 +246,12 @@ class CheckinEnv:
 
 def behavior_action(behavior: BehaviorPolicyConfig, actions: ActionSet,
                     segment_proxy: int, bonuses_collected: int,
-                    rng: np.random.Generator,
-                    bonuses_per_cycle: int = DEFAULT_MAX_STEPS) -> int:
-    """Table action with probability 1-noise, else uniform over eligible actions."""
-    eligible = day_mask_indices(actions, bonuses_collected, bonuses_per_cycle)
+                    rng: np.random.Generator) -> int:
+    """Table action with probability 1-noise, else uniform over eligible actions.
+    The table is taken as checked by ``check_claim_table``."""
     if behavior.noise > 0 and rng.random() < behavior.noise:
-        return int(rng.choice(eligible))
-    a = behavior.table[segment_proxy % len(behavior.table)][bonuses_collected]
-    if a not in eligible:
-        raise IneligibleActionError(f"behavior table entry {a} violates the claim mask")
-    return a
+        return int(rng.choice(day_mask_indices(actions, bonuses_collected)))
+    return behavior.table[segment_proxy % len(behavior.table)][bonuses_collected]
 
 
 def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: int,
@@ -260,6 +263,7 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
     """
     if n_users < 0:
         raise ValueError("n_users must be >= 0")
+    check_claim_table(behavior.table, env.actions)
     children = np.random.SeedSequence(seed).spawn(n_users)
     trajectories = []
     for uid in range(n_users):
@@ -271,8 +275,7 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
             state = user.state
             a = behavior_action(behavior, env.actions,
                                 user.segment_proxy(env.config.n_segments),
-                                user.bonuses_collected, rng,
-                                env.config.bonuses_per_cycle)
+                                user.bonuses_collected, rng)
             reward, next_state, done = env.step(user, a)
             transitions.append(Transition(
                 user_id=uid, t=t, state=state, action_index=a, reward=reward,
@@ -308,7 +311,6 @@ def oracle_value_iteration(env: CheckinEnv, gamma: float) -> TabularSolution:
     cfg = env.config
     if any(seg.noise_scale > 0 for seg in cfg.segments):
         raise TabularModeError("value iteration needs noise_scale == 0 in every segment")
-    horizon = cfg.bonuses_per_cycle
     q: dict = {}
     v: dict = {}
     policy: dict = {}
@@ -316,16 +318,16 @@ def oracle_value_iteration(env: CheckinEnv, gamma: float) -> TabularSolution:
     def lasts_for(k: int):
         if k == 0:
             return [-1]
-        return [int(a) for a in day_mask_indices(env.actions, k - 1, horizon)]
+        return [int(a) for a in day_mask_indices(env.actions, k - 1)]
 
-    for k in range(horizon - 1, -1, -1):
-        eligible = day_mask_indices(env.actions, k, horizon)
+    for k in range(CLAIMS_PER_CYCLE - 1, -1, -1):
+        eligible = day_mask_indices(env.actions, k)
         for segment in range(cfg.n_segments):
             for last in lasts_for(k):
                 entry = {}
                 for a in eligible:
                     p = env.retention_probability(segment, int(a), streak=k, last_action=last)
-                    if k + 1 < horizon:
+                    if k + 1 < CLAIMS_PER_CYCLE:
                         entry[int(a)] = p * (1.0 + gamma * v[(segment, k + 1, int(a))])
                     else:
                         entry[int(a)] = p
@@ -343,22 +345,19 @@ def enumerate_policy_value(env: CheckinEnv, gamma: float, segment: int) -> float
     Brute force used as an independent check of value iteration; exponential
     in the action set, so only call with small menus.
     """
-    cfg = env.config
-    horizon = cfg.bonuses_per_cycle
-
     decision_points = []  # (k, last) pairs in fixed order
-    for k in range(horizon):
-        lasts = [-1] if k == 0 else [int(a) for a in day_mask_indices(env.actions, k - 1, horizon)]
+    for k in range(CLAIMS_PER_CYCLE):
+        lasts = [-1] if k == 0 else [int(a) for a in day_mask_indices(env.actions, k - 1)]
         for last in lasts:
             decision_points.append((k, last))
-    choice_sets = [list(map(int, day_mask_indices(env.actions, k, horizon)))
+    choice_sets = [list(map(int, day_mask_indices(env.actions, k)))
                    for k, _ in decision_points]
 
     def tree_value(assignment: dict) -> float:
         def value_from(k: int, last: int) -> float:
             a = assignment[(k, last)]
             p = env.retention_probability(segment, a, streak=k, last_action=last)
-            if k + 1 < horizon:
+            if k + 1 < CLAIMS_PER_CYCLE:
                 return p * (1.0 + gamma * value_from(k + 1, a))
             return p
 
@@ -389,9 +388,6 @@ def config_to_dict(env_config: EnvConfig, behavior: BehaviorPolicyConfig,
             } for s in env_config.segments],
             "segment_weights": list(env_config.segment_weights) if env_config.segment_weights else None,
             "feature_noise": env_config.feature_noise,
-            "cycle_length": env_config.cycle_length,
-            "bonuses_per_cycle": env_config.bonuses_per_cycle,
-            "seed": env_config.seed,
         },
         "behavior": {
             "table": [list(row) for row in behavior.table],
@@ -400,21 +396,24 @@ def config_to_dict(env_config: EnvConfig, behavior: BehaviorPolicyConfig,
     }
 
 
+# Keys that older config files wrote; each loads only at its one value.
+FIXED_ENV_KEYS = {"cycle_length": CYCLE_DAYS, "bonuses_per_cycle": CLAIMS_PER_CYCLE, "seed": 0}
+
+
 def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, ActionSet]:
     actions = ActionSet.from_dict(doc["actions"])
     e = doc["env"]
+    for key, value in FIXED_ENV_KEYS.items():
+        if e.get(key, value) != value:
+            raise ValueError(f"env.{key} must be {value}, got {e[key]!r}")
     env_config = EnvConfig(
         segments=tuple(SegmentParams(**s) for s in e["segments"]),
         segment_weights=tuple(e["segment_weights"]) if e.get("segment_weights") else None,
         feature_noise=e.get("feature_noise", 0.05),
-        cycle_length=e.get("cycle_length", DEFAULT_CYCLE_LENGTH),
-        bonuses_per_cycle=e.get("bonuses_per_cycle", DEFAULT_MAX_STEPS),
-        seed=e.get("seed", 0),
     )
     b = doc.get("behavior")
     if b is None:
-        table = default_behavior_table(env_config.n_segments, actions,
-                                       env_config.bonuses_per_cycle)
+        table = default_behavior_table(env_config.n_segments, actions)
         behavior = BehaviorPolicyConfig(table=table)
     else:
         behavior = BehaviorPolicyConfig(table=tuple(tuple(r) for r in b["table"]),

@@ -115,23 +115,15 @@ DAY_SECONDS = 24 * 3600.0
 
 
 def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
-                    n_days: int, arrivals_per_day: int, seed: int,
-                    shift_day: int | None = None,
-                    shift_weights: Sequence[float] | None = None) -> EvalReport:
+                    n_days: int, arrivals_per_day: int, seed: int) -> EvalReport:
     """Drive arrivals, decisions, and multiplier refreshes on a virtual clock.
 
     Each day ``arrivals_per_day`` fresh users start a cycle; survivors return
     the next day for their next claim. With a store, decisions go through
     ``allocate_online`` at the current multiplier snapshot and refresh ticks
     fire every ``store.refresh_period`` seconds; without one, the policy's
-    direct action is used. ``shift_day`` switches the arrival segment mix to
-    ``shift_weights`` from that day on, emulating a population
-    sensitivity shift. Deterministic per seed.
+    direct action is used. Deterministic per seed.
     """
-    if shift_day is not None and shift_weights is not None:
-        shift_weights = np.asarray(shift_weights, dtype=float)
-        shift_weights = shift_weights / shift_weights.sum()
-
     active: list = []
     per_day: list[dict] = []
     lam_timeline: list[dict] = []
@@ -142,13 +134,10 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     next_user_id = 0
 
     for day in range(n_days):
-        weights = None
-        if shift_day is not None and shift_weights is not None and day >= shift_day:
-            weights = shift_weights
         children = np.random.SeedSequence((seed, day)).spawn(arrivals_per_day)
         for child in children:
             rng = np.random.default_rng(child)
-            active.append(env.spawn_user(next_user_id, rng, segment_weights=weights))
+            active.append(env.spawn_user(next_user_id, rng))
             next_user_id += 1
 
         day_cost_cents = 0

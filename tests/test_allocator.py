@@ -251,9 +251,9 @@ class TestWindowStore:
 
     def test_eviction_by_span(self):
         store = self.make_store(span=100.0)
-        store.append(0.0, np.full(12, 0.5), 0, 65)
-        store.append(50.0, np.full(12, 0.5), 0, 65)
-        store.append(150.0, np.full(12, 0.5), 0, 65)
+        store.append(0.0, np.full(12, 0.5))
+        store.append(50.0, np.full(12, 0.5))
+        store.append(150.0, np.full(12, 0.5))
         store.window_refresh(now=120.0)
         assert len(store) == 2  # the ts=0 record aged out (120 - 100 cutoff)
 
@@ -306,7 +306,7 @@ class TestWindowStore:
         menu = ActionSet.default()
         for i in range(50):
             q = rng.random() + 0.5 * menu.units_array()
-            store.append(float(i), q, 0, 65)
+            store.append(float(i), q)
         lam = store.window_refresh(now=100.0)
         rows = store._window[1]  # the window's stacked Q rows
         expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
@@ -571,7 +571,7 @@ class TestWindowExactness:
             for _ in range(int(rng.integers(0, 12))):
                 q = rng.random() + 0.5 * menu.units_array() + rng.normal(0, 0.05, 12)
                 q[1:][rng.random(11) < 0.3] = np.nan  # action 0 stays eligible: feasible
-                store.append(t, q, 0, 65)
+                store.append(t, q)
                 appended += 1
                 t += float(rng.random() * 10)
             lam = store.window_refresh(t)
@@ -588,7 +588,7 @@ class TestWindowExactness:
         store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
         rng = np.random.default_rng(27)
         for i in range(30):
-            store.append(float(i), rng.random(12) + menu.units_array(), 0, 65)
+            store.append(float(i), rng.random(12) + menu.units_array())
         lam = store.window_refresh(now=40.0)
         assert store.infeasible_refreshes == 1
         p = AllocationProblem(store._window[1], menu.all_cents, 60)
@@ -607,7 +607,7 @@ class TestWindowExactness:
 
         def appender(k):
             for i, q in enumerate(rows[k]):
-                store.append(float(i), q, 0, 65)
+                store.append(float(i), q)
 
         def refresher():
             while not done.is_set():
@@ -637,7 +637,7 @@ class TestWindowExactness:
     def test_append_rejects_wrong_width(self):
         store = WindowStore(ActionSet.default().all_cents, 87)
         with pytest.raises(ValueError):
-            store.append(0.0, np.ones(5), 0, 65)
+            store.append(0.0, np.ones(5))
         assert len(store) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -647,10 +647,10 @@ class TestWindowExactness:
         rng = np.random.default_rng(30)
         rows = rng.random((20, 12)) + menu.units_array()
         for i, q in enumerate(rows[:10]):
-            store.append(float(i), q, 0, 65)
+            store.append(float(i), q)
         row = np.full(12, bad) if np.isnan(bad) else np.where(np.arange(12) == 3, bad, rows[10])
         with pytest.raises(ValueError):
-            store.append(10.0, row, 0, 65)
+            store.append(10.0, row)
         with pytest.raises(ValueError):
             store.allocate_online(row, 10.0)
         assert len(store) == 10

@@ -26,6 +26,7 @@ from budgetrl.envsim import (
     BehaviorPolicyConfig,
     CheckinEnv,
     EnvConfig,
+    IneligibleActionError,
     SegmentParams,
     default_behavior_table,
     generate_dataset,
@@ -193,6 +194,11 @@ class TestReferencePolicies:
         with pytest.raises(ValueError):
             ExpertPolicy(table=((3, 0, 0, 3),), n_segments=1, actions=ACTIONS)
 
+    def test_expert_rejects_short_rows(self):
+        # eligible claim by claim on the default menu, but one claim short
+        with pytest.raises(IneligibleActionError):
+            ExpertPolicy(table=((0, 1, 10),), n_segments=1, actions=ActionSet.default())
+
     def test_cheapest_policy(self):
         policy = CheapestPolicy(ACTIONS)
         assert policy.action(state()) == 0
@@ -214,14 +220,14 @@ class TestMyopiaWitness:
         # pays off tomorrow, which a one-step reward model cannot see
         segs = (SegmentParams(base_logit=0.0, bonus_sensitivity=0.0,
                               streak_bonus=0.0, carryover=3.0),)
-        cfg = EnvConfig(segments=segs, feature_noise=0.0, bonuses_per_cycle=2)
+        cfg = EnvConfig(segments=segs, feature_noise=0.0)
         actions = ActionSet(normal_cents=(65, 105), super_cents=(172,))
         env = CheckinEnv(cfg, actions)
 
         oracle = oracle_value_iteration(env, gamma=1.0)
         assert oracle.policy[(0, 0, -1)] == 1  # generous first bonus wins long-run
 
-        behavior = BehaviorPolicyConfig(table=((0, 2),), noise=1.0)  # uniform logging
+        behavior = BehaviorPolicyConfig(table=((0, 0, 0, 2),), noise=1.0)  # uniform logging
         dataset = generate_dataset(env, behavior, 1500, seed=11)
         model = train_reward_model(dataset, actions, FAST.replace(training_steps=1500, seed=11))
         first_claim_states = [t.transitions[0].state for t in dataset[:50]]

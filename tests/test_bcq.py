@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,16 @@ class TestAgentSerialization:
         assert loaded.actions == agent.actions
         s = state()
         assert policy_action(loaded, s) == policy_action(agent, s)
+
+    def test_file_with_legacy_epsilon_loads(self, tmp_path):
+        # written by an older version whose hyperparameters held an unused epsilon
+        path = Path(__file__).parent / "data" / "agent_with_epsilon.json"
+        agent = BcqAgent.load(path)
+        assert agent.hyper == HyperParams(training_steps=20, hidden_sizes=(3,), learning_rate=0.01,
+                                          optimizer="adam", seed=1)
+        agent.save(tmp_path / "agent.json")
+        assert (tmp_path / "agent.json").read_text() == path.read_text().replace(
+            '"epsilon": 0.01, ', "")
 
     def test_policy_wrapper(self):
         agent = tiny_agent([0.4, 0.7, 0.0, 0.0], [0.5, 0.45, 0.05, 1e-9], xi=0.3)

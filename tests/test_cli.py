@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from budgetrl.cli import build_parser, main
+from budgetrl.envsim import config_to_dict, default_config
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,6 +81,21 @@ class TestGenerateData:
         trajs, manifest = load_dataset(workspace / "ds")
         assert len(trajs) == 150
         assert (workspace / "ds" / "run.config.json").exists()
+
+    @pytest.mark.parametrize("defect", ["bonuses_per_cycle", "short_row"])
+    def test_bad_config_exits_1_and_writes_nothing(self, tmp_path, capsys, defect):
+        doc = config_to_dict(*default_config())
+        if defect == "bonuses_per_cycle":
+            doc["env"]["bonuses_per_cycle"] = 3
+        else:
+            doc["behavior"]["table"] = [row[:3] for row in doc["behavior"]["table"]]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        rc = run("generate-data", "--config", str(config), "--n-users", "20",
+                 "--out", str(tmp_path / "ds"))
+        assert rc == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
 
 class TestAllocateBatch:

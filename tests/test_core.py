@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -78,15 +79,14 @@ class TestDayMask:
 
 
 class TestClaimMasks:
-    @pytest.mark.parametrize("cycle", [3, 4, 5])
-    def test_rows_match_day_mask_indices(self, cycle):
+    def test_rows_match_day_mask_indices(self):
         a = ActionSet.default()
-        counts = np.array([b for b in range(cycle) for _ in range(2)])
-        masks = claim_masks(a, counts, cycle)
+        counts = np.array([b for b in range(4) for _ in range(2)])
+        masks = claim_masks(a, counts)
         assert masks.shape == (counts.size, a.size)
         for b, row in zip(counts, masks):
-            assert np.flatnonzero(row).tolist() == day_mask_indices(a, b, cycle).tolist()
-            assert claim_masks(a, int(b), cycle).tolist() == row.tolist()
+            assert np.flatnonzero(row).tolist() == day_mask_indices(a, b).tolist()
+            assert claim_masks(a, int(b)).tolist() == row.tolist()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -200,6 +200,7 @@ class TestSerialization:
         write_dataset(tmp_path / "ds", ds, actions, d=3)
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["feature_dim"] == 3
+        assert manifest["max_steps"] == 4
         assert manifest["actions"] == actions.to_dict()
         assert loaded == ds
 
@@ -217,3 +218,45 @@ class TestSerialization:
         write_dataset(tmp_path / "ds", [], actions, d=3)
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "ds", [], actions, d=4)
+
+    @pytest.mark.parametrize("max_steps", [3, 5, None])
+    def test_manifest_with_other_max_steps_rejected(self, tmp_path, max_steps):
+        actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+        write_dataset(tmp_path / "ds", [make_trajectory(actions)], actions, d=3)
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["max_steps"] = max_steps
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="max_steps"):
+            load_dataset(tmp_path / "ds")
+
+
+class TestFailedWrite:
+    actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+
+    def trajectories(self, uids, fail=False):
+        for uid in uids:
+            yield make_trajectory(self.actions, uid=uid, action_seq=(0,))
+        if fail:
+            raise RuntimeError("writer crashed")
+
+    def test_crash_mid_shard_adds_nothing(self, tmp_path):
+        first = list(self.trajectories(range(10)))
+        write_dataset(tmp_path / "ds", first, self.actions, d=3)
+        with pytest.raises(RuntimeError):
+            write_dataset(tmp_path / "ds", self.trajectories(range(10, 15), fail=True),
+                          self.actions, d=3)
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert loaded == first
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+            "data-00000.jsonl", "manifest.json"]
+        write_dataset(tmp_path / "ds", self.trajectories(range(10, 12)), self.actions, d=3)
+        assert len(load_dataset(tmp_path / "ds")[0]) == 12
+
+    def test_crash_on_first_write_leaves_no_dataset(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            write_dataset(tmp_path / "ds", self.trajectories(range(5), fail=True),
+                          self.actions, d=3)
+        assert list((tmp_path / "ds").iterdir()) == []
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "ds")

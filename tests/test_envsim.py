@@ -136,6 +136,19 @@ class TestGenerateDataset:
             for tr in traj.transitions:
                 assert tr.action_index == table[seg][tr.state.bonuses_collected]
 
+    @pytest.mark.parametrize("table", [
+        ((0, 1, 3),),  # one claim short
+        ((0, 1, 2, 3, 0),),  # one claim too many
+        ((0, 3, 1, 3),),  # super bonus on a normal claim
+        ((0, 1, 2, 3), (0, 1, 2, 2)),  # normal bonus on the super claim, second row
+        (),
+    ])
+    def test_bad_table_rejected_before_any_user(self, table):
+        # noise 1 never reads the table, so only the up-front check can see it
+        behavior = BehaviorPolicyConfig(table=table, noise=1.0)
+        with pytest.raises(IneligibleActionError):
+            generate_dataset(small_env(), behavior, 5, seed=0)
+
     def test_no_super_before_final_claim(self):
         env_cfg, behavior, actions = default_config()
         env = CheckinEnv(env_cfg, actions)
@@ -171,27 +184,27 @@ class TestGenerateDataset:
 
 class TestValueIteration:
     def test_single_action_one_step_q_is_p(self):
+        # the super claim (claim 4, after the one normal action 0) is the last
+        # step, so its value is the one eligible action's retention probability
         actions = ActionSet(normal_cents=(87,), super_cents=(172,))
-        cfg = EnvConfig(segments=(SegmentParams(0.3, 1.0, 0.2),), bonuses_per_cycle=1,
-                        feature_noise=0.0)
+        cfg = EnvConfig(segments=(SegmentParams(0.3, 1.0, 0.2),), feature_noise=0.0)
         env = CheckinEnv(cfg, actions)
         sol = oracle_value_iteration(env, gamma=1.0)
-        assert sol.v[(0, 0, -1)] == pytest.approx(env.retention_probability(0, 1, 0))
+        assert sol.v[(0, 3, 0)] == pytest.approx(env.retention_probability(0, 1, 3))
 
     def test_two_action_one_step_argmax(self):
-        # with a 1-claim cycle only the super set is eligible; give it 2 actions
+        # at the super claim only the super set is eligible; give it 2 actions
         actions = ActionSet(normal_cents=(65,), super_cents=(105, 172))
         # choose logits so probs are exactly 0.3 / 0.6 on the two eligible actions
         sens = (math.log(0.6 / 0.4) - math.log(0.3 / 0.7)) / (1.72 - 1.05)
         base = math.log(0.3 / 0.7) - sens * 1.05
-        cfg = EnvConfig(segments=(SegmentParams(base, sens, 0.0),), bonuses_per_cycle=1,
-                        feature_noise=0.0)
+        cfg = EnvConfig(segments=(SegmentParams(base, sens, 0.0),), feature_noise=0.0)
         env = CheckinEnv(cfg, actions)
-        assert env.retention_probability(0, 1, 0) == pytest.approx(0.3, abs=1e-9)
-        assert env.retention_probability(0, 2, 0) == pytest.approx(0.6, abs=1e-9)
+        assert env.retention_probability(0, 1, 3) == pytest.approx(0.3, abs=1e-9)
+        assert env.retention_probability(0, 2, 3) == pytest.approx(0.6, abs=1e-9)
         sol = oracle_value_iteration(env, gamma=1.0)
-        assert sol.policy[(0, 0, -1)] == 2
-        assert sol.v[(0, 0, -1)] == pytest.approx(0.6, abs=1e-9)
+        assert sol.policy[(0, 3, 0)] == 2
+        assert sol.v[(0, 3, 0)] == pytest.approx(0.6, abs=1e-9)
 
     def test_refuses_noisy_env(self):
         cfg = EnvConfig(segments=(SegmentParams(0.0, 1.0, 0.0, noise_scale=0.5),))
@@ -238,3 +251,23 @@ class TestConfigIO:
         del doc["behavior"]
         _, loaded_behavior, _ = config_from_dict(doc)
         assert loaded_behavior.table == default_behavior_table(env_cfg.n_segments, actions)
+
+    def test_removed_env_keys_not_written(self):
+        doc = config_to_dict(*default_config())
+        assert not {"cycle_length", "bonuses_per_cycle", "seed"} & set(doc["env"])
+
+    def test_older_file_with_fixed_keys_loads(self):
+        # older versions wrote the cycle shape and an unused seed into "env"
+        doc = config_to_dict(*default_config())
+        doc["env"].update(cycle_length=7, bonuses_per_cycle=4, seed=0)
+        assert config_from_dict(doc) == default_config()
+
+    @pytest.mark.parametrize("key, value", [
+        ("cycle_length", 6), ("cycle_length", 8), ("bonuses_per_cycle", 3),
+        ("bonuses_per_cycle", 5), ("seed", 1),
+    ])
+    def test_fixed_key_at_other_value_rejected(self, key, value):
+        doc = config_to_dict(*default_config())
+        doc["env"][key] = value
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(doc)
