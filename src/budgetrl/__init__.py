@@ -29,16 +29,14 @@ from .envsim import (
     oracle_value_iteration,
 )
 from .nets import Mlp, huber, train_step
-from .bcq import (BcqAgent, BcqPolicy, bcq_train, eligible_actions, policy_action, q_vector,
-                  train_behavior_model, xi_eligible)
+from .bcq import (BcqAgent, BcqPolicy, bcq_train, train_behavior_model, transition_arrays,
+                  xi_eligible)
 from .allocator import (
     AllocationProblem,
     Assignment,
     InfeasibleProblemError,
     WindowStore,
     assign,
-    dual_objective,
-    envelope_drops,
     repair_feasibility,
     solve_and_assign,
     solve_lambda,
@@ -47,10 +45,7 @@ from .baselines import (
     CheapestPolicy,
     ExpertPolicy,
     RewardModel,
-    RewardModelPolicy,
     UniformRandomPolicy,
-    greedy_policy,
-    reward_model_q_matrix,
     train_reward_model,
 )
 from .evaluation import (

@@ -83,30 +83,17 @@ def _masked(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(present, q, -np.inf), np.where(present, cents, np.inf).argmin(axis=-1)
 
 
-def dual_objective(problem: AllocationProblem, lam: float) -> float:
-    """sum_i max_j {q_ij - lam c_j} + lam * N * budget, over eligible entries."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    costs = problem.costs_units()
-    scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
-    return float(scores.max(axis=1).sum() + lam * problem.n * problem.budget_units)
-
-
-def envelope_drops(q: np.ndarray, costs_cents) -> tuple[np.ndarray, np.ndarray]:
-    """Walk each row's upper concave envelope over (cost, value) as lam rises.
-
-    From the greedy argmax (cheaper on ties), the dual choice a next moves at
-    lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j, to the
-    cheapest j attaining it. Returns ``(lams, drops)``, both (N, M-1): each
-    row's breakpoints (inf past the last) and integer-cent cost drops there.
-    """
-    return _row_cache(np.asarray(q, dtype=float), np.asarray(costs_cents, dtype=np.int64))[3:]
-
-
 def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the exact-lam kernel reads per row: the -inf-masked rows, the greedy
     (lam = 0) cost where the envelope walk starts, the cheapest eligible
-    action, and the walk's breakpoints and drops (``envelope_drops``)."""
+    action, and the walk's breakpoints and drops.
+
+    The walk follows each row's upper concave envelope over (cost, value) as
+    lam rises. From the greedy argmax (cheaper on ties), the dual choice a
+    next moves at lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j,
+    to the cheapest j attaining it. ``lams`` and ``drops`` are both (N, M-1):
+    each row's breakpoints (inf past the last) and integer-cent cost drops there.
+    """
     qm, cheapest = _masked(q, cents)
     lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
     drops = np.zeros(lams.shape, dtype=np.int64)
@@ -166,10 +153,11 @@ def _exact_lambda(cache, cents: np.ndarray, budget_cents: int, total_cents: int)
 
 def solve_lambda(problem: AllocationProblem) -> float:
     """Exact minimizer of the dual over lam >= 0: the breakpoint at which the
-    sorted cumulative cost drop of ``envelope_drops`` covers the greedy cost's
-    excess over the budget, stepped up by ulps until both ``assign`` and the
-    dual selection fit. Returns 0 when the greedy assignment fits, and raises
-    InfeasibleProblemError when even the cheapest eligible assignment does not.
+    sorted cumulative cost drop of the envelope walks (``_row_cache``) covers
+    the greedy cost's excess over the budget, stepped up by ulps until both
+    ``assign`` and the dual selection fit. Returns 0 when the greedy
+    assignment fits, and raises InfeasibleProblemError when even the cheapest
+    eligible assignment does not.
     """
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
     return _exact_lambda(_row_cache(problem.q, cents), cents, problem.budget_cents,

@@ -1,10 +1,11 @@
 """Comparison policies: supervised one-step reward model, expert table, and
 trivial reference policies.
 
-The reward model predicts next-day login from (state, action) and is used two
-ways: greedily (pick the action with the best predicted retention) and as the
-value matrix fed to the budget allocator. Both ignore long-run effects by
-construction, which is the point of comparing them against the Q-learner.
+The reward model predicts next-day login from (state, action) and is itself
+a policy: ``action`` plays greedily (the best predicted retention) and
+``q_row`` gives the value rows fed to the budget allocator. Both ignore
+long-run effects by construction, which is the point of comparing them
+against the Q-learner.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
-                   day_mask_indices, flatten)
+from .core import ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest, day_mask_indices
 from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
-from .bcq import input_size, state_to_input
+from .bcq import state_to_input, transition_arrays
 from .envsim import check_claim_table
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
@@ -31,20 +31,18 @@ class RewardModel:
     net: Mlp
     actions: ActionSet
 
-    def predict(self, state: StateVector, action_index: int) -> float:
-        x = _pair_input(state, action_index, self.actions.size)
-        return float(softmax(self.net.forward(x))[1])
+    def action(self, state: StateVector) -> int:
+        """Best predicted immediate retention within the claim mask; cheaper on ties."""
+        row = self.q_row(state)
+        scores = np.where(np.isfinite(row), row, -np.inf)
+        return int(argmax_cheapest(scores, np.asarray(self.actions.all_cents)))
 
-    def predict_row(self, state: StateVector) -> np.ndarray:
+    def q_row(self, state: StateVector) -> np.ndarray:
         """Retention probability per claim-eligible action; NaN elsewhere."""
         mask = day_mask_indices(self.actions, state.bonuses_collected)
-        base = state_to_input(state)
-        x = np.tile(base, (len(mask), 1))
-        onehot = np.zeros((len(mask), self.actions.size))
-        onehot[np.arange(len(mask)), mask] = 1.0
-        probs = softmax(self.net.forward(np.concatenate([x, onehot], axis=1)))[:, 1]
+        x = _pair_inputs(np.tile(state_to_input(state), (len(mask), 1)), mask, self.actions.size)
         row = np.full(self.actions.size, np.nan)
-        row[mask] = probs
+        row[mask] = softmax(self.net.forward(x))[:, 1]
         return row
 
     def to_dict(self) -> dict:
@@ -66,43 +64,29 @@ class RewardModel:
         return cls.from_dict(load_json(path))
 
 
-def _pair_input(state: StateVector, action_index: int, n_actions: int) -> np.ndarray:
-    onehot = np.zeros(n_actions)
-    onehot[action_index] = 1.0
-    return np.concatenate([state_to_input(state), onehot])
+def _pair_inputs(x: np.ndarray, action_idx: np.ndarray, n_actions: int) -> np.ndarray:
+    """Reward-model inputs: the state inputs ``x`` (N, d + 2) beside a one-hot action."""
+    onehot = np.zeros((len(action_idx), n_actions))
+    onehot[np.arange(len(action_idx)), action_idx] = 1.0
+    return np.concatenate([x, onehot], axis=1)
 
 
 def train_reward_model(dataset: Sequence[Trajectory], actions: ActionSet,
                        hyper: HyperParams) -> RewardModel:
     """Cross-entropy fit of login-vs-not on logged (state, action) pairs."""
-    transitions = flatten(dataset)
-    if not transitions:
-        raise ValueError("empty dataset")
-    d = len(transitions[0].state.features)
-    x = np.stack([_pair_input(tr.state, tr.action_index, actions.size) for tr in transitions])
-    y = np.array([tr.reward for tr in transitions], dtype=int)
+    data = transition_arrays(dataset)
+    x = _pair_inputs(data.x, data.action, actions.size)
+    y = data.reward.astype(int)
 
     root = np.random.SeedSequence((hyper.seed, 2))
     init_rng, batch_rng = (np.random.default_rng(s) for s in root.spawn(2))
-    net = Mlp([input_size(d) + actions.size, *hyper.hidden_sizes, 2], rng=init_rng)
+    net = Mlp([x.shape[1], *hyper.hidden_sizes, 2], rng=init_rng)
     opt = Optimizer(net, hyper.learning_rate, hyper.optimizer)
     n = x.shape[0]
     for _ in range(hyper.training_steps):
         idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
         train_step(net, x[idx], y[idx], "cross_entropy", hyper.learning_rate, optimizer=opt)
     return RewardModel(net=net, actions=actions)
-
-
-def greedy_policy(model: RewardModel, state: StateVector) -> int:
-    """Best predicted immediate retention within the claim mask; cheaper on ties."""
-    row = model.predict_row(state)
-    scores = np.where(np.isfinite(row), row, -np.inf)
-    return int(argmax_cheapest(scores, np.asarray(model.actions.all_cents)))
-
-
-def reward_model_q_matrix(model: RewardModel, states: Sequence[StateVector]) -> np.ndarray:
-    """Stacked retention-probability rows, allocator-ready (NaN = ineligible)."""
-    return np.stack([model.predict_row(s) for s in states])
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +128,3 @@ class UniformRandomPolicy:
 
     def action(self, state: StateVector) -> int:
         return int(self.rng.choice(day_mask_indices(self.actions, state.bonuses_collected)))
-
-
-class RewardModelPolicy:
-    """Adapter: greedy play, or probability rows for the allocator."""
-
-    def __init__(self, model: RewardModel):
-        self.model = model
-
-    def action(self, state: StateVector) -> int:
-        return greedy_policy(self.model, state)
-
-    def q_row(self, state: StateVector) -> np.ndarray:
-        return self.model.predict_row(state)

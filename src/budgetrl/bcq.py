@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
-                   argmax_cheapest, claim_masks, day_mask_indices, flatten)
+                   argmax_cheapest, checked_keys, claim_masks, field_names, flatten)
 from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
@@ -33,21 +33,6 @@ def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
     return np.stack([state_to_input(s) for s in states])
 
 
-def input_size(d: int) -> int:
-    return d + 2
-
-
-def behavior_probs(model: Mlp, state: StateVector) -> np.ndarray:
-    return softmax(model.forward(state_to_input(state)))
-
-
-def behavior_argmax(model: Mlp, state: StateVector, actions: ActionSet) -> int:
-    """Most probable action under the behavior model within the claim mask."""
-    mask = day_mask_indices(actions, state.bonuses_collected)
-    probs = behavior_probs(model, state)[mask]
-    return int(mask[np.argmax(probs)])
-
-
 def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
     """Boolean mask of the claim-masked actions whose behavior probability is
     >= xi times the masked maximum of their row (last axis).
@@ -61,33 +46,54 @@ def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndar
     return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=True))
 
 
-def eligible_actions(behavior_model: Mlp, state: StateVector, xi: float,
-                     day_mask: np.ndarray) -> np.ndarray:
-    """Indices of the masked actions that pass ``xi_eligible``."""
-    day_mask = np.asarray(day_mask, dtype=int)
-    if day_mask.size == 0:
-        raise ValueError("day mask must not be empty")
-    claim = np.zeros(behavior_model.output_size, dtype=bool)
-    claim[day_mask] = True
-    return np.flatnonzero(xi_eligible(behavior_probs(behavior_model, state), claim, xi))
+@dataclass(frozen=True)
+class TransitionArrays:
+    """Logged transitions as model-ready columns, one row per transition.
+
+    Terminal rows have an all-zero ``x_next`` and ``next_claims`` 0; they
+    bootstrap to the reward alone.
+    """
+
+    x: np.ndarray  # (N, d + 2) state inputs
+    action: np.ndarray  # (N,) logged action index
+    reward: np.ndarray  # (N,) float
+    claims: np.ndarray  # (N,) bonuses collected at the state
+    done: np.ndarray  # (N,) bool
+    x_next: np.ndarray  # (N, d + 2) next-state inputs
+    next_claims: np.ndarray  # (N,) bonuses collected at the next state
 
 
-def train_behavior_model(dataset: Sequence[Trajectory], actions: ActionSet,
-                         hyper: HyperParams, d: int | None = None) -> Mlp:
-    """Softmax classifier of logged actions given states (cross-entropy, seeded)."""
+def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
+    """The one conversion of logged trajectories into model inputs."""
     transitions = flatten(dataset)
     if not transitions:
         raise ValueError("empty dataset")
-    if d is None:
-        d = len(transitions[0].state.features)
+    done = np.array([tr.done for tr in transitions], dtype=bool)
+    live = [tr.next_state for tr in transitions if not tr.done]
+    if any(s is None for s in live):
+        raise ValueError("a transition that is not done has no next state; is the log truncated?")
     x = states_to_inputs([tr.state for tr in transitions])
-    labels = np.array([tr.action_index for tr in transitions], dtype=int)
+    x_next = np.zeros_like(x)
+    next_claims = np.zeros(len(transitions), dtype=int)
+    if live:
+        x_next[~done] = states_to_inputs(live)
+        next_claims[~done] = [s.bonuses_collected for s in live]
+    return TransitionArrays(
+        x=x, action=np.array([tr.action_index for tr in transitions], dtype=int),
+        reward=np.array([tr.reward for tr in transitions], dtype=float),
+        claims=np.array([tr.state.bonuses_collected for tr in transitions], dtype=int),
+        done=done, x_next=x_next, next_claims=next_claims)
+
+
+def train_behavior_model(data: TransitionArrays, actions: ActionSet, hyper: HyperParams) -> Mlp:
+    """Softmax classifier of logged actions given states (cross-entropy, seeded)."""
+    x, labels = data.x, data.action
     if labels.min() < 0 or labels.max() >= actions.size:
         raise ValueError("action index outside the menu")
 
     root = np.random.SeedSequence(hyper.seed)
     init_rng, batch_rng = (np.random.default_rng(s) for s in root.spawn(2))
-    net = Mlp([input_size(d), *hyper.hidden_sizes, actions.size], rng=init_rng)
+    net = Mlp([x.shape[1], *hyper.hidden_sizes, actions.size], rng=init_rng)
     opt = Optimizer(net, hyper.learning_rate, hyper.optimizer)
     n = x.shape[0]
     for _ in range(hyper.training_steps):
@@ -121,7 +127,8 @@ class BcqAgent:
     def from_dict(cls, payload: dict) -> "BcqAgent":
         if payload.get("format") != AGENT_FORMAT:
             raise ValueError(f"unsupported agent format {payload.get('format')!r}")
-        hyper_kw = dict(payload["hyper"])
+        hyper_kw = dict(checked_keys(payload["hyper"], field_names(HyperParams) | {"epsilon"},
+                                     "hyper"))
         hyper_kw.pop("epsilon", None)  # written by older versions, never read
         hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
         q_net = Mlp.from_dict(payload["q_net"])
@@ -138,36 +145,17 @@ class BcqAgent:
         return cls.from_dict(load_json(path))
 
 
-def _prepare_arrays(dataset, actions):
-    transitions = flatten(dataset)
-    if not transitions:
-        raise ValueError("empty dataset")
-    x = states_to_inputs([tr.state for tr in transitions])
-    a = np.array([tr.action_index for tr in transitions], dtype=int)
-    claims = np.array([tr.state.bonuses_collected for tr in transitions], dtype=int)
-    r = np.array([tr.reward for tr in transitions], dtype=float)
-    done = np.array([tr.done for tr in transitions], dtype=bool)
-    width = x.shape[1]
-    x_next = np.zeros((len(transitions), width))
-    next_mask = np.zeros((len(transitions), actions.size), dtype=bool)
-    for i, tr in enumerate(transitions):
-        if not tr.done:
-            x_next[i] = state_to_input(tr.next_state)
-            next_mask[i, day_mask_indices(actions, tr.next_state.bonuses_collected)] = True
-    return x, a, r, done, x_next, next_mask, claims
-
-
-def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperParams,
-              behavior_model: Mlp | None = None, log_every: int | None = None) -> BcqAgent:
-    """Train the constrained Q-network on logged trajectories.
+def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperParams) -> BcqAgent:
+    """Train the behavior classifier, then the constrained Q-network, on logged trajectories.
 
     Mini-batches are sampled uniformly with replacement; terminal transitions
     bootstrap to the reward alone; the target network is a lagged copy synced
-    every ``target_sync_interval`` steps. Deterministic per ``hyper.seed``.
+    every ``target_sync_interval`` steps. The training log gets about 50 rows.
+    Deterministic per ``hyper.seed``.
     """
-    if behavior_model is None:
-        behavior_model = train_behavior_model(dataset, actions, hyper)
-    x, a, r, done, x_next, next_mask, claims = _prepare_arrays(dataset, actions)
+    data = transition_arrays(dataset)
+    behavior_model = train_behavior_model(data, actions, hyper)
+    x, a, r, done, x_next = data.x, data.action, data.reward, data.done, data.x_next
     n = x.shape[0]
 
     root = np.random.SeedSequence((hyper.seed, 1))
@@ -177,10 +165,10 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     opt = Optimizer(q_net, hyper.learning_rate, hyper.optimizer)
 
     # behavior probabilities at next states never change during Q training
-    next_eligible = xi_eligible(softmax(behavior_model.forward(x_next)), next_mask, hyper.xi)
+    next_eligible = xi_eligible(softmax(behavior_model.forward(x_next)),
+                                claim_masks(actions, data.next_claims), hyper.xi)
 
-    if log_every is None:
-        log_every = max(1, hyper.training_steps // 50)
+    log_every = max(1, hyper.training_steps // 50)
     probe = slice(0, min(256, n))
     agent = BcqAgent(q_net=q_net, target_net=target_net, behavior_model=behavior_model,
                      hyper=hyper, actions=actions, training_log=[])
@@ -196,7 +184,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
         if (step + 1) % hyper.target_sync_interval == 0:
             target_net.set_params(q_net.params)
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
-            agreement = _logged_action_agreement(agent, x[probe], claims[probe], a[probe])
+            agreement = _logged_action_agreement(agent, x[probe], data.claims[probe], a[probe])
             agent.training_log.append({"step": step + 1, "loss": float(loss),
                                        "behavior_agreement": agreement})
 
@@ -204,43 +192,36 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     return agent
 
 
+def _constrained_argmax(agent: BcqAgent, x: np.ndarray, claims, xi: float):
+    """Highest-Q action among the xi-eligible ones, cheaper on ties: an int
+    array over the rows of ``x`` and ``claims``, or one action for one 1-D input."""
+    elig = xi_eligible(softmax(agent.behavior_model.forward(x)),
+                       claim_masks(agent.actions, claims), xi)
+    q = agent.q_net.forward(x)
+    return argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents))
+
+
 def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,
                              a: np.ndarray) -> float:
     """Fraction of probe states where the greedy constrained policy matches the
     logged action; ``claims`` are the probe states' bonuses collected."""
-    probs = softmax(agent.behavior_model.forward(x_probe))
-    elig = xi_eligible(probs, claim_masks(agent.actions, claims), agent.hyper.xi)
-    q = agent.q_net.forward(x_probe)
-    picks = argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents))
-    return float(np.mean(picks == a))
-
-
-def policy_action(agent: BcqAgent, state: StateVector, xi: float | None = None) -> int:
-    """Highest-Q action among the behavior-eligible set; cheaper action on ties."""
-    if xi is None:
-        xi = agent.hyper.xi
-    x = state_to_input(state)
-    elig = xi_eligible(softmax(agent.behavior_model.forward(x)),
-                       claim_masks(agent.actions, state.bonuses_collected), xi)
-    q = agent.q_net.forward(x)
-    return int(argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents)))
-
-
-def q_vector(agent: BcqAgent, state: StateVector) -> np.ndarray:
-    """Q values over the claim-eligible actions; NaN marks ineligible entries."""
-    q = agent.q_net.forward(state_to_input(state))
-    return np.where(claim_masks(agent.actions, state.bonuses_collected), q, np.nan)
+    return float(np.mean(_constrained_argmax(agent, x_probe, claims, agent.hyper.xi) == a))
 
 
 class BcqPolicy:
-    """Policy adapter: direct greedy play and value rows for the allocator."""
+    """The trained agent as a policy: direct greedy play and value rows for the allocator."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
         self.xi = agent.hyper.xi if xi is None else xi
 
     def action(self, state: StateVector) -> int:
-        return policy_action(self.agent, state, self.xi)
+        """Highest-Q action among the behavior-eligible set; cheaper action on ties."""
+        # A 1-D input keeps both forward passes one-row products.
+        return int(_constrained_argmax(self.agent, state_to_input(state),
+                                       state.bonuses_collected, self.xi))
 
     def q_row(self, state: StateVector) -> np.ndarray:
-        return q_vector(self.agent, state)
+        """Q values over the claim-eligible actions; NaN marks ineligible entries."""
+        q = self.agent.q_net.forward(state_to_input(state))
+        return np.where(claim_masks(self.agent.actions, state.bonuses_collected), q, np.nan)

@@ -23,7 +23,6 @@ from .baselines import (
     CheapestPolicy,
     ExpertPolicy,
     RewardModel,
-    RewardModelPolicy,
     UniformRandomPolicy,
     train_reward_model,
 )
@@ -31,6 +30,7 @@ from .bcq import BcqAgent, BcqPolicy, bcq_train
 from .core import (
     ActionSet,
     HyperParams,
+    _write_complete,
     cents,
     load_dataset,
     units,
@@ -134,6 +134,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+LOG_FIELDS = ["step", "loss", "behavior_agreement"]
+TIMELINE_FIELDS = ["day", "claims", "retention", "avg_cost_units", "lam"]
+
+
+def _write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _snapshot(out_path: Path, command: str, resolved: dict) -> None:
     payload = {"command": command, "resolved": resolved}
     _write_json(out_path.with_name(out_path.name + ".config.json"), payload)
@@ -182,10 +193,7 @@ def cmd_train(args) -> int:
         agent = bcq_train(dataset, actions, hyper)
         agent.save(out)
         if args.log:
-            with open(args.log, "w", newline="") as f:
-                writer = csv.DictWriter(f, fieldnames=["step", "loss", "behavior_agreement"])
-                writer.writeheader()
-                writer.writerows(agent.training_log)
+            _write_csv(args.log, LOG_FIELDS, agent.training_log)
     else:
         model = train_reward_model(dataset, actions, hyper)
         model.save(out)
@@ -201,7 +209,9 @@ def cmd_train(args) -> int:
 def _read_q_matrix_csv(path: Path):
     with path.open(newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty; its first row must hold the action costs")
         costs_cents = tuple(cents(float(h)) for h in header)
         rows = []
         for row in reader:
@@ -245,31 +255,34 @@ def cmd_allocate(args) -> int:
     store = WindowStore(costs_cents, budget_cents,
                         window_span=args.window_hours * 3600.0,
                         refresh_period=args.refresh_minutes * 60.0)
+    stream = _require_file(args.stream, "stream")
     timeline = []
-    next_refresh: float | None = None
-    with _require_file(args.stream, "stream").open() as f_in, out.open("w") as f_out:
-        for line in f_in:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            ts = float(rec["ts"])
-            if next_refresh is None:
-                next_refresh = ts + store.refresh_period
-            while next_refresh <= ts:
-                lam = store.window_refresh(next_refresh)
-                timeline.append({"ts": next_refresh, "lam": lam, "window": len(store)})
-                next_refresh += store.refresh_period
-            q_row = np.array([np.nan if v is None else float(v) for v in rec["q"]])
-            action = store.allocate_online(q_row, ts)
-            f_out.write(json.dumps({"ts": ts, "action_index": action,
-                                    "cost_units": units(costs_cents[action]),
-                                    "lam": store.lambda_snapshot}) + "\n")
+
+    def decide(f_out):
+        next_refresh = None
+        with stream.open() as f_in:
+            for line in f_in:
+                line = line.strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+                ts = float(rec["ts"])
+                if next_refresh is None:
+                    next_refresh = ts + store.refresh_period
+                while next_refresh <= ts:
+                    lam = store.window_refresh(next_refresh)
+                    timeline.append({"ts": next_refresh, "lam": lam, "window": len(store)})
+                    next_refresh += store.refresh_period
+                q_row = np.array([np.nan if v is None else float(v) for v in rec["q"]])
+                action = store.allocate_online(q_row, ts)
+                f_out.write(json.dumps({"ts": ts, "action_index": action,
+                                        "cost_units": units(costs_cents[action]),
+                                        "lam": store.lambda_snapshot}) + "\n")
+
+    # A bad row fails the run and leaves no partial decisions file.
+    _write_complete(out, decide)
     if args.lambda_timeline:
-        with open(args.lambda_timeline, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["ts", "lam", "window"])
-            writer.writeheader()
-            writer.writerows(timeline)
+        _write_csv(args.lambda_timeline, ["ts", "lam", "window"], timeline)
     _snapshot(out, "allocate", {"mode": "stream", "budget_units": args.budget,
                                 "window_hours": args.window_hours,
                                 "refresh_minutes": args.refresh_minutes})
@@ -282,7 +295,7 @@ def _policy_from_args(args, actions, env_config, behavior):
         agent = BcqAgent.load(_require_file(args.model, "model"))
         return BcqPolicy(agent, xi=getattr(args, "xi", None))
     if args.policy in ("lr-greedy", "lr-lp"):
-        return RewardModelPolicy(RewardModel.load(_require_file(args.model, "model")))
+        return RewardModel.load(_require_file(args.model, "model"))
     if args.policy == "expert":
         return ExpertPolicy(table=behavior.table, n_segments=env_config.n_segments,
                             actions=actions)
@@ -326,11 +339,7 @@ def cmd_simulate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report.to_dict())
     if args.timeline:
-        with open(args.timeline, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=["day", "claims", "retention",
-                                                   "avg_cost_units", "lam"])
-            writer.writeheader()
-            writer.writerows(report.per_day)
+        _write_csv(args.timeline, TIMELINE_FIELDS, report.per_day)
     _snapshot(out, "simulate", {
         "policy": args.policy, "budget_units": args.budget, "days": args.days,
         "arrivals": args.arrivals, "seed": args.seed,
@@ -357,23 +366,14 @@ def cmd_pipeline(args) -> int:
     hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
                         hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")
     agent = bcq_train(dataset, actions, hyper)
-    model_path = workdir / "model.json"
-    agent.save(model_path)
-    with (workdir / "training_log.csv").open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["step", "loss", "behavior_agreement"])
-        writer.writeheader()
-        writer.writerows(agent.training_log)
+    agent.save(workdir / "model.json")
+    _write_csv(workdir / "training_log.csv", LOG_FIELDS, agent.training_log)
 
     store = WindowStore(actions.all_cents, cents(args.budget))
-    sim_env = CheckinEnv(env_config, actions)
-    sim_report = simulate_online(sim_env, BcqPolicy(agent), store, args.days,
-                                 args.arrivals, args.seed)
+    sim_report = simulate_online(env, BcqPolicy(agent), store, args.days, args.arrivals,
+                                 args.seed)
     _write_json(workdir / "simulate_report.json", sim_report.to_dict())
-    with (workdir / "timeline.csv").open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["day", "claims", "retention",
-                                               "avg_cost_units", "lam"])
-        writer.writeheader()
-        writer.writerows(sim_report.per_day)
+    _write_csv(workdir / "timeline.csv", TIMELINE_FIELDS, sim_report.per_day)
 
     matched = match_records(dataset, BcqPolicy(agent))
     eval_payload = ({**offline_report(matched).to_dict(), "match_rate": matched.match_rate}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -79,9 +79,6 @@ class ActionSet:
 
     def cost_units(self, action_index: int) -> float:
         return units(self.all_cents[action_index])
-
-    def units_array(self) -> np.ndarray:
-        return np.asarray(self.all_cents, dtype=float) / 100.0
 
     def is_super(self, action_index: int) -> bool:
         return action_index >= self.n_normal
@@ -224,6 +221,22 @@ class HyperParams:
         d.update(kw)
         d["hidden_sizes"] = tuple(d["hidden_sizes"])
         return HyperParams(**d)
+
+
+def checked_keys(doc, allowed, where: str) -> dict:
+    """``doc`` itself, once it is a JSON object with no key outside ``allowed``;
+    otherwise a ValueError that names the first stray key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")
+    return doc
+
+
+def field_names(cls) -> set[str]:
+    """The field names of a dataclass: the keys a file may hold for it."""
+    return {f.name for f in fields(cls)}
 
 
 # ---------------------------------------------------------------------------

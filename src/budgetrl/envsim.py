@@ -10,7 +10,6 @@ which with one claim a day happens well inside the window.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +25,9 @@ from .core import (
     StateVector,
     Trajectory,
     Transition,
+    checked_keys,
     day_mask_indices,
+    field_names,
 )
 
 PROB_CLAMP = 1e-12
@@ -339,37 +340,6 @@ def oracle_value_iteration(env: CheckinEnv, gamma: float) -> TabularSolution:
     return TabularSolution(q=q, v=v, policy=policy)
 
 
-def enumerate_policy_value(env: CheckinEnv, gamma: float, segment: int) -> float:
-    """Best expected return over all deterministic policy trees for one segment.
-
-    Brute force used as an independent check of value iteration; exponential
-    in the action set, so only call with small menus.
-    """
-    decision_points = []  # (k, last) pairs in fixed order
-    for k in range(CLAIMS_PER_CYCLE):
-        lasts = [-1] if k == 0 else [int(a) for a in day_mask_indices(env.actions, k - 1)]
-        for last in lasts:
-            decision_points.append((k, last))
-    choice_sets = [list(map(int, day_mask_indices(env.actions, k)))
-                   for k, _ in decision_points]
-
-    def tree_value(assignment: dict) -> float:
-        def value_from(k: int, last: int) -> float:
-            a = assignment[(k, last)]
-            p = env.retention_probability(segment, a, streak=k, last_action=last)
-            if k + 1 < CLAIMS_PER_CYCLE:
-                return p * (1.0 + gamma * value_from(k + 1, a))
-            return p
-
-        return value_from(0, -1)
-
-    best = -math.inf
-    for choices in itertools.product(*choice_sets):
-        assignment = dict(zip(decision_points, choices))
-        best = max(best, tree_value(assignment))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Config file (single JSON document holding env + behavior + action set)
 
@@ -401,13 +371,16 @@ FIXED_ENV_KEYS = {"cycle_length": CYCLE_DAYS, "bonuses_per_cycle": CLAIMS_PER_CY
 
 
 def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, ActionSet]:
+    """Build a config from its JSON document; a key that no level knows is refused."""
+    checked_keys(doc, ("actions", "env", "behavior"), "config")
     actions = ActionSet.from_dict(doc["actions"])
-    e = doc["env"]
+    e = checked_keys(doc["env"], field_names(EnvConfig) | FIXED_ENV_KEYS.keys(), "env")
     for key, value in FIXED_ENV_KEYS.items():
         if e.get(key, value) != value:
             raise ValueError(f"env.{key} must be {value}, got {e[key]!r}")
     env_config = EnvConfig(
-        segments=tuple(SegmentParams(**s) for s in e["segments"]),
+        segments=tuple(SegmentParams(**checked_keys(s, field_names(SegmentParams), "segment"))
+                       for s in e["segments"]),
         segment_weights=tuple(e["segment_weights"]) if e.get("segment_weights") else None,
         feature_noise=e.get("feature_noise", 0.05),
     )
@@ -416,6 +389,7 @@ def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, Action
         table = default_behavior_table(env_config.n_segments, actions)
         behavior = BehaviorPolicyConfig(table=table)
     else:
+        checked_keys(b, field_names(BehaviorPolicyConfig), "behavior")
         behavior = BehaviorPolicyConfig(table=tuple(tuple(r) for r in b["table"]),
                                         noise=b.get("noise", 0.1))
     return env_config, behavior, actions

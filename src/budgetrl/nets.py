@@ -97,10 +97,6 @@ class Mlp:
     def input_size(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def output_size(self) -> int:
-        return self.layer_sizes[-1]
-
     def forward(self, x) -> np.ndarray:
         """Deterministic forward pass; returns the identity-head output."""
         x = np.asarray(x, dtype=float)

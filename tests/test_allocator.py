@@ -12,15 +12,16 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _pack_slack,
+    _row_cache,
     assign,
     assign_row,
-    dual_objective,
-    envelope_drops,
     repair_feasibility,
     solve_and_assign,
     solve_lambda,
 )
 from budgetrl.core import ActionSet, cents
+
+DEFAULT_UNITS = np.asarray(ActionSet.default().all_cents, dtype=float) / 100.0  # menu costs
 
 
 def brute_force_best(problem):
@@ -50,6 +51,15 @@ def random_problem(rng, n_max=8, m_max=4, from_menu=True):
     q = rng.random((n, m))
     budget = int(rng.integers(min(costs), max(costs) + 1))
     return AllocationProblem(q, costs, budget)
+
+
+def dual_objective(problem, lam):
+    """sum_i max_j {q_ij - lam c_j} + lam * N * budget, over eligible entries (reference)."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    costs = problem.costs_units()
+    scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
+    return float(scores.max(axis=1).sum() + lam * problem.n * problem.budget_units)
 
 
 ONE_ROW = AllocationProblem(np.array([[1.0, 2.0]]), (0, 100), 0)
@@ -270,7 +280,7 @@ class TestWindowStore:
         t = 0.0
         for step in range(6000):
             base = rng.random()
-            q = np.clip(base + 0.3 * menu.units_array() + rng.normal(0, 0.02, 12), 0, None)
+            q = np.clip(base + 0.3 * DEFAULT_UNITS + rng.normal(0, 0.02, 12), 0, None)
             store.allocate_online(q, t)
             t += 2.0
             if t % 60.0 < 2.0:
@@ -288,7 +298,7 @@ class TestWindowStore:
         lam_before = lam_after = None
         while t < 7200.0:
             sens = 1.0 if t < 3600.0 else 0.2
-            q = np.clip(0.3 + sens * menu.units_array() + rng.normal(0, 0.01, 12), 0, None)
+            q = np.clip(0.3 + sens * DEFAULT_UNITS + rng.normal(0, 0.01, 12), 0, None)
             store.allocate_online(q, t)
             t += 2.0
             if t % 60.0 < 2.0:
@@ -305,7 +315,7 @@ class TestWindowStore:
         rng = np.random.default_rng(12)
         menu = ActionSet.default()
         for i in range(50):
-            q = rng.random() + 0.5 * menu.units_array()
+            q = rng.random() + 0.5 * DEFAULT_UNITS
             store.append(float(i), q)
         lam = store.window_refresh(now=100.0)
         rows = store._window[1]  # the window's stacked Q rows
@@ -441,7 +451,7 @@ class TestEnvelope:
         rng = np.random.default_rng(20)
         for _ in range(300):
             p = masked_problem(rng, from_menu=bool(rng.integers(2)))
-            lams, drops = envelope_drops(p.q, p.costs_cents)
+            lams, drops = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
             start = dual_cost_cents(p, 0.0)
             bps = np.unique(lams[np.isfinite(lams)])
             probes = np.concatenate([(bps[:-1] + bps[1:]) / 2, bps[-1:] + 1.0, [bps[0] / 2]]) \
@@ -453,16 +463,16 @@ class TestEnvelope:
         rng = np.random.default_rng(21)
         for _ in range(100):
             p = masked_problem(rng)
-            lams, drops = envelope_drops(p.q, p.costs_cents)
+            lams, drops = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
             assert dual_cost_cents(p, 0.0) - int(drops.sum()) == cheapest_total_cents(p)
             assert (drops > 0).sum() == np.isfinite(lams).sum()
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(22)
         p = masked_problem(rng)
-        whole = envelope_drops(p.q, p.costs_cents)
+        whole = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
         for i in range(p.n):
-            row = envelope_drops(p.q[i:i + 1], p.costs_cents)
+            row = _row_cache(p.q[i:i + 1], np.asarray(p.costs_cents))[3:]
             for a, b in zip(whole, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
 
@@ -569,7 +579,7 @@ class TestWindowExactness:
         t, appended, solved = 0.0, 0, 0
         for _ in range(60):
             for _ in range(int(rng.integers(0, 12))):
-                q = rng.random() + 0.5 * menu.units_array() + rng.normal(0, 0.05, 12)
+                q = rng.random() + 0.5 * DEFAULT_UNITS + rng.normal(0, 0.05, 12)
                 q[1:][rng.random(11) < 0.3] = np.nan  # action 0 stays eligible: feasible
                 store.append(t, q)
                 appended += 1
@@ -588,7 +598,7 @@ class TestWindowExactness:
         store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
         rng = np.random.default_rng(27)
         for i in range(30):
-            store.append(float(i), rng.random(12) + menu.units_array())
+            store.append(float(i), rng.random(12) + DEFAULT_UNITS)
         lam = store.window_refresh(now=40.0)
         assert store.infeasible_refreshes == 1
         p = AllocationProblem(store._window[1], menu.all_cents, 60)
@@ -596,13 +606,13 @@ class TestWindowExactness:
             solve_lambda(p)
         assert set(assign(p, lam).chosen) == {0}
         assert dual_cost_cents(p, lam) == cheapest_total_cents(p)
-        lams = envelope_drops(p.q, menu.all_cents)[0]
+        lams = _row_cache(p.q, np.asarray(menu.all_cents))[3]
         assert lam >= lams[np.isfinite(lams)].max()
 
     def test_concurrent_appends_and_refreshes_lose_no_row(self):
         menu = ActionSet.default()
         store = WindowStore(menu.all_cents, 87)
-        rows = np.random.default_rng(29).random((4, 2000, 12)) + menu.units_array()
+        rows = np.random.default_rng(29).random((4, 2000, 12)) + DEFAULT_UNITS
         done = threading.Event()
 
         def appender(k):
@@ -645,7 +655,7 @@ class TestWindowExactness:
         menu = ActionSet.default()
         store = WindowStore(menu.all_cents, 87, window_span=1000.0, refresh_period=10.0)
         rng = np.random.default_rng(30)
-        rows = rng.random((20, 12)) + menu.units_array()
+        rows = rng.random((20, 12)) + DEFAULT_UNITS
         for i, q in enumerate(rows[:10]):
             store.append(float(i), q)
         row = np.full(12, bad) if np.isnan(bad) else np.where(np.arange(12) == 3, bad, rows[10])

@@ -8,12 +8,11 @@ from budgetrl.baselines import (
     CheapestPolicy,
     ExpertPolicy,
     RewardModel,
-    RewardModelPolicy,
     UniformRandomPolicy,
-    greedy_policy,
-    reward_model_q_matrix,
+    _pair_inputs,
     train_reward_model,
 )
+from budgetrl.bcq import state_to_input, transition_arrays
 from budgetrl.core import (
     ActionSet,
     HyperParams,
@@ -21,6 +20,7 @@ from budgetrl.core import (
     Trajectory,
     Transition,
     day_mask_indices,
+    flatten,
 )
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
@@ -32,7 +32,7 @@ from budgetrl.envsim import (
     generate_dataset,
     oracle_value_iteration,
 )
-from budgetrl.nets import Mlp
+from budgetrl.nets import Mlp, softmax
 
 ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 FAST = HyperParams(training_steps=800, hidden_sizes=(32, 32), learning_rate=0.01,
@@ -45,8 +45,7 @@ def state(d=2, day=1, bonuses=0, fill=0.5):
 
 def constant_model(prob_by_action, actions=ACTIONS, d=2):
     """Reward model emitting a fixed retention probability per action."""
-    from budgetrl.bcq import input_size
-    n_in = input_size(d) + actions.size
+    n_in = state_to_input(state(d=d)).size + actions.size
     net = Mlp([n_in, 2])
     # logit of class 1 equals w . onehot(action); chosen to hit the target probs
     for j, p in enumerate(prob_by_action):
@@ -65,7 +64,7 @@ class TestTrainRewardModel:
         model = train_reward_model(trajs, ACTIONS, FAST)
         for traj in trajs[:20]:
             tr = traj.transitions[0]
-            assert model.predict(tr.state, tr.action_index) >= 0.95
+            assert model.q_row(tr.state)[tr.action_index] >= 0.95
 
     def test_holdout_logloss_near_bayes(self):
         # noise-free features make the true probability recoverable per record
@@ -84,7 +83,7 @@ class TestTrainRewardModel:
                 seg = int(np.argmax(tr.state.to_array()[:2]))
                 p_true = env.retention_probability(seg, tr.action_index,
                                                    tr.state.bonuses_collected, last)
-                p_hat = np.clip(model.predict(tr.state, tr.action_index), 1e-12, 1 - 1e-12)
+                p_hat = np.clip(model.q_row(tr.state)[tr.action_index], 1e-12, 1 - 1e-12)
                 model_ll -= tr.reward * math.log(p_hat) + (1 - tr.reward) * math.log(1 - p_hat)
                 bayes_ll -= tr.reward * math.log(p_true) + (1 - tr.reward) * math.log(1 - p_true)
                 last = tr.action_index
@@ -104,7 +103,7 @@ class TestTrainRewardModel:
         scores, labels = [], []
         for traj in trajs:
             tr = traj.transitions[0]
-            scores.append(model.predict(tr.state, tr.action_index))
+            scores.append(model.q_row(tr.state)[tr.action_index])
             labels.append(tr.reward)
         scores, labels = np.asarray(scores), np.asarray(labels)
         pos, neg = scores[labels == 1], scores[labels == 0]
@@ -116,25 +115,56 @@ class TestTrainRewardModel:
             train_reward_model([], ACTIONS, FAST)
 
 
+def old_pair_input(state, action_index, n_actions):
+    """The per-row reward-model input that ``_pair_inputs`` replaced (reference)."""
+    onehot = np.zeros(n_actions)
+    onehot[action_index] = 1.0
+    return np.concatenate([state_to_input(state), onehot])
+
+
+class TestPairInputs:
+    def test_training_inputs_match_per_row_stack(self):
+        segs = (SegmentParams(0.6, 0.6, 0.2), SegmentParams(-0.6, 1.8, 0.2))
+        env = CheckinEnv(EnvConfig(segments=segs), ACTIONS)
+        behavior = BehaviorPolicyConfig(table=default_behavior_table(2, ACTIONS), noise=0.5)
+        dataset = generate_dataset(env, behavior, 60, seed=5)
+        data = transition_arrays(dataset)
+        expected = np.stack([old_pair_input(tr.state, tr.action_index, ACTIONS.size)
+                             for tr in flatten(dataset)])
+        np.testing.assert_array_equal(_pair_inputs(data.x, data.action, ACTIONS.size), expected)
+
+    def test_q_row_reads_the_same_inputs(self):
+        rng = np.random.default_rng(7)
+        net = Mlp([state_to_input(state()).size + ACTIONS.size, 8, 2], rng=rng)
+        model = RewardModel(net=net, actions=ACTIONS)
+        for bonuses in range(4):
+            s = state(fill=float(rng.random()), bonuses=bonuses, day=bonuses + 1)
+            mask = day_mask_indices(ACTIONS, bonuses)
+            x = np.stack([old_pair_input(s, a, ACTIONS.size) for a in mask])
+            expected = np.full(ACTIONS.size, np.nan)
+            expected[mask] = softmax(net.forward(x))[:, 1]
+            np.testing.assert_array_equal(model.q_row(s), expected)
+
+
 class TestGreedyPolicy:
     def test_picks_best_prediction(self):
         model = constant_model([0.2, 0.9, 0.5, 0.5])
-        assert greedy_policy(model, state()) == 1
+        assert model.action(state()) == 1
 
     def test_all_equal_breaks_to_cheapest(self):
         model = constant_model([0.4, 0.4, 0.4, 0.4])
-        assert greedy_policy(model, state()) == 0
+        assert model.action(state()) == 0
 
     def test_final_claim_uses_super_set(self):
         model = constant_model([0.9, 0.9, 0.9, 0.2])
-        assert greedy_policy(model, state(bonuses=3, day=4)) == 3
+        assert model.action(state(bonuses=3, day=4)) == 3
 
     def test_within_mask_always(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             model = constant_model(rng.uniform(0.1, 0.9, size=4))
             bonuses = int(rng.integers(0, 4))
-            a = greedy_policy(model, state(bonuses=bonuses, day=bonuses + 1))
+            a = model.action(state(bonuses=bonuses, day=bonuses + 1))
             assert a in day_mask_indices(ACTIONS, bonuses)
 
     def test_matches_brute_force_cheapest_tie(self):
@@ -145,39 +175,26 @@ class TestGreedyPolicy:
             model = constant_model(rng.choice([0.2, 0.5, 0.7], size=menu.size), actions=menu)
             bonuses = int(rng.integers(0, 4))
             s = state(bonuses=bonuses, day=bonuses + 1)
-            row = model.predict_row(s)
+            row = model.q_row(s)
             finite = [j for j in range(menu.size) if np.isfinite(row[j])]
             best = max(row[j] for j in finite)
             expected = min((menu.cost_cents(j), j) for j in finite if row[j] == best)[1]
-            assert greedy_policy(model, s) == expected
+            assert model.action(s) == expected
 
 
 class TestQMatrix:
     def test_single_state_single_action(self):
         actions = ActionSet(normal_cents=(87,), super_cents=(172,))
         model = constant_model([0.37, 0.5], actions=actions)
-        mat = reward_model_q_matrix(model, [state()])
+        mat = np.stack([model.q_row(state())])
         assert mat.shape == (1, 2)
         assert mat[0, 0] == pytest.approx(0.37, abs=1e-9)
         assert np.isnan(mat[0, 1])
 
-    def test_rows_match_forward_passes(self):
-        rng = np.random.default_rng(7)
-        from budgetrl.bcq import input_size
-        net = Mlp([input_size(2) + 4, 8, 2], rng=rng)
-        model = RewardModel(net=net, actions=ACTIONS)
-        states = []
-        for _ in range(10):
-            bonuses = int(rng.integers(0, 4))
-            states.append(state(fill=float(rng.random()), bonuses=bonuses, day=bonuses + 1))
-        mat = reward_model_q_matrix(model, states)
-        for i, s in enumerate(states):
-            np.testing.assert_array_equal(mat[i], model.predict_row(s))
-
     def test_min_budget_forces_cheapest(self):
         model = constant_model([0.3, 0.6, 0.9, 0.5])
         states = [state(fill=0.1 * i) for i in range(8)]  # all claim-1
-        mat = reward_model_q_matrix(model, states)
+        mat = np.stack([model.q_row(s) for s in states])
         problem = AllocationProblem(mat, ACTIONS.all_cents, budget_cents=65)
         result = solve_and_assign(problem)
         assert all(a == 0 for a in result.chosen)
@@ -231,12 +248,6 @@ class TestMyopiaWitness:
         dataset = generate_dataset(env, behavior, 1500, seed=11)
         model = train_reward_model(dataset, actions, FAST.replace(training_steps=1500, seed=11))
         first_claim_states = [t.transitions[0].state for t in dataset[:50]]
-        greedy_picks = {greedy_policy(model, s) for s in first_claim_states}
+        greedy_picks = {model.action(s) for s in first_claim_states}
         assert oracle.policy[(0, 0, -1)] not in greedy_picks
 
-    def test_wrapper_exposes_rows(self):
-        model = constant_model([0.3, 0.6, 0.9, 0.5])
-        policy = RewardModelPolicy(model)
-        s = state()
-        assert policy.action(s) == greedy_policy(model, s)
-        np.testing.assert_array_equal(policy.q_row(s), model.predict_row(s))

@@ -10,14 +10,10 @@ from budgetrl.bcq import (
     BcqPolicy,
     _logged_action_agreement,
     bcq_train,
-    behavior_argmax,
-    behavior_probs,
-    eligible_actions,
-    input_size,
-    policy_action,
-    q_vector,
     state_to_input,
     train_behavior_model,
+    transition_arrays,
+    xi_eligible,
 )
 from budgetrl.core import (
     ActionSet,
@@ -25,7 +21,9 @@ from budgetrl.core import (
     StateVector,
     Trajectory,
     Transition,
+    claim_masks,
     day_mask_indices,
+    flatten,
 )
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
@@ -53,9 +51,33 @@ def state(d=2, day=1, bonuses=0, fill=0.5):
     return StateVector(tuple([fill] * d), day_in_cycle=day, bonuses_collected=bonuses)
 
 
+def input_size(d):
+    """Width of the network input for d features."""
+    return state_to_input(state(d=d)).size
+
+
 def behavior_with_probs(probs, d=2):
     """Behavior model emitting the given action probabilities everywhere."""
     return const_net(input_size(d), np.log(np.asarray(probs)))
+
+
+def behavior_probs(model, state):
+    return softmax(model.forward(state_to_input(state)))
+
+
+def behavior_argmax(model, state, actions):
+    """Most probable action under the behavior model within the claim mask."""
+    mask = day_mask_indices(actions, state.bonuses_collected)
+    probs = behavior_probs(model, state)[mask]
+    return int(mask[np.argmax(probs)])
+
+
+def eligible_actions(behavior_model, state, xi, day_mask):
+    """Indices of the masked actions that pass ``xi_eligible``."""
+    probs = behavior_probs(behavior_model, state)
+    claim = np.zeros(probs.size, dtype=bool)
+    claim[np.asarray(day_mask, dtype=int)] = True
+    return np.flatnonzero(xi_eligible(probs, claim, xi))
 
 
 class TestEligibleActions:
@@ -82,11 +104,6 @@ class TestEligibleActions:
         out = eligible_actions(model, state(), 1.0, day_mask_indices(ACTIONS, 0))
         assert out.tolist() == [1]
 
-    def test_empty_mask_rejected(self):
-        model = behavior_with_probs([0.5, 0.5, 1e-12, 1e-12])
-        with pytest.raises(ValueError):
-            eligible_actions(model, state(), 0.5, np.array([], dtype=int))
-
     @given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
     def test_monotone_filtering_and_never_empty(self, xi1, xi2, seed):
@@ -109,7 +126,7 @@ class TestBehaviorModel:
         for uid in range(40):
             s = state(fill=float(rng.random()))
             trajs.append(Trajectory((Transition(uid, 1, s, 1, 1, 87, None, True),)))
-        model = train_behavior_model(trajs, ACTIONS, FAST)
+        model = train_behavior_model(transition_arrays(trajs), ACTIONS, FAST)
         for traj in trajs:
             assert int(np.argmax(behavior_probs(model, traj.transitions[0].state))) == 1
 
@@ -121,7 +138,8 @@ class TestBehaviorModel:
         for uid in range(10_000):
             a = 0 if rng.random() < 0.7 else 1
             trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), None, True),)))
-        model = train_behavior_model(trajs, ACTIONS, FAST.replace(training_steps=1500))
+        model = train_behavior_model(transition_arrays(trajs), ACTIONS,
+                                     FAST.replace(training_steps=1500))
         probs = behavior_probs(model, s)
         assert probs[0] == pytest.approx(0.7, abs=0.05)
         assert probs[1] == pytest.approx(0.3, abs=0.05)
@@ -136,7 +154,8 @@ class TestBehaviorModel:
         behavior = BehaviorPolicyConfig(table=table, noise=0.0)
         train = generate_dataset(env, behavior, 800, seed=2)
         held_out = generate_dataset(env, behavior, 300, seed=3)
-        model = train_behavior_model(train, ACTIONS, FAST.replace(training_steps=2500))
+        model = train_behavior_model(transition_arrays(train), ACTIONS,
+                                     FAST.replace(training_steps=2500))
         hits = total = 0
         for traj in held_out:
             for tr in traj.transitions:
@@ -146,7 +165,64 @@ class TestBehaviorModel:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_behavior_model([], ACTIONS, FAST)
+            train_behavior_model(transition_arrays([]), ACTIONS, FAST)
+
+
+def old_prepare_arrays(dataset, actions):
+    """The per-row conversion that ``transition_arrays`` replaced (reference)."""
+    transitions = flatten(dataset)
+    x = np.stack([state_to_input(tr.state) for tr in transitions])
+    a = np.array([tr.action_index for tr in transitions], dtype=int)
+    claims = np.array([tr.state.bonuses_collected for tr in transitions], dtype=int)
+    r = np.array([tr.reward for tr in transitions], dtype=float)
+    done = np.array([tr.done for tr in transitions], dtype=bool)
+    x_next = np.zeros((len(transitions), x.shape[1]))
+    next_mask = np.zeros((len(transitions), actions.size), dtype=bool)
+    for i, tr in enumerate(transitions):
+        if not tr.done:
+            x_next[i] = state_to_input(tr.next_state)
+            next_mask[i, day_mask_indices(actions, tr.next_state.bonuses_collected)] = True
+    return x, a, r, done, x_next, next_mask, claims
+
+
+class TestTransitionArrays:
+    def assert_matches_per_row_loop(self, dataset, actions):
+        data = transition_arrays(dataset)
+        x, a, r, done, x_next, next_mask, claims = old_prepare_arrays(dataset, actions)
+        for new, old in ((data.x, x), (data.action, a), (data.reward, r), (data.done, done),
+                         (data.x_next, x_next), (data.claims, claims)):
+            assert new.dtype == old.dtype
+            np.testing.assert_array_equal(new, old)
+        live = claim_masks(actions, data.next_claims) & ~data.done[:, None]
+        np.testing.assert_array_equal(live, next_mask)
+        return data
+
+    def test_generated_dataset(self):
+        env = CheckinEnv(EnvConfig(segments=(SegmentParams(0.5, 0.5, 0.2),
+                                             SegmentParams(-0.5, 1.5, 0.2))), ACTIONS)
+        behavior = BehaviorPolicyConfig(table=default_behavior_table(2, ACTIONS), noise=0.3)
+        data = self.assert_matches_per_row_loop(generate_dataset(env, behavior, 80, seed=7),
+                                                ACTIONS)
+        assert data.done.any() and not data.done.all()
+        assert set(data.next_claims[~data.done]) == {1, 2, 3}
+
+    def test_hand_built_transitions(self):
+        s0, s1, s2 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2), state(day=4, bonuses=2)
+        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, s1, False),
+                            Transition(0, 2, s1, 0, 1, 65, s2, False),
+                            Transition(0, 3, s2, 2, 0, 105, None, True)))
+        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, None, True),))
+        data = self.assert_matches_per_row_loop([chain, single], ACTIONS)
+        np.testing.assert_array_equal(data.next_claims, [1, 2, 0, 0])
+        # every row terminal: no next-state input is built
+        data = self.assert_matches_per_row_loop([single], ACTIONS)
+        assert not data.x_next.any()
+
+    def test_truncated_trajectory_rejected(self):
+        # a log cut after a non-final claim: the last row is neither done nor chained
+        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, None, False),))
+        with pytest.raises(ValueError, match="no next state"):
+            transition_arrays([cut])
 
 
 def tiny_agent(q_values, behavior_probs_vec, xi=0.3, d=2):
@@ -160,15 +236,15 @@ def tiny_agent(q_values, behavior_probs_vec, xi=0.3, d=2):
 class TestPolicyAction:
     def test_single_eligible_wins_regardless_of_q(self):
         agent = tiny_agent([9.0, 0.1, 0.2, 0.3], [1e-9, 0.999, 1e-9, 1e-9], xi=1.0)
-        assert policy_action(agent, state()) == 1
+        assert BcqPolicy(agent).action(state()) == 1
 
     def test_argmax_over_eligible(self):
         agent = tiny_agent([0.4, 0.7, 0.0, 0.0], [0.5, 0.45, 0.05, 1e-9], xi=0.3)
-        assert policy_action(agent, state()) == 1
+        assert BcqPolicy(agent).action(state()) == 1
 
     def test_tie_breaks_to_cheaper(self):
         agent = tiny_agent([0.5, 0.5, 0.1, 0.0], [0.5, 0.5, 1e-9, 1e-9], xi=0.3)
-        assert policy_action(agent, state()) == 0
+        assert BcqPolicy(agent).action(state()) == 0
 
     def test_action_always_eligible(self):
         rng = np.random.default_rng(3)
@@ -179,7 +255,7 @@ class TestPolicyAction:
             bonuses = int(rng.integers(0, 4))
             agent = tiny_agent(q, probs, xi=xi)
             s = state(bonuses=bonuses, day=bonuses + 1)
-            a = policy_action(agent, s)
+            a = BcqPolicy(agent).action(s)
             elig = eligible_actions(agent.behavior_model, s, xi,
                                     day_mask_indices(ACTIONS, bonuses))
             assert a in elig
@@ -188,9 +264,9 @@ class TestPolicyAction:
 class TestQVector:
     def test_masks_by_claim(self):
         agent = tiny_agent([0.1, 0.2, 0.3, 0.4], [0.25] * 4)
-        day1 = q_vector(agent, state(bonuses=0))
+        day1 = BcqPolicy(agent).q_row(state(bonuses=0))
         assert np.isnan(day1[3]) and np.isfinite(day1[:3]).all()
-        day4 = q_vector(agent, state(bonuses=3, day=4))
+        day4 = BcqPolicy(agent).q_row(state(bonuses=3, day=4))
         assert np.isnan(day4[:3]).all() and np.isfinite(day4[3])
 
     def test_full_menu_day1_has_ten_normal_entries(self):
@@ -199,7 +275,7 @@ class TestQVector:
         agent = BcqAgent(q_net=q_net, target_net=q_net.copy(),
                          behavior_model=behavior_with_probs([1 / 12] * 12),
                          hyper=HyperParams(), actions=menu)
-        row = q_vector(agent, state(bonuses=0))
+        row = BcqPolicy(agent).q_row(state(bonuses=0))
         assert int(np.isfinite(row).sum()) == 10
 
     def test_matches_forward_passes(self):
@@ -209,7 +285,7 @@ class TestQVector:
                          behavior_model=behavior_with_probs([0.25] * 4),
                          hyper=HyperParams(), actions=ACTIONS)
         s = state(fill=0.3)
-        row = q_vector(agent, s)
+        row = BcqPolicy(agent).q_row(s)
         direct = q_net.forward(state_to_input(s))
         np.testing.assert_allclose(row[:3], direct[:3])
 
@@ -240,7 +316,7 @@ class TestBcqTrain:
         agent = bcq_train(dataset, ACTIONS, FAST.replace(training_steps=1200, xi=1.0))
         for traj in dataset:
             for tr in traj.transitions:
-                assert (policy_action(agent, tr.state, xi=1.0)
+                assert (BcqPolicy(agent, 1.0).action(tr.state)
                         == behavior_argmax(agent.behavior_model, tr.state, ACTIONS))
 
     def test_training_is_deterministic(self):
@@ -254,8 +330,8 @@ class TestBcqTrain:
 
     def test_training_log_emitted(self):
         trajs = self.make_constant_reward_dataset(n=30)
-        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=200), log_every=50)
-        assert [row["step"] for row in agent.training_log] == [50, 100, 150, 200]
+        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=200))
+        assert [row["step"] for row in agent.training_log] == list(range(4, 201, 4))
         assert all(np.isfinite(row["loss"]) for row in agent.training_log)
 
     def test_empty_dataset_rejected(self):
@@ -274,7 +350,7 @@ class TestAgentSerialization:
         assert loaded.hyper == agent.hyper
         assert loaded.actions == agent.actions
         s = state()
-        assert policy_action(loaded, s) == policy_action(agent, s)
+        assert BcqPolicy(loaded).action(s) == BcqPolicy(agent).action(s)
 
     def test_file_with_legacy_epsilon_loads(self, tmp_path):
         # written by an older version whose hyperparameters held an unused epsilon
@@ -285,14 +361,6 @@ class TestAgentSerialization:
         agent.save(tmp_path / "agent.json")
         assert (tmp_path / "agent.json").read_text() == path.read_text().replace(
             '"epsilon": 0.01, ', "")
-
-    def test_policy_wrapper(self):
-        agent = tiny_agent([0.4, 0.7, 0.0, 0.0], [0.5, 0.45, 0.05, 1e-9], xi=0.3)
-        policy = BcqPolicy(agent)
-        s = state()
-        assert policy.action(s) == policy_action(agent, s)
-        np.testing.assert_array_equal(
-            np.isfinite(policy.q_row(s)), np.isfinite(q_vector(agent, s)))
 
 
 def old_probe_agreement(agent, x_probe, a):
@@ -368,13 +436,13 @@ class TestBatchedKernels:
         for seed in range(3):
             agent = self.random_agent(seed, 0.5)
             for s in self.random_states(200 + seed, n=60):
-                assert policy_action(agent, s, xi) == brute_force_policy(agent, s, xi)
+                assert BcqPolicy(agent, xi).action(s) == brute_force_policy(agent, s, xi)
 
     def test_policy_action_rejects_xi_out_of_range(self):
         agent = self.random_agent(0, 0.3)
         for xi in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                policy_action(agent, self.random_states(0, n=1)[0], xi)
+                BcqPolicy(agent, xi).action(self.random_states(0, n=1)[0])
 
     def test_target_net_owns_its_buffer_after_sync(self):
         trajs = TestBcqTrain().make_constant_reward_dataset(n=20)

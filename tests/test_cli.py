@@ -82,19 +82,25 @@ class TestGenerateData:
         assert len(trajs) == 150
         assert (workspace / "ds" / "run.config.json").exists()
 
-    @pytest.mark.parametrize("defect", ["bonuses_per_cycle", "short_row"])
+    @pytest.mark.parametrize("defect", ["bonuses_per_cycle", "short_row", "seed", "feature_nois",
+                                        "sensitivity", "nois"])
     def test_bad_config_exits_1_and_writes_nothing(self, tmp_path, capsys, defect):
         doc = config_to_dict(*default_config())
         if defect == "bonuses_per_cycle":
             doc["env"]["bonuses_per_cycle"] = 3
-        else:
+        elif defect == "short_row":
             doc["behavior"]["table"] = [row[:3] for row in doc["behavior"]["table"]]
+        else:  # an unknown key at the top level, in env, in a segment or in behavior
+            {"seed": doc, "feature_nois": doc["env"], "sensitivity": doc["env"]["segments"][0],
+             "nois": doc["behavior"]}[defect][defect] = 0.5
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         rc = run("generate-data", "--config", str(config), "--n-users", "20",
                  "--out", str(tmp_path / "ds"))
         assert rc == 1
-        assert "invalid input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        assert defect == "short_row" or defect in err
         assert not (tmp_path / "ds").exists()
 
 
@@ -118,6 +124,16 @@ class TestAllocateBatch:
         assert len(body) == 41
 
 
+    def test_empty_q_matrix_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "q.csv"
+        csv_path.write_text("")
+        out = tmp_path / "assign.csv"
+        assert run("allocate", "--q-matrix", str(csv_path), "--budget", "0.87",
+                   "--out", str(out)) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAllocateStream:
     def test_stream_decisions_and_timeline(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -136,6 +152,19 @@ class TestAllocateStream:
         assert timeline.read_text().startswith("ts,lam,window")
         late = [d["cost_units"] for d in decisions if d["ts"] > 7200]
         assert np.mean(late) <= 0.80 * 1.05
+
+
+    @pytest.mark.parametrize("bad_q", [[None, None, None], [0.5, "inf", 0.7], [0.5, 0.6]])
+    def test_bad_row_leaves_no_decisions_file(self, tmp_path, capsys, bad_q):
+        stream = tmp_path / "rows.jsonl"
+        rows = [[0.5, 0.6, 0.7], [0.4, 0.6, 0.8], bad_q]
+        stream.write_text("".join(json.dumps({"ts": 60.0 * i, "q": q}) + "\n"
+                                  for i, q in enumerate(rows)))
+        out = tmp_path / "dec.jsonl"
+        assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87,1.05",
+                   "--budget", "0.80", "--out", str(out)) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 
 class TestEvaluateAndSimulate:
@@ -169,6 +198,22 @@ class TestEvaluateAndSimulate:
         assert report["matched_steps"] > 0
         assert (tmp_path / f"{policy}.csv").read_text().startswith(
             "day,claims,retention,avg_cost_units,lam")
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_unknown_agent_hyper_key_exits_1(self, workspace, tmp_path, capsys, command):
+        payload = json.loads((workspace / "model.json").read_text())
+        payload["hyper"]["tau"] = 0.005
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        argv = [command, "--policy", "bcq", "--model", str(model), "--out",
+                str(tmp_path / "out" / "report.json")]
+        if command == "evaluate":
+            argv += ["--dataset", str(workspace / "ds")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "tau" in err
+        assert not (tmp_path / "out").exists()
 
 
 def tree_hash(root: Path) -> dict:

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from budgetrl.core import ActionSet, validate_dataset
+from budgetrl.core import CLAIMS_PER_CYCLE, ActionSet, day_mask_indices, validate_dataset
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
     CheckinEnv,
@@ -16,13 +17,43 @@ from budgetrl.envsim import (
     config_to_dict,
     default_behavior_table,
     default_config,
-    enumerate_policy_value,
     generate_dataset,
     load_config,
     oracle_value_iteration,
 )
 
 SMALL_ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+
+
+def enumerate_policy_value(env, gamma, segment):
+    """Best expected return over all deterministic policy trees for one segment.
+
+    Brute force used as an independent check of value iteration; exponential
+    in the action set, so only call with small menus.
+    """
+    decision_points = []  # (k, last) pairs in fixed order
+    for k in range(CLAIMS_PER_CYCLE):
+        lasts = [-1] if k == 0 else [int(a) for a in day_mask_indices(env.actions, k - 1)]
+        for last in lasts:
+            decision_points.append((k, last))
+    choice_sets = [list(map(int, day_mask_indices(env.actions, k)))
+                   for k, _ in decision_points]
+
+    def tree_value(assignment: dict) -> float:
+        def value_from(k: int, last: int) -> float:
+            a = assignment[(k, last)]
+            p = env.retention_probability(segment, a, streak=k, last_action=last)
+            if k + 1 < CLAIMS_PER_CYCLE:
+                return p * (1.0 + gamma * value_from(k + 1, a))
+            return p
+
+        return value_from(0, -1)
+
+    best = -math.inf
+    for choices in itertools.product(*choice_sets):
+        assignment = dict(zip(decision_points, choices))
+        best = max(best, tree_value(assignment))
+    return best
 
 
 def small_env(feature_noise=0.0, **segment_kw):

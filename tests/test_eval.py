@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from budgetrl.allocator import WindowStore
-from budgetrl.baselines import CheapestPolicy, ExpertPolicy, RewardModelPolicy
+from budgetrl.baselines import CheapestPolicy, ExpertPolicy
 from budgetrl.core import ActionSet, StateVector, Trajectory, Transition, units
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
@@ -176,7 +176,7 @@ class ConstantRowPolicy:
         from budgetrl.core import day_mask_indices
         row = np.full(self.actions.size, np.nan)
         mask = day_mask_indices(self.actions, state.bonuses_collected)
-        row[mask] = self.actions.units_array()[mask]
+        row[mask] = np.asarray(self.actions.all_cents, dtype=float)[mask] / 100.0
         return row
 
     def action(self, state):
