@@ -293,7 +293,8 @@ class WindowStore:
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
         self.lambda_snapshot = float(initial_lambda)
-        self.last_refresh: float | None = None
+        self.timeline: list[dict] = []  # one {ts, lam, window} entry per tick ``advance`` fired
+        self._next_tick: float | None = None
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
         empty = np.empty((0, len(self.costs_cents)))
@@ -334,8 +335,17 @@ class WindowStore:
                     self.infeasible_refreshes += 1
                     self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
                                                          int(self._cents[cache[2]].sum()))
-            self.last_refresh = now
             return self.lambda_snapshot
+
+    def advance(self, now: float) -> None:
+        """Fire every refresh tick due by ``now``, oldest first, recording each in
+        ``timeline``. Ticks fall every ``refresh_period`` after the first call's ``now``."""
+        if self._next_tick is None:
+            self._next_tick = now + self.refresh_period
+        while self._next_tick <= now:
+            lam = self.window_refresh(self._next_tick)
+            self.timeline.append({"ts": self._next_tick, "lam": lam, "window": len(self)})
+            self._next_tick += self.refresh_period
 
     def allocate_online(self, q_row: np.ndarray, now: float) -> int:
         """Single-customer assignment at the current snapshot; queues the row as ``append`` does."""

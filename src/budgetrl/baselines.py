@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest, day_mask_indices
-from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
+from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
+                   day_mask_indices, load_json, save_json)
+from .nets import Mlp, Optimizer, softmax, train_step
 from .bcq import state_to_input, transition_arrays
 from .envsim import check_claim_table
 

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
-                   argmax_cheapest, checked_keys, claim_masks, field_names, flatten)
-from .nets import Mlp, Optimizer, load_json, save_json, softmax, train_step
+                   argmax_cheapest, checked_keys, claim_masks, field_names, flatten, load_json,
+                   save_json)
+from .nets import Mlp, Optimizer, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
 
@@ -117,7 +118,7 @@ class BcqAgent:
     def to_dict(self) -> dict:
         return {
             "format": AGENT_FORMAT,
-            "hyper": {**self.hyper.__dict__, "hidden_sizes": list(self.hyper.hidden_sizes)},
+            "hyper": self.hyper.to_dict(),
             "actions": self.actions.to_dict(),
             "q_net": self.q_net.to_dict(),
             "behavior_model": self.behavior_model.to_dict(),

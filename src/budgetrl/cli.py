@@ -4,7 +4,9 @@ online simulation, and an end-to-end chain.
 Every run writes a resolved-config snapshot next to its outputs so an
 experiment is reproducible from the snapshot plus the seed alone. Paths
 inside snapshots are stored relative to the output location to keep reruns
-byte-identical.
+byte-identical. Every file is written whole or not at all: it is written under
+a hidden temporary name and moved into place when complete, so a run that
+fails leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,9 @@ from .core import (
     load_dataset,
     units,
     validate_dataset,
+    write_csv,
     write_dataset,
+    write_json,
 )
 from .envsim import CheckinEnv, config_to_dict, default_config, generate_dataset, load_config
 from .evaluation import match_records, offline_report, simulate_online
@@ -130,24 +135,13 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 LOG_FIELDS = ["step", "loss", "behavior_agreement"]
 TIMELINE_FIELDS = ["day", "claims", "retention", "avg_cost_units", "lam"]
 
 
-def _write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def _snapshot(out_path: Path, command: str, resolved: dict) -> None:
     payload = {"command": command, "resolved": resolved}
-    _write_json(out_path.with_name(out_path.name + ".config.json"), payload)
+    write_json(out_path.with_name(out_path.name + ".config.json"), payload)
 
 
 def _load_config_arg(path: str | None):
@@ -164,44 +158,69 @@ def _hyper_from_args(args) -> HyperParams:
                        hidden_sizes=hidden, optimizer=args.optimizer)
 
 
-def cmd_generate_data(args) -> int:
-    env_config, behavior, actions = _load_config_arg(args.config)
+def _load_logs(path: str) -> tuple[Path, list, ActionSet]:
+    """The dataset directory at ``path``, its trajectories and its action set, once
+    the records pass ``validate_dataset``; else a ValueError naming the first violation."""
+    dataset_dir = _require_file(path, "dataset")
+    dataset, manifest = load_dataset(dataset_dir)
+    actions = ActionSet.from_dict(manifest["actions"])
+    violations = validate_dataset(dataset, actions, manifest["feature_dim"])
+    if violations:
+        raise ValueError(f"dataset {dataset_dir} fails validation: {violations[0]}")
+    return dataset_dir, dataset, actions
+
+
+def _write_logs(args, config, out: Path):
+    """Stage of ``generate-data`` and ``pipeline``: simulate ``args.n_users`` logged
+    cycles, validate them and write them to ``out``; returns the env and the cycles."""
+    env_config, behavior, actions = config
     env = CheckinEnv(env_config, actions)
     dataset = generate_dataset(env, behavior, args.n_users, args.seed)
     violations = validate_dataset(dataset, actions, env_config.feature_dim)
     if violations:
-        return _fail(f"generated dataset failed validation: {violations[:3]}")
-    out = Path(args.out)
+        raise ValueError(f"generated dataset failed validation: {violations[:3]}")
     write_dataset(out, dataset, actions, env_config.feature_dim)
+    return env, dataset
+
+
+def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
+    """Stage of ``simulate`` and ``pipeline``: run the simulation, through a window
+    store when ``budgeted``, and write its report and (if given) per-day ``timeline``."""
+    store = WindowStore(env.actions.all_cents, cents(args.budget)) if budgeted else None
+    report = simulate_online(env, policy, store, args.days, args.arrivals, args.seed)
+    write_json(out, asdict(report))
+    if timeline:
+        write_csv(timeline, TIMELINE_FIELDS, report.per_day)
+    return report
+
+
+def cmd_generate_data(args) -> int:
+    config = _load_config_arg(args.config)
+    out = Path(args.out)
+    _, dataset = _write_logs(args, config, out)
     _snapshot(out / "run", "generate-data", {
-        "n_users": args.n_users, "seed": args.seed,
-        "config": config_to_dict(env_config, behavior, actions),
+        "n_users": args.n_users, "seed": args.seed, "config": config_to_dict(*config),
     })
     print(f"wrote {len(dataset)} trajectories to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    dataset_dir = _require_file(args.dataset, "dataset")
-    dataset, manifest = load_dataset(dataset_dir)
-    actions = ActionSet.from_dict(manifest["actions"])
+    dataset_dir, dataset, actions = _load_logs(args.dataset)
     hyper = _hyper_from_args(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.policy == "bcq":
         agent = bcq_train(dataset, actions, hyper)
         agent.save(out)
         if args.log:
-            _write_csv(args.log, LOG_FIELDS, agent.training_log)
+            write_csv(args.log, LOG_FIELDS, agent.training_log)
     else:
         model = train_reward_model(dataset, actions, hyper)
         model.save(out)
 
-    _snapshot(out, "train", {
-        "policy": args.policy, "dataset": dataset_dir.name,
-        "hyper": {**hyper.__dict__, "hidden_sizes": list(hyper.hidden_sizes)},
-    })
+    _snapshot(out, "train", {"policy": args.policy, "dataset": dataset_dir.name,
+                             "hyper": hyper.to_dict()})
     print(f"saved {args.policy} model to {out}")
     return 0
 
@@ -213,28 +232,37 @@ def _read_q_matrix_csv(path: Path):
         if header is None:
             raise ValueError(f"{path} is empty; its first row must hold the action costs")
         costs_cents = tuple(cents(float(h)) for h in header)
-        rows = []
-        for row in reader:
-            rows.append([float(v) if v.strip() else np.nan for v in row])
+        rows = [[float(v) if v.strip() else np.nan for v in row] for row in reader]
     return np.asarray(rows, dtype=float), costs_cents
+
+
+def _stream_row(line: str, n: int) -> tuple[float, np.ndarray]:
+    """The ``ts`` and Q row of stream line ``n``, where a null Q value marks an
+    ineligible action; a line of any other shape is a ValueError naming it."""
+    try:
+        rec = json.loads(line)
+        ts, q = rec["ts"], rec["q"]
+        if type(ts) in (int, float) and np.isfinite(ts) and type(q) is list:
+            return float(ts), np.array([np.nan if v is None else float(v) for v in q])
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"stream line {n} is not an object with a numeric 'ts' and a "
+                     f"list of numbers 'q': {line}")
 
 
 def cmd_allocate(args) -> int:
     if (args.q_matrix is None) == (args.stream is None):
         return _fail("allocate needs exactly one of --q-matrix (batch) or --stream")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     budget_cents = cents(args.budget)
 
     if args.q_matrix:
         q, costs_cents = _read_q_matrix_csv(_require_file(args.q_matrix, "q-matrix"))
         problem = AllocationProblem(q, costs_cents, budget_cents)
         result = solve_and_assign(problem)
-        with out.open("w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["customer", "action_index", "cost_units", "q_value"])
-            for i, a in enumerate(result.chosen):
-                writer.writerow([i, a, f"{units(costs_cents[a]):.2f}", repr(float(q[i, a]))])
+        write_csv(out, ["customer", "action_index", "cost_units", "q_value"], (
+            {"customer": i, "action_index": a, "cost_units": f"{units(costs_cents[a]):.2f}",
+             "q_value": repr(float(q[i, a]))} for i, a in enumerate(result.chosen)))
         summary = {
             "lambda": result.lam,
             "objective": result.objective,
@@ -243,7 +271,7 @@ def cmd_allocate(args) -> int:
             "budget_units": args.budget,
             "customers": problem.n,
         }
-        _write_json(out.with_suffix(".summary.json"), summary)
+        write_json(out.with_suffix(".summary.json"), summary)
         _snapshot(out, "allocate", {"mode": "batch", "budget_units": args.budget})
         print(f"assigned {problem.n} customers: lambda={result.lam:.6g} "
               f"mean cost={summary['mean_cost_units']:.4f}")
@@ -256,24 +284,15 @@ def cmd_allocate(args) -> int:
                         window_span=args.window_hours * 3600.0,
                         refresh_period=args.refresh_minutes * 60.0)
     stream = _require_file(args.stream, "stream")
-    timeline = []
 
     def decide(f_out):
-        next_refresh = None
         with stream.open() as f_in:
-            for line in f_in:
+            for n, line in enumerate(f_in, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                ts = float(rec["ts"])
-                if next_refresh is None:
-                    next_refresh = ts + store.refresh_period
-                while next_refresh <= ts:
-                    lam = store.window_refresh(next_refresh)
-                    timeline.append({"ts": next_refresh, "lam": lam, "window": len(store)})
-                    next_refresh += store.refresh_period
-                q_row = np.array([np.nan if v is None else float(v) for v in rec["q"]])
+                ts, q_row = _stream_row(line, n)
+                store.advance(ts)
                 action = store.allocate_online(q_row, ts)
                 f_out.write(json.dumps({"ts": ts, "action_index": action,
                                         "cost_units": units(costs_cents[action]),
@@ -282,7 +301,7 @@ def cmd_allocate(args) -> int:
     # A bad row fails the run and leaves no partial decisions file.
     _write_complete(out, decide)
     if args.lambda_timeline:
-        _write_csv(args.lambda_timeline, ["ts", "lam", "window"], timeline)
+        write_csv(args.lambda_timeline, ["ts", "lam", "window"], store.timeline)
     _snapshot(out, "allocate", {"mode": "stream", "budget_units": args.budget,
                                 "window_hours": args.window_hours,
                                 "refresh_minutes": args.refresh_minutes})
@@ -307,9 +326,7 @@ def _policy_from_args(args, actions, env_config, behavior):
 
 
 def cmd_evaluate(args) -> int:
-    dataset_dir = _require_file(args.dataset, "dataset")
-    dataset, manifest = load_dataset(dataset_dir)
-    actions = ActionSet.from_dict(manifest["actions"])
+    dataset_dir, dataset, actions = _load_logs(args.dataset)
     env_config, behavior, _ = _load_config_arg(args.config)
     policy = _policy_from_args(args, actions, env_config, behavior)
     matched = match_records(dataset, policy, full_trajectory=args.full_trajectory)
@@ -317,9 +334,8 @@ def cmd_evaluate(args) -> int:
         return _fail("policy matched no logged records; metrics undefined")
     report = offline_report(matched)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {**report.to_dict(), "match_rate": matched.match_rate,
-                      "total_trajectories": matched.total_trajectories})
+    write_json(out, {**asdict(report), "match_rate": matched.match_rate,
+                     "total_trajectories": matched.total_trajectories})
     _snapshot(out, "evaluate", {"policy": args.policy, "dataset": dataset_dir.name,
                                 "full_trajectory": args.full_trajectory})
     print(f"matched {matched.matched_trajectories}/{matched.total_trajectories} trajectories: "
@@ -331,15 +347,9 @@ def cmd_simulate(args) -> int:
     env_config, behavior, actions = _load_config_arg(args.config)
     env = CheckinEnv(env_config, actions)
     policy = _policy_from_args(args, actions, env_config, behavior)
-    store = None
-    if args.policy in ("bcq", "lr-lp"):
-        store = WindowStore(actions.all_cents, cents(args.budget))
-    report = simulate_online(env, policy, store, args.days, args.arrivals, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, report.to_dict())
-    if args.timeline:
-        _write_csv(args.timeline, TIMELINE_FIELDS, report.per_day)
+    report = _run_simulation(args, env, policy, args.policy in ("bcq", "lr-lp"), out,
+                             args.timeline)
     _snapshot(out, "simulate", {
         "policy": args.policy, "budget_units": args.budget, "days": args.days,
         "arrivals": args.arrivals, "seed": args.seed,
@@ -352,39 +362,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    env_config, behavior, actions = _load_config_arg(args.config)
-
-    dataset_dir = workdir / "dataset"
-    env = CheckinEnv(env_config, actions)
-    dataset = generate_dataset(env, behavior, args.n_users, args.seed)
-    violations = validate_dataset(dataset, actions, env_config.feature_dim)
-    if violations:
-        return _fail(f"generated dataset failed validation: {violations[:3]}")
-    write_dataset(dataset_dir, dataset, actions, env_config.feature_dim)
+    config = _load_config_arg(args.config)
+    env, dataset = _write_logs(args, config, workdir / "dataset")
 
     hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
                         hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")
-    agent = bcq_train(dataset, actions, hyper)
+    agent = bcq_train(dataset, env.actions, hyper)
     agent.save(workdir / "model.json")
-    _write_csv(workdir / "training_log.csv", LOG_FIELDS, agent.training_log)
-
-    store = WindowStore(actions.all_cents, cents(args.budget))
-    sim_report = simulate_online(env, BcqPolicy(agent), store, args.days, args.arrivals,
-                                 args.seed)
-    _write_json(workdir / "simulate_report.json", sim_report.to_dict())
-    _write_csv(workdir / "timeline.csv", TIMELINE_FIELDS, sim_report.per_day)
+    write_csv(workdir / "training_log.csv", LOG_FIELDS, agent.training_log)
+    sim_report = _run_simulation(args, env, BcqPolicy(agent), True,
+                                 workdir / "simulate_report.json", workdir / "timeline.csv")
 
     matched = match_records(dataset, BcqPolicy(agent))
-    eval_payload = ({**offline_report(matched).to_dict(), "match_rate": matched.match_rate}
+    eval_payload = ({**asdict(offline_report(matched)), "match_rate": matched.match_rate}
                     if matched.matched_steps else {"matched_steps": 0})
-    _write_json(workdir / "eval_report.json", eval_payload)
+    write_json(workdir / "eval_report.json", eval_payload)
 
-    _write_json(workdir / "run_config.json", {
+    write_json(workdir / "run_config.json", {
         "command": "pipeline", "seed": args.seed, "n_users": args.n_users,
         "steps": args.steps, "xi": args.xi, "budget_units": args.budget,
-        "days": args.days, "arrivals": args.arrivals,
-        "config": config_to_dict(env_config, behavior, actions),
+        "days": args.days, "arrivals": args.arrivals, "config": config_to_dict(*config),
         "artifacts": {"dataset": "dataset", "model": "model.json",
                       "training_log": "training_log.csv",
                       "simulate_report": "simulate_report.json",

@@ -7,6 +7,7 @@ numeric kernels.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import os
@@ -174,9 +175,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.transitions)
 
-    def __iter__(self):
-        return iter(self.transitions)
-
     def total_reward(self) -> int:
         return sum(tr.reward for tr in self.transitions)
 
@@ -216,11 +214,9 @@ class HyperParams:
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
-    def replace(self, **kw) -> "HyperParams":
-        d = asdict(self)
-        d.update(kw)
-        d["hidden_sizes"] = tuple(d["hidden_sizes"])
-        return HyperParams(**d)
+    def to_dict(self) -> dict:
+        """The JSON form: every field, with ``hidden_sizes`` as a list."""
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
 
 def checked_keys(doc, allowed, where: str) -> dict:
@@ -302,11 +298,50 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
 
 
 # ---------------------------------------------------------------------------
-# JSONL trajectory log
+# Files, and the JSONL trajectory log
 #
-# One transition per line; ``next_state`` is implicit (the following line's
+# Every file is written through ``_write_complete``. The log holds one
+# transition per line; ``next_state`` is implicit (the following line's
 # state, or terminal when done). A dataset is a directory of append-only
 # ``*.jsonl`` shards plus a manifest recording d, T, and the action set.
+
+
+def _write_complete(target: Path, write) -> None:
+    """Run ``write(file)`` on a hidden temporary file beside ``target`` (making its
+    directory), then move it into place; on any error the temporary file is removed."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.tmp")
+    try:
+        with tmp.open("w", newline="") as f:
+            write(f)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as one line of JSON: the file of every net, agent and model."""
+    _write_complete(Path(path), lambda f: f.write(json.dumps(payload) + "\n"))
+
+
+def load_json(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text())
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys: reports, snapshots, manifests."""
+    _write_complete(Path(path),
+                    lambda f: f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+
+
+def write_csv(path: str | Path, fieldnames: list[str], rows: Iterable[dict]) -> None:
+    """Write ``rows`` as CSV under a ``fieldnames`` header."""
+    def write(f):
+        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    _write_complete(Path(path), write)
 
 
 def _transition_record(tr: Transition) -> dict:
@@ -333,7 +368,6 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
     adds nothing that ``load_dataset`` reads.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": MANIFEST_FORMAT,
         "feature_dim": d,
@@ -342,7 +376,7 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
     }
     manifest_path = path / MANIFEST_NAME
     new_dataset = not manifest_path.exists()
-    if not new_dataset and json.loads(manifest_path.read_text()) != manifest:
+    if not new_dataset and load_json(manifest_path) != manifest:
         raise ValueError(f"dataset at {path} has a conflicting manifest")
 
     shard = path / f"data-{len(list(path.glob('data-*.jsonl'))):05d}.jsonl"
@@ -354,26 +388,12 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
 
     _write_complete(shard, write_records)
     if new_dataset:
-        _write_complete(manifest_path,
-                        lambda f: f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
+        write_json(manifest_path, manifest)
     return shard
 
 
-def _write_complete(target: Path, write) -> None:
-    """Run ``write(file)`` on a hidden temporary file beside ``target``, then
-    move it into place; on any error the temporary file is removed."""
-    tmp = target.with_name(f".{target.name}.tmp")
-    try:
-        with tmp.open("w") as f:
-            write(f)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def read_manifest(path: str | Path) -> dict:
-    manifest = json.loads((Path(path) / MANIFEST_NAME).read_text())
+    manifest = load_json(Path(path) / MANIFEST_NAME)
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
     if manifest.get("max_steps") != CLAIMS_PER_CYCLE:

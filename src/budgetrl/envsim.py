@@ -10,9 +10,8 @@ which with one claim a day happens well inside the window.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -28,6 +27,7 @@ from .core import (
     checked_keys,
     day_mask_indices,
     field_names,
+    load_json,
 )
 
 PROB_CLAMP = 1e-12
@@ -298,9 +298,6 @@ class TabularSolution:
     v: dict  # (segment, k, last_action) -> V*
     policy: dict  # (segment, k, last_action) -> optimal action (cheapest on ties)
 
-    def states(self):
-        return self.q.keys()
-
 
 def oracle_value_iteration(env: CheckinEnv, gamma: float) -> TabularSolution:
     """Exact Q* by backward induction over the claim horizon.
@@ -349,13 +346,7 @@ def config_to_dict(env_config: EnvConfig, behavior: BehaviorPolicyConfig,
     return {
         "actions": actions.to_dict(),
         "env": {
-            "segments": [{
-                "base_logit": s.base_logit,
-                "bonus_sensitivity": s.bonus_sensitivity,
-                "streak_bonus": s.streak_bonus,
-                "carryover": s.carryover,
-                "noise_scale": s.noise_scale,
-            } for s in env_config.segments],
+            "segments": [asdict(s) for s in env_config.segments],
             "segment_weights": list(env_config.segment_weights) if env_config.segment_weights else None,
             "feature_noise": env_config.feature_noise,
         },
@@ -396,7 +387,7 @@ def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, Action
 
 
 def load_config(path: str | Path) -> tuple[EnvConfig, BehaviorPolicyConfig, ActionSet]:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(load_json(path))
 
 
 def default_config() -> tuple[EnvConfig, BehaviorPolicyConfig, ActionSet]:

@@ -53,16 +53,6 @@ class EvalReport:
     per_day: list[dict] = field(default_factory=list)
     lambda_timeline: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "retention_rate": self.retention_rate,
-            "avg_cost_units": self.avg_cost_units,
-            "matched_trajectories": self.matched_trajectories,
-            "matched_steps": self.matched_steps,
-            "per_day": self.per_day,
-            "lambda_timeline": self.lambda_timeline,
-        }
-
 
 def match_records(dataset: Sequence[Trajectory], policy,
                   full_trajectory: bool = False) -> MatchedSet:
@@ -120,18 +110,19 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
 
     Each day ``arrivals_per_day`` fresh users start a cycle; survivors return
     the next day for their next claim. With a store, decisions go through
-    ``allocate_online`` at the current multiplier snapshot and refresh ticks
-    fire every ``store.refresh_period`` seconds; without one, the policy's
-    direct action is used. Deterministic per seed.
+    ``allocate_online`` once ``store.advance`` has fired the refresh ticks due (a
+    new store's clock starts at day 0); the report's ``lambda_timeline`` lists this
+    run's ticks. Without a store, the policy's direct action is used. Deterministic per seed.
     """
     active: list = []
     per_day: list[dict] = []
-    lam_timeline: list[dict] = []
     total_rewards = 0
     total_steps = 0
     total_cost_cents = 0
-    next_refresh = store.refresh_period if store is not None else None
     next_user_id = 0
+    if store is not None:
+        first_tick = len(store.timeline)
+        store.advance(0.0)
 
     for day in range(n_days):
         children = np.random.SeedSequence((seed, day)).spawn(arrivals_per_day)
@@ -147,11 +138,7 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         for slot, user in enumerate(active):
             ts = day * DAY_SECONDS + (slot + 1) * DAY_SECONDS / (day_claims + 1)
             if store is not None:
-                while next_refresh <= ts:
-                    lam = store.window_refresh(next_refresh)
-                    lam_timeline.append({"ts": next_refresh, "lam": lam,
-                                         "window": len(store)})
-                    next_refresh += store.refresh_period
+                store.advance(ts)
                 action = store.allocate_online(policy.q_row(user.state), ts)
             else:
                 action = policy.action(user.state)
@@ -179,5 +166,5 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         matched_trajectories=next_user_id,
         matched_steps=total_steps,
         per_day=per_day,
-        lambda_timeline=lam_timeline,
+        lambda_timeline=store.timeline[first_tick:] if store is not None else [],
     )

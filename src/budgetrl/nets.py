@@ -15,21 +15,13 @@ into it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from .core import load_json, save_json
+
 MODEL_FORMAT = "mlp-v1"
-
-
-def save_json(path: str | Path, payload: dict) -> None:
-    """Write ``payload`` as one line of JSON: the file of every net, agent and model."""
-    Path(path).write_text(json.dumps(payload) + "\n")
-
-
-def load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 class ShapeError(ValueError):

@@ -267,6 +267,16 @@ class TestWindowStore:
         store.window_refresh(now=120.0)
         assert len(store) == 2  # the ts=0 record aged out (120 - 100 cutoff)
 
+    def test_advance_ticks_every_period_from_first_call(self):
+        store = self.make_store(period=600.0)
+        store.append(900.0, np.full(12, 0.5))
+        store.advance(1000.0)
+        assert store.timeline == []
+        store.advance(2250.0)
+        assert [row["ts"] for row in store.timeline] == [1600.0, 2200.0]
+        assert [row["window"] for row in store.timeline] == [1, 1]
+        assert store.timeline[-1]["lam"] == store.lambda_snapshot
+
     def test_cold_start_is_greedy(self):
         store = self.make_store()
         q = np.linspace(0.1, 1.2, 12)
@@ -620,8 +630,10 @@ class TestWindowExactness:
                 store.append(float(i), q)
 
         def refresher():
+            # The short wait keeps a busy CPU from starving the appenders.
             while not done.is_set():
                 store.window_refresh(600.0)
+                done.wait(1e-4)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

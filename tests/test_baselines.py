@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestTrainRewardModel:
         behavior = BehaviorPolicyConfig(table=default_behavior_table(2, ACTIONS), noise=0.5)
         train = generate_dataset(env, behavior, 2500, seed=1)
         held_out = generate_dataset(env, behavior, 600, seed=2)
-        model = train_reward_model(train, ACTIONS, FAST.replace(training_steps=2500, seed=4))
+        model = train_reward_model(train, ACTIONS, replace(FAST, training_steps=2500, seed=4))
 
         model_ll, bayes_ll, n = 0.0, 0.0, 0
         for traj in held_out:
@@ -99,7 +100,7 @@ class TestTrainRewardModel:
             s = state(fill=float(r))
             a = int(rng.integers(0, 3))
             trajs.append(Trajectory((Transition(uid, 1, s, a, r, ACTIONS.cost_cents(a), None, True),)))
-        model = train_reward_model(trajs, ACTIONS, FAST.replace(training_steps=1200))
+        model = train_reward_model(trajs, ACTIONS, replace(FAST, training_steps=1200))
         scores, labels = [], []
         for traj in trajs:
             tr = traj.transitions[0]
@@ -246,7 +247,7 @@ class TestMyopiaWitness:
 
         behavior = BehaviorPolicyConfig(table=((0, 0, 0, 2),), noise=1.0)  # uniform logging
         dataset = generate_dataset(env, behavior, 1500, seed=11)
-        model = train_reward_model(dataset, actions, FAST.replace(training_steps=1500, seed=11))
+        model = train_reward_model(dataset, actions, replace(FAST, training_steps=1500, seed=11))
         first_claim_states = [t.transitions[0].state for t in dataset[:50]]
         greedy_picks = {model.action(s) for s in first_claim_states}
         assert oracle.policy[(0, 0, -1)] not in greedy_picks

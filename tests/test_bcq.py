@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestBehaviorModel:
             a = 0 if rng.random() < 0.7 else 1
             trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), None, True),)))
         model = train_behavior_model(transition_arrays(trajs), ACTIONS,
-                                     FAST.replace(training_steps=1500))
+                                     replace(FAST, training_steps=1500))
         probs = behavior_probs(model, s)
         assert probs[0] == pytest.approx(0.7, abs=0.05)
         assert probs[1] == pytest.approx(0.3, abs=0.05)
@@ -155,7 +156,7 @@ class TestBehaviorModel:
         train = generate_dataset(env, behavior, 800, seed=2)
         held_out = generate_dataset(env, behavior, 300, seed=3)
         model = train_behavior_model(transition_arrays(train), ACTIONS,
-                                     FAST.replace(training_steps=2500))
+                                     replace(FAST, training_steps=2500))
         hits = total = 0
         for traj in held_out:
             for tr in traj.transitions:
@@ -302,7 +303,7 @@ class TestBcqTrain:
 
     def test_terminal_reward_regression(self):
         trajs = self.make_constant_reward_dataset()
-        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=1200, xi=0.0))
+        agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=1200, xi=0.0))
         for traj in trajs[:20]:
             tr = traj.transitions[0]
             q = agent.q_net.forward(state_to_input(tr.state))[tr.action_index]
@@ -313,7 +314,7 @@ class TestBcqTrain:
         env = CheckinEnv(EnvConfig(segments=segs, feature_noise=0.02), ACTIONS)
         behavior = BehaviorPolicyConfig(table=default_behavior_table(2, ACTIONS), noise=0.3)
         dataset = generate_dataset(env, behavior, 400, seed=6)
-        agent = bcq_train(dataset, ACTIONS, FAST.replace(training_steps=1200, xi=1.0))
+        agent = bcq_train(dataset, ACTIONS, replace(FAST, training_steps=1200, xi=1.0))
         for traj in dataset:
             for tr in traj.transitions:
                 assert (BcqPolicy(agent, 1.0).action(tr.state)
@@ -321,7 +322,7 @@ class TestBcqTrain:
 
     def test_training_is_deterministic(self):
         trajs = self.make_constant_reward_dataset(n=30)
-        hyper = FAST.replace(training_steps=300)
+        hyper = replace(FAST, training_steps=300)
         a1 = bcq_train(trajs, ACTIONS, hyper)
         a2 = bcq_train(trajs, ACTIONS, hyper)
         np.testing.assert_array_equal(a1.q_net.get_params(), a2.q_net.get_params())
@@ -330,7 +331,7 @@ class TestBcqTrain:
 
     def test_training_log_emitted(self):
         trajs = self.make_constant_reward_dataset(n=30)
-        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=200))
+        agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=200))
         assert [row["step"] for row in agent.training_log] == list(range(4, 201, 4))
         assert all(np.isfinite(row["loss"]) for row in agent.training_log)
 
@@ -342,7 +343,7 @@ class TestBcqTrain:
 class TestAgentSerialization:
     def test_round_trip(self, tmp_path):
         trajs = TestBcqTrain().make_constant_reward_dataset(n=20)
-        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=100))
+        agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=100))
         path = tmp_path / "agent.json"
         agent.save(path)
         loaded = BcqAgent.load(path)
@@ -446,6 +447,6 @@ class TestBatchedKernels:
 
     def test_target_net_owns_its_buffer_after_sync(self):
         trajs = TestBcqTrain().make_constant_reward_dataset(n=20)
-        agent = bcq_train(trajs, ACTIONS, FAST.replace(training_steps=30, target_sync_interval=10))
+        agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=30, target_sync_interval=10))
         assert not np.shares_memory(agent.q_net.params, agent.target_net.params)
         np.testing.assert_array_equal(agent.q_net.params, agent.target_net.params)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,26 @@ class TestErrors:
     def test_allocate_needs_exactly_one_mode(self, tmp_path, capsys):
         rc = run("allocate", "--budget", "0.87", "--out", str(tmp_path / "a.csv"))
         assert rc != 0
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "expert"],
+        ["train", "--policy", "bcq", "--steps", "20", "--hidden", "8"],
+        ["train", "--policy", "lr", "--steps", "20", "--hidden", "8"],
+    ])
+    def test_invalid_logs_exit_1_and_write_nothing(self, workspace, tmp_path, capsys, argv):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        shard = ds / "data-00000.jsonl"
+        first, *rest = shard.read_text().splitlines(keepends=True)
+        rec = json.loads(first)
+        assert rec["bonuses_collected"] == 0  # claim 1, where action 11 (super) is not allowed
+        rec.update(reward=7, cost_cents=1, action_index=11)
+        shard.write_text(json.dumps(rec) + "\n" + "".join(rest))
+        rc = run(*argv, "--dataset", str(ds), "--out", str(tmp_path / "out" / "result.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "reward 7" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
@@ -154,16 +175,28 @@ class TestAllocateStream:
         assert np.mean(late) <= 0.80 * 1.05
 
 
-    @pytest.mark.parametrize("bad_q", [[None, None, None], [0.5, "inf", 0.7], [0.5, 0.6]])
+    # A list is the third row's Q values; a string is the whole third line, of the wrong shape.
+    @pytest.mark.parametrize("bad_q", [
+        [None, None, None], [0.5, "inf", 0.7], [0.5, 0.6],
+        pytest.param('{"ts": 0, "q": 5}', id="q_not_a_list"),
+        pytest.param("[1, 2]", id="line_not_an_object"),
+        pytest.param('{"q": [0.5, 0.6, 0.7]}', id="no_ts"),
+        pytest.param('{"ts": 120, "q": [0.5, [0.6], 0.7]}', id="q_value_not_a_number"),
+        pytest.param('{"ts": NaN, "q": [0.5, 0.6, 0.7]}', id="ts_not_finite"),
+    ])
     def test_bad_row_leaves_no_decisions_file(self, tmp_path, capsys, bad_q):
         stream = tmp_path / "rows.jsonl"
         rows = [[0.5, 0.6, 0.7], [0.4, 0.6, 0.8], bad_q]
-        stream.write_text("".join(json.dumps({"ts": 60.0 * i, "q": q}) + "\n"
-                                  for i, q in enumerate(rows)))
+        lines = [q if isinstance(q, str) else json.dumps({"ts": 60.0 * i, "q": q})
+                 for i, q in enumerate(rows)]
+        stream.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "dec.jsonl"
         assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87,1.05",
-                   "--budget", "0.80", "--out", str(out)) == 1
-        assert "invalid input" in capsys.readouterr().err
+                   "--budget", "0.80", "--out", str(out), "--lambda-timeline",
+                   str(tmp_path / "lam.csv")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        assert not isinstance(bad_q, str) or "stream line 3" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 

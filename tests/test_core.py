@@ -17,6 +17,7 @@ from budgetrl.core import (
     load_dataset,
     units,
     validate_dataset,
+    write_csv,
     write_dataset,
 )
 
@@ -252,6 +253,19 @@ class TestFailedWrite:
             "data-00000.jsonl", "manifest.json"]
         write_dataset(tmp_path / "ds", self.trajectories(range(10, 12)), self.actions, d=3)
         assert len(load_dataset(tmp_path / "ds")[0]) == 12
+
+    def test_csv_failing_mid_file_leaves_target_unchanged(self, tmp_path):
+        target = tmp_path / "out" / "rows.csv"
+        bad_rows = [{"a": 1}, {"a": 2, "b": 3}]  # "b" is outside the header
+        with pytest.raises(ValueError):
+            write_csv(target, ["a"], bad_rows)
+        assert list(target.parent.iterdir()) == []
+        write_csv(target, ["a"], [{"a": 1}])
+        before = target.read_bytes()
+        with pytest.raises(ValueError):
+            write_csv(target, ["a"], bad_rows)
+        assert target.read_bytes() == before
+        assert list(target.parent.iterdir()) == [target]
 
     def test_crash_on_first_write_leaves_no_dataset(self, tmp_path):
         with pytest.raises(RuntimeError):

@@ -189,7 +189,7 @@ class TestSimulateOnline:
         env1, env2 = mid_env(), mid_env()
         r1 = simulate_online(env1, CheapestPolicy(ACTIONS), None, 3, 40, seed=9)
         r2 = simulate_online(env2, CheapestPolicy(ACTIONS), None, 3, 40, seed=9)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
     def test_huge_budget_matches_direct_greedy_cost(self):
         # with budget above the dearest action, lam stays 0 and the allocator
@@ -234,3 +234,6 @@ class TestSimulateOnline:
         report = simulate_online(mid_env(), policy, store, 2, 30, seed=13)
         assert len(report.lambda_timeline) > 0
         assert all(row["lam"] >= 0 for row in report.lambda_timeline)
+        assert report.lambda_timeline == store.timeline
+        assert [row["ts"] for row in store.timeline] == [
+            600.0 * k for k in range(1, len(store.timeline) + 1)]
