@@ -281,7 +281,7 @@ class WindowStore:
     run in virtual time. ``lambda_snapshot`` is published atomically; readers
     never block on a refresh, appends do. Rows are checked when they are
     queued; a refresh fills the ``_row_cache`` arrays of the rows queued since
-    the last one in one batch, keeps them with the rows, and solves from them.
+    the last one in one batch, keeps them with their timestamps, and solves from them.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -298,7 +298,7 @@ class WindowStore:
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
         empty = np.empty((0, len(self.costs_cents)))
-        self._window = (np.empty(0), empty, *_row_cache(empty, self._cents))  # ts, q, row cache
+        self._window = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -322,15 +322,15 @@ class WindowStore:
             if self._pending:
                 new_q = np.stack([q for _, q in self._pending])
                 self._window = tuple(np.concatenate(pair) for pair in zip(self._window, (
-                    np.array([t for t, _ in self._pending]), new_q, *_row_cache(new_q, self._cents))))
+                    np.array([t for t, _ in self._pending]), *_row_cache(new_q, self._cents))))
                 self._pending = []
             # Records leave from the front, up to the first one still inside the span.
             evicted = int(np.logical_and.accumulate(self._window[0] <= now - self.window_span).sum())
-            _, q, *cache = self._window = tuple(a[evicted:] for a in self._window)
-            if len(q):
+            _, *cache = self._window = tuple(a[evicted:] for a in self._window)
+            if len(cache[0]):
                 try:
                     self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
-                                                         len(q) * self.budget_cents)
+                                                         len(cache[0]) * self.budget_cents)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
                     self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
                    day_mask_indices, load_json, save_json)
-from .nets import Mlp, Optimizer, softmax, train_step
-from .bcq import state_to_input, transition_arrays
+from .nets import Mlp, softmax
+from .bcq import fit_classifier, state_to_input, transition_arrays
 from .envsim import check_claim_table
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
@@ -77,16 +77,7 @@ def train_reward_model(dataset: Sequence[Trajectory], actions: ActionSet,
     """Cross-entropy fit of login-vs-not on logged (state, action) pairs."""
     data = transition_arrays(dataset)
     x = _pair_inputs(data.x, data.action, actions.size)
-    y = data.reward.astype(int)
-
-    root = np.random.SeedSequence((hyper.seed, 2))
-    init_rng, batch_rng = (np.random.default_rng(s) for s in root.spawn(2))
-    net = Mlp([x.shape[1], *hyper.hidden_sizes, 2], rng=init_rng)
-    opt = Optimizer(net, hyper.learning_rate, hyper.optimizer)
-    n = x.shape[0]
-    for _ in range(hyper.training_steps):
-        idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
-        train_step(net, x[idx], y[idx], "cross_entropy", hyper.learning_rate, optimizer=opt)
+    net = fit_classifier(x, data.reward.astype(int), 2, hyper, (hyper.seed, 2))
     return RewardModel(net=net, actions=actions)
 
 

@@ -86,22 +86,27 @@ def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
         done=done, x_next=x_next, next_claims=next_claims)
 
 
-def train_behavior_model(data: TransitionArrays, actions: ActionSet, hyper: HyperParams) -> Mlp:
-    """Softmax classifier of logged actions given states (cross-entropy, seeded)."""
-    x, labels = data.x, data.action
-    if labels.min() < 0 or labels.max() >= actions.size:
-        raise ValueError("action index outside the menu")
-
-    root = np.random.SeedSequence(hyper.seed)
+def fit_classifier(x: np.ndarray, labels: np.ndarray, n_classes: int, hyper: HyperParams,
+                   entropy) -> Mlp:
+    """Softmax classifier of integer ``labels`` given the rows of ``x``: seeded
+    cross-entropy minibatch descent, with ``entropy`` seeding its initial
+    weights and its batch draws."""
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"label outside the {n_classes} classes")
+    root = np.random.SeedSequence(entropy)
     init_rng, batch_rng = (np.random.default_rng(s) for s in root.spawn(2))
-    net = Mlp([x.shape[1], *hyper.hidden_sizes, actions.size], rng=init_rng)
+    net = Mlp([x.shape[1], *hyper.hidden_sizes, n_classes], rng=init_rng)
     opt = Optimizer(net, hyper.learning_rate, hyper.optimizer)
     n = x.shape[0]
     for _ in range(hyper.training_steps):
         idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
-        train_step(net, x[idx], labels[idx], "cross_entropy", hyper.learning_rate,
-                   optimizer=opt)
+        train_step(opt, x[idx], labels[idx], "cross_entropy")
     return net
+
+
+def train_behavior_model(data: TransitionArrays, actions: ActionSet, hyper: HyperParams) -> Mlp:
+    """Softmax classifier of logged actions given states (cross-entropy, seeded)."""
+    return fit_classifier(data.x, data.action, actions.size, hyper, hyper.seed)
 
 
 @dataclass
@@ -109,7 +114,6 @@ class BcqAgent:
     """Trained Q-network plus the behavior classifier that constrains it."""
 
     q_net: Mlp
-    target_net: Mlp
     behavior_model: Mlp
     hyper: HyperParams
     actions: ActionSet
@@ -132,8 +136,7 @@ class BcqAgent:
                                      "hyper"))
         hyper_kw.pop("epsilon", None)  # written by older versions, never read
         hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
-        q_net = Mlp.from_dict(payload["q_net"])
-        return cls(q_net=q_net, target_net=q_net.copy(),
+        return cls(q_net=Mlp.from_dict(payload["q_net"]),
                    behavior_model=Mlp.from_dict(payload["behavior_model"]),
                    hyper=HyperParams(**hyper_kw),
                    actions=ActionSet.from_dict(payload["actions"]))
@@ -171,8 +174,8 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
 
     log_every = max(1, hyper.training_steps // 50)
     probe = slice(0, min(256, n))
-    agent = BcqAgent(q_net=q_net, target_net=target_net, behavior_model=behavior_model,
-                     hyper=hyper, actions=actions, training_log=[])
+    agent = BcqAgent(q_net=q_net, behavior_model=behavior_model, hyper=hyper, actions=actions,
+                     training_log=[])
 
     for step in range(hyper.training_steps):
         idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
@@ -180,16 +183,13 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
         boot = np.where(next_eligible[idx], q_next, -np.inf).max(axis=1)
         boot[done[idx]] = 0.0
         targets = r[idx] + hyper.gamma * boot
-        loss = train_step(q_net, x[idx], targets, "huber", hyper.learning_rate,
-                          kappa=hyper.kappa, unit_indices=a[idx], optimizer=opt)
+        loss = train_step(opt, x[idx], targets, "huber", kappa=hyper.kappa, unit_indices=a[idx])
         if (step + 1) % hyper.target_sync_interval == 0:
             target_net.set_params(q_net.params)
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
             agreement = _logged_action_agreement(agent, x[probe], data.claims[probe], a[probe])
             agent.training_log.append({"step": step + 1, "loss": float(loss),
                                        "behavior_agreement": agreement})
-
-    target_net.set_params(q_net.params)
     return agent
 
 

@@ -44,6 +44,7 @@ from .core import (
 )
 from .envsim import CheckinEnv, config_to_dict, default_config, generate_dataset, load_config
 from .evaluation import match_records, offline_report, simulate_online
+from .nets import TrainingDivergedError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,6 +410,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         return _fail(str(exc))
+    except TrainingDivergedError as exc:
+        return _fail(f"training diverged: {exc}")
     except (ValueError, KeyError) as exc:
         return _fail(f"invalid input: {exc}")
 

@@ -205,8 +205,10 @@ class HyperParams:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must be in [0, 1]")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1 or self.training_steps < 0:
             raise ValueError("batch_size >= 1 and training_steps >= 0 required")
         if self.target_sync_interval < 1:
@@ -379,7 +381,10 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
     if not new_dataset and load_json(manifest_path) != manifest:
         raise ValueError(f"dataset at {path} has a conflicting manifest")
 
-    shard = path / f"data-{len(list(path.glob('data-*.jsonl'))):05d}.jsonl"
+    # One past the highest shard index, so a removed shard never makes this one
+    # overwrite an existing shard.
+    taken = [int(p.stem[5:]) for p in path.glob("data-*.jsonl") if p.stem[5:].isdigit()]
+    shard = path / f"data-{max(taken, default=-1) + 1:05d}.jsonl"
 
     def write_records(f):
         for traj in dataset:

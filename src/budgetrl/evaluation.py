@@ -110,9 +110,10 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
 
     Each day ``arrivals_per_day`` fresh users start a cycle; survivors return
     the next day for their next claim. With a store, decisions go through
-    ``allocate_online`` once ``store.advance`` has fired the refresh ticks due (a
-    new store's clock starts at day 0); the report's ``lambda_timeline`` lists this
-    run's ticks. Without a store, the policy's direct action is used. Deterministic per seed.
+    ``allocate_online`` once ``store.advance`` has fired the refresh ticks due. The
+    store's clock starts at day 0, so a store whose clock has already started is a
+    ValueError; the report's ``lambda_timeline`` is the store's timeline. Without
+    a store, the policy's direct action is used. Deterministic per seed.
     """
     active: list = []
     per_day: list[dict] = []
@@ -121,7 +122,9 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     total_cost_cents = 0
     next_user_id = 0
     if store is not None:
-        first_tick = len(store.timeline)
+        if store._next_tick is not None:
+            raise ValueError("the window store's refresh clock has already started; "
+                             "simulate_online needs a new store")
         store.advance(0.0)
 
     for day in range(n_days):
@@ -166,5 +169,5 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         matched_trajectories=next_user_id,
         matched_steps=total_steps,
         per_day=per_day,
-        lambda_timeline=store.timeline[first_tick:] if store is not None else [],
+        lambda_timeline=store.timeline if store is not None else [],
     )

@@ -10,16 +10,13 @@ Model file layout (``mlp-v1``, text/JSON):
 
 ``Mlp.params`` holds the parameters in memory in exactly this ``params``
 order, as one contiguous buffer; the per-layer weights and biases are views
-into it.
+into it. A gradient is one float64 vector in the same layout (dW1 row-major,
+db1, dW2, db2, ...), so an optimizer step is one elementwise update.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
-
-from .core import load_json, save_json
 
 MODEL_FORMAT = "mlp-v1"
 
@@ -69,21 +66,25 @@ class Mlp:
         if len(layer_sizes) < 2:
             raise ShapeError("need at least input and output layers")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        shapes = list(zip(self.layer_sizes[1:], self.layer_sizes))
-        self.params = np.zeros(sum(o * i + o for o, i in shapes))
+        sizes = zip(self.layer_sizes[1:], self.layer_sizes)
+        self.params = np.zeros(sum(fan_out * (fan_in + 1) for fan_out, fan_in in sizes))
+        self.weights, self.biases = self._views(self.params)
+        if rng is not None:
+            for w in self.weights:
+                bound = 1.0 / np.sqrt(w.shape[1])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+    def _views(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per-layer weight (fan_out, fan_in) and bias views into ``flat``, a vector
+        laid out like ``params``."""
         weights, biases = [], []
         idx = 0
-        for fan_out, fan_in in shapes:
-            w = self.params[idx:idx + fan_out * fan_in].reshape(fan_out, fan_in)
-            idx += w.size
-            if rng is not None:
-                bound = 1.0 / np.sqrt(fan_in)
-                w[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            weights.append(w)
-            biases.append(self.params[idx:idx + fan_out])
+        for fan_out, fan_in in zip(self.layer_sizes[1:], self.layer_sizes):
+            weights.append(flat[idx:idx + fan_out * fan_in].reshape(fan_out, fan_in))
+            idx += fan_out * fan_in
+            biases.append(flat[idx:idx + fan_out])
             idx += fan_out
-        self.weights: tuple[np.ndarray, ...] = tuple(weights)
-        self.biases: tuple[np.ndarray, ...] = tuple(biases)
+        return tuple(weights), tuple(biases)
 
     @property
     def input_size(self) -> int:
@@ -116,17 +117,17 @@ class Mlp:
             acts.append(a)
         return pre, acts
 
-    def _backward(self, pre, acts, grad_out: np.ndarray):
-        """Gradients of the batch loss w.r.t. every weight and bias."""
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+    def _backward(self, pre, acts, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of the batch loss as one vector laid out like ``params``."""
+        grad = np.empty_like(self.params)
+        gw, gb = self._views(grad)
         g = grad_out
         for layer in range(len(self.weights) - 1, -1, -1):
-            gw[layer] = g.T @ acts[layer]
-            gb[layer] = g.sum(axis=0)
+            np.matmul(g.T, acts[layer], out=gw[layer])
+            g.sum(axis=0, out=gb[layer])
             if layer > 0:
                 g = (g @ self.weights[layer]) * (pre[layer - 1] > 0.0)
-        return gw, gb
+        return grad
 
     # -- flat parameter vector (serialization, finite differences) ---------
 
@@ -144,9 +145,6 @@ class Mlp:
         dup.set_params(self.params)
         return dup
 
-    def save(self, path: str | Path) -> None:
-        save_json(path, self.to_dict())
-
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
@@ -162,10 +160,6 @@ class Mlp:
         net.set_params(np.asarray(payload["params"], dtype=float))
         return net
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Mlp":
-        return cls.from_dict(load_json(path))
-
 
 class Optimizer:
     """SGD by default; ``kind='adam'`` enables adaptive moments.
@@ -173,21 +167,21 @@ class Optimizer:
     One elementwise update over the net's flat ``params`` per step.
     """
 
-    def __init__(self, net: Mlp, lr: float, kind: str = "sgd",
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, net: Mlp, lr: float, kind: str = "sgd"):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {kind!r}")
         self.net = net
         self.lr = lr
         self.kind = kind
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         if kind == "adam":
             self._m = np.zeros_like(net.params)
             self._v = np.zeros_like(net.params)
 
-    def apply(self, gw, gb) -> None:
-        g = np.concatenate([part.ravel() for layer in zip(gw, gb) for part in layer])
+    def apply(self, g: np.ndarray) -> None:
+        """Step ``net.params`` along the gradient ``g``, a vector laid out like them."""
         if not np.isfinite(g).all():
             raise TrainingDivergedError("non-finite gradient")
         self.t += 1
@@ -196,16 +190,16 @@ class Optimizer:
             p -= self.lr * g
             return
         # the per-layer update's expressions in its order: results stay bit-identical
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        self._m = self.beta1 * self._m + (1 - self.beta1) * g
-        self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
-        p -= self.lr * (self._m / b1t) / (np.sqrt(self._v / b2t) + self.eps)
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
+        self._m = self.BETA1 * self._m + (1 - self.BETA1) * g
+        self._v = self.BETA2 * self._v + (1 - self.BETA2) * g * g
+        p -= self.lr * (self._m / b1t) / (np.sqrt(self._v / b2t) + self.EPS)
 
 
 def batch_loss_and_grad(net: Mlp, inputs: np.ndarray, targets: np.ndarray, loss: str,
                         kappa: float = 1.0, unit_indices: np.ndarray | None = None):
-    """Mean batch loss and its parameter gradients.
+    """Mean batch loss and its gradient, one vector laid out like ``net.params``.
 
     loss='huber': ``targets`` are scalars regressed by output unit
     ``unit_indices[i]`` (default unit 0).
@@ -238,17 +232,14 @@ def batch_loss_and_grad(net: Mlp, inputs: np.ndarray, targets: np.ndarray, loss:
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
-    gw, gb = net._backward(pre, acts, grad_out)
-    return value, gw, gb
+    return value, net._backward(pre, acts, grad_out)
 
 
-def train_step(net: Mlp, inputs, targets, loss: str, lr: float, kappa: float = 1.0,
-               unit_indices=None, optimizer: Optimizer | None = None) -> float:
-    """One gradient-descent update on a mini-batch; returns the batch loss."""
-    value, gw, gb = batch_loss_and_grad(net, inputs, targets, loss, kappa, unit_indices)
+def train_step(optimizer: Optimizer, inputs, targets, loss: str, kappa: float = 1.0,
+               unit_indices=None) -> float:
+    """One update of ``optimizer.net`` on a mini-batch; returns the batch loss."""
+    value, grad = batch_loss_and_grad(optimizer.net, inputs, targets, loss, kappa, unit_indices)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
-    if optimizer is None:
-        optimizer = Optimizer(net, lr)
-    optimizer.apply(gw, gb)
+    optimizer.apply(grad)
     return value

@@ -249,6 +249,13 @@ class TestAgainstBruteForce:
         assert float(np.mean(gaps)) <= 0.02
 
 
+def window_rows(store):
+    """The window's Q rows, from the -inf-masked rows it caches: appended rows hold
+    no infinity, so -inf there marks a NaN (ineligible) entry."""
+    qm = store._window[1]
+    return np.where(np.isneginf(qm), np.nan, qm)
+
+
 class TestWindowStore:
     def make_store(self, budget=87, span=24 * 3600.0, period=600.0):
         return WindowStore(ActionSet.default().all_cents, budget,
@@ -328,7 +335,7 @@ class TestWindowStore:
             q = rng.random() + 0.5 * DEFAULT_UNITS
             store.append(float(i), q)
         lam = store.window_refresh(now=100.0)
-        rows = store._window[1]  # the window's stacked Q rows
+        rows = window_rows(store)
         expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
         assert lam == expected
 
@@ -595,7 +602,7 @@ class TestWindowExactness:
                 appended += 1
                 t += float(rng.random() * 10)
             lam = store.window_refresh(t)
-            rows = store._window[1]  # the window's stacked Q rows
+            rows = window_rows(store)
             if len(rows):
                 expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
                 assert lam == expected
@@ -611,7 +618,7 @@ class TestWindowExactness:
             store.append(float(i), rng.random(12) + DEFAULT_UNITS)
         lam = store.window_refresh(now=40.0)
         assert store.infeasible_refreshes == 1
-        p = AllocationProblem(store._window[1], menu.all_cents, 60)
+        p = AllocationProblem(window_rows(store), menu.all_cents, 60)
         with pytest.raises(InfeasibleProblemError):
             solve_lambda(p)
         assert set(assign(p, lam).chosen) == {0}
@@ -651,7 +658,7 @@ class TestWindowExactness:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers) and not refreshing.is_alive()
         lam = store.window_refresh(600.0)
-        window = store._window[1]  # the window's stacked Q rows
+        window = window_rows(store)
         assert len(store) == len(window) == rows.shape[0] * rows.shape[1]
         assert sorted(map(tuple, window)) == sorted(map(tuple, rows.reshape(-1, 12)))
         assert lam == solve_lambda(AllocationProblem(window, menu.all_cents, 87))
@@ -680,5 +687,5 @@ class TestWindowExactness:
             store.allocate_online(q, float(i))
         for now in (10.0, 500.0, 900.0):
             lam = store.window_refresh(now)
-            assert lam == solve_lambda(AllocationProblem(store._window[1], menu.all_cents, 87))
+            assert lam == solve_lambda(AllocationProblem(window_rows(store), menu.all_cents, 87))
         assert len(store) == 20 and store.infeasible_refreshes == 0

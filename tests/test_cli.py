@@ -89,6 +89,47 @@ class TestErrors:
         assert "invalid input" in err and "reward 7" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.05"), ("--kappa", "nan"),
+    ])
+    def test_bad_hyperparameter_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                            flag, value):
+        out = tmp_path / "out" / "model.json"
+        rc = run("train", "--dataset", str(workspace / "ds"), "--steps", "20", "--hidden", "8",
+                 flag, value, "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and ("learning_rate" in err or "kappa" in err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy", ["bcq", "lr"])
+    def test_diverged_training_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                          policy):
+        out = tmp_path / "out" / "model.json"
+        with pytest.warns(RuntimeWarning):  # numpy overflow warnings come before the loss check
+            rc = run("train", "--dataset", str(workspace / "ds"), "--policy", policy, "--steps",
+                     "20", "--hidden", "8", "--lr", "1e200", "--out", str(out), "--log",
+                     str(tmp_path / "out" / "log.csv"))
+        assert rc == 1
+        assert "training diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_agent_file_with_bad_learning_rate_exits_1(self, workspace, tmp_path, capsys,
+                                                       command):
+        payload = json.loads((workspace / "model.json").read_text())
+        payload["hyper"]["learning_rate"] = -0.05
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        argv = [command, "--policy", "bcq", "--model", str(model), "--out",
+                str(tmp_path / "out" / "report.json")]
+        if command == "evaluate":
+            argv += ["--dataset", str(workspace / "ds")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "learning_rate" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
                  "--model", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.json"))

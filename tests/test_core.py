@@ -139,8 +139,9 @@ class TestHyperParams:
         assert h.gamma == 1.0 and h.xi == 0.3
 
     @pytest.mark.parametrize("kw", [
-        {"gamma": 1.5}, {"xi": -0.1}, {"kappa": 0.0}, {"batch_size": 0},
-        {"optimizer": "rmsprop"},
+        {"gamma": 1.5}, {"xi": -0.1}, {"kappa": 0.0}, {"kappa": float("nan")}, {"batch_size": 0},
+        {"optimizer": "rmsprop"}, {"learning_rate": 0.0}, {"learning_rate": -0.05},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
     ])
     def test_rejects_bad_ranges(self, kw):
         with pytest.raises(ValueError):
@@ -213,6 +214,19 @@ class TestSerialization:
         write_dataset(tmp_path / "ds", second, actions, d=3)
         loaded, _ = load_dataset(tmp_path / "ds")
         assert loaded == first + second
+
+    def test_append_after_a_removed_shard_keeps_every_shard(self, tmp_path):
+        actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+        batches = [[make_trajectory(actions, uid=5 * k + i, action_seq=(0,)) for i in range(5)]
+                   for k in range(4)]
+        for batch in batches[:3]:
+            write_dataset(tmp_path / "ds", batch, actions, d=3)
+        (tmp_path / "ds" / "data-00001.jsonl").unlink()
+        shard = write_dataset(tmp_path / "ds", batches[3], actions, d=3)
+        assert shard.name == "data-00003.jsonl"
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert len(loaded) == 15
+        assert loaded == batches[0] + batches[2] + batches[3]
 
     def test_manifest_conflict_rejected(self, tmp_path):
         actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))

@@ -237,3 +237,13 @@ class TestSimulateOnline:
         assert report.lambda_timeline == store.timeline
         assert [row["ts"] for row in store.timeline] == [
             600.0 * k for k in range(1, len(store.timeline) + 1)]
+
+    def test_store_whose_clock_started_is_refused(self):
+        policy = ConstantRowPolicy(ACTIONS)
+        store = WindowStore(ACTIONS.all_cents, budget_cents=87)
+        first = simulate_online(mid_env(), policy, store, 2, 30, seed=13)
+        assert len(first.lambda_timeline) > 0
+        ticks = list(store.timeline)
+        with pytest.raises(ValueError, match="clock"):
+            simulate_online(mid_env(), policy, store, 2, 30, seed=13)
+        assert store.timeline == ticks

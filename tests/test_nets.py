@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from budgetrl.core import load_json, save_json
 from budgetrl.nets import (
     Mlp,
     Optimizer,
@@ -35,12 +36,54 @@ def numeric_gradient(net, loss_fn, eps=1e-6):
     return grad
 
 
-def flatten_grads(net, gw, gb):
+def flatten_layers(weights, biases):
+    """Per-layer arrays as one vector in the ``mlp-v1`` order: W1 row-major, b1, W2, b2, ..."""
     parts = []
-    for w, b in zip(gw, gb):
+    for w, b in zip(weights, biases):
         parts.append(w.ravel())
         parts.append(b)
     return np.concatenate(parts)
+
+
+def layer_spans(layer_sizes):
+    """(start, stop) of each weight and each bias block of a flat vector, in ``mlp-v1`` order."""
+    spans, idx = [], 0
+    for fan_out, fan_in in zip(layer_sizes[1:], layer_sizes):
+        spans.append((idx, idx + fan_out * fan_in))
+        idx += fan_out * fan_in
+        spans.append((idx, idx + fan_out))
+        idx += fan_out
+    return spans
+
+
+def per_layer_backward(net, pre, acts, grad_out):
+    """The per-layer backward pass, one new array per weight and bias (reference)."""
+    gw = [None] * len(net.weights)
+    gb = [None] * len(net.biases)
+    g = grad_out
+    for layer in range(len(net.weights) - 1, -1, -1):
+        gw[layer] = g.T @ acts[layer]
+        gb[layer] = g.sum(axis=0)
+        if layer > 0:
+            g = (g @ net.weights[layer]) * (pre[layer - 1] > 0.0)
+    return gw, gb
+
+
+def grad_with_reference(monkeypatch, net, inputs, targets, loss, unit_indices=None):
+    """``batch_loss_and_grad``'s flat gradient, and the per-layer reference gradients
+    computed from the same forward pass and output gradient."""
+    seen = []
+    backward = net._backward
+
+    def spy(pre, acts, grad_out):
+        seen.append((pre, acts, grad_out.copy()))
+        return backward(pre, acts, grad_out)
+
+    with monkeypatch.context() as m:
+        m.setattr(net, "_backward", spy)
+        _, grad = batch_loss_and_grad(net, inputs, targets, loss, unit_indices=unit_indices)
+    (pre, acts, grad_out), = seen
+    return grad, per_layer_backward(net, pre, acts, grad_out)
 
 
 class TestHuber:
@@ -112,7 +155,7 @@ class TestTrainStep:
         rng = np.random.default_rng(0)
         net = Mlp([2, 3, 1], rng=rng)
         before = net.get_params().copy()
-        train_step(net, np.ones((4, 2)), np.zeros(4), "huber", lr=0.0)
+        train_step(Optimizer(net, lr=0.0), np.ones((4, 2)), np.zeros(4), "huber")
         np.testing.assert_array_equal(net.get_params(), before)
 
     def test_single_linear_unit_hand_gradient(self):
@@ -124,7 +167,7 @@ class TestTrainStep:
         delta = 0.5 * x - y
         expected_w = 0.5 - lr * delta * x
         expected_b = 0.0 - lr * delta
-        loss = train_step(net, np.array([[x]]), np.array([y]), "huber", lr=lr, kappa=10.0)
+        loss = train_step(Optimizer(net, lr), np.array([[x]]), np.array([y]), "huber", kappa=10.0)
         assert loss == pytest.approx(0.5 * delta**2)
         assert net.weights[0][0, 0] == pytest.approx(expected_w)
         assert net.biases[0][0] == pytest.approx(expected_b)
@@ -136,15 +179,14 @@ class TestTrainStep:
         y = np.array([0] * 30 + [1] * 30)
         net = Mlp([1, 2], rng=np.random.default_rng(2))
         opt = Optimizer(net, lr=0.1)
-        losses = [train_step(net, x, y, "cross_entropy", 0.1, optimizer=opt)
-                  for _ in range(100)]
+        losses = [train_step(opt, x, y, "cross_entropy") for _ in range(100)]
         # full-batch gradient descent on a convex loss with small lr
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            train_step(Mlp([2, 1]), np.zeros((0, 2)), np.zeros(0), "huber", 0.1)
+            train_step(Optimizer(Mlp([2, 1]), 0.1), np.zeros((0, 2)), np.zeros(0), "huber")
 
     def test_determinism(self):
         def run():
@@ -155,7 +197,7 @@ class TestTrainStep:
             for _ in range(20):
                 x = data_rng.normal(size=(8, 3))
                 y = data_rng.integers(0, 2, size=8)
-                train_step(net, x, y, "cross_entropy", 0.05, optimizer=opt)
+                train_step(opt, x, y, "cross_entropy")
             return net.get_params()
 
         np.testing.assert_array_equal(run(), run())
@@ -170,9 +212,8 @@ class TestGradientCheck:
             x = rng.normal(size=(5, 3))
             units_idx = rng.integers(0, 2, size=5)
             targets = net.forward(x)[np.arange(5), units_idx] - region_target
-            _, gw, gb = batch_loss_and_grad(net, x, targets, "huber", kappa=1.0,
-                                            unit_indices=units_idx)
-            analytic = flatten_grads(net, gw, gb)
+            _, analytic = batch_loss_and_grad(net, x, targets, "huber", kappa=1.0,
+                                              unit_indices=units_idx)
 
             def loss_fn(n):
                 out = n.forward(x)[np.arange(5), units_idx]
@@ -189,8 +230,7 @@ class TestGradientCheck:
             net = Mlp([4, 5, 3], rng=np.random.default_rng(200 + trial))
             x = rng.normal(size=(6, 4))
             labels = rng.integers(0, 3, size=6)
-            _, gw, gb = batch_loss_and_grad(net, x, labels, "cross_entropy")
-            analytic = flatten_grads(net, gw, gb)
+            _, analytic = batch_loss_and_grad(net, x, labels, "cross_entropy")
 
             def loss_fn(n):
                 probs = softmax(n.forward(x))
@@ -208,7 +248,7 @@ class TestAdam:
         opt = Optimizer(net, lr=0.05, kind="adam")
         x = np.array([[1.0]])
         for _ in range(400):
-            train_step(net, x, np.array([0.0]), "huber", 0.05, kappa=100.0, optimizer=opt)
+            train_step(opt, x, np.array([0.0]), "huber", kappa=100.0)
         assert abs(float(net.forward(np.array([1.0]))[0])) < 1e-3
 
 
@@ -216,8 +256,8 @@ class TestSerializationRoundTrip:
     def test_save_load_identical(self, tmp_path):
         net = Mlp([3, 7, 2], rng=np.random.default_rng(9))
         path = tmp_path / "model.json"
-        net.save(path)
-        loaded = Mlp.load(path)
+        save_json(path, net.to_dict())
+        loaded = Mlp.from_dict(load_json(path))
         assert loaded.layer_sizes == net.layer_sizes
         np.testing.assert_array_equal(loaded.get_params(), net.get_params())
 
@@ -225,7 +265,7 @@ class TestSerializationRoundTrip:
         path = tmp_path / "model.json"
         path.write_text('{"format": "other", "layer_sizes": [1, 1], "params": [0, 0]}')
         with pytest.raises(ValueError):
-            Mlp.load(path)
+            Mlp.from_dict(load_json(path))
 
 
 class TestFlatParams:
@@ -269,7 +309,7 @@ class TestFlatParams:
         net = Mlp([1, 2])
         net.set_params([1.0, 2.0, 0.5, -0.25])
         path = tmp_path / "model.json"
-        net.save(path)
+        save_json(path, net.to_dict())
         assert path.read_text() == ('{"format": "mlp-v1", "layer_sizes": [1, 2], '
                                     '"params": [1.0, 2.0, 0.5, -0.25]}\n')
         assert path.read_text() == json.dumps(net.to_dict()) + "\n"
@@ -290,10 +330,28 @@ def per_layer_update(params, grads, kind, lr, t, moments, beta1=0.9, beta2=0.999
         p -= lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
 
 
+class TestFlatGradient:
+    @pytest.mark.parametrize("loss", ["huber", "cross_entropy"])
+    @pytest.mark.parametrize("sizes", [[4, 6, 5, 3], [3, 2], [7, 64, 64, 12]])
+    def test_bit_identical_to_per_layer_backward(self, monkeypatch, loss, sizes):
+        data = np.random.default_rng(14)
+        for trial in range(5):
+            net = Mlp(sizes, rng=np.random.default_rng(40 + trial))
+            batch = [1, 8, 64][trial % 3]
+            x = data.normal(size=(batch, sizes[0]))
+            if loss == "huber":
+                targets, units_idx = data.normal(size=batch), data.integers(0, sizes[-1], size=batch)
+            else:
+                targets, units_idx = data.integers(0, sizes[-1], size=batch), None
+            grad, (gw, gb) = grad_with_reference(monkeypatch, net, x, targets, loss, units_idx)
+            assert grad.dtype == np.float64 and grad.shape == net.params.shape
+            np.testing.assert_array_equal(grad, flatten_layers(gw, gb))
+
+
 class TestFlatOptimizer:
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("loss", ["huber", "cross_entropy"])
-    def test_bit_identical_to_per_layer_update(self, kind, loss):
+    def test_bit_identical_to_per_layer_update(self, monkeypatch, kind, loss):
         net = Mlp([4, 6, 5, 3], rng=np.random.default_rng(12))
         ref_w = [w.copy() for w in net.weights]
         ref_b = [b.copy() for b in net.biases]
@@ -307,10 +365,10 @@ class TestFlatOptimizer:
                 targets, units_idx = data.normal(size=8), data.integers(0, 3, size=8)
             else:
                 targets, units_idx = data.integers(0, 3, size=8), None
-            _, gw, gb = batch_loss_and_grad(net, x, targets, loss, unit_indices=units_idx)
-            opt.apply(gw, gb)
+            grad, (gw, gb) = grad_with_reference(monkeypatch, net, x, targets, loss, units_idx)
+            opt.apply(grad)
             per_layer_update(ref_w + ref_b, gw + gb, kind, 0.05, t, moments)
-            np.testing.assert_array_equal(net.params, flatten_grads(net, ref_w, ref_b))
+            np.testing.assert_array_equal(net.params, flatten_layers(ref_w, ref_b))
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -318,15 +376,15 @@ class TestFlatOptimizer:
         net = Mlp([3, 4, 4, 2], rng=np.random.default_rng(3))
         opt = Optimizer(net, 0.1, kind)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        _, gw, gb = batch_loss_and_grad(net, x, np.zeros(5), "huber")
-        opt.apply(gw, gb)
+        _, grad = batch_loss_and_grad(net, x, np.zeros(5), "huber")
+        opt.apply(grad)
         before = net.get_params()
-        for grads in (gw, gb):
-            for layer in range(len(grads)):
-                bad_grads = [g.copy() for g in grads]
-                bad_grads[layer].flat[-1] = bad
-                args = (bad_grads, gb) if grads is gw else (gw, bad_grads)
-                with pytest.raises(TrainingDivergedError):
-                    opt.apply(*args)
-                np.testing.assert_array_equal(net.get_params(), before)
-                assert opt.t == 1
+        spans = layer_spans(net.layer_sizes)
+        assert len(spans) == 6  # a weight and a bias block for each of the three layers
+        for _, stop in spans:
+            bad_grad = grad.copy()
+            bad_grad[stop - 1] = bad
+            with pytest.raises(TrainingDivergedError):
+                opt.apply(bad_grad)
+            np.testing.assert_array_equal(net.get_params(), before)
+            assert opt.t == 1
