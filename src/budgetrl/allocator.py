@@ -7,6 +7,13 @@ customer's upper concave (cost, value) envelope (the LP relaxation of the
 multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979). A
 sliding-window store caches them per row to track recent traffic.
 
+A batch solve (``solve_and_assign``) is one pass over the rows. They are
+masked and their envelopes walked once (``_row_cache``). The multiplier search
+(``_exact_lambda``) already applies the assignment rule at the multiplier it
+returns, and that choice, with its score matrix, goes straight to slack
+packing (``_packed``); the chosen actions become a tuple once, at the end.
+``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
+
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
 currency units.
@@ -15,6 +22,7 @@ currency units.
 from __future__ import annotations
 
 import bisect
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -77,10 +85,29 @@ class Assignment:
     total_cost_cents: int
 
 
+def _check_lambda(lam) -> None:
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, not {lam!r}")
+
+
 def _masked(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows with ineligible entries at -inf, and each row's cheapest eligible action."""
-    present = np.isfinite(q)
-    return np.where(present, q, -np.inf), np.where(present, cents, np.inf).argmin(axis=-1)
+    """The rows (finite or NaN) with NaN at -inf, and each row's cheapest eligible action."""
+    return np.fmax(q, -np.inf), argmax_cheapest(np.isfinite(q), cents)
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_tables(costs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row a of each M x M table serves a walk standing at action a: the
+    cost gap c_a - c_j in units, and whether j is no cheaper than a."""
+    cents = np.asarray(costs, dtype=np.int64)
+    units = cents / 100.0
+    tables = units[:, None] - units, cents >= cents[:, None]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_WALK_BLOCK = 4096  # rows per block of the envelope walk
 
 
 def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -93,31 +120,41 @@ def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
     next moves at lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j,
     to the cheapest j attaining it. ``lams`` and ``drops`` are both (N, M-1):
     each row's breakpoints (inf past the last) and integer-cent cost drops there.
+    Rows walk in blocks of ``_WALK_BLOCK``, so one step's arrays stay in cache.
     """
     qm, cheapest = _masked(q, cents)
+    cur = argmax_cheapest(qm, cents)
     lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
     drops = np.zeros(lams.shape, dtype=np.int64)
-    cur = argmax_cheapest(qm, cents)
-    start_cents = cents[cur]
-    costs = cents / 100.0
-    rows = np.arange(q.shape[0])
+    tables = _walk_tables(tuple(cents.tolist()))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(lams.shape[1]):
-            # An ineligible j gives (q_a + inf) / (c_a - c_j), +inf when j is cheaper.
-            ratio = qm[rows]
-            np.subtract(qm[rows, cur][:, None], ratio, out=ratio)
-            np.divide(ratio, costs[cur][:, None] - costs, out=ratio)
-            ratio[cents >= cents[cur][:, None]] = np.inf
-            nxt = argmax_cheapest(-ratio, cents)  # the cheapest j at the smallest ratio
-            lam = ratio[np.arange(rows.size), nxt]
-            moves = lam < np.inf
-            rows, cur, nxt, lam = rows[moves], cur[moves], nxt[moves], lam[moves]
-            if not rows.size:
-                break
-            lams[rows, step] = lam
-            drops[rows, step] = cents[cur] - cents[nxt]
-            cur = nxt
-    return qm, start_cents, cheapest, lams, drops
+        for lo in range(0, q.shape[0], _WALK_BLOCK):
+            block = slice(lo, lo + _WALK_BLOCK)
+            _walk(qm[block], cur[block], lams[block], drops[block], cents, *tables)
+    return qm, cents[cur], cheapest, lams, drops
+
+
+def _walk(qm, cur, lams, drops, cents, gap, no_move) -> None:
+    """Fill ``lams`` and ``drops`` for the rows ``qm``, whose walks start at ``cur``."""
+    m = qm.shape[1]
+    rows = np.arange(qm.shape[0])
+    for step in range(m - 1):
+        # The ratios negated, as (q_j - q_a) / (c_a - c_j): IEEE subtraction and
+        # division are exact under a sign flip. An ineligible cheaper j gives
+        # -inf, as does every j that is no cheaper.
+        neg = qm[rows]
+        np.subtract(neg, qm.take(rows * m + cur)[:, None], out=neg)
+        np.divide(neg, gap.take(cur, axis=0), out=neg)
+        np.putmask(neg, no_move.take(cur, axis=0), -np.inf)
+        nxt = argmax_cheapest(neg, cents)  # the cheapest j at the smallest ratio
+        neg_lam = neg.take(np.arange(rows.size) * m + nxt)
+        moves = neg_lam > -np.inf
+        rows, cur, nxt, neg_lam = rows[moves], cur[moves], nxt[moves], neg_lam[moves]
+        if not rows.size:
+            return
+        lams[rows, step] = -neg_lam
+        drops[rows, step] = cents[cur] - cents[nxt]
+        cur = nxt
 
 
 def _step_up_until(fits, lam: float) -> float:
@@ -130,25 +167,32 @@ def _step_up_until(fits, lam: float) -> float:
     return lam
 
 
-def _exact_lambda(cache, cents: np.ndarray, budget_cents: int, total_cents: int) -> float:
+def _exact_lambda(cache, cents: np.ndarray, budget_cents: int, total_cents: int):
     """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
-    ``total_cents`` in all, under both the dual selection and ``assign``."""
+    ``total_cents`` in all, under both the dual selection and the assignment
+    rule, and the rule's ``_assign_choice`` there (None at lam = 0, which needs
+    no check: the greedy selection fits, and the rule never costs more)."""
     qm, start_cents, cheapest, lams, drops = cache
     excess = int(start_cents.sum()) - total_cents
     if excess <= 0:
-        return 0.0
-    lams, drops = lams[lams < np.inf], drops[lams < np.inf]
+        return 0.0, None
+    finite = lams < np.inf
+    lams, drops = lams[finite], drops[finite]
     order = np.argsort(lams)
     k = int(np.searchsorted(np.cumsum(drops[order]), excess))
     if k == lams.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
+    choice = None
 
     def fits(lam: float) -> bool:
-        return (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
-                and int(cents[_assign_choice(qm, cheapest, cents, budget_cents, lam)].sum()) <= total_cents)
+        nonlocal choice
+        if int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) > total_cents:
+            return False
+        choice = _assign_choice(qm, cheapest, cents, budget_cents, lam)
+        return int(cents[choice[0]].sum()) <= total_cents
 
-    return _step_up_until(fits, float(lams[order[k]]))
+    return _step_up_until(fits, float(lams[order[k]])), choice
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
@@ -161,38 +205,50 @@ def solve_lambda(problem: AllocationProblem) -> float:
     """
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
     return _exact_lambda(_row_cache(problem.q, cents), cents, problem.budget_cents,
-                         problem.n * problem.budget_cents)
+                         problem.n * problem.budget_cents)[0]
 
 
 def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, budget_cents: int,
-                   lam: float) -> np.ndarray:
+                   lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assignment rule over a matrix of -inf-masked rows: among actions with
     q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
-    if none qualifies, the row's ``cheapest`` eligible action."""
+    if none qualifies, the row's ``cheapest`` eligible action. Returns the
+    choices, the score matrix and each row's highest score."""
     scores = qm - lam * (cents / 100.0 - budget_cents / 100.0)
     best = argmax_cheapest(scores, cents)
-    return np.where(scores[np.arange(best.size), best] >= 0.0, best, cheapest)
+    top = scores[np.arange(best.size), best]
+    return np.where(top >= 0.0, best, cheapest), scores, top
+
+
+def _assignment(problem: AllocationProblem, chosen: np.ndarray, lam: float,
+                total_cents: int) -> Assignment:
+    """The Assignment of the int64 array ``chosen``, its actions as a tuple of ints."""
+    objective = float(problem.q[np.arange(problem.n), chosen].sum())
+    return Assignment(chosen=tuple(chosen.tolist()), lam=lam, objective=objective,
+                      total_cost_cents=total_cents)
 
 
 def assign(problem: AllocationProblem, lam: float) -> Assignment:
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    """The assignment rule at ``lam``, without slack packing."""
+    _check_lambda(lam)
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    chosen = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)
-    objective = float(problem.q[np.arange(problem.n), chosen].sum())
-    return Assignment(chosen=tuple(int(a) for a in chosen), lam=lam, objective=objective,
-                      total_cost_cents=int(cents[chosen].sum()))
+    chosen = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)[0]
+    return _assignment(problem, chosen, lam, int(cents[chosen].sum()))
 
 
 def assign_row(q_row: np.ndarray, costs_cents, budget_cents: int, lam: float) -> int:
     """Single-customer assignment rule (used on the online path)."""
+    _check_lambda(lam)
     cents = np.asarray(costs_cents, dtype=np.int64)
     qm, cheapest = _masked(_checked_rows(q_row, cents.size, 1)[None], cents)
-    return int(_assign_choice(qm, cheapest, cents, budget_cents, lam)[0])
+    return int(_assign_choice(qm, cheapest, cents, budget_cents, lam)[0][0])
 
 
-def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignment:
-    """Spend leftover budget on tied rows at the current multiplier.
+def _packed(problem: AllocationProblem, cents: np.ndarray, lam: float, chosen: np.ndarray,
+            scores: np.ndarray, top: np.ndarray) -> Assignment:
+    """The Assignment of ``chosen`` (int64, upgraded in place) after spending
+    leftover budget on tied rows; ``scores`` and ``top`` are the assignment
+    rule's at ``lam``, as ``_assign_choice`` returns them.
 
     At a breakpoint several actions share a row's best assignment score; the
     cheapest-tie rule leaves slack that upgrading some of those rows to a
@@ -200,37 +256,38 @@ def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignmen
     the relaxation). Greedy, deterministic, and never lowers the objective.
     """
     budget_total = problem.n * problem.budget_cents
-    total = assignment.total_cost_cents
-    if total > budget_total:
-        return assignment
-    costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    scores = np.where(np.isfinite(problem.q), problem.q - assignment.lam * (
-        problem.costs_units()[None, :] - problem.budget_units), -np.inf)
-    rowmax = scores.max(axis=1)
-    # Fallback rows (rowmax < 0) have no assignment-rule candidates to swap among.
-    tol = 1e-9 * np.maximum(1.0, np.abs(rowmax))
-    rows, actions = np.nonzero((rowmax >= 0.0)[:, None] & (scores >= (rowmax - tol)[:, None]))
-    cur = np.asarray(assignment.chosen, dtype=np.int64)[rows]
-    extra = costs_cents[actions] - costs_cents[cur]
-    gain = problem.q[rows, actions] - problem.q[rows, cur]
-    keep = (extra > 0) & (gain > 0)
-    if not keep.any():
-        return assignment
-    rows, actions, extra, gain = rows[keep], actions[keep], extra[keep], gain[keep]
-    order = np.lexsort((gain, actions, rows, -extra))  # as sorted((-extra, row, action, gain))
-    chosen = list(assignment.chosen)
-    used_rows = set()
-    for neg_extra, i, j in zip((-extra[order]).tolist(), rows[order].tolist(),
-                               actions[order].tolist()):
-        if i in used_rows:
-            continue
-        if total - neg_extra <= budget_total:
-            total -= neg_extra
-            chosen[i] = j
-            used_rows.add(i)
-    objective = float(problem.q[np.arange(problem.n), chosen].sum())
-    return Assignment(chosen=tuple(chosen), lam=assignment.lam, objective=objective,
-                      total_cost_cents=int(total))
+    total = int(cents[chosen].sum())
+    if total <= budget_total:
+        # Candidates score within 1e-9 (relative) of their row's top. Fallback
+        # rows (top < 0) have no assignment-rule candidates to swap among, and
+        # a row's current action gains nothing.
+        floor = np.where(top >= 0.0, top - 1e-9 * np.maximum(1.0, np.abs(top)), np.inf)
+        near = scores >= floor[:, None]
+        near[np.arange(chosen.size), chosen] = False
+        rows, actions = np.nonzero(near)
+        cur = chosen[rows]
+        extra = cents[actions] - cents[cur]
+        gain = problem.q[rows, actions] - problem.q[rows, cur]
+        keep = (extra > 0) & (gain > 0)
+        rows, actions, extra, gain = rows[keep], actions[keep], extra[keep], gain[keep]
+        order = np.lexsort((gain, actions, rows, -extra))  # as sorted((-extra, row, action, gain))
+        used_rows = set()
+        for more, i, j in zip(extra[order].tolist(), rows[order].tolist(),
+                              actions[order].tolist()):
+            if i not in used_rows and total + more <= budget_total:
+                total += more
+                chosen[i] = j
+                used_rows.add(i)
+    return _assignment(problem, chosen, lam, total)
+
+
+def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignment:
+    """``_packed`` on an ``assign`` result, with the rule's scores rebuilt at its lam."""
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    _, scores, top = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents,
+                                    assignment.lam)
+    return _packed(problem, cents, assignment.lam, np.array(assignment.chosen, dtype=np.int64),
+                   scores, top)
 
 
 def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> Assignment:
@@ -255,7 +312,8 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
-        return int(cents[_assign_choice(qm, cheapest, cents, problem.budget_cents, lam)].sum()) <= budget_total
+        chosen = _assign_choice(qm, cheapest, cents, problem.budget_cents, lam)[0]
+        return int(cents[chosen].sum()) <= budget_total
 
     # Cost is non-increasing in lam and constant between candidates: bisect on
     # gap midpoints, which float rounding at a candidate cannot disturb.
@@ -266,8 +324,22 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
 
 
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
-    """Exact dual solve, assignment (which fits the budget there), then slack packing."""
-    return _pack_slack(problem, assign(problem, solve_lambda(problem)))
+    """The exact multiplier (``solve_lambda``), the assignment rule there (which
+    fits the budget) and slack packing, in one pass: the rows are masked and
+    walked once, the rule's choice and scores are the ones the multiplier
+    search made at the returned lam, and packing upgrades rows from those
+    scores. Equal, field by field, to ``_pack_slack(problem, assign(problem,
+    solve_lambda(problem)))``. Raises InfeasibleProblemError when even the
+    cheapest eligible assignment is over budget.
+    """
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    cache = _row_cache(problem.q, cents)
+    lam, choice = _exact_lambda(cache, cents, problem.budget_cents,
+                                problem.n * problem.budget_cents)
+    if choice is None:
+        choice = _assign_choice(cache[0], cache[2], cents, problem.budget_cents, lam)
+    del cache  # packing reads none of the breakpoint arrays
+    return _packed(problem, cents, lam, *choice)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +364,7 @@ class WindowStore:
         self.budget_cents = int(budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
+        _check_lambda(initial_lambda)
         self.lambda_snapshot = float(initial_lambda)
         self.timeline: list[dict] = []  # one {ts, lam, window} entry per tick ``advance`` fired
         self._next_tick: float | None = None
@@ -330,11 +403,11 @@ class WindowStore:
             if len(cache[0]):
                 try:
                     self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
-                                                         len(cache[0]) * self.budget_cents)
+                                                         len(cache[0]) * self.budget_cents)[0]
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
                     self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
-                                                         int(self._cents[cache[2]].sum()))
+                                                         int(self._cents[cache[2]].sum()))[0]
             return self.lambda_snapshot
 
     def advance(self, now: float) -> None:

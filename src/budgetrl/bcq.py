@@ -135,7 +135,8 @@ class BcqAgent:
         hyper_kw = dict(checked_keys(payload["hyper"], field_names(HyperParams) | {"epsilon"},
                                      "hyper"))
         hyper_kw.pop("epsilon", None)  # written by older versions, never read
-        hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
+        if isinstance(hyper_kw.get("hidden_sizes"), list):  # JSON has no tuples
+            hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
         return cls(q_net=Mlp.from_dict(payload["q_net"]),
                    behavior_model=Mlp.from_dict(payload["behavior_model"]),
                    hyper=HyperParams(**hyper_kw),

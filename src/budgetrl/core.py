@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 import os
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
@@ -201,6 +202,15 @@ class HyperParams:
     optimizer: str = "sgd"
 
     def __post_init__(self):
+        for name in ("gamma", "xi", "kappa", "learning_rate"):
+            _require(self, name, numbers.Real, "a number")
+        for name in ("batch_size", "target_sync_interval", "training_steps", "seed"):
+            _require(self, name, numbers.Integral, "an integer")
+        if type(self.hidden_sizes) is not tuple or not all(
+                isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+                for w in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be a tuple of positive integers, "
+                             f"not {self.hidden_sizes!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 <= self.xi <= 1.0:
@@ -213,12 +223,21 @@ class HyperParams:
             raise ValueError("batch_size >= 1 and training_steps >= 0 required")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def to_dict(self) -> dict:
         """The JSON form: every field, with ``hidden_sizes`` as a list."""
         return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
+
+
+def _require(obj, name: str, kind, what: str) -> None:
+    """A ValueError naming field ``name`` of ``obj`` unless it is a ``kind`` (never a bool)."""
+    value = getattr(obj, name)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
 def checked_keys(doc, allowed, where: str) -> dict:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from budgetrl.allocator import (
     AllocationProblem,
+    Assignment,
     InfeasibleProblemError,
     WindowStore,
     _pack_slack,
@@ -19,7 +20,7 @@ from budgetrl.allocator import (
     solve_and_assign,
     solve_lambda,
 )
-from budgetrl.core import ActionSet, cents
+from budgetrl.core import ActionSet, argmax_cheapest, cents
 
 DEFAULT_UNITS = np.asarray(ActionSet.default().all_cents, dtype=float) / 100.0  # menu costs
 
@@ -186,6 +187,15 @@ class TestAssign:
                 fallbacks += not (scores >= 0).any()
             assert len(store) == p.n
         assert fallbacks > 20
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -0.5])
+    def test_rejects_non_finite_or_negative_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            assign(ONE_ROW, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            assign_row(ONE_ROW.q[0], ONE_ROW.costs_cents, ONE_ROW.budget_cents, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            WindowStore(ONE_ROW.costs_cents, ONE_ROW.budget_cents, initial_lambda=lam)
 
     def test_respects_nan_mask(self):
         q = np.array([[np.nan, 0.2, 0.9], [0.4, np.nan, np.nan]])
@@ -554,6 +564,90 @@ class TestPackSlack:
                 assert (list(packed.chosen), packed.total_cost_cents) == (chosen, total)
                 upgraded += packed.chosen != start.chosen
         assert upgraded > 20
+
+
+def reference_solve_and_assign(problem):
+    """The composition ``solve_and_assign`` fuses, as separate passes: the exact
+    lam, then the assignment rule and slack packing each rebuilt from ``problem.q``."""
+    lam = solve_lambda(problem)
+    costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    # assign
+    present = np.isfinite(problem.q)
+    qm = np.where(present, problem.q, -np.inf)
+    cheapest = np.where(present, costs_cents, np.inf).argmin(axis=-1)
+    scores = qm - lam * (costs_cents / 100.0 - problem.budget_cents / 100.0)
+    best = argmax_cheapest(scores, costs_cents)
+    chosen = np.where(scores[np.arange(best.size), best] >= 0.0, best, cheapest)
+    total = int(costs_cents[chosen].sum())
+    chosen = [int(a) for a in chosen]
+    # slack packing
+    budget_total = problem.n * problem.budget_cents
+    if total <= budget_total:
+        scores = np.where(np.isfinite(problem.q), problem.q - lam * (
+            problem.costs_units()[None, :] - problem.budget_units), -np.inf)
+        rowmax = scores.max(axis=1)
+        tol = 1e-9 * np.maximum(1.0, np.abs(rowmax))
+        rows, actions = np.nonzero((rowmax >= 0.0)[:, None] & (scores >= (rowmax - tol)[:, None]))
+        cur = np.asarray(chosen, dtype=np.int64)[rows]
+        extra = costs_cents[actions] - costs_cents[cur]
+        gain = problem.q[rows, actions] - problem.q[rows, cur]
+        keep = (extra > 0) & (gain > 0)
+        rows, actions, extra, gain = rows[keep], actions[keep], extra[keep], gain[keep]
+        order = np.lexsort((gain, actions, rows, -extra))
+        used_rows = set()
+        for neg_extra, i, j in zip((-extra[order]).tolist(), rows[order].tolist(),
+                                   actions[order].tolist()):
+            if i not in used_rows and total - neg_extra <= budget_total:
+                total -= neg_extra
+                chosen[i] = j
+                used_rows.add(i)
+    objective = float(problem.q[np.arange(problem.n), chosen].sum())
+    return Assignment(chosen=tuple(chosen), lam=lam, objective=objective, total_cost_cents=total)
+
+
+def contract_problems(rng):
+    """masked_problem variants: menu and non-menu costs, columns in shuffled
+    cost order, duplicated (tied) rows, budgets that bind, that leave slack
+    and that no assignment meets."""
+    base = masked_problem(rng, from_menu=bool(rng.integers(2)),
+                          budget_below_min=rng.random() < 0.15)
+    q, costs = base.q, np.asarray(base.costs_cents)
+    if rng.integers(2):
+        perm = rng.permutation(base.m)
+        q, costs = q[:, perm], costs[perm]
+    if rng.integers(2):
+        q = np.tile(q, (int(rng.integers(2, 40)), 1))
+        q = q[rng.permutation(q.shape[0])]
+    return AllocationProblem(q, tuple(int(c) for c in costs), base.budget_cents)
+
+
+class TestFusedSolveAndAssign:
+    def test_equals_the_separate_passes_field_by_field(self):
+        rng = np.random.default_rng(29)
+        kinds = {"infeasible": 0, "slack": 0, "binding": 0, "packed": 0}
+        for _ in range(400):
+            p = contract_problems(rng)
+            q_before = p.q.copy()
+            try:
+                expected = reference_solve_and_assign(p)
+            except InfeasibleProblemError:
+                kinds["infeasible"] += 1
+                with pytest.raises(InfeasibleProblemError):
+                    solve_and_assign(p)
+            else:
+                result = solve_and_assign(p)
+                assert type(result.chosen) is tuple
+                assert all(type(a) is int for a in result.chosen)
+                assert result.chosen == expected.chosen
+                assert result.total_cost_cents == expected.total_cost_cents
+                assert type(result.lam) is float
+                assert np.float64(result.lam).tobytes() == np.float64(expected.lam).tobytes()
+                assert np.float64(result.objective).tobytes() == \
+                    np.float64(expected.objective).tobytes()
+                kinds["slack" if result.lam == 0.0 else "binding"] += 1
+                kinds["packed"] += result.chosen != assign(p, result.lam).chosen
+            assert p.q.tobytes() == q_before.tobytes()  # NaN positions included
+        assert all(count >= 10 for count in kinds.values()), kinds
 
 
 class TestRepairAgainstBreakpointRepair:

@@ -130,6 +130,22 @@ class TestErrors:
         assert "invalid input" in err and "learning_rate" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "1.0"), ("batch_size", "64"), ("seed", 1.5), ("hidden_sizes", [64.5]),
+        ("hidden_sizes", 64),
+    ])
+    def test_agent_file_with_mistyped_hyperparameter_exits_1(self, workspace, tmp_path, capsys,
+                                                             field, value):
+        payload = json.loads((workspace / "model.json").read_text())
+        payload["hyper"][field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert run("simulate", "--policy", "bcq", "--model", str(model), "--days", "1",
+                   "--arrivals", "5", "--out", str(tmp_path / "out" / "report.json")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
                  "--model", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.json"))

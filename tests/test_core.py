@@ -147,6 +147,22 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"gamma": "1.0"}, {"xi": None}, {"kappa": True}, {"learning_rate": "0.05"},
+        {"batch_size": "64"}, {"batch_size": 64.0}, {"target_sync_interval": False},
+        {"training_steps": 2.5}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
+        {"hidden_sizes": (64.5,)}, {"hidden_sizes": (True,)}, {"hidden_sizes": (0,)},
+        {"hidden_sizes": [64]}, {"hidden_sizes": "64"},
+    ])
+    def test_rejects_wrong_types_naming_the_field(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
+            HyperParams(**kw)
+
+    def test_accepts_ints_for_float_fields_and_numpy_integers(self):
+        h = HyperParams(gamma=1, kappa=2, seed=np.int64(3), hidden_sizes=(np.int64(4), 5))
+        assert h.gamma == 1 and h.seed == 3 and h.hidden_sizes == (4, 5)
+
 
 class TestValidateDataset:
     def setup_method(self):
