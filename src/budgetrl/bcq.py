@@ -18,9 +18,14 @@ import numpy as np
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
                    argmax_cheapest, checked_keys, claim_masks, field_names, flatten, load_json,
                    save_json)
-from .nets import Mlp, Optimizer, softmax, train_step
+from .nets import Mlp, Optimizer, StepWorkspace, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
+
+# Minibatch indices are drawn and gathered a block of steps at a time, at most
+# this many rows per block (and at least one step's): the 100 steps between the
+# default target syncs at batch size 64.
+BLOCK_ROWS = 6400
 
 
 def state_to_input(state: StateVector) -> np.ndarray:
@@ -31,7 +36,9 @@ def state_to_input(state: StateVector) -> np.ndarray:
 
 
 def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
-    return np.stack([state_to_input(s) for s in states])
+    """``state_to_input`` of each state, as the rows of one matrix."""
+    return np.array([(*s.features, s.day_in_cycle / CYCLE_DAYS,
+                      s.bonuses_collected / CLAIMS_PER_CYCLE) for s in states], dtype=float)
 
 
 def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
@@ -86,6 +93,23 @@ def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
         done=done, x_next=x_next, next_claims=next_claims)
 
 
+def _block_lengths(steps: int, batch: int, period: int | None = None):
+    """Lengths of the consecutive blocks of ``steps`` minibatch steps: at most
+    ``BLOCK_ROWS // batch`` steps (at least 1), and no block runs past a
+    multiple of ``period``.
+
+    One ``integers(0, n, size=(length, batch))`` draw per block gives the same
+    indices as one ``size=batch`` draw per step.
+    """
+    cap = max(1, BLOCK_ROWS // batch)
+    period = period or steps
+    done = 0
+    while done < steps:
+        length = min(cap, steps - done, period - done % period)
+        yield length
+        done += length
+
+
 def fit_classifier(x: np.ndarray, labels: np.ndarray, n_classes: int, hyper: HyperParams,
                    entropy) -> Mlp:
     """Softmax classifier of integer ``labels`` given the rows of ``x``: seeded
@@ -98,9 +122,11 @@ def fit_classifier(x: np.ndarray, labels: np.ndarray, n_classes: int, hyper: Hyp
     net = Mlp([x.shape[1], *hyper.hidden_sizes, n_classes], rng=init_rng)
     opt = Optimizer(net, hyper.learning_rate, hyper.optimizer)
     n = x.shape[0]
-    for _ in range(hyper.training_steps):
-        idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
-        train_step(opt, x[idx], labels[idx], "cross_entropy")
+    batch = min(hyper.batch_size, n)
+    for length in _block_lengths(hyper.training_steps, batch):
+        idx = batch_rng.integers(0, n, size=(length, batch))
+        for inputs, targets in zip(x[idx], labels[idx]):
+            train_step(opt, inputs, targets, "cross_entropy")
     return net
 
 
@@ -153,10 +179,12 @@ class BcqAgent:
 def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperParams) -> BcqAgent:
     """Train the behavior classifier, then the constrained Q-network, on logged trajectories.
 
-    Mini-batches are sampled uniformly with replacement; terminal transitions
-    bootstrap to the reward alone; the target network is a lagged copy synced
-    every ``target_sync_interval`` steps. The training log gets about 50 rows.
-    Deterministic per ``hyper.seed``.
+    Mini-batches are sampled uniformly with replacement, a block of steps at a
+    time; terminal transitions bootstrap to the reward alone; the target
+    network is a lagged copy synced every ``target_sync_interval`` steps, so
+    it is fixed within a block and a block's bootstrap targets are computed
+    before its steps. The training log gets about 50 rows. Deterministic per
+    ``hyper.seed``.
     """
     data = transition_arrays(dataset)
     behavior_model = train_behavior_model(data, actions, hyper)
@@ -168,46 +196,63 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     q_net = Mlp([x.shape[1], *hyper.hidden_sizes, actions.size], rng=init_rng)
     target_net = q_net.copy()
     opt = Optimizer(q_net, hyper.learning_rate, hyper.optimizer)
-
-    # behavior probabilities at next states never change during Q training
-    next_eligible = xi_eligible(softmax(behavior_model.forward(x_next)),
-                                claim_masks(actions, data.next_claims), hyper.xi)
-
-    log_every = max(1, hyper.training_steps // 50)
-    probe = slice(0, min(256, n))
     agent = BcqAgent(q_net=q_net, behavior_model=behavior_model, hyper=hyper, actions=actions,
                      training_log=[])
 
-    for step in range(hyper.training_steps):
-        idx = batch_rng.integers(0, n, size=min(hyper.batch_size, n))
-        q_next = target_net.forward(x_next[idx])
-        boot = np.where(next_eligible[idx], q_next, -np.inf).max(axis=1)
+    # the behavior model never changes during Q training
+    next_eligible = _eligible(agent, x_next, data.next_claims, hyper.xi)
+    probe = slice(0, min(256, n))
+    probe_eligible = _eligible(agent, x[probe], data.claims[probe], hyper.xi)
+
+    log_every = max(1, hyper.training_steps // 50)
+    batch = min(hyper.batch_size, n)
+    target = StepWorkspace(target_net, batch)
+    step = 0
+    for length in _block_lengths(hyper.training_steps, batch, hyper.target_sync_interval):
+        idx = batch_rng.integers(0, n, size=(length, batch))
+        q_next = np.empty((length, batch, actions.size))
+        for k, rows in enumerate(x_next[idx]):  # one step's rows per forward pass
+            q_next[k] = target.forward(rows)
+        np.copyto(q_next, -np.inf, where=~next_eligible[idx])
+        boot = q_next.max(axis=2)
         boot[done[idx]] = 0.0
         targets = r[idx] + hyper.gamma * boot
-        loss = train_step(opt, x[idx], targets, "huber", kappa=hyper.kappa, unit_indices=a[idx])
-        if (step + 1) % hyper.target_sync_interval == 0:
-            target_net.set_params(q_net.params)
-        if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
-            agreement = _logged_action_agreement(agent, x[probe], data.claims[probe], a[probe])
-            agent.training_log.append({"step": step + 1, "loss": float(loss),
-                                       "behavior_agreement": agreement})
+        for inputs, step_targets, units in zip(x[idx], targets, a[idx]):
+            loss = train_step(opt, inputs, step_targets, "huber", kappa=hyper.kappa,
+                              unit_indices=units)
+            step += 1
+            if step % hyper.target_sync_interval == 0:
+                target_net.set_params(q_net.params)
+            if step % log_every == 0 or step == hyper.training_steps:
+                agreement = _logged_action_agreement(agent, x[probe], data.claims[probe],
+                                                     a[probe], probe_eligible)
+                agent.training_log.append({"step": step, "loss": float(loss),
+                                           "behavior_agreement": agreement})
     return agent
 
 
-def _constrained_argmax(agent: BcqAgent, x: np.ndarray, claims, xi: float):
-    """Highest-Q action among the xi-eligible ones, cheaper on ties: an int
-    array over the rows of ``x`` and ``claims``, or one action for one 1-D input."""
-    elig = xi_eligible(softmax(agent.behavior_model.forward(x)),
+def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
+    """The xi-eligible actions of the rows of ``x`` and ``claims`` under the
+    agent's behavior model."""
+    return xi_eligible(softmax(agent.behavior_model.forward(x)),
                        claim_masks(agent.actions, claims), xi)
+
+
+def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
+    """Highest-Q action among the ``eligible`` ones, cheaper on ties: an int
+    array over the rows of ``x``, or one action for one 1-D input."""
     q = agent.q_net.forward(x)
-    return argmax_cheapest(np.where(elig, q, -np.inf), np.asarray(agent.actions.all_cents))
+    return argmax_cheapest(np.where(eligible, q, -np.inf), np.asarray(agent.actions.all_cents))
 
 
 def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,
-                             a: np.ndarray) -> float:
+                             a: np.ndarray, eligible: np.ndarray | None = None) -> float:
     """Fraction of probe states where the greedy constrained policy matches the
-    logged action; ``claims`` are the probe states' bonuses collected."""
-    return float(np.mean(_constrained_argmax(agent, x_probe, claims, agent.hyper.xi) == a))
+    logged action; ``claims`` are the probe states' bonuses collected, and
+    ``eligible``, when given, their ``_eligible`` mask at the agent's xi."""
+    if eligible is None:
+        eligible = _eligible(agent, x_probe, claims, agent.hyper.xi)
+    return float(np.mean(_constrained_argmax(agent, x_probe, eligible) == a))
 
 
 class BcqPolicy:
@@ -220,8 +265,9 @@ class BcqPolicy:
     def action(self, state: StateVector) -> int:
         """Highest-Q action among the behavior-eligible set; cheaper action on ties."""
         # A 1-D input keeps both forward passes one-row products.
-        return int(_constrained_argmax(self.agent, state_to_input(state),
-                                       state.bonuses_collected, self.xi))
+        x = state_to_input(state)
+        return int(_constrained_argmax(
+            self.agent, x, _eligible(self.agent, x, state.bonuses_collected, self.xi)))
 
     def q_row(self, state: StateVector) -> np.ndarray:
         """Q values over the claim-eligible actions; NaN marks ineligible entries."""

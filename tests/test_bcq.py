@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_training as ref
+from budgetrl import bcq
 from budgetrl.bcq import (
     BcqAgent,
     BcqPolicy,
     _logged_action_agreement,
     bcq_train,
+    fit_classifier,
     state_to_input,
+    states_to_inputs,
     train_behavior_model,
     transition_arrays,
     xi_eligible,
@@ -455,3 +459,89 @@ class TestBatchedKernels:
             bcq_train(dataset, ACTIONS, replace(FAST, training_steps=30, target_sync_interval=k))
             for k in (10, 1))
         assert not np.array_equal(lagged.q_net.params, every_step.q_net.params)
+
+
+class TestStatesToInputs:
+    def test_rows_equal_state_to_input(self):
+        rng = np.random.default_rng(0)
+        states = [StateVector(tuple(rng.normal(size=3)), int(d), int(b))
+                  for d, b in zip(rng.integers(1, 8, 40), rng.integers(0, 5, 40))]
+        states.append(StateVector((1, 2, 3), 7, 4))  # integer features
+        x = states_to_inputs(states)
+        assert x.dtype == np.float64 and x.shape == (41, 5)
+        assert x.tobytes() == np.stack([state_to_input(s) for s in states]).tobytes()
+
+    def test_ragged_features_rejected(self):
+        with pytest.raises(ValueError):
+            states_to_inputs([state(d=2), state(d=3)])
+
+
+@pytest.mark.parametrize("n", [3, 50, 3808, 10274, 65536])
+@pytest.mark.parametrize("batch", [3, 50, 64])
+def test_one_draw_per_block_equals_one_draw_per_step(n, batch):
+    for steps in (1, 2, 7, 100):
+        block, per_step = (np.random.default_rng(np.random.SeedSequence((n, batch)).spawn(2)[1])
+                           for _ in range(2))
+        drawn = block.integers(0, n, size=(steps, batch))
+        np.testing.assert_array_equal(
+            drawn, np.stack([per_step.integers(0, n, size=batch) for _ in range(steps)]))
+        # the next block starts where the steps left off
+        np.testing.assert_array_equal(block.integers(0, n, size=(3, batch)),
+                                      per_step.integers(0, n, size=(3, batch)))
+
+
+class TestBlocksMatchPerStepReference:
+    """Blocked draws, gathers and bootstrap targets train the bits of the
+    one-step-at-a-time reference loops."""
+
+    SMALL = HyperParams(training_steps=60, batch_size=16, target_sync_interval=25,
+                        hidden_sizes=(16, 16), learning_rate=0.01, seed=3)
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        env = CheckinEnv(EnvConfig(segments=(SegmentParams(0.5, 0.5, 0.2),)), ACTIONS)
+        behavior = BehaviorPolicyConfig(table=default_behavior_table(1, ACTIONS), noise=0.3)
+        return generate_dataset(env, behavior, 12, seed=4)
+
+    CASES = {
+        "no steps": dict(training_steps=0),
+        "fewer steps than a sync": dict(training_steps=20, target_sync_interval=50),
+        "steps not a multiple of the sync": dict(training_steps=61, target_sync_interval=25),
+        "sync every step": dict(training_steps=30, target_sync_interval=1),
+        "batch larger than the data": dict(training_steps=30, batch_size=100_000),
+    }
+
+    def check(self, dataset, hyper):
+        agent = bcq_train(dataset, ACTIONS, hyper)
+        q_net, behavior_model, log = ref.bcq_train(dataset, ACTIONS, hyper)
+        np.testing.assert_array_equal(agent.q_net.params, q_net.params)
+        np.testing.assert_array_equal(agent.behavior_model.params, behavior_model.params)
+        assert agent.training_log == log
+        assert (log[-1]["step"] if log else 0) == hyper.training_steps
+
+        data = transition_arrays(dataset)
+        rewards = data.reward.astype(int)
+        np.testing.assert_array_equal(
+            fit_classifier(data.x, rewards, 2, hyper, (hyper.seed, 2)).params,
+            ref.fit_classifier(data.x, rewards, 2, hyper, (hyper.seed, 2)).params)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_edge_cases(self, dataset, case, kind):
+        assert len(flatten(dataset)) < 100_000
+        self.check(dataset, replace(self.SMALL, optimizer=kind, **self.CASES[case]))
+
+    @pytest.mark.parametrize("block_rows", [1, 40, 64])
+    def test_block_cap_splits_sync_windows(self, dataset, monkeypatch, block_rows):
+        # blocks of at most 1, 2 and 4 steps of 16 rows inside 25-step sync windows
+        monkeypatch.setattr(bcq, "BLOCK_ROWS", block_rows)
+        self.check(dataset, replace(self.SMALL, optimizer="adam", training_steps=61))
+
+    def test_block_lengths(self):
+        lengths = bcq._block_lengths
+        assert list(lengths(0, 64, 100)) == []
+        assert list(lengths(250, 64, 100)) == [100, 100, 50]
+        assert list(lengths(7, 64, 1)) == [1] * 7
+        assert list(lengths(130, 100_000, 100)) == [1] * 130
+        assert list(lengths(10, 3200, 4)) == [2, 2, 2, 2, 2]
+        assert list(lengths(205, 64)) == [100, 100, 5]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_training as ref
 from budgetrl.core import load_json, save_json
 from budgetrl.nets import (
     Mlp,
     Optimizer,
     ShapeError,
+    StepWorkspace,
     TrainingDivergedError,
     batch_loss_and_grad,
     huber,
@@ -73,14 +75,17 @@ def grad_with_reference(monkeypatch, net, inputs, targets, loss, unit_indices=No
     """``batch_loss_and_grad``'s flat gradient, and the per-layer reference gradients
     computed from the same forward pass and output gradient."""
     seen = []
-    backward = net._backward
+    backward = StepWorkspace._backward
 
-    def spy(pre, acts, grad_out):
-        seen.append((pre, acts, grad_out.copy()))
-        return backward(pre, acts, grad_out)
+    def spy(workspace, inputs):
+        # the hidden ReLU outputs stand in for the pre-activations: they are > 0
+        # exactly where those are, which is all the reference reads of them
+        outs = [o.copy() for o in workspace.outs]
+        seen.append((outs, [inputs, *outs], workspace.grad_out.copy()))
+        return backward(workspace, inputs)
 
     with monkeypatch.context() as m:
-        m.setattr(net, "_backward", spy)
+        m.setattr(StepWorkspace, "_backward", spy)
         _, grad = batch_loss_and_grad(net, inputs, targets, loss, unit_indices=unit_indices)
     (pre, acts, grad_out), = seen
     return grad, per_layer_backward(net, pre, acts, grad_out)
@@ -379,6 +384,8 @@ class TestFlatOptimizer:
         _, grad = batch_loss_and_grad(net, x, np.zeros(5), "huber")
         opt.apply(grad)
         before = net.get_params()
+        if kind == "adam":
+            moments = (opt._m.copy(), opt._v.copy())
         spans = layer_spans(net.layer_sizes)
         assert len(spans) == 6  # a weight and a bias block for each of the three layers
         for _, stop in spans:
@@ -388,3 +395,108 @@ class TestFlatOptimizer:
                 opt.apply(bad_grad)
             np.testing.assert_array_equal(net.get_params(), before)
             assert opt.t == 1
+            if kind == "adam":
+                np.testing.assert_array_equal(opt._m, moments[0])
+                np.testing.assert_array_equal(opt._v, moments[1])
+
+
+def reference_data(sizes, batch, loss, seed):
+    data = np.random.default_rng(seed)
+    x = data.normal(size=(batch, sizes[0]))
+    if loss == "huber":
+        return x, data.normal(size=batch), data.integers(0, sizes[-1], size=batch)
+    return x, data.integers(0, sizes[-1], size=batch), None
+
+
+class TestAgainstAllocatingReference:
+    """The workspace step runs the allocating reference's operations in its order."""
+
+    @pytest.mark.parametrize("sizes", [[4, 6, 5, 3], [3, 2], [12, 64, 64, 12]])
+    def test_forward(self, sizes):
+        net = Mlp(sizes, rng=np.random.default_rng(1))
+        for batch in (1, 7, 64):
+            x = np.random.default_rng(batch).normal(size=(batch, sizes[0]))
+            np.testing.assert_array_equal(net.forward(x), ref.forward(net, x))
+            workspace = StepWorkspace(net, batch)
+            np.testing.assert_array_equal(workspace.forward(x), ref.forward(net, x))
+
+    @pytest.mark.parametrize("loss", ["huber", "cross_entropy"])
+    @pytest.mark.parametrize("sizes", [[4, 6, 5, 3], [3, 2], [12, 64, 64, 12]])
+    def test_loss_and_grad(self, loss, sizes):
+        for trial, batch in enumerate([1, 8, 64, 100]):
+            net = Mlp(sizes, rng=np.random.default_rng(60 + trial))
+            x, targets, units = reference_data(sizes, batch, loss, trial)
+            for kappa in (1.0, 0.05):
+                value, grad = batch_loss_and_grad(net, x, targets, loss, kappa, units)
+                ref_value, ref_grad = ref.loss_and_grad(net, x, targets, loss, kappa, units)
+                assert value == ref_value
+                np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("loss", ["huber", "cross_entropy"])
+    def test_train_steps(self, kind, loss):
+        sizes = [12, 64, 64, 12]
+        net, ref_net = (Mlp(sizes, rng=np.random.default_rng(3)) for _ in range(2))
+        opt, ref_opt = Optimizer(net, 0.01, kind), ref.Optimizer(ref_net, 0.01, kind)
+        for t in range(40):
+            batch = 64 if t % 10 else 5  # the workspace follows a change of batch size
+            x, targets, units = reference_data(sizes, batch, loss, t)
+            value = train_step(opt, x, targets, loss, 1.0, units)
+            assert value == ref.train_step(ref_opt, x, targets, loss, 1.0, units)
+            np.testing.assert_array_equal(net.params, ref_net.params)
+            if kind == "adam":
+                np.testing.assert_array_equal(opt._m, ref_opt._m)
+                np.testing.assert_array_equal(opt._v, ref_opt._v)
+
+
+class TestBatchLossAndGradContract:
+    def test_default_unit_is_zero(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        implicit = batch_loss_and_grad(net, x, np.ones(6), "huber")
+        explicit = batch_loss_and_grad(net, x, np.ones(6), "huber", unit_indices=np.zeros(6, int))
+        assert implicit[0] == explicit[0]
+        np.testing.assert_array_equal(implicit[1], explicit[1])
+
+    def test_list_inputs(self):
+        net = Mlp([2, 3, 3], rng=np.random.default_rng(0))
+        x = [[0.5, -1.0], [2.0, 0.25]]
+        for loss, targets, units in (("huber", [1.0, -1.0], [2, 0]),
+                                     ("cross_entropy", [1, 2], None)):
+            lists = batch_loss_and_grad(net, x, targets, loss, unit_indices=units)
+            arrays = batch_loss_and_grad(net, np.array(x), np.array(targets), loss,
+                                         unit_indices=None if units is None else np.array(units))
+            assert lists[0] == arrays[0]
+            np.testing.assert_array_equal(lists[1], arrays[1])
+
+    def test_gradient_belongs_to_the_caller(self):
+        net = Mlp([3, 4, 2], rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(5, 3))
+        _, first = batch_loss_and_grad(net, x, np.zeros(5), "huber")
+        kept = first.copy()
+        batch_loss_and_grad(net, -x, np.ones(5), "huber")
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, net.params)
+
+    @pytest.mark.parametrize("loss", ["mse", "", "Huber"])
+    def test_unknown_loss_refused(self, loss):
+        net = Mlp([2, 2], rng=np.random.default_rng(0))
+        before = net.get_params()
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(net, np.ones((3, 2)), np.zeros(3), loss)
+        with pytest.raises(ValueError):
+            train_step(Optimizer(net, 0.1), np.ones((3, 2)), np.zeros(3), loss)
+        np.testing.assert_array_equal(net.params, before)
+
+    def test_empty_batch_refused(self):
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(Mlp([2, 1]), np.zeros((0, 2)), np.zeros(0), "huber")
+
+    @pytest.mark.parametrize("unit", [-1, 2])
+    def test_unit_outside_the_output_layer_refused(self, unit):
+        net = Mlp([2, 2], rng=np.random.default_rng(0))
+        x = np.ones((3, 2))
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(net, x, np.zeros(3), "huber", unit_indices=[0, unit, 1])
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(net, x, [0, unit, 1], "cross_entropy")
