@@ -4,15 +4,27 @@ The primal assigns one action per customer maximizing total value subject to
 an average-cost budget. Its dual is a convex piecewise-linear function of a
 single multiplier, minimized exactly from the sorted breakpoints of each
 customer's upper concave (cost, value) envelope (the LP relaxation of the
-multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979). A
-sliding-window store caches them per row to track recent traffic.
+multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979).
 
-A batch solve (``solve_and_assign``) is one pass over the rows. They are
-masked and their envelopes walked once (``_row_cache``). The multiplier search
-(``_exact_lambda``) already applies the assignment rule at the multiplier it
-returns, and that choice, with its score matrix, goes straight to slack
-packing (``_packed``); the chosen actions become a tuple once, at the end.
+Each row is masked and its envelope walked once (``_row_cache``): the
+breakpoints at which its dual choice moves to a cheaper action, and the cent
+drop at each. ``_breakpoints`` sorts the finite ones as three arrays, (lam,
+drop, row id). The exact multiplier (``_exact_lambda``) is then a cumulative
+sum and a search over them, and a fit check at the lam found that runs the
+selection rules only on the rows with a breakpoint within a float-error
+margin of lam; every other row's cost is read from the cumulative sum.
+
+A batch solve (``solve_and_assign``) sorts the breakpoints once, solves, and
+applies the assignment rule to every row once, at the lam found; slack
+packing (``_packed``) upgrades rows from that choice and its score matrix.
 ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
+
+``WindowStore`` keeps the same state for a sliding window of recent rows,
+updated by what changed. Its row arrays are append-only buffers with a moving
+start, and every row has an absolute id. The sorted breakpoint arrays take a
+flush's new breakpoints by a ``searchsorted`` merge and drop evicted rows' by
+the mask ``row id >= first live id``. A refresh therefore neither sorts nor
+concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
@@ -101,7 +113,10 @@ def _walk_tables(costs: tuple) -> tuple[np.ndarray, np.ndarray]:
     cost gap c_a - c_j in units, and whether j is no cheaper than a."""
     cents = np.asarray(costs, dtype=np.int64)
     units = cents / 100.0
-    tables = units[:, None] - units, cents >= cents[:, None]
+    no_move = cents >= cents[:, None]
+    # The walk overwrites every entry no_move marks, so those gaps are 1: no
+    # division by zero.
+    tables = np.where(no_move, 1.0, units[:, None] - units), no_move
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -110,10 +125,11 @@ def _walk_tables(costs: tuple) -> tuple[np.ndarray, np.ndarray]:
 _WALK_BLOCK = 4096  # rows per block of the envelope walk
 
 
-def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
+def _row_cache(q: np.ndarray, cents: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
     """What the exact-lam kernel reads per row: the -inf-masked rows, the greedy
     (lam = 0) cost where the envelope walk starts, the cheapest eligible
-    action, and the walk's breakpoints and drops.
+    action, and the walk's breakpoints and drops; filled into ``out`` when
+    given (five arrays of those shapes), else into new arrays.
 
     The walk follows each row's upper concave envelope over (cost, value) as
     lam rises. From the greedy argmax (cheaper on ties), the dual choice a
@@ -122,39 +138,53 @@ def _row_cache(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, ...]:
     each row's breakpoints (inf past the last) and integer-cent cost drops there.
     Rows walk in blocks of ``_WALK_BLOCK``, so one step's arrays stay in cache.
     """
-    qm, cheapest = _masked(q, cents)
+    n, m = q.shape
+    if out is None:
+        out = (np.empty((n, m)), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+               np.empty((n, m - 1)), np.empty((n, m - 1), dtype=np.int64))
+    qm, start_cents, cheapest, lams, drops = out
+    np.fmax(q, -np.inf, out=qm)
+    cheapest[:] = argmax_cheapest(np.isfinite(q), cents)
     cur = argmax_cheapest(qm, cents)
-    lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
-    drops = np.zeros(lams.shape, dtype=np.int64)
+    cents.take(cur, out=start_cents)
+    lams.fill(np.inf)
+    drops.fill(0)
     tables = _walk_tables(tuple(cents.tolist()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, q.shape[0], _WALK_BLOCK):
-            block = slice(lo, lo + _WALK_BLOCK)
-            _walk(qm[block], cur[block], lams[block], drops[block], cents, *tables)
-    return qm, cents[cur], cheapest, lams, drops
+    floor = cents[cheapest]
+    for lo in range(0, n, _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        _walk(qm[block], cur[block], start_cents[block], floor[block], lams[block],
+              drops[block], cents, *tables)
+    return out
 
 
-def _walk(qm, cur, lams, drops, cents, gap, no_move) -> None:
-    """Fill ``lams`` and ``drops`` for the rows ``qm``, whose walks start at ``cur``."""
-    m = qm.shape[1]
+def _walk(qm, cur, cost, floor, lams, drops, cents, gap, no_move) -> None:
+    """Fill ``lams`` and ``drops`` for the rows ``qm``, whose walks start at
+    ``cur``, of cost ``cost``, and end where the cost reaches ``floor``, that
+    of their cheapest eligible action: only there is no eligible cheaper
+    action left to move to. (A row whose every ratio overflows records that
+    step at lam = inf, which no solve reaches.)"""
     rows = np.arange(qm.shape[0])
-    for step in range(m - 1):
+    going = cost > floor
+    for step in range(qm.shape[1] - 1):
+        count = np.count_nonzero(going)
+        if count < going.size:
+            if not count:
+                return
+            rows, cur, cost, floor = rows[going], cur[going], cost[going], floor[going]
         # The ratios negated, as (q_j - q_a) / (c_a - c_j): IEEE subtraction and
         # division are exact under a sign flip. An ineligible cheaper j gives
         # -inf, as does every j that is no cheaper.
         neg = qm[rows]
-        np.subtract(neg, qm.take(rows * m + cur)[:, None], out=neg)
+        np.subtract(neg, qm[rows, cur][:, None], out=neg)
         np.divide(neg, gap.take(cur, axis=0), out=neg)
         np.putmask(neg, no_move.take(cur, axis=0), -np.inf)
-        nxt = argmax_cheapest(neg, cents)  # the cheapest j at the smallest ratio
-        neg_lam = neg.take(np.arange(rows.size) * m + nxt)
-        moves = neg_lam > -np.inf
-        rows, cur, nxt, neg_lam = rows[moves], cur[moves], nxt[moves], neg_lam[moves]
-        if not rows.size:
-            return
-        lams[rows, step] = -neg_lam
-        drops[rows, step] = cents[cur] - cents[nxt]
-        cur = nxt
+        cur = argmax_cheapest(neg, cents)  # the cheapest j at the smallest ratio
+        lams[rows, step] = -neg[np.arange(rows.size), cur]
+        nxt_cost = cents[cur]
+        drops[rows, step] = cost - nxt_cost
+        cost = nxt_cost
+        going = cost > floor
 
 
 def _step_up_until(fits, lam: float) -> float:
@@ -167,32 +197,138 @@ def _step_up_until(fits, lam: float) -> float:
     return lam
 
 
-def _exact_lambda(cache, cents: np.ndarray, budget_cents: int, total_cents: int):
+def _breakpoints(lams: np.ndarray, drops: np.ndarray,
+                 first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finite breakpoints of ``_row_cache`` rows sorted by lam, as arrays
+    (lam, drop, row id); row i of ``lams`` has id ``first + i``."""
+    at = np.flatnonzero(lams < np.inf)  # row-major positions in lams and drops
+    lam = lams.take(at)
+    order = lam.argsort()
+    at = at[order]
+    return lam[order], drops.take(at), at // lams.shape[1] + first
+
+
+def _merged(breaks, added):
+    """The sorted breakpoint arrays ``breaks`` with the sorted ``added`` merged
+    in, each at its ``searchsorted`` position."""
+    at = breaks[0].searchsorted(added[0])
+    at += np.arange(at.size)
+    kept = np.ones(breaks[0].size + at.size, dtype=bool)
+    kept[at] = False
+    merged = []
+    for a, b in zip(breaks, added):
+        c = np.empty(kept.size, dtype=a.dtype)
+        c[at] = b
+        c[kept] = a
+        merged.append(c)
+    return tuple(merged)
+
+
+def _abs_max(q: np.ndarray) -> float:
+    """max |q| over the finite entries (q has no infinity, and NaN elsewhere)."""
+    return float(np.fmax.reduce(np.abs(q), axis=None))
+
+
+_MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_constants(costs: tuple, budget_cents: int) -> tuple[np.ndarray, float, float]:
+    """The unit costs, and (a, b) with the near-row margin ``delta(lam) =
+    a * qmax + b * lam`` of ``_exact_lambda``: b = _MARGIN (1 + W/g), a = b/g."""
+    units = np.asarray(costs) / 100.0
+    units.flags.writeable = False
+    g = float(np.diff(np.unique(units)).min())
+    w = float(max(np.abs(units).max(), np.abs(units - budget_cents / 100.0).max()))
+    b = _MARGIN * (1.0 + w / g)
+    return units, b / g, b
+
+
+def _exact_lambda(cache, breaks, first: int, qmax: float, cents: np.ndarray,
+                  budget_cents: int, total_cents: int) -> float:
     """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
     ``total_cents`` in all, under both the dual selection and the assignment
-    rule, and the rule's ``_assign_choice`` there (None at lam = 0, which needs
-    no check: the greedy selection fits, and the rule never costs more)."""
+    rule. ``breaks`` are the rows' finite breakpoints (``_breakpoints``), the
+    first row's id being ``first``; ``qmax`` is at least max |q| over the rows.
+
+    The candidate is the breakpoint where the cumulative drop first covers the
+    greedy cost's excess over the total; every drop is positive, so the order
+    among equal lams cannot move it. It is stepped up by ulps until it fits.
+
+    The fit check runs the selection rules only on "near" rows, those with a
+    breakpoint within delta(lam) of lam, and reads the dual cost of every
+    other ("far") row from the cumulative drop. That reading is exact. Let
+    u = 2**-53, g the smallest gap between the unit costs c_j, W the largest
+    |c_j| or |c_j - budget|, and Q = ``qmax``.
+    (1) Between two breakpoints of a row's exact envelope the cost of its
+        dual choice is unique, and every action of another cost scores at
+        least g d below it, d being lam's distance to the nearer breakpoint
+        (for the first vertex, the lower one is at or below 0).
+    (2) A float score q_j - lam w_j (w_j = c_j for the dual selection, and
+        c_j - budget, itself rounded, for the assignment rule) is within
+        u (Q + 3 lam W)(1 + u) of the exact q_j - lam c_j plus the row's
+        constant lam budget, so both rules' float argmax has the exact
+        choice's cost once d > 2u (Q + 3 lam W)(1 + u) / g.
+    (3) The walk's float ratios are within 3u lam (1 + u) of the exact ones.
+        Where nearly collinear actions make it step to an action just off the
+        exact envelope, the breakpoints it records still bracket the exact one
+        within about 6u lam (1 + 2W/g).
+    delta(lam) = 2**-20 (1 + W/g)(Q/g + lam) is more than 10**8 times either
+    bound; a wider margin only costs speed. When lam <= delta(lam), every row
+    counts as near.
+
+    So "far dual cost + near dual cost > total" is the exact verdict on the
+    dual selection. Under the assignment rule a row takes its dual choice's
+    cost or, when no score is >= 0, its cheapest action, never more; so "far
+    dual cost + near rule cost <= total" proves that the rule fits, and only
+    when that bound fails does the rule run over every row.
+    """
     qm, start_cents, cheapest, lams, drops = cache
-    excess = int(start_cents.sum()) - total_cents
+    lam_at, drop_at, row_at = breaks
+    start_total = int(start_cents.sum())
+    excess = start_total - total_cents
     if excess <= 0:
-        return 0.0, None
-    finite = lams < np.inf
-    lams, drops = lams[finite], drops[finite]
-    order = np.argsort(lams)
-    k = int(np.searchsorted(np.cumsum(drops[order]), excess))
-    if k == lams.size:
+        return 0.0
+    dropped = drop_at.cumsum()
+    k = int(dropped.searchsorted(excess))
+    if k == dropped.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    choice = None
+    units, per_q, per_lam = _kernel_constants(tuple(cents.tolist()), budget_cents)
+
+    def dual(rows_qm, lam):
+        return argmax_cheapest(rows_qm - lam * units, cents)
+
+    def rule(rows_qm, rows_cheapest, lam):
+        return _assign_choice(rows_qm, rows_cheapest, cents, budget_cents, lam)[0]
 
     def fits(lam: float) -> bool:
-        nonlocal choice
-        if int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) > total_cents:
+        delta = qmax * per_q + lam * per_lam
+        if lam <= delta:
+            return (int(cents[dual(qm, lam)].sum()) <= total_cents
+                    and int(cents[rule(qm, cheapest, lam)].sum()) <= total_cents)
+        lo, at, hi = lam_at.searchsorted((lam - delta, lam, lam + delta), "right")
+        near = np.fromiter({row - first for row in row_at[lo:hi].tolist()}, dtype=np.int64)
+        near_qm = qm[near]
+        # The near rows are few, so their sums are Python sums.
+        far = (start_total - (int(dropped[at - 1]) if at else 0) - sum(start_cents[near].tolist())
+               + int(drops[near].sum(where=lams[near] <= lam)))
+        if far + sum(cents[dual(near_qm, lam)].tolist()) > total_cents:
             return False
-        choice = _assign_choice(qm, cheapest, cents, budget_cents, lam)
-        return int(cents[choice[0]].sum()) <= total_cents
+        return (far + sum(cents[rule(near_qm, cheapest[near], lam)].tolist()) <= total_cents
+                or int(cents[rule(qm, cheapest, lam)].sum()) <= total_cents)
 
-    return _step_up_until(fits, float(lams[order[k]])), choice
+    return _step_up_until(fits, float(lam_at[k]))
+
+
+def _problem_lambda(problem: AllocationProblem, cents: np.ndarray, cache) -> float:
+    """``_exact_lambda`` over every row of ``problem``, its breakpoints sorted
+    once; 0 without sorting them when the greedy cost fits."""
+    total = problem.n * problem.budget_cents
+    if int(cache[1].sum()) <= total:
+        return 0.0
+    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(problem.q), cents,
+                         problem.budget_cents, total)
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
@@ -204,8 +340,7 @@ def solve_lambda(problem: AllocationProblem) -> float:
     eligible assignment does not.
     """
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    return _exact_lambda(_row_cache(problem.q, cents), cents, problem.budget_cents,
-                         problem.n * problem.budget_cents)[0]
+    return _problem_lambda(problem, cents, _row_cache(problem.q, cents))
 
 
 def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, budget_cents: int,
@@ -326,18 +461,16 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
     """The exact multiplier (``solve_lambda``), the assignment rule there (which
     fits the budget) and slack packing, in one pass: the rows are masked and
-    walked once, the rule's choice and scores are the ones the multiplier
-    search made at the returned lam, and packing upgrades rows from those
-    scores. Equal, field by field, to ``_pack_slack(problem, assign(problem,
+    walked once, their breakpoints sorted once, the rule runs over every row
+    once at the returned lam, and packing upgrades rows from its scores.
+    Equal, field by field, to ``_pack_slack(problem, assign(problem,
     solve_lambda(problem)))``. Raises InfeasibleProblemError when even the
     cheapest eligible assignment is over budget.
     """
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
     cache = _row_cache(problem.q, cents)
-    lam, choice = _exact_lambda(cache, cents, problem.budget_cents,
-                                problem.n * problem.budget_cents)
-    if choice is None:
-        choice = _assign_choice(cache[0], cache[2], cents, problem.budget_cents, lam)
+    lam = _problem_lambda(problem, cents, cache)
+    choice = _assign_choice(cache[0], cache[2], cents, problem.budget_cents, lam)
     del cache  # packing reads none of the breakpoint arrays
     return _packed(problem, cents, lam, *choice)
 
@@ -352,8 +485,18 @@ class WindowStore:
     Timestamps are logical (caller-provided seconds), so tests and simulations
     run in virtual time. ``lambda_snapshot`` is published atomically; readers
     never block on a refresh, appends do. Rows are checked when they are
-    queued; a refresh fills the ``_row_cache`` arrays of the rows queued since
-    the last one in one batch, keeps them with their timestamps, and solves from them.
+    queued. A refresh first flushes the queue: it fills the queued rows'
+    ``_row_cache`` arrays in one batch and writes them, with their timestamps,
+    to the end of append-only buffers, where buffer row i has the absolute id
+    ``_base + i`` and the live rows are ``[_lo, _hi)``. Eviction only moves
+    ``_lo``; once the dead prefix passes half the capacity, the next flush
+    moves the live rows to the front. The window's finite breakpoints are kept
+    sorted with their row ids (``_breakpoints``): a flush merges in the new
+    rows' by ``searchsorted``, eviction drops those with ``row id < _base +
+    _lo``. The solve (``_exact_lambda``) needs a cumulative sum and a search
+    over them, and runs the selection rules only on the rows with a
+    breakpoint near the lam it checks. Its margin needs a bound on |q|, kept
+    as the largest seen in any row since the store was made.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -366,16 +509,20 @@ class WindowStore:
         self.refresh_period = float(refresh_period)
         _check_lambda(initial_lambda)
         self.lambda_snapshot = float(initial_lambda)
-        self.timeline: list[dict] = []  # one {ts, lam, window} entry per tick ``advance`` fired
+        # one {ts, lam, window, infeasible} entry per tick ``advance`` fired
+        self.timeline: list[dict] = []
         self._next_tick: float | None = None
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
         empty = np.empty((0, len(self.costs_cents)))
-        self._window = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
+        self._buffers = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
+        self._base = self._lo = self._hi = 0
+        self._breaks = _breakpoints(*self._buffers[4:])
+        self._qmax = 0.0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._window[0]) + len(self._pending)
+        return self._hi - self._lo + len(self._pending)
 
     def append(self, ts: float, q_row: np.ndarray) -> None:
         """Queue a decided customer's Q row; the multiplier needs only the row.
@@ -383,6 +530,25 @@ class WindowStore:
         q_row = _checked_rows(q_row, self._cents.size, 1)
         with self._lock:
             self._pending.append((float(ts), q_row))
+
+    def _flush(self) -> None:
+        """Fill the queued rows' ``_row_cache`` arrays at the end of the buffers,
+        making room first if needed, and merge their breakpoints into the sorted ones."""
+        q = np.array([q for _, q in self._pending])
+        n, live, capacity = len(q), self._hi - self._lo, len(self._buffers[0])
+        if self._lo > capacity // 2 or self._hi + n > capacity:
+            capacity = max(capacity, 2 * (live + n))
+            self._buffers = tuple(_moved_to_front(a[self._lo:self._hi], capacity)
+                                  for a in self._buffers)
+            self._base += self._lo
+            self._lo, self._hi = 0, live
+        new = [a[self._hi:self._hi + n] for a in self._buffers]
+        new[0][:] = [t for t, _ in self._pending]
+        _row_cache(q, self._cents, out=new[1:])
+        self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
+        self._hi += n
+        self._qmax = max(self._qmax, _abs_max(q))
+        self._pending = []
 
     def window_refresh(self, now: float) -> float:
         """Evict expired records, re-solve the multiplier, publish the snapshot.
@@ -393,31 +559,39 @@ class WindowStore:
         """
         with self._lock:
             if self._pending:
-                new_q = np.stack([q for _, q in self._pending])
-                self._window = tuple(np.concatenate(pair) for pair in zip(self._window, (
-                    np.array([t for t, _ in self._pending]), *_row_cache(new_q, self._cents))))
-                self._pending = []
+                self._flush()
             # Records leave from the front, up to the first one still inside the span.
-            evicted = int(np.logical_and.accumulate(self._window[0] <= now - self.window_span).sum())
-            _, *cache = self._window = tuple(a[evicted:] for a in self._window)
-            if len(cache[0]):
+            ts = self._buffers[0][self._lo:self._hi]
+            expired = ts <= now - self.window_span
+            everyone = np.count_nonzero(expired) == expired.size
+            evicted = expired.size if everyone else int(expired.argmin())
+            if evicted:
+                self._lo += evicted
+                keep = self._breaks[2] >= self._base + self._lo
+                self._breaks = tuple(a[keep] for a in self._breaks)
+            if self._hi > self._lo:
+                cache = [a[self._lo:self._hi] for a in self._buffers[1:]]
+                args = cache, self._breaks, self._base + self._lo, self._qmax, self._cents
                 try:
-                    self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
-                                                         len(cache[0]) * self.budget_cents)[0]
+                    self.lambda_snapshot = _exact_lambda(
+                        *args, self.budget_cents, (self._hi - self._lo) * self.budget_cents)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
-                    self.lambda_snapshot = _exact_lambda(cache, self._cents, self.budget_cents,
-                                                         int(self._cents[cache[2]].sum()))[0]
+                    self.lambda_snapshot = _exact_lambda(
+                        *args, self.budget_cents, int(self._cents[cache[2]].sum()))
             return self.lambda_snapshot
 
     def advance(self, now: float) -> None:
         """Fire every refresh tick due by ``now``, oldest first, recording each in
-        ``timeline``. Ticks fall every ``refresh_period`` after the first call's ``now``."""
+        ``timeline``. Ticks fall every ``refresh_period`` after the first call's
+        ``now``; an entry's ``infeasible`` says whether its refresh was."""
         if self._next_tick is None:
             self._next_tick = now + self.refresh_period
         while self._next_tick <= now:
+            infeasible = self.infeasible_refreshes
             lam = self.window_refresh(self._next_tick)
-            self.timeline.append({"ts": self._next_tick, "lam": lam, "window": len(self)})
+            self.timeline.append({"ts": self._next_tick, "lam": lam, "window": len(self),
+                                  "infeasible": self.infeasible_refreshes > infeasible})
             self._next_tick += self.refresh_period
 
     def allocate_online(self, q_row: np.ndarray, now: float) -> int:
@@ -426,3 +600,10 @@ class WindowStore:
         with self._lock:
             self._pending.append((float(now), np.asarray(q_row, dtype=float)))
         return action
+
+
+def _moved_to_front(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """A new buffer of ``capacity`` rows that starts with ``rows``."""
+    buffer = np.empty((capacity, *rows.shape[1:]), dtype=rows.dtype)
+    buffer[:len(rows)] = rows
+    return buffer

@@ -183,8 +183,9 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     time; terminal transitions bootstrap to the reward alone; the target
     network is a lagged copy synced every ``target_sync_interval`` steps, so
     it is fixed within a block and a block's bootstrap targets are computed
-    before its steps. The training log gets about 50 rows. Deterministic per
-    ``hyper.seed``.
+    before its steps. The training log gets a row every ``max(1, training_steps
+    // 50)`` steps and one at the last step: a row per step below 100 steps,
+    and 50 to 75 rows from 100 steps on. Deterministic per ``hyper.seed``.
     """
     data = transition_arrays(dataset)
     behavior_model = train_behavior_model(data, actions, hyper)

@@ -302,7 +302,7 @@ def cmd_allocate(args) -> int:
     # A bad row fails the run and leaves no partial decisions file.
     _write_complete(out, decide)
     if args.lambda_timeline:
-        write_csv(args.lambda_timeline, ["ts", "lam", "window"], store.timeline)
+        write_csv(args.lambda_timeline, ["ts", "lam", "window", "infeasible"], store.timeline)
     _snapshot(out, "allocate", {"mode": "stream", "budget_units": args.budget,
                                 "window_hours": args.window_hours,
                                 "refresh_minutes": args.refresh_minutes})

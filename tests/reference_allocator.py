@@ -1,0 +1,111 @@
+"""Whole-window reference of the multiplier search and the sliding window.
+
+This is the form of ``budgetrl.allocator`` that redoes whole-window work on
+every refresh: the window's arrays are concatenated at each flush and sliced
+at each eviction, and the exact multiplier gathers and argsorts every finite
+breakpoint and checks fit with the dual selection and the assignment rule
+over every row. The envelope walk is the one that runs until no row moves.
+The package's incremental window, sorted breakpoints and near-row fit check
+are held to its bits.
+"""
+
+import numpy as np
+
+from budgetrl.allocator import InfeasibleProblemError, _assign_choice, _checked_rows, _step_up_until
+from budgetrl.core import argmax_cheapest
+
+
+def row_cache(q, cents):
+    """The -inf-masked rows, the greedy cost, the cheapest eligible action, and
+    the envelope walk's breakpoints and drops (inf and 0 past the last)."""
+    qm = np.fmax(q, -np.inf)
+    cheapest = argmax_cheapest(np.isfinite(q), cents)
+    cur = argmax_cheapest(qm, cents)
+    lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
+    drops = np.zeros(lams.shape, dtype=np.int64)
+    units = cents / 100.0
+    gap, no_move = units[:, None] - units, cents >= cents[:, None]
+    m = q.shape[1]
+    rows, at = np.arange(q.shape[0]), cur
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(m - 1):
+            neg = qm[rows]
+            np.subtract(neg, qm.take(rows * m + at)[:, None], out=neg)
+            np.divide(neg, gap.take(at, axis=0), out=neg)
+            np.putmask(neg, no_move.take(at, axis=0), -np.inf)
+            nxt = argmax_cheapest(neg, cents)
+            neg_lam = neg.take(np.arange(rows.size) * m + nxt)
+            moves = neg_lam > -np.inf
+            rows, at, nxt, neg_lam = rows[moves], at[moves], nxt[moves], neg_lam[moves]
+            if not rows.size:
+                break
+            lams[rows, step] = -neg_lam
+            drops[rows, step] = cents[at] - cents[nxt]
+            at = nxt
+    return qm, cents[cur], cheapest, lams, drops
+
+
+def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
+    """Smallest lam at which the rows of ``cache`` (``row_cache``) cost at most
+    ``total_cents`` under both the dual selection and the assignment rule.
+    When ``steps`` is a list, the number of failed fit checks is appended to it."""
+    qm, start_cents, cheapest, lams, drops = cache
+    excess = int(start_cents.sum()) - total_cents
+    if excess <= 0:
+        return 0.0
+    finite = lams < np.inf
+    lams, drops = lams[finite], drops[finite]
+    order = np.argsort(lams)
+    k = int(np.searchsorted(np.cumsum(drops[order]), excess))
+    if k == lams.size:
+        raise InfeasibleProblemError(
+            "budget below the cheapest eligible assignment; no multiplier can satisfy it")
+    failed = 0
+
+    def fits(lam):
+        nonlocal failed
+        ok = (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
+              and int(cents[_assign_choice(qm, cheapest, cents, budget_cents, lam)[0]].sum())
+              <= total_cents)
+        failed += not ok
+        return ok
+
+    lam = _step_up_until(fits, float(lams[order[k]]))
+    if steps is not None:
+        steps.append(failed)
+    return lam
+
+
+class ConcatWindow:
+    """The sliding window with one array per field, concatenated at each flush:
+    rows leave from the front, up to the first one still inside the span."""
+
+    def __init__(self, costs_cents, budget_cents, window_span):
+        self.cents = np.asarray(costs_cents, dtype=np.int64)
+        self.budget_cents = budget_cents
+        self.window_span = window_span
+        self.lambda_snapshot = 0.0
+        self.infeasible_refreshes = 0
+        self.pending = []
+        self.window = (np.empty(0), *row_cache(np.empty((0, self.cents.size)), self.cents))
+
+    def append(self, ts, q_row):
+        self.pending.append((float(ts), _checked_rows(q_row, self.cents.size, 1)))
+
+    def window_refresh(self, now):
+        if self.pending:
+            new_q = np.stack([q for _, q in self.pending])
+            self.window = tuple(np.concatenate(pair) for pair in zip(self.window, (
+                np.array([t for t, _ in self.pending]), *row_cache(new_q, self.cents))))
+            self.pending = []
+        evicted = int(np.logical_and.accumulate(self.window[0] <= now - self.window_span).sum())
+        _, *cache = self.window = tuple(a[evicted:] for a in self.window)
+        if len(cache[0]):
+            try:
+                self.lambda_snapshot = exact_lambda(cache, self.cents, self.budget_cents,
+                                                    len(cache[0]) * self.budget_cents)
+            except InfeasibleProblemError:
+                self.infeasible_refreshes += 1
+                self.lambda_snapshot = exact_lambda(cache, self.cents, self.budget_cents,
+                                                    int(self.cents[cache[2]].sum()))
+        return self.lambda_snapshot

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import reference_allocator as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,9 @@ from budgetrl.allocator import (
     Assignment,
     InfeasibleProblemError,
     WindowStore,
+    _abs_max,
+    _breakpoints,
+    _exact_lambda,
     _pack_slack,
     _row_cache,
     assign,
@@ -20,7 +24,10 @@ from budgetrl.allocator import (
     solve_and_assign,
     solve_lambda,
 )
-from budgetrl.core import ActionSet, argmax_cheapest, cents
+from budgetrl.bcq import BcqPolicy, bcq_train
+from budgetrl.core import ActionSet, HyperParams, argmax_cheapest, cents
+from budgetrl.envsim import CheckinEnv, default_config, generate_dataset
+from budgetrl.evaluation import simulate_online
 
 DEFAULT_UNITS = np.asarray(ActionSet.default().all_cents, dtype=float) / 100.0  # menu costs
 
@@ -262,7 +269,7 @@ class TestAgainstBruteForce:
 def window_rows(store):
     """The window's Q rows, from the -inf-masked rows it caches: appended rows hold
     no infinity, so -inf there marks a NaN (ineligible) entry."""
-    qm = store._window[1]
+    qm = store._buffers[1][store._lo:store._hi]
     return np.where(np.isneginf(qm), np.nan, qm)
 
 
@@ -783,3 +790,295 @@ class TestWindowExactness:
             lam = store.window_refresh(now)
             assert lam == solve_lambda(AllocationProblem(window_rows(store), menu.all_cents, 87))
         assert len(store) == 20 and store.infeasible_refreshes == 0
+
+
+# ---------------------------------------------------------------------------
+# The incremental window and the near-row fit check against the whole-window
+# reference (reference_allocator.py): the same bits, refresh by refresh.
+
+MENU_CENTS = np.asarray(ActionSet.default().all_cents, dtype=np.int64)
+
+
+def bits(lam):
+    return np.float64(lam).tobytes()
+
+
+def kernel_lambda(q, costs, budget_cents, total_cents):
+    """``_exact_lambda`` over the rows of ``q``, their breakpoints sorted once."""
+    cache = _row_cache(q, costs)
+    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(q), costs,
+                         budget_cents, total_cents)
+
+
+def assert_kernel_matches_reference(q, costs, budget_cents, steps=None):
+    """The kernel and the reference agree bit for bit at the budget, or both
+    find it infeasible and then agree at the saturating total. Returns lam,
+    or None when infeasible."""
+    costs = np.asarray(costs, dtype=np.int64)
+    cache = ref.row_cache(q, costs)
+    total = len(q) * budget_cents
+    try:
+        expected = ref.exact_lambda(cache, costs, budget_cents, total, steps)
+    except InfeasibleProblemError:
+        with pytest.raises(InfeasibleProblemError):
+            kernel_lambda(q, costs, budget_cents, total)
+        saturating = int(costs[cache[2]].sum())
+        assert bits(kernel_lambda(q, costs, budget_cents, saturating)) == bits(
+            ref.exact_lambda(cache, costs, budget_cents, saturating))
+        return None
+    assert bits(kernel_lambda(q, costs, budget_cents, total)) == bits(expected)
+    return expected
+
+
+def with_nans(rng, q, share=0.25):
+    """``q`` with a share of entries ineligible; every row keeps one eligible action."""
+    q = q.copy()
+    hide = rng.random(q.shape) < share
+    hide[np.arange(len(q)), rng.integers(0, q.shape[1], len(q))] = False
+    q[hide] = np.nan
+    return q
+
+
+def collinear_rows(rng, n, costs):
+    """Rows whose values lie on a line in cost, up to a few ulps of noise."""
+    units = np.asarray(costs) / 100.0
+    q = rng.random((n, 1)) + rng.random((n, 1)) * units
+    return q + rng.normal(0.0, 1e-15, q.shape) * rng.integers(0, 2, (n, 1))
+
+
+def window_contents(store):
+    """The live rows' timestamps and Q rows of a ``WindowStore`` or ``ConcatWindow``."""
+    if isinstance(store, ref.ConcatWindow):
+        ts, qm = store.window[:2]
+        return ts, np.where(np.isneginf(qm), np.nan, qm)
+    return store._buffers[0][store._lo:store._hi], window_rows(store)
+
+
+def assert_same_window(store, reference):
+    (ts, q), (ref_ts, ref_q) = window_contents(store), window_contents(reference)
+    assert ts.tobytes() == ref_ts.tobytes()
+    assert q.tobytes() == ref_q.tobytes()
+    assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
+    assert store.infeasible_refreshes == reference.infeasible_refreshes
+    lam, drop, row = store._breaks
+    assert (np.diff(lam) >= 0).all() and (row >= store._base + store._lo).all()
+    assert lam.size == np.isfinite(store._buffers[4][store._lo:store._hi]).sum()
+
+
+class TestKernelAgainstWholeWindowReference:
+    def test_walk_matches_the_reference_walk(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            p = contract_problems(rng)
+            costs = np.asarray(p.costs_cents, dtype=np.int64)
+            for q in (p.q, with_nans(rng, collinear_rows(rng, p.n, costs))):
+                for a, b in zip(_row_cache(q, costs), ref.row_cache(q, costs)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_random_windows(self):
+        rng = np.random.default_rng(41)
+        kinds = {"infeasible": 0, "slack": 0, "binding": 0}
+        for _ in range(400):
+            p = contract_problems(rng)
+            lam = assert_kernel_matches_reference(p.q, p.costs_cents, p.budget_cents)
+            kinds["infeasible" if lam is None else "slack" if lam == 0 else "binding"] += 1
+        assert all(count >= 15 for count in kinds.values()), kinds
+
+    def test_large_windows_whose_far_rows_are_read_from_the_cumulative_sum(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            n = int(rng.integers(500, 3000))
+            q = with_nans(rng, rng.random((n, 1)) + 0.6 * MENU_CENTS / 100.0
+                          + rng.normal(0, 0.05, (n, MENU_CENTS.size)))
+            q[:, 0] = np.where(np.isnan(q[:, 0]), 0.5, q[:, 0])  # feasible at any budget
+            assert assert_kernel_matches_reference(q, MENU_CENTS, int(rng.integers(66, 110))) > 0
+
+    def test_adversarial_windows(self):
+        rng = np.random.default_rng(43)
+        steps, tiny, scaled = [], 0, 0
+        for trial in range(240):
+            kind = trial % 4
+            n = int(rng.integers(5, 60))
+            if kind == 0:  # duplicated rows tie at every breakpoint
+                q = np.tile(with_nans(rng, rng.random((5, 12)) + 0.5 * MENU_CENTS / 100.0),
+                            (n, 1))
+            elif kind == 1:  # nearly collinear actions
+                q = with_nans(rng, collinear_rows(rng, n, MENU_CENTS))
+            elif kind == 2:  # breakpoints near 1e-12
+                q = rng.random((n, 1)) + 1e-12 * np.sqrt(MENU_CENTS / 100.0) * rng.random((n, 1))
+            else:  # large |q| over small differences
+                scale = 10.0 ** float(rng.choice([3, 6, 9, 12]))
+                q = scale * (1.0 + rng.random((n, 1))) + rng.random((n, 12)) * MENU_CENTS / 100
+            budget = int(rng.integers(MENU_CENTS.min(), MENU_CENTS.max()))
+            lam = assert_kernel_matches_reference(q, MENU_CENTS, budget, steps)
+            tiny += kind == 2 and lam is not None and 0 < lam < 1e-9
+            scaled += kind == 3 and lam is not None and lam > 0
+        # The reference's breakpoint failed by rounding and was stepped up at
+        # least once in some windows; the kernel matched it there too.
+        assert sum(s > 0 for s in steps) >= 8
+        assert tiny >= 20 and scaled >= 20
+
+    def test_batch_solves_match_the_reference(self):
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            p = contract_problems(rng)
+            try:
+                lam = solve_lambda(p)
+            except InfeasibleProblemError:
+                continue
+            expected = ref.exact_lambda(ref.row_cache(p.q, np.asarray(p.costs_cents)),
+                                        np.asarray(p.costs_cents), p.budget_cents,
+                                        p.n * p.budget_cents)
+            assert bits(lam) == bits(expected) == bits(solve_and_assign(p).lam)
+
+
+def random_row(rng, kind, costs, seen):
+    units = np.asarray(costs) / 100.0
+    if kind == 0 or not seen:
+        q = rng.random() + 0.5 * units + rng.normal(0, 0.05, units.size)
+    elif kind == 1:
+        q = collinear_rows(rng, 1, costs)[0]
+    else:
+        q = seen[int(rng.integers(len(seen)))].copy()  # a duplicate
+    q[1:][rng.random(units.size - 1) < 0.3] = np.nan
+    return q
+
+
+class TestWindowAgainstConcatReference:
+    def test_random_streams(self):
+        rng = np.random.default_rng(45)
+        refreshes = {"infeasible": 0, "empty": 0, "slack": 0, "binding": 0}
+        for trial in range(24):
+            # the menu; six of its costs, shuffled and at times repeated; one cost
+            costs = (MENU_CENTS if trial % 2 else MENU_CENTS[:1] if trial % 8 == 7 else
+                     rng.choice(MENU_CENTS, 6, replace=trial % 8 == 3))
+            budget = (60, 80, 87, 100)[trial % 4]  # 60 is below every cost
+            span = float(rng.choice([40.0, 200.0, 1e9]))
+            store = WindowStore(costs, budget, window_span=span)
+            reference = ref.ConcatWindow(costs, budget, span)
+            t, seen = 0.0, []
+            for _ in range(40):
+                for _ in range(int(rng.integers(0, 12))):
+                    q = random_row(rng, trial % 3, costs, seen)
+                    seen.append(q)
+                    ts = t - float(rng.random() * 30) * (rng.random() < 0.2)  # some late
+                    store.append(ts, q)
+                    reference.append(ts, q)
+                t += float(rng.random() * 25) + 200.0 * (rng.random() < 0.05)  # a lull
+                lam = store.window_refresh(t)
+                assert bits(lam) == bits(reference.window_refresh(t))
+                assert len(store) == len(reference.window[0])
+                assert_same_window(store, reference)
+                refreshes["empty" if not len(store) else "slack" if lam == 0 else
+                          "infeasible" if budget == 60 else "binding"] += 1
+        assert all(count >= 20 for count in refreshes.values()), refreshes
+
+    def test_every_refresh_of_a_default_simulation(self):
+        env_config, behavior, actions = default_config()
+        env = CheckinEnv(env_config, actions)
+        dataset = generate_dataset(env, behavior, 150, seed=3)
+        agent = bcq_train(dataset, actions, HyperParams(
+            xi=0.3, training_steps=300, seed=3, hidden_sizes=(32, 32), learning_rate=0.01,
+            optimizer="adam"))
+
+        class CheckedStore(WindowStore):
+            """A default store that holds every refresh to the reference window's."""
+
+            def __init__(self):
+                super().__init__(actions.all_cents, 87)
+                self.reference = ref.ConcatWindow(actions.all_cents, 87, self.window_span)
+
+            def allocate_online(self, q_row, now):
+                self.reference.append(now, q_row)
+                return super().allocate_online(q_row, now)
+
+            def window_refresh(self, now):
+                lam = super().window_refresh(now)
+                assert bits(lam) == bits(self.reference.window_refresh(now))
+                return lam
+
+        store = CheckedStore()
+        report = simulate_online(env, BcqPolicy(agent), store, 7, 150, seed=3)
+        assert len(report.lambda_timeline) > 900
+        assert sum(row["lam"] > 0 for row in report.lambda_timeline) > 500
+        assert_same_window(store, store.reference)
+
+
+class TestWindowEviction:
+    def make_pair(self, budget=87, span=100.0):
+        return (WindowStore(MENU_CENTS, budget, window_span=span),
+                ref.ConcatWindow(MENU_CENTS, budget, span))
+
+    def test_out_of_order_rows_leave_up_to_the_first_row_inside_the_span(self):
+        store, reference = self.make_pair()
+        rng = np.random.default_rng(46)
+        for ts in (0.0, 50.0, 10.0, 200.0, 60.0):
+            q = rng.random(12) + DEFAULT_UNITS
+            store.append(ts, q)
+            reference.append(ts, q)
+        for now, live in ((120.0, [50.0, 10.0, 200.0, 60.0]), (155.0, [200.0, 60.0]),
+                          (165.0, [200.0, 60.0]), (299.0, [200.0, 60.0]), (300.0, [])):
+            assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+            assert window_contents(store)[0].tolist() == live
+            assert_same_window(store, reference)
+
+    def test_concurrent_appenders_evict_as_the_reference_does(self):
+        store, reference = self.make_pair(span=300.0)
+        rows = np.random.default_rng(47).random((4, 300, 12)) + DEFAULT_UNITS
+
+        def appender(k):
+            for i, q in enumerate(rows[k]):
+                store.append(float(i + 7 * k), q)  # each thread's clock runs on its own
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=appender, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for ts, q in store._pending:  # the order the appenders got the lock in
+            reference.append(ts, q)
+        assert not (np.diff([ts for ts, _ in store._pending]) >= 0).all()
+        for now in (300.0, 350.0, 420.0, 500.0, 640.0):
+            assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+            assert_same_window(store, reference)
+        assert len(store) == 0
+
+    def test_compaction_moves_the_live_rows_to_the_front(self):
+        store, reference = self.make_pair(span=100.0)
+        rng = np.random.default_rng(48)
+        compacted = peak = 0
+        for i in range(300):
+            for j in range(int(rng.integers(1, 6))):
+                q = rng.random(12) + DEFAULT_UNITS
+                store.append(10.0 * i + j, q)
+                reference.append(10.0 * i + j, q)
+            peak = max(peak, len(store))
+            base = store._base
+            assert bits(store.window_refresh(10.0 * i + 5)) == bits(
+                reference.window_refresh(10.0 * i + 5))
+            assert_same_window(store, reference)  # a refresh right after compaction too
+            compacted += store._base != base
+        assert compacted >= 10
+        assert len(store._buffers[0]) <= 2 * peak  # 1500 rows passed through; none piled up
+
+    def test_window_that_empties_and_refills(self):
+        store, reference = self.make_pair(span=100.0)
+        rng = np.random.default_rng(49)
+        lams = []
+        for start in (0.0, 1000.0, 5000.0):
+            for i in range(30):
+                q = rng.random(12) + DEFAULT_UNITS
+                store.append(start + i, q)
+                reference.append(start + i, q)
+            for now in (start + 40.0, start + 500.0):
+                assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+                assert_same_window(store, reference)
+            assert len(store) == 0 and store._breaks[0].size == 0
+            lams.append(store.lambda_snapshot)  # an empty window keeps the last snapshot
+        assert all(lam > 0 for lam in lams)

@@ -339,6 +339,15 @@ class TestBcqTrain:
         assert [row["step"] for row in agent.training_log] == list(range(4, 201, 4))
         assert all(np.isfinite(row["loss"]) for row in agent.training_log)
 
+    @pytest.mark.parametrize("steps, rows", [(49, 49), (61, 61), (100, 50), (2000, 50)])
+    def test_training_log_has_a_row_every_fiftieth_of_the_steps(self, steps, rows):
+        trajs = self.make_constant_reward_dataset(n=30)
+        agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=steps))
+        every = max(1, steps // 50)
+        logged = [row["step"] for row in agent.training_log]
+        assert logged == [s for s in range(1, steps + 1) if s % every == 0 or s == steps]
+        assert len(logged) == rows
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             bcq_train([], ACTIONS, FAST)

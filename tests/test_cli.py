@@ -227,7 +227,7 @@ class TestAllocateStream:
                    "--out", str(out), "--lambda-timeline", str(timeline)) == 0
         decisions = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(decisions) == 600
-        assert timeline.read_text().startswith("ts,lam,window")
+        assert timeline.read_text().splitlines()[0] == "ts,lam,window,infeasible"
         late = [d["cost_units"] for d in decisions if d["ts"] > 7200]
         assert np.mean(late) <= 0.80 * 1.05
 

@@ -221,6 +221,9 @@ class TestSimulateOnline:
         cheapest = simulate_online(mid_env(), CheapestPolicy(ACTIONS), None, 6, 40, seed=14)
         assert store.infeasible_refreshes > 0
         assert report.avg_cost_units == pytest.approx(cheapest.avg_cost_units, abs=0.02)
+        # every infeasible refresh is flagged in the timeline the report carries
+        flagged = [row["infeasible"] for row in report.lambda_timeline]
+        assert sum(flagged) == store.infeasible_refreshes
 
     def test_no_ineligible_actions_and_claim_masks(self):
         report = simulate_online(mid_env(), CheapestPolicy(ACTIONS), None, 6, 30, seed=12)
@@ -234,6 +237,7 @@ class TestSimulateOnline:
         report = simulate_online(mid_env(), policy, store, 2, 30, seed=13)
         assert len(report.lambda_timeline) > 0
         assert all(row["lam"] >= 0 for row in report.lambda_timeline)
+        assert not any(row["infeasible"] for row in report.lambda_timeline)
         assert report.lambda_timeline == store.timeline
         assert [row["ts"] for row in store.timeline] == [
             600.0 * k for k in range(1, len(store.timeline) + 1)]
