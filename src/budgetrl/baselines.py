@@ -20,7 +20,7 @@ from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheap
                    day_mask_indices, load_json, save_json)
 from .nets import Mlp, softmax
 from .bcq import fit_classifier, state_to_input, transition_arrays
-from .envsim import check_claim_table
+from .envsim import check_claim_table, table_action
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
 
@@ -97,8 +97,7 @@ class ExpertPolicy:
         check_claim_table(self.table, self.actions)
 
     def action(self, state: StateVector) -> int:
-        proxy = int(np.argmax(state.to_array()[:self.n_segments]))
-        return self.table[proxy % len(self.table)][state.bonuses_collected]
+        return table_action(self.table, self.n_segments, state)
 
 
 class CheapestPolicy:

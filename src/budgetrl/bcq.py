@@ -28,17 +28,15 @@ AGENT_FORMAT = "bcq-agent-v1"
 BLOCK_ROWS = 6400
 
 
-def state_to_input(state: StateVector) -> np.ndarray:
-    """Network input: opaque features plus normalized cycle counters."""
-    return np.concatenate([state.to_array(),
-                           [state.day_in_cycle / CYCLE_DAYS,
-                            state.bonuses_collected / CLAIMS_PER_CYCLE]])
-
-
 def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
-    """``state_to_input`` of each state, as the rows of one matrix."""
+    """Network inputs, one row per state: opaque features plus normalized cycle counters."""
     return np.array([(*s.features, s.day_in_cycle / CYCLE_DAYS,
                       s.bonuses_collected / CLAIMS_PER_CYCLE) for s in states], dtype=float)
+
+
+def state_to_input(state: StateVector) -> np.ndarray:
+    """The network input of one state: its row of ``states_to_inputs``."""
+    return states_to_inputs((state,))[0]
 
 
 def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
@@ -58,6 +56,7 @@ def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndar
 class TransitionArrays:
     """Logged transitions as model-ready columns, one row per transition.
 
+    A live row's ``x_next`` and ``next_claims`` are the next row's ``x`` and ``claims``.
     Terminal rows have an all-zero ``x_next`` and ``next_claims`` 0; they
     bootstrap to the reward alone.
     """
@@ -72,25 +71,27 @@ class TransitionArrays:
 
 
 def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
-    """The one conversion of logged trajectories into model inputs."""
+    """The one conversion of logged trajectories into model inputs. The next
+    state of a transition that is not done is the following transition's state."""
     transitions = flatten(dataset)
     if not transitions:
         raise ValueError("empty dataset")
     done = np.array([tr.done for tr in transitions], dtype=bool)
-    live = [tr.next_state for tr in transitions if not tr.done]
-    if any(s is None for s in live):
+    last_rows = np.cumsum([len(traj) for traj in dataset if len(traj)]) - 1
+    if not done[last_rows].all():
         raise ValueError("a transition that is not done has no next state; is the log truncated?")
     x = states_to_inputs([tr.state for tr in transitions])
+    claims = np.array([tr.state.bonuses_collected for tr in transitions], dtype=int)
+    # Every trajectory ends done, so a live row's next row is in its own trajectory.
+    live = np.flatnonzero(~done)
     x_next = np.zeros_like(x)
-    next_claims = np.zeros(len(transitions), dtype=int)
-    if live:
-        x_next[~done] = states_to_inputs(live)
-        next_claims[~done] = [s.bonuses_collected for s in live]
+    x_next[live] = x[live + 1]
+    next_claims = np.zeros_like(claims)
+    next_claims[live] = claims[live + 1]
     return TransitionArrays(
         x=x, action=np.array([tr.action_index for tr in transitions], dtype=int),
         reward=np.array([tr.reward for tr in transitions], dtype=float),
-        claims=np.array([tr.state.bonuses_collected for tr in transitions], dtype=int),
-        done=done, x_next=x_next, next_claims=next_claims)
+        claims=claims, done=done, x_next=x_next, next_claims=next_claims)
 
 
 def _block_lengths(steps: int, batch: int, period: int | None = None):

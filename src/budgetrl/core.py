@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, asdict, fields
@@ -159,13 +160,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Transition:
+    """One log record: a claim's state, bonus and outcome. Its next state is the
+    following transition's state, or none when ``done``."""
+
     user_id: int
     t: int
     state: StateVector
     action_index: int
     reward: int
     cost_cents: int
-    next_state: StateVector | None
     done: bool
 
 
@@ -260,6 +263,13 @@ def field_names(cls) -> set[str]:
 # Dataset validation
 
 
+def _all_finite(values) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except TypeError:  # not a number
+        return False
+
+
 def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) -> list[str]:
     """Check every data-model invariant; returns a list of violations (empty = valid).
 
@@ -284,6 +294,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                 violations.append(f"{where}: time step out of order (expected {i + 1})")
             if len(tr.state.features) != d:
                 violations.append(f"{where}: feature length {len(tr.state.features)} != d={d}")
+            if not _all_finite(tr.state.features):
+                k = next(k for k, v in enumerate(tr.state.features) if not _all_finite((v,)))
+                violations.append(f"{where}: feature {k} = {tr.state.features[k]!r} not finite")
             if not 1 <= tr.state.day_in_cycle <= CYCLE_DAYS:
                 violations.append(f"{where}: day_in_cycle {tr.state.day_in_cycle} out of range")
             if not 0 <= tr.state.bonuses_collected < CLAIMS_PER_CYCLE:
@@ -303,14 +316,8 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                     violations.append(f"{where}: super action before claim {CLAIMS_PER_CYCLE}")
             elif tr.state.bonuses_collected == CLAIMS_PER_CYCLE - 1:
                 violations.append(f"{where}: normal action at the super claim")
-            if tr.done != (tr.next_state is None):
-                violations.append(f"{where}: done flag inconsistent with terminal marker")
-            if i + 1 < len(traj.transitions):
-                nxt = traj.transitions[i + 1]
-                if tr.done:
-                    violations.append(f"{where}: transition after done")
-                elif tr.next_state != nxt.state:
-                    violations.append(f"{where}: next_state does not chain to following state")
+            if tr.done and i + 1 < len(traj.transitions):
+                violations.append(f"{where}: transition after done")
         if n_super > 1:
             violations.append(f"user {uid}: more than one super action in trajectory")
         if not traj.transitions[-1].done:
@@ -322,9 +329,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
 # Files, and the JSONL trajectory log
 #
 # Every file is written through ``_write_complete``. The log holds one
-# transition per line; ``next_state`` is implicit (the following line's
-# state, or terminal when done). A dataset is a directory of append-only
-# ``*.jsonl`` shards plus a manifest recording d, T, and the action set.
+# ``Transition`` per line, whose next state is the following line's state.
+# A dataset is a directory of append-only ``*.jsonl`` shards plus a manifest
+# recording d, T, and the action set.
 
 
 def _write_complete(target: Path, write) -> None:
@@ -426,29 +433,18 @@ def read_manifest(path: str | Path) -> dict:
 
 
 def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
-    """Load all shards of a dataset directory; returns (trajectories, manifest)."""
+    """Load all shards of a dataset directory; returns (trajectories, manifest). A
+    trajectory ends at a done line, a new user, a t that is not the next, or a shard's end."""
     path = Path(path)
     manifest = read_manifest(path)
 
     trajectories: list[Trajectory] = []
-    pending: list[dict] = []
+    pending: list[Transition] = []
 
     def flush():
-        if not pending:
-            return
-        transitions = []
-        for i, rec in enumerate(pending):
-            state = StateVector(tuple(rec["state"]), rec["day_in_cycle"], rec["bonuses_collected"])
-            nxt = None
-            if not rec["done"] and i + 1 < len(pending):
-                nrec = pending[i + 1]
-                nxt = StateVector(tuple(nrec["state"]), nrec["day_in_cycle"], nrec["bonuses_collected"])
-            transitions.append(Transition(
-                user_id=rec["user_id"], t=rec["t"], state=state,
-                action_index=rec["action_index"], reward=rec["reward"],
-                cost_cents=rec["cost_cents"], next_state=nxt, done=rec["done"]))
-        trajectories.append(Trajectory(tuple(transitions)))
-        pending.clear()
+        if pending:
+            trajectories.append(Trajectory(tuple(pending)))
+            pending.clear()
 
     for shard in sorted(path.glob("data-*.jsonl")):
         with shard.open() as f:
@@ -457,9 +453,14 @@ def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                if pending and (rec["user_id"] != pending[0]["user_id"] or rec["t"] != len(pending) + 1):
+                if pending and (rec["user_id"] != pending[0].user_id or rec["t"] != len(pending) + 1):
                     flush()
-                pending.append(rec)
+                pending.append(Transition(
+                    user_id=rec["user_id"], t=rec["t"],
+                    state=StateVector(tuple(rec["state"]), rec["day_in_cycle"],
+                                      rec["bonuses_collected"]),
+                    action_index=rec["action_index"], reward=rec["reward"],
+                    cost_cents=rec["cost_cents"], done=rec["done"]))
                 if rec["done"]:
                     flush()
         flush()  # shard boundary also ends a trajectory

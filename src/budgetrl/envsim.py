@@ -165,9 +165,6 @@ class UserSim:
         self.state: StateVector | None = None
         self.done = False
 
-    def segment_proxy(self, n_segments: int) -> int:
-        return int(np.argmax(self.state.to_array()[:n_segments]))
-
 
 class CheckinEnv:
     """Ground-truth environment over a fixed action set."""
@@ -218,7 +215,7 @@ class CheckinEnv:
         return user
 
     def step(self, user: UserSim, action_index: int):
-        """Advance one claim; returns (reward, next_state | None, done)."""
+        """Advance one claim; returns (reward, done), leaving the next state on ``user.state``."""
         if user.done:
             raise RuntimeError(f"user {user.user_id} already terminated")
         eligible = day_mask_indices(self.actions, user.bonuses_collected)
@@ -242,22 +239,20 @@ class CheckinEnv:
         done = reward == 0 or user.bonuses_collected >= CLAIMS_PER_CYCLE
         user.done = done
         user.state = None if done else self._observe(user)
-        return reward, user.state, done
+        return reward, done
 
 
-def behavior_action(behavior: BehaviorPolicyConfig, actions: ActionSet,
-                    segment_proxy: int, bonuses_collected: int,
-                    rng: np.random.Generator) -> int:
-    """Table action with probability 1-noise, else uniform over eligible actions.
-    The table is taken as checked by ``check_claim_table``."""
-    if behavior.noise > 0 and rng.random() < behavior.noise:
-        return int(rng.choice(day_mask_indices(actions, bonuses_collected)))
-    return behavior.table[segment_proxy % len(behavior.table)][bonuses_collected]
+def table_action(table, n_segments: int, state: StateVector) -> int:
+    """A checked (segment proxy, claim) table's action at ``state``; the proxy is the
+    index of the largest of the first ``n_segments`` features."""
+    proxy = int(np.argmax(state.to_array()[:n_segments]))
+    return table[proxy % len(table)][state.bonuses_collected]
 
 
 def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: int,
                      seed: int) -> list[Trajectory]:
-    """Simulate n_users fresh cycles under the behavior policy.
+    """Simulate n_users fresh cycles under the behavior policy: the table action
+    with probability 1 - noise, else uniform over the claim-eligible actions.
 
     Random streams are split per user from the master seed, so the output is
     independent of simulation order and bit-identical across runs.
@@ -271,17 +266,16 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
         rng = np.random.default_rng(children[uid])
         user = env.spawn_user(uid, rng)
         transitions = []
-        t = 1
         while not user.done:
             state = user.state
-            a = behavior_action(behavior, env.actions,
-                                user.segment_proxy(env.config.n_segments),
-                                user.bonuses_collected, rng)
-            reward, next_state, done = env.step(user, a)
+            if behavior.noise > 0 and rng.random() < behavior.noise:
+                a = int(rng.choice(day_mask_indices(env.actions, state.bonuses_collected)))
+            else:
+                a = table_action(behavior.table, env.config.n_segments, state)
+            reward, done = env.step(user, a)
             transitions.append(Transition(
-                user_id=uid, t=t, state=state, action_index=a, reward=reward,
-                cost_cents=env.actions.cost_cents(a), next_state=next_state, done=done))
-            t += 1
+                user_id=uid, t=len(transitions) + 1, state=state, action_index=a,
+                reward=reward, cost_cents=env.actions.cost_cents(a), done=done))
         trajectories.append(Trajectory(tuple(transitions)))
     return trajectories
 

@@ -145,7 +145,7 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
                 action = store.allocate_online(policy.q_row(user.state), ts)
             else:
                 action = policy.action(user.state)
-            reward, _, done = env.step(user, action)
+            reward, done = env.step(user, action)
             day_cost_cents += env.actions.cost_cents(action)
             day_rewards += reward
             if not done:

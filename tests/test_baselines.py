@@ -61,7 +61,7 @@ class TestTrainRewardModel:
         for uid in range(60):
             s = state(fill=float(rng.random()))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), None, True),)))
+            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
         model = train_reward_model(trajs, ACTIONS, FAST)
         for traj in trajs[:20]:
             tr = traj.transitions[0]
@@ -99,7 +99,7 @@ class TestTrainRewardModel:
             r = int(rng.random() < 0.5)
             s = state(fill=float(r))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, r, ACTIONS.cost_cents(a), None, True),)))
+            trajs.append(Trajectory((Transition(uid, 1, s, a, r, ACTIONS.cost_cents(a), True),)))
         model = train_reward_model(trajs, ACTIONS, replace(FAST, training_steps=1200))
         scores, labels = [], []
         for traj in trajs:

@@ -130,7 +130,7 @@ class TestBehaviorModel:
         trajs = []
         for uid in range(40):
             s = state(fill=float(rng.random()))
-            trajs.append(Trajectory((Transition(uid, 1, s, 1, 1, 87, None, True),)))
+            trajs.append(Trajectory((Transition(uid, 1, s, 1, 1, 87, True),)))
         model = train_behavior_model(transition_arrays(trajs), ACTIONS, FAST)
         for traj in trajs:
             assert int(np.argmax(behavior_probs(model, traj.transitions[0].state))) == 1
@@ -142,7 +142,7 @@ class TestBehaviorModel:
         trajs = []
         for uid in range(10_000):
             a = 0 if rng.random() < 0.7 else 1
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), None, True),)))
+            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
         model = train_behavior_model(transition_arrays(trajs), ACTIONS,
                                      replace(FAST, training_steps=1500))
         probs = behavior_probs(model, s)
@@ -183,10 +183,13 @@ def old_prepare_arrays(dataset, actions):
     done = np.array([tr.done for tr in transitions], dtype=bool)
     x_next = np.zeros((len(transitions), x.shape[1]))
     next_mask = np.zeros((len(transitions), actions.size), dtype=bool)
-    for i, tr in enumerate(transitions):
-        if not tr.done:
-            x_next[i] = state_to_input(tr.next_state)
-            next_mask[i, day_mask_indices(actions, tr.next_state.bonuses_collected)] = True
+    i = 0
+    for traj in dataset:
+        for tr, following in zip(traj.transitions, traj.transitions[1:] + (None,)):
+            if not tr.done:
+                x_next[i] = state_to_input(following.state)
+                next_mask[i, day_mask_indices(actions, following.state.bonuses_collected)] = True
+            i += 1
     return x, a, r, done, x_next, next_mask, claims
 
 
@@ -213,10 +216,10 @@ class TestTransitionArrays:
 
     def test_hand_built_transitions(self):
         s0, s1, s2 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2), state(day=4, bonuses=2)
-        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, s1, False),
-                            Transition(0, 2, s1, 0, 1, 65, s2, False),
-                            Transition(0, 3, s2, 2, 0, 105, None, True)))
-        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, None, True),))
+        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, False),
+                            Transition(0, 2, s1, 0, 1, 65, False),
+                            Transition(0, 3, s2, 2, 0, 105, True)))
+        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
         data = self.assert_matches_per_row_loop([chain, single], ACTIONS)
         np.testing.assert_array_equal(data.next_claims, [1, 2, 0, 0])
         # every row terminal: no next-state input is built
@@ -224,10 +227,28 @@ class TestTransitionArrays:
         assert not data.x_next.any()
 
     def test_truncated_trajectory_rejected(self):
-        # a log cut after a non-final claim: the last row is neither done nor chained
-        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, None, False),))
+        # a log cut after a non-final claim: the last row is neither done nor followed
+        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, False),))
         with pytest.raises(ValueError, match="no next state"):
             transition_arrays([cut])
+
+    def test_truncated_trajectory_before_another_rejected(self):
+        # the next row belongs to another user, so it is no next state
+        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, False),))
+        after = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
+        with pytest.raises(ValueError, match="no next state"):
+            transition_arrays([cut, after])
+
+    def test_empty_trajectories_change_nothing(self):
+        s0, s1 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2)
+        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, False),
+                            Transition(0, 2, s1, 0, 0, 65, True)))
+        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
+        empty = Trajectory(())
+        want = transition_arrays([chain, single])
+        got = transition_arrays([empty, chain, empty, single, empty])
+        for name in ("x", "action", "reward", "claims", "done", "x_next", "next_claims"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def tiny_agent(q_values, behavior_probs_vec, xi=0.3, d=2):
@@ -302,7 +323,7 @@ class TestBcqTrain:
         for uid in range(n):
             s = state(fill=float(rng.random()))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), None, True),)))
+            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
         return trajs
 
     def test_terminal_reward_regression(self):

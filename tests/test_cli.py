@@ -89,6 +89,27 @@ class TestErrors:
         assert "invalid input" in err and "reward 7" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "expert"],
+        ["train", "--policy", "bcq", "--steps", "20", "--hidden", "8"],
+        ["train", "--policy", "lr", "--steps", "20", "--hidden", "8"],
+    ])
+    def test_non_finite_feature_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                           argv):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        shard = ds / "data-00000.jsonl"
+        records = [json.loads(line) for line in shard.read_text().splitlines()]
+        records[0]["state"][1] = float("nan")  # json writes NaN, which json.loads accepts
+        records[1]["state"][2] = float("inf")
+        shard.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        where = f"user {records[0]['user_id']} t={records[0]['t']}"
+        rc = run(*argv, "--dataset", str(ds), "--out", str(tmp_path / "out" / "result.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"{where}: feature 1 = nan not finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.05"), ("--kappa", "nan"),
     ])

@@ -29,13 +29,11 @@ def make_state(d=3, day=1, bonuses=0, fill=0.0):
 def make_trajectory(actions, uid=0, action_seq=(0, 1), rewards=None, d=3):
     rewards = rewards if rewards is not None else [1] * (len(action_seq) - 1) + [0]
     transitions = []
-    states = [make_state(d, day=i + 1, bonuses=i, fill=0.1 * i) for i in range(len(action_seq) + 1)]
     for i, a in enumerate(action_seq):
-        done = i == len(action_seq) - 1
         transitions.append(Transition(
-            user_id=uid, t=i + 1, state=states[i], action_index=a, reward=rewards[i],
-            cost_cents=actions.cost_cents(a), next_state=None if done else states[i + 1],
-            done=done))
+            user_id=uid, t=i + 1, state=make_state(d, day=i + 1, bonuses=i, fill=0.1 * i),
+            action_index=a, reward=rewards[i], cost_cents=actions.cost_cents(a),
+            done=i == len(action_seq) - 1))
     return Trajectory(tuple(transitions))
 
 
@@ -198,6 +196,29 @@ class TestValidateDataset:
         traj = make_trajectory(self.actions, action_seq=(0,), rewards=[2])
         report = validate_dataset([traj], self.actions, d=3)
         assert any("reward" in v for v in report)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_feature_flagged(self, value):
+        traj = make_trajectory(self.actions, uid=4, action_seq=(0, 1))
+        second = traj.transitions[1]
+        bad_state = StateVector((0.1, value, 0.1), second.state.day_in_cycle,
+                                second.state.bonuses_collected)
+        bad = Trajectory((traj.transitions[0],
+                          Transition(**{**second.__dict__, "state": bad_state})))
+        report = validate_dataset([bad], self.actions, d=3)
+        assert report == [f"user 4 t=2: feature 1 = {value!r} not finite"]
+
+    def test_transition_after_done_flagged(self):
+        first, second = make_trajectory(self.actions, uid=2, action_seq=(0, 1)).transitions
+        early_done = Transition(**{**first.__dict__, "done": True})
+        report = validate_dataset([Trajectory((early_done, second))], self.actions, d=3)
+        assert report == ["user 2 t=1: transition after done"]
+
+    def test_trajectory_not_ending_with_done_flagged(self):
+        first, second = make_trajectory(self.actions, uid=3, action_seq=(0, 1)).transitions
+        cut = Transition(**{**second.__dict__, "done": False})
+        report = validate_dataset([Trajectory((first, cut))], self.actions, d=3)
+        assert report == ["user 3: trajectory does not end with done"]
 
     def test_idempotent_and_order_independent(self):
         good = make_trajectory(self.actions, uid=0, action_seq=(0, 1))

@@ -116,24 +116,24 @@ class TestStep:
     def test_counters_advance(self):
         env = small_env(base_logit=50.0)
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
-        reward, state, done = env.step(user, 1)
+        reward, done = env.step(user, 1)
         assert reward == 1 and not done
-        assert state.day_in_cycle == 2 and state.bonuses_collected == 1
+        assert user.state.day_in_cycle == 2 and user.state.bonuses_collected == 1
 
     def test_terminates_after_four_claims(self):
         env = small_env(base_logit=50.0)
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
         for a in (0, 0, 0):
-            _, _, done = env.step(user, a)
+            _, done = env.step(user, a)
             assert not done
-        _, state, done = env.step(user, 3)
-        assert done and state is None
+        _, done = env.step(user, 3)
+        assert done and user.state is None
 
     def test_terminates_on_no_login(self):
         env = small_env(base_logit=-50.0)  # never retains
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
-        reward, state, done = env.step(user, 0)
-        assert reward == 0 and done and state is None
+        reward, done = env.step(user, 0)
+        assert reward == 0 and done and user.state is None
 
 
 class TestGenerateDataset:

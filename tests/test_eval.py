@@ -50,13 +50,11 @@ class FirstStepPolicy:
 
 def make_traj(uid, action_seq, rewards, costs=None):
     transitions = []
-    states = [StateVector((0.5, 0.5), day_in_cycle=i + 1, bonuses_collected=i)
-              for i in range(len(action_seq) + 1)]
     for i, a in enumerate(action_seq):
-        done = i == len(action_seq) - 1
+        state = StateVector((0.5, 0.5), day_in_cycle=i + 1, bonuses_collected=i)
         cost = ACTIONS.cost_cents(a) if costs is None else costs[i]
-        transitions.append(Transition(uid, i + 1, states[i], a, rewards[i], cost,
-                                      None if done else states[i + 1], done))
+        transitions.append(Transition(uid, i + 1, state, a, rewards[i], cost,
+                                      i == len(action_seq) - 1))
     return Trajectory(tuple(transitions))
 
 
