@@ -371,14 +371,6 @@ def assign(problem: AllocationProblem, lam: float) -> Assignment:
     return _assignment(problem, chosen, lam, int(cents[chosen].sum()))
 
 
-def assign_row(q_row: np.ndarray, costs_cents, budget_cents: int, lam: float) -> int:
-    """Single-customer assignment rule (used on the online path)."""
-    _check_lambda(lam)
-    cents = np.asarray(costs_cents, dtype=np.int64)
-    qm, cheapest = _masked(_checked_rows(q_row, cents.size, 1)[None], cents)
-    return int(_assign_choice(qm, cheapest, cents, budget_cents, lam)[0][0])
-
-
 def _packed(problem: AllocationProblem, cents: np.ndarray, lam: float, chosen: np.ndarray,
             scores: np.ndarray, top: np.ndarray) -> Assignment:
     """The Assignment of ``chosen`` (int64, upgraded in place) after spending
@@ -416,15 +408,6 @@ def _packed(problem: AllocationProblem, cents: np.ndarray, lam: float, chosen: n
     return _assignment(problem, chosen, lam, total)
 
 
-def _pack_slack(problem: AllocationProblem, assignment: Assignment) -> Assignment:
-    """``_packed`` on an ``assign`` result, with the rule's scores rebuilt at its lam."""
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    _, scores, top = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents,
-                                    assignment.lam)
-    return _packed(problem, cents, assignment.lam, np.array(assignment.chosen, dtype=np.int64),
-                   scores, top)
-
-
 def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> Assignment:
     """Raise the multiplier to the first point where the budget holds, then
     spend any slack on rows left tied there. Only ever moves lam upward (cost
@@ -454,8 +437,10 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     # gap midpoints, which float rounding at a candidate cannot disturb.
     gaps = 0.5 * (cands[:-1] + cands[1:])
     k = bisect.bisect_left(range(gaps.size), True, key=lambda i: fits(float(gaps[i])))
-    start = float(cands[k]) if cands.size else assignment.lam
-    return _pack_slack(problem, assign(problem, _step_up_until(fits, start)))
+    lam = _step_up_until(fits, float(cands[k]) if cands.size else assignment.lam)
+    _check_lambda(lam)
+    return _packed(problem, cents, lam,
+                   *_assign_choice(qm, cheapest, cents, problem.budget_cents, lam))
 
 
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
@@ -463,8 +448,8 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     fits the budget) and slack packing, in one pass: the rows are masked and
     walked once, their breakpoints sorted once, the rule runs over every row
     once at the returned lam, and packing upgrades rows from its scores.
-    Equal, field by field, to ``_pack_slack(problem, assign(problem,
-    solve_lambda(problem)))``. Raises InfeasibleProblemError when even the
+    Equal, field by field, to ``assign(problem, solve_lambda(problem))`` then
+    ``_packed`` from its scores. Raises InfeasibleProblemError when even the
     cheapest eligible assignment is over budget.
     """
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
@@ -483,20 +468,22 @@ class WindowStore:
     """Time-ordered record window feeding periodic multiplier refreshes.
 
     Timestamps are logical (caller-provided seconds), so tests and simulations
-    run in virtual time. ``lambda_snapshot`` is published atomically; readers
-    never block on a refresh, appends do. Rows are checked when they are
-    queued. A refresh first flushes the queue: it fills the queued rows'
-    ``_row_cache`` arrays in one batch and writes them, with their timestamps,
-    to the end of append-only buffers, where buffer row i has the absolute id
-    ``_base + i`` and the live rows are ``[_lo, _hi)``. Eviction only moves
-    ``_lo``; once the dead prefix passes half the capacity, the next flush
-    moves the live rows to the front. The window's finite breakpoints are kept
-    sorted with their row ids (``_breakpoints``): a flush merges in the new
-    rows' by ``searchsorted``, eviction drops those with ``row id < _base +
-    _lo``. The solve (``_exact_lambda``) needs a cumulative sum and a search
-    over them, and runs the selection rules only on the rows with a
-    breakpoint near the lam it checks. Its margin needs a bound on |q|, kept
-    as the largest seen in any row since the store was made.
+    run in virtual time. A row enters only through ``allocate_online``, which
+    checks it once, decides on it at ``lambda_snapshot`` and queues it. The
+    snapshot is published atomically; readers never block on a refresh,
+    queueing decisions do. A refresh first flushes the queue: it fills the
+    queued rows' ``_row_cache`` arrays in one batch and writes them, with
+    their timestamps, to the end of append-only buffers, where buffer row i
+    has the absolute id ``_base + i`` and the live rows are ``[_lo, _hi)``.
+    Eviction only moves ``_lo``; once the dead prefix passes half the
+    capacity, the next flush moves the live rows to the front. The window's
+    finite breakpoints are kept sorted with their row ids (``_breakpoints``):
+    a flush merges in the new rows' by ``searchsorted``, eviction drops those
+    with ``row id < _base + _lo``. The solve (``_exact_lambda``) needs a
+    cumulative sum and a search over them, and runs the selection rules only
+    on the rows with a breakpoint near the lam it checks. Its margin needs a
+    bound on |q|, kept as the largest seen in any row since the store was
+    made.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -513,7 +500,7 @@ class WindowStore:
         self.timeline: list[dict] = []
         self._next_tick: float | None = None
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
-        self._pending: list[tuple[float, np.ndarray]] = []  # appended since the last refresh
+        self._pending: list[tuple[float, np.ndarray]] = []  # queued since the last refresh
         empty = np.empty((0, len(self.costs_cents)))
         self._buffers = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
         self._base = self._lo = self._hi = 0
@@ -523,13 +510,6 @@ class WindowStore:
 
     def __len__(self) -> int:
         return self._hi - self._lo + len(self._pending)
-
-    def append(self, ts: float, q_row: np.ndarray) -> None:
-        """Queue a decided customer's Q row; the multiplier needs only the row.
-        A row ``AllocationProblem`` would reject raises ValueError and is not queued."""
-        q_row = _checked_rows(q_row, self._cents.size, 1)
-        with self._lock:
-            self._pending.append((float(ts), q_row))
 
     def _flush(self) -> None:
         """Fill the queued rows' ``_row_cache`` arrays at the end of the buffers,
@@ -595,10 +575,15 @@ class WindowStore:
             self._next_tick += self.refresh_period
 
     def allocate_online(self, q_row: np.ndarray, now: float) -> int:
-        """Single-customer assignment at the current snapshot; queues the row as ``append`` does."""
-        action = assign_row(q_row, self._cents, self.budget_cents, self.lambda_snapshot)
+        """The assignment rule's action at the snapshot for a customer arriving at ``now``,
+        whose row then joins the window; a bad row or snapshot raises ValueError first."""
+        lam = self.lambda_snapshot
+        _check_lambda(lam)
+        q_row = _checked_rows(q_row, self._cents.size, 1)
+        qm, cheapest = _masked(q_row[None], self._cents)
+        action = int(_assign_choice(qm, cheapest, self._cents, self.budget_cents, lam)[0][0])
         with self._lock:
-            self._pending.append((float(now), np.asarray(q_row, dtype=float)))
+            self._pending.append((float(now), q_row))
         return action
 
 

@@ -64,15 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the constrained Q-agent or the supervised reward model")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--policy", choices=["bcq", "lr"], default="bcq", help="model family to train")
-    p.add_argument("--xi", type=float, default=0.3, help="behavior-probability ratio threshold")
-    p.add_argument("--gamma", type=float, default=1.0, help="discount factor")
-    p.add_argument("--kappa", type=float, default=1.0, help="Huber loss threshold")
-    p.add_argument("--steps", type=int, default=3000, help="training steps")
-    p.add_argument("--batch-size", type=int, default=64, help="mini-batch size")
-    p.add_argument("--lr", type=float, default=0.05, help="learning rate")
-    p.add_argument("--optimizer", choices=["sgd", "adam"], default="sgd", help="update rule")
-    p.add_argument("--hidden", default="128,128", help="comma-separated hidden layer widths")
-    p.add_argument("--seed", type=int, default=0, help="training seed")
+    h = HyperParams  # every training default is the HyperParams one
+    p.add_argument("--xi", type=float, default=h.xi, help="behavior-probability ratio threshold")
+    p.add_argument("--gamma", type=float, default=h.gamma, help="discount factor")
+    p.add_argument("--kappa", type=float, default=h.kappa, help="Huber loss threshold")
+    p.add_argument("--steps", type=int, default=h.training_steps, help="training steps")
+    p.add_argument("--batch-size", type=int, default=h.batch_size, help="mini-batch size")
+    p.add_argument("--lr", type=float, default=h.learning_rate, help="learning rate")
+    p.add_argument("--optimizer", choices=["sgd", "adam"], default=h.optimizer, help="update rule")
+    p.add_argument("--hidden", default=",".join(map(str, h.hidden_sizes)),
+                   help="comma-separated hidden layer widths")
+    p.add_argument("--seed", type=int, default=h.seed, help="training seed")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--log", help="training-log CSV path (step, loss, behavior agreement)")
 
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for every stage")
     p.add_argument("--n-users", type=int, default=1500, help="logged cycles to generate")
     p.add_argument("--steps", type=int, default=2000, help="training steps")
-    p.add_argument("--xi", type=float, default=0.3, help="behavior-probability ratio threshold")
+    p.add_argument("--xi", type=float, default=h.xi, help="behavior-probability ratio threshold")
     p.add_argument("--budget", type=float, default=0.87, help="average budget per customer per day")
     p.add_argument("--days", type=int, default=7, help="virtual days to simulate")
     p.add_argument("--arrivals", type=int, default=120, help="new users per day")

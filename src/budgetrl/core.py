@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
@@ -386,6 +387,32 @@ def _transition_record(tr: Transition) -> dict:
     }
 
 
+# Each field ``_transition_record`` writes, in order, with its JSON type (an int is never a bool).
+_RECORD_TYPES = {"user_id": int, "t": int, "state": list, "day_in_cycle": int,
+                 "bonuses_collected": int, "action_index": int, "reward": int,
+                 "cost_cents": int, "done": bool}
+_RECORD_KINDS = tuple(_RECORD_TYPES.values())
+_record_fields = operator.itemgetter(*_RECORD_TYPES)
+
+
+def _record_values(rec, shard: Path, n: int) -> tuple:
+    """The fields of ``rec``, parsed from line ``n`` of ``shard``, in ``_RECORD_TYPES``
+    order; a ValueError naming the line and the first field not of its type."""
+    try:
+        values = _record_fields(rec)
+    except (KeyError, TypeError):  # not an object, or a field missing
+        values = ()
+    if tuple(map(type, values)) == _RECORD_KINDS:
+        return values
+    if type(rec) is not dict:
+        raise ValueError(f"{shard} line {n}: a record must be a JSON object, "
+                         f"not {type(rec).__name__}")
+    name = next(name for name, kind in _RECORD_TYPES.items() if type(rec.get(name)) is not kind)
+    got = repr(rec[name]) if name in rec else "missing"
+    raise ValueError(f"{shard} line {n}: {name} must be {_RECORD_TYPES[name].__name__}, "
+                     f"not {got}")
+
+
 def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: ActionSet,
                   d: int) -> Path:
     """Append trajectories to a dataset directory, creating it if needed.
@@ -434,7 +461,9 @@ def read_manifest(path: str | Path) -> dict:
 
 def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
     """Load all shards of a dataset directory; returns (trajectories, manifest). A
-    trajectory ends at a done line, a new user, a t that is not the next, or a shard's end."""
+    trajectory ends at a done line, a new user, a t that is not the next, or a shard's end.
+    A line that is not a JSON object with each field at its ``_RECORD_TYPES`` type is a
+    ValueError naming the shard, the line and the field."""
     path = Path(path)
     manifest = read_manifest(path)
 
@@ -448,20 +477,18 @@ def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
 
     for shard in sorted(path.glob("data-*.jsonl")):
         with shard.open() as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                if pending and (rec["user_id"] != pending[0].user_id or rec["t"] != len(pending) + 1):
+                user_id, t, state, day, bonuses, action, reward, cost, done = _record_values(
+                    json.loads(line), shard, n)
+                if pending and (user_id != pending[0].user_id or t != len(pending) + 1):
                     flush()
                 pending.append(Transition(
-                    user_id=rec["user_id"], t=rec["t"],
-                    state=StateVector(tuple(rec["state"]), rec["day_in_cycle"],
-                                      rec["bonuses_collected"]),
-                    action_index=rec["action_index"], reward=rec["reward"],
-                    cost_cents=rec["cost_cents"], done=rec["done"]))
-                if rec["done"]:
+                    user_id=user_id, t=t, state=StateVector(tuple(state), day, bonuses),
+                    action_index=action, reward=reward, cost_cents=cost, done=done))
+                if done:
                     flush()
         flush()  # shard boundary also ends a trajectory
     return trajectories, manifest

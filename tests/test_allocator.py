@@ -14,12 +14,13 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _abs_max,
+    _assign_choice,
     _breakpoints,
     _exact_lambda,
-    _pack_slack,
+    _masked,
+    _packed,
     _row_cache,
     assign,
-    assign_row,
     repair_feasibility,
     solve_and_assign,
     solve_lambda,
@@ -186,9 +187,9 @@ class TestAssign:
             p = AllocationProblem(q, p.costs_cents, p.budget_cents)
             lam = float(rng.random() * 2)
             batch = assign(p, lam)
-            store = WindowStore(p.costs_cents, p.budget_cents, initial_lambda=lam)
+            store = WindowStore(p.costs_cents, p.budget_cents)
+            store.lambda_snapshot = lam
             for i in range(p.n):
-                assert assign_row(p.q[i], p.costs_cents, p.budget_cents, lam) == batch.chosen[i]
                 assert store.allocate_online(p.q[i], now=float(i)) == batch.chosen[i]
                 scores = p.q[i] - lam * (p.costs_units() - p.budget_units)
                 fallbacks += not (scores >= 0).any()
@@ -200,9 +201,12 @@ class TestAssign:
         with pytest.raises(ValueError, match="lambda"):
             assign(ONE_ROW, lam)
         with pytest.raises(ValueError, match="lambda"):
-            assign_row(ONE_ROW.q[0], ONE_ROW.costs_cents, ONE_ROW.budget_cents, lam)
-        with pytest.raises(ValueError, match="lambda"):
             WindowStore(ONE_ROW.costs_cents, ONE_ROW.budget_cents, initial_lambda=lam)
+        store = WindowStore(ONE_ROW.costs_cents, ONE_ROW.budget_cents)
+        store.lambda_snapshot = lam
+        with pytest.raises(ValueError, match="lambda"):
+            store.allocate_online(ONE_ROW.q[0], 0.0)
+        assert len(store) == 0
 
     def test_respects_nan_mask(self):
         q = np.array([[np.nan, 0.2, 0.9], [0.4, np.nan, np.nan]])
@@ -231,6 +235,28 @@ class TestRepair:
         p = AllocationProblem(np.array([[0.5, 0.9]]), (65, 87), -10)
         with pytest.raises(InfeasibleProblemError):
             repair_feasibility(p, assign(p, 0.0))
+
+    def test_equals_the_rule_and_packing_at_its_multiplier(self):
+        rng = np.random.default_rng(31)
+        kinds = {"infeasible": 0, "repaired": 0, "packed": 0}
+        for _ in range(300):
+            p = contract_problems(rng)
+            start = assign(p, 0.0)
+            if start.total_cost_cents <= p.n * p.budget_cents:
+                continue
+            try:
+                result = repair_feasibility(p, start)
+            except InfeasibleProblemError:
+                kinds["infeasible"] += 1
+                continue
+            expected = packed_at(p, result.lam)
+            assert result.chosen == expected.chosen
+            assert bits(result.lam) == bits(expected.lam)
+            assert bits(result.objective) == bits(expected.objective)
+            assert result.total_cost_cents == expected.total_cost_cents
+            kinds["repaired"] += 1
+            kinds["packed"] += result.chosen != assign(p, result.lam).chosen
+        assert all(count >= 10 for count in kinds.values()), kinds
 
     def test_budget_always_satisfied_after_repair(self):
         rng = np.random.default_rng(7)
@@ -285,15 +311,15 @@ class TestWindowStore:
 
     def test_eviction_by_span(self):
         store = self.make_store(span=100.0)
-        store.append(0.0, np.full(12, 0.5))
-        store.append(50.0, np.full(12, 0.5))
-        store.append(150.0, np.full(12, 0.5))
+        store.allocate_online(np.full(12, 0.5), 0.0)
+        store.allocate_online(np.full(12, 0.5), 50.0)
+        store.allocate_online(np.full(12, 0.5), 150.0)
         store.window_refresh(now=120.0)
         assert len(store) == 2  # the ts=0 record aged out (120 - 100 cutoff)
 
     def test_advance_ticks_every_period_from_first_call(self):
         store = self.make_store(period=600.0)
-        store.append(900.0, np.full(12, 0.5))
+        store.allocate_online(np.full(12, 0.5), 900.0)
         store.advance(1000.0)
         assert store.timeline == []
         store.advance(2250.0)
@@ -350,7 +376,7 @@ class TestWindowStore:
         menu = ActionSet.default()
         for i in range(50):
             q = rng.random() + 0.5 * DEFAULT_UNITS
-            store.append(float(i), q)
+            store.allocate_online(q, float(i))
         lam = store.window_refresh(now=100.0)
         rows = window_rows(store)
         expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
@@ -435,6 +461,13 @@ def breakpoint_repair_lambda(problem, lam0):
         else:
             lo = mid + 1
     return float(cands[lo])
+
+
+def packed_at(problem, lam):
+    """The assignment rule at ``lam``, then slack packing from its scores."""
+    cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    choice = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)
+    return _packed(problem, cents, lam, *choice)
 
 
 def loop_pack_slack(problem, assignment):
@@ -566,7 +599,7 @@ class TestPackSlack:
                                   base.costs_cents, base.budget_cents)
             for lam in (solve_lambda(p), float(rng.random() * 3)):
                 start = assign(p, lam)
-                packed = _pack_slack(p, start)
+                packed = packed_at(p, lam)
                 chosen, total = loop_pack_slack(p, start)
                 assert (list(packed.chosen), packed.total_cost_cents) == (chosen, total)
                 upgraded += packed.chosen != start.chosen
@@ -671,7 +704,7 @@ class TestRepairAgainstBreakpointRepair:
                 compared += 1
                 result = repair_feasibility(p, start)
                 old_lam = breakpoint_repair_lambda(p, lam0)
-                old = _pack_slack(p, assign(p, old_lam))
+                old = packed_at(p, old_lam)
                 assert result.total_cost_cents <= p.n * p.budget_cents
                 if result.lam == old_lam:
                     equal += 1
@@ -699,7 +732,7 @@ class TestWindowExactness:
             for _ in range(int(rng.integers(0, 12))):
                 q = rng.random() + 0.5 * DEFAULT_UNITS + rng.normal(0, 0.05, 12)
                 q[1:][rng.random(11) < 0.3] = np.nan  # action 0 stays eligible: feasible
-                store.append(t, q)
+                store.allocate_online(q, t)
                 appended += 1
                 t += float(rng.random() * 10)
             lam = store.window_refresh(t)
@@ -716,7 +749,7 @@ class TestWindowExactness:
         store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
         rng = np.random.default_rng(27)
         for i in range(30):
-            store.append(float(i), rng.random(12) + DEFAULT_UNITS)
+            store.allocate_online(rng.random(12) + DEFAULT_UNITS, float(i))
         lam = store.window_refresh(now=40.0)
         assert store.infeasible_refreshes == 1
         p = AllocationProblem(window_rows(store), menu.all_cents, 60)
@@ -735,7 +768,7 @@ class TestWindowExactness:
 
         def appender(k):
             for i, q in enumerate(rows[k]):
-                store.append(float(i), q)
+                store.allocate_online(q, float(i))
 
         def refresher():
             # The short wait keeps a busy CPU from starving the appenders.
@@ -767,7 +800,7 @@ class TestWindowExactness:
     def test_append_rejects_wrong_width(self):
         store = WindowStore(ActionSet.default().all_cents, 87)
         with pytest.raises(ValueError):
-            store.append(0.0, np.ones(5))
+            store.allocate_online(np.ones(5), 0.0)
         assert len(store) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -777,10 +810,8 @@ class TestWindowExactness:
         rng = np.random.default_rng(30)
         rows = rng.random((20, 12)) + DEFAULT_UNITS
         for i, q in enumerate(rows[:10]):
-            store.append(float(i), q)
+            store.allocate_online(q, float(i))
         row = np.full(12, bad) if np.isnan(bad) else np.where(np.arange(12) == 3, bad, rows[10])
-        with pytest.raises(ValueError):
-            store.append(10.0, row)
         with pytest.raises(ValueError):
             store.allocate_online(row, 10.0)
         assert len(store) == 10
@@ -962,7 +993,7 @@ class TestWindowAgainstConcatReference:
                     q = random_row(rng, trial % 3, costs, seen)
                     seen.append(q)
                     ts = t - float(rng.random() * 30) * (rng.random() < 0.2)  # some late
-                    store.append(ts, q)
+                    store.allocate_online(q, ts)
                     reference.append(ts, q)
                 t += float(rng.random() * 25) + 200.0 * (rng.random() < 0.05)  # a lull
                 lam = store.window_refresh(t)
@@ -1014,7 +1045,7 @@ class TestWindowEviction:
         rng = np.random.default_rng(46)
         for ts in (0.0, 50.0, 10.0, 200.0, 60.0):
             q = rng.random(12) + DEFAULT_UNITS
-            store.append(ts, q)
+            store.allocate_online(q, ts)
             reference.append(ts, q)
         for now, live in ((120.0, [50.0, 10.0, 200.0, 60.0]), (155.0, [200.0, 60.0]),
                           (165.0, [200.0, 60.0]), (299.0, [200.0, 60.0]), (300.0, [])):
@@ -1028,7 +1059,7 @@ class TestWindowEviction:
 
         def appender(k):
             for i, q in enumerate(rows[k]):
-                store.append(float(i + 7 * k), q)  # each thread's clock runs on its own
+                store.allocate_online(q, float(i + 7 * k))  # each thread's clock runs on its own
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1056,7 +1087,7 @@ class TestWindowEviction:
         for i in range(300):
             for j in range(int(rng.integers(1, 6))):
                 q = rng.random(12) + DEFAULT_UNITS
-                store.append(10.0 * i + j, q)
+                store.allocate_online(q, 10.0 * i + j)
                 reference.append(10.0 * i + j, q)
             peak = max(peak, len(store))
             base = store._base
@@ -1074,7 +1105,7 @@ class TestWindowEviction:
         for start in (0.0, 1000.0, 5000.0):
             for i in range(30):
                 q = rng.random(12) + DEFAULT_UNITS
-                store.append(start + i, q)
+                store.allocate_online(q, start + i)
                 reference.append(start + i, q)
             for now in (start + 40.0, start + 500.0):
                 assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))

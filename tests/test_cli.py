@@ -110,6 +110,30 @@ class TestErrors:
         assert "invalid input" in err and f"{where}: feature 1 = nan not finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "expert"],
+        ["train", "--policy", "bcq", "--steps", "20", "--hidden", "8"],
+        ["train", "--policy", "lr", "--steps", "20", "--hidden", "8"],
+    ])
+    @pytest.mark.parametrize("edit", [
+        {"day_in_cycle": "1"}, {"state": 5}, None,
+    ], ids=["day-as-string", "state-as-int", "json-array"])
+    def test_record_of_the_wrong_json_type_exits_1_and_writes_nothing(
+            self, workspace, tmp_path, capsys, argv, edit):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        shard = ds / "data-00000.jsonl"
+        first, *rest = shard.read_text().splitlines(keepends=True)
+        rec = json.loads(first)
+        first = json.dumps(list(rec.values()) if edit is None else {**rec, **edit})
+        shard.write_text(first + "\n" + "".join(rest))
+        rc = run(*argv, "--dataset", str(ds), "--out", str(tmp_path / "out" / "result.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"{shard} line 1: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.05"), ("--kappa", "nan"),
     ])

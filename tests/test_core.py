@@ -282,6 +282,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="max_steps"):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda rec: {**rec, "day_in_cycle": "1"}, "day_in_cycle must be int, not '1'"),
+        (lambda rec: {**rec, "state": 5}, "state must be list, not 5"),
+        (lambda rec: list(rec.values()), "a record must be a JSON object, not list"),
+        (lambda rec: {**rec, "done": "no"}, "done must be bool, not 'no'"),
+        (lambda rec: {**rec, "reward": True}, "reward must be int, not True"),
+        (lambda rec: {**rec, "cost_cents": None}, "cost_cents must be int, not None"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "t"},
+         "t must be int, not missing"),
+    ], ids=["day-as-string", "state-as-int", "json-array", "done-as-string", "bool-reward",
+            "null-cost", "missing-t"])
+    def test_record_of_the_wrong_json_type_is_named(self, tmp_path, edit, fault):
+        actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+        write_dataset(tmp_path / "ds", [make_trajectory(actions, action_seq=(0, 1, 2))],
+                      actions, d=3)
+        shard = tmp_path / "ds" / "data-00000.jsonl"
+        lines = shard.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        shard.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_dataset(tmp_path / "ds")
+        assert str(caught.value) == f"{shard} line 2: {fault}"
+
 
 class TestFailedWrite:
     actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
