@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -294,13 +295,15 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, cents: np.ndarray,
     if k == dropped.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    units, per_q, per_lam = _kernel_constants(tuple(cents.tolist()), budget_cents)
+    costs = tuple(cents.tolist())
+    units, per_q, per_lam = _kernel_constants(costs, budget_cents)
+    shift = _score_shift(costs, budget_cents)
 
     def dual(rows_qm, lam):
         return argmax_cheapest(rows_qm - lam * units, cents)
 
     def rule(rows_qm, rows_cheapest, lam):
-        return _assign_choice(rows_qm, rows_cheapest, cents, budget_cents, lam)[0]
+        return _assign_choice(rows_qm, rows_cheapest, cents, shift, lam)[0]
 
     def fits(lam: float) -> bool:
         delta = qmax * per_q + lam * per_lam
@@ -343,13 +346,23 @@ def solve_lambda(problem: AllocationProblem) -> float:
     return _problem_lambda(problem, cents, _row_cache(problem.q, cents))
 
 
-def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, budget_cents: int,
+@functools.lru_cache(maxsize=64)
+def _score_shift(costs: tuple, budget_cents: int) -> np.ndarray:
+    """c_j - budget in units, per action: the assignment rule's score falls by
+    lam times it."""
+    shift = np.asarray(costs) / 100.0 - budget_cents / 100.0
+    shift.flags.writeable = False
+    return shift
+
+
+def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, shift: np.ndarray,
                    lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assignment rule over a matrix of -inf-masked rows: among actions with
     q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
-    if none qualifies, the row's ``cheapest`` eligible action. Returns the
-    choices, the score matrix and each row's highest score."""
-    scores = qm - lam * (cents / 100.0 - budget_cents / 100.0)
+    if none qualifies, the row's ``cheapest`` eligible action. ``shift`` is
+    ``_score_shift`` of the costs and budget. Returns the choices, the score
+    matrix and each row's highest score."""
+    scores = qm - lam * shift
     best = argmax_cheapest(scores, cents)
     top = scores[np.arange(best.size), best]
     return np.where(top >= 0.0, best, cheapest), scores, top
@@ -367,7 +380,8 @@ def assign(problem: AllocationProblem, lam: float) -> Assignment:
     """The assignment rule at ``lam``, without slack packing."""
     _check_lambda(lam)
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    chosen = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)[0]
+    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
+    chosen = _assign_choice(*_masked(problem.q, cents), cents, shift, lam)[0]
     return _assignment(problem, chosen, lam, int(cents[chosen].sum()))
 
 
@@ -418,6 +432,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
         return assignment
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
     qm, _, cheapest, lams, _ = _row_cache(problem.q, cents)
+    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
     if int(cents[cheapest].sum()) > budget_total:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
@@ -430,7 +445,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
-        chosen = _assign_choice(qm, cheapest, cents, problem.budget_cents, lam)[0]
+        chosen = _assign_choice(qm, cheapest, cents, shift, lam)[0]
         return int(cents[chosen].sum()) <= budget_total
 
     # Cost is non-increasing in lam and constant between candidates: bisect on
@@ -439,8 +454,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     k = bisect.bisect_left(range(gaps.size), True, key=lambda i: fits(float(gaps[i])))
     lam = _step_up_until(fits, float(cands[k]) if cands.size else assignment.lam)
     _check_lambda(lam)
-    return _packed(problem, cents, lam,
-                   *_assign_choice(qm, cheapest, cents, problem.budget_cents, lam))
+    return _packed(problem, cents, lam, *_assign_choice(qm, cheapest, cents, shift, lam))
 
 
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
@@ -455,7 +469,8 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
     cache = _row_cache(problem.q, cents)
     lam = _problem_lambda(problem, cents, cache)
-    choice = _assign_choice(cache[0], cache[2], cents, problem.budget_cents, lam)
+    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
+    choice = _assign_choice(cache[0], cache[2], cents, shift, lam)
     del cache  # packing reads none of the breakpoint arrays
     return _packed(problem, cents, lam, *choice)
 
@@ -492,6 +507,7 @@ class WindowStore:
         self.costs_cents = tuple(int(c) for c in costs_cents)
         self._cents = np.asarray(self.costs_cents, dtype=np.int64)
         self.budget_cents = int(budget_cents)
+        self._shift = _score_shift(self.costs_cents, self.budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
         _check_lambda(initial_lambda)
@@ -579,9 +595,14 @@ class WindowStore:
         whose row then joins the window; a bad row or snapshot raises ValueError first."""
         lam = self.lambda_snapshot
         _check_lambda(lam)
-        q_row = _checked_rows(q_row, self._cents.size, 1)
+        q_row = np.asarray(q_row, dtype=float)
+        # Both reductions skip NaN, so both are finite exactly when the row has
+        # a finite entry and no infinite one; any other row gets the full check.
+        if not (q_row.shape == self._cents.shape and math.isfinite(np.fmax.reduce(q_row))
+                and math.isfinite(np.fmin.reduce(q_row))):
+            q_row = _checked_rows(q_row, self._cents.size, 1)
         qm, cheapest = _masked(q_row[None], self._cents)
-        action = int(_assign_choice(qm, cheapest, self._cents, self.budget_cents, lam)[0][0])
+        action = int(_assign_choice(qm, cheapest, self._cents, self._shift, lam)[0][0])
         with self._lock:
             self._pending.append((float(now), q_row))
         return action

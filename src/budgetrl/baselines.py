@@ -3,9 +3,10 @@ trivial reference policies.
 
 The reward model predicts next-day login from (state, action) and is itself
 a policy: ``action`` plays greedily (the best predicted retention) and
-``q_row`` gives the value rows fed to the budget allocator. Both ignore
-long-run effects by construction, which is the point of comparing them
-against the Q-learner.
+``q_rows`` (``q_row`` for one state) gives the value rows fed to the budget
+allocator, scoring all of a batch's eligible (state, action) pairs in one
+forward pass. Both ignore long-run effects by construction, which is the
+point of comparing them against the Q-learner.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
-                   day_mask_indices, load_json, save_json)
+                   claim_masks, day_mask_indices, load_json, save_json)
 from .nets import Mlp, softmax
-from .bcq import fit_classifier, state_to_input, transition_arrays
+from .bcq import fit_classifier, states_to_inputs, transition_arrays
 from .envsim import check_claim_table, table_action
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
@@ -38,13 +39,18 @@ class RewardModel:
         scores = np.where(np.isfinite(row), row, -np.inf)
         return int(argmax_cheapest(scores, np.asarray(self.actions.all_cents)))
 
+    def q_rows(self, states: Sequence[StateVector]) -> np.ndarray:
+        """Retention probability per claim-eligible action, one row per state of
+        a non-empty sequence; NaN elsewhere."""
+        rows, acts = np.nonzero(claim_masks(self.actions, [s.bonuses_collected for s in states]))
+        x = _pair_inputs(states_to_inputs(states)[rows], acts, self.actions.size)
+        out = np.full((len(states), self.actions.size), np.nan)
+        out[rows, acts] = softmax(self.net.forward(x))[:, 1]
+        return out
+
     def q_row(self, state: StateVector) -> np.ndarray:
-        """Retention probability per claim-eligible action; NaN elsewhere."""
-        mask = day_mask_indices(self.actions, state.bonuses_collected)
-        x = _pair_inputs(np.tile(state_to_input(state), (len(mask), 1)), mask, self.actions.size)
-        row = np.full(self.actions.size, np.nan)
-        row[mask] = softmax(self.net.forward(x))[:, 1]
-        return row
+        """``q_rows`` of the one state ``state``."""
+        return self.q_rows((state,))[0]
 
     def to_dict(self) -> dict:
         return {"format": REWARD_MODEL_FORMAT, "net": self.net.to_dict(),

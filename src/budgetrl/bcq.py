@@ -258,7 +258,9 @@ def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.nd
 
 
 class BcqPolicy:
-    """The trained agent as a policy: direct greedy play and value rows for the allocator."""
+    """The trained agent as a policy: direct greedy play and value rows for the
+    allocator. ``q_rows`` scores many states in one Q forward pass; ``q_row`` is
+    its one-state case."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
@@ -271,7 +273,13 @@ class BcqPolicy:
         return int(_constrained_argmax(
             self.agent, x, _eligible(self.agent, x, state.bonuses_collected, self.xi)))
 
+    def q_rows(self, states: Sequence[StateVector]) -> np.ndarray:
+        """Q values over the claim-eligible actions, one row per state of a
+        non-empty sequence; NaN marks ineligible entries."""
+        q = self.agent.q_net.forward(states_to_inputs(states))
+        claims = [s.bonuses_collected for s in states]
+        return np.where(claim_masks(self.agent.actions, claims), q, np.nan)
+
     def q_row(self, state: StateVector) -> np.ndarray:
-        """Q values over the claim-eligible actions; NaN marks ineligible entries."""
-        q = self.agent.q_net.forward(state_to_input(state))
-        return np.where(claim_masks(self.agent.actions, state.bonuses_collected), q, np.nan)
+        """``q_rows`` of the one state ``state``."""
+        return self.q_rows((state,))[0]

@@ -462,8 +462,8 @@ def read_manifest(path: str | Path) -> dict:
 def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
     """Load all shards of a dataset directory; returns (trajectories, manifest). A
     trajectory ends at a done line, a new user, a t that is not the next, or a shard's end.
-    A line that is not a JSON object with each field at its ``_RECORD_TYPES`` type is a
-    ValueError naming the shard, the line and the field."""
+    A line that is not valid JSON, or not a JSON object with each field at its
+    ``_RECORD_TYPES`` type, is a ValueError naming the shard and the line (and the field)."""
     path = Path(path)
     manifest = read_manifest(path)
 
@@ -481,8 +481,12 @@ def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
                 line = line.strip()
                 if not line:
                     continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{shard} line {n}: {exc}") from None
                 user_id, t, state, day, bonuses, action, reward, cost, done = _record_values(
-                    json.loads(line), shard, n)
+                    rec, shard, n)
                 if pending and (user_id != pending[0].user_id or t != len(pending) + 1):
                     flush()
                 pending.append(Transition(

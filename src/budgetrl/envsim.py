@@ -24,6 +24,7 @@ from .core import (
     StateVector,
     Trajectory,
     Transition,
+    _claim_table,
     checked_keys,
     day_mask_indices,
     field_names,
@@ -218,8 +219,9 @@ class CheckinEnv:
         """Advance one claim; returns (reward, done), leaving the next state on ``user.state``."""
         if user.done:
             raise RuntimeError(f"user {user.user_id} already terminated")
-        eligible = day_mask_indices(self.actions, user.bonuses_collected)
-        if action_index not in eligible:
+        # The range check comes first: a table index of -1 would read the last column.
+        if not (0 <= action_index < self.actions.size
+                and _claim_table(self.actions)[user.bonuses_collected, action_index]):
             raise IneligibleActionError(
                 f"action {action_index} not eligible at claim {user.bonuses_collected + 1}")
 

@@ -61,11 +61,12 @@ def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
     failed = 0
+    shift = cents / 100.0 - budget_cents / 100.0
 
     def fits(lam):
         nonlocal failed
         ok = (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
-              and int(cents[_assign_choice(qm, cheapest, cents, budget_cents, lam)[0]].sum())
+              and int(cents[_assign_choice(qm, cheapest, cents, shift, lam)[0]].sum())
               <= total_cents)
         failed += not ok
         return ok

@@ -466,7 +466,8 @@ def breakpoint_repair_lambda(problem, lam0):
 def packed_at(problem, lam):
     """The assignment rule at ``lam``, then slack packing from its scores."""
     cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    choice = _assign_choice(*_masked(problem.q, cents), cents, problem.budget_cents, lam)
+    shift = cents / 100.0 - problem.budget_cents / 100.0
+    choice = _assign_choice(*_masked(problem.q, cents), cents, shift, lam)
     return _packed(problem, cents, lam, *choice)
 
 

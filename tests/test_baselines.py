@@ -146,6 +146,20 @@ class TestPairInputs:
             expected[mask] = softmax(net.forward(x))[:, 1]
             np.testing.assert_array_equal(model.q_row(s), expected)
 
+    def test_q_rows_agree_with_one_row_passes(self):
+        menu = ActionSet.default()
+        rng = np.random.default_rng(9)
+        net = Mlp([state_to_input(state(d=3)).size + menu.size, 16, 2], rng=rng)
+        model = RewardModel(net=net, actions=menu)
+        states = [StateVector(tuple(rng.normal(size=3)), day_in_cycle=int(b) + 1,
+                              bonuses_collected=int(b)) for b in rng.integers(0, 4, 300)]
+        batch = model.q_rows(states)
+        rows = np.array([model.q_row(s) for s in states])
+        np.testing.assert_array_equal(np.isnan(batch), np.isnan(rows))
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
+        for s in states[:40]:
+            assert model.q_row(s).tobytes() == model.q_rows([s])[0].tobytes()
+
 
 class TestGreedyPolicy:
     def test_picks_best_prediction(self):

@@ -315,6 +315,27 @@ class TestQVector:
         direct = q_net.forward(state_to_input(s))
         np.testing.assert_allclose(row[:3], direct[:3])
 
+    def test_q_rows_agree_with_one_row_passes(self):
+        menu = ActionSet.default()
+        rng = np.random.default_rng(5)
+        q_net = Mlp([input_size(3), 16, 16, menu.size], rng=rng)
+        agent = BcqAgent(q_net=q_net, behavior_model=behavior_with_probs([1 / 12] * 12, d=3),
+                         hyper=HyperParams(), actions=menu)
+        policy = BcqPolicy(agent)
+        states = [StateVector(tuple(rng.normal(size=3)), day_in_cycle=int(b) + 1,
+                              bonuses_collected=int(b)) for b in rng.integers(0, 4, 300)]
+        batch = policy.q_rows(states)
+        rows = np.array([policy.q_row(s) for s in states])
+        np.testing.assert_array_equal(np.isnan(batch), np.isnan(rows))
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
+        for s in states[:40]:
+            one = policy.q_row(s)
+            assert one.tobytes() == policy.q_rows([s])[0].tobytes()
+            # the one-row result is the 1-D forward pass it always was
+            direct = np.where(claim_masks(menu, s.bonuses_collected),
+                              q_net.forward(state_to_input(s)), np.nan)
+            assert one.tobytes() == direct.tobytes()
+
 
 class TestBcqTrain:
     def make_constant_reward_dataset(self, n=60):

@@ -134,6 +134,23 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_truncated_shard_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        shard = ds / "data-00000.jsonl"
+        text = shard.read_text()
+        cut = len(text) // 2
+        line = text.count("\n", 0, cut) + 1
+        assert text[cut - 1] != "\n"  # the cut falls inside a record
+        shard.write_text(text[:cut])
+        rc = run("evaluate", "--policy", "expert", "--dataset", str(ds),
+                 "--out", str(tmp_path / "out" / "result.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"{shard} line {line}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.05"), ("--kappa", "nan"),
     ])

@@ -305,6 +305,18 @@ class TestSerialization:
             load_dataset(tmp_path / "ds")
         assert str(caught.value) == f"{shard} line 2: {fault}"
 
+    def test_malformed_json_line_is_named(self, tmp_path):
+        actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+        write_dataset(tmp_path / "ds", [make_trajectory(actions, action_seq=(0, 1, 2))],
+                      actions, d=3)
+        shard = tmp_path / "ds" / "data-00000.jsonl"
+        text = shard.read_text()
+        cut = text.index("\n", text.index("\n") + 1) + 20  # inside line 3
+        shard.write_text(text[:cut])
+        with pytest.raises(ValueError) as caught:
+            load_dataset(tmp_path / "ds")
+        assert str(caught.value).startswith(f"{shard} line 3: ")
+
 
 class TestFailedWrite:
     actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))

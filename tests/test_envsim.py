@@ -113,6 +113,19 @@ class TestStep:
         with pytest.raises(IneligibleActionError):
             env.step(user, 0)
 
+    @pytest.mark.parametrize("claims_done", [0, 3])
+    @pytest.mark.parametrize("action", [-1, "size"])
+    def test_action_outside_the_menu_rejected(self, claims_done, action):
+        # on the final claim a bare table lookup of -1 would read the super column
+        env = small_env(base_logit=50.0)  # always retains
+        user = env.spawn_user(0, np.random.default_rng(0), segment=0)
+        for a in (0, 1, 2)[:claims_done]:
+            env.step(user, a)
+        state = user.state
+        with pytest.raises(IneligibleActionError):
+            env.step(user, env.actions.size if action == "size" else action)
+        assert user.bonuses_collected == claims_done and user.state == state
+
     def test_counters_advance(self):
         env = small_env(base_logit=50.0)
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)

@@ -177,12 +177,52 @@ class ConstantRowPolicy:
         row[mask] = np.asarray(self.actions.all_cents, dtype=float)[mask] / 100.0
         return row
 
+    def q_rows(self, states):
+        return np.array([self.q_row(s) for s in states])
+
     def action(self, state):
         from budgetrl.core import day_mask_indices
         return int(day_mask_indices(self.actions, state.bonuses_collected)[-1])
 
 
+class CountingPolicy(ConstantRowPolicy):
+    """Records the size of each ``q_rows`` batch."""
+
+    def __init__(self, actions):
+        super().__init__(actions)
+        self.batches = []
+
+    def q_rows(self, states):
+        self.batches.append(len(states))
+        return super().q_rows(states)
+
+
+class CountingStore(WindowStore):
+    """A window store that counts its online decisions."""
+
+    decisions = 0
+
+    def allocate_online(self, q_row, now):
+        self.decisions += 1
+        return super().allocate_online(q_row, now)
+
+
 class TestSimulateOnline:
+    def test_one_q_rows_call_per_day_and_one_decision_per_claim(self):
+        policy = CountingPolicy(ACTIONS)
+        store = CountingStore(ACTIONS.all_cents, budget_cents=87)
+        report = simulate_online(mid_env(), policy, store, 5, 30, seed=15)
+        assert policy.batches == [row["claims"] for row in report.per_day]
+        assert store.decisions == report.matched_steps == sum(policy.batches)
+
+    def test_no_arrivals_no_claims(self):
+        policy = CountingPolicy(ACTIONS)
+        store = CountingStore(ACTIONS.all_cents, budget_cents=87)
+        report = simulate_online(mid_env(), policy, store, 3, 0, seed=16)
+        assert report.matched_steps == 0 and report.retention_rate == 0.0
+        assert policy.batches == [] and store.decisions == 0
+        assert [row["claims"] for row in report.per_day] == [0, 0, 0]
+
     def test_deterministic(self):
         env1, env2 = mid_env(), mid_env()
         r1 = simulate_online(env1, CheapestPolicy(ACTIONS), None, 3, 40, seed=9)
