@@ -20,10 +20,14 @@ packing (``_packed``) upgrades rows from that choice and its score matrix.
 ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
 
 ``WindowStore`` keeps the same state for a sliding window of recent rows,
-updated by what changed. Its row arrays are append-only buffers with a moving
-start, and every row has an absolute id. The sorted breakpoint arrays take a
-flush's new breakpoints by a ``searchsorted`` merge and drop evicted rows' by
-the mask ``row id >= first live id``. A refresh therefore neither sorts nor
+updated by what changed. Rows join it in batches: ``admit`` checks a matrix of
+Q rows once and fills their ``_row_cache`` arrays in one call, and
+``allocate_online`` decides one admitted row from its cached masked row and
+queues it. A refresh copies the queued rows' cache rows into append-only
+buffers with a moving start, where every row has an absolute id. The sorted
+breakpoint arrays take a flush's new breakpoints by a ``searchsorted`` merge
+and drop evicted rows' by the mask ``row id >= first live id``. A refresh
+therefore neither checks, masks nor walks a row again, and neither sorts nor
 concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
@@ -35,7 +39,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
+import itertools
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -479,26 +484,40 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
 # Near-real-time multiplier maintenance
 
 
+class _Batch:
+    """Rows admitted by one ``WindowStore.admit`` call: their ``_row_cache``
+    arrays and each row's max |q|, kept until the last of them is flushed.
+    ``cents`` is the admitting store's cost array; holding it rather than the
+    store leaves no reference cycle to outlive the store."""
+
+    __slots__ = ("cents", "cache", "qmax")
+
+    def __init__(self, cents, cache, qmax):
+        self.cents, self.cache, self.qmax = cents, cache, qmax
+
+
 class WindowStore:
     """Time-ordered record window feeding periodic multiplier refreshes.
 
     Timestamps are logical (caller-provided seconds), so tests and simulations
-    run in virtual time. A row enters only through ``allocate_online``, which
-    checks it once, decides on it at ``lambda_snapshot`` and queues it. The
-    snapshot is published atomically; readers never block on a refresh,
-    queueing decisions do. A refresh first flushes the queue: it fills the
-    queued rows' ``_row_cache`` arrays in one batch and writes them, with
-    their timestamps, to the end of append-only buffers, where buffer row i
-    has the absolute id ``_base + i`` and the live rows are ``[_lo, _hi)``.
-    Eviction only moves ``_lo``; once the dead prefix passes half the
-    capacity, the next flush moves the live rows to the front. The window's
-    finite breakpoints are kept sorted with their row ids (``_breakpoints``):
-    a flush merges in the new rows' by ``searchsorted``, eviction drops those
-    with ``row id < _base + _lo``. The solve (``_exact_lambda``) needs a
-    cumulative sum and a search over them, and runs the selection rules only
-    on the rows with a breakpoint near the lam it checks. Its margin needs a
-    bound on |q|, kept as the largest seen in any row since the store was
-    made.
+    run in virtual time. Rows enter in two steps. ``admit`` checks a matrix
+    of Q rows once and fills their ``_row_cache`` arrays and max |q| in one
+    call; it returns one admitted row per Q row. ``allocate_online`` then
+    decides one admitted row at ``lambda_snapshot`` from its cached masked row
+    and cheapest action, and queues it as (now, batch, index). The snapshot
+    is published atomically; readers never block on a refresh, queueing
+    decisions do. A refresh first flushes the queue: it copies the queued
+    rows' cache rows, with their timestamps, to the end of append-only
+    buffers, where buffer row i has the absolute id ``_base + i`` and the
+    live rows are ``[_lo, _hi)``. Eviction only moves ``_lo``; once the dead
+    prefix passes half the capacity, the next flush moves the live rows to
+    the front. The window's finite breakpoints are kept sorted with their
+    row ids (``_breakpoints``): a flush merges in the new rows' by
+    ``searchsorted``, eviction drops those with ``row id < _base + _lo``.
+    The solve (``_exact_lambda``) needs a cumulative sum and a search over
+    them, and runs the selection rules only on the rows with a breakpoint
+    near the lam it checks. Its margin needs a bound on |q|, kept as the
+    largest in any row flushed since the store was made.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -516,7 +535,8 @@ class WindowStore:
         self.timeline: list[dict] = []
         self._next_tick: float | None = None
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
-        self._pending: list[tuple[float, np.ndarray]] = []  # queued since the last refresh
+        # (now, batch, index) per row decided since the last refresh
+        self._pending: list[tuple[float, _Batch, int]] = []
         empty = np.empty((0, len(self.costs_cents)))
         self._buffers = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
         self._base = self._lo = self._hi = 0
@@ -527,23 +547,38 @@ class WindowStore:
     def __len__(self) -> int:
         return self._hi - self._lo + len(self._pending)
 
+    def admit(self, q) -> list[tuple[_Batch, int]]:
+        """The rows of the matrix ``q``, checked and cached for ``allocate_online``:
+        one admitted row each, in order. A bad row is a ValueError, and then no
+        row is admitted. Admitting changes nothing in the window."""
+        q = _checked_rows(q, self._cents.size, 2)
+        batch = _Batch(self._cents, _row_cache(q, self._cents),
+                       np.fmax.reduce(np.abs(q), axis=1))
+        return list(zip(itertools.repeat(batch), range(len(q))))
+
     def _flush(self) -> None:
-        """Fill the queued rows' ``_row_cache`` arrays at the end of the buffers,
-        making room first if needed, and merge their breakpoints into the sorted ones."""
-        q = np.array([q for _, q in self._pending])
-        n, live, capacity = len(q), self._hi - self._lo, len(self._buffers[0])
+        """Copy the queued rows' cache rows to the end of the buffers, making room
+        first if needed, and merge their breakpoints into the sorted ones."""
+        n, live, capacity = len(self._pending), self._hi - self._lo, len(self._buffers[0])
         if self._lo > capacity // 2 or self._hi + n > capacity:
             capacity = max(capacity, 2 * (live + n))
             self._buffers = tuple(_moved_to_front(a[self._lo:self._hi], capacity)
                                   for a in self._buffers)
             self._base += self._lo
             self._lo, self._hi = 0, live
-        new = [a[self._hi:self._hi + n] for a in self._buffers]
-        new[0][:] = [t for t, _ in self._pending]
-        _row_cache(q, self._cents, out=new[1:])
-        self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
-        self._hi += n
-        self._qmax = max(self._qmax, _abs_max(q))
+        end = self._hi + n
+        self._buffers[0][self._hi:end] = [t for t, _, _ in self._pending]
+        row = self._hi
+        # Consecutive rows of one batch are copied by one gather per array.
+        for batch, run in itertools.groupby(self._pending, key=operator.itemgetter(1)):
+            at = [i for _, _, i in run]
+            for src, buffer in zip(batch.cache, self._buffers[1:]):
+                src.take(at, axis=0, out=buffer[row:row + len(at)])
+            self._qmax = max(self._qmax, float(batch.qmax[at].max()))
+            row += len(at)
+        lams, drops = (a[self._hi:end] for a in self._buffers[4:])
+        self._breaks = _merged(self._breaks, _breakpoints(lams, drops, first=self._base + self._hi))
+        self._hi = end
         self._pending = []
 
     def window_refresh(self, now: float) -> float:
@@ -590,21 +625,25 @@ class WindowStore:
                                   "infeasible": self.infeasible_refreshes > infeasible})
             self._next_tick += self.refresh_period
 
-    def allocate_online(self, q_row: np.ndarray, now: float) -> int:
-        """The assignment rule's action at the snapshot for a customer arriving at ``now``,
-        whose row then joins the window; a bad row or snapshot raises ValueError first."""
+    def allocate_online(self, row, now: float) -> int:
+        """The assignment rule's action at the snapshot for a customer arriving at
+        ``now``, whose ``row`` (one of this store's ``admit``) then joins the
+        window; a row from elsewhere is a TypeError and a bad snapshot a
+        ValueError, raised before the row is queued."""
         lam = self.lambda_snapshot
         _check_lambda(lam)
-        q_row = np.asarray(q_row, dtype=float)
-        # Both reductions skip NaN, so both are finite exactly when the row has
-        # a finite entry and no infinite one; any other row gets the full check.
-        if not (q_row.shape == self._cents.shape and math.isfinite(np.fmax.reduce(q_row))
-                and math.isfinite(np.fmin.reduce(q_row))):
-            q_row = _checked_rows(q_row, self._cents.size, 1)
-        qm, cheapest = _masked(q_row[None], self._cents)
-        action = int(_assign_choice(qm, cheapest, self._cents, self._shift, lam)[0][0])
+        try:
+            batch, i = row
+            admitted = batch.cents is self._cents
+        except (TypeError, ValueError, AttributeError):
+            admitted = False
+        if not admitted:
+            raise TypeError("allocate_online takes a row returned by this store's admit")
+        qm, _, cheapest = batch.cache[:3]
+        action = int(_assign_choice(qm[i:i + 1], cheapest[i:i + 1], self._cents, self._shift,
+                                    lam)[0][0])
         with self._lock:
-            self._pending.append((float(now), q_row))
+            self._pending.append((float(now), batch, i))
         return action
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import AllocationProblem, WindowStore, solve_and_assign
+from .allocator import AllocationProblem, WindowStore, _checked_rows, solve_and_assign
 from .baselines import (
     CheapestPolicy,
     ExpertPolicy,
@@ -188,10 +188,12 @@ def _write_logs(args, config, out: Path):
 
 def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
     """Stage of ``simulate`` and ``pipeline``: run the simulation, through a window
-    store when ``budgeted``, and write its report and (if given) per-day ``timeline``."""
+    store when ``budgeted``, and write its report, with the count of refreshes
+    that no multiplier fitted into the budget, and (if given) per-day ``timeline``."""
     store = WindowStore(env.actions.all_cents, cents(args.budget)) if budgeted else None
     report = simulate_online(env, policy, store, args.days, args.arrivals, args.seed)
-    write_json(out, asdict(report))
+    write_json(out, {**asdict(report),
+                     "infeasible_refreshes": store.infeasible_refreshes if budgeted else None})
     if timeline:
         write_csv(timeline, TIMELINE_FIELDS, report.per_day)
     return report
@@ -239,18 +241,42 @@ def _read_q_matrix_csv(path: Path):
     return np.asarray(rows, dtype=float), costs_cents
 
 
-def _stream_row(line: str, n: int) -> tuple[float, np.ndarray]:
-    """The ``ts`` and Q row of stream line ``n``, where a null Q value marks an
-    ineligible action; a line of any other shape is a ValueError naming it."""
+def _stream_row(line: str, n: int, m: int) -> tuple[float, np.ndarray]:
+    """The ``ts`` and Q row over ``m`` actions of stream line ``n``, where a null Q
+    value marks an ineligible action; a line of any other shape, or a row that
+    ``_checked_rows`` refuses, is a ValueError naming the line."""
     try:
         rec = json.loads(line)
         ts, q = rec["ts"], rec["q"]
-        if type(ts) in (int, float) and np.isfinite(ts) and type(q) is list:
-            return float(ts), np.array([np.nan if v is None else float(v) for v in q])
+        if not (type(ts) in (int, float) and np.isfinite(ts) and type(q) is list):
+            raise TypeError
+        q = np.array([np.nan if v is None else float(v) for v in q])
     except (KeyError, TypeError, ValueError):
-        pass
-    raise ValueError(f"stream line {n} is not an object with a numeric 'ts' and a "
-                     f"list of numbers 'q': {line}")
+        raise ValueError(f"stream line {n} is not an object with a numeric 'ts' and a "
+                         f"list of numbers 'q': {line}") from None
+    try:
+        return float(ts), _checked_rows(q, m, 1)
+    except ValueError as exc:
+        raise ValueError(f"stream line {n}: {exc}") from None
+
+
+# Stream rows the window store admits in one batch. One-row admission pays a
+# whole `_row_cache` call per row; from about 64 rows a batch's cost no longer shows.
+_STREAM_CHUNK = 256
+
+
+def _stream_chunks(f, m: int):
+    """The ``(ts, Q row)`` of the stream's non-blank lines, parsed and checked
+    line by line, as lists of up to ``_STREAM_CHUNK``."""
+    chunk = []
+    for n, line in enumerate(f, 1):
+        if line.strip():
+            chunk.append(_stream_row(line.strip(), n, m))
+            if len(chunk) == _STREAM_CHUNK:
+                yield chunk
+                chunk = []
+    if chunk:
+        yield chunk
 
 
 def cmd_allocate(args) -> int:
@@ -290,16 +316,14 @@ def cmd_allocate(args) -> int:
 
     def decide(f_out):
         with stream.open() as f_in:
-            for n, line in enumerate(f_in, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                ts, q_row = _stream_row(line, n)
-                store.advance(ts)
-                action = store.allocate_online(q_row, ts)
-                f_out.write(json.dumps({"ts": ts, "action_index": action,
-                                        "cost_units": units(costs_cents[action]),
-                                        "lam": store.lambda_snapshot}) + "\n")
+            for chunk in _stream_chunks(f_in, len(costs_cents)):
+                rows = store.admit(np.array([q for _, q in chunk]))
+                for (ts, _), row in zip(chunk, rows):
+                    store.advance(ts)
+                    action = store.allocate_online(row, ts)
+                    f_out.write(json.dumps({"ts": ts, "action_index": action,
+                                            "cost_units": units(costs_cents[action]),
+                                            "lam": store.lambda_snapshot}) + "\n")
 
     # A bad row fails the run and leaves no partial decisions file.
     _write_complete(out, decide)

@@ -133,16 +133,19 @@ def argmax_cheapest(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
     Give ineligible entries a score of -inf; a row with no finite score takes
     its cheapest action. Scores must not contain NaN.
     """
-    order = _cost_order(tuple(np.asarray(costs).tolist()))
+    costs = np.asarray(costs)
+    # Keyed by the raw bytes, which hash without making a Python object per cost.
+    order = _cost_order(costs.dtype, costs.tobytes())
     if order is None:  # columns already in cost order, as on every menu
         return scores.argmax(axis=-1)
     return order[np.take(scores, order, axis=-1).argmax(axis=-1)]
 
 
 @functools.lru_cache(maxsize=64)
-def _cost_order(costs: tuple) -> np.ndarray | None:
-    """Column indices in stable cost order, or None when that is the identity."""
-    order = np.argsort(costs, kind="stable")
+def _cost_order(dtype: np.dtype, raw: bytes) -> np.ndarray | None:
+    """Column indices in stable order of the costs ``raw`` holds as ``dtype``,
+    or None when that is the identity."""
+    order = np.argsort(np.frombuffer(raw, dtype), kind="stable")
     order.flags.writeable = False
     return None if (np.diff(order) > 0).all() else order
 

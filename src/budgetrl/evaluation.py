@@ -112,12 +112,13 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     the next day for their next claim. With a store, decisions go through
     ``allocate_online`` once ``store.advance`` has fired the refresh ticks due.
     A user's state is fixed from the start of the day until their claim, so
-    the day's Q rows come from one ``policy.q_rows`` call over the day's
-    active users, made at the start of any day that has one; each claim then
-    calls ``allocate_online`` once, in arrival order. The store's clock starts
-    at day 0, so a store whose clock has already started is a ValueError; the
-    report's ``lambda_timeline`` is the store's timeline. Without a store, the
-    policy's direct action is used. Deterministic per seed.
+    at the start of any day with an active user the day's Q rows come from
+    one ``policy.q_rows`` call, and ``store.admit`` checks and caches them
+    once; each claim then calls ``allocate_online`` once on its admitted row,
+    in arrival order. The store's clock starts at day 0, so a store whose
+    clock has already started is a ValueError; the report's
+    ``lambda_timeline`` is the store's timeline. Without a store, the policy's
+    direct action is used. Deterministic per seed.
     """
     active: list = []
     per_day: list[dict] = []
@@ -142,13 +143,13 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         day_rewards = 0
         day_claims = len(active)
         if store is not None and active:
-            day_q = policy.q_rows([user.state for user in active])
+            day_rows = store.admit(policy.q_rows([user.state for user in active]))
         survivors = []
         for slot, user in enumerate(active):
             ts = day * DAY_SECONDS + (slot + 1) * DAY_SECONDS / (day_claims + 1)
             if store is not None:
                 store.advance(ts)
-                action = store.allocate_online(day_q[slot], ts)
+                action = store.allocate_online(day_rows[slot], ts)
             else:
                 action = policy.action(user.state)
             reward, done = env.step(user, action)

@@ -7,11 +7,30 @@ breakpoint and checks fit with the dual selection and the assignment rule
 over every row. The envelope walk is the one that runs until no row moves.
 The package's incremental window, sorted breakpoints and near-row fit check
 are held to its bits.
+
+``RowStore`` is the window store that takes raw Q rows one at a time: each
+decision checks and masks its row, and each flush walks the queued rows'
+envelopes. Stores that admit rows in batches are held to its bits.
 """
+
+import math
 
 import numpy as np
 
-from budgetrl.allocator import InfeasibleProblemError, _assign_choice, _checked_rows, _step_up_until
+from budgetrl.allocator import (
+    InfeasibleProblemError,
+    WindowStore,
+    _abs_max,
+    _assign_choice,
+    _breakpoints,
+    _check_lambda,
+    _checked_rows,
+    _masked,
+    _merged,
+    _moved_to_front,
+    _row_cache,
+    _step_up_until,
+)
 from budgetrl.core import argmax_cheapest
 
 
@@ -110,3 +129,39 @@ class ConcatWindow:
                 self.lambda_snapshot = exact_lambda(cache, self.cents, self.budget_cents,
                                                     int(self.cents[cache[2]].sum()))
         return self.lambda_snapshot
+
+
+class RowStore(WindowStore):
+    """``WindowStore`` with a per-row ``allocate_online(q_row, now)`` that
+    checks and masks the raw row, and a flush that fills the queued rows'
+    ``_row_cache`` arrays; refreshes and ticks are the package's."""
+
+    def _flush(self):
+        q = np.array([q for _, q in self._pending])
+        n, live, capacity = len(q), self._hi - self._lo, len(self._buffers[0])
+        if self._lo > capacity // 2 or self._hi + n > capacity:
+            capacity = max(capacity, 2 * (live + n))
+            self._buffers = tuple(_moved_to_front(a[self._lo:self._hi], capacity)
+                                  for a in self._buffers)
+            self._base += self._lo
+            self._lo, self._hi = 0, live
+        new = [a[self._hi:self._hi + n] for a in self._buffers]
+        new[0][:] = [t for t, _ in self._pending]
+        _row_cache(q, self._cents, out=new[1:])
+        self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
+        self._hi += n
+        self._qmax = max(self._qmax, _abs_max(q))
+        self._pending = []
+
+    def allocate_online(self, q_row, now):
+        lam = self.lambda_snapshot
+        _check_lambda(lam)
+        q_row = np.asarray(q_row, dtype=float)
+        if not (q_row.shape == self._cents.shape and math.isfinite(np.fmax.reduce(q_row))
+                and math.isfinite(np.fmin.reduce(q_row))):
+            q_row = _checked_rows(q_row, self._cents.size, 1)
+        qm, cheapest = _masked(q_row[None], self._cents)
+        action = int(_assign_choice(qm, cheapest, self._cents, self._shift, lam)[0][0])
+        with self._lock:
+            self._pending.append((float(now), q_row))
+        return action

@@ -190,7 +190,7 @@ class TestAssign:
             store = WindowStore(p.costs_cents, p.budget_cents)
             store.lambda_snapshot = lam
             for i in range(p.n):
-                assert store.allocate_online(p.q[i], now=float(i)) == batch.chosen[i]
+                assert decide(store, p.q[i], now=float(i)) == batch.chosen[i]
                 scores = p.q[i] - lam * (p.costs_units() - p.budget_units)
                 fallbacks += not (scores >= 0).any()
             assert len(store) == p.n
@@ -205,7 +205,7 @@ class TestAssign:
         store = WindowStore(ONE_ROW.costs_cents, ONE_ROW.budget_cents)
         store.lambda_snapshot = lam
         with pytest.raises(ValueError, match="lambda"):
-            store.allocate_online(ONE_ROW.q[0], 0.0)
+            decide(store, ONE_ROW.q[0], 0.0)
         assert len(store) == 0
 
     def test_respects_nan_mask(self):
@@ -292,6 +292,23 @@ class TestAgainstBruteForce:
         assert float(np.mean(gaps)) <= 0.02
 
 
+def decide(store, q, now):
+    """``store.allocate_online`` on the one Q row ``q``, admitted alone."""
+    return store.allocate_online(store.admit(np.asarray(q)[None])[0], now)
+
+
+def admitted_row(row):
+    """The Q row of an admitted row, from its cached -inf-masked row."""
+    batch, i = row
+    qm = batch.cache[0][i]
+    return np.where(np.isneginf(qm), np.nan, qm)
+
+
+def pending_rows(store):
+    """The (ts, Q row) of each row a ``WindowStore`` has queued, in queue order."""
+    return [(ts, admitted_row((batch, i))) for ts, batch, i in store._pending]
+
+
 def window_rows(store):
     """The window's Q rows, from the -inf-masked rows it caches: appended rows hold
     no infinity, so -inf there marks a NaN (ineligible) entry."""
@@ -311,15 +328,15 @@ class TestWindowStore:
 
     def test_eviction_by_span(self):
         store = self.make_store(span=100.0)
-        store.allocate_online(np.full(12, 0.5), 0.0)
-        store.allocate_online(np.full(12, 0.5), 50.0)
-        store.allocate_online(np.full(12, 0.5), 150.0)
+        decide(store, np.full(12, 0.5), 0.0)
+        decide(store, np.full(12, 0.5), 50.0)
+        decide(store, np.full(12, 0.5), 150.0)
         store.window_refresh(now=120.0)
         assert len(store) == 2  # the ts=0 record aged out (120 - 100 cutoff)
 
     def test_advance_ticks_every_period_from_first_call(self):
         store = self.make_store(period=600.0)
-        store.allocate_online(np.full(12, 0.5), 900.0)
+        decide(store, np.full(12, 0.5), 900.0)
         store.advance(1000.0)
         assert store.timeline == []
         store.advance(2250.0)
@@ -330,7 +347,7 @@ class TestWindowStore:
     def test_cold_start_is_greedy(self):
         store = self.make_store()
         q = np.linspace(0.1, 1.2, 12)
-        assert store.allocate_online(q, now=0.0) == 11
+        assert decide(store, q, now=0.0) == 11
 
     def test_stationary_stream_stabilizes_lambda(self):
         rng = np.random.default_rng(10)
@@ -341,7 +358,7 @@ class TestWindowStore:
         for step in range(6000):
             base = rng.random()
             q = np.clip(base + 0.3 * DEFAULT_UNITS + rng.normal(0, 0.02, 12), 0, None)
-            store.allocate_online(q, t)
+            decide(store, q, t)
             t += 2.0
             if t % 60.0 < 2.0:
                 lam_values.append(store.window_refresh(t))
@@ -359,7 +376,7 @@ class TestWindowStore:
         while t < 7200.0:
             sens = 1.0 if t < 3600.0 else 0.2
             q = np.clip(0.3 + sens * DEFAULT_UNITS + rng.normal(0, 0.01, 12), 0, None)
-            store.allocate_online(q, t)
+            decide(store, q, t)
             t += 2.0
             if t % 60.0 < 2.0:
                 lam = store.window_refresh(t)
@@ -376,7 +393,7 @@ class TestWindowStore:
         menu = ActionSet.default()
         for i in range(50):
             q = rng.random() + 0.5 * DEFAULT_UNITS
-            store.allocate_online(q, float(i))
+            decide(store, q, float(i))
         lam = store.window_refresh(now=100.0)
         rows = window_rows(store)
         expected = solve_lambda(AllocationProblem(rows, menu.all_cents, 87))
@@ -733,7 +750,7 @@ class TestWindowExactness:
             for _ in range(int(rng.integers(0, 12))):
                 q = rng.random() + 0.5 * DEFAULT_UNITS + rng.normal(0, 0.05, 12)
                 q[1:][rng.random(11) < 0.3] = np.nan  # action 0 stays eligible: feasible
-                store.allocate_online(q, t)
+                decide(store, q, t)
                 appended += 1
                 t += float(rng.random() * 10)
             lam = store.window_refresh(t)
@@ -750,7 +767,7 @@ class TestWindowExactness:
         store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
         rng = np.random.default_rng(27)
         for i in range(30):
-            store.allocate_online(rng.random(12) + DEFAULT_UNITS, float(i))
+            decide(store, rng.random(12) + DEFAULT_UNITS, float(i))
         lam = store.window_refresh(now=40.0)
         assert store.infeasible_refreshes == 1
         p = AllocationProblem(window_rows(store), menu.all_cents, 60)
@@ -769,7 +786,7 @@ class TestWindowExactness:
 
         def appender(k):
             for i, q in enumerate(rows[k]):
-                store.allocate_online(q, float(i))
+                decide(store, q, float(i))
 
         def refresher():
             # The short wait keeps a busy CPU from starving the appenders.
@@ -801,7 +818,7 @@ class TestWindowExactness:
     def test_append_rejects_wrong_width(self):
         store = WindowStore(ActionSet.default().all_cents, 87)
         with pytest.raises(ValueError):
-            store.allocate_online(np.ones(5), 0.0)
+            decide(store, np.ones(5), 0.0)
         assert len(store) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -811,13 +828,13 @@ class TestWindowExactness:
         rng = np.random.default_rng(30)
         rows = rng.random((20, 12)) + DEFAULT_UNITS
         for i, q in enumerate(rows[:10]):
-            store.allocate_online(q, float(i))
+            decide(store, q, float(i))
         row = np.full(12, bad) if np.isnan(bad) else np.where(np.arange(12) == 3, bad, rows[10])
         with pytest.raises(ValueError):
-            store.allocate_online(row, 10.0)
+            decide(store, row, 10.0)
         assert len(store) == 10
         for i, q in enumerate(rows[10:], start=10):
-            store.allocate_online(q, float(i))
+            decide(store, q, float(i))
         for now in (10.0, 500.0, 900.0):
             lam = store.window_refresh(now)
             assert lam == solve_lambda(AllocationProblem(window_rows(store), menu.all_cents, 87))
@@ -994,7 +1011,7 @@ class TestWindowAgainstConcatReference:
                     q = random_row(rng, trial % 3, costs, seen)
                     seen.append(q)
                     ts = t - float(rng.random() * 30) * (rng.random() < 0.2)  # some late
-                    store.allocate_online(q, ts)
+                    decide(store, q, ts)
                     reference.append(ts, q)
                 t += float(rng.random() * 25) + 200.0 * (rng.random() < 0.05)  # a lull
                 lam = store.window_refresh(t)
@@ -1020,9 +1037,9 @@ class TestWindowAgainstConcatReference:
                 super().__init__(actions.all_cents, 87)
                 self.reference = ref.ConcatWindow(actions.all_cents, 87, self.window_span)
 
-            def allocate_online(self, q_row, now):
-                self.reference.append(now, q_row)
-                return super().allocate_online(q_row, now)
+            def allocate_online(self, row, now):
+                self.reference.append(now, admitted_row(row))
+                return super().allocate_online(row, now)
 
             def window_refresh(self, now):
                 lam = super().window_refresh(now)
@@ -1046,7 +1063,7 @@ class TestWindowEviction:
         rng = np.random.default_rng(46)
         for ts in (0.0, 50.0, 10.0, 200.0, 60.0):
             q = rng.random(12) + DEFAULT_UNITS
-            store.allocate_online(q, ts)
+            decide(store, q, ts)
             reference.append(ts, q)
         for now, live in ((120.0, [50.0, 10.0, 200.0, 60.0]), (155.0, [200.0, 60.0]),
                           (165.0, [200.0, 60.0]), (299.0, [200.0, 60.0]), (300.0, [])):
@@ -1060,7 +1077,7 @@ class TestWindowEviction:
 
         def appender(k):
             for i, q in enumerate(rows[k]):
-                store.allocate_online(q, float(i + 7 * k))  # each thread's clock runs on its own
+                decide(store, q, float(i + 7 * k))  # each thread's clock runs on its own
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1073,9 +1090,9 @@ class TestWindowEviction:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
-        for ts, q in store._pending:  # the order the appenders got the lock in
+        for ts, q in pending_rows(store):  # the order the appenders got the lock in
             reference.append(ts, q)
-        assert not (np.diff([ts for ts, _ in store._pending]) >= 0).all()
+        assert not (np.diff([ts for ts, _ in pending_rows(store)]) >= 0).all()
         for now in (300.0, 350.0, 420.0, 500.0, 640.0):
             assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
             assert_same_window(store, reference)
@@ -1088,7 +1105,7 @@ class TestWindowEviction:
         for i in range(300):
             for j in range(int(rng.integers(1, 6))):
                 q = rng.random(12) + DEFAULT_UNITS
-                store.allocate_online(q, 10.0 * i + j)
+                decide(store, q, 10.0 * i + j)
                 reference.append(10.0 * i + j, q)
             peak = max(peak, len(store))
             base = store._base
@@ -1106,7 +1123,7 @@ class TestWindowEviction:
         for start in (0.0, 1000.0, 5000.0):
             for i in range(30):
                 q = rng.random(12) + DEFAULT_UNITS
-                store.allocate_online(q, start + i)
+                decide(store, q, start + i)
                 reference.append(start + i, q)
             for now in (start + 40.0, start + 500.0):
                 assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
@@ -1114,3 +1131,73 @@ class TestWindowEviction:
             assert len(store) == 0 and store._breaks[0].size == 0
             lams.append(store.lambda_snapshot)  # an empty window keeps the last snapshot
         assert all(lam > 0 for lam in lams)
+
+
+# ---------------------------------------------------------------------------
+# Rows admitted in batches against the store that takes raw rows one at a time
+# (reference_allocator.RowStore): the same decisions and the same bits.
+
+
+def timeline_bits(store):
+    return [(bits(e["ts"]), bits(e["lam"]), e["window"], e["infeasible"]) for e in store.timeline]
+
+
+class TestAdmissionAgainstRowStore:
+    def test_random_streams_admitted_in_random_chunks(self):
+        rng = np.random.default_rng(50)
+        seen = {"evicting": 0, "infeasible": 0, "shared_flush": 0, "binding": 0}
+        for trial in range(36):
+            costs = MENU_CENTS if trial % 2 else rng.choice(MENU_CENTS, 6,
+                                                           replace=trial % 6 == 3)
+            budget = (60, 80, 87, 100)[trial % 4]  # 60 is below every cost
+            span, period = float(rng.choice([200.0, 2000.0, 1e9])), float(rng.choice([15.0, 60.0]))
+            store = WindowStore(costs, budget, window_span=span, refresh_period=period)
+            reference = ref.RowStore(costs, budget, window_span=span, refresh_period=period)
+            n = int(rng.integers(1, 300))
+            q = []
+            for _ in range(n):
+                q.append(random_row(rng, int(rng.integers(3)), costs, q))  # NaN in 30% of entries
+            q = np.array(q)
+            ts = np.cumsum(rng.random(n) * 12.0) - 30.0 * rng.random(n) * (rng.random(n) < 0.1)
+            # chunk sizes from 1 to n; rows are decided mostly in order, with
+            # neighbours swapped, so a flush can take rows of two batches
+            cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n, int(rng.integers(0, 8)))]))
+            chunk_of = np.searchsorted(cuts, np.arange(n), "right") - 1
+            order = np.arange(n)
+            for k in range(n - 1):
+                if rng.random() < 0.15:
+                    order[k], order[k + 1] = order[k + 1], order[k]
+            admitted = [None] * n
+            for k in order.tolist():
+                if admitted[k] is None:
+                    lo, hi = cuts[chunk_of[k]], cuts[chunk_of[k] + 1]
+                    admitted[lo:hi] = store.admit(q[lo:hi])
+                store.advance(float(ts[k]))
+                reference.advance(float(ts[k]))
+                seen["shared_flush"] += len({id(b) for _, b, _ in store._pending}) > 1
+                assert store.allocate_online(admitted[k], float(ts[k])) == \
+                    reference.allocate_online(q[k], float(ts[k]))
+                assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
+                assert len(store) == len(reference)
+            for now in (float(ts.max()) + period, float(ts.max()) + span):
+                assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+                assert len(store) == len(reference)
+            assert timeline_bits(store) == timeline_bits(reference)
+            assert store.infeasible_refreshes == reference.infeasible_refreshes
+            seen["evicting"] += any(a["window"] > b["window"]
+                                    for a, b in zip(store.timeline, store.timeline[1:]))
+            seen["infeasible"] += store.infeasible_refreshes > 0
+            seen["binding"] += any(e["lam"] > 0 and not e["infeasible"] for e in store.timeline)
+        assert all(count >= 5 for count in seen.values()), seen
+
+    def test_allocate_online_takes_only_rows_this_store_admitted(self):
+        store = WindowStore(MENU_CENTS, 87)
+        other = WindowStore(MENU_CENTS, 87)
+        q = np.random.default_rng(51).random((3, 12)) + DEFAULT_UNITS
+        rows = other.admit(q)
+        for row in (q[0], rows[0], (0.5, 1), None):
+            with pytest.raises(TypeError, match="admit"):
+                store.allocate_online(row, 0.0)
+        assert len(store) == 0 and len(other) == 0
+        assert other.allocate_online(rows[2], 0.0) == decide(store, q[2], 0.0)
+        assert len(store) == len(other) == 1

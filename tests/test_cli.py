@@ -315,7 +315,18 @@ class TestAllocateStream:
                    str(tmp_path / "lam.csv")) == 1
         err = capsys.readouterr().err
         assert "invalid input" in err
-        assert not isinstance(bad_q, str) or "stream line 3" in err
+        assert "stream line 3" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    def test_first_bad_line_is_named_before_a_later_one_in_its_chunk(self, tmp_path, capsys):
+        stream = tmp_path / "rows.jsonl"
+        lines = [json.dumps({"ts": 0, "q": [0.5, 0.6, 0.7]}), json.dumps({"ts": 60, "q": [0.5]}),
+                 json.dumps({"ts": 120, "q": [0.5, 0.6, 0.7]}), "not json"]
+        stream.write_text("".join(line + "\n" for line in lines))
+        assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87,1.05",
+                   "--budget", "0.80", "--out", str(tmp_path / "dec.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert "stream line 2" in err and "stream line 4" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
 
@@ -348,9 +359,22 @@ class TestEvaluateAndSimulate:
         assert run(*argv) == 0
         report = json.loads((tmp_path / f"{policy}.json").read_text())
         assert report["matched_steps"] > 0
+        # only the budgeted policies run through a window store that refreshes
+        assert (report["infeasible_refreshes"] is None) == (policy not in ("bcq", "lr-lp"))
         assert (tmp_path / f"{policy}.csv").read_text().startswith(
             "day,claims,retention,avg_cost_units,lam")
 
+    @pytest.mark.parametrize("budget, infeasible", [("0.60", True), ("0.87", False)])
+    def test_report_counts_infeasible_refreshes(self, workspace, tmp_path, budget, infeasible):
+        # 0.60 is below the cheapest bonus, 0.65: no multiplier fits any refresh
+        out = tmp_path / "sim.json"
+        assert run("simulate", "--policy", "bcq", "--model", str(workspace / "model.json"),
+                   "--budget", budget, "--days", "2", "--arrivals", "25", "--seed", "4",
+                   "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        flagged = sum(entry["infeasible"] for entry in report["lambda_timeline"])
+        assert report["infeasible_refreshes"] == flagged
+        assert (flagged > 100) == infeasible and (flagged == 0) != infeasible
 
     @pytest.mark.parametrize("command", ["evaluate", "simulate"])
     def test_unknown_agent_hyper_key_exits_1(self, workspace, tmp_path, capsys, command):

@@ -131,6 +131,17 @@ class TestArgmaxCheapest:
         scores = np.full((1, 3), -np.inf)
         assert argmax_cheapest(scores, np.array([5.0, 1.0, 3.0])).tolist() == [1]
 
+    def test_cost_order_depends_on_the_values_not_the_form(self):
+        scores = np.zeros((1, 4))
+        costs = np.array([[7, 0], [3, 0], [3, 0], [1, 0]], dtype=np.int64)[:, 0]  # strided
+        for form in (costs, costs.tolist(), tuple(costs.tolist()), costs.astype(np.int32),
+                     costs.astype(float), np.ascontiguousarray(costs)):
+            assert argmax_cheapest(scores, form).tolist() == [3]
+        # The same bytes read as another dtype are other costs, in another order.
+        signed = np.array([-1, 1], dtype=np.int64)
+        assert argmax_cheapest(np.zeros(2), signed) == 0
+        assert argmax_cheapest(np.zeros(2), signed.view(np.uint64)) == 1
+
 class TestHyperParams:
     def test_defaults_valid(self):
         h = HyperParams()

@@ -198,13 +198,21 @@ class CountingPolicy(ConstantRowPolicy):
 
 
 class CountingStore(WindowStore):
-    """A window store that counts its online decisions."""
+    """A window store that records the size of each admitted batch and counts
+    its online decisions."""
 
-    decisions = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.admitted = []
+        self.decisions = 0
 
-    def allocate_online(self, q_row, now):
+    def admit(self, q):
+        self.admitted.append(len(q))
+        return super().admit(q)
+
+    def allocate_online(self, row, now):
         self.decisions += 1
-        return super().allocate_online(q_row, now)
+        return super().allocate_online(row, now)
 
 
 class TestSimulateOnline:
@@ -213,6 +221,7 @@ class TestSimulateOnline:
         store = CountingStore(ACTIONS.all_cents, budget_cents=87)
         report = simulate_online(mid_env(), policy, store, 5, 30, seed=15)
         assert policy.batches == [row["claims"] for row in report.per_day]
+        assert store.admitted == policy.batches
         assert store.decisions == report.matched_steps == sum(policy.batches)
 
     def test_no_arrivals_no_claims(self):
@@ -220,7 +229,7 @@ class TestSimulateOnline:
         store = CountingStore(ACTIONS.all_cents, budget_cents=87)
         report = simulate_online(mid_env(), policy, store, 3, 0, seed=16)
         assert report.matched_steps == 0 and report.retention_rate == 0.0
-        assert policy.batches == [] and store.decisions == 0
+        assert policy.batches == [] and store.admitted == [] and store.decisions == 0
         assert [row["claims"] for row in report.per_day] == [0, 0, 0]
 
     def test_deterministic(self):
