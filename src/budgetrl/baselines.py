@@ -20,7 +20,7 @@ import numpy as np
 from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
                    claim_masks, day_mask_indices, load_json, save_json)
 from .nets import Mlp, softmax
-from .bcq import fit_classifier, states_to_inputs, transition_arrays
+from .bcq import fit_classifier, state_to_input, transition_arrays
 from .envsim import check_claim_table, table_action
 
 REWARD_MODEL_FORMAT = "reward-model-v1"
@@ -39,18 +39,20 @@ class RewardModel:
         scores = np.where(np.isfinite(row), row, -np.inf)
         return int(argmax_cheapest(scores, np.asarray(self.actions.all_cents)))
 
-    def q_rows(self, states: Sequence[StateVector]) -> np.ndarray:
-        """Retention probability per claim-eligible action, one row per state of
-        a non-empty sequence; NaN elsewhere."""
-        rows, acts = np.nonzero(claim_masks(self.actions, [s.bonuses_collected for s in states]))
-        x = _pair_inputs(states_to_inputs(states)[rows], acts, self.actions.size)
-        out = np.full((len(states), self.actions.size), np.nan)
-        out[rows, acts] = softmax(self.net.forward(x))[:, 1]
+    def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
+        """Retention probability per claim-eligible action of the rows of ``x``
+        (``network_inputs`` rows) at claim counts ``claims``, one row per input
+        row; NaN elsewhere. A 1-D ``x`` with an int ``claims`` gives that one row."""
+        mask = claim_masks(self.actions, claims)
+        rows, acts = np.nonzero(np.atleast_2d(mask))
+        x = _pair_inputs(np.atleast_2d(x)[rows], acts, self.actions.size)
+        out = np.full(mask.shape, np.nan)
+        out[mask] = softmax(self.net.forward(x))[:, 1]
         return out
 
     def q_row(self, state: StateVector) -> np.ndarray:
         """``q_rows`` of the one state ``state``."""
-        return self.q_rows((state,))[0]
+        return self.q_rows(state_to_input(state), state.bonuses_collected)
 
     def to_dict(self) -> dict:
         return {"format": REWARD_MODEL_FORMAT, "net": self.net.to_dict(),
@@ -103,7 +105,8 @@ class ExpertPolicy:
         check_claim_table(self.table, self.actions)
 
     def action(self, state: StateVector) -> int:
-        return table_action(self.table, self.n_segments, state)
+        return table_action(self.table, self.n_segments, state.features,
+                            state.bonuses_collected)
 
 
 class CheapestPolicy:

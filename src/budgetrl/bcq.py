@@ -28,15 +28,24 @@ AGENT_FORMAT = "bcq-agent-v1"
 BLOCK_ROWS = 6400
 
 
+def network_inputs(features: Sequence[Sequence[float]], days: Sequence[int],
+                   claims: Sequence[int]) -> np.ndarray:
+    """Network inputs, one row per user: the opaque ``features`` row, then the
+    normalized cycle counters ``days`` (day in cycle) and ``claims`` (bonuses
+    collected). The one input layout, for logged states and simulated users alike."""
+    return np.array([(*f, d / CYCLE_DAYS, k / CLAIMS_PER_CYCLE)
+                     for f, d, k in zip(features, days, claims)], dtype=float)
+
+
 def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
-    """Network inputs, one row per state: opaque features plus normalized cycle counters."""
-    return np.array([(*s.features, s.day_in_cycle / CYCLE_DAYS,
-                      s.bonuses_collected / CLAIMS_PER_CYCLE) for s in states], dtype=float)
+    """``network_inputs`` of each state's features and cycle counters."""
+    return network_inputs([s.features for s in states], [s.day_in_cycle for s in states],
+                          [s.bonuses_collected for s in states])
 
 
 def state_to_input(state: StateVector) -> np.ndarray:
     """The network input of one state: its row of ``states_to_inputs``."""
-    return states_to_inputs((state,))[0]
+    return network_inputs((state.features,), (state.day_in_cycle,), (state.bonuses_collected,))[0]
 
 
 def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
@@ -259,8 +268,8 @@ def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.nd
 
 class BcqPolicy:
     """The trained agent as a policy: direct greedy play and value rows for the
-    allocator. ``q_rows`` scores many states in one Q forward pass; ``q_row`` is
-    its one-state case."""
+    allocator. ``q_rows`` scores a matrix of network inputs in one Q forward
+    pass; ``q_row`` is its one-state case."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
@@ -273,13 +282,14 @@ class BcqPolicy:
         return int(_constrained_argmax(
             self.agent, x, _eligible(self.agent, x, state.bonuses_collected, self.xi)))
 
-    def q_rows(self, states: Sequence[StateVector]) -> np.ndarray:
-        """Q values over the claim-eligible actions, one row per state of a
-        non-empty sequence; NaN marks ineligible entries."""
-        q = self.agent.q_net.forward(states_to_inputs(states))
-        claims = [s.bonuses_collected for s in states]
+    def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
+        """Q values over the claim-eligible actions of the rows of ``x`` (as
+        ``network_inputs`` lays them out) at claim counts ``claims``, one row per
+        input row; NaN marks ineligible entries. A 1-D ``x`` with an int
+        ``claims`` gives that one row."""
+        q = self.agent.q_net.forward(x)
         return np.where(claim_masks(self.agent.actions, claims), q, np.nan)
 
     def q_row(self, state: StateVector) -> np.ndarray:
         """``q_rows`` of the one state ``state``."""
-        return self.q_rows((state,))[0]
+        return self.q_rows(state_to_input(state), state.bonuses_collected)

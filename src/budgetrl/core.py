@@ -240,10 +240,25 @@ class HyperParams:
         return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind``; a bool never counts as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require(obj, name: str, kind, what: str) -> None:
     """A ValueError naming field ``name`` of ``obj`` unless it is a ``kind`` (never a bool)."""
     value = getattr(obj, name)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_number(value, kind):
+        raise ValueError(f"{name} must be {what}, not {value!r}")
+
+
+def _require_finite(obj, name: str) -> None:
+    """A ValueError naming field ``name`` of ``obj`` unless it is a finite real
+    number (never a bool); a tuple field must hold only such numbers."""
+    value = getattr(obj, name)
+    values = value if isinstance(value, tuple) else (value,)
+    if not (all(map(_is_number, values)) and _all_finite(values)):
+        what = "finite numbers" if values is value else "a finite number"
         raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
@@ -270,7 +285,7 @@ def field_names(cls) -> set[str]:
 def _all_finite(values) -> bool:
     try:
         return all(map(math.isfinite, values))
-    except TypeError:  # not a number
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
         return False
 
 

@@ -6,16 +6,29 @@ amount with a per-segment base rate, a streak term, and an optional carryover
 term through which yesterday's bonus lifts (or drags) today's login odds.
 A trajectory ends when the user stops logging in or collects all four bonuses,
 which with one claim a day happens well inside the window.
+
+Every user has their own random stream, a ``Generator`` spawned from the run's
+seed, and draws from it in a fixed order: the segment, the first observation's
+feature noise, then per claim the behavior draws (logged data only), the
+retention noise (when the segment has any), the login draw and the next
+observation's noise. Because no draw is shared, users can be simulated in any
+grouping. ``CheckinEnv`` reads its config once into plain Python values, and
+three per-user methods do all of a user's work: ``draw_segment``,
+``feature_row`` and ``claim``. ``generate_dataset`` walks one user at a time;
+``evaluation.simulate_online`` holds a day's users as parallel columns. Both
+seed a batch of users' generators in one vectorized pass (``_spawn_generators``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ActionSet,
@@ -25,6 +38,7 @@ from .core import (
     Trajectory,
     Transition,
     _claim_table,
+    _require_finite,
     checked_keys,
     day_mask_indices,
     field_names,
@@ -52,7 +66,7 @@ def sigmoid(x: float) -> float:
 
 @dataclass(frozen=True)
 class SegmentParams:
-    """Latent retention parameters of one user segment."""
+    """Latent retention parameters of one user segment; each a finite number."""
 
     base_logit: float
     bonus_sensitivity: float  # logit lift per currency unit of today's bonus
@@ -61,6 +75,8 @@ class SegmentParams:
     noise_scale: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_finite(self, f.name)
         if self.bonus_sensitivity < 0:
             raise ValueError("bonus_sensitivity must be >= 0")
         if self.noise_scale < 0:
@@ -78,10 +94,12 @@ class EnvConfig:
         if not self.segments:
             raise ValueError("need at least one segment")
         if self.segment_weights is not None:
+            _require_finite(self, "segment_weights")
             if len(self.segment_weights) != len(self.segments):
                 raise ValueError("segment_weights length must match segments")
             if any(w < 0 for w in self.segment_weights) or sum(self.segment_weights) <= 0:
                 raise ValueError("segment_weights must be non-negative with positive sum")
+        _require_finite(self, "feature_noise")
         if self.feature_noise < 0:
             raise ValueError("feature_noise must be >= 0")
 
@@ -118,6 +136,7 @@ class BehaviorPolicyConfig:
     noise: float = 0.1
 
     def __post_init__(self):
+        _require_finite(self, "noise")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")
 
@@ -149,6 +168,100 @@ def check_claim_table(table, actions: ActionSet) -> None:
                     f"claim table entry {a} violates the claim-{claim + 1} mask")
 
 
+# ---------------------------------------------------------------------------
+# Per-user random streams
+#
+# ``_spawn_generators`` gives the streams of ``np.random.default_rng(child) for
+# child in np.random.SeedSequence(entropy).spawn(n)`` without building a
+# SeedSequence per child. It follows numpy's documented SeedSequence: the
+# entropy words (padded to the pool size, since a child has a spawn key), then
+# the child's index, are hashed into a pool of four 32-bit words, from which
+# ``generate_state(4, np.uint64)`` draws PCG64's seed. The hash multipliers
+# step the same way whatever the data, so all but the last word are mixed once,
+# in Python ints, for every child, and the index enters as a uint32 array that
+# mixes all children at once. Python ints are masked to 32 bits after each
+# step (a no-op on the array); a numpy scalar would warn on the intended
+# overflow, where a uint32 array wraps silently.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(entropy) -> list[int]:
+    """``entropy`` (an int, or a nested sequence of ints) as SeedSequence's
+    little-endian 32-bit words."""
+    if isinstance(entropy, (int, np.integer)):
+        n = int(entropy)
+        if n < 0:
+            raise ValueError(f"seed entropy must be non-negative, not {n}")
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    if isinstance(entropy, (str, float, np.inexact)):
+        raise TypeError(f"seed entropy must be an int or a sequence of ints, not {entropy!r}")
+    return [w for part in entropy for w in _entropy_words(part)]
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of a pool word ``x`` with ``y``: Python ints or uint32 arrays."""
+    value = (((x * _MIX_MULT_L) & _MASK32) - y * _MIX_MULT_R) & _MASK32
+    return value ^ (value >> 16)
+
+
+class _ChildSeed(ISeedSequence):
+    """A spawned child reduced to what PCG64 reads of it: its seed words."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _spawn_generators(entropy, n: int) -> list[np.random.Generator]:
+    """The generators ``default_rng(c) for c in SeedSequence(entropy).spawn(n)``,
+    with the same streams, seeded in one vectorized pass."""
+    words = _entropy_words(entropy)
+    words += [0] * (_POOL_SIZE - len(words))
+    words.append(np.arange(n, dtype=np.uint32))  # the child's index
+    multiplier = _INIT_A
+
+    def hashmix(value):
+        nonlocal multiplier
+        value = value ^ multiplier
+        multiplier = (multiplier * _MULT_A) & _MASK32
+        value = (value * multiplier) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    multiplier = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ multiplier
+        multiplier = (multiplier * _MULT_B) & _MASK32
+        value = value * multiplier
+        state[:, i] = value ^ (value >> 16)
+    # as generate_state(4, np.uint64): word pairs read little-endian, then made native
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_ChildSeed(row))) for row in seeds]
+
+
+# ---------------------------------------------------------------------------
+# The simulator
+
+
 class UserSim:
     """Mutable per-user simulation handle; latent segment plus cycle counters."""
 
@@ -168,22 +281,36 @@ class UserSim:
 
 
 class CheckinEnv:
-    """Ground-truth environment over a fixed action set."""
+    """Ground-truth environment over a fixed action set.
+
+    The config and menu are read once, here, into plain Python values; the
+    per-user methods ``draw_segment``, ``feature_row`` and ``claim`` use only
+    those and the user's own generator. ``spawn_user`` and ``step`` run them for
+    one ``UserSim``.
+    """
 
     def __init__(self, config: EnvConfig, actions: ActionSet):
         self.config = config
         self.actions = actions
+        # the CDF that Generator.choice(p=...) searches for a uniform draw
+        cdf = config.weights_array().cumsum()
+        cdf /= cdf[-1]
+        self._segment_cdf = cdf.tolist()
+        self._segments = [(s.base_logit, s.bonus_sensitivity, s.streak_bonus, s.carryover,
+                           s.noise_scale) for s in config.segments]
+        self._cost_units = [actions.cost_units(a) for a in range(actions.size)]
+        self._eligible = _claim_table(actions).tolist()
 
     # -- retention model ----------------------------------------------------
 
     def retention_logit(self, segment: int, action_index: int, streak: int,
                         last_action: int = -1) -> float:
-        seg = self.config.segments[segment]
-        logit = (seg.base_logit
-                 + seg.bonus_sensitivity * self.actions.cost_units(action_index)
-                 + seg.streak_bonus * streak)
-        if last_action >= 0 and seg.carryover != 0.0:
-            logit += seg.carryover * self.actions.cost_units(last_action)
+        base_logit, sensitivity, streak_bonus, carryover, _ = self._segments[segment]
+        logit = (base_logit
+                 + sensitivity * self._cost_units[action_index]
+                 + streak_bonus * streak)
+        if last_action >= 0 and carryover != 0.0:
+            logit += carryover * self._cost_units[last_action]
         return logit
 
     def retention_probability(self, segment: int, action_index: int, streak: int,
@@ -191,26 +318,58 @@ class CheckinEnv:
         p = sigmoid(self.retention_logit(segment, action_index, streak, last_action))
         return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
-    # -- simulation ---------------------------------------------------------
+    # -- per-user kernel ----------------------------------------------------
+
+    def draw_segment(self, rng: np.random.Generator) -> int:
+        """A new user's segment from the arrival mix: one uniform draw searched in
+        the weights' CDF, as ``rng.choice(n_segments, p=weights)`` draws it."""
+        return bisect.bisect_right(self._segment_cdf, rng.random())
+
+    def feature_row(self, rng: np.random.Generator, segment: int, claims: int,
+                    last_action: int, cost_sum_cents: int) -> list[float]:
+        """The observed features of a user with ``claims`` claims made, as Python
+        floats: the one-hot segment plus its noise draw (if any), then the last
+        bonus and the mean bonus so far in currency units (zeros before a claim)."""
+        n = self.config.n_segments
+        noise = self.config.feature_noise
+        row = rng.normal(0.0, noise, size=n).tolist() if noise > 0 else [0.0] * n
+        row[segment] += 1.0
+        if last_action >= 0:
+            row += (self._cost_units[last_action], (cost_sum_cents / claims) / 100.0)
+        else:
+            row += (0.0, 0.0)
+        return row
+
+    def claim(self, rng: np.random.Generator, segment: int, action_index: int, claims: int,
+              last_action: int) -> int:
+        """One claim of ``action_index`` after ``claims`` claims: 1 if the user
+        logs in for the next one, else 0. An action outside the claim's mask is
+        an IneligibleActionError, raised before any draw."""
+        # The range check comes first: a table index of -1 would read the last column.
+        if not (0 <= action_index < len(self._cost_units)
+                and self._eligible[claims][action_index]):
+            raise IneligibleActionError(
+                f"action {action_index} not eligible at claim {claims + 1}")
+        logit = self.retention_logit(segment, action_index, claims, last_action)
+        noise_scale = self._segments[segment][4]
+        if noise_scale > 0:
+            logit += rng.normal(0.0, noise_scale)
+        p = min(max(sigmoid(logit), PROB_CLAMP), 1.0 - PROB_CLAMP)
+        return int(rng.random() < p)
+
+    # -- one user -----------------------------------------------------------
 
     def _observe(self, user: UserSim) -> StateVector:
-        n = self.config.n_segments
-        feats = np.zeros(self.config.feature_dim)
-        feats[user.segment] = 1.0
-        if self.config.feature_noise > 0:
-            feats[:n] += user.rng.normal(0.0, self.config.feature_noise, size=n)
-        if user.last_action >= 0:
-            feats[n] = self.actions.cost_units(user.last_action)
-            feats[n + 1] = (user.cost_sum_cents / user.bonuses_collected) / 100.0
-        return StateVector(tuple(float(v) for v in feats),
-                           day_in_cycle=user.day_in_cycle,
+        features = self.feature_row(user.rng, user.segment, user.bonuses_collected,
+                                    user.last_action, user.cost_sum_cents)
+        return StateVector(tuple(features), day_in_cycle=user.day_in_cycle,
                            bonuses_collected=user.bonuses_collected)
 
     def spawn_user(self, user_id: int, rng: np.random.Generator,
                    segment: int | None = None) -> UserSim:
         """Start a fresh cycle; draws the segment from the arrival mix if not given."""
         if segment is None:
-            segment = int(rng.choice(self.config.n_segments, p=self.config.weights_array()))
+            segment = self.draw_segment(rng)
         user = UserSim(user_id, segment, rng)
         user.state = self._observe(user)
         return user
@@ -219,21 +378,8 @@ class CheckinEnv:
         """Advance one claim; returns (reward, done), leaving the next state on ``user.state``."""
         if user.done:
             raise RuntimeError(f"user {user.user_id} already terminated")
-        # The range check comes first: a table index of -1 would read the last column.
-        if not (0 <= action_index < self.actions.size
-                and _claim_table(self.actions)[user.bonuses_collected, action_index]):
-            raise IneligibleActionError(
-                f"action {action_index} not eligible at claim {user.bonuses_collected + 1}")
-
-        seg = self.config.segments[user.segment]
-        logit = self.retention_logit(user.segment, action_index,
-                                     streak=user.bonuses_collected,
-                                     last_action=user.last_action)
-        if seg.noise_scale > 0:
-            logit += user.rng.normal(0.0, seg.noise_scale)
-        p = min(max(sigmoid(logit), PROB_CLAMP), 1.0 - PROB_CLAMP)
-        reward = int(user.rng.random() < p)
-
+        reward = self.claim(user.rng, user.segment, action_index, user.bonuses_collected,
+                            user.last_action)
         user.bonuses_collected += 1
         user.day_in_cycle += 1
         user.last_action = action_index
@@ -244,11 +390,11 @@ class CheckinEnv:
         return reward, done
 
 
-def table_action(table, n_segments: int, state: StateVector) -> int:
-    """A checked (segment proxy, claim) table's action at ``state``; the proxy is the
-    index of the largest of the first ``n_segments`` features."""
-    proxy = int(np.argmax(state.to_array()[:n_segments]))
-    return table[proxy % len(table)][state.bonuses_collected]
+def table_action(table, n_segments: int, features, claims: int) -> int:
+    """A checked (segment proxy, claim) table's action after ``claims`` claims; the
+    proxy is the index of the first largest of the first ``n_segments`` features."""
+    proxy = max(range(min(n_segments, len(features))), key=features.__getitem__)
+    return table[proxy % len(table)][claims]
 
 
 def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: int,
@@ -256,28 +402,40 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
     """Simulate n_users fresh cycles under the behavior policy: the table action
     with probability 1 - noise, else uniform over the claim-eligible actions.
 
-    Random streams are split per user from the master seed, so the output is
-    independent of simulation order and bit-identical across runs.
+    User ``i`` draws from the ``i``-th generator that ``_spawn_generators(seed,
+    n_users)`` seeds, in the order the module docstring gives, so the output is
+    independent of simulation order and bit-identical across runs. A user's
+    state is their feature row and claim count; ``Transition`` objects are made
+    only for the output.
     """
     if n_users < 0:
         raise ValueError("n_users must be >= 0")
     check_claim_table(behavior.table, env.actions)
-    children = np.random.SeedSequence(seed).spawn(n_users)
+    n_segments = env.config.n_segments
+    eligible = [day_mask_indices(env.actions, k).tolist() for k in range(CLAIMS_PER_CYCLE)]
     trajectories = []
-    for uid in range(n_users):
-        rng = np.random.default_rng(children[uid])
-        user = env.spawn_user(uid, rng)
+    for uid, rng in enumerate(_spawn_generators(seed, n_users)):
+        segment = env.draw_segment(rng)
+        claims, last_action, cost_sum = 0, -1, 0
         transitions = []
-        while not user.done:
-            state = user.state
+        done = False
+        while not done:
+            features = env.feature_row(rng, segment, claims, last_action, cost_sum)
             if behavior.noise > 0 and rng.random() < behavior.noise:
-                a = int(rng.choice(day_mask_indices(env.actions, state.bonuses_collected)))
+                # the one integer draw of rng.choice(eligible[claims])
+                a = eligible[claims][rng.integers(0, len(eligible[claims]))]
             else:
-                a = table_action(behavior.table, env.config.n_segments, state)
-            reward, done = env.step(user, a)
+                a = table_action(behavior.table, n_segments, features, claims)
+            reward = env.claim(rng, segment, a, claims, last_action)
+            cost = env.actions.cost_cents(a)
+            claims += 1
+            done = reward == 0 or claims >= CLAIMS_PER_CYCLE
             transitions.append(Transition(
-                user_id=uid, t=len(transitions) + 1, state=state, action_index=a,
-                reward=reward, cost_cents=env.actions.cost_cents(a), done=done))
+                user_id=uid, t=claims,
+                state=StateVector(tuple(features), day_in_cycle=claims,
+                                  bonuses_collected=claims - 1),
+                action_index=a, reward=reward, cost_cents=cost, done=done))
+            last_action, cost_sum = a, cost_sum + cost
         trajectories.append(Trajectory(tuple(transitions)))
     return trajectories
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .allocator import WindowStore
-from .core import Trajectory, units
-from .envsim import CheckinEnv
+from .bcq import network_inputs
+from .core import CLAIMS_PER_CYCLE, StateVector, Trajectory, units
+from .envsim import CheckinEnv, _spawn_generators
 
 
 class UndefinedMetricError(ValueError):
@@ -104,28 +103,52 @@ def offline_report(matched: MatchedSet) -> EvalReport:
 DAY_SECONDS = 24 * 3600.0
 
 
+class _Users:
+    """Simulated users as parallel columns, one entry per user."""
+
+    __slots__ = ("segment", "claims", "last_action", "cost_sum", "rng", "features")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+    def add(self, segment: int, claims: int, last_action: int, cost_sum: int, rng,
+            features: list[float]) -> None:
+        self.segment.append(segment)
+        self.claims.append(claims)
+        self.last_action.append(last_action)
+        self.cost_sum.append(cost_sum)
+        self.rng.append(rng)
+        self.features.append(features)
+
+
 def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
                     n_days: int, arrivals_per_day: int, seed: int) -> EvalReport:
     """Drive arrivals, decisions, and multiplier refreshes on a virtual clock.
 
-    Each day ``arrivals_per_day`` fresh users start a cycle; survivors return
-    the next day for their next claim. With a store, decisions go through
-    ``allocate_online`` once ``store.advance`` has fired the refresh ticks due.
-    A user's state is fixed from the start of the day until their claim, so
-    at the start of any day with an active user the day's Q rows come from
-    one ``policy.q_rows`` call, and ``store.admit`` checks and caches them
-    once; each claim then calls ``allocate_online`` once on its admitted row,
-    in arrival order. The store's clock starts at day 0, so a store whose
-    clock has already started is a ValueError; the report's
-    ``lambda_timeline`` is the store's timeline. Without a store, the policy's
-    direct action is used. Deterministic per seed.
+    Each day ``arrivals_per_day`` fresh users start a cycle, seeded by
+    ``_spawn_generators((seed, day), arrivals_per_day)``; survivors return the
+    next day for their next claim, ahead of the new arrivals. Each user draws
+    only from their own generator, in the order the ``envsim`` docstring gives,
+    so the run is deterministic per seed. A day's users are held as parallel
+    columns: segment, claims made, last action, cost so far, generator and
+    feature row. A user's state is fixed from the start of the day until their
+    claim, so with a store the day's network inputs are built as one matrix,
+    ``policy.q_rows(x, claims)`` scores it in one call and ``store.admit``
+    checks and caches the rows once; each claim then calls ``store.advance``
+    and ``allocate_online`` once each on its admitted row, in arrival order.
+    The store's clock starts at day 0, so a store whose clock has already
+    started is a ValueError; the report's ``lambda_timeline`` is the store's
+    timeline. Without a store, the policy's direct action on the user's
+    ``StateVector`` is used.
     """
-    active: list = []
+    cost_cents = env.actions.all_cents
+    users = _Users()
     per_day: list[dict] = []
+    n_users = 0
     total_rewards = 0
     total_steps = 0
     total_cost_cents = 0
-    next_user_id = 0
     if store is not None:
         if store._next_tick is not None:
             raise ValueError("the window store's refresh clock has already started; "
@@ -133,31 +156,38 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         store.advance(0.0)
 
     for day in range(n_days):
-        children = np.random.SeedSequence((seed, day)).spawn(arrivals_per_day)
-        for child in children:
-            rng = np.random.default_rng(child)
-            active.append(env.spawn_user(next_user_id, rng))
-            next_user_id += 1
+        arrivals = _spawn_generators((seed, day), arrivals_per_day)
+        n_users += len(arrivals)
+        for rng in arrivals:
+            segment = env.draw_segment(rng)
+            users.add(segment, 0, -1, 0, rng, env.feature_row(rng, segment, 0, -1, 0))
 
         day_cost_cents = 0
         day_rewards = 0
-        day_claims = len(active)
-        if store is not None and active:
-            day_rows = store.admit(policy.q_rows([user.state for user in active]))
-        survivors = []
-        for slot, user in enumerate(active):
+        day_claims = len(users.rng)
+        claims = users.claims
+        if store is not None and day_claims:
+            x = network_inputs(users.features, [k + 1 for k in claims], claims)
+            day_rows = store.admit(policy.q_rows(x, claims))
+        survivors = _Users()
+        for slot in range(day_claims):
             ts = day * DAY_SECONDS + (slot + 1) * DAY_SECONDS / (day_claims + 1)
+            segment, k, rng = users.segment[slot], claims[slot], users.rng[slot]
             if store is not None:
                 store.advance(ts)
                 action = store.allocate_online(day_rows[slot], ts)
             else:
-                action = policy.action(user.state)
-            reward, done = env.step(user, action)
-            day_cost_cents += env.actions.cost_cents(action)
+                action = policy.action(StateVector(tuple(users.features[slot]),
+                                                   day_in_cycle=k + 1, bonuses_collected=k))
+            reward = env.claim(rng, segment, action, k, users.last_action[slot])
+            day_cost_cents += cost_cents[action]
             day_rewards += reward
-            if not done:
-                survivors.append(user)
-        active = survivors
+            k += 1
+            if reward and k < CLAIMS_PER_CYCLE:
+                cost_sum = users.cost_sum[slot] + cost_cents[action]
+                survivors.add(segment, k, action, cost_sum, rng,
+                              env.feature_row(rng, segment, k, action, cost_sum))
+        users = survivors
 
         per_day.append({
             "day": day,
@@ -173,7 +203,7 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     return EvalReport(
         retention_rate=total_rewards / total_steps if total_steps else 0.0,
         avg_cost_units=units(total_cost_cents) / total_steps if total_steps else 0.0,
-        matched_trajectories=next_user_id,
+        matched_trajectories=n_users,
         matched_steps=total_steps,
         per_day=per_day,
         lambda_timeline=store.timeline if store is not None else [],

@@ -13,7 +13,7 @@ from budgetrl.baselines import (
     _pair_inputs,
     train_reward_model,
 )
-from budgetrl.bcq import state_to_input, transition_arrays
+from budgetrl.bcq import state_to_input, states_to_inputs, transition_arrays
 from budgetrl.core import (
     ActionSet,
     HyperParams,
@@ -153,12 +153,13 @@ class TestPairInputs:
         model = RewardModel(net=net, actions=menu)
         states = [StateVector(tuple(rng.normal(size=3)), day_in_cycle=int(b) + 1,
                               bonuses_collected=int(b)) for b in rng.integers(0, 4, 300)]
-        batch = model.q_rows(states)
+        batch = model.q_rows(states_to_inputs(states), [s.bonuses_collected for s in states])
         rows = np.array([model.q_row(s) for s in states])
         np.testing.assert_array_equal(np.isnan(batch), np.isnan(rows))
         np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
         for s in states[:40]:
-            assert model.q_row(s).tobytes() == model.q_rows([s])[0].tobytes()
+            one = model.q_rows(states_to_inputs([s]), [s.bonuses_collected])[0]
+            assert model.q_row(s).tobytes() == one.tobytes()
 
 
 class TestGreedyPolicy:

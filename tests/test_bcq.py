@@ -324,13 +324,14 @@ class TestQVector:
         policy = BcqPolicy(agent)
         states = [StateVector(tuple(rng.normal(size=3)), day_in_cycle=int(b) + 1,
                               bonuses_collected=int(b)) for b in rng.integers(0, 4, 300)]
-        batch = policy.q_rows(states)
+        batch = policy.q_rows(states_to_inputs(states), [s.bonuses_collected for s in states])
         rows = np.array([policy.q_row(s) for s in states])
         np.testing.assert_array_equal(np.isnan(batch), np.isnan(rows))
         np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
         for s in states[:40]:
             one = policy.q_row(s)
-            assert one.tobytes() == policy.q_rows([s])[0].tobytes()
+            batch_of_one = policy.q_rows(states_to_inputs([s]), [s.bonuses_collected])[0]
+            assert one.tobytes() == batch_of_one.tobytes()
             # the one-row result is the 1-D forward pass it always was
             direct = np.where(claim_masks(menu, s.bonuses_collected),
                               q_net.forward(state_to_input(s)), np.nan)

@@ -8,6 +8,7 @@ import pytest
 
 from budgetrl.cli import build_parser, main
 from budgetrl.envsim import config_to_dict, default_config
+from test_envsim import CONFIG_PROBES, probe_config
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -363,6 +364,19 @@ class TestEvaluateAndSimulate:
         assert (report["infeasible_refreshes"] is None) == (policy not in ("bcq", "lr-lp"))
         assert (tmp_path / f"{policy}.csv").read_text().startswith(
             "day,claims,retention,avg_cost_units,lam")
+
+    @pytest.mark.parametrize("probe", CONFIG_PROBES)
+    def test_simulate_refuses_a_config_field_that_is_not_a_finite_number(self, tmp_path, capsys,
+                                                                         probe):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(probe_config(probe)))
+        rc = run("simulate", "--config", str(config), "--policy", "expert", "--days", "2",
+                 "--arrivals", "10", "--out", str(tmp_path / "sim.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "finite number" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("budget, infeasible", [("0.60", True), ("0.87", False)])
     def test_report_counts_infeasible_refreshes(self, workspace, tmp_path, budget, infeasible):

@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from budgetrl.core import CLAIMS_PER_CYCLE, ActionSet, day_mask_indices, validate_dataset
 from budgetrl.envsim import (
@@ -20,9 +23,32 @@ from budgetrl.envsim import (
     generate_dataset,
     load_config,
     oracle_value_iteration,
+    _spawn_generators,
 )
 
 SMALL_ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+
+# Each probe sets one numeric field of the default config document to a value
+# that is not a finite number: (path to the field, value).
+CONFIG_PROBES = {
+    "base_logit NaN": (("env", "segments", 0, "base_logit"), math.nan),
+    "base_logit string": (("env", "segments", 0, "base_logit"), "1"),
+    "feature_noise true": (("env", "feature_noise"), True),
+    "streak_bonus inf": (("env", "segments", 1, "streak_bonus"), math.inf),
+    "segment weight NaN": (("env", "segment_weights"), [1.0, math.nan, 1.0]),
+    "behavior noise string": (("behavior", "noise"), "0.1"),
+}
+
+
+def probe_config(name: str) -> dict:
+    """The default config document with the field of probe ``name`` replaced."""
+    doc = config_to_dict(*default_config())
+    (*path, key), value = CONFIG_PROBES[name]
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return doc
 
 
 def enumerate_policy_value(env, gamma, segment):
@@ -315,3 +341,71 @@ class TestConfigIO:
         doc["env"][key] = value
         with pytest.raises(ValueError, match=key):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("probe", CONFIG_PROBES)
+    def test_field_that_is_not_a_finite_number_rejected(self, probe):
+        field = CONFIG_PROBES[probe][0][-1]
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(probe_config(probe))
+
+    @pytest.mark.parametrize("make", [
+        lambda: SegmentParams(True, 1.0, 0.0),
+        lambda: SegmentParams(0.0, 1.0, 0.0, carryover=-math.inf),
+        lambda: SegmentParams(0.0, 1.0, 0.0, noise_scale=math.nan),
+        lambda: SegmentParams(0.0, 10 ** 400, 0.0),
+        lambda: EnvConfig(segments=EnvConfig.default().segments, feature_noise=math.nan),
+        lambda: EnvConfig(segments=EnvConfig.default().segments, segment_weights=(1, 2, False)),
+        lambda: EnvConfig(segments=EnvConfig.default().segments, segment_weights=(1, 2, "3")),
+        lambda: BehaviorPolicyConfig(table=((0, 1, 2, 10),), noise=True),
+    ])
+    def test_constructors_refuse_what_is_not_a_finite_number(self, make):
+        with pytest.raises(ValueError, match="finite number"):
+            make()
+
+    def test_integer_fields_still_load(self):
+        doc = config_to_dict(*default_config())
+        doc["env"]["segments"][0].update(base_logit=1, carryover=0)
+        doc["env"]["segment_weights"] = [1, 2, 0]
+        doc["behavior"]["noise"] = 0
+        env_cfg, behavior, _ = config_from_dict(doc)
+        assert env_cfg.segments[0].base_logit == 1 and env_cfg.segment_weights == (1, 2, 0)
+        assert behavior.noise == 0
+
+
+# entropy as SeedSequence takes it: an int (from one to three 32-bit words) or a tuple of them
+ENTROPY = st.one_of(st.integers(0, 2 ** 70),
+                    st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=6).map(tuple))
+
+
+class TestSpawnGenerators:
+    @settings(max_examples=40, deadline=None)
+    @given(entropy=ENTROPY, n=st.integers(0, 3000))
+    @example(entropy=2 ** 32, n=3)
+    @example(entropy=2 ** 64 + 5, n=2)
+    @example(entropy=(2 ** 64, 0, 2 ** 32 - 1, 7, 7), n=1)
+    @example(entropy=(3, 0), n=0)
+    def test_streams_equal_numpys_spawned_children(self, entropy, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = _spawn_generators(entropy, n)
+        theirs = [np.random.default_rng(c) for c in np.random.SeedSequence(entropy).spawn(n)]
+        assert len(ours) == n
+        for a, b in zip(ours, theirs):
+            assert a.bit_generator.state == b.bit_generator.state
+        if n:
+            assert ours[-1].random(4).tobytes() == theirs[-1].random(4).tobytes()
+
+    def test_nested_entropy_and_numpy_integers(self):
+        for entropy in ((1, (2, 3)), np.int64(9), (np.uint32(4), 2 ** 40)):
+            ours = _spawn_generators(entropy, 5)
+            theirs = np.random.SeedSequence(entropy).spawn(5)
+            assert [g.bit_generator.state for g in ours] == [
+                np.random.default_rng(c).bit_generator.state for c in theirs]
+
+    @pytest.mark.parametrize("entropy, error", [(-1, ValueError), ((1, -2), ValueError),
+                                                (1.5, TypeError), ((1, 2.0), TypeError)])
+    def test_bad_entropy_refused_as_numpy_refuses_it(self, entropy, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(entropy).spawn(1)
+        with pytest.raises(error):
+            _spawn_generators(entropy, 1)

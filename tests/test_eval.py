@@ -165,20 +165,15 @@ def mid_env(feature_noise=0.02):
 
 
 class ConstantRowPolicy:
-    """q_row increasing in cost: the unconstrained argmax is the dearest action."""
+    """Q rows increasing in cost: the unconstrained argmax is the dearest action."""
 
     def __init__(self, actions):
         self.actions = actions
 
-    def q_row(self, state):
-        from budgetrl.core import day_mask_indices
-        row = np.full(self.actions.size, np.nan)
-        mask = day_mask_indices(self.actions, state.bonuses_collected)
-        row[mask] = np.asarray(self.actions.all_cents, dtype=float)[mask] / 100.0
-        return row
-
-    def q_rows(self, states):
-        return np.array([self.q_row(s) for s in states])
+    def q_rows(self, x, claims):
+        from budgetrl.core import claim_masks
+        costs = np.asarray(self.actions.all_cents, dtype=float) / 100.0
+        return np.where(claim_masks(self.actions, claims), costs, np.nan)
 
     def action(self, state):
         from budgetrl.core import day_mask_indices
@@ -192,9 +187,9 @@ class CountingPolicy(ConstantRowPolicy):
         super().__init__(actions)
         self.batches = []
 
-    def q_rows(self, states):
-        self.batches.append(len(states))
-        return super().q_rows(states)
+    def q_rows(self, x, claims):
+        self.batches.append(len(x))
+        return super().q_rows(x, claims)
 
 
 class CountingStore(WindowStore):
