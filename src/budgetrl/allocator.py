@@ -32,13 +32,14 @@ concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
-currency units.
+currency units. ``_Prices`` is the one place where the costs are derived into
+what the kernels read; each ``AllocationProblem`` and ``WindowStore`` builds
+one and passes it down.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import operator
 import threading
@@ -76,6 +77,7 @@ class AllocationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "q", _checked_rows(self.q, len(self.costs_cents), 2))
+        object.__setattr__(self, "_prices", _Prices(self.costs_cents, self.budget_cents))
 
     @property
     def n(self) -> int:
@@ -113,25 +115,40 @@ def _masked(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.fmax(q, -np.inf), argmax_cheapest(np.isfinite(q), cents)
 
 
-@functools.lru_cache(maxsize=64)
-def _walk_tables(costs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Row a of each M x M table serves a walk standing at action a: the
-    cost gap c_a - c_j in units, and whether j is no cheaper than a."""
-    cents = np.asarray(costs, dtype=np.int64)
-    units = cents / 100.0
-    no_move = cents >= cents[:, None]
-    # The walk overwrites every entry no_move marks, so those gaps are 1: no
-    # division by zero.
-    tables = np.where(no_move, 1.0, units[:, None] - units), no_move
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+_MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
+
+
+class _Prices:
+    """Everything the kernels read of the per-action costs and the budget,
+    derived once: the int64 ``cents`` and the ``units``; the assignment rule's
+    ``shift``, c_j - budget in units, by lam times which its score falls; the
+    envelope walk's M x M tables, whose row a serves a walk standing at action
+    a (``gap``, c_a - c_j in units, and ``no_move``, whether j is no cheaper
+    than a); and ``_exact_lambda``'s near-row margin ``delta(lam) = per_q *
+    qmax + per_lam * lam``, with per_lam = _MARGIN (1 + W/g), per_q = per_lam/g."""
+
+    __slots__ = ("cents", "units", "shift", "gap", "no_move", "per_q", "per_lam")
+
+    def __init__(self, costs_cents, budget_cents: int):
+        self.cents = cents = np.asarray(costs_cents, dtype=np.int64)
+        self.units = units = cents / 100.0
+        self.shift = units - budget_cents / 100.0
+        self.no_move = cents >= cents[:, None]
+        # The walk overwrites every entry no_move marks, so those gaps are 1: no
+        # division by zero.
+        self.gap = np.where(self.no_move, 1.0, units[:, None] - units)
+        # One distinct cost has no breakpoint, so its margin is never read.
+        distinct = np.unique(units)
+        g = float(np.diff(distinct).min()) if distinct.size > 1 else 1.0
+        w = float(max(np.abs(units).max(), np.abs(self.shift).max()))
+        self.per_lam = _MARGIN * (1.0 + w / g)
+        self.per_q = self.per_lam / g
 
 
 _WALK_BLOCK = 4096  # rows per block of the envelope walk
 
 
-def _row_cache(q: np.ndarray, cents: np.ndarray, out=None) -> tuple[np.ndarray, ...]:
+def _row_cache(q: np.ndarray, prices: _Prices, out=None) -> tuple[np.ndarray, ...]:
     """What the exact-lam kernel reads per row: the -inf-masked rows, the greedy
     (lam = 0) cost where the envelope walk starts, the cheapest eligible
     action, and the walk's breakpoints and drops; filled into ``out`` when
@@ -149,27 +166,28 @@ def _row_cache(q: np.ndarray, cents: np.ndarray, out=None) -> tuple[np.ndarray, 
         out = (np.empty((n, m)), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
                np.empty((n, m - 1)), np.empty((n, m - 1), dtype=np.int64))
     qm, start_cents, cheapest, lams, drops = out
+    cents = prices.cents
     np.fmax(q, -np.inf, out=qm)
     cheapest[:] = argmax_cheapest(np.isfinite(q), cents)
     cur = argmax_cheapest(qm, cents)
     cents.take(cur, out=start_cents)
     lams.fill(np.inf)
     drops.fill(0)
-    tables = _walk_tables(tuple(cents.tolist()))
     floor = cents[cheapest]
     for lo in range(0, n, _WALK_BLOCK):
         block = slice(lo, lo + _WALK_BLOCK)
         _walk(qm[block], cur[block], start_cents[block], floor[block], lams[block],
-              drops[block], cents, *tables)
+              drops[block], prices)
     return out
 
 
-def _walk(qm, cur, cost, floor, lams, drops, cents, gap, no_move) -> None:
+def _walk(qm, cur, cost, floor, lams, drops, prices: _Prices) -> None:
     """Fill ``lams`` and ``drops`` for the rows ``qm``, whose walks start at
     ``cur``, of cost ``cost``, and end where the cost reaches ``floor``, that
     of their cheapest eligible action: only there is no eligible cheaper
     action left to move to. (A row whose every ratio overflows records that
     step at lam = inf, which no solve reaches.)"""
+    cents, gap, no_move = prices.cents, prices.gap, prices.no_move
     rows = np.arange(qm.shape[0])
     going = cost > floor
     for step in range(qm.shape[1] - 1):
@@ -235,27 +253,13 @@ def _abs_max(q: np.ndarray) -> float:
     return float(np.fmax.reduce(np.abs(q), axis=None))
 
 
-_MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
-
-
-@functools.lru_cache(maxsize=64)
-def _kernel_constants(costs: tuple, budget_cents: int) -> tuple[np.ndarray, float, float]:
-    """The unit costs, and (a, b) with the near-row margin ``delta(lam) =
-    a * qmax + b * lam`` of ``_exact_lambda``: b = _MARGIN (1 + W/g), a = b/g."""
-    units = np.asarray(costs) / 100.0
-    units.flags.writeable = False
-    g = float(np.diff(np.unique(units)).min())
-    w = float(max(np.abs(units).max(), np.abs(units - budget_cents / 100.0).max()))
-    b = _MARGIN * (1.0 + w / g)
-    return units, b / g, b
-
-
-def _exact_lambda(cache, breaks, first: int, qmax: float, cents: np.ndarray,
-                  budget_cents: int, total_cents: int) -> float:
+def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
+                  total_cents: int) -> float:
     """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
     ``total_cents`` in all, under both the dual selection and the assignment
     rule. ``breaks`` are the rows' finite breakpoints (``_breakpoints``), the
-    first row's id being ``first``; ``qmax`` is at least max |q| over the rows.
+    first row's id being ``first``; ``qmax`` is at least max |q| over the rows;
+    ``prices`` are the costs and budget.
 
     The candidate is the breakpoint where the cumulative drop first covers the
     greedy cost's excess over the total; every drop is positive, so the order
@@ -300,18 +304,16 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, cents: np.ndarray,
     if k == dropped.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    costs = tuple(cents.tolist())
-    units, per_q, per_lam = _kernel_constants(costs, budget_cents)
-    shift = _score_shift(costs, budget_cents)
+    cents = prices.cents
 
     def dual(rows_qm, lam):
-        return argmax_cheapest(rows_qm - lam * units, cents)
+        return argmax_cheapest(rows_qm - lam * prices.units, cents)
 
     def rule(rows_qm, rows_cheapest, lam):
-        return _assign_choice(rows_qm, rows_cheapest, cents, shift, lam)[0]
+        return _assign_choice(rows_qm, rows_cheapest, prices, lam)[0]
 
     def fits(lam: float) -> bool:
-        delta = qmax * per_q + lam * per_lam
+        delta = qmax * prices.per_q + lam * prices.per_lam
         if lam <= delta:
             return (int(cents[dual(qm, lam)].sum()) <= total_cents
                     and int(cents[rule(qm, cheapest, lam)].sum()) <= total_cents)
@@ -329,14 +331,14 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, cents: np.ndarray,
     return _step_up_until(fits, float(lam_at[k]))
 
 
-def _problem_lambda(problem: AllocationProblem, cents: np.ndarray, cache) -> float:
+def _problem_lambda(problem: AllocationProblem, cache) -> float:
     """``_exact_lambda`` over every row of ``problem``, its breakpoints sorted
     once; 0 without sorting them when the greedy cost fits."""
     total = problem.n * problem.budget_cents
     if int(cache[1].sum()) <= total:
         return 0.0
-    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(problem.q), cents,
-                         problem.budget_cents, total)
+    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(problem.q),
+                         problem._prices, total)
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
@@ -347,28 +349,17 @@ def solve_lambda(problem: AllocationProblem) -> float:
     assignment fits, and raises InfeasibleProblemError when even the cheapest
     eligible assignment does not.
     """
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    return _problem_lambda(problem, cents, _row_cache(problem.q, cents))
+    return _problem_lambda(problem, _row_cache(problem.q, problem._prices))
 
 
-@functools.lru_cache(maxsize=64)
-def _score_shift(costs: tuple, budget_cents: int) -> np.ndarray:
-    """c_j - budget in units, per action: the assignment rule's score falls by
-    lam times it."""
-    shift = np.asarray(costs) / 100.0 - budget_cents / 100.0
-    shift.flags.writeable = False
-    return shift
-
-
-def _assign_choice(qm: np.ndarray, cheapest, cents: np.ndarray, shift: np.ndarray,
+def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices,
                    lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assignment rule over a matrix of -inf-masked rows: among actions with
     q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
-    if none qualifies, the row's ``cheapest`` eligible action. ``shift`` is
-    ``_score_shift`` of the costs and budget. Returns the choices, the score
-    matrix and each row's highest score."""
-    scores = qm - lam * shift
-    best = argmax_cheapest(scores, cents)
+    if none qualifies, the row's ``cheapest`` eligible action. Returns the
+    choices, the score matrix and each row's highest score."""
+    scores = qm - lam * prices.shift
+    best = argmax_cheapest(scores, prices.cents)
     top = scores[np.arange(best.size), best]
     return np.where(top >= 0.0, best, cheapest), scores, top
 
@@ -384,13 +375,12 @@ def _assignment(problem: AllocationProblem, chosen: np.ndarray, lam: float,
 def assign(problem: AllocationProblem, lam: float) -> Assignment:
     """The assignment rule at ``lam``, without slack packing."""
     _check_lambda(lam)
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
-    chosen = _assign_choice(*_masked(problem.q, cents), cents, shift, lam)[0]
-    return _assignment(problem, chosen, lam, int(cents[chosen].sum()))
+    prices = problem._prices
+    chosen = _assign_choice(*_masked(problem.q, prices.cents), prices, lam)[0]
+    return _assignment(problem, chosen, lam, int(prices.cents[chosen].sum()))
 
 
-def _packed(problem: AllocationProblem, cents: np.ndarray, lam: float, chosen: np.ndarray,
+def _packed(problem: AllocationProblem, lam: float, chosen: np.ndarray,
             scores: np.ndarray, top: np.ndarray) -> Assignment:
     """The Assignment of ``chosen`` (int64, upgraded in place) after spending
     leftover budget on tied rows; ``scores`` and ``top`` are the assignment
@@ -402,6 +392,7 @@ def _packed(problem: AllocationProblem, cents: np.ndarray, lam: float, chosen: n
     the relaxation). Greedy, deterministic, and never lowers the objective.
     """
     budget_total = problem.n * problem.budget_cents
+    cents = problem._prices.cents
     total = int(cents[chosen].sum())
     if total <= budget_total:
         # Candidates score within 1e-9 (relative) of their row's top. Fallback
@@ -435,23 +426,21 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     budget_total = problem.n * problem.budget_cents
     if assignment.total_cost_cents <= budget_total:
         return assignment
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    qm, _, cheapest, lams, _ = _row_cache(problem.q, cents)
-    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
-    if int(cents[cheapest].sum()) > budget_total:
+    prices = problem._prices
+    qm, _, cheapest, lams, _ = _row_cache(problem.q, prices)
+    if int(prices.cents[cheapest].sum()) > budget_total:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
 
     # The assignment only changes where a dual choice moves down its envelope
     # or a score q_ij - lam (c_j - budget) crosses zero (the cheapest fallback).
     with np.errstate(divide="ignore", invalid="ignore"):
-        zero_cross = problem.q / (problem.costs_units() - problem.budget_units)[None, :]
+        zero_cross = problem.q / prices.shift
     cands = np.concatenate([lams.ravel(), zero_cross.ravel()])
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
-        chosen = _assign_choice(qm, cheapest, cents, shift, lam)[0]
-        return int(cents[chosen].sum()) <= budget_total
+        return int(prices.cents[_assign_choice(qm, cheapest, prices, lam)[0]].sum()) <= budget_total
 
     # Cost is non-increasing in lam and constant between candidates: bisect on
     # gap midpoints, which float rounding at a candidate cannot disturb.
@@ -459,7 +448,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     k = bisect.bisect_left(range(gaps.size), True, key=lambda i: fits(float(gaps[i])))
     lam = _step_up_until(fits, float(cands[k]) if cands.size else assignment.lam)
     _check_lambda(lam)
-    return _packed(problem, cents, lam, *_assign_choice(qm, cheapest, cents, shift, lam))
+    return _packed(problem, lam, *_assign_choice(qm, cheapest, prices, lam))
 
 
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
@@ -471,13 +460,11 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     ``_packed`` from its scores. Raises InfeasibleProblemError when even the
     cheapest eligible assignment is over budget.
     """
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    cache = _row_cache(problem.q, cents)
-    lam = _problem_lambda(problem, cents, cache)
-    shift = _score_shift(tuple(cents.tolist()), problem.budget_cents)
-    choice = _assign_choice(cache[0], cache[2], cents, shift, lam)
+    cache = _row_cache(problem.q, problem._prices)
+    lam = _problem_lambda(problem, cache)
+    choice = _assign_choice(cache[0], cache[2], problem._prices, lam)
     del cache  # packing reads none of the breakpoint arrays
-    return _packed(problem, cents, lam, *choice)
+    return _packed(problem, lam, *choice)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +474,13 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
 class _Batch:
     """Rows admitted by one ``WindowStore.admit`` call: their ``_row_cache``
     arrays and each row's max |q|, kept until the last of them is flushed.
-    ``cents`` is the admitting store's cost array; holding it rather than the
-    store leaves no reference cycle to outlive the store."""
+    ``prices`` are the admitting store's; holding them rather than the store
+    leaves no reference cycle to outlive the store."""
 
-    __slots__ = ("cents", "cache", "qmax")
+    __slots__ = ("prices", "cache", "qmax")
 
-    def __init__(self, cents, cache, qmax):
-        self.cents, self.cache, self.qmax = cents, cache, qmax
+    def __init__(self, prices, cache, qmax):
+        self.prices, self.cache, self.qmax = prices, cache, qmax
 
 
 class WindowStore:
@@ -524,9 +511,8 @@ class WindowStore:
                  window_span: float = 24 * 3600.0, refresh_period: float = 600.0,
                  initial_lambda: float = 0.0):
         self.costs_cents = tuple(int(c) for c in costs_cents)
-        self._cents = np.asarray(self.costs_cents, dtype=np.int64)
         self.budget_cents = int(budget_cents)
-        self._shift = _score_shift(self.costs_cents, self.budget_cents)
+        self._prices = _Prices(self.costs_cents, self.budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
         _check_lambda(initial_lambda)
@@ -538,7 +524,7 @@ class WindowStore:
         # (now, batch, index) per row decided since the last refresh
         self._pending: list[tuple[float, _Batch, int]] = []
         empty = np.empty((0, len(self.costs_cents)))
-        self._buffers = (np.empty(0), *_row_cache(empty, self._cents))  # ts, row cache
+        self._buffers = (np.empty(0), *_row_cache(empty, self._prices))  # ts, row cache
         self._base = self._lo = self._hi = 0
         self._breaks = _breakpoints(*self._buffers[4:])
         self._qmax = 0.0
@@ -551,9 +537,8 @@ class WindowStore:
         """The rows of the matrix ``q``, checked and cached for ``allocate_online``:
         one admitted row each, in order. A bad row is a ValueError, and then no
         row is admitted. Admitting changes nothing in the window."""
-        q = _checked_rows(q, self._cents.size, 2)
-        batch = _Batch(self._cents, _row_cache(q, self._cents),
-                       np.fmax.reduce(np.abs(q), axis=1))
+        q = _checked_rows(q, len(self.costs_cents), 2)
+        batch = _Batch(self._prices, _row_cache(q, self._prices), np.fmax.reduce(np.abs(q), axis=1))
         return list(zip(itertools.repeat(batch), range(len(q))))
 
     def _flush(self) -> None:
@@ -602,14 +587,14 @@ class WindowStore:
                 self._breaks = tuple(a[keep] for a in self._breaks)
             if self._hi > self._lo:
                 cache = [a[self._lo:self._hi] for a in self._buffers[1:]]
-                args = cache, self._breaks, self._base + self._lo, self._qmax, self._cents
+                args = cache, self._breaks, self._base + self._lo, self._qmax, self._prices
                 try:
                     self.lambda_snapshot = _exact_lambda(
-                        *args, self.budget_cents, (self._hi - self._lo) * self.budget_cents)
+                        *args, (self._hi - self._lo) * self.budget_cents)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
                     self.lambda_snapshot = _exact_lambda(
-                        *args, self.budget_cents, int(self._cents[cache[2]].sum()))
+                        *args, int(self._prices.cents[cache[2]].sum()))
             return self.lambda_snapshot
 
     def advance(self, now: float) -> None:
@@ -634,14 +619,13 @@ class WindowStore:
         _check_lambda(lam)
         try:
             batch, i = row
-            admitted = batch.cents is self._cents
+            admitted = batch.prices is self._prices
         except (TypeError, ValueError, AttributeError):
             admitted = False
         if not admitted:
             raise TypeError("allocate_online takes a row returned by this store's admit")
         qm, _, cheapest = batch.cache[:3]
-        action = int(_assign_choice(qm[i:i + 1], cheapest[i:i + 1], self._cents, self._shift,
-                                    lam)[0][0])
+        action = int(_assign_choice(qm[i:i + 1], cheapest[i:i + 1], self._prices, lam)[0][0])
         with self._lock:
             self._pending.append((float(now), batch, i))
         return action

@@ -37,7 +37,7 @@ class RewardModel:
         """Best predicted immediate retention within the claim mask; cheaper on ties."""
         row = self.q_row(state)
         scores = np.where(np.isfinite(row), row, -np.inf)
-        return int(argmax_cheapest(scores, np.asarray(self.actions.all_cents)))
+        return int(argmax_cheapest(scores, self.actions.all_cents))
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Retention probability per claim-eligible action of the rows of ``x``

@@ -253,7 +253,7 @@ def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
     """Highest-Q action among the ``eligible`` ones, cheaper on ties: an int
     array over the rows of ``x``, or one action for one 1-D input."""
     q = agent.q_net.forward(x)
-    return argmax_cheapest(np.where(eligible, q, -np.inf), np.asarray(agent.actions.all_cents))
+    return argmax_cheapest(np.where(eligible, q, -np.inf), agent.actions.all_cents)
 
 
 def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,

@@ -42,21 +42,32 @@ class ActionSet:
     """Discrete bonus menu: normal bonuses (claims 1-3) then super bonuses (claim 4).
 
     The action index space is the concatenation ``normal + super``; index j
-    costs ``all_cents[j]``.
+    costs ``all_cents[j]``. Each menu is a non-empty tuple (a list in JSON) of
+    integer cents, never bools, in [0, 2**31) and strictly increasing, and
+    every super costs more than every normal: claims 1-3 need a normal arm and
+    claim 4 a super one. 0 cents is a valid arm that pays no bonus.
+
+    ``claim_table`` is the read-only (CLAIMS_PER_CYCLE, size) boolean table of
+    the actions each claim may take: row b, after b claims, marks the normals
+    for the first three claims and the supers for the last. It and
+    ``all_cents`` are built once per menu.
     """
 
     normal_cents: tuple[int, ...]
     super_cents: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.normal_cents) + len(self.super_cents) < 2:
-            raise ValueError("action set needs at least 2 actions")
-        for name, costs in (("normal", self.normal_cents), ("super", self.super_cents)):
+        for name in ("normal_cents", "super_cents"):
+            costs = getattr(self, name)
+            # Below 2**31 cents, int64 sums over 2**32 rows stay exact.
+            if not (type(costs) is tuple and costs and all(
+                    _is_number(c, numbers.Integral) and 0 <= c < 2 ** 31 for c in costs)):
+                raise ValueError(f"{name} must be a non-empty list of integer cents in "
+                                 f"[0, 2**31), not {costs!r}")
             if any(b <= a for a, b in zip(costs, costs[1:])):
-                raise ValueError(f"{name} costs must be strictly increasing: {costs}")
-        if self.normal_cents and self.super_cents:
-            if min(self.super_cents) <= max(self.normal_cents):
-                raise ValueError("every super bonus must exceed every normal bonus")
+                raise ValueError(f"{name} must be strictly increasing: {costs}")
+        if min(self.super_cents) <= max(self.normal_cents):
+            raise ValueError("every super bonus must exceed every normal bonus")
 
     @classmethod
     def default(cls) -> "ActionSet":
@@ -66,9 +77,17 @@ class ActionSet:
             super_cents=(172, 182),
         )
 
-    @property
+    @functools.cached_property
     def all_cents(self) -> tuple[int, ...]:
         return self.normal_cents + self.super_cents
+
+    @functools.cached_property
+    def claim_table(self) -> np.ndarray:
+        table = np.zeros((CLAIMS_PER_CYCLE, self.size), dtype=bool)
+        table[:-1, :self.n_normal] = True
+        table[-1, self.n_normal:] = True
+        table.flags.writeable = False
+        return table
 
     @property
     def size(self) -> int:
@@ -92,7 +111,10 @@ class ActionSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ActionSet":
-        return cls(tuple(d["normal_cents"]), tuple(d["super_cents"]))
+        """The menu of a JSON object that holds both menus, each as a list."""
+        names = ("normal_cents", "super_cents")
+        checked_keys(d, names, "actions", required=names)
+        return cls(*(tuple(checked_list(d[name], name)) for name in names))
 
 
 def day_mask_indices(actions: ActionSet, bonuses_collected: int) -> np.ndarray:
@@ -114,16 +136,7 @@ def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
-    return _claim_table(actions)[b]
-
-
-@functools.lru_cache(maxsize=64)
-def _claim_table(actions: ActionSet) -> np.ndarray:
-    table = np.zeros((CLAIMS_PER_CYCLE, actions.size), dtype=bool)
-    for b in range(CLAIMS_PER_CYCLE):
-        table[b, day_mask_indices(actions, b)] = True
-    table.flags.writeable = False
-    return table
+    return actions.claim_table[b]
 
 
 def argmax_cheapest(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -262,15 +275,26 @@ def _require_finite(obj, name: str) -> None:
         raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
-def checked_keys(doc, allowed, where: str) -> dict:
-    """``doc`` itself, once it is a JSON object with no key outside ``allowed``;
-    otherwise a ValueError that names the first stray key."""
+def checked_keys(doc, allowed, where: str, required=()) -> dict:
+    """``doc`` itself, once it is a JSON object with no key outside ``allowed``
+    and every key of ``required``; otherwise a ValueError that names the first
+    stray or missing key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{where} is missing key {missing[0]!r}")
     return doc
+
+
+def checked_list(value, where: str) -> list:
+    """``value`` itself, once it is a JSON list; otherwise a ValueError naming ``where``."""
+    if type(value) is not list:
+        raise ValueError(f"{where} must be a list, not {value!r}")
+    return value
 
 
 def field_names(cls) -> set[str]:

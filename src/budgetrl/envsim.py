@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -37,9 +38,10 @@ from .core import (
     StateVector,
     Trajectory,
     Transition,
-    _claim_table,
+    _is_number,
     _require_finite,
     checked_keys,
+    checked_list,
     day_mask_indices,
     field_names,
     load_json,
@@ -97,11 +99,14 @@ class EnvConfig:
             _require_finite(self, "segment_weights")
             if len(self.segment_weights) != len(self.segments):
                 raise ValueError("segment_weights length must match segments")
-            if any(w < 0 for w in self.segment_weights) or sum(self.segment_weights) <= 0:
-                raise ValueError("segment_weights must be non-negative with positive sum")
+            total = sum(self.segment_weights)
+            if any(w < 0 for w in self.segment_weights) or not 0 < total < math.inf:
+                raise ValueError("segment_weights must be non-negative with a positive, finite sum")
         _require_finite(self, "feature_noise")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
+        # A float64 normal draw stays far below 64 standard deviations, so at
+        # most 1e300 keeps every noisy feature finite.
+        if not 0 <= self.feature_noise <= 1e300:
+            raise ValueError(f"feature_noise must be in [0, 1e300], not {self.feature_noise!r}")
 
     @property
     def n_segments(self) -> int:
@@ -155,7 +160,8 @@ def default_behavior_table(n_segments: int, actions: ActionSet) -> tuple[tuple[i
 
 def check_claim_table(table, actions: ActionSet) -> None:
     """Raise IneligibleActionError unless every row of a (segment, claim) table
-    holds one eligible action per claim of the cycle."""
+    holds one eligible action per claim of the cycle: an int (never a bool)
+    that ``actions.claim_table`` marks for that claim."""
     if not table:
         raise IneligibleActionError("claim table has no rows")
     for row in table:
@@ -163,9 +169,10 @@ def check_claim_table(table, actions: ActionSet) -> None:
             raise IneligibleActionError(
                 f"claim table row {tuple(row)} needs {CLAIMS_PER_CYCLE} entries, one per claim")
         for claim, a in enumerate(row):
-            if a not in day_mask_indices(actions, claim):
+            if not (_is_number(a, numbers.Integral) and 0 <= a < actions.size
+                    and actions.claim_table[claim, a]):
                 raise IneligibleActionError(
-                    f"claim table entry {a} violates the claim-{claim + 1} mask")
+                    f"claim table entry {a!r} violates the claim-{claim + 1} mask")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +306,7 @@ class CheckinEnv:
         self._segments = [(s.base_logit, s.bonus_sensitivity, s.streak_bonus, s.carryover,
                            s.noise_scale) for s in config.segments]
         self._cost_units = [actions.cost_units(a) for a in range(actions.size)]
-        self._eligible = _claim_table(actions).tolist()
+        self._eligible = actions.claim_table.tolist()
 
     # -- retention model ----------------------------------------------------
 
@@ -516,17 +523,24 @@ FIXED_ENV_KEYS = {"cycle_length": CYCLE_DAYS, "bonuses_per_cycle": CLAIMS_PER_CY
 
 
 def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, ActionSet]:
-    """Build a config from its JSON document; a key that no level knows is refused."""
-    checked_keys(doc, ("actions", "env", "behavior"), "config")
+    """Build a config from its JSON document. A key that no level knows, a
+    missing required key, a list field that is not a list and a behavior
+    table that does not fit the menu are refused."""
+    checked_keys(doc, ("actions", "env", "behavior"), "config", required=("actions", "env"))
     actions = ActionSet.from_dict(doc["actions"])
-    e = checked_keys(doc["env"], field_names(EnvConfig) | FIXED_ENV_KEYS.keys(), "env")
+    e = checked_keys(doc["env"], field_names(EnvConfig) | FIXED_ENV_KEYS.keys(), "env",
+                     required=("segments",))
     for key, value in FIXED_ENV_KEYS.items():
         if e.get(key, value) != value:
             raise ValueError(f"env.{key} must be {value}, got {e[key]!r}")
+    required = [f.name for f in fields(SegmentParams) if f.default is MISSING]
+    weights = e.get("segment_weights")  # null or [] means equal weights
     env_config = EnvConfig(
-        segments=tuple(SegmentParams(**checked_keys(s, field_names(SegmentParams), "segment"))
-                       for s in e["segments"]),
-        segment_weights=tuple(e["segment_weights"]) if e.get("segment_weights") else None,
+        segments=tuple(SegmentParams(**checked_keys(s, field_names(SegmentParams), "segment",
+                                                    required))
+                       for s in checked_list(e["segments"], "env.segments")),
+        segment_weights=None if weights is None else (
+            tuple(checked_list(weights, "env.segment_weights")) or None),
         feature_noise=e.get("feature_noise", 0.05),
     )
     b = doc.get("behavior")
@@ -534,9 +548,12 @@ def config_from_dict(doc: dict) -> tuple[EnvConfig, BehaviorPolicyConfig, Action
         table = default_behavior_table(env_config.n_segments, actions)
         behavior = BehaviorPolicyConfig(table=table)
     else:
-        checked_keys(b, field_names(BehaviorPolicyConfig), "behavior")
-        behavior = BehaviorPolicyConfig(table=tuple(tuple(r) for r in b["table"]),
-                                        noise=b.get("noise", 0.1))
+        checked_keys(b, field_names(BehaviorPolicyConfig), "behavior", required=("table",))
+        rows = checked_list(b["table"], "behavior.table")
+        behavior = BehaviorPolicyConfig(
+            table=tuple(tuple(checked_list(r, "behavior.table row")) for r in rows),
+            noise=b.get("noise", 0.1))
+        check_claim_table(behavior.table, actions)
     return env_config, behavior, actions
 
 

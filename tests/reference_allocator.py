@@ -20,6 +20,7 @@ import numpy as np
 from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
+    _Prices,
     _abs_max,
     _assign_choice,
     _breakpoints,
@@ -80,12 +81,12 @@ def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
     failed = 0
-    shift = cents / 100.0 - budget_cents / 100.0
+    prices = _Prices(cents, budget_cents)
 
     def fits(lam):
         nonlocal failed
         ok = (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
-              and int(cents[_assign_choice(qm, cheapest, cents, shift, lam)[0]].sum())
+              and int(cents[_assign_choice(qm, cheapest, prices, lam)[0]].sum())
               <= total_cents)
         failed += not ok
         return ok
@@ -147,7 +148,7 @@ class RowStore(WindowStore):
             self._lo, self._hi = 0, live
         new = [a[self._hi:self._hi + n] for a in self._buffers]
         new[0][:] = [t for t, _ in self._pending]
-        _row_cache(q, self._cents, out=new[1:])
+        _row_cache(q, self._prices, out=new[1:])
         self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
         self._hi += n
         self._qmax = max(self._qmax, _abs_max(q))
@@ -157,11 +158,12 @@ class RowStore(WindowStore):
         lam = self.lambda_snapshot
         _check_lambda(lam)
         q_row = np.asarray(q_row, dtype=float)
-        if not (q_row.shape == self._cents.shape and math.isfinite(np.fmax.reduce(q_row))
+        cents = self._prices.cents
+        if not (q_row.shape == cents.shape and math.isfinite(np.fmax.reduce(q_row))
                 and math.isfinite(np.fmin.reduce(q_row))):
-            q_row = _checked_rows(q_row, self._cents.size, 1)
-        qm, cheapest = _masked(q_row[None], self._cents)
-        action = int(_assign_choice(qm, cheapest, self._cents, self._shift, lam)[0][0])
+            q_row = _checked_rows(q_row, cents.size, 1)
+        qm, cheapest = _masked(q_row[None], cents)
+        action = int(_assign_choice(qm, cheapest, self._prices, lam)[0][0])
         with self._lock:
             self._pending.append((float(now), q_row))
         return action

@@ -13,6 +13,7 @@ from budgetrl.allocator import (
     Assignment,
     InfeasibleProblemError,
     WindowStore,
+    _Prices,
     _abs_max,
     _assign_choice,
     _breakpoints,
@@ -214,6 +215,24 @@ class TestAssign:
         result = assign(p, 0.0)
         assert result.chosen[0] in (1, 2)
         assert result.chosen[1] == 0
+
+    @pytest.mark.parametrize("costs", [(65,), (65, 65), (87, 87, 87)])
+    def test_costs_with_one_distinct_value(self, costs):
+        # no breakpoint exists, so the near-row margin is never read, but the
+        # problem and the store still derive it
+        q = np.random.default_rng(3).random((4, len(costs)))
+        prices = _Prices(costs, 87)
+        assert np.isfinite([prices.per_q, prices.per_lam]).all()
+        for budget, lam in ((costs[0], 0.0), (costs[0] - 1, None)):
+            p = AllocationProblem(q, costs, budget)
+            if lam is None:
+                with pytest.raises(InfeasibleProblemError):
+                    solve_and_assign(p)
+            else:
+                assert solve_and_assign(p).lam == lam
+        store = WindowStore(costs, 87)
+        decide(store, q[0], 0.0)
+        assert store.window_refresh(1.0) == 0.0
 
 
 class TestRepair:
@@ -482,10 +501,9 @@ def breakpoint_repair_lambda(problem, lam0):
 
 def packed_at(problem, lam):
     """The assignment rule at ``lam``, then slack packing from its scores."""
-    cents = np.asarray(problem.costs_cents, dtype=np.int64)
-    shift = cents / 100.0 - problem.budget_cents / 100.0
-    choice = _assign_choice(*_masked(problem.q, cents), cents, shift, lam)
-    return _packed(problem, cents, lam, *choice)
+    prices = problem._prices
+    choice = _assign_choice(*_masked(problem.q, prices.cents), prices, lam)
+    return _packed(problem, lam, *choice)
 
 
 def loop_pack_slack(problem, assignment):
@@ -536,7 +554,7 @@ class TestEnvelope:
         rng = np.random.default_rng(20)
         for _ in range(300):
             p = masked_problem(rng, from_menu=bool(rng.integers(2)))
-            lams, drops = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
+            lams, drops = _row_cache(p.q, p._prices)[3:]
             start = dual_cost_cents(p, 0.0)
             bps = np.unique(lams[np.isfinite(lams)])
             probes = np.concatenate([(bps[:-1] + bps[1:]) / 2, bps[-1:] + 1.0, [bps[0] / 2]]) \
@@ -548,16 +566,16 @@ class TestEnvelope:
         rng = np.random.default_rng(21)
         for _ in range(100):
             p = masked_problem(rng)
-            lams, drops = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
+            lams, drops = _row_cache(p.q, p._prices)[3:]
             assert dual_cost_cents(p, 0.0) - int(drops.sum()) == cheapest_total_cents(p)
             assert (drops > 0).sum() == np.isfinite(lams).sum()
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(22)
         p = masked_problem(rng)
-        whole = _row_cache(p.q, np.asarray(p.costs_cents))[3:]
+        whole = _row_cache(p.q, p._prices)[3:]
         for i in range(p.n):
-            row = _row_cache(p.q[i:i + 1], np.asarray(p.costs_cents))[3:]
+            row = _row_cache(p.q[i:i + 1], p._prices)[3:]
             for a, b in zip(whole, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
 
@@ -775,7 +793,7 @@ class TestWindowExactness:
             solve_lambda(p)
         assert set(assign(p, lam).chosen) == {0}
         assert dual_cost_cents(p, lam) == cheapest_total_cents(p)
-        lams = _row_cache(p.q, np.asarray(menu.all_cents))[3]
+        lams = _row_cache(p.q, p._prices)[3]
         assert lam >= lams[np.isfinite(lams)].max()
 
     def test_concurrent_appends_and_refreshes_lose_no_row(self):
@@ -854,9 +872,9 @@ def bits(lam):
 
 def kernel_lambda(q, costs, budget_cents, total_cents):
     """``_exact_lambda`` over the rows of ``q``, their breakpoints sorted once."""
-    cache = _row_cache(q, costs)
-    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(q), costs,
-                         budget_cents, total_cents)
+    prices = _Prices(costs, budget_cents)
+    cache = _row_cache(q, prices)
+    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(q), prices, total_cents)
 
 
 def assert_kernel_matches_reference(q, costs, budget_cents, steps=None):
@@ -921,7 +939,7 @@ class TestKernelAgainstWholeWindowReference:
             p = contract_problems(rng)
             costs = np.asarray(p.costs_cents, dtype=np.int64)
             for q in (p.q, with_nans(rng, collinear_rows(rng, p.n, costs))):
-                for a, b in zip(_row_cache(q, costs), ref.row_cache(q, costs)):
+                for a, b in zip(_row_cache(q, p._prices), ref.row_cache(q, costs)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_random_windows(self):

@@ -8,7 +8,7 @@ import pytest
 
 from budgetrl.cli import build_parser, main
 from budgetrl.envsim import config_to_dict, default_config
-from test_envsim import CONFIG_PROBES, probe_config
+from test_envsim import CONFIG_PROBES, LOAD_PROBES, probe_config
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -243,6 +243,18 @@ class TestGenerateData:
         assert "invalid input" in err
         assert defect == "short_row" or defect in err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("probe", LOAD_PROBES)
+    def test_config_refused_at_load_exits_1_and_writes_nothing(self, tmp_path, capsys, probe):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(probe_config(probe, LOAD_PROBES)))
+        rc = run("generate-data", "--config", str(config), "--n-users", "20",
+                 "--out", str(tmp_path / "logs"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and LOAD_PROBES[probe][2] in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestAllocateBatch:

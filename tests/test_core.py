@@ -57,6 +57,44 @@ class TestActionSet:
         with pytest.raises(ValueError):
             ActionSet(normal_cents=(65,), super_cents=())
 
+    @pytest.mark.parametrize("normal, super_, field", [
+        ((65.5, 87), (172,), "normal_cents"),
+        ((True, 87), (172,), "normal_cents"),
+        ((-10, 87), (172,), "normal_cents"),
+        ((65, 87), (2 ** 31,), "super_cents"),
+        ((), (172,), "normal_cents"),
+        ((65, 87), (), "super_cents"),
+        ([65, 87], (172,), "normal_cents"),
+    ])
+    def test_rejects_cents_that_are_not_a_menu(self, normal, super_, field):
+        with pytest.raises(ValueError, match=field):
+            ActionSet(normal_cents=normal, super_cents=super_)
+
+    def test_zero_cents_is_a_valid_arm(self):
+        a = ActionSet(normal_cents=(0, 65), super_cents=(172,))
+        assert a.cost_cents(0) == 0 and a.cost_units(0) == 0.0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"normal_cents": 65, "super_cents": [172]}, "normal_cents must be a list"),
+        ({"normal_cents": [65], "super_cents": "172"}, "super_cents must be a list"),
+        ({"normal_cents": [65]}, "missing key 'super_cents'"),
+        ({"normal_cents": [65], "super_cents": [172], "bonus": [1]}, "unknown actions key"),
+        ([65, 172], "actions must be a JSON object"),
+    ])
+    def test_from_dict_refuses_a_malformed_document(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            ActionSet.from_dict(doc)
+
+    def test_claim_table_is_built_once_and_read_only(self):
+        a = ActionSet.default()
+        table = a.claim_table
+        assert table is a.claim_table and a.all_cents is a.all_cents
+        for b in range(4):
+            assert np.flatnonzero(table[b]).tolist() == day_mask_indices(a, b).tolist()
+        with pytest.raises(ValueError):
+            table[0, 0] = False
+        assert a == ActionSet.default()  # the cached values are not fields
+
     def test_money_round_trip(self):
         for v in (0.65, 0.87, 1.05, 1.72, 1.82):
             assert units(cents(v)) == v

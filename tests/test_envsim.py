@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tempfile
 import warnings
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from budgetrl.core import CLAIMS_PER_CYCLE, ActionSet, day_mask_indices, validate_dataset
+from budgetrl.baselines import ExpertPolicy
+from budgetrl.core import (
+    CLAIMS_PER_CYCLE,
+    ActionSet,
+    day_mask_indices,
+    load_dataset,
+    validate_dataset,
+    write_dataset,
+)
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
     CheckinEnv,
@@ -16,6 +25,7 @@ from budgetrl.envsim import (
     IneligibleActionError,
     SegmentParams,
     TabularModeError,
+    check_claim_table,
     config_from_dict,
     config_to_dict,
     default_behavior_table,
@@ -25,6 +35,7 @@ from budgetrl.envsim import (
     oracle_value_iteration,
     _spawn_generators,
 )
+from budgetrl.evaluation import simulate_online
 
 SMALL_ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 
@@ -39,11 +50,28 @@ CONFIG_PROBES = {
     "behavior noise string": (("behavior", "noise"), "0.1"),
 }
 
+# Each probe sets one field of the default config document to a value that
+# breaks the menu, a list, the behavior table or the feature noise: (path to
+# the field, value, what the error names).
+LOAD_PROBES = {
+    "fractional cents": (("actions", "normal_cents", 0), 65.5, "normal_cents"),
+    "negative cents": (("actions", "normal_cents", 0), -10, "normal_cents"),
+    "true cents": (("actions", "super_cents", 0), True, "super_cents"),
+    "empty super menu": (("actions", "super_cents"), [], "super_cents"),
+    "empty normal menu": (("actions", "normal_cents"), [], "normal_cents"),
+    "menu not a list": (("actions", "normal_cents"), 65, "normal_cents"),
+    "segments not a list": (("env", "segments"), 5, "env.segments"),
+    "segment weights not a list": (("env", "segment_weights"), 5, "env.segment_weights"),
+    "table entry 0.0": (("behavior", "table", 0, 0), 0.0, "claim table entry 0.0"),
+    "table entry true": (("behavior", "table", 0, 0), True, "claim table entry True"),
+    "feature noise that overflows": (("env", "feature_noise"), 1e308, "feature_noise"),
+}
 
-def probe_config(name: str) -> dict:
+
+def probe_config(name: str, probes=CONFIG_PROBES) -> dict:
     """The default config document with the field of probe ``name`` replaced."""
     doc = config_to_dict(*default_config())
-    (*path, key), value = CONFIG_PROBES[name]
+    (*path, key), value = probes[name][:2]
     target = doc
     for step in path:
         target = target[step]
@@ -362,6 +390,22 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="finite number"):
             make()
 
+    @pytest.mark.parametrize("probe", LOAD_PROBES)
+    def test_field_that_breaks_the_run_rejected(self, probe):
+        with pytest.raises(ValueError, match=LOAD_PROBES[probe][2]):
+            config_from_dict(probe_config(probe, LOAD_PROBES))
+
+    @pytest.mark.parametrize("entry", [0.0, True, np.float64(0.0)])
+    def test_claim_table_entry_that_is_not_an_int_rejected(self, entry):
+        table = ((entry, 1, 2, 3),)
+        with pytest.raises(IneligibleActionError, match="claim table entry"):
+            check_claim_table(table, SMALL_ACTIONS)
+        check_claim_table(((0, 1, 2, 3), (np.int64(2), 2, 0, 3)), SMALL_ACTIONS)
+
+    def test_segment_weights_whose_sum_overflows_rejected(self):
+        with pytest.raises(ValueError, match="finite sum"):
+            EnvConfig(segments=EnvConfig.default().segments, segment_weights=(1e308,) * 3)
+
     def test_integer_fields_still_load(self):
         doc = config_to_dict(*default_config())
         doc["env"]["segments"][0].update(base_logit=1, carryover=0)
@@ -409,3 +453,82 @@ class TestSpawnGenerators:
             np.random.SeedSequence(entropy).spawn(1)
         with pytest.raises(error):
             _spawn_generators(entropy, 1)
+
+
+# ---------------------------------------------------------------------------
+# A config the loader accepts runs end to end: the default document under
+# random mutations is either refused by ``config_from_dict`` or runs.
+
+
+def _node_paths(node, path=()):
+    """The path to every node of a JSON document, the root's included."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, (*path, key))
+
+
+DEFAULT_DOC_PATHS = list(_node_paths(config_to_dict(*default_config())))
+
+# Values swapped in for a node: other JSON types, non-finite numbers, and
+# numbers out of (or at the edge of) the ranges the loader checks.
+SWAPS = (math.nan, math.inf, -math.inf, "1", True, False, None, [], {}, 0, 1, -1, 0.5, 2,
+         2 ** 31, -1e30, 1e30, -1e308, 1e308, [1.0, 2.0, 0.5])
+# What a mutation does to a node: swap in a value, or drop it from its
+# parent, empty it, add a key to it, or push a number by negating it,
+# scaling it by 10**6 or adding 1.
+EDITS = ("drop", "empty", "add key", "negate", "scale", "nudge") + tuple(
+    ("swap", value) for value in SWAPS)
+
+
+def _mutate(box: list, path: tuple, edit) -> None:
+    """Apply ``edit`` to the node at ``path`` of the document ``box[0]``; a path
+    that an earlier mutation removed changes nothing."""
+    parent, key = box, 0
+    for step in path:
+        node = parent[key]
+        if not (isinstance(node, dict) and step in node
+                or isinstance(node, list) and isinstance(step, int) and step < len(node)):
+            return
+        parent, key = node, step
+    node = parent[key]
+    number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    if isinstance(edit, tuple):
+        parent[key] = edit[1]
+    elif edit == "drop" and parent is not box:
+        del parent[key]
+    elif edit == "empty" and isinstance(node, (dict, list)):
+        node.clear()
+    elif edit == "add key" and isinstance(node, dict):
+        node["extra"] = 1
+    elif number and edit in ("negate", "scale", "nudge"):
+        parent[key] = {"negate": -node, "scale": node * 10 ** 6, "nudge": node + 1}[edit]
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=st.lists(st.tuples(st.sampled_from(DEFAULT_DOC_PATHS), st.sampled_from(EDITS)),
+                              min_size=1, max_size=3),
+           n_users=st.integers(0, 30), days=st.integers(1, 2), seed=st.integers(0, 2 ** 32))
+    @example(mutations=[(("env", "segment_weights"), ("swap", 5))], n_users=5, days=1, seed=0)
+    @example(mutations=[(("actions", "normal_cents", 0), ("swap", 0))], n_users=30, days=2, seed=1)
+    def test_refused_at_load_or_runs_end_to_end(self, mutations, n_users, days, seed):
+        box = [config_to_dict(*default_config())]
+        for path, edit in mutations:
+            _mutate(box, path, edit)
+        try:
+            env_config, behavior, actions = config_from_dict(box[0])
+        except ValueError:
+            return
+        env = CheckinEnv(env_config, actions)
+        dataset = generate_dataset(env, behavior, n_users, seed)
+        d = env_config.feature_dim
+        assert validate_dataset(dataset, actions, d) == []
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(tmp, dataset, actions, d)
+            assert load_dataset(tmp)[0] == dataset
+        policy = ExpertPolicy(behavior.table, env_config.n_segments, actions)
+        report = simulate_online(env, policy, None, days, 8, seed)
+        assert report.matched_steps >= 8 * days
+        assert math.isfinite(report.retention_rate) and math.isfinite(report.avg_cost_units)
