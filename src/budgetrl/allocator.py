@@ -130,6 +130,9 @@ class _Prices:
     __slots__ = ("cents", "units", "shift", "gap", "no_move", "per_q", "per_lam")
 
     def __init__(self, costs_cents, budget_cents: int):
+        # the range ActionSet holds menus to; int64 sums over 2**32 rows stay exact
+        if not all(0 <= c < 2 ** 31 for c in costs_cents):
+            raise ValueError(f"costs must be cents in [0, 2**31), not {tuple(costs_cents)}")
         self.cents = cents = np.asarray(costs_cents, dtype=np.int64)
         self.units = units = cents / 100.0
         self.shift = units - budget_cents / 100.0
@@ -515,6 +518,9 @@ class WindowStore:
         self._prices = _Prices(self.costs_cents, self.budget_cents)
         self.window_span = float(window_span)
         self.refresh_period = float(refresh_period)
+        for name in ("window_span", "refresh_period"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, not {getattr(self, name)}")
         _check_lambda(initial_lambda)
         self.lambda_snapshot = float(initial_lambda)
         # one {ts, lam, window, infeasible} entry per tick ``advance`` fired

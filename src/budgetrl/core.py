@@ -29,8 +29,12 @@ MANIFEST_FORMAT = "trajlog-v1"
 
 
 def cents(units: float) -> int:
-    """Convert a currency amount like 0.87 to integer cents (87)."""
-    return int(round(units * 100))
+    """Convert a currency amount like 0.87 to integer cents (87); an amount
+    whose cents are not a finite float is a ValueError."""
+    amount = units * 100
+    if not math.isfinite(amount):
+        raise ValueError(f"a currency amount must be finite, not {units!r}")
+    return int(round(amount))
 
 
 def units(amount_cents: int) -> float:

@@ -8,15 +8,15 @@ A trajectory ends when the user stops logging in or collects all four bonuses,
 which with one claim a day happens well inside the window.
 
 Every user has their own random stream, a ``Generator`` spawned from the run's
-seed, and draws from it in a fixed order: the segment, the first observation's
+seed, and draws from it in a fixed order: the segment, the first claim's
 feature noise, then per claim the behavior draws (logged data only), the
 retention noise (when the segment has any), the login draw and the next
-observation's noise. Because no draw is shared, users can be simulated in any
-grouping. ``CheckinEnv`` reads its config once into plain Python values, and
-three per-user methods do all of a user's work: ``draw_segment``,
-``feature_row`` and ``claim``. ``generate_dataset`` walks one user at a time;
-``evaluation.simulate_online`` holds a day's users as parallel columns. Both
-seed a batch of users' generators in one vectorized pass (``_spawn_generators``).
+claim's feature noise. Because no draw is shared, users can be simulated in
+any grouping. One walk makes all of these draws but the behavior ones:
+``CheckinEnv.spawn_user`` starts a ``UserSim`` and ``CheckinEnv.step`` makes
+one claim. ``generate_dataset`` and ``evaluation.simulate_online`` both step
+their users through it, and both seed a batch of users' generators in one
+vectorized pass (``_spawn_generators``).
 """
 
 from __future__ import annotations
@@ -270,10 +270,11 @@ def _spawn_generators(entropy, n: int) -> list[np.random.Generator]:
 
 
 class UserSim:
-    """Mutable per-user simulation handle; latent segment plus cycle counters."""
+    """Mutable per-user simulation handle: latent segment, cycle counters and
+    the next claim's observed feature row (None once the cycle is done)."""
 
     __slots__ = ("user_id", "segment", "day_in_cycle", "bonuses_collected",
-                 "last_action", "cost_sum_cents", "rng", "state", "done")
+                 "last_action", "cost_sum_cents", "rng", "features", "done")
 
     def __init__(self, user_id: int, segment: int, rng: np.random.Generator):
         self.user_id = user_id
@@ -283,17 +284,16 @@ class UserSim:
         self.last_action = -1
         self.cost_sum_cents = 0
         self.rng = rng
-        self.state: StateVector | None = None
+        self.features: list[float] | None = None
         self.done = False
 
 
 class CheckinEnv:
     """Ground-truth environment over a fixed action set.
 
-    The config and menu are read once, here, into plain Python values; the
-    per-user methods ``draw_segment``, ``feature_row`` and ``claim`` use only
-    those and the user's own generator. ``spawn_user`` and ``step`` run them for
-    one ``UserSim``.
+    The config and menu are read once, here, into plain Python values, which
+    the per-user walk reads with the user's own generator: ``spawn_user``
+    starts a ``UserSim`` and ``step`` makes one claim of it.
     """
 
     def __init__(self, config: EnvConfig, actions: ActionSet):
@@ -305,6 +305,7 @@ class CheckinEnv:
         self._segment_cdf = cdf.tolist()
         self._segments = [(s.base_logit, s.bonus_sensitivity, s.streak_bonus, s.carryover,
                            s.noise_scale) for s in config.segments]
+        self._cost_cents = actions.all_cents
         self._cost_units = [actions.cost_units(a) for a in range(actions.size)]
         self._eligible = actions.claim_table.tolist()
 
@@ -325,12 +326,7 @@ class CheckinEnv:
         p = sigmoid(self.retention_logit(segment, action_index, streak, last_action))
         return min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
-    # -- per-user kernel ----------------------------------------------------
-
-    def draw_segment(self, rng: np.random.Generator) -> int:
-        """A new user's segment from the arrival mix: one uniform draw searched in
-        the weights' CDF, as ``rng.choice(n_segments, p=weights)`` draws it."""
-        return bisect.bisect_right(self._segment_cdf, rng.random())
+    # -- the per-user walk --------------------------------------------------
 
     def feature_row(self, rng: np.random.Generator, segment: int, claims: int,
                     last_action: int, cost_sum_cents: int) -> list[float]:
@@ -347,53 +343,44 @@ class CheckinEnv:
             row += (0.0, 0.0)
         return row
 
-    def claim(self, rng: np.random.Generator, segment: int, action_index: int, claims: int,
-              last_action: int) -> int:
-        """One claim of ``action_index`` after ``claims`` claims: 1 if the user
-        logs in for the next one, else 0. An action outside the claim's mask is
-        an IneligibleActionError, raised before any draw."""
+    def spawn_user(self, user_id: int, rng: np.random.Generator,
+                   segment: int | None = None) -> UserSim:
+        """Start a fresh cycle. Unless ``segment`` is given, it is drawn from the
+        arrival mix: one uniform draw searched in the weights' CDF, as
+        ``rng.choice(n_segments, p=weights)`` draws it."""
+        if segment is None:
+            segment = bisect.bisect_right(self._segment_cdf, rng.random())
+        user = UserSim(user_id, segment, rng)
+        user.features = self.feature_row(rng, segment, 0, -1, 0)
+        return user
+
+    def step(self, user: UserSim, action_index: int):
+        """One claim of ``action_index``; returns (reward, done), where reward is 1
+        if the user logs in for the next claim, else 0, and leaves the next
+        claim's features on ``user.features``. An action outside the claim's
+        mask is an IneligibleActionError, raised before any draw or change."""
+        if user.done:
+            raise RuntimeError(f"user {user.user_id} already terminated")
+        claims, segment, rng = user.bonuses_collected, user.segment, user.rng
         # The range check comes first: a table index of -1 would read the last column.
         if not (0 <= action_index < len(self._cost_units)
                 and self._eligible[claims][action_index]):
             raise IneligibleActionError(
                 f"action {action_index} not eligible at claim {claims + 1}")
-        logit = self.retention_logit(segment, action_index, claims, last_action)
+        logit = self.retention_logit(segment, action_index, claims, user.last_action)
         noise_scale = self._segments[segment][4]
         if noise_scale > 0:
             logit += rng.normal(0.0, noise_scale)
         p = min(max(sigmoid(logit), PROB_CLAMP), 1.0 - PROB_CLAMP)
-        return int(rng.random() < p)
-
-    # -- one user -----------------------------------------------------------
-
-    def _observe(self, user: UserSim) -> StateVector:
-        features = self.feature_row(user.rng, user.segment, user.bonuses_collected,
-                                    user.last_action, user.cost_sum_cents)
-        return StateVector(tuple(features), day_in_cycle=user.day_in_cycle,
-                           bonuses_collected=user.bonuses_collected)
-
-    def spawn_user(self, user_id: int, rng: np.random.Generator,
-                   segment: int | None = None) -> UserSim:
-        """Start a fresh cycle; draws the segment from the arrival mix if not given."""
-        if segment is None:
-            segment = self.draw_segment(rng)
-        user = UserSim(user_id, segment, rng)
-        user.state = self._observe(user)
-        return user
-
-    def step(self, user: UserSim, action_index: int):
-        """Advance one claim; returns (reward, done), leaving the next state on ``user.state``."""
-        if user.done:
-            raise RuntimeError(f"user {user.user_id} already terminated")
-        reward = self.claim(user.rng, user.segment, action_index, user.bonuses_collected,
-                            user.last_action)
-        user.bonuses_collected += 1
+        reward = int(rng.random() < p)
+        claims += 1
+        user.bonuses_collected = claims
         user.day_in_cycle += 1
         user.last_action = action_index
-        user.cost_sum_cents += self.actions.cost_cents(action_index)
-        done = reward == 0 or user.bonuses_collected >= CLAIMS_PER_CYCLE
-        user.done = done
-        user.state = None if done else self._observe(user)
+        user.cost_sum_cents += self._cost_cents[action_index]
+        user.done = done = reward == 0 or claims >= CLAIMS_PER_CYCLE
+        user.features = None if done else self.feature_row(
+            rng, segment, claims, action_index, user.cost_sum_cents)
         return reward, done
 
 
@@ -409,40 +396,37 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
     """Simulate n_users fresh cycles under the behavior policy: the table action
     with probability 1 - noise, else uniform over the claim-eligible actions.
 
-    User ``i`` draws from the ``i``-th generator that ``_spawn_generators(seed,
-    n_users)`` seeds, in the order the module docstring gives, so the output is
-    independent of simulation order and bit-identical across runs. A user's
-    state is their feature row and claim count; ``Transition`` objects are made
-    only for the output.
+    User ``i`` is spawned on the ``i``-th generator that ``_spawn_generators(seed,
+    n_users)`` seeds and walked through ``env.step``; the behavior draws come
+    before each claim's, in the order the module docstring gives, so the output
+    is independent of simulation order and bit-identical across runs.
+    ``Transition`` and ``StateVector`` objects are made only for the output.
     """
     if n_users < 0:
         raise ValueError("n_users must be >= 0")
     check_claim_table(behavior.table, env.actions)
-    n_segments = env.config.n_segments
+    n_segments, table, noise = env.config.n_segments, behavior.table, behavior.noise
     eligible = [day_mask_indices(env.actions, k).tolist() for k in range(CLAIMS_PER_CYCLE)]
+    cost_cents = env.actions.all_cents
+    spawn_user, step = env.spawn_user, env.step
     trajectories = []
     for uid, rng in enumerate(_spawn_generators(seed, n_users)):
-        segment = env.draw_segment(rng)
-        claims, last_action, cost_sum = 0, -1, 0
+        user = spawn_user(uid, rng)
         transitions = []
         done = False
         while not done:
-            features = env.feature_row(rng, segment, claims, last_action, cost_sum)
-            if behavior.noise > 0 and rng.random() < behavior.noise:
+            features, claims = user.features, user.bonuses_collected
+            if noise > 0 and rng.random() < noise:
                 # the one integer draw of rng.choice(eligible[claims])
                 a = eligible[claims][rng.integers(0, len(eligible[claims]))]
             else:
-                a = table_action(behavior.table, n_segments, features, claims)
-            reward = env.claim(rng, segment, a, claims, last_action)
-            cost = env.actions.cost_cents(a)
-            claims += 1
-            done = reward == 0 or claims >= CLAIMS_PER_CYCLE
+                a = table_action(table, n_segments, features, claims)
+            reward, done = step(user, a)
             transitions.append(Transition(
-                user_id=uid, t=claims,
-                state=StateVector(tuple(features), day_in_cycle=claims,
-                                  bonuses_collected=claims - 1),
-                action_index=a, reward=reward, cost_cents=cost, done=done))
-            last_action, cost_sum = a, cost_sum + cost
+                user_id=uid, t=claims + 1,
+                state=StateVector(tuple(features), day_in_cycle=claims + 1,
+                                  bonuses_collected=claims),
+                action_index=a, reward=reward, cost_cents=cost_cents[a], done=done))
         trajectories.append(Trajectory(tuple(transitions)))
     return trajectories
 

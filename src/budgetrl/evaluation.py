@@ -13,8 +13,8 @@ from typing import Sequence
 
 from .allocator import WindowStore
 from .bcq import network_inputs
-from .core import CLAIMS_PER_CYCLE, StateVector, Trajectory, units
-from .envsim import CheckinEnv, _spawn_generators
+from .core import StateVector, Trajectory, units
+from .envsim import CheckinEnv, UserSim, _spawn_generators
 
 
 class UndefinedMetricError(ValueError):
@@ -103,47 +103,32 @@ def offline_report(matched: MatchedSet) -> EvalReport:
 DAY_SECONDS = 24 * 3600.0
 
 
-class _Users:
-    """Simulated users as parallel columns, one entry per user."""
-
-    __slots__ = ("segment", "claims", "last_action", "cost_sum", "rng", "features")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, [])
-
-    def add(self, segment: int, claims: int, last_action: int, cost_sum: int, rng,
-            features: list[float]) -> None:
-        self.segment.append(segment)
-        self.claims.append(claims)
-        self.last_action.append(last_action)
-        self.cost_sum.append(cost_sum)
-        self.rng.append(rng)
-        self.features.append(features)
-
-
 def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
                     n_days: int, arrivals_per_day: int, seed: int) -> EvalReport:
     """Drive arrivals, decisions, and multiplier refreshes on a virtual clock.
 
-    Each day ``arrivals_per_day`` fresh users start a cycle, seeded by
-    ``_spawn_generators((seed, day), arrivals_per_day)``; survivors return the
-    next day for their next claim, ahead of the new arrivals. Each user draws
-    only from their own generator, in the order the ``envsim`` docstring gives,
-    so the run is deterministic per seed. A day's users are held as parallel
-    columns: segment, claims made, last action, cost so far, generator and
-    feature row. A user's state is fixed from the start of the day until their
-    claim, so with a store the day's network inputs are built as one matrix,
-    ``policy.q_rows(x, claims)`` scores it in one call and ``store.admit``
-    checks and caches the rows once; each claim then calls ``store.advance``
-    and ``allocate_online`` once each on its admitted row, in arrival order.
-    The store's clock starts at day 0, so a store whose clock has already
-    started is a ValueError; the report's ``lambda_timeline`` is the store's
-    timeline. Without a store, the policy's direct action on the user's
-    ``StateVector`` is used.
+    Each day ``arrivals_per_day`` fresh users start a cycle through
+    ``env.spawn_user``, seeded by ``_spawn_generators((seed, day),
+    arrivals_per_day)``; survivors return the next day for their next claim,
+    ahead of the new arrivals. Every claim is one ``env.step``, so each user
+    draws only from their own generator, in the order the ``envsim`` docstring
+    gives, and the run is deterministic per seed. A user's state is fixed from
+    the start of the day until their claim, so with a store the day's network
+    inputs are built from the users' fields as one matrix, ``policy.q_rows(x,
+    claims)`` scores it in one call and ``store.admit`` checks and caches the
+    rows once; each claim then calls ``store.advance`` and ``allocate_online``
+    once each on its admitted row, in arrival order. The store's clock starts
+    at day 0, so a store whose clock has already started is a ValueError; the
+    report's ``lambda_timeline`` is the store's timeline. Without a store, the
+    policy's direct action on the user's ``StateVector`` is used. A negative
+    ``n_days`` or ``arrivals_per_day`` is a ValueError, raised before any work.
     """
+    if n_days < 0 or arrivals_per_day < 0:
+        raise ValueError(f"n_days and arrivals_per_day must be >= 0, not {n_days} "
+                         f"and {arrivals_per_day}")
     cost_cents = env.actions.all_cents
-    users = _Users()
+    step = env.step
+    users: list[UserSim] = []
     per_day: list[dict] = []
     n_users = 0
     total_rewards = 0
@@ -156,38 +141,30 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         store.advance(0.0)
 
     for day in range(n_days):
-        arrivals = _spawn_generators((seed, day), arrivals_per_day)
-        n_users += len(arrivals)
-        for rng in arrivals:
-            segment = env.draw_segment(rng)
-            users.add(segment, 0, -1, 0, rng, env.feature_row(rng, segment, 0, -1, 0))
+        for rng in _spawn_generators((seed, day), arrivals_per_day):
+            users.append(env.spawn_user(n_users, rng))
+            n_users += 1
 
         day_cost_cents = 0
         day_rewards = 0
-        day_claims = len(users.rng)
-        claims = users.claims
+        day_claims = len(users)
         if store is not None and day_claims:
-            x = network_inputs(users.features, [k + 1 for k in claims], claims)
+            claims = [u.bonuses_collected for u in users]
+            x = network_inputs([u.features for u in users], [u.day_in_cycle for u in users],
+                               claims)
             day_rows = store.admit(policy.q_rows(x, claims))
-        survivors = _Users()
-        for slot in range(day_claims):
+        for slot, user in enumerate(users):
             ts = day * DAY_SECONDS + (slot + 1) * DAY_SECONDS / (day_claims + 1)
-            segment, k, rng = users.segment[slot], claims[slot], users.rng[slot]
             if store is not None:
                 store.advance(ts)
                 action = store.allocate_online(day_rows[slot], ts)
             else:
-                action = policy.action(StateVector(tuple(users.features[slot]),
-                                                   day_in_cycle=k + 1, bonuses_collected=k))
-            reward = env.claim(rng, segment, action, k, users.last_action[slot])
+                action = policy.action(StateVector(tuple(user.features),
+                                                   day_in_cycle=user.day_in_cycle,
+                                                   bonuses_collected=user.bonuses_collected))
+            day_rewards += step(user, action)[0]
             day_cost_cents += cost_cents[action]
-            day_rewards += reward
-            k += 1
-            if reward and k < CLAIMS_PER_CYCLE:
-                cost_sum = users.cost_sum[slot] + cost_cents[action]
-                survivors.add(segment, k, action, cost_sum, rng,
-                              env.feature_row(rng, segment, k, action, cost_sum))
-        users = survivors
+        users = [u for u in users if not u.done]
 
         per_day.append({
             "day": day,

@@ -15,8 +15,26 @@ import numpy as np
 from budgetrl.bcq import states_to_inputs
 from budgetrl.core import (CLAIMS_PER_CYCLE, StateVector, Trajectory, Transition,
                            day_mask_indices, units)
-from budgetrl.envsim import PROB_CLAMP, IneligibleActionError, UserSim, sigmoid
+from budgetrl.envsim import PROB_CLAMP, IneligibleActionError, sigmoid
 from budgetrl.evaluation import DAY_SECONDS, EvalReport
+
+
+class UserSim:
+    """A user's latent segment, cycle counters and current ``StateVector``."""
+
+    __slots__ = ("user_id", "segment", "day_in_cycle", "bonuses_collected",
+                 "last_action", "cost_sum_cents", "rng", "state", "done")
+
+    def __init__(self, user_id: int, segment: int, rng):
+        self.user_id = user_id
+        self.segment = segment
+        self.day_in_cycle = 1
+        self.bonuses_collected = 0
+        self.last_action = -1
+        self.cost_sum_cents = 0
+        self.rng = rng
+        self.state: StateVector | None = None
+        self.done = False
 
 
 def retention_logit(env, segment, action_index, streak, last_action=-1):

@@ -340,6 +340,20 @@ class TestWindowStore:
         return WindowStore(ActionSet.default().all_cents, budget,
                            window_span=span, refresh_period=period)
 
+    @pytest.mark.parametrize("kwarg, field", [("span", "window_span"),
+                                              ("period", "refresh_period")])
+    @pytest.mark.parametrize("value", [0.0, -5.0, np.nan, np.inf, -np.inf])
+    def test_rejects_a_span_or_period_not_positive_and_finite(self, kwarg, field, value):
+        with pytest.raises(ValueError, match=field):
+            self.make_store(**{kwarg: value})
+
+    @pytest.mark.parametrize("costs", [(-1, 50), (50, 2 ** 31), (50, 10 ** 22)])
+    def test_rejects_costs_outside_the_menu_range(self, costs):
+        with pytest.raises(ValueError, match="costs"):
+            WindowStore(costs, 87)
+        with pytest.raises(ValueError, match="costs"):
+            AllocationProblem(np.array([[0.5, 0.7]]), costs, 87)
+
     def test_empty_window_keeps_snapshot(self):
         store = self.make_store()
         store.lambda_snapshot = 1.5

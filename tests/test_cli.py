@@ -277,6 +277,17 @@ class TestAllocateBatch:
         assert len(body) == 41
 
 
+    @pytest.mark.parametrize("header, budget", [("0.65,0.87", "inf"), ("0.65,1e20", "0.80")])
+    def test_budget_or_cost_out_of_range_exits_1(self, tmp_path, capsys, header, budget):
+        csv_path = tmp_path / "q.csv"
+        csv_path.write_text(f"{header}\n0.5,0.6\n")
+        out = tmp_path / "a.csv"
+        assert run("allocate", "--q-matrix", str(csv_path), "--budget", budget,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
+
     def test_empty_q_matrix_exits_1(self, tmp_path, capsys):
         csv_path = tmp_path / "q.csv"
         csv_path.write_text("")
@@ -329,6 +340,23 @@ class TestAllocateStream:
         err = capsys.readouterr().err
         assert "invalid input" in err
         assert "stream line 3" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--refresh-minutes", "0"), ("--refresh-minutes", "-5"), ("--refresh-minutes", "nan"),
+        ("--window-hours", "nan"), ("--window-hours", "inf"), ("--window-hours", "0"),
+        ("--budget", "inf"), ("--budget", "nan"), ("--costs", "0.65,1e20"),
+    ])
+    def test_bad_store_setting_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps({"ts": 60.0 * i, "q": [0.5, 0.6]}) + "\n"
+                                  for i in range(3)))
+        options = {"--costs": "0.65,0.87", "--budget": "0.80", flag: value}
+        assert run("allocate", "--stream", str(stream), *[x for kv in options.items() for x in kv],
+                   "--out", str(tmp_path / "dec.jsonl"),
+                   "--lambda-timeline", str(tmp_path / "lam.csv")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
     def test_first_bad_line_is_named_before_a_later_one_in_its_chunk(self, tmp_path, capsys):
@@ -390,6 +418,18 @@ class TestEvaluateAndSimulate:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("flag, value", [("--budget", "inf"), ("--days", "-2"),
+                                             ("--arrivals", "-5")])
+    def test_simulate_refuses_a_bad_run_setting(self, workspace, tmp_path, capsys, flag, value):
+        options = {"--days": "2", "--arrivals": "10", flag: value}
+        assert run("simulate", "--policy", "bcq", "--model", str(workspace / "model.json"),
+                   *[x for kv in options.items() for x in kv],
+                   "--out", str(tmp_path / "sim.json"),
+                   "--timeline", str(tmp_path / "sim.csv")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("budget, infeasible", [("0.60", True), ("0.87", False)])
     def test_report_counts_infeasible_refreshes(self, workspace, tmp_path, budget, infeasible):
         # 0.60 is below the cheapest bonus, 0.65: no multiplier fits any refresh
@@ -435,6 +475,17 @@ class TestPipeline:
         ha, hb = tree_hash(tmp_path / "a"), tree_hash(tmp_path / "b")
         assert ha == hb
         assert "run_config.json" in ha
+
+    @pytest.mark.parametrize("flag, value", [("--budget", "inf"), ("--days", "-2"),
+                                             ("--arrivals", "-5")])
+    def test_bad_run_setting_exits_1_without_a_report(self, tmp_path, capsys, flag, value):
+        options = {"--n-users": "40", "--steps": "20", "--days": "1", "--arrivals": "5",
+                   flag: value}
+        assert run("pipeline", "--workdir", str(tmp_path / "w"),
+                   *[x for kv in options.items() for x in kv]) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert not (tmp_path / "w" / "simulate_report.json").exists()
 
     def test_artifacts_chain(self, tmp_path):
         # every artifact written by the pipeline must be readable by the

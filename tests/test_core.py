@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -98,6 +99,11 @@ class TestActionSet:
     def test_money_round_trip(self):
         for v in (0.65, 0.87, 1.05, 1.72, 1.82):
             assert units(cents(v)) == v
+
+    @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 1e307])
+    def test_cents_of_an_amount_that_is_not_finite_refused(self, amount):
+        with pytest.raises(ValueError, match="finite"):
+            cents(amount)
 
 
 class TestDayMask:

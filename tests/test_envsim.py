@@ -175,17 +175,19 @@ class TestStep:
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
         for a in (0, 1, 2)[:claims_done]:
             env.step(user, a)
-        state = user.state
+        features = user.features
         with pytest.raises(IneligibleActionError):
             env.step(user, env.actions.size if action == "size" else action)
-        assert user.bonuses_collected == claims_done and user.state == state
+        assert user.bonuses_collected == claims_done and user.features is features
+        assert user.day_in_cycle == claims_done + 1 and not user.done
 
     def test_counters_advance(self):
         env = small_env(base_logit=50.0)
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
         reward, done = env.step(user, 1)
         assert reward == 1 and not done
-        assert user.state.day_in_cycle == 2 and user.state.bonuses_collected == 1
+        assert user.day_in_cycle == 2 and user.bonuses_collected == 1
+        assert user.features == [1.0, 0.87, 0.87]  # segment 0, last and mean bonus
 
     def test_terminates_after_four_claims(self):
         env = small_env(base_logit=50.0)
@@ -194,13 +196,13 @@ class TestStep:
             _, done = env.step(user, a)
             assert not done
         _, done = env.step(user, 3)
-        assert done and user.state is None
+        assert done and user.features is None and user.bonuses_collected == 4
 
     def test_terminates_on_no_login(self):
         env = small_env(base_logit=-50.0)  # never retains
         user = env.spawn_user(0, np.random.default_rng(0), segment=0)
         reward, done = env.step(user, 0)
-        assert reward == 0 and done and user.state is None
+        assert reward == 0 and done and user.features is None and user.bonuses_collected == 1
 
 
 class TestGenerateDataset:

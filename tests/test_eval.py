@@ -293,3 +293,39 @@ class TestSimulateOnline:
         with pytest.raises(ValueError, match="clock"):
             simulate_online(mid_env(), policy, store, 2, 30, seed=13)
         assert store.timeline == ticks
+
+    @pytest.mark.parametrize("n_days, arrivals", [(-2, 30), (2, -5)])
+    def test_negative_days_or_arrivals_refused_before_any_work(self, n_days, arrivals):
+        store = WindowStore(ACTIONS.all_cents, budget_cents=87)
+        with pytest.raises(ValueError, match="n_days and arrivals_per_day"):
+            simulate_online(mid_env(), ConstantRowPolicy(ACTIONS), store, n_days, arrivals,
+                            seed=13)
+        assert store._next_tick is None and store.timeline == []
+
+
+class CountingEnv(CheckinEnv):
+    """Counts the claims walked through ``step``."""
+
+    steps = 0
+
+    def step(self, user, action_index):
+        self.steps += 1
+        return super().step(user, action_index)
+
+
+class TestOneWalk:
+    """Both simulators make every claim through ``CheckinEnv.step``."""
+
+    def test_generate_dataset_steps_once_per_transition(self):
+        env = CountingEnv(mid_env().config, ACTIONS)
+        behavior = BehaviorPolicyConfig(table=default_behavior_table(3, ACTIONS), noise=0.2)
+        dataset = generate_dataset(env, behavior, 60, seed=3)
+        assert env.steps == sum(len(t) for t in dataset) > 60
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_simulate_online_steps_once_per_claim(self, budgeted):
+        env = CountingEnv(mid_env().config, ACTIONS)
+        store = WindowStore(ACTIONS.all_cents, budget_cents=87) if budgeted else None
+        report = simulate_online(env, ConstantRowPolicy(ACTIONS), store, 5, 30, seed=15)
+        assert env.steps == report.matched_steps > 150
+
