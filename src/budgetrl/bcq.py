@@ -5,6 +5,11 @@ every argmax (both action choice and bootstrap target) to actions whose
 probability under that classifier is at least ``xi`` times the most probable
 action's. ``xi = 0`` recovers unconstrained Q-learning, ``xi = 1`` clones the
 behavior argmax.
+
+A state with one eligible action takes it; Q is read only to choose among
+two or more. ``BcqPolicy.action`` finds a state's eligible actions first and
+runs the Q-network only when they leave a choice; at the deployed ``xi`` of
+0.3 nearly every logged state has one eligible action.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndar
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
     masked = np.where(claim_mask, probs, 0.0)
-    return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=True))
+    # one row's maximum is a scalar (see ``softmax``)
+    return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=masked.ndim > 1))
 
 
 @dataclass(frozen=True)
@@ -251,9 +257,16 @@ def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
 
 def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
     """Highest-Q action among the ``eligible`` ones, cheaper on ties: an int
-    array over the rows of ``x``, or one action for one 1-D input."""
+    array over the rows of ``x``, or one action for one 1-D input. A row with
+    one eligible action takes it; Q is read only to choose among two or more,
+    so an overflowed Q cannot move a row's choice off its eligible set, and
+    the Q pass runs only when some row has a choice."""
+    one, only = eligible.sum(axis=-1) == 1, eligible.argmax(axis=-1)
+    if one.all():
+        return only
     q = agent.q_net.forward(x)
-    return argmax_cheapest(np.where(eligible, q, -np.inf), agent.actions.all_cents)
+    best = argmax_cheapest(np.where(eligible, q, -np.inf), agent.actions.all_cents)
+    return np.where(one, only, best)
 
 
 def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,
@@ -268,19 +281,25 @@ def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.nd
 
 class BcqPolicy:
     """The trained agent as a policy: direct greedy play and value rows for the
-    allocator. ``q_rows`` scores a matrix of network inputs in one Q forward
-    pass; ``q_row`` is its one-state case."""
+    allocator. ``action`` decides one state, with a Q forward pass only when
+    more than one action is eligible. ``q_rows`` scores a matrix of network
+    inputs in one Q forward pass; ``q_row`` is its one-state case."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
         self.xi = agent.hyper.xi if xi is None else xi
 
     def action(self, state: StateVector) -> int:
-        """Highest-Q action among the behavior-eligible set; cheaper action on ties."""
-        # A 1-D input keeps both forward passes one-row products.
+        """Highest-Q action among the behavior-eligible set; cheaper action on ties.
+        A state with one eligible action takes it; Q is read only to choose
+        among two or more."""
+        # A 1-D input keeps each forward pass a one-row product. With one
+        # eligible action, ``_constrained_argmax``'s rule needs no Q pass.
         x = state_to_input(state)
-        return int(_constrained_argmax(
-            self.agent, x, _eligible(self.agent, x, state.bonuses_collected, self.xi)))
+        eligible = _eligible(self.agent, x, state.bonuses_collected, self.xi)
+        if np.count_nonzero(eligible) == 1:
+            return int(eligible.argmax())
+        return int(_constrained_argmax(self.agent, x, eligible))
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Q values over the claim-eligible actions of the rows of ``x`` (as

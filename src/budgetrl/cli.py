@@ -43,7 +43,7 @@ from .core import (
     write_json,
 )
 from .envsim import CheckinEnv, config_to_dict, default_config, generate_dataset, load_config
-from .evaluation import match_records, offline_report, simulate_online
+from .evaluation import check_run_length, match_records, offline_report, simulate_online
 from .nets import TrainingDivergedError
 
 
@@ -371,6 +371,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    cents(args.budget)  # a finite budget, even for a policy that does not spend it
     env_config, behavior, actions = _load_config_arg(args.config)
     env = CheckinEnv(env_config, actions)
     policy = _policy_from_args(args, actions, env_config, behavior)
@@ -388,6 +389,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # the simulation's settings, checked before the logs and the model are written
+    cents(args.budget)
+    check_run_length(args.days, args.arrivals)
     workdir = Path(args.workdir)
     config = _load_config_arg(args.config)
     env, dataset = _write_logs(args, config, workdir / "dataset")

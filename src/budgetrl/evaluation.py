@@ -56,7 +56,13 @@ class EvalReport:
 def match_records(dataset: Sequence[Trajectory], policy,
                   full_trajectory: bool = False) -> MatchedSet:
     """Keep each trajectory's maximal matching prefix (or all-or-nothing when
-    ``full_trajectory`` is set); a trajectory drops out at its first mismatch."""
+    ``full_trajectory`` is set); a trajectory drops out at its first mismatch.
+
+    Calls ``policy.action(state)`` exactly once per decision, in log order, and
+    stops a trajectory at its first mismatch. Stateful policies
+    (``UniformRandomPolicy`` draws from its own stream) and wrappers that stamp
+    each decision rely on this order and count, so the calls stay one state at
+    a time until such wrappers can stamp a batch of decisions."""
     kept = []
     for traj in dataset:
         n_match = 0
@@ -103,6 +109,14 @@ def offline_report(matched: MatchedSet) -> EvalReport:
 DAY_SECONDS = 24 * 3600.0
 
 
+def check_run_length(n_days: int, arrivals_per_day: int) -> None:
+    """The ``simulate_online`` run length: a negative ``n_days`` or
+    ``arrivals_per_day`` is a ValueError."""
+    if n_days < 0 or arrivals_per_day < 0:
+        raise ValueError(f"n_days and arrivals_per_day must be >= 0, not {n_days} "
+                         f"and {arrivals_per_day}")
+
+
 def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
                     n_days: int, arrivals_per_day: int, seed: int) -> EvalReport:
     """Drive arrivals, decisions, and multiplier refreshes on a virtual clock.
@@ -123,9 +137,7 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     policy's direct action on the user's ``StateVector`` is used. A negative
     ``n_days`` or ``arrivals_per_day`` is a ValueError, raised before any work.
     """
-    if n_days < 0 or arrivals_per_day < 0:
-        raise ValueError(f"n_days and arrivals_per_day must be >= 0, not {n_days} "
-                         f"and {arrivals_per_day}")
+    check_run_length(n_days, arrivals_per_day)
     cost_cents = env.actions.all_cents
     step = env.step
     users: list[UserSim] = []

@@ -60,8 +60,11 @@ def huber_grad(delta, kappa: float):
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis. A 1-D ``z`` reduces to scalars, which numpy
+    broadcasts with less overhead than a kept (1,) axis; the values are the same."""
+    keep = z.ndim > 1
+    e = np.exp(z - z.max(axis=-1, keepdims=keep))
+    e /= e.sum(axis=-1, keepdims=keep)
     return e
 
 
@@ -104,19 +107,18 @@ class Mlp:
         return self.layer_sizes[0]
 
     def forward(self, x) -> np.ndarray:
-        """Deterministic forward pass; returns the identity-head output."""
+        """Deterministic forward pass; returns the identity-head output. A 1-D
+        input goes through as a vector: each layer's product is the BLAS call
+        its (1, fan_in) row would make, with less numpy overhead per layer."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        if a.shape[-1] != self.input_size:
-            raise ShapeError(f"input width {a.shape[-1]} != {self.input_size}")
-        a = self._forward(a)
-        return a[0] if single else a
+        if x.shape[-1] != self.input_size:
+            raise ShapeError(f"input width {x.shape[-1]} != {self.input_size}")
+        return self._forward(x)
 
     def _forward(self, a: np.ndarray, outs=None) -> np.ndarray:
-        """The layers on the rows of ``a``: layer i writes into ``outs[i]`` (into
-        new arrays without ``outs``), ReLU applied in place on hidden layers.
-        Returns the output layer."""
+        """The layers on ``a``, one row or a matrix of rows: layer i writes into
+        ``outs[i]`` (into new arrays without ``outs``), ReLU applied in place on
+        hidden layers. Returns the output layer."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             # the operator is the cheaper call for one-row inference

@@ -36,6 +36,7 @@ from budgetrl.envsim import (
     EnvConfig,
     SegmentParams,
     default_behavior_table,
+    default_config,
     generate_dataset,
 )
 from budgetrl.nets import Mlp, softmax
@@ -285,6 +286,64 @@ class TestPolicyAction:
             elig = eligible_actions(agent.behavior_model, s, xi,
                                     day_mask_indices(ACTIONS, bonuses))
             assert a in elig
+
+
+class TestOneStateDecision:
+    """``BcqPolicy.action`` finds a state's eligible actions first and reads Q only
+    when two or more are eligible."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        env_config, behavior, menu = default_config()
+        dataset = generate_dataset(CheckinEnv(env_config, menu), behavior, 120, seed=8)
+        agent = bcq_train(dataset, menu, replace(FAST, training_steps=300))
+        return agent, [tr.state for tr in flatten(dataset)]
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    def test_action_is_the_batched_argmax_row(self, trained, xi):
+        agent, states = trained
+        x = states_to_inputs(states)
+        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], xi)
+        batched = bcq._constrained_argmax(agent, x, eligible)
+        policy = BcqPolicy(agent, xi)
+        for s, row, want in zip(states, eligible, batched):
+            one_row = bcq._eligible(agent, state_to_input(s), s.bonuses_collected, xi)
+            assert one_row.tobytes() == row.tobytes()
+            assert policy.action(s) == want
+        if xi == 0.0:  # every claim keeps two or more actions, so every state reads Q
+            assert (eligible.sum(axis=1) >= 2).all()
+
+    def test_one_eligible_action_never_reads_q(self):
+        agent = tiny_agent([9.0, 0.1, 0.2, 0.3], [0.1, 0.7, 0.1, 0.1], xi=0.5)
+
+        def no_q(x):
+            raise AssertionError("Q read for a state with one eligible action")
+
+        agent.q_net.forward = no_q
+        assert BcqPolicy(agent).action(state()) == 1
+        assert BcqPolicy(agent).action(state(bonuses=3, day=4)) == 3  # claim 4 has one arm
+        with pytest.raises(AssertionError):  # two eligible actions: Q decides
+            BcqPolicy(agent, xi=0.1).action(state())
+        # the batched rule skips the Q pass too when no row has a choice
+        states = [state(), state(bonuses=3, day=4)]
+        x = states_to_inputs(states)
+        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], 0.5)
+        assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
+
+    def test_an_overflowed_q_still_takes_the_one_eligible_action(self):
+        agent = tiny_agent([0.0] * 4, [0.1, 0.7, 0.1, 0.1], xi=0.5)
+        params = agent.q_net.get_params()
+        params[-ACTIONS.size:] = -np.inf  # zero weights: every output is its bias
+        agent.q_net.set_params(params)
+        assert (agent.q_net.forward(state_to_input(state())) == -np.inf).all()
+        assert BcqPolicy(agent).action(state()) == 1
+        # the cheapest arm, 0, is not a claim-4 action
+        assert BcqPolicy(agent).action(state(bonuses=3, day=4)) == 3
+        # the batched rule, which the training log's agreement probe uses, agrees
+        states = [state(), state(bonuses=3, day=4)]
+        x = states_to_inputs(states)
+        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], 0.5)
+        assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
 
 
 class TestQVector:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from budgetrl import cli
 from budgetrl.cli import build_parser, main
 from budgetrl.envsim import config_to_dict, default_config
 from test_envsim import CONFIG_PROBES, LOAD_PROBES, probe_config
@@ -430,6 +431,20 @@ class TestEvaluateAndSimulate:
         assert "invalid input" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    @pytest.mark.parametrize("policy", ["cheapest", "bcq"])
+    def test_simulate_refuses_a_non_finite_budget_for_every_policy(self, workspace, tmp_path,
+                                                                   capsys, policy, budget):
+        # cheapest never spends the budget, but the run snapshot records it
+        argv = ["simulate", "--policy", policy, "--budget", budget, "--days", "1",
+                "--arrivals", "3", "--out", str(tmp_path / "sim.json")]
+        if policy == "bcq":
+            argv += ["--model", str(workspace / "model.json")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("budget, infeasible", [("0.60", True), ("0.87", False)])
     def test_report_counts_infeasible_refreshes(self, workspace, tmp_path, budget, infeasible):
         # 0.60 is below the cheapest bonus, 0.65: no multiplier fits any refresh
@@ -486,6 +501,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
         assert not (tmp_path / "w" / "simulate_report.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--budget", "inf"), ("--budget", "nan"),
+                                             ("--days", "-1"), ("--arrivals", "-1")])
+    def test_bad_run_setting_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        flag, value):
+        def no_logs(*args):
+            raise AssertionError("pipeline made logs before checking its settings")
+
+        monkeypatch.setattr(cli, "_write_logs", no_logs)
+        assert run("pipeline", "--workdir", str(tmp_path / "w"), "--n-users", "40",
+                   "--steps", "20", flag, value) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_artifacts_chain(self, tmp_path):
         # every artifact written by the pipeline must be readable by the

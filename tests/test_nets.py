@@ -154,6 +154,27 @@ class TestForward:
         with pytest.raises(ShapeError):
             Mlp([3, 2]).forward(np.ones(4))
 
+    def test_one_row_is_its_batch_row_bit_for_bit(self):
+        # a 1-D input runs as a vector; its products are the (1, n) row's BLAS calls
+        rng = np.random.default_rng(8)
+        net = Mlp([5, 64, 64, 12], rng=rng)
+        xs = rng.normal(size=(40, 5))
+
+        def check(m):
+            for x in xs:
+                assert m.forward(x).tobytes() == m.forward(x[None, :])[0].tobytes()
+
+        check(net)
+        net.set_params(rng.normal(size=net.params.shape))
+        check(net)
+        check(net.copy())
+        check(Mlp.from_dict(net.to_dict()))
+
+    def test_softmax_of_one_row_is_its_batch_row(self):
+        zs = np.random.default_rng(9).normal(scale=5.0, size=(40, 12))
+        for z in zs:
+            assert softmax(z).tobytes() == softmax(z[None, :])[0].tobytes()
+
 
 class TestTrainStep:
     def test_zero_lr_leaves_parameters(self):
