@@ -151,11 +151,10 @@ class _Prices:
 _WALK_BLOCK = 4096  # rows per block of the envelope walk
 
 
-def _row_cache(q: np.ndarray, prices: _Prices, out=None) -> tuple[np.ndarray, ...]:
-    """What the exact-lam kernel reads per row: the -inf-masked rows, the greedy
-    (lam = 0) cost where the envelope walk starts, the cheapest eligible
-    action, and the walk's breakpoints and drops; filled into ``out`` when
-    given (five arrays of those shapes), else into new arrays.
+def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
+    """What the exact-lam kernel reads per row, as new arrays: the -inf-masked
+    rows, the greedy (lam = 0) cost where the envelope walk starts, the
+    cheapest eligible action, and the walk's breakpoints and drops.
 
     The walk follows each row's upper concave envelope over (cost, value) as
     lam rises. From the greedy argmax (cheaper on ties), the dual choice a
@@ -165,23 +164,19 @@ def _row_cache(q: np.ndarray, prices: _Prices, out=None) -> tuple[np.ndarray, ..
     Rows walk in blocks of ``_WALK_BLOCK``, so one step's arrays stay in cache.
     """
     n, m = q.shape
-    if out is None:
-        out = (np.empty((n, m)), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
-               np.empty((n, m - 1)), np.empty((n, m - 1), dtype=np.int64))
-    qm, start_cents, cheapest, lams, drops = out
     cents = prices.cents
-    np.fmax(q, -np.inf, out=qm)
-    cheapest[:] = argmax_cheapest(np.isfinite(q), cents)
+    qm = np.fmax(q, -np.inf)
+    cheapest = argmax_cheapest(np.isfinite(q), cents)
     cur = argmax_cheapest(qm, cents)
-    cents.take(cur, out=start_cents)
-    lams.fill(np.inf)
-    drops.fill(0)
+    start_cents = cents[cur]
+    lams = np.full((n, m - 1), np.inf)
+    drops = np.zeros((n, m - 1), dtype=np.int64)
     floor = cents[cheapest]
     for lo in range(0, n, _WALK_BLOCK):
         block = slice(lo, lo + _WALK_BLOCK)
         _walk(qm[block], cur[block], start_cents[block], floor[block], lams[block],
               drops[block], prices)
-    return out
+    return qm, start_cents, cheapest, lams, drops
 
 
 def _walk(qm, cur, cost, floor, lams, drops, prices: _Prices) -> None:

@@ -71,9 +71,8 @@ def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndar
 class TransitionArrays:
     """Logged transitions as model-ready columns, one row per transition.
 
-    A live row's ``x_next`` and ``next_claims`` are the next row's ``x`` and ``claims``.
-    Terminal rows have an all-zero ``x_next`` and ``next_claims`` 0; they
-    bootstrap to the reward alone.
+    A live row's next state is the following row. Terminal rows have no next
+    state; they bootstrap to the reward alone.
     """
 
     x: np.ndarray  # (N, d + 2) state inputs
@@ -81,13 +80,11 @@ class TransitionArrays:
     reward: np.ndarray  # (N,) float
     claims: np.ndarray  # (N,) bonuses collected at the state
     done: np.ndarray  # (N,) bool
-    x_next: np.ndarray  # (N, d + 2) next-state inputs
-    next_claims: np.ndarray  # (N,) bonuses collected at the next state
 
 
 def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
-    """The one conversion of logged trajectories into model inputs. The next
-    state of a transition that is not done is the following transition's state."""
+    """The one conversion of logged trajectories into model inputs. A live row's
+    next state is the following row, so every trajectory must end done."""
     transitions = flatten(dataset)
     if not transitions:
         raise ValueError("empty dataset")
@@ -95,18 +92,12 @@ def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
     last_rows = np.cumsum([len(traj) for traj in dataset if len(traj)]) - 1
     if not done[last_rows].all():
         raise ValueError("a transition that is not done has no next state; is the log truncated?")
-    x = states_to_inputs([tr.state for tr in transitions])
-    claims = np.array([tr.state.bonuses_collected for tr in transitions], dtype=int)
-    # Every trajectory ends done, so a live row's next row is in its own trajectory.
-    live = np.flatnonzero(~done)
-    x_next = np.zeros_like(x)
-    x_next[live] = x[live + 1]
-    next_claims = np.zeros_like(claims)
-    next_claims[live] = claims[live + 1]
     return TransitionArrays(
-        x=x, action=np.array([tr.action_index for tr in transitions], dtype=int),
+        x=states_to_inputs([tr.state for tr in transitions]),
+        action=np.array([tr.action_index for tr in transitions], dtype=int),
         reward=np.array([tr.reward for tr in transitions], dtype=float),
-        claims=claims, done=done, x_next=x_next, next_claims=next_claims)
+        claims=np.array([tr.state.bonuses_collected for tr in transitions], dtype=int),
+        done=done)
 
 
 def _block_lengths(steps: int, batch: int, period: int | None = None):
@@ -205,7 +196,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     """
     data = transition_arrays(dataset)
     behavior_model = train_behavior_model(data, actions, hyper)
-    x, a, r, done, x_next = data.x, data.action, data.reward, data.done, data.x_next
+    x, a, r, done = data.x, data.action, data.reward, data.done
     n = x.shape[0]
 
     root = np.random.SeedSequence((hyper.seed, 1))
@@ -217,9 +208,8 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
                      training_log=[])
 
     # the behavior model never changes during Q training
-    next_eligible = _eligible(agent, x_next, data.next_claims, hyper.xi)
+    eligible = _eligible(agent, x, data.claims, hyper.xi)
     probe = slice(0, min(256, n))
-    probe_eligible = _eligible(agent, x[probe], data.claims[probe], hyper.xi)
 
     log_every = max(1, hyper.training_steps // 50)
     batch = min(hyper.batch_size, n)
@@ -227,10 +217,13 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
     step = 0
     for length in _block_lengths(hyper.training_steps, batch, hyper.target_sync_interval):
         idx = batch_rng.integers(0, n, size=(length, batch))
+        # A live row's next state is row i + 1. A done row's bootstrap is zeroed
+        # below, so the last row, which is done, may read itself.
+        nxt = np.minimum(idx + 1, n - 1)
         q_next = np.empty((length, batch, actions.size))
-        for k, rows in enumerate(x_next[idx]):  # one step's rows per forward pass
+        for k, rows in enumerate(x[nxt]):  # one step's rows per forward pass
             q_next[k] = target.forward(rows)
-        np.copyto(q_next, -np.inf, where=~next_eligible[idx])
+        np.copyto(q_next, -np.inf, where=~eligible[nxt])
         boot = q_next.max(axis=2)
         boot[done[idx]] = 0.0
         targets = r[idx] + hyper.gamma * boot
@@ -242,7 +235,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
                 target_net.set_params(q_net.params)
             if step % log_every == 0 or step == hyper.training_steps:
                 agreement = _logged_action_agreement(agent, x[probe], data.claims[probe],
-                                                     a[probe], probe_eligible)
+                                                     a[probe], eligible[probe])
                 agent.training_log.append({"step": step, "loss": float(loss),
                                            "behavior_agreement": agreement})
     return agent

@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,10 @@ from .baselines import (
 )
 from .bcq import BcqAgent, BcqPolicy, bcq_train
 from .core import (
+    MANIFEST_NAME,
     ActionSet,
     HyperParams,
+    Trajectory,
     _write_complete,
     cents,
     load_dataset,
@@ -175,10 +177,16 @@ def _load_logs(path: str) -> tuple[Path, list, ActionSet]:
 
 def _write_logs(args, config, out: Path):
     """Stage of ``generate-data`` and ``pipeline``: simulate ``args.n_users`` logged
-    cycles, validate them and write them to ``out``; returns the env and the cycles."""
+    cycles, validate them and write them to ``out``; returns the env and the cycles.
+    Users appended to a dataset are numbered after its highest user id."""
     env_config, behavior, actions = config
     env = CheckinEnv(env_config, actions)
     dataset = generate_dataset(env, behavior, args.n_users, args.seed)
+    if (out / MANIFEST_NAME).exists():  # a loaded trajectory holds one user
+        first = 1 + max((traj.transitions[0].user_id for traj in load_dataset(out)[0]),
+                        default=-1)
+        dataset = [Trajectory(tuple(replace(tr, user_id=tr.user_id + first)
+                                    for tr in traj.transitions)) for traj in dataset]
     violations = validate_dataset(dataset, actions, env_config.feature_dim)
     if violations:
         raise ValueError(f"generated dataset failed validation: {violations[:3]}")
@@ -389,10 +397,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # the simulation's settings, checked before the logs and the model are written
+    # the simulation's settings and the workdir, checked before any file is written
     cents(args.budget)
     check_run_length(args.days, args.arrivals)
     workdir = Path(args.workdir)
+    if (workdir / "dataset" / MANIFEST_NAME).exists():  # an append would mix two runs' logs
+        raise ValueError(f"{workdir / 'dataset'} already holds a dataset; "
+                         f"give pipeline a new --workdir")
     config = _load_config_arg(args.config)
     env, dataset = _write_logs(args, config, workdir / "dataset")
 

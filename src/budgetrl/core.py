@@ -53,7 +53,10 @@ class ActionSet:
 
     ``claim_table`` is the read-only (CLAIMS_PER_CYCLE, size) boolean table of
     the actions each claim may take: row b, after b claims, marks the normals
-    for the first three claims and the supers for the last. It and
+    for the first three claims and the supers for the last. It is the one
+    claim rule: ``claim_masks`` and ``day_mask_indices`` (the simulator, the
+    baselines, BCQ's filter and Q rows), ``validate_dataset``,
+    ``envsim.check_claim_table`` and ``CheckinEnv`` all read it. It and
     ``all_cents`` are built once per menu.
     """
 
@@ -107,9 +110,6 @@ class ActionSet:
     def cost_units(self, action_index: int) -> float:
         return units(self.all_cents[action_index])
 
-    def is_super(self, action_index: int) -> bool:
-        return action_index >= self.n_normal
-
     def to_dict(self) -> dict:
         return {"normal_cents": list(self.normal_cents), "super_cents": list(self.super_cents)}
 
@@ -122,20 +122,13 @@ class ActionSet:
 
 
 def day_mask_indices(actions: ActionSet, bonuses_collected: int) -> np.ndarray:
-    """Eligible action indices for the next claim.
-
-    Normal bonuses on claims 1..3, super bonuses on the final claim of the cycle.
-    """
-    if bonuses_collected < 0 or bonuses_collected >= CLAIMS_PER_CYCLE:
-        raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
-    if bonuses_collected == CLAIMS_PER_CYCLE - 1:
-        return np.arange(actions.n_normal, actions.size)
-    return np.arange(actions.n_normal)
+    """Eligible action indices for the next claim: the index form of ``claim_masks``."""
+    return np.flatnonzero(claim_masks(actions, bonuses_collected))
 
 
 def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
-    """Boolean form of ``day_mask_indices``, one row over the menu per claim
-    count: shape (M,) for a single count, (N, M) for N counts."""
+    """The rows of ``actions.claim_table`` at the claim counts ``bonuses_collected``:
+    shape (M,) for a single count, (N, M) for N counts."""
     b = np.asarray(bonuses_collected)
     lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
@@ -324,6 +317,7 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
     independent of trajectory ordering.
     """
     violations: list[str] = []
+    table = actions.claim_table.tolist()
     for traj in dataset:
         if len(traj) == 0:
             violations.append("empty trajectory")
@@ -346,8 +340,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                 violations.append(f"{where}: feature {k} = {tr.state.features[k]!r} not finite")
             if not 1 <= tr.state.day_in_cycle <= CYCLE_DAYS:
                 violations.append(f"{where}: day_in_cycle {tr.state.day_in_cycle} out of range")
-            if not 0 <= tr.state.bonuses_collected < CLAIMS_PER_CYCLE:
-                violations.append(f"{where}: bonuses_collected {tr.state.bonuses_collected} out of range")
+            claim = tr.state.bonuses_collected
+            if not 0 <= claim < CLAIMS_PER_CYCLE:
+                violations.append(f"{where}: bonuses_collected {claim} out of range")
             if not 0 <= tr.action_index < actions.size:
                 violations.append(f"{where}: action index {tr.action_index} out of range")
                 continue
@@ -357,12 +352,10 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                 violations.append(
                     f"{where}: cost mismatch ({tr.cost_cents} != "
                     f"{actions.cost_cents(tr.action_index)} for action {tr.action_index})")
-            if actions.is_super(tr.action_index):
-                n_super += 1
-                if tr.state.bonuses_collected != CLAIMS_PER_CYCLE - 1:
-                    violations.append(f"{where}: super action before claim {CLAIMS_PER_CYCLE}")
-            elif tr.state.bonuses_collected == CLAIMS_PER_CYCLE - 1:
-                violations.append(f"{where}: normal action at the super claim")
+            if 0 <= claim < CLAIMS_PER_CYCLE and not table[claim][tr.action_index]:
+                violations.append(
+                    f"{where}: action {tr.action_index} not eligible at claim {claim + 1}")
+            n_super += table[-1][tr.action_index]
             if tr.done and i + 1 < len(traj.transitions):
                 violations.append(f"{where}: transition after done")
         if n_super > 1:

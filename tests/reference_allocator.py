@@ -148,7 +148,8 @@ class RowStore(WindowStore):
             self._lo, self._hi = 0, live
         new = [a[self._hi:self._hi + n] for a in self._buffers]
         new[0][:] = [t for t, _ in self._pending]
-        _row_cache(q, self._prices, out=new[1:])
+        for buffer, column in zip(new[1:], _row_cache(q, self._prices)):
+            buffer[:] = column
         self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
         self._hi += n
         self._qmax = max(self._qmax, _abs_max(q))

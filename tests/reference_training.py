@@ -126,12 +126,18 @@ def fit_classifier(x, labels, n_classes, hyper, entropy):
 
 def bcq_train(dataset, actions, hyper):
     """``bcq.bcq_train`` one step at a time: the target forward, bootstrap and
-    gather of each step on that step's own draw, and the probe's eligibility
-    recomputed at every log point. Returns (q_net, behavior_model, training_log)."""
+    gather of each step on that step's own draw, next-state inputs copied out
+    beside the states, and the probe's eligibility recomputed at every log point. Returns (q_net, behavior_model, training_log)."""
     data = transition_arrays(dataset)
     behavior_model = fit_classifier(data.x, data.action, actions.size, hyper, hyper.seed)
-    x, a, r, done, x_next = data.x, data.action, data.reward, data.done, data.x_next
+    x, a, r, done = data.x, data.action, data.reward, data.done
     n = x.shape[0]
+    # Each live row's next state copied into its own arrays; zero on terminal rows.
+    live = np.flatnonzero(~done)
+    x_next = np.zeros_like(x)
+    x_next[live] = x[live + 1]
+    next_claims = np.zeros_like(data.claims)
+    next_claims[live] = data.claims[live + 1]
 
     root = np.random.SeedSequence((hyper.seed, 1))
     init_rng, batch_rng = (np.random.default_rng(s) for s in root.spawn(2))
@@ -140,7 +146,7 @@ def bcq_train(dataset, actions, hyper):
     opt = Optimizer(q_net, hyper.learning_rate, hyper.optimizer)
 
     next_eligible = xi_eligible(softmax(forward(behavior_model, x_next)),
-                                claim_masks(actions, data.next_claims), hyper.xi)
+                                claim_masks(actions, next_claims), hyper.xi)
     log_every = max(1, hyper.training_steps // 50)
     probe = slice(0, min(256, n))
     agent = BcqAgent(q_net=q_net, behavior_model=behavior_model, hyper=hyper, actions=actions)

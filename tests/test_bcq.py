@@ -199,11 +199,14 @@ class TestTransitionArrays:
         data = transition_arrays(dataset)
         x, a, r, done, x_next, next_mask, claims = old_prepare_arrays(dataset, actions)
         for new, old in ((data.x, x), (data.action, a), (data.reward, r), (data.done, done),
-                         (data.x_next, x_next), (data.claims, claims)):
+                         (data.claims, claims)):
             assert new.dtype == old.dtype
             np.testing.assert_array_equal(new, old)
-        live = claim_masks(actions, data.next_claims) & ~data.done[:, None]
-        np.testing.assert_array_equal(live, next_mask)
+        # a live row's next state and next claim mask are those of row i + 1
+        live = np.flatnonzero(~data.done)
+        np.testing.assert_array_equal(data.x[live + 1], x_next[live])
+        np.testing.assert_array_equal(claim_masks(actions, data.claims[live + 1]),
+                                      next_mask[live])
         return data
 
     def test_generated_dataset(self):
@@ -213,7 +216,7 @@ class TestTransitionArrays:
         data = self.assert_matches_per_row_loop(generate_dataset(env, behavior, 80, seed=7),
                                                 ACTIONS)
         assert data.done.any() and not data.done.all()
-        assert set(data.next_claims[~data.done]) == {1, 2, 3}
+        assert set(data.claims[np.flatnonzero(~data.done) + 1]) == {1, 2, 3}
 
     def test_hand_built_transitions(self):
         s0, s1, s2 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2), state(day=4, bonuses=2)
@@ -222,10 +225,11 @@ class TestTransitionArrays:
                             Transition(0, 3, s2, 2, 0, 105, True)))
         single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
         data = self.assert_matches_per_row_loop([chain, single], ACTIONS)
-        np.testing.assert_array_equal(data.next_claims, [1, 2, 0, 0])
-        # every row terminal: no next-state input is built
+        np.testing.assert_array_equal(data.done, [False, False, True, True])
+        np.testing.assert_array_equal(data.claims[1:3], [1, 2])
+        # every row terminal: no row is read as a next state
         data = self.assert_matches_per_row_loop([single], ACTIONS)
-        assert not data.x_next.any()
+        assert data.done.all()
 
     def test_truncated_trajectory_rejected(self):
         # a log cut after a non-final claim: the last row is neither done nor followed
@@ -248,7 +252,7 @@ class TestTransitionArrays:
         empty = Trajectory(())
         want = transition_arrays([chain, single])
         got = transition_arrays([empty, chain, empty, single, empty])
-        for name in ("x", "action", "reward", "claims", "done", "x_next", "next_claims"):
+        for name in ("x", "action", "reward", "claims", "done"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from budgetrl import cli
 from budgetrl.cli import build_parser, main
+from budgetrl.core import ActionSet, flatten, load_dataset, validate_dataset
 from budgetrl.envsim import config_to_dict, default_config
 from test_envsim import CONFIG_PROBES, LOAD_PROBES, probe_config
 
@@ -219,7 +221,6 @@ class TestErrors:
 
 class TestGenerateData:
     def test_dataset_reloadable_and_snapshotted(self, workspace):
-        from budgetrl.core import load_dataset
         trajs, manifest = load_dataset(workspace / "ds")
         assert len(trajs) == 150
         assert (workspace / "ds" / "run.config.json").exists()
@@ -256,6 +257,22 @@ class TestGenerateData:
         assert "invalid input" in err and LOAD_PROBES[probe][2] in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+    def test_appended_shard_numbers_its_users_after_the_existing_ones(self, tmp_path):
+        out, alone = tmp_path / "ds", tmp_path / "alone"
+        assert run("generate-data", "--n-users", "30", "--seed", "1", "--out", str(out)) == 0
+        first = (out / "data-00000.jsonl").read_bytes()
+        assert run("generate-data", "--n-users", "20", "--seed", "2", "--out", str(out)) == 0
+        assert run("generate-data", "--n-users", "20", "--seed", "2", "--out", str(alone)) == 0
+        assert (out / "data-00000.jsonl").read_bytes() == first
+        trajs, manifest = load_dataset(out)
+        assert [traj.transitions[0].user_id for traj in trajs] == list(range(50))
+        assert validate_dataset(trajs, ActionSet.from_dict(manifest["actions"]),
+                                manifest["feature_dim"]) == []
+        # the appended logs are the seed-2 logs, renumbered and otherwise unchanged
+        fresh = flatten(load_dataset(alone)[0])
+        assert flatten(trajs[30:]) == [replace(tr, user_id=tr.user_id + 30) for tr in fresh]
 
 
 class TestAllocateBatch:
@@ -515,6 +532,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_workdir_that_holds_a_dataset_is_refused_and_left_as_it_was(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        options = ["--n-users", "40", "--steps", "20", "--days", "1", "--arrivals", "5"]
+        assert run("pipeline", "--workdir", str(work), "--seed", "1", *options) == 0
+        before = tree_hash(work)
+        capsys.readouterr()
+        assert run("pipeline", "--workdir", str(work), "--seed", "2", *options) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "already holds a dataset" in err
+        assert "Traceback" not in err
+        assert tree_hash(work) == before
 
     def test_artifacts_chain(self, tmp_path):
         # every artifact written by the pipeline must be readable by the

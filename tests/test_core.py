@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetrl.core import (
     ActionSet,
@@ -36,6 +38,14 @@ def make_trajectory(actions, uid=0, action_seq=(0, 1), rewards=None, d=3):
             action_index=a, reward=rewards[i], cost_cents=actions.cost_cents(a),
             done=i == len(action_seq) - 1))
     return Trajectory(tuple(transitions))
+
+
+@st.composite
+def menus(draw):
+    """A valid menu: 1-8 increasing normal costs, then 1-4 dearer super costs."""
+    normal = sorted(draw(st.sets(st.integers(0, 10_000), min_size=1, max_size=8)))
+    extra = sorted(draw(st.sets(st.integers(1, 10_000), min_size=1, max_size=4)))
+    return ActionSet(tuple(normal), tuple(normal[-1] + e for e in extra))
 
 
 class TestActionSet:
@@ -119,6 +129,19 @@ class TestDayMask:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             day_mask_indices(ActionSet.default(), 4)
+
+    @given(menu=menus(), outside=st.one_of(st.integers(-10, -1), st.integers(4, 10)))
+    @settings(max_examples=100, deadline=None)
+    def test_index_form_of_the_claim_table(self, menu, outside):
+        for k in range(4):
+            got = day_mask_indices(menu, k)
+            assert got.dtype == np.intp
+            assert got.tolist() == np.flatnonzero(menu.claim_table[k]).tolist()
+        # one range check, so one message for both forms
+        message = f"no claim available at bonuses_collected={outside}$"
+        for rule in (day_mask_indices, claim_masks):
+            with pytest.raises(ValueError, match=message):
+                rule(menu, outside)
 
 
 class TestClaimMasks:
@@ -240,7 +263,31 @@ class TestValidateDataset:
     def test_super_action_early_flagged(self):
         traj = make_trajectory(self.actions, action_seq=(3,))
         report = validate_dataset([traj], self.actions, d=3)
-        assert any("super action before claim" in v for v in report)
+        assert report == ["user 0 t=1: action 3 not eligible at claim 1"]
+
+    def test_normal_action_at_the_super_claim_flagged(self):
+        traj = make_trajectory(self.actions, action_seq=(0, 1, 2, 0))
+        report = validate_dataset([traj], self.actions, d=3)
+        assert report == ["user 0 t=4: action 0 not eligible at claim 4"]
+
+    @given(menu=menus())
+    @settings(max_examples=50, deadline=None)
+    def test_ineligible_exactly_where_the_claim_table_refuses(self, menu):
+        for claim in range(4):
+            for a in range(menu.size):
+                tr = Transition(user_id=0, t=1, state=make_state(bonuses=claim, day=claim + 1),
+                                action_index=a, reward=0, cost_cents=menu.cost_cents(a),
+                                done=True)
+                report = validate_dataset([Trajectory((tr,))], menu, d=3)
+                refused = f"user 0 t=1: action {a} not eligible at claim {claim + 1}"
+                assert report == ([] if menu.claim_table[claim, a] else [refused])
+
+    def test_two_supers_in_one_trajectory_flagged(self):
+        # each record is eligible on its own: a super at the super claim
+        at_super = make_state(day=4, bonuses=3)
+        twice = Trajectory(tuple(Transition(1, t, at_super, 3, 0, 172, t == 2) for t in (1, 2)))
+        report = validate_dataset([twice], self.actions, d=3)
+        assert report == ["user 1: more than one super action in trajectory"]
 
     def test_feature_dim_checked(self):
         traj = make_trajectory(self.actions, action_seq=(0,), d=5)

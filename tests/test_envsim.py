@@ -254,8 +254,7 @@ class TestGenerateDataset:
         env = CheckinEnv(env_cfg, actions)
         for traj in generate_dataset(env, behavior, 300, seed=7):
             for tr in traj.transitions:
-                if actions.is_super(tr.action_index):
-                    assert tr.state.bonuses_collected == 3
+                assert actions.claim_table[tr.state.bonuses_collected, tr.action_index]
 
     def test_action_distribution_matches_table_noise_mix(self):
         # claim-1 actions: (1 - noise) on the table entry + noise/|normal| uniform
