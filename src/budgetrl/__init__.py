@@ -51,8 +51,6 @@ from .baselines import (
 from .evaluation import (
     EvalReport,
     MatchedSet,
-    avg_cost,
     match_records,
-    retention_rate,
     simulate_online,
 )

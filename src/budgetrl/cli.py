@@ -34,7 +34,6 @@ from .core import (
     MANIFEST_NAME,
     ActionSet,
     HyperParams,
-    Trajectory,
     _write_complete,
     cents,
     load_dataset,
@@ -177,21 +176,21 @@ def _load_logs(path: str) -> tuple[Path, list, ActionSet]:
 
 def _write_logs(args, config, out: Path):
     """Stage of ``generate-data`` and ``pipeline``: simulate ``args.n_users`` logged
-    cycles, validate them and write them to ``out``; returns the env and the cycles.
+    cycles, validate them and write them to ``out``; returns the env, the cycles and
+    the shard that holds them.
     Users appended to a dataset are numbered after its highest user id."""
     env_config, behavior, actions = config
     env = CheckinEnv(env_config, actions)
     dataset = generate_dataset(env, behavior, args.n_users, args.seed)
     if (out / MANIFEST_NAME).exists():  # a loaded trajectory holds one user
-        first = 1 + max((traj.transitions[0].user_id for traj in load_dataset(out)[0]),
-                        default=-1)
-        dataset = [Trajectory(tuple(replace(tr, user_id=tr.user_id + first)
-                                    for tr in traj.transitions)) for traj in dataset]
+        first = 1 + max((traj[0].user_id for traj in load_dataset(out)[0]), default=-1)
+        dataset = [tuple(replace(tr, user_id=tr.user_id + first) for tr in traj)
+                   for traj in dataset]
     violations = validate_dataset(dataset, actions, env_config.feature_dim)
     if violations:
         raise ValueError(f"generated dataset failed validation: {violations[:3]}")
-    write_dataset(out, dataset, actions, env_config.feature_dim)
-    return env, dataset
+    shard = write_dataset(out, dataset, actions, env_config.feature_dim)
+    return env, dataset, shard
 
 
 def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
@@ -210,8 +209,8 @@ def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
 def cmd_generate_data(args) -> int:
     config = _load_config_arg(args.config)
     out = Path(args.out)
-    _, dataset = _write_logs(args, config, out)
-    _snapshot(out / "run", "generate-data", {
+    _, dataset, shard = _write_logs(args, config, out)
+    _snapshot(shard, "generate-data", {
         "n_users": args.n_users, "seed": args.seed, "config": config_to_dict(*config),
     })
     print(f"wrote {len(dataset)} trajectories to {out}")
@@ -259,7 +258,7 @@ def _stream_row(line: str, n: int, m: int) -> tuple[float, np.ndarray]:
         if not (type(ts) in (int, float) and np.isfinite(ts) and type(q) is list):
             raise TypeError
         q = np.array([np.nan if v is None else float(v) for v in q])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # an int past the float range
         raise ValueError(f"stream line {n} is not an object with a numeric 'ts' and a "
                          f"list of numbers 'q': {line}") from None
     try:
@@ -405,7 +404,7 @@ def cmd_pipeline(args) -> int:
         raise ValueError(f"{workdir / 'dataset'} already holds a dataset; "
                          f"give pipeline a new --workdir")
     config = _load_config_arg(args.config)
-    env, dataset = _write_logs(args, config, workdir / "dataset")
+    env, dataset, _ = _write_logs(args, config, workdir / "dataset")
 
     hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
                         hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")

@@ -1,4 +1,7 @@
-"""Shared data model: bonus menus, states, logged trajectories, hyperparameters.
+"""Shared data model: bonus menus, states, log records, hyperparameters.
+
+A logged trajectory is a plain tuple of its ``Transition`` records, one user's
+cycle in time order; ``Trajectory`` names that type and nothing constructs it.
 
 Money is stored as integer hundredths of a currency unit (``*_cents``) so
 budget arithmetic stays exact; values are converted to floats only inside
@@ -186,18 +189,7 @@ class Transition:
     done: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    transitions: tuple[Transition, ...]
-
-    def __len__(self) -> int:
-        return len(self.transitions)
-
-    def total_reward(self) -> int:
-        return sum(tr.reward for tr in self.transitions)
-
-    def total_cost_cents(self) -> int:
-        return sum(tr.cost_cents for tr in self.transitions)
+Trajectory = tuple[Transition, ...]
 
 
 @dataclass(frozen=True)
@@ -322,12 +314,12 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
         if len(traj) == 0:
             violations.append("empty trajectory")
             continue
-        uid = traj.transitions[0].user_id
+        uid = traj[0].user_id
         if len(traj) > CLAIMS_PER_CYCLE:
             violations.append(
                 f"user {uid}: trajectory exceeds T={CLAIMS_PER_CYCLE} (length {len(traj)})")
         n_super = 0
-        for i, tr in enumerate(traj.transitions):
+        for i, tr in enumerate(traj):
             where = f"user {tr.user_id} t={tr.t}"
             if tr.user_id != uid:
                 violations.append(f"{where}: user_id changes within trajectory")
@@ -356,11 +348,11 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                 violations.append(
                     f"{where}: action {tr.action_index} not eligible at claim {claim + 1}")
             n_super += table[-1][tr.action_index]
-            if tr.done and i + 1 < len(traj.transitions):
+            if tr.done and i + 1 < len(traj):
                 violations.append(f"{where}: transition after done")
         if n_super > 1:
             violations.append(f"user {uid}: more than one super action in trajectory")
-        if not traj.transitions[-1].done:
+        if not traj[-1].done:
             violations.append(f"user {uid}: trajectory does not end with done")
     return violations
 
@@ -480,7 +472,7 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
 
     def write_records(f):
         for traj in dataset:
-            for tr in traj.transitions:
+            for tr in traj:
                 f.write(json.dumps(_transition_record(tr), sort_keys=True) + "\n")
 
     _write_complete(shard, write_records)
@@ -511,7 +503,7 @@ def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
 
     def flush():
         if pending:
-            trajectories.append(Trajectory(tuple(pending)))
+            trajectories.append(tuple(pending))
             pending.clear()
 
     for shard in sorted(path.glob("data-*.jsonl")):
@@ -538,4 +530,4 @@ def load_dataset(path: str | Path) -> tuple[list[Trajectory], dict]:
 
 
 def flatten(dataset: Sequence[Trajectory]) -> list[Transition]:
-    return [tr for traj in dataset for tr in traj.transitions]
+    return [tr for traj in dataset for tr in traj]

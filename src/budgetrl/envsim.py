@@ -427,7 +427,7 @@ def generate_dataset(env: CheckinEnv, behavior: BehaviorPolicyConfig, n_users: i
                 state=StateVector(tuple(features), day_in_cycle=claims + 1,
                                   bonuses_collected=claims),
                 action_index=a, reward=reward, cost_cents=cost_cents[a], done=done))
-        trajectories.append(Trajectory(tuple(transitions)))
+        trajectories.append(tuple(transitions))
     return trajectories
 
 

@@ -1,7 +1,7 @@
 """Policy evaluation: matched-record scoring on logged data, and a virtual-time
 online simulation that exercises the sliding-window allocator end to end.
 
-Matched-record evaluation keeps, per trajectory, the longest prefix on which
+Matched-record evaluation counts, per trajectory, the longest prefix on which
 the evaluated policy would have taken exactly the logged actions, and scores
 retention and cost on those steps only.
 """
@@ -23,18 +23,14 @@ class UndefinedMetricError(ValueError):
 
 @dataclass(frozen=True)
 class MatchedSet:
-    """Trajectory prefixes on which the policy agrees with the log."""
+    """Counts over the trajectory prefixes on which the policy agrees with the log:
+    how many prefixes and steps were kept, and their logged reward and cost."""
 
-    trajectories: tuple[Trajectory, ...]
+    matched_trajectories: int
+    matched_steps: int
+    rewards: int
+    cost_cents: int
     total_trajectories: int
-
-    @property
-    def matched_trajectories(self) -> int:
-        return len(self.trajectories)
-
-    @property
-    def matched_steps(self) -> int:
-        return sum(len(t) for t in self.trajectories)
 
     @property
     def match_rate(self) -> float:
@@ -55,7 +51,7 @@ class EvalReport:
 
 def match_records(dataset: Sequence[Trajectory], policy,
                   full_trajectory: bool = False) -> MatchedSet:
-    """Keep each trajectory's maximal matching prefix (or all-or-nothing when
+    """Count each trajectory's maximal matching prefix (or all-or-nothing when
     ``full_trajectory`` is set); a trajectory drops out at its first mismatch.
 
     Calls ``policy.action(state)`` exactly once per decision, in log order, and
@@ -63,43 +59,34 @@ def match_records(dataset: Sequence[Trajectory], policy,
     (``UniformRandomPolicy`` draws from its own stream) and wrappers that stamp
     each decision rely on this order and count, so the calls stay one state at
     a time until such wrappers can stamp a batch of decisions."""
-    kept = []
+    trajectories = steps = rewards = cost_cents = 0
     for traj in dataset:
-        n_match = 0
-        for tr in traj.transitions:
+        n_match = reward = cost = 0
+        for tr in traj:
             if policy.action(tr.state) != tr.action_index:
                 break
             n_match += 1
-        if full_trajectory and n_match < len(traj):
+            reward += tr.reward
+            cost += tr.cost_cents
+        if n_match == 0 or (full_trajectory and n_match < len(traj)):
             continue
-        if n_match > 0:
-            kept.append(traj if n_match == len(traj)
-                        else Trajectory(traj.transitions[:n_match]))
-    return MatchedSet(trajectories=tuple(kept), total_trajectories=len(dataset))
-
-
-def retention_rate(matched: MatchedSet) -> float:
-    """Total logged reward over total matched steps."""
-    steps = matched.matched_steps
-    if steps == 0:
-        raise UndefinedMetricError("no matched steps")
-    return sum(t.total_reward() for t in matched.trajectories) / steps
-
-
-def avg_cost(matched: MatchedSet) -> float:
-    """Total logged cost over total matched steps, in currency units."""
-    steps = matched.matched_steps
-    if steps == 0:
-        raise UndefinedMetricError("no matched steps")
-    return units(sum(t.total_cost_cents() for t in matched.trajectories)) / steps
+        trajectories, steps = trajectories + 1, steps + n_match
+        rewards, cost_cents = rewards + reward, cost_cents + cost
+    return MatchedSet(matched_trajectories=trajectories, matched_steps=steps,
+                      rewards=rewards, cost_cents=cost_cents, total_trajectories=len(dataset))
 
 
 def offline_report(matched: MatchedSet) -> EvalReport:
+    """Retention and cost per matched step: total logged reward, and total logged
+    cost in currency units, over the matched steps."""
+    steps = matched.matched_steps
+    if steps == 0:
+        raise UndefinedMetricError("no matched steps")
     return EvalReport(
-        retention_rate=retention_rate(matched),
-        avg_cost_units=avg_cost(matched),
+        retention_rate=matched.rewards / steps,
+        avg_cost_units=units(matched.cost_cents) / steps,
         matched_trajectories=matched.matched_trajectories,
-        matched_steps=matched.matched_steps,
+        matched_steps=steps,
     )
 
 

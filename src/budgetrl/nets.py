@@ -155,8 +155,17 @@ class Mlp:
     def from_dict(cls, payload: dict) -> "Mlp":
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload.get('format')!r}")
-        net = cls(payload["layer_sizes"])
-        net.set_params(np.asarray(payload["params"], dtype=float))
+        # A null field is a TypeError, and a number past the float or int range
+        # an OverflowError: each is refused as the ValueError of a bad file.
+        try:
+            net = cls(payload["layer_sizes"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model layer_sizes are not a list of ints: {exc}") from None
+        try:
+            params = np.asarray(payload["params"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model params are not a list of floats: {exc}") from None
+        net.set_params(params)
         return net
 
 

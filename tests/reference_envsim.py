@@ -109,7 +109,7 @@ def generate_dataset(env, behavior, n_users: int, seed: int) -> list[Trajectory]
             transitions.append(Transition(
                 user_id=uid, t=len(transitions) + 1, state=state, action_index=a,
                 reward=reward, cost_cents=env.actions.cost_cents(a), done=done))
-        trajectories.append(Trajectory(tuple(transitions)))
+        trajectories.append(tuple(transitions))
     return trajectories
 
 

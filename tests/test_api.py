@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "WindowStore",
     "argmax_cheapest",
     "assign",
-    "avg_cost",
     "bcq_train",
     "cents",
     "claim_masks",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "match_records",
     "oracle_value_iteration",
     "repair_feasibility",
-    "retention_rate",
     "simulate_online",
     "solve_and_assign",
     "solve_lambda",

@@ -18,7 +18,6 @@ from budgetrl.core import (
     ActionSet,
     HyperParams,
     StateVector,
-    Trajectory,
     Transition,
     day_mask_indices,
     flatten,
@@ -61,10 +60,10 @@ class TestTrainRewardModel:
         for uid in range(60):
             s = state(fill=float(rng.random()))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
+            trajs.append((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),))
         model = train_reward_model(trajs, ACTIONS, FAST)
         for traj in trajs[:20]:
-            tr = traj.transitions[0]
+            tr = traj[0]
             assert model.q_row(tr.state)[tr.action_index] >= 0.95
 
     def test_holdout_logloss_near_bayes(self):
@@ -80,7 +79,7 @@ class TestTrainRewardModel:
         model_ll, bayes_ll, n = 0.0, 0.0, 0
         for traj in held_out:
             last = -1
-            for tr in traj.transitions:
+            for tr in traj:
                 seg = int(np.argmax(tr.state.to_array()[:2]))
                 p_true = env.retention_probability(seg, tr.action_index,
                                                    tr.state.bonuses_collected, last)
@@ -99,11 +98,11 @@ class TestTrainRewardModel:
             r = int(rng.random() < 0.5)
             s = state(fill=float(r))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, r, ACTIONS.cost_cents(a), True),)))
+            trajs.append((Transition(uid, 1, s, a, r, ACTIONS.cost_cents(a), True),))
         model = train_reward_model(trajs, ACTIONS, replace(FAST, training_steps=1200))
         scores, labels = [], []
         for traj in trajs:
-            tr = traj.transitions[0]
+            tr = traj[0]
             scores.append(model.q_row(tr.state)[tr.action_index])
             labels.append(tr.reward)
         scores, labels = np.asarray(scores), np.asarray(labels)
@@ -263,7 +262,7 @@ class TestMyopiaWitness:
         behavior = BehaviorPolicyConfig(table=((0, 0, 0, 2),), noise=1.0)  # uniform logging
         dataset = generate_dataset(env, behavior, 1500, seed=11)
         model = train_reward_model(dataset, actions, replace(FAST, training_steps=1500, seed=11))
-        first_claim_states = [t.transitions[0].state for t in dataset[:50]]
+        first_claim_states = [t[0].state for t in dataset[:50]]
         greedy_picks = {model.action(s) for s in first_claim_states}
         assert oracle.policy[(0, 0, -1)] not in greedy_picks
 

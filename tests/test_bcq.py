@@ -24,7 +24,6 @@ from budgetrl.core import (
     ActionSet,
     HyperParams,
     StateVector,
-    Trajectory,
     Transition,
     claim_masks,
     day_mask_indices,
@@ -131,10 +130,10 @@ class TestBehaviorModel:
         trajs = []
         for uid in range(40):
             s = state(fill=float(rng.random()))
-            trajs.append(Trajectory((Transition(uid, 1, s, 1, 1, 87, True),)))
+            trajs.append((Transition(uid, 1, s, 1, 1, 87, True),))
         model = train_behavior_model(transition_arrays(trajs), ACTIONS, FAST)
         for traj in trajs:
-            assert int(np.argmax(behavior_probs(model, traj.transitions[0].state))) == 1
+            assert int(np.argmax(behavior_probs(model, traj[0].state))) == 1
 
     def test_mixed_70_30_probabilities(self):
         # one repeated state, two actions at 70/30
@@ -143,7 +142,7 @@ class TestBehaviorModel:
         trajs = []
         for uid in range(10_000):
             a = 0 if rng.random() < 0.7 else 1
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
+            trajs.append((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),))
         model = train_behavior_model(transition_arrays(trajs), ACTIONS,
                                      replace(FAST, training_steps=1500))
         probs = behavior_probs(model, s)
@@ -164,7 +163,7 @@ class TestBehaviorModel:
                                      replace(FAST, training_steps=2500))
         hits = total = 0
         for traj in held_out:
-            for tr in traj.transitions:
+            for tr in traj:
                 hits += int(behavior_argmax(model, tr.state, ACTIONS) == tr.action_index)
                 total += 1
         assert hits / total >= 0.95
@@ -186,7 +185,7 @@ def old_prepare_arrays(dataset, actions):
     next_mask = np.zeros((len(transitions), actions.size), dtype=bool)
     i = 0
     for traj in dataset:
-        for tr, following in zip(traj.transitions, traj.transitions[1:] + (None,)):
+        for tr, following in zip(traj, traj[1:] + (None,)):
             if not tr.done:
                 x_next[i] = state_to_input(following.state)
                 next_mask[i, day_mask_indices(actions, following.state.bonuses_collected)] = True
@@ -220,10 +219,10 @@ class TestTransitionArrays:
 
     def test_hand_built_transitions(self):
         s0, s1, s2 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2), state(day=4, bonuses=2)
-        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, False),
-                            Transition(0, 2, s1, 0, 1, 65, False),
-                            Transition(0, 3, s2, 2, 0, 105, True)))
-        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
+        chain = (Transition(0, 1, s0, 1, 1, 87, False),
+                 Transition(0, 2, s1, 0, 1, 65, False),
+                 Transition(0, 3, s2, 2, 0, 105, True))
+        single = (Transition(1, 1, state(fill=0.9), 2, 1, 105, True),)
         data = self.assert_matches_per_row_loop([chain, single], ACTIONS)
         np.testing.assert_array_equal(data.done, [False, False, True, True])
         np.testing.assert_array_equal(data.claims[1:3], [1, 2])
@@ -233,23 +232,23 @@ class TestTransitionArrays:
 
     def test_truncated_trajectory_rejected(self):
         # a log cut after a non-final claim: the last row is neither done nor followed
-        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, False),))
+        cut = (Transition(0, 1, state(), 1, 1, 87, False),)
         with pytest.raises(ValueError, match="no next state"):
             transition_arrays([cut])
 
     def test_truncated_trajectory_before_another_rejected(self):
         # the next row belongs to another user, so it is no next state
-        cut = Trajectory((Transition(0, 1, state(), 1, 1, 87, False),))
-        after = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
+        cut = (Transition(0, 1, state(), 1, 1, 87, False),)
+        after = (Transition(1, 1, state(fill=0.9), 2, 1, 105, True),)
         with pytest.raises(ValueError, match="no next state"):
             transition_arrays([cut, after])
 
     def test_empty_trajectories_change_nothing(self):
         s0, s1 = state(fill=0.1), state(day=2, bonuses=1, fill=0.2)
-        chain = Trajectory((Transition(0, 1, s0, 1, 1, 87, False),
-                            Transition(0, 2, s1, 0, 0, 65, True)))
-        single = Trajectory((Transition(1, 1, state(fill=0.9), 2, 1, 105, True),))
-        empty = Trajectory(())
+        chain = (Transition(0, 1, s0, 1, 1, 87, False),
+                 Transition(0, 2, s1, 0, 0, 65, True))
+        single = (Transition(1, 1, state(fill=0.9), 2, 1, 105, True),)
+        empty = ()
         want = transition_arrays([chain, single])
         got = transition_arrays([empty, chain, empty, single, empty])
         for name in ("x", "action", "reward", "claims", "done"):
@@ -408,14 +407,14 @@ class TestBcqTrain:
         for uid in range(n):
             s = state(fill=float(rng.random()))
             a = int(rng.integers(0, 3))
-            trajs.append(Trajectory((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),)))
+            trajs.append((Transition(uid, 1, s, a, 1, ACTIONS.cost_cents(a), True),))
         return trajs
 
     def test_terminal_reward_regression(self):
         trajs = self.make_constant_reward_dataset()
         agent = bcq_train(trajs, ACTIONS, replace(FAST, training_steps=1200, xi=0.0))
         for traj in trajs[:20]:
-            tr = traj.transitions[0]
+            tr = traj[0]
             q = agent.q_net.forward(state_to_input(tr.state))[tr.action_index]
             assert q == pytest.approx(1.0, abs=0.05)
 
@@ -426,7 +425,7 @@ class TestBcqTrain:
         dataset = generate_dataset(env, behavior, 400, seed=6)
         agent = bcq_train(dataset, ACTIONS, replace(FAST, training_steps=1200, xi=1.0))
         for traj in dataset:
-            for tr in traj.transitions:
+            for tr in traj:
                 assert (BcqPolicy(agent, 1.0).action(tr.state)
                         == behavior_argmax(agent.behavior_model, tr.state, ACTIONS))
 

@@ -212,6 +212,26 @@ class TestErrors:
         assert "invalid input" in err and field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize("field, value", [
+        ("params", [10 ** 400]), ("layer_sizes", [10 ** 400, 4]),
+        ("layer_sizes", [float("inf"), 4]), ("layer_sizes", None),
+    ])
+    def test_agent_file_with_a_net_field_past_the_number_range_exits_1(
+            self, workspace, tmp_path, capsys, command, field, value):
+        payload = json.loads((workspace / "model.json").read_text())
+        payload["q_net"][field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        argv = [command, "--policy", "bcq", "--model", str(model), "--out",
+                str(tmp_path / "out" / "report.json")]
+        if command == "evaluate":
+            argv += ["--dataset", str(workspace / "ds")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
                  "--model", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.json"))
@@ -223,7 +243,8 @@ class TestGenerateData:
     def test_dataset_reloadable_and_snapshotted(self, workspace):
         trajs, manifest = load_dataset(workspace / "ds")
         assert len(trajs) == 150
-        assert (workspace / "ds" / "run.config.json").exists()
+        snapshot = json.loads((workspace / "ds" / "data-00000.jsonl.config.json").read_text())
+        assert snapshot["command"] == "generate-data" and snapshot["resolved"]["seed"] == 3
 
     @pytest.mark.parametrize("defect", ["bonuses_per_cycle", "short_row", "seed", "feature_nois",
                                         "sensitivity", "nois"])
@@ -266,8 +287,13 @@ class TestGenerateData:
         assert run("generate-data", "--n-users", "20", "--seed", "2", "--out", str(out)) == 0
         assert run("generate-data", "--n-users", "20", "--seed", "2", "--out", str(alone)) == 0
         assert (out / "data-00000.jsonl").read_bytes() == first
+        # each shard keeps the snapshot of the run that wrote it
+        for k, seed in enumerate((1, 2)):
+            snapshot = json.loads((out / f"data-0000{k}.jsonl.config.json").read_text())
+            assert snapshot["resolved"]["seed"] == seed
+        assert not (out / "run.config.json").exists()
         trajs, manifest = load_dataset(out)
-        assert [traj.transitions[0].user_id for traj in trajs] == list(range(50))
+        assert [traj[0].user_id for traj in trajs] == list(range(50))
         assert validate_dataset(trajs, ActionSet.from_dict(manifest["actions"]),
                                 manifest["feature_dim"]) == []
         # the appended logs are the seed-2 logs, renumbered and otherwise unchanged
@@ -344,6 +370,8 @@ class TestAllocateStream:
         pytest.param('{"q": [0.5, 0.6, 0.7]}', id="no_ts"),
         pytest.param('{"ts": 120, "q": [0.5, [0.6], 0.7]}', id="q_value_not_a_number"),
         pytest.param('{"ts": NaN, "q": [0.5, 0.6, 0.7]}', id="ts_not_finite"),
+        pytest.param('{"ts": 120, "q": [0.5, 1%s, 0.7]}' % ("0" * 400), id="q_int_past_floats"),
+        pytest.param('{"ts": 1%s, "q": [0.5, 0.6, 0.7]}' % ("0" * 400), id="ts_int_past_floats"),
     ])
     def test_bad_row_leaves_no_decisions_file(self, tmp_path, capsys, bad_q):
         stream = tmp_path / "rows.jsonl"
@@ -356,7 +384,7 @@ class TestAllocateStream:
                    "--budget", "0.80", "--out", str(out), "--lambda-timeline",
                    str(tmp_path / "lam.csv")) == 1
         err = capsys.readouterr().err
-        assert "invalid input" in err
+        assert "invalid input" in err and "Traceback" not in err
         assert "stream line 3" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 

@@ -11,7 +11,6 @@ from budgetrl.core import (
     ActionSet,
     HyperParams,
     StateVector,
-    Trajectory,
     Transition,
     argmax_cheapest,
     cents,
@@ -37,7 +36,7 @@ def make_trajectory(actions, uid=0, action_seq=(0, 1), rewards=None, d=3):
             user_id=uid, t=i + 1, state=make_state(d, day=i + 1, bonuses=i, fill=0.1 * i),
             action_index=a, reward=rewards[i], cost_cents=actions.cost_cents(a),
             done=i == len(action_seq) - 1))
-    return Trajectory(tuple(transitions))
+    return tuple(transitions)
 
 
 @st.composite
@@ -256,8 +255,8 @@ class TestValidateDataset:
 
     def test_cost_mismatch_flagged(self):
         traj = make_trajectory(self.actions, action_seq=(0,))
-        bad = Transition(**{**traj.transitions[0].__dict__, "cost_cents": 999})
-        report = validate_dataset([Trajectory((bad,))], self.actions, d=3)
+        bad = Transition(**{**traj[0].__dict__, "cost_cents": 999})
+        report = validate_dataset([(bad,)], self.actions, d=3)
         assert any("cost mismatch" in v for v in report)
 
     def test_super_action_early_flagged(self):
@@ -278,14 +277,14 @@ class TestValidateDataset:
                 tr = Transition(user_id=0, t=1, state=make_state(bonuses=claim, day=claim + 1),
                                 action_index=a, reward=0, cost_cents=menu.cost_cents(a),
                                 done=True)
-                report = validate_dataset([Trajectory((tr,))], menu, d=3)
+                report = validate_dataset([(tr,)], menu, d=3)
                 refused = f"user 0 t=1: action {a} not eligible at claim {claim + 1}"
                 assert report == ([] if menu.claim_table[claim, a] else [refused])
 
     def test_two_supers_in_one_trajectory_flagged(self):
         # each record is eligible on its own: a super at the super claim
         at_super = make_state(day=4, bonuses=3)
-        twice = Trajectory(tuple(Transition(1, t, at_super, 3, 0, 172, t == 2) for t in (1, 2)))
+        twice = tuple(Transition(1, t, at_super, 3, 0, 172, t == 2) for t in (1, 2))
         report = validate_dataset([twice], self.actions, d=3)
         assert report == ["user 1: more than one super action in trajectory"]
 
@@ -302,24 +301,23 @@ class TestValidateDataset:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_feature_flagged(self, value):
         traj = make_trajectory(self.actions, uid=4, action_seq=(0, 1))
-        second = traj.transitions[1]
+        second = traj[1]
         bad_state = StateVector((0.1, value, 0.1), second.state.day_in_cycle,
                                 second.state.bonuses_collected)
-        bad = Trajectory((traj.transitions[0],
-                          Transition(**{**second.__dict__, "state": bad_state})))
+        bad = (traj[0], Transition(**{**second.__dict__, "state": bad_state}))
         report = validate_dataset([bad], self.actions, d=3)
         assert report == [f"user 4 t=2: feature 1 = {value!r} not finite"]
 
     def test_transition_after_done_flagged(self):
-        first, second = make_trajectory(self.actions, uid=2, action_seq=(0, 1)).transitions
+        first, second = make_trajectory(self.actions, uid=2, action_seq=(0, 1))
         early_done = Transition(**{**first.__dict__, "done": True})
-        report = validate_dataset([Trajectory((early_done, second))], self.actions, d=3)
+        report = validate_dataset([(early_done, second)], self.actions, d=3)
         assert report == ["user 2 t=1: transition after done"]
 
     def test_trajectory_not_ending_with_done_flagged(self):
-        first, second = make_trajectory(self.actions, uid=3, action_seq=(0, 1)).transitions
+        first, second = make_trajectory(self.actions, uid=3, action_seq=(0, 1))
         cut = Transition(**{**second.__dict__, "done": False})
-        report = validate_dataset([Trajectory((first, cut))], self.actions, d=3)
+        report = validate_dataset([(first, cut)], self.actions, d=3)
         assert report == ["user 3: trajectory does not end with done"]
 
     def test_idempotent_and_order_independent(self):

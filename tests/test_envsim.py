@@ -232,8 +232,8 @@ class TestGenerateDataset:
         behavior = BehaviorPolicyConfig(table=table, noise=0.0)
         env = CheckinEnv(EnvConfig(segments=env_cfg.segments, feature_noise=0.0), actions)
         for traj in generate_dataset(env, behavior, 100, seed=5):
-            seg = int(np.argmax(traj.transitions[0].state.to_array()[:3]))
-            for tr in traj.transitions:
+            seg = int(np.argmax(traj[0].state.to_array()[:3]))
+            for tr in traj:
                 assert tr.action_index == table[seg][tr.state.bonuses_collected]
 
     @pytest.mark.parametrize("table", [
@@ -253,7 +253,7 @@ class TestGenerateDataset:
         env_cfg, behavior, actions = default_config()
         env = CheckinEnv(env_cfg, actions)
         for traj in generate_dataset(env, behavior, 300, seed=7):
-            for tr in traj.transitions:
+            for tr in traj:
                 assert actions.claim_table[tr.state.bonuses_collected, tr.action_index]
 
     def test_action_distribution_matches_table_noise_mix(self):
@@ -269,7 +269,7 @@ class TestGenerateDataset:
         counts = np.zeros(actions.n_normal)
         seg_counts = np.zeros(env_cfg.n_segments)
         for traj in dataset:
-            tr = traj.transitions[0]
+            tr = traj[0]
             counts[tr.action_index] += 1
             seg_counts[int(np.argmax(tr.state.to_array()[:3]))] += 1
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetrl.allocator import WindowStore
 from budgetrl.baselines import CheapestPolicy, ExpertPolicy
-from budgetrl.core import ActionSet, StateVector, Trajectory, Transition, units
+from budgetrl.core import ActionSet, StateVector, Transition, flatten, units
 from budgetrl.envsim import (
     BehaviorPolicyConfig,
     CheckinEnv,
@@ -16,10 +18,8 @@ from budgetrl.evaluation import (
     EvalReport,
     MatchedSet,
     UndefinedMetricError,
-    avg_cost,
     match_records,
     offline_report,
-    retention_rate,
     simulate_online,
 )
 
@@ -55,79 +55,147 @@ def make_traj(uid, action_seq, rewards, costs=None):
         cost = ACTIONS.cost_cents(a) if costs is None else costs[i]
         transitions.append(Transition(uid, i + 1, state, a, rewards[i], cost,
                                       i == len(action_seq) - 1))
-    return Trajectory(tuple(transitions))
+    return tuple(transitions)
+
+
+class LoggedPolicy:
+    """Takes ``seq[k]`` at claim ``k + 1``: every step of a trajectory logged with ``seq``."""
+
+    def __init__(self, seq):
+        self.seq = seq
+
+    def action(self, state):
+        return self.seq[state.bonuses_collected]
+
+
+class SubsetPolicy:
+    """Takes the logged action on the states in ``agree`` and another action elsewhere."""
+
+    def __init__(self, dataset, agree):
+        self.logged = {id(tr.state): tr.action_index for traj in dataset for tr in traj}
+        self.agree = {id(state) for state in agree}
+
+    def action(self, state):
+        a = self.logged[id(state)]
+        return a if id(state) in self.agree else (a + 1) % ACTIONS.size
+
+
+class RecordingPolicy:
+    """Records each state it is asked about, then answers as ``inner`` does."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, []
+
+    def action(self, state):
+        self.asked.append(state)
+        return self.inner.action(state)
+
+
+def counts(matched):
+    return (matched.matched_trajectories, matched.matched_steps, matched.rewards,
+            matched.cost_cents, matched.total_trajectories)
 
 
 class TestMatchRecords:
     def test_full_match_keeps_everything(self):
         ds = [make_traj(0, (1, 1), (1, 0)), make_traj(1, (1,), (0,))]
         matched = match_records(ds, FixedPolicy(1))
-        assert matched.trajectories == tuple(ds)
+        assert counts(matched) == (2, 3, 1, 3 * 87, 2)
         assert matched.match_rate == 1.0
 
     def test_total_disagreement_empty(self):
         ds = [make_traj(0, (1, 1), (1, 0))]
         matched = match_records(ds, FixedPolicy(0))
-        assert matched.matched_trajectories == 0
+        assert counts(matched) == (0, 0, 0, 0, 1)
         assert matched.match_rate == 0.0
 
     def test_prefix_matching_counts_first_steps(self):
         ds = [make_traj(uid, (0, 0, 0), (1, 1, 0)) for uid in range(5)]
         matched = match_records(ds, FirstStepPolicy(0))
-        assert matched.matched_steps == 5  # one step per trajectory
-        assert matched.matched_trajectories == 5
-        for traj in matched.trajectories:
-            assert len(traj) == 1
+        # one step per trajectory, with its reward and cost only
+        assert counts(matched) == (5, 5, 5, 5 * 65, 5)
 
     def test_full_trajectory_mode_drops_partials(self):
         ds = [make_traj(0, (0, 0), (1, 0)), make_traj(1, (0, 1), (1, 0))]
         prefix = match_records(ds, FirstStepPolicy(0))
         strict = match_records(ds, FirstStepPolicy(0), full_trajectory=True)
         assert prefix.matched_trajectories == 2
-        assert strict.matched_trajectories == 0
+        assert counts(strict) == (0, 0, 0, 0, 2)
         one_step = match_records([make_traj(2, (0,), (1,))], FirstStepPolicy(0),
                                  full_trajectory=True)
-        assert one_step.matched_trajectories == 1
+        assert counts(one_step) == (1, 1, 1, 65, 1)
+
+    @pytest.mark.parametrize("full_trajectory", [False, True])
+    def test_one_action_call_per_decided_state_in_log_order(self, full_trajectory):
+        ds = [make_traj(0, (0, 0, 0), (1, 0, 1)), make_traj(1, (0, 2), (1, 1)),
+              make_traj(2, (1,), (0,))]
+        policy = RecordingPolicy(FirstStepPolicy(0))
+        match_records(ds, policy, full_trajectory=full_trajectory)
+        # each trajectory up to and including its first mismatch, and not a state more
+        decided = [ds[0][0], ds[0][1], ds[1][0], ds[1][1], ds[2][0]]
+        assert [id(s) for s in policy.asked] == [id(tr.state) for tr in decided]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_users=st.integers(0, 12), seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_counts_equal_a_reference_loop_over_prefix_copies(self, n_users, seed, data):
+        behavior = BehaviorPolicyConfig(table=default_behavior_table(3, ACTIONS), noise=0.3)
+        dataset = generate_dataset(mid_env(), behavior, n_users, seed)
+        states = [tr.state for traj in dataset for tr in traj]
+        agree = data.draw(st.lists(st.booleans(), min_size=len(states), max_size=len(states)))
+        policy = SubsetPolicy(dataset, [s for s, a in zip(states, agree) if a])
+        for full_trajectory in (False, True):
+            kept = []
+            for traj in dataset:
+                n = 0
+                while n < len(traj) and policy.action(traj[n].state) == traj[n].action_index:
+                    n += 1
+                if n and (n == len(traj) or not full_trajectory):
+                    kept.append(traj[:n])
+            steps = [tr for prefix in kept for tr in prefix]
+            matched = match_records(dataset, policy, full_trajectory=full_trajectory)
+            assert counts(matched) == (len(kept), len(steps), sum(tr.reward for tr in steps),
+                                       sum(tr.cost_cents for tr in steps), len(dataset))
+
+
+def scored(dataset, policy):
+    return offline_report(match_records(dataset, policy))
 
 
 class TestMetrics:
     def test_retention_hand_value(self):
         # rewards [1, 0, 1] and [1, 1] -> 4/5
-        ms = MatchedSet((make_traj(0, (0, 0, 0), (1, 0, 1)),
-                         make_traj(1, (0, 0), (1, 1))), total_trajectories=2)
-        assert retention_rate(ms) == pytest.approx(0.8)
+        ds = [make_traj(0, (0, 0, 0), (1, 0, 1)), make_traj(1, (0, 0), (1, 1))]
+        assert scored(ds, FixedPolicy(0)).retention_rate == pytest.approx(0.8)
 
     def test_retention_extremes(self):
-        all_one = MatchedSet((make_traj(0, (0, 0), (1, 1)),), 1)
-        all_zero = MatchedSet((make_traj(0, (0, 0), (0, 0)),), 1)
-        assert retention_rate(all_one) == 1.0
-        assert retention_rate(all_zero) == 0.0
+        assert scored([make_traj(0, (0, 0), (1, 1))], FixedPolicy(0)).retention_rate == 1.0
+        assert scored([make_traj(0, (0, 0), (0, 0))], FixedPolicy(0)).retention_rate == 0.0
 
     def test_avg_cost_hand_value(self):
         # costs 0.65 and 1.05 over two steps -> 0.85
-        ms = MatchedSet((make_traj(0, (0, 2), (1, 0)),), 1)
-        assert avg_cost(ms) == pytest.approx(0.85)
+        report = scored([make_traj(0, (0, 2), (1, 0))], LoggedPolicy((0, 2)))
+        assert report.avg_cost_units == pytest.approx(0.85)
 
     def test_avg_cost_uniform_and_single(self):
-        uniform = MatchedSet((make_traj(0, (1, 1, 1), (1, 1, 0)),), 1)
-        assert avg_cost(uniform) == pytest.approx(0.87)
-        single = MatchedSet((make_traj(0, (2,), (1,)),), 1)
-        assert avg_cost(single) == pytest.approx(1.05)
+        uniform = scored([make_traj(0, (1, 1, 1), (1, 1, 0))], FixedPolicy(1))
+        assert uniform.avg_cost_units == pytest.approx(0.87)
+        single = scored([make_traj(0, (2,), (1,))], FixedPolicy(2))
+        assert single.avg_cost_units == pytest.approx(1.05)
 
-    def test_empty_matched_set_errors(self):
-        empty = MatchedSet((), total_trajectories=3)
+    def test_zero_matched_steps_errors(self):
         with pytest.raises(UndefinedMetricError):
-            retention_rate(empty)
+            scored([make_traj(0, (1, 1), (1, 0))], FixedPolicy(0))
         with pytest.raises(UndefinedMetricError):
-            avg_cost(empty)
+            offline_report(MatchedSet(matched_trajectories=0, matched_steps=0, rewards=0,
+                                      cost_cents=0, total_trajectories=3))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         trajs = [make_traj(uid, (0, 1), (int(rng.random() < 0.6), 0)) for uid in range(20)]
-        ms1 = MatchedSet(tuple(trajs), 20)
-        ms2 = MatchedSet(tuple(reversed(trajs)), 20)
-        assert retention_rate(ms1) == retention_rate(ms2)
-        assert avg_cost(ms1) == avg_cost(ms2)
+        forward = scored(trajs, LoggedPolicy((0, 1)))
+        backward = scored(trajs[::-1], LoggedPolicy((0, 1)))
+        assert forward.retention_rate == backward.retention_rate
+        assert forward.avg_cost_units == backward.avg_cost_units
 
 
 class TestSelfEvaluation:
@@ -139,18 +207,17 @@ class TestSelfEvaluation:
         dataset = generate_dataset(env, BehaviorPolicyConfig(table=table, noise=0.0),
                                    300, seed=4)
         policy = ExpertPolicy(table=table, n_segments=2, actions=ACTIONS)
-        matched = match_records(dataset, policy)
-        assert matched.matched_steps == sum(len(t) for t in dataset)
-
-        raw_steps = sum(len(t) for t in dataset)
-        raw_ret = sum(t.total_reward() for t in dataset) / raw_steps
-        raw_cost = units(sum(t.total_cost_cents() for t in dataset)) / raw_steps
-        assert retention_rate(matched) == pytest.approx(raw_ret)
-        assert avg_cost(matched) == pytest.approx(raw_cost)
+        report = scored(dataset, policy)
+        logged = flatten(dataset)
+        assert report.matched_steps == len(logged)
+        assert report.retention_rate == pytest.approx(
+            sum(tr.reward for tr in logged) / len(logged))
+        assert report.avg_cost_units == pytest.approx(
+            units(sum(tr.cost_cents for tr in logged)) / len(logged))
 
     def test_offline_report_fields(self):
-        ms = MatchedSet((make_traj(0, (0, 2), (1, 0)),), 4)
-        report = offline_report(ms)
+        ds = [make_traj(0, (0, 2), (1, 0)), *(make_traj(uid, (1,), (1,)) for uid in (1, 2, 3))]
+        report = scored(ds, LoggedPolicy((0, 2)))
         assert isinstance(report, EvalReport)
         assert report.matched_trajectories == 1
         assert report.matched_steps == 2
