@@ -10,7 +10,6 @@ from .core import (
     StateVector,
     Trajectory,
     Transition,
-    argmax_cheapest,
     cents,
     claim_masks,
     day_mask_indices,

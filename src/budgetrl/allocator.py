@@ -32,9 +32,11 @@ concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
-currency units. ``_Prices`` is the one place where the costs are derived into
-what the kernels read; each ``AllocationProblem`` and ``WindowStore`` builds
-one and passes it down.
+currency units. ``_Prices`` is the one place where the costs are checked and
+derived into what the kernels read; each ``AllocationProblem`` and
+``WindowStore`` builds one and passes it down. The costs are non-decreasing,
+so index order is cost order: every first-max ``argmax`` over a row's actions
+breaks ties toward the cheaper action, then the lower index.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import argmax_cheapest
 
 
 class InfeasibleProblemError(ValueError):
@@ -110,9 +110,9 @@ def _check_lambda(lam) -> None:
         raise ValueError(f"lambda must be finite and >= 0, not {lam!r}")
 
 
-def _masked(q: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _masked(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows (finite or NaN) with NaN at -inf, and each row's cheapest eligible action."""
-    return np.fmax(q, -np.inf), argmax_cheapest(np.isfinite(q), cents)
+    return np.fmax(q, -np.inf), np.isfinite(q).argmax(axis=-1)
 
 
 _MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
@@ -125,7 +125,11 @@ class _Prices:
     envelope walk's M x M tables, whose row a serves a walk standing at action
     a (``gap``, c_a - c_j in units, and ``no_move``, whether j is no cheaper
     than a); and ``_exact_lambda``'s near-row margin ``delta(lam) = per_q *
-    qmax + per_lam * lam``, with per_lam = _MARGIN (1 + W/g), per_q = per_lam/g."""
+    qmax + per_lam * lam``, with per_lam = _MARGIN (1 + W/g), per_q = per_lam/g.
+
+    The costs must be non-decreasing (equal costs are allowed): index order is
+    then cost order, and every first-max argmax over a row breaks ties toward
+    the cheaper action, then the lower index."""
 
     __slots__ = ("cents", "units", "shift", "gap", "no_move", "per_q", "per_lam")
 
@@ -134,6 +138,8 @@ class _Prices:
         if not all(0 <= c < 2 ** 31 for c in costs_cents):
             raise ValueError(f"costs must be cents in [0, 2**31), not {tuple(costs_cents)}")
         self.cents = cents = np.asarray(costs_cents, dtype=np.int64)
+        if (np.diff(cents) < 0).any():
+            raise ValueError(f"costs must be non-decreasing, not {tuple(costs_cents)}")
         self.units = units = cents / 100.0
         self.shift = units - budget_cents / 100.0
         self.no_move = cents >= cents[:, None]
@@ -165,9 +171,8 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
     """
     n, m = q.shape
     cents = prices.cents
-    qm = np.fmax(q, -np.inf)
-    cheapest = argmax_cheapest(np.isfinite(q), cents)
-    cur = argmax_cheapest(qm, cents)
+    qm, cheapest = _masked(q)
+    cur = qm.argmax(axis=-1)
     start_cents = cents[cur]
     lams = np.full((n, m - 1), np.inf)
     drops = np.zeros((n, m - 1), dtype=np.int64)
@@ -201,7 +206,7 @@ def _walk(qm, cur, cost, floor, lams, drops, prices: _Prices) -> None:
         np.subtract(neg, qm[rows, cur][:, None], out=neg)
         np.divide(neg, gap.take(cur, axis=0), out=neg)
         np.putmask(neg, no_move.take(cur, axis=0), -np.inf)
-        cur = argmax_cheapest(neg, cents)  # the cheapest j at the smallest ratio
+        cur = neg.argmax(axis=-1)  # the cheapest j at the smallest ratio
         lams[rows, step] = -neg[np.arange(rows.size), cur]
         nxt_cost = cents[cur]
         drops[rows, step] = cost - nxt_cost
@@ -305,7 +310,7 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
     cents = prices.cents
 
     def dual(rows_qm, lam):
-        return argmax_cheapest(rows_qm - lam * prices.units, cents)
+        return (rows_qm - lam * prices.units).argmax(axis=-1)
 
     def rule(rows_qm, rows_cheapest, lam):
         return _assign_choice(rows_qm, rows_cheapest, prices, lam)[0]
@@ -357,7 +362,7 @@ def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices,
     if none qualifies, the row's ``cheapest`` eligible action. Returns the
     choices, the score matrix and each row's highest score."""
     scores = qm - lam * prices.shift
-    best = argmax_cheapest(scores, prices.cents)
+    best = scores.argmax(axis=-1)
     top = scores[np.arange(best.size), best]
     return np.where(top >= 0.0, best, cheapest), scores, top
 
@@ -374,7 +379,7 @@ def assign(problem: AllocationProblem, lam: float) -> Assignment:
     """The assignment rule at ``lam``, without slack packing."""
     _check_lambda(lam)
     prices = problem._prices
-    chosen = _assign_choice(*_masked(problem.q, prices.cents), prices, lam)[0]
+    chosen = _assign_choice(*_masked(problem.q), prices, lam)[0]
     return _assignment(problem, chosen, lam, int(prices.cents[chosen].sum()))
 
 

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ActionSet, HyperParams, StateVector, Trajectory, argmax_cheapest,
-                   claim_masks, day_mask_indices, load_json, save_json)
+from .core import (ActionSet, HyperParams, StateVector, Trajectory, claim_masks,
+                   day_mask_indices, load_json, save_json)
 from .nets import Mlp, softmax
 from .bcq import fit_classifier, state_to_input, transition_arrays
 from .envsim import check_claim_table, table_action
@@ -37,7 +37,7 @@ class RewardModel:
         """Best predicted immediate retention within the claim mask; cheaper on ties."""
         row = self.q_row(state)
         scores = np.where(np.isfinite(row), row, -np.inf)
-        return int(argmax_cheapest(scores, self.actions.all_cents))
+        return int(scores.argmax())
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Retention probability per claim-eligible action of the rows of ``x``

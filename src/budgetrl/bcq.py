@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
-                   argmax_cheapest, checked_keys, claim_masks, field_names, flatten, load_json,
-                   save_json)
+                   checked_keys, claim_masks, field_names, flatten, load_json, save_json)
 from .nets import Mlp, Optimizer, StepWorkspace, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
@@ -258,7 +257,7 @@ def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
     if one.all():
         return only
     q = agent.q_net.forward(x)
-    best = argmax_cheapest(np.where(eligible, q, -np.inf), agent.actions.all_cents)
+    best = np.where(eligible, q, -np.inf).argmax(axis=-1)
     return np.where(one, only, best)
 
 

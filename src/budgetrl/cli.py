@@ -81,9 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="budget-constrained assignment, batch or stream")
     p.add_argument("--budget", type=float, required=True, help="average budget per customer, currency units")
-    p.add_argument("--q-matrix", help="batch mode: CSV of value rows, header = action costs")
+    p.add_argument("--q-matrix",
+                   help="batch mode: CSV of value rows, header = non-decreasing action costs")
     p.add_argument("--stream", help="stream mode: JSONL of {ts, q} rows")
-    p.add_argument("--costs", help="stream mode: comma-separated action costs in units")
+    p.add_argument("--costs",
+                   help="stream mode: comma-separated non-decreasing action costs in units")
     p.add_argument("--window-hours", type=float, default=24.0, help="sliding window span")
     p.add_argument("--refresh-minutes", type=float, default=10.0, help="multiplier refresh period")
     p.add_argument("--out", required=True, help="assignment CSV (batch) or decisions JSONL (stream)")
@@ -396,18 +398,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # the simulation's settings and the workdir, checked before any file is written
+    # the run's settings and the workdir, checked before any file is written
     cents(args.budget)
     check_run_length(args.days, args.arrivals)
+    if args.n_users < 1:
+        raise ValueError(f"n_users must be >= 1, not {args.n_users}")
+    hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
+                        hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")
     workdir = Path(args.workdir)
     if (workdir / "dataset" / MANIFEST_NAME).exists():  # an append would mix two runs' logs
         raise ValueError(f"{workdir / 'dataset'} already holds a dataset; "
                          f"give pipeline a new --workdir")
     config = _load_config_arg(args.config)
     env, dataset, _ = _write_logs(args, config, workdir / "dataset")
-
-    hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
-                        hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")
     agent = bcq_train(dataset, env.actions, hyper)
     agent.save(workdir / "model.json")
     write_csv(workdir / "training_log.csv", LOG_FIELDS, agent.training_log)

@@ -33,11 +33,15 @@ MANIFEST_FORMAT = "trajlog-v1"
 
 def cents(units: float) -> int:
     """Convert a currency amount like 0.87 to integer cents (87); an amount
-    whose cents are not a finite float is a ValueError."""
+    whose cents are not a finite float, or not within 1e-6 of a whole cent
+    (0.875), is a ValueError: rounding it would move a budget or a cost."""
     amount = units * 100
     if not math.isfinite(amount):
         raise ValueError(f"a currency amount must be finite, not {units!r}")
-    return int(round(amount))
+    whole = round(amount)
+    if abs(amount - whole) > 1e-6:
+        raise ValueError(f"a currency amount must be a whole number of cents, not {units!r}")
+    return int(whole)
 
 
 def units(amount_cents: int) -> float:
@@ -52,7 +56,9 @@ class ActionSet:
     costs ``all_cents[j]``. Each menu is a non-empty tuple (a list in JSON) of
     integer cents, never bools, in [0, 2**31) and strictly increasing, and
     every super costs more than every normal: claims 1-3 need a normal arm and
-    claim 4 a super one. 0 cents is a valid arm that pays no bonus.
+    claim 4 a super one. 0 cents is a valid arm that pays no bonus. So index
+    order is cost order, and every first-max argmax over a row of actions
+    breaks ties toward the cheaper action.
 
     ``claim_table`` is the read-only (CLAIMS_PER_CYCLE, size) boolean table of
     the actions each claim may take: row b, after b claims, marks the normals
@@ -137,30 +143,6 @@ def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
     return actions.claim_table[b]
-
-
-def argmax_cheapest(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Argmax over the last axis, ties broken toward the cheaper action, then
-    the lower index: one argmax over the columns in stable cost order.
-
-    Give ineligible entries a score of -inf; a row with no finite score takes
-    its cheapest action. Scores must not contain NaN.
-    """
-    costs = np.asarray(costs)
-    # Keyed by the raw bytes, which hash without making a Python object per cost.
-    order = _cost_order(costs.dtype, costs.tobytes())
-    if order is None:  # columns already in cost order, as on every menu
-        return scores.argmax(axis=-1)
-    return order[np.take(scores, order, axis=-1).argmax(axis=-1)]
-
-
-@functools.lru_cache(maxsize=64)
-def _cost_order(dtype: np.dtype, raw: bytes) -> np.ndarray | None:
-    """Column indices in stable order of the costs ``raw`` holds as ``dtype``,
-    or None when that is the identity."""
-    order = np.argsort(np.frombuffer(raw, dtype), kind="stable")
-    order.flags.writeable = False
-    return None if (np.diff(order) > 0).all() else order
 
 
 @dataclass(frozen=True)
@@ -335,6 +317,9 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
             claim = tr.state.bonuses_collected
             if not 0 <= claim < CLAIMS_PER_CYCLE:
                 violations.append(f"{where}: bonuses_collected {claim} out of range")
+            elif claim != i:
+                violations.append(f"{where}: bonuses_collected {claim} != claims before "
+                                  f"this step ({i})")
             if not 0 <= tr.action_index < actions.size:
                 violations.append(f"{where}: action index {tr.action_index} out of range")
                 continue
@@ -350,6 +335,8 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
             n_super += table[-1][tr.action_index]
             if tr.done and i + 1 < len(traj):
                 violations.append(f"{where}: transition after done")
+            elif tr.reward == 0 and i + 1 < len(traj):  # the user did not return
+                violations.append(f"{where}: transition after reward 0")
         if n_super > 1:
             violations.append(f"user {uid}: more than one super action in trajectory")
         if not traj[-1].done:

@@ -32,15 +32,14 @@ from budgetrl.allocator import (
     _row_cache,
     _step_up_until,
 )
-from budgetrl.core import argmax_cheapest
 
 
 def row_cache(q, cents):
     """The -inf-masked rows, the greedy cost, the cheapest eligible action, and
     the envelope walk's breakpoints and drops (inf and 0 past the last)."""
     qm = np.fmax(q, -np.inf)
-    cheapest = argmax_cheapest(np.isfinite(q), cents)
-    cur = argmax_cheapest(qm, cents)
+    cheapest = np.isfinite(q).argmax(axis=-1)
+    cur = qm.argmax(axis=-1)
     lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
     drops = np.zeros(lams.shape, dtype=np.int64)
     units = cents / 100.0
@@ -53,7 +52,7 @@ def row_cache(q, cents):
             np.subtract(neg, qm.take(rows * m + at)[:, None], out=neg)
             np.divide(neg, gap.take(at, axis=0), out=neg)
             np.putmask(neg, no_move.take(at, axis=0), -np.inf)
-            nxt = argmax_cheapest(neg, cents)
+            nxt = neg.argmax(axis=-1)
             neg_lam = neg.take(np.arange(rows.size) * m + nxt)
             moves = neg_lam > -np.inf
             rows, at, nxt, neg_lam = rows[moves], at[moves], nxt[moves], neg_lam[moves]
@@ -85,7 +84,7 @@ def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
 
     def fits(lam):
         nonlocal failed
-        ok = (int(cents[argmax_cheapest(qm - lam * (cents / 100.0), cents)].sum()) <= total_cents
+        ok = (int(cents[(qm - lam * (cents / 100.0)).argmax(axis=-1)].sum()) <= total_cents
               and int(cents[_assign_choice(qm, cheapest, prices, lam)[0]].sum())
               <= total_cents)
         failed += not ok
@@ -163,7 +162,7 @@ class RowStore(WindowStore):
         if not (q_row.shape == cents.shape and math.isfinite(np.fmax.reduce(q_row))
                 and math.isfinite(np.fmin.reduce(q_row))):
             q_row = _checked_rows(q_row, cents.size, 1)
-        qm, cheapest = _masked(q_row[None], cents)
+        qm, cheapest = _masked(q_row[None])
         action = int(_assign_choice(qm, cheapest, self._prices, lam)[0][0])
         with self._lock:
             self._pending.append((float(now), q_row))

@@ -27,7 +27,7 @@ from budgetrl.allocator import (
     solve_lambda,
 )
 from budgetrl.bcq import BcqPolicy, bcq_train
-from budgetrl.core import ActionSet, HyperParams, argmax_cheapest, cents
+from budgetrl.core import ActionSet, HyperParams, cents
 from budgetrl.envsim import CheckinEnv, default_config, generate_dataset
 from budgetrl.evaluation import simulate_online
 
@@ -354,6 +354,13 @@ class TestWindowStore:
         with pytest.raises(ValueError, match="costs"):
             AllocationProblem(np.array([[0.5, 0.7]]), costs, 87)
 
+    def test_rejects_costs_out_of_cost_order(self):
+        # the tie rule is the column order, so a cheaper action after a dearer one is refused
+        with pytest.raises(ValueError, match="costs must be non-decreasing"):
+            WindowStore((87, 65), 87)
+        with pytest.raises(ValueError, match="costs must be non-decreasing"):
+            AllocationProblem(np.array([[0.5, 0.7]]), (87, 65), 87)
+
     def test_empty_window_keeps_snapshot(self):
         store = self.make_store()
         store.lambda_snapshot = 1.5
@@ -516,7 +523,7 @@ def breakpoint_repair_lambda(problem, lam0):
 def packed_at(problem, lam):
     """The assignment rule at ``lam``, then slack packing from its scores."""
     prices = problem._prices
-    choice = _assign_choice(*_masked(problem.q, prices.cents), prices, lam)
+    choice = _assign_choice(*_masked(problem.q), prices, lam)
     return _packed(problem, lam, *choice)
 
 
@@ -666,7 +673,7 @@ def reference_solve_and_assign(problem):
     qm = np.where(present, problem.q, -np.inf)
     cheapest = np.where(present, costs_cents, np.inf).argmin(axis=-1)
     scores = qm - lam * (costs_cents / 100.0 - problem.budget_cents / 100.0)
-    best = argmax_cheapest(scores, costs_cents)
+    best = scores.argmax(axis=-1)
     chosen = np.where(scores[np.arange(best.size), best] >= 0.0, best, cheapest)
     total = int(costs_cents[chosen].sum())
     chosen = [int(a) for a in chosen]
@@ -696,19 +703,15 @@ def reference_solve_and_assign(problem):
 
 
 def contract_problems(rng):
-    """masked_problem variants: menu and non-menu costs, columns in shuffled
-    cost order, duplicated (tied) rows, budgets that bind, that leave slack
-    and that no assignment meets."""
+    """masked_problem variants: menu and non-menu costs, duplicated (tied)
+    rows, budgets that bind, that leave slack and that no assignment meets."""
     base = masked_problem(rng, from_menu=bool(rng.integers(2)),
                           budget_below_min=rng.random() < 0.15)
-    q, costs = base.q, np.asarray(base.costs_cents)
-    if rng.integers(2):
-        perm = rng.permutation(base.m)
-        q, costs = q[:, perm], costs[perm]
+    q = base.q
     if rng.integers(2):
         q = np.tile(q, (int(rng.integers(2, 40)), 1))
         q = q[rng.permutation(q.shape[0])]
-    return AllocationProblem(q, tuple(int(c) for c in costs), base.budget_cents)
+    return AllocationProblem(q, base.costs_cents, base.budget_cents)
 
 
 class TestFusedSolveAndAssign:
@@ -1030,9 +1033,9 @@ class TestWindowAgainstConcatReference:
         rng = np.random.default_rng(45)
         refreshes = {"infeasible": 0, "empty": 0, "slack": 0, "binding": 0}
         for trial in range(24):
-            # the menu; six of its costs, shuffled and at times repeated; one cost
+            # the menu; six of its costs, sorted and at times repeated; one cost
             costs = (MENU_CENTS if trial % 2 else MENU_CENTS[:1] if trial % 8 == 7 else
-                     rng.choice(MENU_CENTS, 6, replace=trial % 8 == 3))
+                     np.sort(rng.choice(MENU_CENTS, 6, replace=trial % 8 == 3)))
             budget = (60, 80, 87, 100)[trial % 4]  # 60 is below every cost
             span = float(rng.choice([40.0, 200.0, 1e9]))
             store = WindowStore(costs, budget, window_span=span)
@@ -1179,8 +1182,8 @@ class TestAdmissionAgainstRowStore:
         rng = np.random.default_rng(50)
         seen = {"evicting": 0, "infeasible": 0, "shared_flush": 0, "binding": 0}
         for trial in range(36):
-            costs = MENU_CENTS if trial % 2 else rng.choice(MENU_CENTS, 6,
-                                                           replace=trial % 6 == 3)
+            costs = MENU_CENTS if trial % 2 else np.sort(rng.choice(MENU_CENTS, 6,
+                                                                   replace=trial % 6 == 3))
             budget = (60, 80, 87, 100)[trial % 4]  # 60 is below every cost
             span, period = float(rng.choice([200.0, 2000.0, 1e9])), float(rng.choice([15.0, 60.0]))
             store = WindowStore(costs, budget, window_span=span, refresh_period=period)

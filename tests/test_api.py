@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "Transition",
     "UniformRandomPolicy",
     "WindowStore",
-    "argmax_cheapest",
     "assign",
     "bcq_train",
     "cents",

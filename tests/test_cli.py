@@ -321,7 +321,10 @@ class TestAllocateBatch:
         assert len(body) == 41
 
 
-    @pytest.mark.parametrize("header, budget", [("0.65,0.87", "inf"), ("0.65,1e20", "0.80")])
+    # a budget that is not finite or not a whole number of cents; a cost past the cent
+    # range; costs out of cost order
+    @pytest.mark.parametrize("header, budget", [("0.65,0.87", "inf"), ("0.65,1e20", "0.80"),
+                                                ("0.87,0.65", "0.80"), ("0.65,0.87", "0.875")])
     def test_budget_or_cost_out_of_range_exits_1(self, tmp_path, capsys, header, budget):
         csv_path = tmp_path / "q.csv"
         csv_path.write_text(f"{header}\n0.5,0.6\n")
@@ -392,6 +395,7 @@ class TestAllocateStream:
         ("--refresh-minutes", "0"), ("--refresh-minutes", "-5"), ("--refresh-minutes", "nan"),
         ("--window-hours", "nan"), ("--window-hours", "inf"), ("--window-hours", "0"),
         ("--budget", "inf"), ("--budget", "nan"), ("--costs", "0.65,1e20"),
+        ("--costs", "0.87,0.65"), ("--budget", "0.875"),
     ])
     def test_bad_store_setting_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value):
         stream = tmp_path / "rows.jsonl"
@@ -465,7 +469,7 @@ class TestEvaluateAndSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("flag, value", [("--budget", "inf"), ("--days", "-2"),
-                                             ("--arrivals", "-5")])
+                                             ("--arrivals", "-5"), ("--budget", "0.875")])
     def test_simulate_refuses_a_bad_run_setting(self, workspace, tmp_path, capsys, flag, value):
         options = {"--days": "2", "--arrivals": "10", flag: value}
         assert run("simulate", "--policy", "bcq", "--model", str(workspace / "model.json"),
@@ -548,7 +552,9 @@ class TestPipeline:
         assert not (tmp_path / "w" / "simulate_report.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("--budget", "inf"), ("--budget", "nan"),
-                                             ("--days", "-1"), ("--arrivals", "-1")])
+                                             ("--budget", "0.875"), ("--days", "-1"),
+                                             ("--arrivals", "-1"), ("--xi", "2"),
+                                             ("--steps", "-1"), ("--n-users", "0")])
     def test_bad_run_setting_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         flag, value):
         def no_logs(*args):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -7,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from budgetrl.allocator import AllocationProblem, assign
 from budgetrl.core import (
     ActionSet,
     HyperParams,
     StateVector,
     Transition,
-    argmax_cheapest,
     cents,
     claim_masks,
     day_mask_indices,
@@ -109,6 +108,29 @@ class TestActionSet:
         for v in (0.65, 0.87, 1.05, 1.72, 1.82):
             assert units(cents(v)) == v
 
+    @pytest.mark.parametrize("amount", [0.875, 0.655, 0.001, -0.005])
+    def test_cents_of_a_sub_cent_amount_refused(self, amount):
+        # rounding 0.875 up to 88 cents would let a run spend past its budget
+        with pytest.raises(ValueError, match="whole number of cents"):
+            cents(amount)
+
+    @given(menu=menus(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_max_argmax_picks_the_cheapest_of_tied_actions(self, menu, data):
+        # Index order is cost order, so the assignment rule at lam = 0 takes,
+        # per row, the cheapest top-scoring eligible action, or the cheapest
+        # eligible one when every score is negative.
+        value = st.sampled_from([np.nan, -0.5, 0.0, 0.25, 1.0])
+        row = st.lists(value, min_size=menu.size, max_size=menu.size).filter(
+            lambda r: not all(map(math.isnan, r)))
+        q = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
+        chosen = assign(AllocationProblem(q, menu.all_cents, menu.all_cents[0]), 0.0).chosen
+        for r, pick in zip(q.tolist(), chosen):
+            eligible = [j for j, v in enumerate(r) if not math.isnan(v)]
+            top = max(r[j] for j in eligible)
+            best = [j for j in eligible if r[j] == top] if top >= 0 else eligible
+            assert pick == min(best, key=menu.cost_cents)
+
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 1e307])
     def test_cents_of_an_amount_that_is_not_finite_refused(self, amount):
         with pytest.raises(ValueError, match="finite"):
@@ -164,49 +186,6 @@ class TestClaimMasks:
         claim_masks(ActionSet.default(), np.array([0]))[0, 0] = False
         assert claim_masks(ActionSet.default(), 0)[0]
 
-
-class TestArgmaxCheapest:
-    @staticmethod
-    def random_costs(rng, kind, m):
-        if kind == "shuffled":
-            return rng.permutation(np.arange(10, 10 + 7 * m, 7))[:m].astype(float)
-        if kind == "repeated":  # non-decreasing, with runs of equal costs
-            return np.sort(rng.integers(0, 3, size=m)).astype(float)
-        return np.asarray(ActionSet.default().all_cents[:m], dtype=float)  # the menu
-
-    def test_against_brute_force_with_ties(self):
-        rng = np.random.default_rng(21)
-        for kind, no_finite_rows, _ in itertools.product(
-                ("shuffled", "repeated", "menu"), (False, True), range(200)):
-            m = int(rng.integers(1, 13 if kind == "menu" else 7))
-            costs = self.random_costs(rng, kind, m)
-            scores = rng.integers(0, 3, size=(5, m)).astype(float)
-            scores[rng.random((5, m)) < 0.3] = -np.inf
-            if no_finite_rows:
-                scores[rng.random(5) < 0.5] = -np.inf
-            picks = argmax_cheapest(scores, costs)
-            for row, pick in zip(scores, picks):
-                best = row.max()
-                expected = min(range(m), key=lambda j: (row[j] != best, costs[j]))
-                assert pick == expected
-
-    def test_single_row_gives_scalar(self):
-        assert argmax_cheapest(np.array([1.0, 3.0, 3.0]), np.array([3.0, 2.0, 1.0])) == 2
-
-    def test_row_without_finite_score_takes_cheapest(self):
-        scores = np.full((1, 3), -np.inf)
-        assert argmax_cheapest(scores, np.array([5.0, 1.0, 3.0])).tolist() == [1]
-
-    def test_cost_order_depends_on_the_values_not_the_form(self):
-        scores = np.zeros((1, 4))
-        costs = np.array([[7, 0], [3, 0], [3, 0], [1, 0]], dtype=np.int64)[:, 0]  # strided
-        for form in (costs, costs.tolist(), tuple(costs.tolist()), costs.astype(np.int32),
-                     costs.astype(float), np.ascontiguousarray(costs)):
-            assert argmax_cheapest(scores, form).tolist() == [3]
-        # The same bytes read as another dtype are other costs, in another order.
-        signed = np.array([-1, 1], dtype=np.int64)
-        assert argmax_cheapest(np.zeros(2), signed) == 0
-        assert argmax_cheapest(np.zeros(2), signed.view(np.uint64)) == 1
 
 class TestHyperParams:
     def test_defaults_valid(self):
@@ -274,19 +253,35 @@ class TestValidateDataset:
     def test_ineligible_exactly_where_the_claim_table_refuses(self, menu):
         for claim in range(4):
             for a in range(menu.size):
-                tr = Transition(user_id=0, t=1, state=make_state(bonuses=claim, day=claim + 1),
-                                action_index=a, reward=0, cost_cents=menu.cost_cents(a),
-                                done=True)
-                report = validate_dataset([(tr,)], menu, d=3)
-                refused = f"user 0 t=1: action {a} not eligible at claim {claim + 1}"
+                # claims of the cheapest normal action lead up to the claim checked
+                traj = make_trajectory(menu, action_seq=(0,) * claim + (a,))
+                report = validate_dataset([traj], menu, d=3)
+                refused = f"user 0 t={claim + 1}: action {a} not eligible at claim {claim + 1}"
                 assert report == ([] if menu.claim_table[claim, a] else [refused])
 
     def test_two_supers_in_one_trajectory_flagged(self):
         # each record is eligible on its own: a super at the super claim
         at_super = make_state(day=4, bonuses=3)
-        twice = tuple(Transition(1, t, at_super, 3, 0, 172, t == 2) for t in (1, 2))
+        twice = tuple(Transition(1, t, at_super, 3, 1, 172, t == 2) for t in (1, 2))
         report = validate_dataset([twice], self.actions, d=3)
-        assert report == ["user 1: more than one super action in trajectory"]
+        assert report == ["user 1 t=1: bonuses_collected 3 != claims before this step (0)",
+                          "user 1 t=2: bonuses_collected 3 != claims before this step (1)",
+                          "user 1: more than one super action in trajectory"]
+
+    def test_claim_count_other_than_the_step_flagged(self):
+        # a fourth claim that says it is the first may take a normal bonus
+        traj = make_trajectory(self.actions, uid=5, action_seq=(0, 1, 2, 0))
+        fourth = traj[3]
+        first_claim = StateVector(fourth.state.features, fourth.state.day_in_cycle, 0)
+        bad = traj[:3] + (Transition(**{**fourth.__dict__, "state": first_claim}),)
+        report = validate_dataset([bad], self.actions, d=3)
+        assert report == ["user 5 t=4: bonuses_collected 0 != claims before this step (3)"]
+
+    def test_claim_after_reward_0_flagged(self):
+        # a user who did not log in cannot claim again
+        traj = make_trajectory(self.actions, uid=6, action_seq=(0, 1, 2), rewards=[1, 0, 0])
+        report = validate_dataset([traj], self.actions, d=3)
+        assert report == ["user 6 t=2: transition after reward 0"]
 
     def test_feature_dim_checked(self):
         traj = make_trajectory(self.actions, action_seq=(0,), d=5)
