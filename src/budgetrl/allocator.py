@@ -18,6 +18,10 @@ A batch solve (``solve_and_assign``) sorts the breakpoints once, solves, and
 applies the assignment rule to every row once, at the lam found; slack
 packing (``_packed``) upgrades rows from that choice and its score matrix.
 ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
+The assignment rule (``_assign_choice``) is one rule in two shapes, chosen by
+``ndim``: a matrix of rows, or one row as a 1-D array. A 1 x M slice costs
+about 3x the rule's own work in index arrays, and every online decision is
+one row.
 
 ``WindowStore`` keeps the same state for a sliding window of recent rows,
 updated by what changed. Rows join it in batches: ``admit`` checks a matrix of
@@ -355,14 +359,21 @@ def solve_lambda(problem: AllocationProblem) -> float:
     return _problem_lambda(problem, _row_cache(problem.q, problem._prices))
 
 
-def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices,
-                   lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assignment rule over a matrix of -inf-masked rows: among actions with
+def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices, lam: float):
+    """Assignment rule over -inf-masked rows: among actions with
     q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
     if none qualifies, the row's ``cheapest`` eligible action. Returns the
-    choices, the score matrix and each row's highest score."""
+    choices, the scores and each row's highest score.
+
+    One rule in two shapes, chosen by ``qm.ndim``: a matrix gives an int array
+    of choices, and one row, as a 1-D array with a scalar ``cheapest``, gives
+    one int. A 1 x M slice would cost about 3x the rule's work in index arrays,
+    and each online decision is one row."""
     scores = qm - lam * prices.shift
     best = scores.argmax(axis=-1)
+    if scores.ndim == 1:
+        top = scores[best]
+        return int(best) if top >= 0.0 else int(cheapest), scores, top
     top = scores[np.arange(best.size), best]
     return np.where(top >= 0.0, best, cheapest), scores, top
 
@@ -619,19 +630,21 @@ class WindowStore:
     def allocate_online(self, row, now: float) -> int:
         """The assignment rule's action at the snapshot for a customer arriving at
         ``now``, whose ``row`` (one of this store's ``admit``) then joins the
-        window; a row from elsewhere is a TypeError and a bad snapshot a
-        ValueError, raised before the row is queued."""
+        window; a row from elsewhere, or an index ``admit`` did not hand out,
+        is a TypeError and a bad snapshot a ValueError, raised before the row
+        is queued."""
         lam = self.lambda_snapshot
         _check_lambda(lam)
         try:
             batch, i = row
-            admitted = batch.prices is self._prices
+            admitted = (batch.prices is self._prices and type(i) is int
+                        and 0 <= i < len(batch.qmax))
         except (TypeError, ValueError, AttributeError):
             admitted = False
         if not admitted:
             raise TypeError("allocate_online takes a row returned by this store's admit")
         qm, _, cheapest = batch.cache[:3]
-        action = int(_assign_choice(qm[i:i + 1], cheapest[i:i + 1], self._prices, lam)[0][0])
+        action = _assign_choice(qm[i], cheapest[i], self._prices, lam)[0]
         with self._lock:
             self._pending.append((float(now), batch, i))
         return action

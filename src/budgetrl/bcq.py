@@ -36,9 +36,15 @@ def network_inputs(features: Sequence[Sequence[float]], days: Sequence[int],
                    claims: Sequence[int]) -> np.ndarray:
     """Network inputs, one row per user: the opaque ``features`` row, then the
     normalized cycle counters ``days`` (day in cycle) and ``claims`` (bonuses
-    collected). The one input layout, for logged states and simulated users alike."""
-    return np.array([(*f, d / CYCLE_DAYS, k / CLAIMS_PER_CYCLE)
-                     for f, d, k in zip(features, days, claims)], dtype=float)
+    collected). The one input layout (``_input_row``), for logged states and
+    simulated users alike."""
+    return np.array([_input_row(f, d, k) for f, d, k in zip(features, days, claims)],
+                    dtype=float)
+
+
+def _input_row(features: Sequence[float], day: int, claims: int) -> tuple[float, ...]:
+    """One network input row: ``features``, then the normalized counters."""
+    return (*features, day / CYCLE_DAYS, claims / CLAIMS_PER_CYCLE)
 
 
 def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
@@ -48,8 +54,10 @@ def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
 
 
 def state_to_input(state: StateVector) -> np.ndarray:
-    """The network input of one state: its row of ``states_to_inputs``."""
-    return network_inputs((state.features,), (state.day_in_cycle,), (state.bonuses_collected,))[0]
+    """The network input of one state: its row of ``states_to_inputs``, built
+    as one row."""
+    return np.array(_input_row(state.features, state.day_in_cycle, state.bonuses_collected),
+                    dtype=float)
 
 
 def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:

@@ -208,7 +208,15 @@ def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
     return report
 
 
+def _check_n_users(n_users: int) -> None:
+    """``generate-data`` and ``pipeline`` log at least one user: an empty log
+    cannot be trained on. Checked before any file is written."""
+    if n_users < 1:
+        raise ValueError(f"n_users must be >= 1, not {n_users}")
+
+
 def cmd_generate_data(args) -> int:
+    _check_n_users(args.n_users)
     config = _load_config_arg(args.config)
     out = Path(args.out)
     _, dataset, shard = _write_logs(args, config, out)
@@ -401,8 +409,7 @@ def cmd_pipeline(args) -> int:
     # the run's settings and the workdir, checked before any file is written
     cents(args.budget)
     check_run_length(args.days, args.arrivals)
-    if args.n_users < 1:
-        raise ValueError(f"n_users must be >= 1, not {args.n_users}")
+    _check_n_users(args.n_users)
     hyper = HyperParams(xi=args.xi, training_steps=args.steps, seed=args.seed,
                         hidden_sizes=(64, 64), learning_rate=0.01, optimizer="adam")
     workdir = Path(args.workdir)

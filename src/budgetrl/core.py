@@ -136,13 +136,19 @@ def day_mask_indices(actions: ActionSet, bonuses_collected: int) -> np.ndarray:
 
 
 def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
-    """The rows of ``actions.claim_table`` at the claim counts ``bonuses_collected``:
-    shape (M,) for a single count, (N, M) for N counts."""
-    b = np.asarray(bonuses_collected)
-    lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
+    """The rows of ``actions.claim_table`` at the claim counts ``bonuses_collected``,
+    as a new writable array: shape (M,) for a single count, (N, M) for N counts.
+    A plain ``int`` (one state's count) is checked and its row copied without
+    making an index array; numpy integers, bools and arrays take the array path."""
+    one = type(bonuses_collected) is int
+    if one:
+        b = lo = hi = bonuses_collected
+    else:
+        b = np.asarray(bonuses_collected)
+        lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
-    return actions.claim_table[b]
+    return actions.claim_table[b].copy() if one else actions.claim_table[b]
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,8 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
                 violations.append(f"{where}: transition after done")
             elif tr.reward == 0 and i + 1 < len(traj):  # the user did not return
                 violations.append(f"{where}: transition after reward 0")
+            elif tr.done and tr.reward == 1 and claim + 1 < CLAIMS_PER_CYCLE:  # the user returned
+                violations.append(f"{where}: done with reward 1 before claim {CLAIMS_PER_CYCLE}")
         if n_super > 1:
             violations.append(f"user {uid}: more than one super action in trajectory")
         if not traj[-1].done:

@@ -1230,9 +1230,12 @@ class TestAdmissionAgainstRowStore:
         other = WindowStore(MENU_CENTS, 87)
         q = np.random.default_rng(51).random((3, 12)) + DEFAULT_UNITS
         rows = other.admit(q)
-        for row in (q[0], rows[0], (0.5, 1), None):
+        # nor an index admit did not hand out: a negative one would wrap to another row
+        forged = [(rows[0][0], i) for i in (-1, 3, True, np.int64(1), 1.0)]
+        for owner, row in [*((store, r) for r in (q[0], rows[0], (0.5, 1), None)),
+                           *((other, r) for r in forged)]:
             with pytest.raises(TypeError, match="admit"):
-                store.allocate_online(row, 0.0)
+                owner.allocate_online(row, 0.0)
         assert len(store) == 0 and len(other) == 0
         assert other.allocate_online(rows[2], 0.0) == decide(store, q[2], 0.0)
         assert len(store) == len(other) == 1

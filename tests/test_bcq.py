@@ -349,6 +349,19 @@ class TestOneStateDecision:
         assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
 
 
+class TestStateInput:
+    @given(features=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                             min_size=0, max_size=6),
+           claims=st.integers(0, 3), day=st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_one_state_input_is_its_row_of_the_batch(self, features, claims, day):
+        s = StateVector(tuple(features), day_in_cycle=day, bonuses_collected=claims)
+        one = state_to_input(s)
+        row = states_to_inputs([s])[0]
+        assert one.dtype == row.dtype and one.shape == row.shape
+        assert one.tobytes() == row.tobytes()
+
+
 class TestQVector:
     def test_masks_by_claim(self):
         agent = tiny_agent([0.1, 0.2, 0.3, 0.4], [0.25] * 4)

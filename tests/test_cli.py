@@ -246,6 +246,15 @@ class TestGenerateData:
         snapshot = json.loads((workspace / "ds" / "data-00000.jsonl.config.json").read_text())
         assert snapshot["command"] == "generate-data" and snapshot["resolved"]["seed"] == 3
 
+    @pytest.mark.parametrize("n_users", ["0", "-1"])
+    def test_no_users_exits_1_and_writes_nothing(self, tmp_path, capsys, n_users):
+        # an empty log is refused here, not later by train
+        rc = run("generate-data", "--n-users", n_users, "--out", str(tmp_path / "logs"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "n_users" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("defect", ["bonuses_per_cycle", "short_row", "seed", "feature_nois",
                                         "sensitivity", "nois"])
     def test_bad_config_exits_1_and_writes_nothing(self, tmp_path, capsys, defect):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrl.allocator import AllocationProblem, assign
+from budgetrl.allocator import AllocationProblem, _assign_choice, _Prices, assign
 from budgetrl.core import (
     ActionSet,
     HyperParams,
@@ -131,6 +132,32 @@ class TestActionSet:
             best = [j for j in eligible if r[j] == top] if top >= 0 else eligible
             assert pick == min(best, key=menu.cost_cents)
 
+    @given(menu=menus(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_assignment_rule_is_its_matrix_row(self, menu, data):
+        # The rule's 1-D case answers as the one-row matrix does: exact score
+        # ties, -inf (ineligible) entries and rows whose every score is negative
+        # (the cheapest fallback), at lam 0, at each lam where two actions'
+        # scores meet, and at a lam past every score.
+        value = st.sampled_from([-np.inf, -1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+        drawn = data.draw(st.lists(value, min_size=menu.size, max_size=menu.size).filter(
+            lambda r: max(r) > -np.inf))
+        prices = _Prices(menu.all_cents, data.draw(st.integers(0, menu.all_cents[-1])))
+        for row in (np.array(drawn), np.array(drawn) - 3.0):
+            eligible = np.flatnonzero(np.isfinite(row))
+            cheapest = eligible[0]
+            lams = [0.0, 1e6]
+            for j, k in itertools.combinations(eligible.tolist(), 2):
+                if prices.shift[j] != prices.shift[k]:
+                    meet = (row[j] - row[k]) / (prices.shift[j] - prices.shift[k])
+                    lams += [float(meet)] if meet > 0.0 else []
+            for lam in lams:
+                one = _assign_choice(row, cheapest, prices, lam)
+                matrix = _assign_choice(row[None], [cheapest], prices, lam)
+                assert type(one[0]) is int and one[0] == matrix[0][0]
+                assert one[1].tobytes() == matrix[1][0].tobytes()
+                assert np.float64(one[2]).tobytes() == matrix[2][0].tobytes()
+
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 1e307])
     def test_cents_of_an_amount_that_is_not_finite_refused(self, amount):
         with pytest.raises(ValueError, match="finite"):
@@ -180,6 +207,21 @@ class TestClaimMasks:
             claim_masks(ActionSet.default(), 4)
         with pytest.raises(ValueError):
             claim_masks(ActionSet.default(), np.array([0, -1]))
+
+    @given(menu=menus())
+    @settings(max_examples=30, deadline=None)
+    def test_int_count_is_the_array_paths_row_and_writable(self, menu):
+        for k in range(4):
+            row = menu.claim_table[k]
+            for count in (k, np.int64(k)):
+                got = claim_masks(menu, count)
+                assert got.dtype == bool and got.tolist() == row.tolist()
+                assert got.flags.writeable and not np.shares_memory(got, menu.claim_table)
+            assert claim_masks(menu, k).tobytes() == claim_masks(menu, np.array([k]))[0].tobytes()
+        for outside in (4, -1, np.int64(4)):
+            message = f"no claim available at bonuses_collected={outside}$"
+            with pytest.raises(ValueError, match=message):
+                claim_masks(menu, outside)
 
     def test_returned_rows_are_copies(self):
         claim_masks(ActionSet.default(), 0)[0] = False
@@ -282,6 +324,15 @@ class TestValidateDataset:
         traj = make_trajectory(self.actions, uid=6, action_seq=(0, 1, 2), rewards=[1, 0, 0])
         report = validate_dataset([traj], self.actions, d=3)
         assert report == ["user 6 t=2: transition after reward 0"]
+
+    def test_done_with_reward_1_before_the_last_claim_flagged(self):
+        # a user who logged in again has not churned, whatever the record says
+        returned = Transition(7, 1, make_state(), 0, 1, self.actions.cost_cents(0), True)
+        report = validate_dataset([(returned,)], self.actions, d=3)
+        assert report == ["user 7 t=1: done with reward 1 before claim 4"]
+        # the cycle ends after the fourth claim whatever its reward
+        full = make_trajectory(self.actions, uid=8, action_seq=(0, 1, 2, 3), rewards=[1] * 4)
+        assert validate_dataset([full], self.actions, d=3) == []
 
     def test_feature_dim_checked(self):
         traj = make_trajectory(self.actions, action_seq=(0,), d=5)
