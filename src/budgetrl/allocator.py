@@ -12,7 +12,10 @@ drop at each. ``_breakpoints`` sorts the finite ones as three arrays, (lam,
 drop, row id). The exact multiplier (``_exact_lambda``) is then a cumulative
 sum and a search over them, and a fit check at the lam found that runs the
 selection rules only on the rows with a breakpoint within a float-error
-margin of lam; every other row's cost is read from the cumulative sum.
+margin of lam; every other row's cost is read from the cumulative sum. The
+margin needs a bound on |q|, and ``_abs_max`` is its one rule: over a
+problem's whole matrix, or per row for ``WindowStore.admit``, without an |q|
+copy of the matrix.
 
 A batch solve (``solve_and_assign``) sorts the breakpoints once, solves, and
 applies the assignment rule to every row once, at the lam found; slack
@@ -255,9 +258,13 @@ def _merged(breaks, added):
     return tuple(merged)
 
 
-def _abs_max(q: np.ndarray) -> float:
-    """max |q| over the finite entries (q has no infinity, and NaN elsewhere)."""
-    return float(np.fmax.reduce(np.abs(q), axis=None))
+def _abs_max(q: np.ndarray, axis=None):
+    """max |q| over the finite entries (q has no infinity, and NaN elsewhere):
+    a float, or with ``axis=1`` one per row. It is the larger of the largest
+    entry and the negated smallest, so no |q| copy of the matrix is made."""
+    top = np.maximum(np.fmax.reduce(q, axis=axis), -np.fmin.reduce(q, axis=axis))
+    top += 0.0  # an extreme of -0.0 reads as the 0.0 of |q|
+    return float(top) if axis is None else top
 
 
 def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
@@ -555,7 +562,7 @@ class WindowStore:
         one admitted row each, in order. A bad row is a ValueError, and then no
         row is admitted. Admitting changes nothing in the window."""
         q = _checked_rows(q, len(self.costs_cents), 2)
-        batch = _Batch(self._prices, _row_cache(q, self._prices), np.fmax.reduce(np.abs(q), axis=1))
+        batch = _Batch(self._prices, _row_cache(q, self._prices), _abs_max(q, axis=1))
         return list(zip(itertools.repeat(batch), range(len(q))))
 
     def _flush(self) -> None:

@@ -5,7 +5,7 @@ The reward model predicts next-day login from (state, action) and is itself
 a policy: ``action`` plays greedily (the best predicted retention) and
 ``q_rows`` (``q_row`` for one state) gives the value rows fed to the budget
 allocator, scoring all of a batch's eligible (state, action) pairs in one
-forward pass. Both ignore long-run effects by construction, which is the
+forward call. Both ignore long-run effects by construction, which is the
 point of comparing them against the Q-learner.
 """
 

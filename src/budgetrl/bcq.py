@@ -228,7 +228,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
         # below, so the last row, which is done, may read itself.
         nxt = np.minimum(idx + 1, n - 1)
         q_next = np.empty((length, batch, actions.size))
-        for k, rows in enumerate(x[nxt]):  # one step's rows per forward pass
+        for k, rows in enumerate(x[nxt]):  # one step's rows per forward call
             q_next[k] = target.forward(rows)
         np.copyto(q_next, -np.inf, where=~eligible[nxt])
         boot = q_next.max(axis=2)
@@ -281,9 +281,9 @@ def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.nd
 
 class BcqPolicy:
     """The trained agent as a policy: direct greedy play and value rows for the
-    allocator. ``action`` decides one state, with a Q forward pass only when
+    allocator. ``action`` decides one state, with a Q forward call only when
     more than one action is eligible. ``q_rows`` scores a matrix of network
-    inputs in one Q forward pass; ``q_row`` is its one-state case."""
+    inputs in one Q forward call; ``q_row`` is its one-state case."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent

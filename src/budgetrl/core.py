@@ -139,13 +139,16 @@ def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     """The rows of ``actions.claim_table`` at the claim counts ``bonuses_collected``,
     as a new writable array: shape (M,) for a single count, (N, M) for N counts.
     A plain ``int`` (one state's count) is checked and its row copied without
-    making an index array; numpy integers, bools and arrays take the array path."""
+    making an index array; numpy integers and arrays take the array path. A
+    bool is refused, as a Python or numpy scalar or an array: it is not a
+    count, and as an index it would take the whole table or none of it."""
     one = type(bonuses_collected) is int
     if one:
         b = lo = hi = bonuses_collected
     else:
         b = np.asarray(bonuses_collected)
-        lo, hi = (int(b), int(b)) if b.ndim == 0 else (b.min(initial=0), b.max(initial=0))
+        lo, hi = ((-1, -1) if b.dtype == bool else (int(b), int(b)) if b.ndim == 0
+                  else (b.min(initial=0), b.max(initial=0)))
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
     return actions.claim_table[b].copy() if one else actions.claim_table[b]

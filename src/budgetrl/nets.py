@@ -25,6 +25,17 @@ the only array a step makes is the loss's gather index, one integer per row.
 two preallocated scratch vectors. Both run the floating-point operations of
 the straightforward allocating expressions, in their order, so trained
 parameters are bit-identical to them.
+
+Inference on a large matrix runs in row blocks. ``Mlp.forward`` splits a
+matrix of 2B rows or more (B = ``_FORWARD_BLOCK``, 4096) into blocks of B
+rows, the last one taking the remainder, and runs each block's layers into
+hidden buffers reused across blocks and into its rows of one output array. The
+hidden activations held at once are then under 2B rows a layer whatever the
+batch: under 8.4 MB for two 64-wide layers, where a whole 100 000-row pass
+holds 102 MB. No block is smaller than B, so the output keeps the bits of the
+whole-matrix product: with OpenBLAS 0.3.31, products of 100 rows or fewer
+gave other bits than the whole matrix's, and every block of 101 rows or
+more, probed up to 12 000, gave the same.
 """
 
 from __future__ import annotations
@@ -32,6 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 MODEL_FORMAT = "mlp-v1"
+
+# Rows per block of ``Mlp.forward`` on a large matrix (see there).
+_FORWARD_BLOCK = 4096
 
 
 class ShapeError(ValueError):
@@ -109,11 +123,27 @@ class Mlp:
     def forward(self, x) -> np.ndarray:
         """Deterministic forward pass; returns the identity-head output. A 1-D
         input goes through as a vector: each layer's product is the BLAS call
-        its (1, fan_in) row would make, with less numpy overhead per layer."""
+        its (1, fan_in) row would make, with less numpy overhead per layer.
+
+        A matrix of 2B rows or more (B = ``_FORWARD_BLOCK``) runs in blocks of
+        B rows, the remainder joined to the last block, so every block holds B
+        to 2B - 1 rows; hidden activations then take under 2B rows a layer
+        however many rows ``x`` has. No block is smaller than B because a
+        product of 100 rows or fewer can differ in its bits from the
+        whole-matrix one (see the module docstring); the output is the
+        whole-matrix pass's, bit for bit. Smaller matrices run whole."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"input width {x.shape[-1]} != {self.input_size}")
-        return self._forward(x)
+        n = len(x) if x.ndim == 2 else 0
+        if n < 2 * _FORWARD_BLOCK:
+            return self._forward(x)
+        starts = range(0, n - _FORWARD_BLOCK + 1, _FORWARD_BLOCK)
+        hidden = [np.empty((n - starts[-1], s)) for s in self.layer_sizes[1:-1]]
+        out = np.empty((n, self.layer_sizes[-1]))
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            self._forward(x[lo:hi], [h[:hi - lo] for h in hidden] + [out[lo:hi]])
+        return out
 
     def _forward(self, a: np.ndarray, outs=None) -> np.ndarray:
         """The layers on ``a``, one row or a matrix of rows: layer i writes into

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,6 +600,40 @@ class TestEnvelope:
             row = _row_cache(p.q[i:i + 1], p._prices)[3:]
             for a, b in zip(whole, row):
                 np.testing.assert_array_equal(a[i:i + 1], b)
+
+
+class TestAbsMax:
+    """``_abs_max`` is max |q| over the finite entries, made without an |q| copy."""
+
+    @staticmethod
+    def matrix(extreme):
+        q = np.random.default_rng(31).uniform(-1.0, 1.0, size=(3000, 12))
+        q[q > 0.6] = np.nan
+        if extreme == 0.0:  # every finite entry a zero of the extreme's sign
+            q[np.isfinite(q)] = extreme
+        else:
+            q[17, 5] = extreme
+        return q
+
+    @pytest.mark.parametrize("extreme", [-7.5, 7.5, 0.0, -0.0],
+                             ids=["negative", "positive", "zero", "negative-zero"])
+    def test_is_the_max_of_the_absolute_values(self, extreme):
+        q = self.matrix(extreme)
+        assert np.isnan(q).any()
+        got = _abs_max(q)
+        assert type(got) is float
+        assert bits(got) == bits(np.fmax.reduce(np.abs(q), axis=None))
+        assert _abs_max(q, axis=1).tobytes() == np.fmax.reduce(np.abs(q), axis=1).tobytes()
+
+    def test_makes_no_matrix_copy(self):
+        q = self.matrix(-7.5)
+        tracemalloc.start()
+        try:
+            _abs_max(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q.nbytes / 4
 
 
 class TestExactLambda:

@@ -236,6 +236,12 @@ class TestReferencePolicies:
         assert policy.action(state()) == 0
         assert policy.action(state(bonuses=3, day=4)) == 3
 
+    @pytest.mark.parametrize("policy", [CheapestPolicy(ACTIONS), UniformRandomPolicy(ACTIONS)],
+                             ids=["cheapest", "uniform"])
+    def test_bool_claim_count_refused(self, policy):
+        with pytest.raises(ValueError, match="no claim available"):
+            policy.action(StateVector((0.1, 0.9), day_in_cycle=1, bonuses_collected=True))
+
     def test_random_policy_masked_and_seeded(self):
         p1 = UniformRandomPolicy(ACTIONS, seed=9)
         p2 = UniformRandomPolicy(ACTIONS, seed=9)

@@ -38,7 +38,7 @@ from budgetrl.envsim import (
     default_config,
     generate_dataset,
 )
-from budgetrl.nets import Mlp, softmax
+from budgetrl.nets import _FORWARD_BLOCK, Mlp, softmax
 
 ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 FAST = HyperParams(training_steps=600, hidden_sizes=(32, 32), learning_rate=0.01,
@@ -663,6 +663,19 @@ class TestBlocksMatchPerStepReference:
         # blocks of at most 1, 2 and 4 steps of 16 rows inside 25-step sync windows
         monkeypatch.setattr(bcq, "BLOCK_ROWS", block_rows)
         self.check(dataset, replace(self.SMALL, optimizer="adam", training_steps=61))
+
+    def test_log_above_two_forward_blocks(self):
+        # the eligibility pass over every logged state runs in forward blocks;
+        # the reference runs its forward on the whole matrix
+        env_config, behavior, actions = default_config()
+        dataset = generate_dataset(CheckinEnv(env_config, actions), behavior, 3500, seed=5)
+        assert len(flatten(dataset)) > 2 * _FORWARD_BLOCK
+        hyper = replace(self.SMALL, training_steps=40, hidden_sizes=(64, 64), optimizer="adam")
+        agent = bcq_train(dataset, actions, hyper)
+        q_net, behavior_model, log = ref.bcq_train(dataset, actions, hyper)
+        np.testing.assert_array_equal(agent.q_net.params, q_net.params)
+        np.testing.assert_array_equal(agent.behavior_model.params, behavior_model.params)
+        assert agent.training_log == log
 
     def test_block_lengths(self):
         lengths = bcq._block_lengths

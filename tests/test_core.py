@@ -223,6 +223,14 @@ class TestClaimMasks:
             with pytest.raises(ValueError, match=message):
                 claim_masks(menu, outside)
 
+    @pytest.mark.parametrize("count", [True, np.bool_(False), np.array([True, False])],
+                             ids=["bool", "numpy-bool", "bool-array"])
+    def test_bool_count_refused(self, count):
+        # as an index a bool takes the whole (1, 4, M) table or none of it
+        for rule in (claim_masks, day_mask_indices):
+            with pytest.raises(ValueError, match="no claim available"):
+                rule(ActionSet.default(), count)
+
     def test_returned_rows_are_copies(self):
         claim_masks(ActionSet.default(), 0)[0] = False
         claim_masks(ActionSet.default(), np.array([0]))[0, 0] = False

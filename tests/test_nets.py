@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import reference_training as ref
 from budgetrl.core import load_json, save_json
 from budgetrl.nets import (
+    _FORWARD_BLOCK,
     Mlp,
     Optimizer,
     ShapeError,
@@ -174,6 +176,39 @@ class TestForward:
         zs = np.random.default_rng(9).normal(scale=5.0, size=(40, 12))
         for z in zs:
             assert softmax(z).tobytes() == softmax(z[None, :])[0].tobytes()
+
+
+class TestBlockedForward:
+    """A matrix of 2B rows or more runs in blocks of B to 2B - 1 rows, with the
+    bits of the whole-matrix pass."""
+
+    B = _FORWARD_BLOCK
+
+    @pytest.mark.parametrize("sizes", [[12, 64, 64, 12], [12, 32, 12]],
+                             ids=["pipeline-64x64", "one-hidden-layer"])
+    def test_bits_of_the_whole_matrix_pass(self, sizes):
+        net = Mlp(sizes, rng=np.random.default_rng(2))
+        for n in (2 * self.B - 1, 2 * self.B, 2 * self.B + 1, 3 * self.B + 7, 50_000):
+            x = np.random.default_rng(n).normal(size=(n, sizes[0]))
+            out = net.forward(x)
+            assert out.shape == (n, sizes[-1])
+            assert out.tobytes() == ref.forward(net, x).tobytes()
+        x = np.random.default_rng(0).normal(size=sizes[0])
+        assert net.forward(x).tobytes() == ref.forward(net, x[None, :])[0].tobytes()
+        assert net.forward(np.empty((0, sizes[0]))).shape == (0, sizes[-1])
+
+    def test_hidden_layers_stay_within_two_blocks(self):
+        net = Mlp([12, 64, 64, 12], rng=np.random.default_rng(3))
+        x = np.random.default_rng(4).normal(size=(50_000, 12))
+        tracemalloc.start()
+        try:
+            out = net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and two 64-wide hidden layers of under 2B rows; a
+        # whole-matrix pass holds two hidden layers of 50 000 rows (51 MB)
+        assert peak < out.nbytes + 2 * (2 * self.B) * 64 * 8
 
 
 class TestTrainStep:
