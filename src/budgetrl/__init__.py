@@ -27,7 +27,7 @@ from .envsim import (
     generate_dataset,
     oracle_value_iteration,
 )
-from .nets import Mlp, huber, train_step
+from .nets import Mlp, train_step
 from .bcq import (BcqAgent, BcqPolicy, bcq_train, train_behavior_model, transition_arrays,
                   xi_eligible)
 from .allocator import (

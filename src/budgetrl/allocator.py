@@ -90,17 +90,6 @@ class AllocationProblem:
     def n(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.q.shape[1]
-
-    def costs_units(self) -> np.ndarray:
-        return np.asarray(self.costs_cents, dtype=float) / 100.0
-
-    @property
-    def budget_units(self) -> float:
-        return self.budget_cents / 100.0
-
 
 @dataclass(frozen=True)
 class Assignment:

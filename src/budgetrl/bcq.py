@@ -241,8 +241,7 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
             if step % hyper.target_sync_interval == 0:
                 target_net.set_params(q_net.params)
             if step % log_every == 0 or step == hyper.training_steps:
-                agreement = _logged_action_agreement(agent, x[probe], data.claims[probe],
-                                                     a[probe], eligible[probe])
+                agreement = _logged_action_agreement(agent, x[probe], a[probe], eligible[probe])
                 agent.training_log.append({"step": step, "loss": float(loss),
                                            "behavior_agreement": agreement})
     return agent
@@ -269,13 +268,11 @@ def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
     return np.where(one, only, best)
 
 
-def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, claims: np.ndarray,
-                             a: np.ndarray, eligible: np.ndarray | None = None) -> float:
+def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, a: np.ndarray,
+                             eligible: np.ndarray) -> float:
     """Fraction of probe states where the greedy constrained policy matches the
-    logged action; ``claims`` are the probe states' bonuses collected, and
-    ``eligible``, when given, their ``_eligible`` mask at the agent's xi."""
-    if eligible is None:
-        eligible = _eligible(agent, x_probe, claims, agent.hyper.xi)
+    logged action; ``eligible`` is the probe states' ``_eligible`` mask at the
+    agent's xi."""
     return float(np.mean(_constrained_argmax(agent, x_probe, eligible) == a))
 
 

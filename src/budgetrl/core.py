@@ -139,16 +139,16 @@ def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     """The rows of ``actions.claim_table`` at the claim counts ``bonuses_collected``,
     as a new writable array: shape (M,) for a single count, (N, M) for N counts.
     A plain ``int`` (one state's count) is checked and its row copied without
-    making an index array; numpy integers and arrays take the array path. A
-    bool is refused, as a Python or numpy scalar or an array: it is not a
-    count, and as an index it would take the whole table or none of it."""
+    making an index array; anything else takes the array path if it makes an
+    integer-dtype array (a numpy integer or integer array, a list of ints). A
+    bool or a float, scalar or array, is refused: it is not a count, and as an
+    index a bool would take the whole table or none of it."""
     one = type(bonuses_collected) is int
     if one:
         b = lo = hi = bonuses_collected
     else:
         b = np.asarray(bonuses_collected)
-        lo, hi = ((-1, -1) if b.dtype == bool else (int(b), int(b)) if b.ndim == 0
-                  else (b.min(initial=0), b.max(initial=0)))
+        lo, hi = (b.min(initial=0), b.max(initial=0)) if b.dtype.kind in "iu" else (-1, -1)
     if not 0 <= lo <= hi < CLAIMS_PER_CYCLE:
         raise ValueError(f"no claim available at bonuses_collected={bonuses_collected}")
     return actions.claim_table[b].copy() if one else actions.claim_table[b]
@@ -161,9 +161,6 @@ class StateVector:
     features: tuple[float, ...]
     day_in_cycle: int
     bonuses_collected: int
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.features, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -300,54 +297,60 @@ def validate_dataset(dataset: Sequence[Trajectory], actions: ActionSet, d: int) 
     independent of trajectory ordering.
     """
     violations: list[str] = []
-    table = actions.claim_table.tolist()
+    table, m = actions.claim_table.tolist(), actions.size
+
+    def flag(tr: Transition, message: str) -> None:
+        # a record's violation, named here so that a clean record formats no string
+        violations.append(f"user {tr.user_id} t={tr.t}: {message}")
+
     for traj in dataset:
         if len(traj) == 0:
             violations.append("empty trajectory")
             continue
         uid = traj[0].user_id
+        last = len(traj) - 1  # the index of the trajectory's last record
         if len(traj) > CLAIMS_PER_CYCLE:
             violations.append(
                 f"user {uid}: trajectory exceeds T={CLAIMS_PER_CYCLE} (length {len(traj)})")
         n_super = 0
         for i, tr in enumerate(traj):
-            where = f"user {tr.user_id} t={tr.t}"
+            state, action = tr.state, tr.action_index
             if tr.user_id != uid:
-                violations.append(f"{where}: user_id changes within trajectory")
+                flag(tr, "user_id changes within trajectory")
             if tr.t != i + 1:
-                violations.append(f"{where}: time step out of order (expected {i + 1})")
-            if len(tr.state.features) != d:
-                violations.append(f"{where}: feature length {len(tr.state.features)} != d={d}")
-            if not _all_finite(tr.state.features):
-                k = next(k for k, v in enumerate(tr.state.features) if not _all_finite((v,)))
-                violations.append(f"{where}: feature {k} = {tr.state.features[k]!r} not finite")
-            if not 1 <= tr.state.day_in_cycle <= CYCLE_DAYS:
-                violations.append(f"{where}: day_in_cycle {tr.state.day_in_cycle} out of range")
-            claim = tr.state.bonuses_collected
+                flag(tr, f"time step out of order (expected {i + 1})")
+            features = state.features
+            if len(features) != d:
+                flag(tr, f"feature length {len(features)} != d={d}")
+            if bool in map(type, features) or not _all_finite(features):  # isfinite(True) holds
+                k, v = next((k, v) for k, v in enumerate(features)
+                            if type(v) is bool or not _all_finite((v,)))
+                what = "not a number" if type(v) is bool else "not finite"
+                flag(tr, f"feature {k} = {v!r} {what}")
+            if not 1 <= state.day_in_cycle <= CYCLE_DAYS:
+                flag(tr, f"day_in_cycle {state.day_in_cycle} out of range")
+            claim = state.bonuses_collected
             if not 0 <= claim < CLAIMS_PER_CYCLE:
-                violations.append(f"{where}: bonuses_collected {claim} out of range")
+                flag(tr, f"bonuses_collected {claim} out of range")
             elif claim != i:
-                violations.append(f"{where}: bonuses_collected {claim} != claims before "
-                                  f"this step ({i})")
-            if not 0 <= tr.action_index < actions.size:
-                violations.append(f"{where}: action index {tr.action_index} out of range")
+                flag(tr, f"bonuses_collected {claim} != claims before this step ({i})")
+            if not 0 <= action < m:
+                flag(tr, f"action index {action} out of range")
                 continue
             if tr.reward not in (0, 1):
-                violations.append(f"{where}: reward {tr.reward} not in {{0, 1}}")
-            if tr.cost_cents != actions.cost_cents(tr.action_index):
-                violations.append(
-                    f"{where}: cost mismatch ({tr.cost_cents} != "
-                    f"{actions.cost_cents(tr.action_index)} for action {tr.action_index})")
-            if 0 <= claim < CLAIMS_PER_CYCLE and not table[claim][tr.action_index]:
-                violations.append(
-                    f"{where}: action {tr.action_index} not eligible at claim {claim + 1}")
-            n_super += table[-1][tr.action_index]
-            if tr.done and i + 1 < len(traj):
-                violations.append(f"{where}: transition after done")
-            elif tr.reward == 0 and i + 1 < len(traj):  # the user did not return
-                violations.append(f"{where}: transition after reward 0")
+                flag(tr, f"reward {tr.reward} not in {{0, 1}}")
+            if tr.cost_cents != actions.cost_cents(action):
+                flag(tr, f"cost mismatch ({tr.cost_cents} != {actions.cost_cents(action)} "
+                     f"for action {action})")
+            if 0 <= claim < CLAIMS_PER_CYCLE and not table[claim][action]:
+                flag(tr, f"action {action} not eligible at claim {claim + 1}")
+            n_super += table[-1][action]
+            if tr.done and i < last:
+                flag(tr, "transition after done")
+            elif tr.reward == 0 and i < last:  # the user did not return
+                flag(tr, "transition after reward 0")
             elif tr.done and tr.reward == 1 and claim + 1 < CLAIMS_PER_CYCLE:  # the user returned
-                violations.append(f"{where}: done with reward 1 before claim {CLAIMS_PER_CYCLE}")
+                flag(tr, f"done with reward 1 before claim {CLAIMS_PER_CYCLE}")
         if n_super > 1:
             violations.append(f"user {uid}: more than one super action in trajectory")
         if not traj[-1].done:

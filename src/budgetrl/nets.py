@@ -1,8 +1,8 @@
 """Minimal feedforward networks with explicit backpropagation.
 
 Exactly the pieces this pipeline needs: ReLU hidden layers, an identity or
-softmax output head, Huber and cross-entropy losses, plain SGD with an
-optional adaptive-moment update. No autodiff graph.
+softmax output head, Huber and cross-entropy losses inside the training
+step, plain SGD with an optional adaptive-moment update. No autodiff graph.
 
 Model file layout (``mlp-v1``, text/JSON):
     {"format": "mlp-v1", "layer_sizes": [in, h1, ..., out],
@@ -54,23 +54,6 @@ class ShapeError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a gradient or parameter turns non-finite."""
-
-
-def huber(delta, kappa: float):
-    """Piecewise quadratic/linear loss: 0.5*d^2 for |d| <= kappa, else kappa*(|d| - 0.5*kappa)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    d = np.asarray(delta, dtype=float)
-    a = np.abs(d)
-    out = np.where(a <= kappa, 0.5 * d * d, kappa * (a - 0.5 * kappa))
-    return float(out) if np.isscalar(delta) else out
-
-
-def huber_grad(delta, kappa: float):
-    """d huber / d delta: the residual clipped to [-kappa, kappa]."""
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    return np.clip(delta, -kappa, kappa)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -244,15 +227,15 @@ class StepWorkspace:
                                     self.grad_out.shape)
 
     def _huber(self, out, targets, kappa, unit_indices) -> float:
-        """``mean(huber(out[i, unit_i] - targets[i]))``; fills ``grad_out`` with
-        its gradient, ``huber_grad / n`` on the selected units and 0 elsewhere."""
+        """Mean Huber loss of ``d = out[i, unit_i] - targets[i]``; ``grad_out`` gets its
+        gradient, ``clip(d, -kappa, kappa) / n`` on the selected units, 0 elsewhere."""
         n = self.rows
         targets = np.asarray(targets, dtype=float).reshape(n)
         idx = self._select(0 if unit_indices is None else unit_indices)
         delta, mag, quad, lin = self.vecs
         out.take(idx, out=delta, mode="clip")  # idx is in range; "raise" would buffer
         delta -= targets
-        # huber(): where(|d| <= kappa, 0.5 * d * d, kappa * (|d| - 0.5 * kappa))
+        # where(|d| <= kappa, 0.5 * d * d, kappa * (|d| - 0.5 * kappa))
         np.abs(delta, out=mag)
         np.multiply(0.5, delta, out=quad)
         quad *= delta
@@ -260,7 +243,7 @@ class StepWorkspace:
         lin *= kappa
         np.copyto(lin, quad, where=np.less_equal(mag, kappa, out=self.vec_mask))
         value = np.add.reduce(lin) / n
-        # huber_grad(): clip(d, -kappa, kappa)
+        # clip(d, -kappa, kappa)
         np.minimum(np.maximum(delta, -kappa, out=quad), kappa, out=quad)
         quad /= n
         self.grad_out.fill(0.0)
@@ -366,32 +349,14 @@ class Optimizer:
         p -= s
 
 
-def _batch(inputs) -> np.ndarray:
+def train_step(optimizer: Optimizer, inputs, targets, loss: str, kappa: float = 1.0,
+               unit_indices=None) -> float:
+    """One update of ``optimizer.net`` on a mini-batch; returns the batch loss. 'huber'
+    regresses ``targets[i]`` by output unit ``unit_indices[i]`` (default 0);
+    'cross_entropy' takes ``targets`` as class labels of a softmax over the outputs."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[0] == 0:
         raise ValueError("empty minibatch")
-    return inputs
-
-
-def batch_loss_and_grad(net: Mlp, inputs: np.ndarray, targets: np.ndarray, loss: str,
-                        kappa: float = 1.0, unit_indices: np.ndarray | None = None):
-    """Mean batch loss and its gradient, a new vector laid out like ``net.params``.
-
-    loss='huber': ``targets`` are scalars regressed by output unit
-    ``unit_indices[i]`` (default unit 0).
-    loss='cross_entropy': ``targets`` are integer class labels for a softmax
-    over the output layer.
-    """
-    inputs = _batch(inputs)
-    workspace = StepWorkspace(net, inputs.shape[0])
-    value = workspace.loss_and_grad(inputs, targets, loss, kappa, unit_indices)
-    return value, workspace.grad
-
-
-def train_step(optimizer: Optimizer, inputs, targets, loss: str, kappa: float = 1.0,
-               unit_indices=None) -> float:
-    """One update of ``optimizer.net`` on a mini-batch; returns the batch loss."""
-    inputs = _batch(inputs)
     workspace = optimizer.workspace(inputs.shape[0])
     value = workspace.loss_and_grad(inputs, targets, loss, kappa, unit_indices)
     if not np.isfinite(value):

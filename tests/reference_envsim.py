@@ -103,7 +103,7 @@ def generate_dataset(env, behavior, n_users: int, seed: int) -> list[Trajectory]
             if behavior.noise > 0 and rng.random() < behavior.noise:
                 a = int(rng.choice(day_mask_indices(env.actions, state.bonuses_collected)))
             else:
-                proxy = int(np.argmax(state.to_array()[:n]))
+                proxy = int(np.argmax(state.features[:n]))
                 a = behavior.table[proxy % len(behavior.table)][state.bonuses_collected]
             reward, done = step(env, user, a)
             transitions.append(Transition(

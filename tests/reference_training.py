@@ -5,13 +5,34 @@ preallocated buffers: forward pass, Huber and cross-entropy losses, backward
 pass into one flat gradient, the SGD/Adam update, and the per-step minibatch
 loops of ``bcq.fit_classifier`` and ``bcq.bcq_train`` (one index draw and one
 gather per step). The tests hold the package to these bits.
+
+The reference owns its allocating Huber loss, ``huber`` and ``huber_grad``:
+the package computes the same expressions in place inside
+``StepWorkspace._huber`` and has no standalone loss function to borrow.
 """
 
 import numpy as np
 
 from budgetrl.bcq import BcqAgent, _logged_action_agreement, transition_arrays, xi_eligible
 from budgetrl.core import claim_masks
-from budgetrl.nets import Mlp, TrainingDivergedError, huber, huber_grad, softmax
+from budgetrl.nets import Mlp, TrainingDivergedError, softmax
+
+
+def huber(delta, kappa: float):
+    """Piecewise quadratic/linear loss: 0.5*d^2 for |d| <= kappa, else kappa*(|d| - 0.5*kappa)."""
+    if kappa <= 0:
+        raise ValueError("kappa must be > 0")
+    d = np.asarray(delta, dtype=float)
+    a = np.abs(d)
+    out = np.where(a <= kappa, 0.5 * d * d, kappa * (a - 0.5 * kappa))
+    return float(out) if np.isscalar(delta) else out
+
+
+def huber_grad(delta, kappa: float):
+    """d huber / d delta: the residual clipped to [-kappa, kappa]."""
+    if kappa <= 0:
+        raise ValueError("kappa must be > 0")
+    return np.clip(delta, -kappa, kappa)
 
 
 def forward(net, x):
@@ -127,7 +148,9 @@ def fit_classifier(x, labels, n_classes, hyper, entropy):
 def bcq_train(dataset, actions, hyper):
     """``bcq.bcq_train`` one step at a time: the target forward, bootstrap and
     gather of each step on that step's own draw, next-state inputs copied out
-    beside the states, and the probe's eligibility recomputed at every log point. Returns (q_net, behavior_model, training_log)."""
+    beside the states, and the probe's eligibility recomputed at every log point
+    from this module's whole-matrix ``forward``, as the bootstrap's is.
+    Returns (q_net, behavior_model, training_log)."""
     data = transition_arrays(dataset)
     behavior_model = fit_classifier(data.x, data.action, actions.size, hyper, hyper.seed)
     x, a, r, done = data.x, data.action, data.reward, data.done
@@ -161,7 +184,9 @@ def bcq_train(dataset, actions, hyper):
         if (step + 1) % hyper.target_sync_interval == 0:
             target_net.set_params(q_net.params)
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
-            agreement = _logged_action_agreement(agent, x[probe], data.claims[probe], a[probe])
+            probe_eligible = xi_eligible(softmax(forward(behavior_model, x[probe])),
+                                         claim_masks(actions, data.claims[probe]), hyper.xi)
+            agreement = _logged_action_agreement(agent, x[probe], a[probe], probe_eligible)
             log.append({"step": step + 1, "loss": float(loss), "behavior_agreement": agreement})
     return q_net, behavior_model, log
 

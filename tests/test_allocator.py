@@ -35,9 +35,19 @@ from budgetrl.evaluation import simulate_online
 DEFAULT_UNITS = np.asarray(ActionSet.default().all_cents, dtype=float) / 100.0  # menu costs
 
 
+def costs_units(problem):
+    """The problem's per-action costs in currency units."""
+    return np.asarray(problem.costs_cents, dtype=float) / 100.0
+
+
+def budget_units(problem):
+    """The problem's per-customer budget in currency units."""
+    return problem.budget_cents / 100.0
+
+
 def brute_force_best(problem):
     """Exhaustive 0-1 search: best budget-feasible objective (None if none)."""
-    n, m = problem.n, problem.m
+    n, m = problem.q.shape
     combos = np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
     costs = np.asarray(problem.costs_cents, dtype=np.int64)
     total_costs = costs[combos].sum(axis=1)
@@ -68,9 +78,9 @@ def dual_objective(problem, lam):
     """sum_i max_j {q_ij - lam c_j} + lam * N * budget, over eligible entries (reference)."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    costs = problem.costs_units()
+    costs = costs_units(problem)
     scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
-    return float(scores.max(axis=1).sum() + lam * problem.n * problem.budget_units)
+    return float(scores.max(axis=1).sum() + lam * problem.n * budget_units(problem))
 
 
 ONE_ROW = AllocationProblem(np.array([[1.0, 2.0]]), (0, 100), 0)
@@ -184,7 +194,7 @@ class TestAssign:
             p = random_problem(rng, n_max=6)
             q = p.q.copy()
             q[rng.random(q.shape) < 0.3] = np.nan
-            q[np.arange(p.n), rng.integers(0, p.m, size=p.n)] = rng.random(p.n)
+            q[np.arange(p.n), rng.integers(0, p.q.shape[1], size=p.n)] = rng.random(p.n)
             q[rng.random(p.n) < 0.3] -= 5.0  # all scores negative: the cheapest fallback
             p = AllocationProblem(q, p.costs_cents, p.budget_cents)
             lam = float(rng.random() * 2)
@@ -193,7 +203,7 @@ class TestAssign:
             store.lambda_snapshot = lam
             for i in range(p.n):
                 assert decide(store, p.q[i], now=float(i)) == batch.chosen[i]
-                scores = p.q[i] - lam * (p.costs_units() - p.budget_units)
+                scores = p.q[i] - lam * (costs_units(p) - budget_units(p))
                 fallbacks += not (scores >= 0).any()
             assert len(store) == p.n
         assert fallbacks > 20
@@ -448,7 +458,7 @@ class TestWindowStore:
 
 def dual_cost_cents(problem, lam):
     """Cost of the dual selection argmax_j q_ij - lam c_j (ties toward cheaper)."""
-    costs = problem.costs_units()
+    costs = costs_units(problem)
     scores = np.where(np.isfinite(problem.q), problem.q - lam * costs[None, :], -np.inf)
     rowmax = scores.max(axis=1, keepdims=True)
     chosen = np.argmin(np.where(scores == rowmax, costs[None, :], np.inf), axis=1)
@@ -468,7 +478,7 @@ def bisection_lambda(problem, tol=1e-9):
     if cheapest_total_cents(problem) > budget_total:
         raise InfeasibleProblemError("infeasible")
     row_range = np.nanmax(problem.q, axis=1) - np.nanmin(problem.q, axis=1)
-    gaps = np.diff(np.unique(problem.costs_units()))
+    gaps = np.diff(np.unique(costs_units(problem)))
     gaps = gaps[gaps > 0]
     lam_max = float(np.max(row_range)) / float(gaps.min()) if gaps.size else 1.0
     lam_max = max(lam_max * (1.0 + 1e-9), tol)
@@ -486,14 +496,14 @@ def bisection_lambda(problem, tol=1e-9):
 
 def pairwise_breakpoints(problem, above):
     """Every positive pairwise ratio and zero crossing of every row."""
-    costs = problem.costs_units()
+    costs = costs_units(problem)
     bps = []
     for i in range(problem.n):
         present = np.flatnonzero(np.isfinite(problem.q[i]))
         qi, ci = problem.q[i, present], costs[present]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (qi[:, None] - qi[None, :]) / (ci[:, None] - ci[None, :])
-            zero_cross = qi / (ci - problem.budget_units)
+            zero_cross = qi / (ci - budget_units(problem))
         bps.append(ratios[np.isfinite(ratios) & (ratios > 0)])
         bps.append(zero_cross[np.isfinite(zero_cross) & (zero_cross > 0)])
     cand = np.unique(np.concatenate(bps))
@@ -536,7 +546,7 @@ def loop_pack_slack(problem, assignment):
         return list(assignment.chosen), total
     costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
     scores = np.where(np.isfinite(problem.q), problem.q - assignment.lam * (
-        problem.costs_units()[None, :] - problem.budget_units), -np.inf)
+        costs_units(problem)[None, :] - budget_units(problem)), -np.inf)
     rowmax = scores.max(axis=1)
     upgrades = []
     for i in range(problem.n):
@@ -564,7 +574,7 @@ def masked_problem(rng, from_menu=True, budget_below_min=False):
     p = random_problem(rng, from_menu=from_menu)
     q = p.q.copy()
     hide = rng.random(q.shape) < 0.3
-    hide[np.arange(p.n), rng.integers(0, p.m, p.n)] = False
+    hide[np.arange(p.n), rng.integers(0, p.q.shape[1], p.n)] = False
     q[hide] = np.nan
     floor = -(-cheapest_total_cents(AllocationProblem(q, p.costs_cents, 0)) // p.n)
     low = min(p.costs_cents) - 30 if budget_below_min else floor
@@ -716,7 +726,7 @@ def reference_solve_and_assign(problem):
     budget_total = problem.n * problem.budget_cents
     if total <= budget_total:
         scores = np.where(np.isfinite(problem.q), problem.q - lam * (
-            problem.costs_units()[None, :] - problem.budget_units), -np.inf)
+            costs_units(problem)[None, :] - budget_units(problem)), -np.inf)
         rowmax = scores.max(axis=1)
         tol = 1e-9 * np.maximum(1.0, np.abs(rowmax))
         rows, actions = np.nonzero((rowmax >= 0.0)[:, None] & (scores >= (rowmax - tol)[:, None]))

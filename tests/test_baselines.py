@@ -80,7 +80,7 @@ class TestTrainRewardModel:
         for traj in held_out:
             last = -1
             for tr in traj:
-                seg = int(np.argmax(tr.state.to_array()[:2]))
+                seg = int(np.argmax(tr.state.features[:2]))
                 p_true = env.retention_probability(seg, tr.action_index,
                                                    tr.state.bonuses_collected, last)
                 p_hat = np.clip(model.q_row(tr.state)[tr.action_index], 1e-12, 1 - 1e-12)

@@ -558,8 +558,9 @@ class TestBatchedKernels:
             claims = np.array([s.bonuses_collected for s in states])
             logged = np.random.default_rng(seed).integers(0, self.MENU.size, size=len(states))
             expected, picks = old_probe_agreement(agent, x, logged)
-            assert _logged_action_agreement(agent, x, claims, logged) == expected
-            assert _logged_action_agreement(agent, x, claims, picks) == 1.0
+            eligible = bcq._eligible(agent, x, claims, xi)
+            assert _logged_action_agreement(agent, x, logged, eligible) == expected
+            assert _logged_action_agreement(agent, x, picks, eligible) == 1.0
             # the tie groups are hit: some pick is the cheapest member of a tie
             assert np.isin(picks, [0, 4, 10]).any()
 

@@ -119,6 +119,26 @@ class TestErrors:
         ["train", "--policy", "bcq", "--steps", "20", "--hidden", "8"],
         ["train", "--policy", "lr", "--steps", "20", "--hidden", "8"],
     ])
+    def test_bool_feature_exits_1_and_writes_nothing(self, workspace, tmp_path, capsys, argv):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        shard = ds / "data-00000.jsonl"
+        first, *rest = shard.read_text().splitlines(keepends=True)
+        rec = json.loads(first)
+        rec["state"][0] = True  # JSON true; a bool is never a number
+        shard.write_text(json.dumps(rec) + "\n" + "".join(rest))
+        where = f"user {rec['user_id']} t={rec['t']}"
+        rc = run(*argv, "--dataset", str(ds), "--out", str(tmp_path / "out" / "result.json"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"{where}: feature 0 = True not a number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "expert"],
+        ["train", "--policy", "bcq", "--steps", "20", "--hidden", "8"],
+        ["train", "--policy", "lr", "--steps", "20", "--hidden", "8"],
+    ])
     @pytest.mark.parametrize("edit", [
         {"day_in_cycle": "1"}, {"state": 5}, None,
     ], ids=["day-as-string", "state-as-int", "json-array"])

@@ -231,6 +231,22 @@ class TestClaimMasks:
             with pytest.raises(ValueError, match="no claim available"):
                 rule(ActionSet.default(), count)
 
+    @pytest.mark.parametrize("rule", [claim_masks, day_mask_indices], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("count", [1.5, np.float64(1.0), [], np.array([0.5])],
+                             ids=["float", "numpy-float", "empty-list", "float-array"])
+    def test_count_that_is_not_an_integer_refused(self, rule, count):
+        # only an int or an integer dtype is a count; a float would reach the index
+        with pytest.raises(ValueError, match="no claim available"):
+            rule(ActionSet.default(), count)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8])
+    def test_integer_dtypes_take_the_array_path(self, dtype):
+        menu = ActionSet.default()
+        assert claim_masks(menu, np.array([], dtype=dtype)).shape == (0, menu.size)
+        counts = np.array([3, 0], dtype=dtype)
+        assert claim_masks(menu, counts).tolist() == menu.claim_table[[3, 0]].tolist()
+        assert day_mask_indices(menu, dtype(3)).tolist() == [10, 11]
+
     def test_returned_rows_are_copies(self):
         claim_masks(ActionSet.default(), 0)[0] = False
         claim_masks(ActionSet.default(), np.array([0]))[0, 0] = False
@@ -361,6 +377,17 @@ class TestValidateDataset:
         bad = (traj[0], Transition(**{**second.__dict__, "state": bad_state}))
         report = validate_dataset([bad], self.actions, d=3)
         assert report == [f"user 4 t=2: feature 1 = {value!r} not finite"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_feature_flagged(self, value):
+        # math.isfinite(True) holds, but a bool is never a number
+        traj = make_trajectory(self.actions, uid=4, action_seq=(0, 1))
+        second = traj[1]
+        bad_state = StateVector((value, 0.1, float("nan")), second.state.day_in_cycle,
+                                second.state.bonuses_collected)
+        bad = (traj[0], Transition(**{**second.__dict__, "state": bad_state}))
+        report = validate_dataset([bad], self.actions, d=3)
+        assert report == [f"user 4 t=2: feature 0 = {value!r} not a number"]
 
     def test_transition_after_done_flagged(self):
         first, second = make_trajectory(self.actions, uid=2, action_seq=(0, 1))

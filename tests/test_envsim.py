@@ -232,7 +232,7 @@ class TestGenerateDataset:
         behavior = BehaviorPolicyConfig(table=table, noise=0.0)
         env = CheckinEnv(EnvConfig(segments=env_cfg.segments, feature_noise=0.0), actions)
         for traj in generate_dataset(env, behavior, 100, seed=5):
-            seg = int(np.argmax(traj[0].state.to_array()[:3]))
+            seg = int(np.argmax(traj[0].state.features[:3]))
             for tr in traj:
                 assert tr.action_index == table[seg][tr.state.bonuses_collected]
 
@@ -271,7 +271,7 @@ class TestGenerateDataset:
         for traj in dataset:
             tr = traj[0]
             counts[tr.action_index] += 1
-            seg_counts[int(np.argmax(tr.state.to_array()[:3]))] += 1
+            seg_counts[int(np.argmax(tr.state.features[:3]))] += 1
 
         expected = np.full(actions.n_normal, noise / actions.n_normal) * n_users
         for seg in range(env_cfg.n_segments):

@@ -15,12 +15,15 @@ from budgetrl.nets import (
     ShapeError,
     StepWorkspace,
     TrainingDivergedError,
-    batch_loss_and_grad,
-    huber,
-    huber_grad,
     softmax,
     train_step,
 )
+
+
+def loss_and_grad(net, inputs, targets, loss, kappa=1.0, unit_indices=None):
+    """The batch loss and its gradient, from a ``StepWorkspace`` as ``train_step`` runs it."""
+    workspace = StepWorkspace(net, len(inputs))
+    return workspace.loss_and_grad(inputs, targets, loss, kappa, unit_indices), workspace.grad
 
 
 def numeric_gradient(net, loss_fn, eps=1e-6):
@@ -74,7 +77,7 @@ def per_layer_backward(net, pre, acts, grad_out):
 
 
 def grad_with_reference(monkeypatch, net, inputs, targets, loss, unit_indices=None):
-    """``batch_loss_and_grad``'s flat gradient, and the per-layer reference gradients
+    """``loss_and_grad``'s flat gradient, and the per-layer reference gradients
     computed from the same forward pass and output gradient."""
     seen = []
     backward = StepWorkspace._backward
@@ -88,40 +91,42 @@ def grad_with_reference(monkeypatch, net, inputs, targets, loss, unit_indices=No
 
     with monkeypatch.context() as m:
         m.setattr(StepWorkspace, "_backward", spy)
-        _, grad = batch_loss_and_grad(net, inputs, targets, loss, unit_indices=unit_indices)
+        _, grad = loss_and_grad(net, inputs, targets, loss, unit_indices=unit_indices)
     (pre, acts, grad_out), = seen
     return grad, per_layer_backward(net, pre, acts, grad_out)
 
 
 class TestHuber:
+    """The reference's Huber loss, which the workspace step is held to."""
+
     def test_zero(self):
-        assert huber(0.0, 1.0) == 0.0
+        assert ref.huber(0.0, 1.0) == 0.0
 
     def test_quadratic_region_hand_value(self):
         # 0.5 * 0.5^2 = 0.125
-        assert huber(0.5, 1.0) == pytest.approx(0.125, abs=0)
+        assert ref.huber(0.5, 1.0) == pytest.approx(0.125, abs=0)
 
     def test_linear_region_hand_value(self):
         # 1 * (2 - 0.5) = 1.5
-        assert huber(2.0, 1.0) == pytest.approx(1.5, abs=0)
+        assert ref.huber(2.0, 1.0) == pytest.approx(1.5, abs=0)
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
-            huber(1.0, 0.0)
+            ref.huber(1.0, 0.0)
         with pytest.raises(ValueError):
-            huber_grad(1.0, -1.0)
+            ref.huber_grad(1.0, -1.0)
 
     @given(st.floats(-50, 50), st.floats(0.01, 10))
     @settings(max_examples=200, deadline=None)
     def test_piecewise_agreement_and_symmetry(self, delta, kappa):
-        value = huber(delta, kappa)
+        value = ref.huber(delta, kappa)
         if abs(delta) <= kappa:
             assert value == 0.5 * delta * delta
         else:
             assert value == pytest.approx(kappa * (abs(delta) - 0.5 * kappa), rel=1e-12)
         assert value >= 0.0
-        assert huber(-delta, kappa) == pytest.approx(value, rel=1e-12)
-        assert abs(huber_grad(delta, kappa)) <= kappa + 1e-15
+        assert ref.huber(-delta, kappa) == pytest.approx(value, rel=1e-12)
+        assert abs(ref.huber_grad(delta, kappa)) <= kappa + 1e-15
 
 
 class TestForward:
@@ -273,13 +278,12 @@ class TestGradientCheck:
             x = rng.normal(size=(5, 3))
             units_idx = rng.integers(0, 2, size=5)
             targets = net.forward(x)[np.arange(5), units_idx] - region_target
-            _, analytic = batch_loss_and_grad(net, x, targets, "huber", kappa=1.0,
-                                              unit_indices=units_idx)
+            _, analytic = loss_and_grad(net, x, targets, "huber", kappa=1.0,
+                                        unit_indices=units_idx)
 
             def loss_fn(n):
                 out = n.forward(x)[np.arange(5), units_idx]
-                from budgetrl.nets import huber as h
-                return float(np.mean(h(out - targets, 1.0)))
+                return float(np.mean(ref.huber(out - targets, 1.0)))
 
             numeric = numeric_gradient(net, loss_fn)
             denom = np.maximum(np.abs(numeric), 1e-4)
@@ -291,7 +295,7 @@ class TestGradientCheck:
             net = Mlp([4, 5, 3], rng=np.random.default_rng(200 + trial))
             x = rng.normal(size=(6, 4))
             labels = rng.integers(0, 3, size=6)
-            _, analytic = batch_loss_and_grad(net, x, labels, "cross_entropy")
+            _, analytic = loss_and_grad(net, x, labels, "cross_entropy")
 
             def loss_fn(n):
                 probs = softmax(n.forward(x))
@@ -437,7 +441,7 @@ class TestFlatOptimizer:
         net = Mlp([3, 4, 4, 2], rng=np.random.default_rng(3))
         opt = Optimizer(net, 0.1, kind)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        _, grad = batch_loss_and_grad(net, x, np.zeros(5), "huber")
+        _, grad = loss_and_grad(net, x, np.zeros(5), "huber")
         opt.apply(grad)
         before = net.get_params()
         if kind == "adam":
@@ -483,7 +487,7 @@ class TestAgainstAllocatingReference:
             net = Mlp(sizes, rng=np.random.default_rng(60 + trial))
             x, targets, units = reference_data(sizes, batch, loss, trial)
             for kappa in (1.0, 0.05):
-                value, grad = batch_loss_and_grad(net, x, targets, loss, kappa, units)
+                value, grad = loss_and_grad(net, x, targets, loss, kappa, units)
                 ref_value, ref_grad = ref.loss_and_grad(net, x, targets, loss, kappa, units)
                 assert value == ref_value
                 np.testing.assert_array_equal(grad, ref_grad)
@@ -505,54 +509,50 @@ class TestAgainstAllocatingReference:
                 np.testing.assert_array_equal(opt._v, ref_opt._v)
 
 
-class TestBatchLossAndGradContract:
+class TestLossContract:
+    """What ``train_step`` and its ``StepWorkspace`` take and refuse; a refused
+    step leaves the parameters and the optimizer's step count as they were."""
+
     def test_default_unit_is_zero(self):
         net = Mlp([3, 4, 2], rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(6, 3))
-        implicit = batch_loss_and_grad(net, x, np.ones(6), "huber")
-        explicit = batch_loss_and_grad(net, x, np.ones(6), "huber", unit_indices=np.zeros(6, int))
+        implicit = loss_and_grad(net, x, np.ones(6), "huber")
+        explicit = loss_and_grad(net, x, np.ones(6), "huber", unit_indices=np.zeros(6, int))
         assert implicit[0] == explicit[0]
         np.testing.assert_array_equal(implicit[1], explicit[1])
 
     def test_list_inputs(self):
-        net = Mlp([2, 3, 3], rng=np.random.default_rng(0))
         x = [[0.5, -1.0], [2.0, 0.25]]
         for loss, targets, units in (("huber", [1.0, -1.0], [2, 0]),
                                      ("cross_entropy", [1, 2], None)):
-            lists = batch_loss_and_grad(net, x, targets, loss, unit_indices=units)
-            arrays = batch_loss_and_grad(net, np.array(x), np.array(targets), loss,
-                                         unit_indices=None if units is None else np.array(units))
-            assert lists[0] == arrays[0]
-            np.testing.assert_array_equal(lists[1], arrays[1])
+            nets = [Mlp([2, 3, 3], rng=np.random.default_rng(0)) for _ in range(2)]
+            lists = train_step(Optimizer(nets[0], 0.1), x, targets, loss, unit_indices=units)
+            arrays = train_step(Optimizer(nets[1], 0.1), np.array(x), np.array(targets), loss,
+                                unit_indices=None if units is None else np.array(units))
+            assert lists == arrays
+            np.testing.assert_array_equal(nets[0].params, nets[1].params)
 
-    def test_gradient_belongs_to_the_caller(self):
-        net = Mlp([3, 4, 2], rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(5, 3))
-        _, first = batch_loss_and_grad(net, x, np.zeros(5), "huber")
-        kept = first.copy()
-        batch_loss_and_grad(net, -x, np.ones(5), "huber")
-        np.testing.assert_array_equal(first, kept)
-        assert not np.shares_memory(first, net.params)
+    @staticmethod
+    def assert_refused(net, inputs, targets, loss, unit_indices=None):
+        before, opt = net.get_params(), Optimizer(net, 0.1)
+        with pytest.raises(ValueError):
+            train_step(opt, inputs, targets, loss, unit_indices=unit_indices)
+        np.testing.assert_array_equal(net.params, before)
+        assert opt.t == 0
 
     @pytest.mark.parametrize("loss", ["mse", "", "Huber"])
     def test_unknown_loss_refused(self, loss):
         net = Mlp([2, 2], rng=np.random.default_rng(0))
-        before = net.get_params()
         with pytest.raises(ValueError):
-            batch_loss_and_grad(net, np.ones((3, 2)), np.zeros(3), loss)
-        with pytest.raises(ValueError):
-            train_step(Optimizer(net, 0.1), np.ones((3, 2)), np.zeros(3), loss)
-        np.testing.assert_array_equal(net.params, before)
+            loss_and_grad(net, np.ones((3, 2)), np.zeros(3), loss)
+        self.assert_refused(net, np.ones((3, 2)), np.zeros(3), loss)
 
     def test_empty_batch_refused(self):
-        with pytest.raises(ValueError):
-            batch_loss_and_grad(Mlp([2, 1]), np.zeros((0, 2)), np.zeros(0), "huber")
+        self.assert_refused(Mlp([2, 1]), np.zeros((0, 2)), np.zeros(0), "huber")
 
     @pytest.mark.parametrize("unit", [-1, 2])
     def test_unit_outside_the_output_layer_refused(self, unit):
         net = Mlp([2, 2], rng=np.random.default_rng(0))
         x = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            batch_loss_and_grad(net, x, np.zeros(3), "huber", unit_indices=[0, unit, 1])
-        with pytest.raises(ValueError):
-            batch_loss_and_grad(net, x, [0, unit, 1], "cross_entropy")
+        self.assert_refused(net, x, np.zeros(3), "huber", unit_indices=[0, unit, 1])
+        self.assert_refused(net, x, [0, unit, 1], "cross_entropy")
