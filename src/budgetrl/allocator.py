@@ -26,6 +26,19 @@ The assignment rule (``_assign_choice``) is one rule in two shapes, chosen by
 about 3x the rule's own work in index arrays, and every online decision is
 one row.
 
+The row-by-row passes run in parts (``_in_parts``): ``_row_cache`` and the
+matrix shape of the assignment rule split their rows into consecutive slices,
+one per CPU the process may use (``os.sched_getaffinity``, or
+``os.cpu_count`` where that does not exist; read on every call), each of at
+least ``_MIN_PART`` = 2 ``_WALK_BLOCK`` rows, and each slice fills its own
+rows of preallocated outputs on a thread of its own. A matrix of fewer than
+2 ``_MIN_PART`` rows, such as a small ``admit`` batch, runs in one part on
+the caller's thread. Each row's arithmetic is the same in any part, so the
+result does not depend on the CPUs. The passes whose order fixes their bits
+stay whole and serial: the breakpoint sort, ``_exact_lambda``'s cumulative
+sum and search, packing's ordering and greedy loop, and the objective's
+float sum.
+
 ``WindowStore`` keeps the same state for a sliding window of recent rows,
 updated by what changed. Rows join it in batches: ``admit`` checks a matrix of
 Q rows once and fills their ``_row_cache`` arrays in one call, and
@@ -49,9 +62,12 @@ breaks ties toward the cheaper action, then the lower index.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import itertools
 import operator
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +122,10 @@ def _check_lambda(lam) -> None:
         raise ValueError(f"lambda must be finite and >= 0, not {lam!r}")
 
 
-def _masked(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (finite or NaN) with NaN at -inf, and each row's cheapest eligible action."""
-    return np.fmax(q, -np.inf), np.isfinite(q).argmax(axis=-1)
+def _masked(q: np.ndarray, qm=None, cheapest=None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (finite or NaN) with NaN at -inf, and each row's cheapest
+    eligible action; written into ``qm`` and ``cheapest`` when they are given."""
+    return np.fmax(q, -np.inf, out=qm), np.isfinite(q).argmax(axis=-1, out=cheapest)
 
 
 _MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
@@ -151,6 +168,35 @@ class _Prices:
 
 
 _WALK_BLOCK = 4096  # rows per block of the envelope walk
+_MIN_PART = 2 * _WALK_BLOCK  # fewest rows a part of ``_in_parts`` takes
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, read afresh on every call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parts(fn, n: int) -> None:
+    """Call ``fn(lo, hi)`` over consecutive slices that cover rows [0, n): one
+    slice per usable CPU (``_cpus``), each of at least ``_MIN_PART`` rows. One
+    slice runs inline; two or more run on the threads of a pool made for this
+    call, each in a copy of the caller's context, so numpy's error settings
+    (a context variable) hold there too. It returns once every part is done,
+    re-raising the first part's error if any raised. ``fn`` must write only
+    its own rows, so the result is the same however the rows are split."""
+    k = max(1, min(_cpus(), n // _MIN_PART))
+    if k == 1:
+        fn(0, n)
+        return
+    bounds = [n * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(k) as pool:
+        done = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])]
+    for part in done:
+        part.result()
 
 
 def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
@@ -163,20 +209,34 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
     next moves at lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j,
     to the cheapest j attaining it. ``lams`` and ``drops`` are both (N, M-1):
     each row's breakpoints (inf past the last) and integer-cent cost drops there.
-    Rows walk in blocks of ``_WALK_BLOCK``, so one step's arrays stay in cache.
+
+    Every pass here is row by row, so the rows run in parts (``_in_parts``:
+    one per CPU that ``os.sched_getaffinity`` allows, of at least
+    ``_MIN_PART`` rows each), and each part in blocks of ``_WALK_BLOCK`` rows,
+    so one step's arrays stay in cache: a block is masked, its cheapest and
+    greedy actions and start cost found, then walked. The five outputs are
+    allocated once and each block fills only its own rows.
     """
     n, m = q.shape
     cents = prices.cents
-    qm, cheapest = _masked(q)
-    cur = qm.argmax(axis=-1)
-    start_cents = cents[cur]
-    lams = np.full((n, m - 1), np.inf)
-    drops = np.zeros((n, m - 1), dtype=np.int64)
-    floor = cents[cheapest]
-    for lo in range(0, n, _WALK_BLOCK):
-        block = slice(lo, lo + _WALK_BLOCK)
-        _walk(qm[block], cur[block], start_cents[block], floor[block], lams[block],
-              drops[block], prices)
+    qm = np.empty((n, m))
+    cheapest = np.empty(n, dtype=np.intp)
+    start_cents = np.empty(n, dtype=np.int64)
+    lams = np.empty((n, m - 1))
+    drops = np.empty((n, m - 1), dtype=np.int64)
+
+    def part(lo: int, hi: int) -> None:
+        for at in range(lo, hi, _WALK_BLOCK):
+            rows = slice(at, min(at + _WALK_BLOCK, hi))
+            _masked(q[rows], qm[rows], cheapest[rows])
+            cur = qm[rows].argmax(axis=-1)
+            cents.take(cur, out=start_cents[rows])
+            lams[rows] = np.inf
+            drops[rows] = 0
+            _walk(qm[rows], cur, start_cents[rows], cents[cheapest[rows]], lams[rows],
+                  drops[rows], prices)
+
+    _in_parts(part, n)
     return qm, start_cents, cheapest, lams, drops
 
 
@@ -364,14 +424,35 @@ def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices, lam: float):
     One rule in two shapes, chosen by ``qm.ndim``: a matrix gives an int array
     of choices, and one row, as a 1-D array with a scalar ``cheapest``, gives
     one int. A 1 x M slice would cost about 3x the rule's work in index arrays,
-    and each online decision is one row."""
-    scores = qm - lam * prices.shift
-    best = scores.argmax(axis=-1)
-    if scores.ndim == 1:
+    and each online decision is one row. A matrix's rows run in parts
+    (``_in_parts``: one per CPU that ``os.sched_getaffinity`` allows, of at
+    least ``_MIN_PART`` rows each), each filling its rows of the three
+    outputs; one row runs inline."""
+    if qm.ndim == 1:
+        scores = qm - lam * prices.shift
+        best = scores.argmax(axis=-1)
         top = scores[best]
         return int(best) if top >= 0.0 else int(cheapest), scores, top
-    top = scores[np.arange(best.size), best]
-    return np.where(top >= 0.0, best, cheapest), scores, top
+    return _assign_rows(qm, cheapest, lam * prices.shift)
+
+
+def _assign_rows(qm: np.ndarray, cheapest: np.ndarray, step: np.ndarray):
+    """``_assign_choice`` over a matrix, ``step`` being lam times the shift.
+    Apart from it so that the one-row case, run per online decision, sets up
+    no closure."""
+    scores = np.empty(qm.shape)
+    top = np.empty(qm.shape[0])
+    choice = np.empty(qm.shape[0], dtype=np.intp)
+
+    def part(lo: int, hi: int) -> None:
+        part_scores, part_top, best = scores[lo:hi], top[lo:hi], choice[lo:hi]
+        np.subtract(qm[lo:hi], step, out=part_scores)
+        part_scores.argmax(axis=-1, out=best)
+        part_top[:] = part_scores[np.arange(hi - lo), best]
+        np.copyto(best, cheapest[lo:hi], where=~(part_top >= 0.0))
+
+    _in_parts(part, qm.shape[0])
+    return choice, scores, top
 
 
 def _assignment(problem: AllocationProblem, chosen: np.ndarray, lam: float,
@@ -411,7 +492,7 @@ def _packed(problem: AllocationProblem, lam: float, chosen: np.ndarray,
         floor = np.where(top >= 0.0, top - 1e-9 * np.maximum(1.0, np.abs(top)), np.inf)
         near = scores >= floor[:, None]
         near[np.arange(chosen.size), chosen] = False
-        rows, actions = np.nonzero(near)
+        rows, actions = np.divmod(np.flatnonzero(near), near.shape[1])
         cur = chosen[rows]
         extra = cents[actions] - cents[cur]
         gain = problem.q[rows, actions] - problem.q[rows, cur]
@@ -469,11 +550,21 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     Equal, field by field, to ``assign(problem, solve_lambda(problem))`` then
     ``_packed`` from its scores. Raises InfeasibleProblemError when even the
     cheapest eligible assignment is over budget.
+
+    Masking, the walk and the rule run in parts (``_in_parts``), one per CPU
+    that ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows; the
+    sort, the search, packing and the objective's sum run whole and serial,
+    since their order fixes their bits.
+    The breakpoint arrays are dropped before the rule allocates its scores,
+    and the masked rows before packing, which lowers the solve's peak memory.
     """
-    cache = _row_cache(problem.q, problem._prices)
+    prices = problem._prices
+    cache = _row_cache(problem.q, prices)
     lam = _problem_lambda(problem, cache)
-    choice = _assign_choice(cache[0], cache[2], problem._prices, lam)
-    del cache  # packing reads none of the breakpoint arrays
+    qm, _, cheapest = cache[:3]
+    del cache  # lams and drops go before the rule allocates its scores
+    choice = _assign_choice(qm, cheapest, prices, lam)
+    del qm  # packing reads the scores, not the masked rows
     return _packed(problem, lam, *choice)
 
 

@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import reference_allocator as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from budgetrl import allocator
 from budgetrl.allocator import (
     AllocationProblem,
     Assignment,
@@ -19,6 +21,7 @@ from budgetrl.allocator import (
     _assign_choice,
     _breakpoints,
     _exact_lambda,
+    _in_parts,
     _masked,
     _packed,
     _row_cache,
@@ -1284,3 +1287,117 @@ class TestAdmissionAgainstRowStore:
         assert len(store) == 0 and len(other) == 0
         assert other.allocate_online(rows[2], 0.0) == decide(store, q[2], 0.0)
         assert len(store) == len(other) == 1
+
+
+# ---------------------------------------------------------------------------
+# Rows in parts: the row-by-row kernels give the same bits however many CPUs
+# split them, and a part's error and the caller's numpy settings cross threads.
+
+PART_SIZES = (16383, 16384, 16385, 40000)  # one part below 2 * _MIN_PART rows, more from it
+
+
+def pin_cpus(monkeypatch, k):
+    monkeypatch.setattr(allocator, "_cpus", lambda: k)
+
+
+def tie_heavy_q(n, seed):
+    """Q on a coarse grid over the menu, a quarter NaN: many tied scores and ratios."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, 8, (n, MENU_CENTS.size)) / 8 + MENU_CENTS / 200
+    hide = rng.random(q.shape) < 0.25
+    hide[np.arange(n), rng.integers(0, MENU_CENTS.size, n)] = False
+    q[hide] = np.nan
+    return q
+
+
+def same_arrays(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+class TestRowsInParts:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_parts_are_consecutive_slices_of_at_least_the_minimum(self, monkeypatch, cpus):
+        pin_cpus(monkeypatch, cpus)
+        caller = threading.get_ident()
+        for n in (0, 1, *PART_SIZES):
+            seen = []
+            _in_parts(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), n)
+            seen.sort()
+            parts = max(1, min(cpus, n // allocator._MIN_PART))
+            assert len(seen) == parts
+            assert [lo for lo, _, _ in seen] == [0, *(hi for _, hi, _ in seen[:-1])]
+            assert seen[-1][1] == n
+            assert parts == 1 or min(hi - lo for lo, hi, _ in seen) >= allocator._MIN_PART
+            assert (seen[0][2] == caller) == (parts == 1)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_kernels_match_the_one_part_run(self, monkeypatch, cpus):
+        prices = _Prices(MENU_CENTS.tolist(), 87)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # parts interleave as finely as they can
+        try:
+            for n in PART_SIZES:
+                q = tie_heavy_q(n, n)
+                pin_cpus(monkeypatch, 1)
+                cache = _row_cache(q, prices)
+                rules = [_assign_choice(cache[0], cache[2], prices, lam)
+                         for lam in (0.0, 0.5, 2.5)]
+                pin_cpus(monkeypatch, cpus)
+                assert same_arrays(_row_cache(q, prices), cache)
+                for lam, rule in zip((0.0, 0.5, 2.5), rules):
+                    assert same_arrays(_assign_choice(cache[0], cache[2], prices, lam), rule)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_solve_and_assign_matches_the_reference(self, monkeypatch, cpus):
+        pin_cpus(monkeypatch, cpus)
+        for n, budget in itertools.product(PART_SIZES, (70, 87, 120)):
+            p = AllocationProblem(tie_heavy_q(n, n + budget), MENU_CENTS.tolist(), budget)
+            result, expected = solve_and_assign(p), reference_solve_and_assign(p)
+            assert result.chosen == expected.chosen
+            assert result.total_cost_cents == expected.total_cost_cents
+            assert bits(result.lam) == bits(expected.lam) and result.lam > 0.0
+            assert bits(result.objective) == bits(expected.objective)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_first_error_propagates_after_every_part_ends(self, monkeypatch, cpus):
+        pin_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        ended = []
+
+        def fail_from(first):
+            def part(lo, hi):
+                ended.append(lo)
+                if lo >= first:
+                    raise ValueError(f"part at {lo}")
+            return part
+
+        with pytest.raises(ValueError, match="^part at 0$"):
+            _in_parts(fail_from(0), 40000)
+        assert len(ended) == cpus
+        ended.clear()
+        with pytest.raises(ValueError, match=f"^part at {40000 // cpus}$"):
+            _in_parts(fail_from(1), 40000)
+        assert len(ended) == cpus
+        assert threading.active_count() == threads
+
+    def test_caller_error_settings_reach_the_parts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        q = rng.random((20000, MENU_CENTS.size)) + DEFAULT_UNITS
+        q[rng.random(q.shape) < 0.02] = 1.5e308
+        q[rng.random(q.shape) < 0.02] = -1.5e308
+        p = AllocationProblem(q, MENU_CENTS.tolist(), 87)
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    solve_and_assign(p)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    results.append(solve_and_assign(p))
+        one, two = results
+        assert one.chosen == two.chosen and one.total_cost_cents == two.total_cost_cents
+        assert bits(one.lam) == bits(two.lam) and one.lam > 0.0
+        assert bits(one.objective) == bits(two.objective)
