@@ -8,18 +8,26 @@ multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979).
 
 Each row is masked and its envelope walked once (``_row_cache``): the
 breakpoints at which its dual choice moves to a cheaper action, and the cent
-drop at each. ``_breakpoints`` sorts the finite ones as three arrays, (lam,
-drop, row id). The exact multiplier (``_exact_lambda``) is then a cumulative
-sum and a search over them, and a fit check at the lam found that runs the
-selection rules only on the rows with a breakpoint within a float-error
-margin of lam; every other row's cost is read from the cumulative sum. The
-margin needs a bound on |q|, and ``_abs_max`` is its one rule: over a
+drop at each. Only the breakpoints the walk finds are kept, in one compact
+row-major layout, the one structure that the solve, the window and repair
+read: arrays ``lam`` and ``drop`` hold every row's, row after row and each
+row's in walk order, and row i's are at ``offsets[i]:offsets[i + 1]``.
+``_breakpoints`` sorts those entries as three arrays, (lam, drop, position),
+a position pointing back into the layout. The exact multiplier
+(``_exact_lambda``) is then a cumulative sum and a search over them, and a
+fit check at the lam found that runs the selection rules only on the rows
+with a breakpoint within a float-error margin of lam (found from the
+positions and the offsets); every other row's cost is read from the
+cumulative sum.
+The margin needs a bound on |q|, and ``_abs_max`` is its one rule: over a
 problem's whole matrix, or per row for ``WindowStore.admit``, without an |q|
-copy of the matrix.
+copy of the matrix. When the fit check runs a rule over every row, it sums
+the cost block by block, with no temporary the size of the matrix.
 
 A batch solve (``solve_and_assign``) sorts the breakpoints once, solves, and
-applies the assignment rule to every row once, at the lam found; slack
-packing (``_packed``) upgrades rows from that choice and its score matrix.
+applies the assignment rule to every row once, at the lam found, writing its
+scores over the masked rows; slack packing (``_packed``) upgrades rows from
+that choice and those scores.
 ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
 The assignment rule (``_assign_choice``) is one rule in two shapes, chosen by
 ``ndim``: a matrix of rows, or one row as a 1-D array. A 1 x M slice costs
@@ -44,10 +52,11 @@ updated by what changed. Rows join it in batches: ``admit`` checks a matrix of
 Q rows once and fills their ``_row_cache`` arrays in one call, and
 ``allocate_online`` decides one admitted row from its cached masked row and
 queues it. A refresh copies the queued rows' cache rows into append-only
-buffers with a moving start, where every row has an absolute id. The sorted
-breakpoint arrays take a flush's new breakpoints by a ``searchsorted`` merge
-and drop evicted rows' by the mask ``row id >= first live id``. A refresh
-therefore neither checks, masks nor walks a row again, and neither sorts nor
+row buffers, and their breakpoints into append-only entry buffers in the
+same compact layout, both with a moving start. The sorted breakpoint arrays
+take a flush's new breakpoints by a ``searchsorted`` merge and drop evicted
+rows' by the mask ``position >= first live position``. A refresh therefore
+neither checks, masks nor walks a row again, and neither sorts nor
 concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
@@ -64,7 +73,6 @@ from __future__ import annotations
 import bisect
 import contextvars
 import itertools
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -182,12 +190,14 @@ def _cpus() -> int:
 def _in_parts(fn, n: int) -> None:
     """Call ``fn(lo, hi)`` over consecutive slices that cover rows [0, n): one
     slice per usable CPU (``_cpus``), each of at least ``_MIN_PART`` rows. One
-    slice runs inline; two or more run on the threads of a pool made for this
-    call, each in a copy of the caller's context, so numpy's error settings
-    (a context variable) hold there too. It returns once every part is done,
-    re-raising the first part's error if any raised. ``fn`` must write only
-    its own rows, so the result is the same however the rows are split."""
-    k = max(1, min(_cpus(), n // _MIN_PART))
+    slice runs inline, and fewer than 2 ``_MIN_PART`` rows run inline without
+    reading the CPU count; two or more slices run on the threads of a pool
+    made for this call, each in a copy of the caller's context, so numpy's
+    error settings (a context variable) hold there too. It returns once every
+    part is done, re-raising the first part's error if any raised. ``fn`` must
+    write only its own rows, so the result is the same however the rows are
+    split."""
+    k = 1 if n < 2 * _MIN_PART else min(_cpus(), n // _MIN_PART)
     if k == 1:
         fn(0, n)
         return
@@ -202,28 +212,32 @@ def _in_parts(fn, n: int) -> None:
 def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
     """What the exact-lam kernel reads per row, as new arrays: the -inf-masked
     rows, the greedy (lam = 0) cost where the envelope walk starts, the
-    cheapest eligible action, and the walk's breakpoints and drops.
+    cheapest eligible action, and the walk's finite breakpoints in one compact
+    row-major layout: ``lam`` and ``drop`` hold every row's breakpoints and
+    integer-cent cost drops there, row after row and each row's in walk
+    order, and row i's are at ``offsets[i]:offsets[i + 1]``.
 
     The walk follows each row's upper concave envelope over (cost, value) as
     lam rises. From the greedy argmax (cheaper on ties), the dual choice a
     next moves at lam = min (q_a - q_j) / (c_a - c_j) over eligible cheaper j,
-    to the cheapest j attaining it. ``lams`` and ``drops`` are both (N, M-1):
-    each row's breakpoints (inf past the last) and integer-cent cost drops there.
+    to the cheapest j attaining it. A row has at most M - 1 breakpoints, and
+    only those it has are stored: no table is padded to M - 1 per row.
 
     Every pass here is row by row, so the rows run in parts (``_in_parts``:
     one per CPU that ``os.sched_getaffinity`` allows, of at least
     ``_MIN_PART`` rows each), and each part in blocks of ``_WALK_BLOCK`` rows,
     so one step's arrays stay in cache: a block is masked, its cheapest and
-    greedy actions and start cost found, then walked. The five outputs are
-    allocated once and each block fills only its own rows.
+    greedy actions and start cost found, then walked. The per-row outputs are
+    allocated once and each block fills only its own rows; each block's
+    breakpoints are joined in row order once every part is done.
     """
     n, m = q.shape
     cents = prices.cents
     qm = np.empty((n, m))
     cheapest = np.empty(n, dtype=np.intp)
     start_cents = np.empty(n, dtype=np.int64)
-    lams = np.empty((n, m - 1))
-    drops = np.empty((n, m - 1), dtype=np.int64)
+    offsets = np.empty(n + 1, dtype=np.intp)  # each row's count first, at its end
+    blocks = {}  # each block's (lam, drop), by its first row
 
     def part(lo: int, hi: int) -> None:
         for at in range(lo, hi, _WALK_BLOCK):
@@ -231,29 +245,38 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
             _masked(q[rows], qm[rows], cheapest[rows])
             cur = qm[rows].argmax(axis=-1)
             cents.take(cur, out=start_cents[rows])
-            lams[rows] = np.inf
-            drops[rows] = 0
-            _walk(qm[rows], cur, start_cents[rows], cents[cheapest[rows]], lams[rows],
-                  drops[rows], prices)
+            blocks[at] = _walk(qm[rows], cur, start_cents[rows], cents[cheapest[rows]],
+                               offsets[rows.start + 1:rows.stop + 1], prices)
 
     _in_parts(part, n)
-    return qm, start_cents, cheapest, lams, drops
+    offsets[0] = 0
+    np.cumsum(offsets, out=offsets)
+    joined = [blocks[at] for at in sorted(blocks)] or [(np.empty(0), np.empty(0, np.int64))]
+    lam, drop = (np.concatenate(column) for column in zip(*joined))
+    return qm, start_cents, cheapest, lam, drop, offsets
 
 
-def _walk(qm, cur, cost, floor, lams, drops, prices: _Prices) -> None:
-    """Fill ``lams`` and ``drops`` for the rows ``qm``, whose walks start at
-    ``cur``, of cost ``cost``, and end where the cost reaches ``floor``, that
-    of their cheapest eligible action: only there is no eligible cheaper
-    action left to move to. (A row whose every ratio overflows records that
-    step at lam = inf, which no solve reaches.)"""
+def _walk(qm, cur, cost, floor, counts, prices: _Prices) -> tuple[np.ndarray, np.ndarray]:
+    """The finite breakpoints of the rows ``qm``, whose walks start at ``cur``,
+    of cost ``cost``, and end where the cost reaches ``floor``, that of their
+    cheapest eligible action: only there is no eligible cheaper action left to
+    move to. Returns their lams and cent drops, row after row and each row's in
+    walk order, and writes each row's number of them into ``counts``.
+
+    A step whose every ratio overflows has lam = inf, which no solve reaches,
+    and is not recorded. All its scores are -inf, so it moves to action 0,
+    which costs no more than the floor: it is its row's last step, and a row's
+    k-th breakpoint is that of its k-th step."""
     cents, gap, no_move = prices.cents, prices.gap, prices.no_move
     rows = np.arange(qm.shape[0])
     going = cost > floor
+    counts[:] = 0
+    steps = []  # per step: the rows that record a breakpoint, its lam and drop
     for step in range(qm.shape[1] - 1):
         count = np.count_nonzero(going)
         if count < going.size:
             if not count:
-                return
+                break
             rows, cur, cost, floor = rows[going], cur[going], cost[going], floor[going]
         # The ratios negated, as (q_j - q_a) / (c_a - c_j): IEEE subtraction and
         # division are exact under a sign flip. An ineligible cheaper j gives
@@ -263,11 +286,37 @@ def _walk(qm, cur, cost, floor, lams, drops, prices: _Prices) -> None:
         np.divide(neg, gap.take(cur, axis=0), out=neg)
         np.putmask(neg, no_move.take(cur, axis=0), -np.inf)
         cur = neg.argmax(axis=-1)  # the cheapest j at the smallest ratio
-        lams[rows, step] = -neg[np.arange(rows.size), cur]
+        lam = -neg[np.arange(rows.size), cur]
         nxt_cost = cents[cur]
-        drops[rows, step] = cost - nxt_cost
+        drop = cost - nxt_cost
+        finite = lam < np.inf
+        if np.count_nonzero(finite) < finite.size:
+            steps.append((rows[finite], lam[finite], drop[finite]))
+        else:
+            steps.append((rows, lam, drop))
+        counts[steps[-1][0]] = step + 1
         cost = nxt_cost
         going = cost > floor
+    first = np.cumsum(counts)
+    total = int(first[-1]) if first.size else 0
+    first -= counts
+    lams, drops = np.empty(total), np.empty(total, dtype=np.int64)
+    for step, (rows, lam, drop) in enumerate(steps):
+        at = first.take(rows)
+        at += step
+        lams[at] = lam
+        drops[at] = drop
+    return lams, drops
+
+
+def _entries(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where the breakpoints of ``rows`` (an int array) lie in the compact
+    arrays that ``offsets`` index (``_row_cache``), row after row."""
+    start, stop = offsets.take(rows), offsets.take(rows + 1)
+    count = stop - start
+    ends = count.cumsum()
+    stop -= ends  # each row's first position less the entries before it
+    return stop.repeat(count) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _step_up_until(fits, lam: float) -> float:
@@ -280,15 +329,16 @@ def _step_up_until(fits, lam: float) -> float:
     return lam
 
 
-def _breakpoints(lams: np.ndarray, drops: np.ndarray,
+def _breakpoints(lam: np.ndarray, drop: np.ndarray,
                  first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The finite breakpoints of ``_row_cache`` rows sorted by lam, as arrays
-    (lam, drop, row id); row i of ``lams`` has id ``first + i``."""
-    at = np.flatnonzero(lams < np.inf)  # row-major positions in lams and drops
-    lam = lams.take(at)
+    """The compact breakpoint entries ``lam`` and ``drop`` (``_row_cache``)
+    sorted by lam, as arrays (lam, drop, position), entry j being at
+    ``first + j`` of the layout they were cut from; its row follows from the
+    offsets."""
     order = lam.argsort()
-    at = at[order]
-    return lam[order], drops.take(at), at // lams.shape[1] + first
+    lam, drop = lam[order], drop.take(order)
+    order += first
+    return lam, drop, order
 
 
 def _merged(breaks, added):
@@ -316,13 +366,26 @@ def _abs_max(q: np.ndarray, axis=None):
     return float(top) if axis is None else top
 
 
-def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
-                  total_cents: int) -> float:
+def _blocked_total(cost, n: int) -> int:
+    """The sum of the int ``cost(lo, hi)`` over rows [0, n) in blocks of
+    ``_WALK_BLOCK`` rows, the blocks run in parts (``_in_parts``). Ints add
+    exactly, so the sum does not depend on how the rows are split."""
+    totals = []
+
+    def part(lo: int, hi: int) -> None:
+        totals.append(sum(cost(at, min(at + _WALK_BLOCK, hi))
+                          for at in range(lo, hi, _WALK_BLOCK)))
+
+    _in_parts(part, n)
+    return sum(totals)
+
+
+def _exact_lambda(cache, breaks, qmax: float, prices: _Prices, total_cents: int) -> float:
     """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
     ``total_cents`` in all, under both the dual selection and the assignment
-    rule. ``breaks`` are the rows' finite breakpoints (``_breakpoints``), the
-    first row's id being ``first``; ``qmax`` is at least max |q| over the rows;
-    ``prices`` are the costs and budget.
+    rule. ``breaks`` are the rows' breakpoints sorted (``_breakpoints``), with
+    their positions in the cache's breakpoint arrays; ``qmax`` is at least
+    max |q| over the rows; ``prices`` are the costs and budget.
 
     The candidate is the breakpoint where the cumulative drop first covers the
     greedy cost's excess over the total; every drop is positive, so the order
@@ -354,10 +417,12 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
     dual selection. Under the assignment rule a row takes its dual choice's
     cost or, when no score is >= 0, its cheapest action, never more; so "far
     dual cost + near rule cost <= total" proves that the rule fits, and only
-    when that bound fails does the rule run over every row.
+    when that bound fails does the rule run over every row. A pass over every
+    row sums its cost block by block (``_blocked_total``), so it makes no
+    N x M temporary.
     """
-    qm, start_cents, cheapest, lams, drops = cache
-    lam_at, drop_at, row_at = breaks
+    qm, start_cents, cheapest, row_lam, row_drop, offsets = cache
+    lam_at, drop_at, at_entry = breaks
     start_total = int(start_cents.sum())
     excess = start_total - total_cents
     if excess <= 0:
@@ -375,21 +440,30 @@ def _exact_lambda(cache, breaks, first: int, qmax: float, prices: _Prices,
     def rule(rows_qm, rows_cheapest, lam):
         return _assign_choice(rows_qm, rows_cheapest, prices, lam)[0]
 
+    def dual_total(lam) -> int:
+        return _blocked_total(lambda lo, hi: int(cents[dual(qm[lo:hi], lam)].sum()), len(qm))
+
+    def rule_total(lam) -> int:
+        return _blocked_total(
+            lambda lo, hi: int(cents[rule(qm[lo:hi], cheapest[lo:hi], lam)].sum()), len(qm))
+
     def fits(lam: float) -> bool:
         delta = qmax * prices.per_q + lam * prices.per_lam
         if lam <= delta:
-            return (int(cents[dual(qm, lam)].sum()) <= total_cents
-                    and int(cents[rule(qm, cheapest, lam)].sum()) <= total_cents)
+            return dual_total(lam) <= total_cents and rule_total(lam) <= total_cents
         lo, at, hi = lam_at.searchsorted((lam - delta, lam, lam + delta), "right")
-        near = np.fromiter({row - first for row in row_at[lo:hi].tolist()}, dtype=np.int64)
+        # the rows of the entries in the margin, each once
+        after = offsets.searchsorted(at_entry[lo:hi], "right").tolist()
+        near = np.fromiter({row - 1 for row in after}, dtype=np.intp)
+        entries = _entries(offsets, near)
         near_qm = qm[near]
         # The near rows are few, so their sums are Python sums.
         far = (start_total - (int(dropped[at - 1]) if at else 0) - sum(start_cents[near].tolist())
-               + int(drops[near].sum(where=lams[near] <= lam)))
+               + int(row_drop[entries].sum(where=row_lam[entries] <= lam)))
         if far + sum(cents[dual(near_qm, lam)].tolist()) > total_cents:
             return False
         return (far + sum(cents[rule(near_qm, cheapest[near], lam)].tolist()) <= total_cents
-                or int(cents[rule(qm, cheapest, lam)].sum()) <= total_cents)
+                or rule_total(lam) <= total_cents)
 
     return _step_up_until(fits, float(lam_at[k]))
 
@@ -400,7 +474,7 @@ def _problem_lambda(problem: AllocationProblem, cache) -> float:
     total = problem.n * problem.budget_cents
     if int(cache[1].sum()) <= total:
         return 0.0
-    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(problem.q),
+    return _exact_lambda(cache, _breakpoints(*cache[3:5]), _abs_max(problem.q),
                          problem._prices, total)
 
 
@@ -433,14 +507,15 @@ def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices, lam: float):
         best = scores.argmax(axis=-1)
         top = scores[best]
         return int(best) if top >= 0.0 else int(cheapest), scores, top
-    return _assign_rows(qm, cheapest, lam * prices.shift)
+    return _assign_rows(qm, cheapest, lam * prices.shift, np.empty(qm.shape))
 
 
-def _assign_rows(qm: np.ndarray, cheapest: np.ndarray, step: np.ndarray):
-    """``_assign_choice`` over a matrix, ``step`` being lam times the shift.
+def _assign_rows(qm: np.ndarray, cheapest: np.ndarray, step: np.ndarray,
+                 scores: np.ndarray):
+    """``_assign_choice`` over a matrix, ``step`` being lam times the shift,
+    with its scores written into ``scores``, which may be ``qm`` itself.
     Apart from it so that the one-row case, run per online decision, sets up
     no closure."""
-    scores = np.empty(qm.shape)
     top = np.empty(qm.shape[0])
     choice = np.empty(qm.shape[0], dtype=np.intp)
 
@@ -518,7 +593,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     if assignment.total_cost_cents <= budget_total:
         return assignment
     prices = problem._prices
-    qm, _, cheapest, lams, _ = _row_cache(problem.q, prices)
+    qm, _, cheapest, lams = _row_cache(problem.q, prices)[:4]
     if int(prices.cents[cheapest].sum()) > budget_total:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
@@ -527,7 +602,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     # or a score q_ij - lam (c_j - budget) crosses zero (the cheapest fallback).
     with np.errstate(divide="ignore", invalid="ignore"):
         zero_cross = problem.q / prices.shift
-    cands = np.concatenate([lams.ravel(), zero_cross.ravel()])
+    cands = np.concatenate([lams, zero_cross.ravel()])
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
@@ -555,17 +630,17 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     that ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows; the
     sort, the search, packing and the objective's sum run whole and serial,
     since their order fixes their bits.
-    The breakpoint arrays are dropped before the rule allocates its scores,
-    and the masked rows before packing, which lowers the solve's peak memory.
+    Memory: the breakpoints are kept only where the walk found them (a row has
+    at most M - 1), the breakpoint arrays go before the rule runs, and the
+    rule writes its scores over the masked rows, which nothing reads after
+    it; so the solve's largest array is the one N x M matrix of masked rows.
     """
     prices = problem._prices
     cache = _row_cache(problem.q, prices)
     lam = _problem_lambda(problem, cache)
     qm, _, cheapest = cache[:3]
-    del cache  # lams and drops go before the rule allocates its scores
-    choice = _assign_choice(qm, cheapest, prices, lam)
-    del qm  # packing reads the scores, not the masked rows
-    return _packed(problem, lam, *choice)
+    del cache  # the breakpoints go before the rule runs
+    return _packed(problem, lam, *_assign_rows(qm, cheapest, lam * prices.shift, qm))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +671,17 @@ class WindowStore:
     is published atomically; readers never block on a refresh, queueing
     decisions do. A refresh first flushes the queue: it copies the queued
     rows' cache rows, with their timestamps, to the end of append-only
-    buffers, where buffer row i has the absolute id ``_base + i`` and the
-    live rows are ``[_lo, _hi)``. Eviction only moves ``_lo``; once the dead
-    prefix passes half the capacity, the next flush moves the live rows to
-    the front. The window's finite breakpoints are kept sorted with their
-    row ids (``_breakpoints``): a flush merges in the new rows' by
-    ``searchsorted``, eviction drops those with ``row id < _base + _lo``.
+    buffers, where the live rows are ``[_lo, _hi)``, each run of rows queued
+    one after another from consecutive indexes of one batch as one slice per
+    array. Their breakpoints go to the end of append-only entry buffers in
+    ``_row_cache``'s compact layout: buffer row i's are at
+    ``_offsets[i]:_offsets[i + 1]``. Eviction only moves ``_lo``; once the
+    dead prefix of the rows or of the entries passes half its capacity, the
+    next flush moves the live rows and their entries to the front. The
+    window's breakpoints are also kept sorted with their buffer positions
+    (``_breakpoints``): a flush merges in the new rows' by ``searchsorted``,
+    eviction drops those before ``_offsets[_lo]``, and a move to the front
+    shifts the positions with the entries.
     The solve (``_exact_lambda``) needs a cumulative sum and a search over
     them, and runs the selection rules only on the rows with a breakpoint
     near the lam it checks. Its margin needs a bound on |q|, kept as the
@@ -627,10 +707,12 @@ class WindowStore:
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         # (now, batch, index) per row decided since the last refresh
         self._pending: list[tuple[float, _Batch, int]] = []
-        empty = np.empty((0, len(self.costs_cents)))
-        self._buffers = (np.empty(0), *_row_cache(empty, self._prices))  # ts, row cache
-        self._base = self._lo = self._hi = 0
-        self._breaks = _breakpoints(*self._buffers[4:])
+        empty = _row_cache(np.empty((0, len(self.costs_cents))), self._prices)
+        self._buffers = (np.empty(0), *empty[:3])  # ts, masked rows, start cost, cheapest
+        self._entries = empty[3:5]  # lam, drop
+        self._offsets = empty[5]
+        self._lo = self._hi = 0
+        self._breaks = _breakpoints(*self._entries)
         self._qmax = 0.0
         self._lock = threading.Lock()
 
@@ -645,29 +727,57 @@ class WindowStore:
         batch = _Batch(self._prices, _row_cache(q, self._prices), _abs_max(q, axis=1))
         return list(zip(itertools.repeat(batch), range(len(q))))
 
-    def _flush(self) -> None:
-        """Copy the queued rows' cache rows to the end of the buffers, making room
-        first if needed, and merge their breakpoints into the sorted ones."""
-        n, live, capacity = len(self._pending), self._hi - self._lo, len(self._buffers[0])
-        if self._lo > capacity // 2 or self._hi + n > capacity:
-            capacity = max(capacity, 2 * (live + n))
-            self._buffers = tuple(_moved_to_front(a[self._lo:self._hi], capacity)
+    def _make_room(self, rows: int, entries: int) -> None:
+        """Room at the end of the buffers for ``rows`` more rows holding
+        ``entries`` more breakpoints. When it is short, or the dead prefix of
+        the rows or of the entries passes half its capacity, the live rows and
+        their entries move to the front of buffers of at least twice what
+        they and the new rows need."""
+        live, capacity, lo = self._hi - self._lo, len(self._buffers[0]), self._lo
+        first, end = int(self._offsets[lo]), int(self._offsets[self._hi])
+        room = len(self._entries[0])
+        if lo > capacity // 2 or self._hi + rows > capacity or first > room // 2 \
+                or end + entries > room:
+            capacity = max(capacity, 2 * (live + rows))
+            room = max(room, 2 * (end - first + entries))
+            self._buffers = tuple(_moved_to_front(a[lo:self._hi], capacity)
                                   for a in self._buffers)
-            self._base += self._lo
+            self._entries = tuple(_moved_to_front(a[first:end], room) for a in self._entries)
+            self._offsets = _moved_to_front(self._offsets[lo:self._hi + 1] - first, capacity + 1)
+            lam, drop, at = self._breaks
+            self._breaks = lam, drop, at - first
             self._lo, self._hi = 0, live
-        end = self._hi + n
-        self._buffers[0][self._hi:end] = [t for t, _, _ in self._pending]
+
+    def _flush(self) -> None:
+        """Copy the queued rows' cache rows and breakpoints to the end of the
+        buffers, making room first if needed, and merge their breakpoints into
+        the sorted ones."""
+        # Rows queued one after another from one batch, at consecutive indexes
+        # (decisions in arrival order), are copied as one slice per array.
+        runs = []
+        for (batch, _), run in itertools.groupby(
+                enumerate(self._pending), key=lambda item: (item[1][1], item[1][2] - item[0])):
+            lo = next(run)[1][2]
+            hi = lo + 1 + sum(1 for _ in run)
+            offsets = batch.cache[5]
+            runs.append((batch, lo, hi, int(offsets[lo]), int(offsets[hi])))
+        self._make_room(len(self._pending), sum(end - first for *_, first, end in runs))
         row = self._hi
-        # Consecutive rows of one batch are copied by one gather per array.
-        for batch, run in itertools.groupby(self._pending, key=operator.itemgetter(1)):
-            at = [i for _, _, i in run]
-            for src, buffer in zip(batch.cache, self._buffers[1:]):
-                src.take(at, axis=0, out=buffer[row:row + len(at)])
-            self._qmax = max(self._qmax, float(batch.qmax[at].max()))
-            row += len(at)
-        lams, drops = (a[self._hi:end] for a in self._buffers[4:])
-        self._breaks = _merged(self._breaks, _breakpoints(lams, drops, first=self._base + self._hi))
-        self._hi = end
+        start = entry = int(self._offsets[row])
+        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
+        for batch, lo, hi, first, end in runs:
+            new_row, new_entry = row + hi - lo, entry + end - first
+            for src, buffer in zip(batch.cache[:3], self._buffers[1:]):
+                buffer[row:new_row] = src[lo:hi]
+            for src, buffer in zip(batch.cache[3:5], self._entries):
+                buffer[entry:new_entry] = src[first:end]
+            np.add(batch.cache[5][lo + 1:hi + 1], entry - first,
+                   out=self._offsets[row + 1:new_row + 1])
+            self._qmax = max(self._qmax, float(batch.qmax[lo:hi].max()))
+            row, entry = new_row, new_entry
+        self._breaks = _merged(self._breaks, _breakpoints(
+            *(a[start:entry] for a in self._entries), first=start))
+        self._hi = row
         self._pending = []
 
     def window_refresh(self, now: float) -> float:
@@ -687,11 +797,12 @@ class WindowStore:
             evicted = expired.size if everyone else int(expired.argmin())
             if evicted:
                 self._lo += evicted
-                keep = self._breaks[2] >= self._base + self._lo
+                keep = self._breaks[2] >= self._offsets[self._lo]
                 self._breaks = tuple(a[keep] for a in self._breaks)
             if self._hi > self._lo:
-                cache = [a[self._lo:self._hi] for a in self._buffers[1:]]
-                args = cache, self._breaks, self._base + self._lo, self._qmax, self._prices
+                cache = (*(a[self._lo:self._hi] for a in self._buffers[1:]), *self._entries,
+                         self._offsets[self._lo:self._hi + 1])
+                args = cache, self._breaks, self._qmax, self._prices
                 try:
                     self.lambda_snapshot = _exact_lambda(
                         *args, (self._hi - self._lo) * self.budget_cents)

@@ -28,7 +28,6 @@ from budgetrl.allocator import (
     _checked_rows,
     _masked,
     _merged,
-    _moved_to_front,
     _row_cache,
     _step_up_until,
 )
@@ -62,6 +61,16 @@ def row_cache(q, cents):
             drops[rows, step] = cents[at] - cents[nxt]
             at = nxt
     return qm, cents[cur], cheapest, lams, drops
+
+
+def compact(lams, drops):
+    """The finite entries of the tables ``row_cache`` gives, in the package's
+    compact layout: (lam, drop, offsets), row after row, each row's in walk
+    order, row i's at ``offsets[i]:offsets[i + 1]``."""
+    finite = lams < np.inf
+    offsets = np.zeros(lams.shape[0] + 1, dtype=np.intp)
+    np.cumsum(finite.sum(axis=1), out=offsets[1:])
+    return lams[finite], drops[finite], offsets
 
 
 def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
@@ -138,18 +147,18 @@ class RowStore(WindowStore):
 
     def _flush(self):
         q = np.array([q for _, q in self._pending])
-        n, live, capacity = len(q), self._hi - self._lo, len(self._buffers[0])
-        if self._lo > capacity // 2 or self._hi + n > capacity:
-            capacity = max(capacity, 2 * (live + n))
-            self._buffers = tuple(_moved_to_front(a[self._lo:self._hi], capacity)
-                                  for a in self._buffers)
-            self._base += self._lo
-            self._lo, self._hi = 0, live
+        n = len(q)
+        *rows, lam, drop, offsets = _row_cache(q, self._prices)
+        self._make_room(n, lam.size)
         new = [a[self._hi:self._hi + n] for a in self._buffers]
         new[0][:] = [t for t, _ in self._pending]
-        for buffer, column in zip(new[1:], _row_cache(q, self._prices)):
+        for buffer, column in zip(new[1:], rows):
             buffer[:] = column
-        self._breaks = _merged(self._breaks, _breakpoints(*new[4:], first=self._base + self._hi))
+        entry = self._offsets[self._hi]
+        for buffer, column in zip(self._entries, (lam, drop)):
+            buffer[entry:entry + lam.size] = column
+        self._offsets[self._hi:self._hi + n + 1] = offsets + entry
+        self._breaks = _merged(self._breaks, _breakpoints(lam, drop, first=entry))
         self._hi += n
         self._qmax = max(self._qmax, _abs_max(q))
         self._pending = []

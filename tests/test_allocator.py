@@ -589,9 +589,9 @@ class TestEnvelope:
         rng = np.random.default_rng(20)
         for _ in range(300):
             p = masked_problem(rng, from_menu=bool(rng.integers(2)))
-            lams, drops = _row_cache(p.q, p._prices)[3:]
+            lams, drops = _row_cache(p.q, p._prices)[3:5]
             start = dual_cost_cents(p, 0.0)
-            bps = np.unique(lams[np.isfinite(lams)])
+            bps = np.unique(lams)
             probes = np.concatenate([(bps[:-1] + bps[1:]) / 2, bps[-1:] + 1.0, [bps[0] / 2]]) \
                 if bps.size else np.array([1.0])
             for lam in probes:
@@ -601,18 +601,39 @@ class TestEnvelope:
         rng = np.random.default_rng(21)
         for _ in range(100):
             p = masked_problem(rng)
-            lams, drops = _row_cache(p.q, p._prices)[3:]
+            lams, drops, offsets = _row_cache(p.q, p._prices)[3:]
             assert dual_cost_cents(p, 0.0) - int(drops.sum()) == cheapest_total_cents(p)
-            assert (drops > 0).sum() == np.isfinite(lams).sum()
+            assert np.isfinite(lams).all() and (drops > 0).all()
+            assert offsets[0] == 0 and offsets[-1] == lams.size == drops.size
+            assert (np.diff(offsets) >= 0).all() and (np.diff(offsets) < p.q.shape[1]).all()
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(22)
         p = masked_problem(rng)
-        whole = _row_cache(p.q, p._prices)[3:]
+        whole = _row_cache(p.q, p._prices)
+        offsets = whole[5]
         for i in range(p.n):
-            row = _row_cache(p.q[i:i + 1], p._prices)[3:]
-            for a, b in zip(whole, row):
+            row = _row_cache(p.q[i:i + 1], p._prices)
+            for a, b in zip(whole[:3], row[:3]):
                 np.testing.assert_array_equal(a[i:i + 1], b)
+            for a, b in zip(whole[3:5], row[3:5]):
+                np.testing.assert_array_equal(a[offsets[i]:offsets[i + 1]], b)
+            np.testing.assert_array_equal(row[5], [0, offsets[i + 1] - offsets[i]])
+
+    def test_stores_only_the_breakpoints_the_walk_finds(self):
+        # a row per case: the greedy action is the cheapest (no breakpoint), one
+        # step, every action on the envelope, and the cheapest ineligible
+        q = np.array([[2.0, 1.0, 0.5, 0.0],
+                      [1.0, 1.5, 0.0, 0.0],
+                      [0.0, 1.0, 1.8, 2.4],
+                      [np.nan, 0.0, 1.0, np.nan]])
+        prices = _Prices((100, 200, 300, 400), 250)
+        _, start, _, lams, drops, offsets = _row_cache(q, prices)
+        assert offsets.tolist() == [0, 0, 1, 4, 5]
+        assert drops.tolist() == [100, 100, 100, 100, 100]
+        assert bits(lams[0]) == bits(0.5) and bits(lams[4]) == bits(1.0)
+        assert lams[1:4].tolist() == pytest.approx([0.6, 0.8, 1.0])
+        assert start.tolist() == [100, 200, 400, 300]
 
 
 class TestAbsMax:
@@ -858,8 +879,7 @@ class TestWindowExactness:
             solve_lambda(p)
         assert set(assign(p, lam).chosen) == {0}
         assert dual_cost_cents(p, lam) == cheapest_total_cents(p)
-        lams = _row_cache(p.q, p._prices)[3]
-        assert lam >= lams[np.isfinite(lams)].max()
+        assert lam >= _row_cache(p.q, p._prices)[3].max()
 
     def test_concurrent_appends_and_refreshes_lose_no_row(self):
         menu = ActionSet.default()
@@ -939,7 +959,7 @@ def kernel_lambda(q, costs, budget_cents, total_cents):
     """``_exact_lambda`` over the rows of ``q``, their breakpoints sorted once."""
     prices = _Prices(costs, budget_cents)
     cache = _row_cache(q, prices)
-    return _exact_lambda(cache, _breakpoints(*cache[3:]), 0, _abs_max(q), prices, total_cents)
+    return _exact_lambda(cache, _breakpoints(*cache[3:5]), _abs_max(q), prices, total_cents)
 
 
 def assert_kernel_matches_reference(q, costs, budget_cents, steps=None):
@@ -992,20 +1012,32 @@ def assert_same_window(store, reference):
     assert q.tobytes() == ref_q.tobytes()
     assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
     assert store.infeasible_refreshes == reference.infeasible_refreshes
-    lam, drop, row = store._breaks
-    assert (np.diff(lam) >= 0).all() and (row >= store._base + store._lo).all()
-    assert lam.size == np.isfinite(store._buffers[4][store._lo:store._hi]).sum()
+    # The live rows' entries in the compact layout are the reference's finite
+    # ones, and the sorted breakpoints are the live entries.
+    offsets = store._offsets[store._lo:store._hi + 1]
+    first, end = offsets[0], offsets[-1]
+    lam, drop, at = store._breaks
+    assert (np.diff(lam) >= 0).all()
+    assert np.array_equal(np.sort(at), np.arange(first, end))
+    assert lam.tobytes() == store._entries[0][at].tobytes()
+    assert drop.tobytes() == store._entries[1][at].tobytes()
+    if isinstance(reference, ref.ConcatWindow):
+        expected = ref.compact(*reference.window[4:])
+        got = (*(a[first:end] for a in store._entries), offsets - first)
+        assert same_arrays(got, expected)
 
 
 class TestKernelAgainstWholeWindowReference:
     def test_walk_matches_the_reference_walk(self):
+        # the compact entries are the reference tables' finite ones, row by row
+        # in walk order
         rng = np.random.default_rng(40)
         for _ in range(200):
             p = contract_problems(rng)
             costs = np.asarray(p.costs_cents, dtype=np.int64)
             for q in (p.q, with_nans(rng, collinear_rows(rng, p.n, costs))):
-                for a, b in zip(_row_cache(q, p._prices), ref.row_cache(q, costs)):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                *rows, lams, drops = ref.row_cache(q, costs)
+                assert same_arrays(_row_cache(q, p._prices), (*rows, *ref.compact(lams, drops)))
 
     def test_random_windows(self):
         rng = np.random.default_rng(41)
@@ -1191,11 +1223,11 @@ class TestWindowEviction:
                 decide(store, q, 10.0 * i + j)
                 reference.append(10.0 * i + j, q)
             peak = max(peak, len(store))
-            base = store._base
+            buffers, lo = store._buffers, store._lo
             assert bits(store.window_refresh(10.0 * i + 5)) == bits(
                 reference.window_refresh(10.0 * i + 5))
             assert_same_window(store, reference)  # a refresh right after compaction too
-            compacted += store._base != base
+            compacted += store._buffers is not buffers and lo > 0
         assert compacted >= 10
         assert len(store._buffers[0]) <= 2 * peak  # 1500 rows passed through; none piled up
 
@@ -1330,6 +1362,19 @@ class TestRowsInParts:
             assert parts == 1 or min(hi - lo for lo, hi, _ in seen) >= allocator._MIN_PART
             assert (seen[0][2] == caller) == (parts == 1)
 
+    def test_few_rows_run_inline_without_reading_the_cpu_count(self, monkeypatch):
+        def no_cpus():
+            raise AssertionError("_cpus read for fewer than 2 * _MIN_PART rows")
+
+        monkeypatch.setattr(allocator, "_cpus", no_cpus)
+        caller = threading.get_ident()
+        for n in (0, 1, allocator._MIN_PART, 2 * allocator._MIN_PART - 1):
+            seen = []
+            _in_parts(lambda lo, hi: seen.append((lo, hi, threading.get_ident())), n)
+            assert seen == [(0, n, caller)]
+        with pytest.raises(AssertionError, match="_cpus read"):
+            _in_parts(lambda lo, hi: None, 2 * allocator._MIN_PART)
+
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     def test_kernels_match_the_one_part_run(self, monkeypatch, cpus):
         prices = _Prices(MENU_CENTS.tolist(), 87)
@@ -1382,6 +1427,19 @@ class TestRowsInParts:
         assert len(ended) == cpus
         assert threading.active_count() == threads
 
+    def test_breakpoints_are_the_compact_layout_of_every_part(self, monkeypatch):
+        # each part's blocks are joined in row order: the offsets cover every
+        # row, and each row's entries are its own walk's
+        q = tie_heavy_q(40000, 5)
+        prices = _Prices(MENU_CENTS.tolist(), 87)
+        pin_cpus(monkeypatch, 3)
+        *_, lams, drops, offsets = _row_cache(q, prices)
+        assert offsets.size == 40001 and offsets[0] == 0 and offsets[-1] == lams.size
+        for i in (0, 4095, 4096, 13332, 13333, 13334, 26666, 26667, 39999):
+            row = _row_cache(q[i:i + 1], prices)
+            assert same_arrays((lams[offsets[i]:offsets[i + 1]], drops[offsets[i]:offsets[i + 1]]),
+                               row[3:5])
+
     def test_caller_error_settings_reach_the_parts(self, monkeypatch):
         rng = np.random.default_rng(3)
         q = rng.random((20000, MENU_CENTS.size)) + DEFAULT_UNITS
@@ -1401,3 +1459,79 @@ class TestRowsInParts:
         assert one.chosen == two.chosen and one.total_cost_cents == two.total_cost_cents
         assert bits(one.lam) == bits(two.lam) and one.lam > 0.0
         assert bits(one.objective) == bits(two.objective)
+
+
+# ---------------------------------------------------------------------------
+# Memory: the fit check's passes over every row and the batch solve make no
+# temporary the size of the value matrix beyond the masked rows.
+
+
+class TestWholeRowFallbacks:
+    """``_exact_lambda`` runs the rules over every row when lam <= delta(lam),
+    and the assignment rule over every row when the near-row bound fails. Each
+    pass sums its cost block by block (``_blocked_total``), in parts."""
+
+    @staticmethod
+    def problems(kind):
+        if kind == "near-bound":  # tie-heavy rows, each 16 times, as a batch samples them
+            return np.tile(tie_heavy_q(2500, 1), (16, 1)), (86,)
+        rng = np.random.default_rng(52)  # breakpoints near 1e-12, far below delta
+        n = 40000
+        return rng.random((n, 1)) + 1e-12 * np.sqrt(MENU_CENTS / 100.0) * rng.random((n, 1)), \
+            (70, 120)
+
+    @pytest.mark.parametrize("kind", ["near-bound", "tiny-lam"])
+    def test_fallbacks_match_the_reference_without_a_matrix_temporary(self, monkeypatch, kind):
+        pin_cpus(monkeypatch, 2)
+        q, budgets = self.problems(kind)
+        passes = []  # per pass over every row: its rows and the memory it added at its peak
+        whole = allocator._blocked_total
+
+        def traced(cost, n):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total = whole(cost, n)
+            passes.append((n, tracemalloc.get_traced_memory()[1] - before))
+            return total
+
+        monkeypatch.setattr(allocator, "_blocked_total", traced)
+        for budget in budgets:
+            prices = _Prices(MENU_CENTS.tolist(), budget)
+            cache = _row_cache(q, prices)
+            breaks, qmax = _breakpoints(*cache[3:5]), _abs_max(q)
+            passes.clear()
+            tracemalloc.start()
+            try:
+                lam = _exact_lambda(cache, breaks, qmax, prices, len(q) * budget)
+            finally:
+                tracemalloc.stop()
+            assert passes and all(n == len(q) for n, _ in passes)
+            if kind == "tiny-lam":
+                assert 0.0 < lam <= qmax * prices.per_q + lam * prices.per_lam
+            expected = ref.exact_lambda(ref.row_cache(q, MENU_CENTS), MENU_CENTS, budget,
+                                        len(q) * budget)
+            assert bits(lam) == bits(expected) and lam > 0.0
+            assert max(added for _, added in passes) < q.nbytes / 2
+
+
+class TestSolveMemory:
+    def test_traced_peak_of_a_40000_row_solve(self, monkeypatch):
+        # The peak is at the breakpoint sort: the masked rows (8 bytes per
+        # entry), the row cache's other arrays and the sorted breakpoints,
+        # about 2.8 times the value matrix in all. The solve that kept
+        # inf-padded breakpoint tables and a separate score matrix peaked at
+        # 4.3 times it.
+        pin_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(53)
+        q = rng.random((40000, 1)) + 0.6 * MENU_CENTS / 100.0 \
+            + rng.normal(0, 0.05, (40000, MENU_CENTS.size))
+        q[:, 1:][rng.random((40000, MENU_CENTS.size - 1)) < 0.25] = np.nan
+        p = AllocationProblem(q, MENU_CENTS.tolist(), 87)
+        tracemalloc.start()
+        try:
+            result = solve_and_assign(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.lam > 0.0
+        assert peak < 3.5 * q.nbytes, peak / q.nbytes
