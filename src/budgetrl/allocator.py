@@ -2,61 +2,58 @@
 
 The primal assigns one action per customer maximizing total value subject to
 an average-cost budget. Its dual is a convex piecewise-linear function of a
-single multiplier, minimized exactly from the sorted breakpoints of each
-customer's upper concave (cost, value) envelope (the LP relaxation of the
-multiple-choice knapsack; Sinha & Zoltners, Oper. Res. 27(3), 1979).
+single multiplier lam, minimized exactly on each customer's upper concave
+(cost, value) envelope (the LP relaxation of the multiple-choice knapsack;
+Sinha & Zoltners, Oper. Res. 27(3), 1979). That envelope is the one
+definition of a row's choice at lam:
 
-Each row is masked and its envelope walked once (``_row_cache``): the
-breakpoints at which its dual choice moves to a cheaper action, and the cent
-drop at each. Only the breakpoints the walk finds are kept, in one compact
-row-major layout, the one structure that the solve, the window and repair
-read: arrays ``lam`` and ``drop`` hold every row's, row after row and each
-row's in walk order, and row i's are at ``offsets[i]:offsets[i + 1]``.
-``_breakpoints`` sorts those entries as three arrays, (lam, drop, position),
-a position pointing back into the layout. The exact multiplier
-(``_exact_lambda``) is then a cumulative sum and a search over them, and a
-fit check at the lam found that runs the selection rules only on the rows
-with a breakpoint within a float-error margin of lam (found from the
-positions and the offsets); every other row's cost is read from the
-cumulative sum.
-The margin needs a bound on |q|, and ``_abs_max`` is its one rule: over a
-problem's whole matrix, or per row for ``WindowStore.admit``, without an |q|
-copy of the matrix. When the fit check runs a rule over every row, it sums
-the cost block by block, with no temporary the size of the matrix.
+- Each row is masked and its envelope walked once (``_row_cache``), from its
+  greedy (lam = 0) action. At each breakpoint, where the dual choice moves to
+  a cheaper action, the walk records the lam, the cent drop and the action
+  moved to. A row's recorded lams are non-decreasing, so its breakpoints <=
+  lam are the first ones of its walk.
+- The dual choice at lam is the row's vertex after its breakpoints <= lam
+  (``_vertices``).
+- The assignment rule takes that vertex v when q_v - lam (c_v - budget) >= 0,
+  and otherwise the row's cheapest eligible action, so it never costs more
+  than the dual choice. The batch (``_assign_rows``), ``assign``,
+  ``repair_feasibility`` and each online decision
+  (``WindowStore.allocate_online``) all apply this rule.
 
-A batch solve (``solve_and_assign``) sorts the breakpoints once, solves, and
-applies the assignment rule to every row once, at the lam found, writing its
-scores over the masked rows; slack packing (``_packed``) upgrades rows from
-that choice and those scores.
-``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the same kernels.
-The assignment rule (``_assign_choice``) is one rule in two shapes, chosen by
-``ndim``: a matrix of rows, or one row as a 1-D array. A 1 x M slice costs
-about 3x the rule's own work in index arrays, and every online decision is
-one row.
+The walk keeps only the breakpoints it finds, in one compact row-major
+layout: arrays ``lam``, ``drop`` and ``to`` hold every row's, row after row
+and each row's in walk order, and row i's are at ``offsets[i]:offsets[i +
+1]``. ``_breakpoints`` sorts them as (lam, drop, position), a position
+pointing back into the layout. The exact multiplier (``_exact_lambda``) is
+then a cumulative sum of the drops and one search, in integer cents.
 
-The row-by-row passes run in parts (``_in_parts``): ``_row_cache`` and the
-matrix shape of the assignment rule split their rows into consecutive slices,
-one per CPU the process may use (``os.sched_getaffinity``, or
-``os.cpu_count`` where that does not exist; read on every call), each of at
-least ``_MIN_PART`` = 2 ``_WALK_BLOCK`` rows, and each slice fills its own
-rows of preallocated outputs on a thread of its own. A matrix of fewer than
-2 ``_MIN_PART`` rows, such as a small ``admit`` batch, runs in one part on
-the caller's thread. Each row's arithmetic is the same in any part, so the
-result does not depend on the CPUs. The passes whose order fixes their bits
-stay whole and serial: the breakpoint sort, ``_exact_lambda``'s cumulative
-sum and search, packing's ordering and greedy loop, and the objective's
-float sum.
+A batch solve (``solve_and_assign``) walks the rows once, sorts their
+breakpoints once, solves, applies the assignment rule to every row once at
+the lam found, and slack packing (``_packed``) upgrades rows from the rule's
+scores. ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the
+same kernels.
 
-``WindowStore`` keeps the same state for a sliding window of recent rows,
-updated by what changed. Rows join it in batches: ``admit`` checks a matrix of
-Q rows once and fills their ``_row_cache`` arrays in one call, and
-``allocate_online`` decides one admitted row from its cached masked row and
-queues it. A refresh copies the queued rows' cache rows into append-only
-row buffers, and their breakpoints into append-only entry buffers in the
-same compact layout, both with a moving start. The sorted breakpoint arrays
-take a flush's new breakpoints by a ``searchsorted`` merge and drop evicted
-rows' by the mask ``position >= first live position``. A refresh therefore
-neither checks, masks nor walks a row again, and neither sorts nor
+The row-by-row passes run in parts (``_in_parts``): ``_row_cache`` and
+``_assign_rows`` split their rows into consecutive slices, one per CPU the
+process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
+does not exist; read on every call), each of at least ``_MIN_PART`` = 2
+``_WALK_BLOCK`` rows, and each slice fills its own rows of preallocated
+outputs on a thread of its own. A matrix of fewer than 2 ``_MIN_PART`` rows,
+such as a small ``admit`` batch, runs in one part on the caller's thread.
+Each row's arithmetic is the same in any part, so the result does not depend
+on the CPUs. The passes whose order fixes their bits stay whole and serial:
+the breakpoint sort, ``_exact_lambda``'s cumulative sum and search,
+packing's ordering and greedy loop, and the objective's float sum.
+
+``WindowStore`` keeps what a refresh reads for a sliding window of recent
+rows, updated by what changed: each row's timestamp and greedy cost, and the
+window's breakpoints sorted, with positions that the rows' offsets map back
+to rows. Rows join it in batches: ``admit`` checks a matrix of Q rows once
+and walks their envelopes in one call, and ``allocate_online`` decides one
+admitted row by counting its breakpoints <= lam, and queues it. A refresh
+merges the queued rows' breakpoints into the sorted ones by ``searchsorted``
+and drops evicted rows' by the mask ``position >= first live position``, so
+it neither checks, masks nor walks a row again, and neither sorts nor
 concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
@@ -77,6 +74,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,29 +128,19 @@ def _check_lambda(lam) -> None:
         raise ValueError(f"lambda must be finite and >= 0, not {lam!r}")
 
 
-def _masked(q: np.ndarray, qm=None, cheapest=None) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (finite or NaN) with NaN at -inf, and each row's cheapest
-    eligible action; written into ``qm`` and ``cheapest`` when they are given."""
-    return np.fmax(q, -np.inf, out=qm), np.isfinite(q).argmax(axis=-1, out=cheapest)
-
-
-_MARGIN = 2.0 ** -20  # far beyond the float error bounds derived in _exact_lambda
-
-
 class _Prices:
     """Everything the kernels read of the per-action costs and the budget,
-    derived once: the int64 ``cents`` and the ``units``; the assignment rule's
-    ``shift``, c_j - budget in units, by lam times which its score falls; the
+    derived once: the int64 ``cents``; the assignment rule's ``shift``,
+    c_j - budget in units, by lam times which its score falls; and the
     envelope walk's M x M tables, whose row a serves a walk standing at action
     a (``gap``, c_a - c_j in units, and ``no_move``, whether j is no cheaper
-    than a); and ``_exact_lambda``'s near-row margin ``delta(lam) = per_q *
-    qmax + per_lam * lam``, with per_lam = _MARGIN (1 + W/g), per_q = per_lam/g.
+    than a).
 
     The costs must be non-decreasing (equal costs are allowed): index order is
     then cost order, and every first-max argmax over a row breaks ties toward
     the cheaper action, then the lower index."""
 
-    __slots__ = ("cents", "units", "shift", "gap", "no_move", "per_q", "per_lam")
+    __slots__ = ("cents", "shift", "gap", "no_move")
 
     def __init__(self, costs_cents, budget_cents: int):
         # the range ActionSet holds menus to; int64 sums over 2**32 rows stay exact
@@ -161,18 +149,12 @@ class _Prices:
         self.cents = cents = np.asarray(costs_cents, dtype=np.int64)
         if (np.diff(cents) < 0).any():
             raise ValueError(f"costs must be non-decreasing, not {tuple(costs_cents)}")
-        self.units = units = cents / 100.0
+        units = cents / 100.0
         self.shift = units - budget_cents / 100.0
         self.no_move = cents >= cents[:, None]
         # The walk overwrites every entry no_move marks, so those gaps are 1: no
         # division by zero.
         self.gap = np.where(self.no_move, 1.0, units[:, None] - units)
-        # One distinct cost has no breakpoint, so its margin is never read.
-        distinct = np.unique(units)
-        g = float(np.diff(distinct).min()) if distinct.size > 1 else 1.0
-        w = float(max(np.abs(units).max(), np.abs(self.shift).max()))
-        self.per_lam = _MARGIN * (1.0 + w / g)
-        self.per_q = self.per_lam / g
 
 
 _WALK_BLOCK = 4096  # rows per block of the envelope walk
@@ -209,13 +191,23 @@ def _in_parts(fn, n: int) -> None:
         part.result()
 
 
-def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
-    """What the exact-lam kernel reads per row, as new arrays: the -inf-masked
-    rows, the greedy (lam = 0) cost where the envelope walk starts, the
-    cheapest eligible action, and the walk's finite breakpoints in one compact
-    row-major layout: ``lam`` and ``drop`` hold every row's breakpoints and
-    integer-cent cost drops there, row after row and each row's in walk
-    order, and row i's are at ``offsets[i]:offsets[i + 1]``.
+class _RowCache(NamedTuple):
+    """The envelope walks of a matrix of rows (``_row_cache``): per row, the
+    greedy action where the walk starts and the cheapest eligible action; per
+    breakpoint, its ``lam``, integer-cent ``drop`` and the action moved to
+    (``to``), row after row and each row's in walk order, row i's at
+    ``offsets[i]:offsets[i + 1]``."""
+
+    start: np.ndarray
+    cheapest: np.ndarray
+    lam: np.ndarray
+    drop: np.ndarray
+    to: np.ndarray
+    offsets: np.ndarray
+
+
+def _row_cache(q: np.ndarray, prices: _Prices) -> _RowCache:
+    """The envelope walk of each row of ``q``, as new arrays.
 
     The walk follows each row's upper concave envelope over (cost, value) as
     lam rises. From the greedy argmax (cheaper on ties), the dual choice a
@@ -226,58 +218,65 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> tuple[np.ndarray, ...]:
     Every pass here is row by row, so the rows run in parts (``_in_parts``:
     one per CPU that ``os.sched_getaffinity`` allows, of at least
     ``_MIN_PART`` rows each), and each part in blocks of ``_WALK_BLOCK`` rows,
-    so one step's arrays stay in cache: a block is masked, its cheapest and
-    greedy actions and start cost found, then walked. The per-row outputs are
-    allocated once and each block fills only its own rows; each block's
-    breakpoints are joined in row order once every part is done.
+    so one step's arrays stay in cache: a block is masked into the part's
+    block buffer, its cheapest and greedy actions found, then walked. The
+    per-row outputs are allocated once and each block fills only its own
+    rows; each block's breakpoints are joined in row order once every part is
+    done. No masked copy of the whole matrix is made.
     """
     n, m = q.shape
     cents = prices.cents
-    qm = np.empty((n, m))
+    start = np.empty(n, dtype=np.intp)
     cheapest = np.empty(n, dtype=np.intp)
-    start_cents = np.empty(n, dtype=np.int64)
     offsets = np.empty(n + 1, dtype=np.intp)  # each row's count first, at its end
-    blocks = {}  # each block's (lam, drop), by its first row
+    blocks = {}  # each block's (lam, drop, to), by its first row
 
     def part(lo: int, hi: int) -> None:
+        qm = np.empty((min(_WALK_BLOCK, hi - lo), m))
         for at in range(lo, hi, _WALK_BLOCK):
             rows = slice(at, min(at + _WALK_BLOCK, hi))
-            _masked(q[rows], qm[rows], cheapest[rows])
-            cur = qm[rows].argmax(axis=-1)
-            cents.take(cur, out=start_cents[rows])
-            blocks[at] = _walk(qm[rows], cur, start_cents[rows], cents[cheapest[rows]],
+            block = np.fmax(q[rows], -np.inf, out=qm[:rows.stop - at])  # NaN at -inf
+            np.isfinite(q[rows]).argmax(axis=-1, out=cheapest[rows])
+            block.argmax(axis=-1, out=start[rows])
+            blocks[at] = _walk(block, start[rows], cents[cheapest[rows]],
                                offsets[rows.start + 1:rows.stop + 1], prices)
 
     _in_parts(part, n)
     offsets[0] = 0
     np.cumsum(offsets, out=offsets)
-    joined = [blocks[at] for at in sorted(blocks)] or [(np.empty(0), np.empty(0, np.int64))]
-    lam, drop = (np.concatenate(column) for column in zip(*joined))
-    return qm, start_cents, cheapest, lam, drop, offsets
+    joined = (blocks[at] for at in sorted(blocks))
+    lam, drop, to = (np.concatenate(column) for column in zip(*joined))
+    return _RowCache(start, cheapest, lam, drop, to, offsets)
 
 
-def _walk(qm, cur, cost, floor, counts, prices: _Prices) -> tuple[np.ndarray, np.ndarray]:
-    """The finite breakpoints of the rows ``qm``, whose walks start at ``cur``,
-    of cost ``cost``, and end where the cost reaches ``floor``, that of their
+def _walk(qm, cur, floor, counts, prices: _Prices) -> tuple[np.ndarray, ...]:
+    """The finite breakpoints of the -inf-masked rows ``qm``, whose walks start
+    at ``cur`` and end where the cost reaches ``floor``, that of their
     cheapest eligible action: only there is no eligible cheaper action left to
-    move to. Returns their lams and cent drops, row after row and each row's in
-    walk order, and writes each row's number of them into ``counts``.
+    move to. Returns their lams, cent drops and the actions moved to, row
+    after row and each row's in walk order, and writes each row's number of
+    them into ``counts``.
 
+    Each step's lam is at least its row's previous one (a running max): in
+    exact arithmetic the envelope's breakpoints rise, and float rounding of
+    nearly collinear actions must not break the prefix property.
     A step whose every ratio overflows has lam = inf, which no solve reaches,
     and is not recorded. All its scores are -inf, so it moves to action 0,
     which costs no more than the floor: it is its row's last step, and a row's
     k-th breakpoint is that of its k-th step."""
     cents, gap, no_move = prices.cents, prices.gap, prices.no_move
     rows = np.arange(qm.shape[0])
+    cost = cents[cur]
+    last = np.zeros(rows.size)  # each row's previous lam
     going = cost > floor
     counts[:] = 0
-    steps = []  # per step: the rows that record a breakpoint, its lam and drop
+    steps = []  # per step: the rows that record a breakpoint, its lam, drop and action
     for step in range(qm.shape[1] - 1):
         count = np.count_nonzero(going)
         if count < going.size:
             if not count:
                 break
-            rows, cur, cost, floor = rows[going], cur[going], cost[going], floor[going]
+            rows, cur, cost, floor, last = (a[going] for a in (rows, cur, cost, floor, last))
         # The ratios negated, as (q_j - q_a) / (c_a - c_j): IEEE subtraction and
         # division are exact under a sign flip. An ineligible cheaper j gives
         # -inf, as does every j that is no cheaper.
@@ -287,46 +286,28 @@ def _walk(qm, cur, cost, floor, counts, prices: _Prices) -> tuple[np.ndarray, np
         np.putmask(neg, no_move.take(cur, axis=0), -np.inf)
         cur = neg.argmax(axis=-1)  # the cheapest j at the smallest ratio
         lam = -neg[np.arange(rows.size), cur]
+        np.maximum(lam, last, out=lam)
         nxt_cost = cents[cur]
         drop = cost - nxt_cost
         finite = lam < np.inf
         if np.count_nonzero(finite) < finite.size:
-            steps.append((rows[finite], lam[finite], drop[finite]))
+            steps.append((rows[finite], lam[finite], drop[finite], cur[finite]))
         else:
-            steps.append((rows, lam, drop))
+            steps.append((rows, lam, drop, cur))
         counts[steps[-1][0]] = step + 1
-        cost = nxt_cost
+        cost, last = nxt_cost, lam
         going = cost > floor
     first = np.cumsum(counts)
     total = int(first[-1]) if first.size else 0
     first -= counts
-    lams, drops = np.empty(total), np.empty(total, dtype=np.int64)
-    for step, (rows, lam, drop) in enumerate(steps):
+    out = (np.empty(total), np.empty(total, dtype=np.int64),
+           np.empty(total, dtype=np.min_scalar_type(qm.shape[1] - 1)))
+    for step, (rows, *columns) in enumerate(steps):
         at = first.take(rows)
         at += step
-        lams[at] = lam
-        drops[at] = drop
-    return lams, drops
-
-
-def _entries(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Where the breakpoints of ``rows`` (an int array) lie in the compact
-    arrays that ``offsets`` index (``_row_cache``), row after row."""
-    start, stop = offsets.take(rows), offsets.take(rows + 1)
-    count = stop - start
-    ends = count.cumsum()
-    stop -= ends  # each row's first position less the entries before it
-    return stop.repeat(count) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _step_up_until(fits, lam: float) -> float:
-    """First lam' >= lam where ``fits`` holds, stepping up 1, 2, 4, ... ulps:
-    at an exact breakpoint float rounding can leave a choice on the dearer side."""
-    step = 0.0
-    while not fits(lam):
-        step = max(2.0 * step, float(np.spacing(lam)))
-        lam += step
-    return lam
+        for array, column in zip(out, columns):
+            array[at] = column
+    return out
 
 
 def _breakpoints(lam: np.ndarray, drop: np.ndarray,
@@ -357,176 +338,85 @@ def _merged(breaks, added):
     return tuple(merged)
 
 
-def _abs_max(q: np.ndarray, axis=None):
-    """max |q| over the finite entries (q has no infinity, and NaN elsewhere):
-    a float, or with ``axis=1`` one per row. It is the larger of the largest
-    entry and the negated smallest, so no |q| copy of the matrix is made."""
-    top = np.maximum(np.fmax.reduce(q, axis=axis), -np.fmin.reduce(q, axis=axis))
-    top += 0.0  # an extreme of -0.0 reads as the 0.0 of |q|
-    return float(top) if axis is None else top
+def _exact_lambda(excess: int, breaks) -> float:
+    """Smallest lam >= 0 at which rows whose greedy cost exceeds a total by
+    ``excess`` cents cost at most that total under the dual choice;
+    ``breaks`` are the rows' breakpoints sorted (``_breakpoints``).
 
-
-def _blocked_total(cost, n: int) -> int:
-    """The sum of the int ``cost(lo, hi)`` over rows [0, n) in blocks of
-    ``_WALK_BLOCK`` rows, the blocks run in parts (``_in_parts``). Ints add
-    exactly, so the sum does not depend on how the rows are split."""
-    totals = []
-
-    def part(lo: int, hi: int) -> None:
-        totals.append(sum(cost(at, min(at + _WALK_BLOCK, hi))
-                          for at in range(lo, hi, _WALK_BLOCK)))
-
-    _in_parts(part, n)
-    return sum(totals)
-
-
-def _exact_lambda(cache, breaks, qmax: float, prices: _Prices, total_cents: int) -> float:
-    """Smallest lam at which the rows of ``cache`` (``_row_cache``) cost at most
-    ``total_cents`` in all, under both the dual selection and the assignment
-    rule. ``breaks`` are the rows' breakpoints sorted (``_breakpoints``), with
-    their positions in the cache's breakpoint arrays; ``qmax`` is at least
-    max |q| over the rows; ``prices`` are the costs and budget.
-
-    The candidate is the breakpoint where the cumulative drop first covers the
-    greedy cost's excess over the total; every drop is positive, so the order
-    among equal lams cannot move it. It is stepped up by ulps until it fits.
-
-    The fit check runs the selection rules only on "near" rows, those with a
-    breakpoint within delta(lam) of lam, and reads the dual cost of every
-    other ("far") row from the cumulative drop. That reading is exact. Let
-    u = 2**-53, g the smallest gap between the unit costs c_j, W the largest
-    |c_j| or |c_j - budget|, and Q = ``qmax``.
-    (1) Between two breakpoints of a row's exact envelope the cost of its
-        dual choice is unique, and every action of another cost scores at
-        least g d below it, d being lam's distance to the nearer breakpoint
-        (for the first vertex, the lower one is at or below 0).
-    (2) A float score q_j - lam w_j (w_j = c_j for the dual selection, and
-        c_j - budget, itself rounded, for the assignment rule) is within
-        u (Q + 3 lam W)(1 + u) of the exact q_j - lam c_j plus the row's
-        constant lam budget, so both rules' float argmax has the exact
-        choice's cost once d > 2u (Q + 3 lam W)(1 + u) / g.
-    (3) The walk's float ratios are within 3u lam (1 + u) of the exact ones.
-        Where nearly collinear actions make it step to an action just off the
-        exact envelope, the breakpoints it records still bracket the exact one
-        within about 6u lam (1 + 2W/g).
-    delta(lam) = 2**-20 (1 + W/g)(Q/g + lam) is more than 10**8 times either
-    bound; a wider margin only costs speed. When lam <= delta(lam), every row
-    counts as near.
-
-    So "far dual cost + near dual cost > total" is the exact verdict on the
-    dual selection. Under the assignment rule a row takes its dual choice's
-    cost or, when no score is >= 0, its cheapest action, never more; so "far
-    dual cost + near rule cost <= total" proves that the rule fits, and only
-    when that bound fails does the rule run over every row. A pass over every
-    row sums its cost block by block (``_blocked_total``), so it makes no
-    N x M temporary.
+    A row's dual cost at lam is its greedy cost less the drops of its
+    breakpoints <= lam, so the rows' dual cost is the greedy total less the
+    drops of every sorted breakpoint <= lam. It falls only at a breakpoint:
+    the answer is 0 when the excess is not positive, and otherwise the
+    breakpoint where the cumulative drop first covers the excess. Every drop
+    is positive, so the order among equal lams cannot move it, and drops are
+    integer cents, so the verdict is exact. Row by row the assignment rule
+    costs no more than the dual choice, so it fits there too. Raises
+    InfeasibleProblemError when all the drops together do not cover the excess.
     """
-    qm, start_cents, cheapest, row_lam, row_drop, offsets = cache
-    lam_at, drop_at, at_entry = breaks
-    start_total = int(start_cents.sum())
-    excess = start_total - total_cents
     if excess <= 0:
         return 0.0
-    dropped = drop_at.cumsum()
-    k = int(dropped.searchsorted(excess))
-    if k == dropped.size:
+    lam_at, drop_at = breaks[:2]
+    k = int(drop_at.cumsum().searchsorted(excess))
+    if k == drop_at.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    cents = prices.cents
-
-    def dual(rows_qm, lam):
-        return (rows_qm - lam * prices.units).argmax(axis=-1)
-
-    def rule(rows_qm, rows_cheapest, lam):
-        return _assign_choice(rows_qm, rows_cheapest, prices, lam)[0]
-
-    def dual_total(lam) -> int:
-        return _blocked_total(lambda lo, hi: int(cents[dual(qm[lo:hi], lam)].sum()), len(qm))
-
-    def rule_total(lam) -> int:
-        return _blocked_total(
-            lambda lo, hi: int(cents[rule(qm[lo:hi], cheapest[lo:hi], lam)].sum()), len(qm))
-
-    def fits(lam: float) -> bool:
-        delta = qmax * prices.per_q + lam * prices.per_lam
-        if lam <= delta:
-            return dual_total(lam) <= total_cents and rule_total(lam) <= total_cents
-        lo, at, hi = lam_at.searchsorted((lam - delta, lam, lam + delta), "right")
-        # the rows of the entries in the margin, each once
-        after = offsets.searchsorted(at_entry[lo:hi], "right").tolist()
-        near = np.fromiter({row - 1 for row in after}, dtype=np.intp)
-        entries = _entries(offsets, near)
-        near_qm = qm[near]
-        # The near rows are few, so their sums are Python sums.
-        far = (start_total - (int(dropped[at - 1]) if at else 0) - sum(start_cents[near].tolist())
-               + int(row_drop[entries].sum(where=row_lam[entries] <= lam)))
-        if far + sum(cents[dual(near_qm, lam)].tolist()) > total_cents:
-            return False
-        return (far + sum(cents[rule(near_qm, cheapest[near], lam)].tolist()) <= total_cents
-                or rule_total(lam) <= total_cents)
-
-    return _step_up_until(fits, float(lam_at[k]))
+    return float(lam_at[k])
 
 
-def _problem_lambda(problem: AllocationProblem, cache) -> float:
+def _problem_lambda(problem: AllocationProblem, cache: _RowCache) -> float:
     """``_exact_lambda`` over every row of ``problem``, its breakpoints sorted
     once; 0 without sorting them when the greedy cost fits."""
-    total = problem.n * problem.budget_cents
-    if int(cache[1].sum()) <= total:
-        return 0.0
-    return _exact_lambda(cache, _breakpoints(*cache[3:5]), _abs_max(problem.q),
-                         problem._prices, total)
+    excess = int(problem._prices.cents.take(cache.start).sum()) - problem.n * problem.budget_cents
+    return _exact_lambda(excess, _breakpoints(cache.lam, cache.drop)) if excess > 0 else 0.0
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
     """Exact minimizer of the dual over lam >= 0: the breakpoint at which the
     sorted cumulative cost drop of the envelope walks (``_row_cache``) covers
-    the greedy cost's excess over the budget, stepped up by ulps until both
-    ``assign`` and the dual selection fit. Returns 0 when the greedy
-    assignment fits, and raises InfeasibleProblemError when even the cheapest
-    eligible assignment does not.
+    the greedy cost's excess over the budget (``_exact_lambda``), where both
+    the dual choice and ``assign`` fit. Returns 0 when the greedy assignment
+    fits, and raises InfeasibleProblemError when even the cheapest eligible
+    assignment does not.
     """
     return _problem_lambda(problem, _row_cache(problem.q, problem._prices))
 
 
-def _assign_choice(qm: np.ndarray, cheapest, prices: _Prices, lam: float):
-    """Assignment rule over -inf-masked rows: among actions with
-    q_ij - lam(c_j - budget) >= 0 take the highest score (cheaper on ties);
-    if none qualifies, the row's ``cheapest`` eligible action. Returns the
-    choices, the scores and each row's highest score.
+def _vertices(cache: _RowCache, lam: float, lo: int, hi: int) -> np.ndarray:
+    """The dual choice at ``lam`` of rows [lo, hi) of ``cache``: each row's
+    vertex after its breakpoints <= lam, which are the first ones of its walk."""
+    first, end = cache.offsets[lo], cache.offsets[hi]
+    seen = np.zeros(end - first + 1, dtype=np.intp)  # entries <= lam before each
+    np.cumsum(cache.lam[first:end] <= lam, out=seen[1:])
+    bounds = cache.offsets[lo:hi + 1] - first
+    count = seen[bounds[1:]] - seen[bounds[:-1]]
+    v = cache.start[lo:hi].copy()
+    moved = count > 0
+    v[moved] = cache.to[first:end][bounds[:-1][moved] + count[moved] - 1]
+    return v
 
-    One rule in two shapes, chosen by ``qm.ndim``: a matrix gives an int array
-    of choices, and one row, as a 1-D array with a scalar ``cheapest``, gives
-    one int. A 1 x M slice would cost about 3x the rule's work in index arrays,
-    and each online decision is one row. A matrix's rows run in parts
+
+def _assign_rows(q: np.ndarray, cache: _RowCache, prices: _Prices, lam: float,
+                 scores: np.ndarray | None = None):
+    """The assignment rule at ``lam`` over the rows of ``q``, whose envelope
+    walks are ``cache``: each row's dual choice v when its score
+    q_v - lam (c_v - budget) is >= 0, else its cheapest eligible action.
+    Returns the choices, ``scores`` and each row's score of v; given
+    ``scores``, every score q_j - lam (c_j - budget) is written there (-inf
+    where ineligible), for slack packing. The rows run in parts
     (``_in_parts``: one per CPU that ``os.sched_getaffinity`` allows, of at
-    least ``_MIN_PART`` rows each), each filling its rows of the three
-    outputs; one row runs inline."""
-    if qm.ndim == 1:
-        scores = qm - lam * prices.shift
-        best = scores.argmax(axis=-1)
-        top = scores[best]
-        return int(best) if top >= 0.0 else int(cheapest), scores, top
-    return _assign_rows(qm, cheapest, lam * prices.shift, np.empty(qm.shape))
-
-
-def _assign_rows(qm: np.ndarray, cheapest: np.ndarray, step: np.ndarray,
-                 scores: np.ndarray):
-    """``_assign_choice`` over a matrix, ``step`` being lam times the shift,
-    with its scores written into ``scores``, which may be ``qm`` itself.
-    Apart from it so that the one-row case, run per online decision, sets up
-    no closure."""
-    top = np.empty(qm.shape[0])
-    choice = np.empty(qm.shape[0], dtype=np.intp)
+    least ``_MIN_PART`` rows each), each filling its rows of the outputs."""
+    step = lam * prices.shift
+    choice = np.empty(len(q), dtype=np.intp)
+    top = np.empty(len(q))
 
     def part(lo: int, hi: int) -> None:
-        part_scores, part_top, best = scores[lo:hi], top[lo:hi], choice[lo:hi]
-        np.subtract(qm[lo:hi], step, out=part_scores)
-        part_scores.argmax(axis=-1, out=best)
-        part_top[:] = part_scores[np.arange(hi - lo), best]
-        np.copyto(best, cheapest[lo:hi], where=~(part_top >= 0.0))
+        v = _vertices(cache, lam, lo, hi)
+        np.subtract(q[lo:hi][np.arange(hi - lo), v], step.take(v), out=top[lo:hi])
+        choice[lo:hi] = np.where(top[lo:hi] >= 0.0, v, cache.cheapest[lo:hi])
+        if scores is not None:
+            np.subtract(np.fmax(q[lo:hi], -np.inf, out=scores[lo:hi]), step, out=scores[lo:hi])
 
-    _in_parts(part, qm.shape[0])
+    _in_parts(part, len(q))
     return choice, scores, top
 
 
@@ -542,21 +432,22 @@ def assign(problem: AllocationProblem, lam: float) -> Assignment:
     """The assignment rule at ``lam``, without slack packing."""
     _check_lambda(lam)
     prices = problem._prices
-    chosen = _assign_choice(*_masked(problem.q), prices, lam)[0]
+    chosen = _assign_rows(problem.q, _row_cache(problem.q, prices), prices, lam)[0]
     return _assignment(problem, chosen, lam, int(prices.cents[chosen].sum()))
 
 
-def _packed(problem: AllocationProblem, lam: float, chosen: np.ndarray,
-            scores: np.ndarray, top: np.ndarray) -> Assignment:
-    """The Assignment of ``chosen`` (int64, upgraded in place) after spending
-    leftover budget on tied rows; ``scores`` and ``top`` are the assignment
-    rule's at ``lam``, as ``_assign_choice`` returns them.
+def _packed(problem: AllocationProblem, cache: _RowCache, lam: float) -> Assignment:
+    """The Assignment of the assignment rule's choices at ``lam`` over the rows
+    of ``problem``, whose envelope walks are ``cache``, after spending
+    leftover budget on tied rows, read from the rule's scores.
 
     At a breakpoint several actions share a row's best assignment score; the
     cheapest-tie rule leaves slack that upgrading some of those rows to a
     dearer tied action hands back (the one-fractional-customer rounding of
     the relaxation). Greedy, deterministic, and never lowers the objective.
     """
+    chosen, scores, top = _assign_rows(problem.q, cache, problem._prices, lam,
+                                       np.empty(problem.q.shape))
     budget_total = problem.n * problem.budget_cents
     cents = problem._prices.cents
     total = int(cents[chosen].sum())
@@ -584,6 +475,16 @@ def _packed(problem: AllocationProblem, lam: float, chosen: np.ndarray,
     return _assignment(problem, chosen, lam, total)
 
 
+def _step_up_until(fits, lam: float) -> float:
+    """First lam' >= lam where ``fits`` holds, stepping up 1, 2, 4, ... ulps:
+    a score's float zero crossing can leave a choice on the dearer side."""
+    step = 0.0
+    while not fits(lam):
+        step = max(2.0 * step, float(np.spacing(lam)))
+        lam += step
+    return lam
+
+
 def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> Assignment:
     """Raise the multiplier to the first point where the budget holds, then
     spend any slack on rows left tied there. Only ever moves lam upward (cost
@@ -593,8 +494,8 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     if assignment.total_cost_cents <= budget_total:
         return assignment
     prices = problem._prices
-    qm, _, cheapest, lams = _row_cache(problem.q, prices)[:4]
-    if int(prices.cents[cheapest].sum()) > budget_total:
+    cache = _row_cache(problem.q, prices)
+    if int(prices.cents[cache.cheapest].sum()) > budget_total:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; repair cannot terminate")
 
@@ -602,11 +503,12 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     # or a score q_ij - lam (c_j - budget) crosses zero (the cheapest fallback).
     with np.errstate(divide="ignore", invalid="ignore"):
         zero_cross = problem.q / prices.shift
-    cands = np.concatenate([lams, zero_cross.ravel()])
+    cands = np.concatenate([cache.lam, zero_cross.ravel()])
     cands = np.unique(cands[np.isfinite(cands) & (cands > assignment.lam)])
 
     def fits(lam: float) -> bool:
-        return int(prices.cents[_assign_choice(qm, cheapest, prices, lam)[0]].sum()) <= budget_total
+        chosen = _assign_rows(problem.q, cache, prices, lam)[0]
+        return int(prices.cents[chosen].sum()) <= budget_total
 
     # Cost is non-increasing in lam and constant between candidates: bisect on
     # gap midpoints, which float rounding at a candidate cannot disturb.
@@ -614,7 +516,7 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
     k = bisect.bisect_left(range(gaps.size), True, key=lambda i: fits(float(gaps[i])))
     lam = _step_up_until(fits, float(cands[k]) if cands.size else assignment.lam)
     _check_lambda(lam)
-    return _packed(problem, lam, *_assign_choice(qm, cheapest, prices, lam))
+    return _packed(problem, cache, lam)
 
 
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
@@ -622,25 +524,21 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     fits the budget) and slack packing, in one pass: the rows are masked and
     walked once, their breakpoints sorted once, the rule runs over every row
     once at the returned lam, and packing upgrades rows from its scores.
-    Equal, field by field, to ``assign(problem, solve_lambda(problem))`` then
-    ``_packed`` from its scores. Raises InfeasibleProblemError when even the
-    cheapest eligible assignment is over budget.
+    Equal, field by field, to ``_packed`` at ``solve_lambda(problem)``.
+    Raises InfeasibleProblemError when even the cheapest eligible assignment
+    is over budget.
 
-    Masking, the walk and the rule run in parts (``_in_parts``), one per CPU
-    that ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows; the
+    The walk and the rule run in parts (``_in_parts``), one per CPU that
+    ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows; the
     sort, the search, packing and the objective's sum run whole and serial,
     since their order fixes their bits.
-    Memory: the breakpoints are kept only where the walk found them (a row has
-    at most M - 1), the breakpoint arrays go before the rule runs, and the
-    rule writes its scores over the masked rows, which nothing reads after
-    it; so the solve's largest array is the one N x M matrix of masked rows.
+    Memory: the walk masks the rows block by block and keeps only the
+    breakpoints it finds (a row has at most M - 1), the sorted breakpoints go
+    before the rule runs, and the solve's largest array is the rule's N x M
+    scores, which packing reads.
     """
-    prices = problem._prices
-    cache = _row_cache(problem.q, prices)
-    lam = _problem_lambda(problem, cache)
-    qm, _, cheapest = cache[:3]
-    del cache  # the breakpoints go before the rule runs
-    return _packed(problem, lam, *_assign_rows(qm, cheapest, lam * prices.shift, qm))
+    cache = _row_cache(problem.q, problem._prices)
+    return _packed(problem, cache, _problem_lambda(problem, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +546,15 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
 
 
 class _Batch:
-    """Rows admitted by one ``WindowStore.admit`` call: their ``_row_cache``
-    arrays and each row's max |q|, kept until the last of them is flushed.
+    """Rows admitted by one ``WindowStore.admit`` call: a copy of their checked
+    Q rows and their ``_row_cache``, kept until the last of them is flushed.
     ``prices`` are the admitting store's; holding them rather than the store
     leaves no reference cycle to outlive the store."""
 
-    __slots__ = ("prices", "cache", "qmax")
+    __slots__ = ("prices", "q", "cache")
 
-    def __init__(self, prices, cache, qmax):
-        self.prices, self.cache, self.qmax = prices, cache, qmax
+    def __init__(self, prices, q, cache):
+        self.prices, self.q, self.cache = prices, q, cache
 
 
 class WindowStore:
@@ -664,28 +562,23 @@ class WindowStore:
 
     Timestamps are logical (caller-provided seconds), so tests and simulations
     run in virtual time. Rows enter in two steps. ``admit`` checks a matrix
-    of Q rows once and fills their ``_row_cache`` arrays and max |q| in one
-    call; it returns one admitted row per Q row. ``allocate_online`` then
-    decides one admitted row at ``lambda_snapshot`` from its cached masked row
-    and cheapest action, and queues it as (now, batch, index). The snapshot
-    is published atomically; readers never block on a refresh, queueing
-    decisions do. A refresh first flushes the queue: it copies the queued
-    rows' cache rows, with their timestamps, to the end of append-only
-    buffers, where the live rows are ``[_lo, _hi)``, each run of rows queued
-    one after another from consecutive indexes of one batch as one slice per
-    array. Their breakpoints go to the end of append-only entry buffers in
-    ``_row_cache``'s compact layout: buffer row i's are at
-    ``_offsets[i]:_offsets[i + 1]``. Eviction only moves ``_lo``; once the
-    dead prefix of the rows or of the entries passes half its capacity, the
-    next flush moves the live rows and their entries to the front. The
-    window's breakpoints are also kept sorted with their buffer positions
-    (``_breakpoints``): a flush merges in the new rows' by ``searchsorted``,
-    eviction drops those before ``_offsets[_lo]``, and a move to the front
-    shifts the positions with the entries.
-    The solve (``_exact_lambda``) needs a cumulative sum and a search over
-    them, and runs the selection rules only on the rows with a breakpoint
-    near the lam it checks. Its margin needs a bound on |q|, kept as the
-    largest in any row flushed since the store was made.
+    of Q rows once and walks their envelopes (``_row_cache``) in one call; it
+    returns one admitted row per Q row. ``allocate_online`` then decides one
+    admitted row at ``lambda_snapshot`` by the assignment rule on its
+    envelope, and queues it as (now, batch, index). The snapshot is published
+    atomically; readers never block on a refresh, queueing decisions do.
+
+    A store keeps only what a refresh reads. A refresh first flushes the
+    queue: it writes the queued rows' timestamps and greedy costs to the end
+    of append-only row buffers, where the live rows are ``[_lo, _hi)``, and
+    merges their breakpoints into the window's sorted ones (``_breakpoints``)
+    by ``searchsorted``. A breakpoint's position counts the breakpoints
+    flushed before it since the store was made, and buffer row i's are at
+    positions ``_offsets[i]:_offsets[i + 1]``. Eviction only moves ``_lo``
+    and drops the sorted breakpoints before ``_offsets[_lo]``; once the dead
+    prefix of the rows passes half the capacity, the next flush moves the
+    live rows to the front. The solve (``_exact_lambda``) is then a
+    cumulative sum and a search over the sorted breakpoints.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -707,13 +600,10 @@ class WindowStore:
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
         # (now, batch, index) per row decided since the last refresh
         self._pending: list[tuple[float, _Batch, int]] = []
-        empty = _row_cache(np.empty((0, len(self.costs_cents))), self._prices)
-        self._buffers = (np.empty(0), *empty[:3])  # ts, masked rows, start cost, cheapest
-        self._entries = empty[3:5]  # lam, drop
-        self._offsets = empty[5]
+        self._buffers = (np.empty(0), np.empty(0, dtype=np.int64))  # ts, greedy cost
+        self._offsets = np.zeros(1, dtype=np.intp)
         self._lo = self._hi = 0
-        self._breaks = _breakpoints(*self._entries)
-        self._qmax = 0.0
+        self._breaks = _breakpoints(np.empty(0), np.empty(0, dtype=np.int64))
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -723,60 +613,47 @@ class WindowStore:
         """The rows of the matrix ``q``, checked and cached for ``allocate_online``:
         one admitted row each, in order. A bad row is a ValueError, and then no
         row is admitted. Admitting changes nothing in the window."""
-        q = _checked_rows(q, len(self.costs_cents), 2)
-        batch = _Batch(self._prices, _row_cache(q, self._prices), _abs_max(q, axis=1))
+        q = _checked_rows(q, len(self.costs_cents), 2).copy()
+        batch = _Batch(self._prices, q, _row_cache(q, self._prices))
         return list(zip(itertools.repeat(batch), range(len(q))))
 
-    def _make_room(self, rows: int, entries: int) -> None:
-        """Room at the end of the buffers for ``rows`` more rows holding
-        ``entries`` more breakpoints. When it is short, or the dead prefix of
-        the rows or of the entries passes half its capacity, the live rows and
-        their entries move to the front of buffers of at least twice what
-        they and the new rows need."""
+    def _make_room(self, rows: int) -> None:
+        """Room at the end of the row buffers for ``rows`` more rows. When it is
+        short, or the dead prefix passes half the capacity, the live rows move
+        to the front of buffers of at least twice what they and the new rows
+        need."""
         live, capacity, lo = self._hi - self._lo, len(self._buffers[0]), self._lo
-        first, end = int(self._offsets[lo]), int(self._offsets[self._hi])
-        room = len(self._entries[0])
-        if lo > capacity // 2 or self._hi + rows > capacity or first > room // 2 \
-                or end + entries > room:
+        if lo > capacity // 2 or self._hi + rows > capacity:
             capacity = max(capacity, 2 * (live + rows))
-            room = max(room, 2 * (end - first + entries))
             self._buffers = tuple(_moved_to_front(a[lo:self._hi], capacity)
                                   for a in self._buffers)
-            self._entries = tuple(_moved_to_front(a[first:end], room) for a in self._entries)
-            self._offsets = _moved_to_front(self._offsets[lo:self._hi + 1] - first, capacity + 1)
-            lam, drop, at = self._breaks
-            self._breaks = lam, drop, at - first
+            self._offsets = _moved_to_front(self._offsets[lo:self._hi + 1], capacity + 1)
             self._lo, self._hi = 0, live
 
     def _flush(self) -> None:
-        """Copy the queued rows' cache rows and breakpoints to the end of the
-        buffers, making room first if needed, and merge their breakpoints into
-        the sorted ones."""
+        """Write the queued rows' timestamps and greedy costs to the end of the
+        row buffers, making room first if needed, and merge their breakpoints
+        into the sorted ones."""
+        self._make_room(len(self._pending))
+        row = self._hi
+        start = entry = int(self._offsets[row])
+        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
+        added = []
         # Rows queued one after another from one batch, at consecutive indexes
         # (decisions in arrival order), are copied as one slice per array.
-        runs = []
         for (batch, _), run in itertools.groupby(
                 enumerate(self._pending), key=lambda item: (item[1][1], item[1][2] - item[0])):
             lo = next(run)[1][2]
             hi = lo + 1 + sum(1 for _ in run)
-            offsets = batch.cache[5]
-            runs.append((batch, lo, hi, int(offsets[lo]), int(offsets[hi])))
-        self._make_room(len(self._pending), sum(end - first for *_, first, end in runs))
-        row = self._hi
-        start = entry = int(self._offsets[row])
-        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
-        for batch, lo, hi, first, end in runs:
-            new_row, new_entry = row + hi - lo, entry + end - first
-            for src, buffer in zip(batch.cache[:3], self._buffers[1:]):
-                buffer[row:new_row] = src[lo:hi]
-            for src, buffer in zip(batch.cache[3:5], self._entries):
-                buffer[entry:new_entry] = src[first:end]
-            np.add(batch.cache[5][lo + 1:hi + 1], entry - first,
+            cache, new_row = batch.cache, row + hi - lo
+            first, end = int(cache.offsets[lo]), int(cache.offsets[hi])
+            self._prices.cents.take(cache.start[lo:hi], out=self._buffers[1][row:new_row])
+            np.add(cache.offsets[lo + 1:hi + 1], entry - first,
                    out=self._offsets[row + 1:new_row + 1])
-            self._qmax = max(self._qmax, float(batch.qmax[lo:hi].max()))
-            row, entry = new_row, new_entry
+            added.append((cache.lam[first:end], cache.drop[first:end]))
+            row, entry = new_row, entry + end - first
         self._breaks = _merged(self._breaks, _breakpoints(
-            *(a[start:entry] for a in self._entries), first=start))
+            *(np.concatenate(column) for column in zip(*added)), first=start))
         self._hi = row
         self._pending = []
 
@@ -784,8 +661,9 @@ class WindowStore:
         """Evict expired records, re-solve the multiplier, publish the snapshot.
 
         An empty window keeps the previous snapshot. One that no multiplier
-        fits into the budget publishes the saturating lam, at which every row
-        takes its cheapest eligible action, and counts in ``infeasible_refreshes``.
+        fits into the budget publishes its largest breakpoint, or 0 if it has
+        none, and counts in ``infeasible_refreshes``: at that lam every row
+        whose walk reached its cheapest eligible action takes it.
         """
         with self._lock:
             if self._pending:
@@ -800,16 +678,14 @@ class WindowStore:
                 keep = self._breaks[2] >= self._offsets[self._lo]
                 self._breaks = tuple(a[keep] for a in self._breaks)
             if self._hi > self._lo:
-                cache = (*(a[self._lo:self._hi] for a in self._buffers[1:]), *self._entries,
-                         self._offsets[self._lo:self._hi + 1])
-                args = cache, self._breaks, self._qmax, self._prices
+                excess = (int(self._buffers[1][self._lo:self._hi].sum())
+                          - (self._hi - self._lo) * self.budget_cents)
                 try:
-                    self.lambda_snapshot = _exact_lambda(
-                        *args, (self._hi - self._lo) * self.budget_cents)
+                    self.lambda_snapshot = _exact_lambda(excess, self._breaks)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
-                    self.lambda_snapshot = _exact_lambda(
-                        *args, int(self._prices.cents[cache[2]].sum()))
+                    lam_at = self._breaks[0]
+                    self.lambda_snapshot = float(lam_at[-1]) if lam_at.size else 0.0
             return self.lambda_snapshot
 
     def advance(self, now: float) -> None:
@@ -830,19 +706,25 @@ class WindowStore:
         ``now``, whose ``row`` (one of this store's ``admit``) then joins the
         window; a row from elsewhere, or an index ``admit`` did not hand out,
         is a TypeError and a bad snapshot a ValueError, raised before the row
-        is queued."""
+        is queued. The row's dual choice is its vertex after its breakpoints
+        <= lam, counted in ``lam[offsets[i]:offsets[i + 1]]``, as
+        ``_vertices`` finds it for a matrix."""
         lam = self.lambda_snapshot
         _check_lambda(lam)
         try:
             batch, i = row
             admitted = (batch.prices is self._prices and type(i) is int
-                        and 0 <= i < len(batch.qmax))
+                        and 0 <= i < len(batch.q))
         except (TypeError, ValueError, AttributeError):
             admitted = False
         if not admitted:
             raise TypeError("allocate_online takes a row returned by this store's admit")
-        qm, _, cheapest = batch.cache[:3]
-        action = _assign_choice(qm[i], cheapest[i], self._prices, lam)[0]
+        cache = batch.cache
+        first = int(cache.offsets[i])
+        k = bisect.bisect_right(cache.lam, lam, first, int(cache.offsets[i + 1])) - first
+        v = int(cache.to[first + k - 1] if k else cache.start[i])
+        score = batch.q[i, v] - lam * self._prices.shift[v]
+        action = v if score >= 0.0 else int(cache.cheapest[i])
         with self._lock:
             self._pending.append((float(now), batch, i))
         return action

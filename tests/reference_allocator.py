@@ -3,14 +3,15 @@
 This is the form of ``budgetrl.allocator`` that redoes whole-window work on
 every refresh: the window's arrays are concatenated at each flush and sliced
 at each eviction, and the exact multiplier gathers and argsorts every finite
-breakpoint and checks fit with the dual selection and the assignment rule
-over every row. The envelope walk is the one that runs until no row moves.
-The package's incremental window, sorted breakpoints and near-row fit check
-are held to its bits.
+breakpoint of the window. The envelope walk is dense: it runs until no row
+moves and fills (N, M - 1) tables, and the dual choice at lam is read from
+them by counting each row's breakpoints <= lam. The package's compact walk,
+incremental window and sorted breakpoints are held to its bits.
 
 ``RowStore`` is the window store that takes raw Q rows one at a time: each
-decision checks and masks its row, and each flush walks the queued rows'
-envelopes. Stores that admit rows in batches are held to its bits.
+decision checks its row and walks its envelope alone, and each flush walks
+the queued rows' envelopes. Stores that admit rows in batches are held to
+its bits.
 """
 
 import math
@@ -20,31 +21,29 @@ import numpy as np
 from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
-    _Prices,
-    _abs_max,
-    _assign_choice,
+    _assign_rows,
     _breakpoints,
     _check_lambda,
     _checked_rows,
-    _masked,
     _merged,
     _row_cache,
-    _step_up_until,
 )
 
 
 def row_cache(q, cents):
-    """The -inf-masked rows, the greedy cost, the cheapest eligible action, and
-    the envelope walk's breakpoints and drops (inf and 0 past the last)."""
+    """The -inf-masked rows, the greedy action, the cheapest eligible action,
+    and the envelope walk's breakpoints, drops and actions moved to (inf, 0
+    and -1 past the last); each breakpoint is at least the row's one before."""
     qm = np.fmax(q, -np.inf)
     cheapest = np.isfinite(q).argmax(axis=-1)
-    cur = qm.argmax(axis=-1)
+    start = qm.argmax(axis=-1)
     lams = np.full((q.shape[0], q.shape[1] - 1), np.inf)
     drops = np.zeros(lams.shape, dtype=np.int64)
+    tos = np.full(lams.shape, -1)
     units = cents / 100.0
     gap, no_move = units[:, None] - units, cents >= cents[:, None]
     m = q.shape[1]
-    rows, at = np.arange(q.shape[0]), cur
+    rows, at, last = np.arange(q.shape[0]), start, np.zeros(q.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(m - 1):
             neg = qm[rows]
@@ -57,28 +56,47 @@ def row_cache(q, cents):
             rows, at, nxt, neg_lam = rows[moves], at[moves], nxt[moves], neg_lam[moves]
             if not rows.size:
                 break
-            lams[rows, step] = -neg_lam
+            last[rows] = np.maximum(-neg_lam, last[rows])
+            lams[rows, step] = last[rows]
             drops[rows, step] = cents[at] - cents[nxt]
+            tos[rows, step] = nxt
             at = nxt
-    return qm, cents[cur], cheapest, lams, drops
+    return qm, start, cheapest, lams, drops, tos
 
 
-def compact(lams, drops):
+def compact(lams, drops, tos):
     """The finite entries of the tables ``row_cache`` gives, in the package's
-    compact layout: (lam, drop, offsets), row after row, each row's in walk
-    order, row i's at ``offsets[i]:offsets[i + 1]``."""
+    compact layout: (lam, drop, to, offsets), row after row, each row's in
+    walk order, row i's at ``offsets[i]:offsets[i + 1]``."""
     finite = lams < np.inf
     offsets = np.zeros(lams.shape[0] + 1, dtype=np.intp)
     np.cumsum(finite.sum(axis=1), out=offsets[1:])
-    return lams[finite], drops[finite], offsets
+    to = tos[finite].astype(np.min_scalar_type(lams.shape[1]))
+    return lams[finite], drops[finite], to, offsets
 
 
-def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
+def dual_choice(cache, lam):
+    """Each row's dual choice at ``lam``: its vertex after its breakpoints <= lam."""
+    _, start, _, lams, _, tos = cache
+    count = (lams <= lam).sum(axis=1)
+    return np.where(count > 0, tos[np.arange(len(start)), count - 1], start)
+
+
+def assignment_rule(q, cache, cents, budget_cents, lam):
+    """The assignment rule at ``lam``: each row's dual choice v when
+    q_v - lam (c_v - budget) >= 0, else its cheapest eligible action; and
+    each row's score of v."""
+    v = dual_choice(cache, lam)
+    top = q[np.arange(len(q)), v] - (lam * (cents / 100.0 - budget_cents / 100.0))[v]
+    return np.where(top >= 0.0, v, cache[2]), top
+
+
+def exact_lambda(cache, cents, total_cents):
     """Smallest lam at which the rows of ``cache`` (``row_cache``) cost at most
-    ``total_cents`` under both the dual selection and the assignment rule.
-    When ``steps`` is a list, the number of failed fit checks is appended to it."""
-    qm, start_cents, cheapest, lams, drops = cache
-    excess = int(start_cents.sum()) - total_cents
+    ``total_cents`` under the dual choice: the breakpoint where the sorted
+    cumulative drop first covers the greedy cost's excess."""
+    _, start, _, lams, drops, _ = cache
+    excess = int(cents[start].sum()) - total_cents
     if excess <= 0:
         return 0.0
     finite = lams < np.inf
@@ -88,21 +106,7 @@ def exact_lambda(cache, cents, budget_cents, total_cents, steps=None):
     if k == lams.size:
         raise InfeasibleProblemError(
             "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    failed = 0
-    prices = _Prices(cents, budget_cents)
-
-    def fits(lam):
-        nonlocal failed
-        ok = (int(cents[(qm - lam * (cents / 100.0)).argmax(axis=-1)].sum()) <= total_cents
-              and int(cents[_assign_choice(qm, cheapest, prices, lam)[0]].sum())
-              <= total_cents)
-        failed += not ok
-        return ok
-
-    lam = _step_up_until(fits, float(lams[order[k]]))
-    if steps is not None:
-        steps.append(failed)
-    return lam
+    return float(lams[order[k]])
 
 
 class ConcatWindow:
@@ -131,36 +135,33 @@ class ConcatWindow:
         _, *cache = self.window = tuple(a[evicted:] for a in self.window)
         if len(cache[0]):
             try:
-                self.lambda_snapshot = exact_lambda(cache, self.cents, self.budget_cents,
+                self.lambda_snapshot = exact_lambda(cache, self.cents,
                                                     len(cache[0]) * self.budget_cents)
             except InfeasibleProblemError:
                 self.infeasible_refreshes += 1
-                self.lambda_snapshot = exact_lambda(cache, self.cents, self.budget_cents,
-                                                    int(self.cents[cache[2]].sum()))
+                lams = cache[3][cache[3] < np.inf]
+                self.lambda_snapshot = float(lams.max()) if lams.size else 0.0
         return self.lambda_snapshot
 
 
 class RowStore(WindowStore):
     """``WindowStore`` with a per-row ``allocate_online(q_row, now)`` that
-    checks and masks the raw row, and a flush that fills the queued rows'
-    ``_row_cache`` arrays; refreshes and ticks are the package's."""
+    checks the raw row and applies the batch assignment rule to it alone, and
+    a flush that walks the queued rows' envelopes; refreshes and ticks are the
+    package's."""
 
     def _flush(self):
         q = np.array([q for _, q in self._pending])
         n = len(q)
-        *rows, lam, drop, offsets = _row_cache(q, self._prices)
-        self._make_room(n, lam.size)
-        new = [a[self._hi:self._hi + n] for a in self._buffers]
-        new[0][:] = [t for t, _ in self._pending]
-        for buffer, column in zip(new[1:], rows):
-            buffer[:] = column
+        cache = _row_cache(q, self._prices)
+        self._make_room(n)
+        rows = slice(self._hi, self._hi + n)
+        self._buffers[0][rows] = [t for t, _ in self._pending]
+        self._buffers[1][rows] = self._prices.cents[cache.start]
         entry = self._offsets[self._hi]
-        for buffer, column in zip(self._entries, (lam, drop)):
-            buffer[entry:entry + lam.size] = column
-        self._offsets[self._hi:self._hi + n + 1] = offsets + entry
-        self._breaks = _merged(self._breaks, _breakpoints(lam, drop, first=entry))
+        self._offsets[self._hi:self._hi + n + 1] = cache.offsets + entry
+        self._breaks = _merged(self._breaks, _breakpoints(cache.lam, cache.drop, first=entry))
         self._hi += n
-        self._qmax = max(self._qmax, _abs_max(q))
         self._pending = []
 
     def allocate_online(self, q_row, now):
@@ -171,8 +172,8 @@ class RowStore(WindowStore):
         if not (q_row.shape == cents.shape and math.isfinite(np.fmax.reduce(q_row))
                 and math.isfinite(np.fmin.reduce(q_row))):
             q_row = _checked_rows(q_row, cents.size, 1)
-        qm, cheapest = _masked(q_row[None])
-        action = int(_assign_choice(qm, cheapest, self._prices, lam)[0][0])
+        q = q_row[None]
+        action = int(_assign_rows(q, _row_cache(q, self._prices), self._prices, lam)[0][0])
         with self._lock:
             self._pending.append((float(now), q_row))
         return action

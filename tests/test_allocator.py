@@ -17,14 +17,13 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _Prices,
-    _abs_max,
-    _assign_choice,
+    _assign_rows,
     _breakpoints,
     _exact_lambda,
     _in_parts,
-    _masked,
     _packed,
     _row_cache,
+    _vertices,
     assign,
     repair_feasibility,
     solve_and_assign,
@@ -167,6 +166,20 @@ class TestAssign:
         assert result.chosen == (0,)
         assert result.total_cost_cents == 0
 
+    def test_breakpoint_where_the_float_scores_still_favour_the_dearer_action(self):
+        # costs 0.65 and 0.71, q (0.0, 0.5): the walk's breakpoint 0.5 / 0.06
+        # rounds to 8.333333333333341, where q - lam c is larger for the dearer
+        # action by float rounding. The envelope has moved, and the budget
+        # 0.70 binds exactly there.
+        q = np.array([[0.0, 0.5]])
+        p = AllocationProblem(q, (65, 71), 70)
+        lam = float(_row_cache(q, p._prices).lam[0])
+        scores = q[0] - lam * np.array([0.65, 0.71])
+        assert scores[1] > scores[0]
+        assert assign(p, lam).chosen == (0,)
+        assert bits(solve_lambda(p)) == bits(lam)
+        assert solve_and_assign(p).chosen == (0,)
+
     def test_lambda_zero_greedy(self):
         rng = np.random.default_rng(4)
         p = random_problem(rng)
@@ -232,11 +245,9 @@ class TestAssign:
 
     @pytest.mark.parametrize("costs", [(65,), (65, 65), (87, 87, 87)])
     def test_costs_with_one_distinct_value(self, costs):
-        # no breakpoint exists, so the near-row margin is never read, but the
-        # problem and the store still derive it
+        # no row has a breakpoint: the greedy cost is the only cost
         q = np.random.default_rng(3).random((4, len(costs)))
-        prices = _Prices(costs, 87)
-        assert np.isfinite([prices.per_q, prices.per_lam]).all()
+        assert _row_cache(q, _Prices(costs, 87)).lam.size == 0
         for budget, lam in ((costs[0], 0.0), (costs[0] - 1, None)):
             p = AllocationProblem(q, costs, budget)
             if lam is None:
@@ -331,10 +342,9 @@ def decide(store, q, now):
 
 
 def admitted_row(row):
-    """The Q row of an admitted row, from its cached -inf-masked row."""
+    """The Q row of an admitted row, from the batch's copy of its Q rows."""
     batch, i = row
-    qm = batch.cache[0][i]
-    return np.where(np.isneginf(qm), np.nan, qm)
+    return batch.q[i]
 
 
 def pending_rows(store):
@@ -342,17 +352,31 @@ def pending_rows(store):
     return [(ts, admitted_row((batch, i))) for ts, batch, i in store._pending]
 
 
+class KeptRowsStore(WindowStore):
+    """A ``WindowStore`` that also keeps the Q row of every row it flushes, in
+    flush order. Rows leave the window from the front in that order, so the
+    live rows are the last ``len(window)`` of them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flushed = []
+
+    def _flush(self):
+        self.flushed.extend(batch.q[i] for _, batch, i in self._pending)
+        super()._flush()
+
+
 def window_rows(store):
-    """The window's Q rows, from the -inf-masked rows it caches: appended rows hold
-    no infinity, so -inf there marks a NaN (ineligible) entry."""
-    qm = store._buffers[1][store._lo:store._hi]
-    return np.where(np.isneginf(qm), np.nan, qm)
+    """The window's Q rows, from those a ``KeptRowsStore`` kept at each flush."""
+    live = store._hi - store._lo
+    rows = store.flushed[len(store.flushed) - live:]
+    return np.array(rows).reshape(live, len(store.costs_cents))
 
 
 class TestWindowStore:
     def make_store(self, budget=87, span=24 * 3600.0, period=600.0):
-        return WindowStore(ActionSet.default().all_cents, budget,
-                           window_span=span, refresh_period=period)
+        return KeptRowsStore(ActionSet.default().all_cents, budget,
+                             window_span=span, refresh_period=period)
 
     @pytest.mark.parametrize("kwarg, field", [("span", "window_span"),
                                               ("period", "refresh_period")])
@@ -536,13 +560,19 @@ def breakpoint_repair_lambda(problem, lam0):
 
 def packed_at(problem, lam):
     """The assignment rule at ``lam``, then slack packing from its scores."""
-    prices = problem._prices
-    choice = _assign_choice(*_masked(problem.q), prices, lam)
-    return _packed(problem, lam, *choice)
+    return _packed(problem, _row_cache(problem.q, problem._prices), lam)
+
+
+def envelope_dual_cost_cents(problem, lam):
+    """Cost of the dual choice at ``lam`` read from the reference's dense walk:
+    each row's vertex after its breakpoints <= lam."""
+    costs = np.asarray(problem.costs_cents, dtype=np.int64)
+    return int(costs[ref.dual_choice(ref.row_cache(problem.q, costs), lam)].sum())
 
 
 def loop_pack_slack(problem, assignment):
-    """Slack packing with its candidate scan as a per-row loop: (chosen, total cost)."""
+    """Slack packing with its candidate scan as a per-row loop: (chosen, total
+    cost). A row's top is the score of its dual choice (the reference's)."""
     budget_total = problem.n * problem.budget_cents
     total = assignment.total_cost_cents
     if total > budget_total:
@@ -550,14 +580,15 @@ def loop_pack_slack(problem, assignment):
     costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
     scores = np.where(np.isfinite(problem.q), problem.q - assignment.lam * (
         costs_units(problem)[None, :] - budget_units(problem)), -np.inf)
-    rowmax = scores.max(axis=1)
+    top = ref.assignment_rule(problem.q, ref.row_cache(problem.q, costs_cents), costs_cents,
+                              problem.budget_cents, assignment.lam)[1]
     upgrades = []
     for i in range(problem.n):
-        if rowmax[i] < 0.0:
+        if top[i] < 0.0:
             continue
-        tol_i = 1e-9 * max(1.0, abs(rowmax[i]))
+        tol_i = 1e-9 * max(1.0, abs(top[i]))
         cur = assignment.chosen[i]
-        for j in np.flatnonzero(scores[i] >= rowmax[i] - tol_i):
+        for j in np.flatnonzero(scores[i] >= top[i] - tol_i):
             extra = int(costs_cents[j] - costs_cents[cur])
             gain = float(problem.q[i, j] - problem.q[i, cur])
             if extra > 0 and gain > 0:
@@ -589,22 +620,29 @@ class TestEnvelope:
         rng = np.random.default_rng(20)
         for _ in range(300):
             p = masked_problem(rng, from_menu=bool(rng.integers(2)))
-            lams, drops = _row_cache(p.q, p._prices)[3:5]
+            cache = _row_cache(p.q, p._prices)
+            lams, drops = cache.lam, cache.drop
             start = dual_cost_cents(p, 0.0)
             bps = np.unique(lams)
             probes = np.concatenate([(bps[:-1] + bps[1:]) / 2, bps[-1:] + 1.0, [bps[0] / 2]]) \
                 if bps.size else np.array([1.0])
             for lam in probes:
                 assert start - int(drops[lams <= lam].sum()) == dual_cost_cents(p, lam)
+                v = _vertices(cache, float(lam), 0, p.n)
+                assert int(p._prices.cents[v].sum()) == dual_cost_cents(p, lam)
 
     def test_walk_ends_at_cheapest_eligible_action(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             p = masked_problem(rng)
-            lams, drops, offsets = _row_cache(p.q, p._prices)[3:]
+            start, cheapest, lams, drops, to, offsets = _row_cache(p.q, p._prices)
             assert dual_cost_cents(p, 0.0) - int(drops.sum()) == cheapest_total_cents(p)
             assert np.isfinite(lams).all() and (drops > 0).all()
-            assert offsets[0] == 0 and offsets[-1] == lams.size == drops.size
+            assert offsets[0] == 0 and offsets[-1] == lams.size == drops.size == to.size
+            # each row's last move is to its cheapest eligible action
+            ends, moves = start.copy(), np.diff(offsets) > 0
+            ends[moves] = to[offsets[1:][moves] - 1]
+            assert ends.tolist() == cheapest.tolist()
             assert (np.diff(offsets) >= 0).all() and (np.diff(offsets) < p.q.shape[1]).all()
 
     def test_rows_are_independent(self):
@@ -614,9 +652,9 @@ class TestEnvelope:
         offsets = whole[5]
         for i in range(p.n):
             row = _row_cache(p.q[i:i + 1], p._prices)
-            for a, b in zip(whole[:3], row[:3]):
+            for a, b in zip(whole[:2], row[:2]):
                 np.testing.assert_array_equal(a[i:i + 1], b)
-            for a, b in zip(whole[3:5], row[3:5]):
+            for a, b in zip(whole[2:5], row[2:5]):
                 np.testing.assert_array_equal(a[offsets[i]:offsets[i + 1]], b)
             np.testing.assert_array_equal(row[5], [0, offsets[i + 1] - offsets[i]])
 
@@ -628,46 +666,78 @@ class TestEnvelope:
                       [0.0, 1.0, 1.8, 2.4],
                       [np.nan, 0.0, 1.0, np.nan]])
         prices = _Prices((100, 200, 300, 400), 250)
-        _, start, _, lams, drops, offsets = _row_cache(q, prices)
+        start, cheapest, lams, drops, to, offsets = _row_cache(q, prices)
         assert offsets.tolist() == [0, 0, 1, 4, 5]
         assert drops.tolist() == [100, 100, 100, 100, 100]
         assert bits(lams[0]) == bits(0.5) and bits(lams[4]) == bits(1.0)
         assert lams[1:4].tolist() == pytest.approx([0.6, 0.8, 1.0])
-        assert start.tolist() == [100, 200, 400, 300]
+        assert start.tolist() == [0, 1, 3, 2] and cheapest.tolist() == [0, 0, 0, 1]
+        assert to.tolist() == [0, 2, 1, 0, 1]
+
+    def test_breakpoints_rise_along_each_walk(self):
+        # On nearly collinear rows float rounding puts some of a walk's ratios
+        # below the one before; each recorded lam is the running max of its
+        # row's ratios, so a row's breakpoints <= lam are the first of its walk.
+        q = with_nans(np.random.default_rng(23), collinear_rows(
+            np.random.default_rng(24), 2000, MENU_CENTS))
+        cache = _row_cache(q, _Prices(MENU_CENTS.tolist(), 87))
+        units = MENU_CENTS / 100.0
+        clamped = 0
+        for i in range(len(q)):
+            lo, hi = cache.offsets[i], cache.offsets[i + 1]
+            path = [cache.start[i], *cache.to[lo:hi]]
+            ratios = [(q[i, a] - q[i, b]) / (units[a] - units[b]) for a, b in zip(path, path[1:])]
+            assert cache.lam[lo:hi].tolist() == np.maximum.accumulate(ratios).tolist()
+            clamped += any(r < before for before, r in zip(ratios, ratios[1:]))
+        assert clamped > 0
 
 
-class TestAbsMax:
-    """``_abs_max`` is max |q| over the finite entries, made without an |q| copy."""
+class TestOneChoicePerRow:
+    """The envelope is the one definition of a row's choice at lam."""
 
-    @staticmethod
-    def matrix(extreme):
-        q = np.random.default_rng(31).uniform(-1.0, 1.0, size=(3000, 12))
-        q[q > 0.6] = np.nan
-        if extreme == 0.0:  # every finite entry a zero of the extreme's sign
-            q[np.isfinite(q)] = extreme
-        else:
-            q[17, 5] = extreme
-        return q
-
-    @pytest.mark.parametrize("extreme", [-7.5, 7.5, 0.0, -0.0],
-                             ids=["negative", "positive", "zero", "negative-zero"])
-    def test_is_the_max_of_the_absolute_values(self, extreme):
-        q = self.matrix(extreme)
-        assert np.isnan(q).any()
-        got = _abs_max(q)
-        assert type(got) is float
-        assert bits(got) == bits(np.fmax.reduce(np.abs(q), axis=None))
-        assert _abs_max(q, axis=1).tobytes() == np.fmax.reduce(np.abs(q), axis=1).tobytes()
-
-    def test_makes_no_matrix_copy(self):
-        q = self.matrix(-7.5)
-        tracemalloc.start()
-        try:
-            _abs_max(q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < q.nbytes / 4
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quantized_tie_heavy_rows(self, data):
+        # Values on a 0.1 grid, some NaN, over menu costs (at times repeated):
+        # many exact ties among scores and among breakpoints. At lam 0, at
+        # random lams and at every breakpoint: the dual choice is the row's
+        # envelope vertex; the rule, in the batch and online, takes that
+        # vertex or the cheapest eligible action; each row's dual cost is
+        # non-increasing in lam and the rule's is at most it; and each row's
+        # recorded lams are non-decreasing.
+        m = data.draw(st.integers(2, 6))
+        costs = sorted(data.draw(st.lists(st.sampled_from(MENU_CENTS.tolist()),
+                                          min_size=m, max_size=m)))
+        value = st.one_of(st.integers(-5, 15).map(lambda k: k / 10), st.just(np.nan))
+        row = st.lists(value, min_size=m, max_size=m).filter(lambda r: not np.isnan(r).all())
+        q = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
+        p = AllocationProblem(q, costs, data.draw(st.integers(costs[0] - 10, costs[-1] + 10)))
+        prices, n = p._prices, p.n
+        cache = _row_cache(q, prices)
+        dense = ref.row_cache(q, prices.cents)
+        store = WindowStore(costs, p.budget_cents)
+        admitted = store.admit(q)
+        units = prices.cents / 100.0
+        eligible = np.isfinite(q)
+        before = None
+        for lam in sorted({0.0, *cache.lam.tolist(),
+                           *data.draw(st.lists(st.floats(0.0, 30.0), max_size=4))}):
+            v = _vertices(cache, lam, 0, n)
+            assert v.tolist() == ref.dual_choice(dense, lam).tolist()
+            assert eligible[np.arange(n), v].all()
+            scores = np.where(eligible, q - lam * units, -np.inf)
+            assert (scores[np.arange(n), v] >= scores.max(axis=1) - 1e-9 * (1.0 + lam)).all()
+            chosen = np.array(assign(p, lam).chosen)
+            top = q[np.arange(n), v] - (lam * prices.shift)[v]
+            assert chosen.tolist() == np.where(top >= 0.0, v, cache.cheapest).tolist()
+            store.lambda_snapshot = lam
+            assert [store.allocate_online(r, 0.0) for r in admitted] == chosen.tolist()
+            cost = prices.cents[v]
+            assert (prices.cents[chosen] <= cost).all()
+            assert before is None or (cost <= before).all()
+            before = cost
+        for i in range(n):
+            assert (np.diff(cache.lam[cache.offsets[i]:cache.offsets[i + 1]]) >= 0).all()
 
 
 class TestExactLambda:
@@ -687,6 +757,24 @@ class TestExactLambda:
             assert solve_lambda(p) == pytest.approx(expected, abs=1e-9)
         assert infeasible > 0
 
+    def test_solved_lambda_is_the_first_float_at_which_the_dual_choice_fits(self):
+        # the candidate breakpoint itself, with no step: one float below it the
+        # envelope's dual choice is over budget; at it both that and the rule fit
+        rng = np.random.default_rng(32)
+        binding = 0
+        for _ in range(300):
+            p = contract_problems(rng)
+            try:
+                lam = solve_lambda(p)
+            except InfeasibleProblemError:
+                continue
+            if lam > 0.0:
+                binding += 1
+                total = p.n * p.budget_cents
+                assert assign(p, lam).total_cost_cents <= envelope_dual_cost_cents(p, lam) <= total
+                assert envelope_dual_cost_cents(p, float(np.nextafter(lam, 0.0))) > total
+        assert binding > 50
+
     def test_returns_python_float(self):
         slack = AllocationProblem(np.array([[1.0, 2.0]]), (0, 100), 100)
         for p in (slack, ONE_ROW):
@@ -694,7 +782,8 @@ class TestExactLambda:
 
     def test_duplicated_tied_rows_fit_without_repair(self):
         # 200 copies of 5 rows tie in groups at every breakpoint; the exact
-        # breakpoint must still leave both selection rules within budget
+        # breakpoint must still leave the assignment rule and the envelope's
+        # dual choice within budget
         rng = np.random.default_rng(24)
         binding = 0
         for _ in range(40):
@@ -710,7 +799,7 @@ class TestExactLambda:
             lam = solve_lambda(p)
             binding += lam > 0
             assert assign(p, lam).total_cost_cents <= p.n * budget
-            assert dual_cost_cents(p, lam) <= p.n * budget
+            assert envelope_dual_cost_cents(p, lam) <= p.n * budget
         assert binding > 20
 
 
@@ -733,17 +822,14 @@ class TestPackSlack:
 
 
 def reference_solve_and_assign(problem):
-    """The composition ``solve_and_assign`` fuses, as separate passes: the exact
-    lam, then the assignment rule and slack packing each rebuilt from ``problem.q``."""
-    lam = solve_lambda(problem)
+    """The composition ``solve_and_assign`` fuses, as separate passes over the
+    reference's dense envelope walk: the exact lam, then the assignment rule
+    and slack packing each rebuilt from ``problem.q``."""
     costs_cents = np.asarray(problem.costs_cents, dtype=np.int64)
+    cache = ref.row_cache(problem.q, costs_cents)
+    lam = ref.exact_lambda(cache, costs_cents, problem.n * problem.budget_cents)
     # assign
-    present = np.isfinite(problem.q)
-    qm = np.where(present, problem.q, -np.inf)
-    cheapest = np.where(present, costs_cents, np.inf).argmin(axis=-1)
-    scores = qm - lam * (costs_cents / 100.0 - problem.budget_cents / 100.0)
-    best = scores.argmax(axis=-1)
-    chosen = np.where(scores[np.arange(best.size), best] >= 0.0, best, cheapest)
+    chosen, top = ref.assignment_rule(problem.q, cache, costs_cents, problem.budget_cents, lam)
     total = int(costs_cents[chosen].sum())
     chosen = [int(a) for a in chosen]
     # slack packing
@@ -751,9 +837,8 @@ def reference_solve_and_assign(problem):
     if total <= budget_total:
         scores = np.where(np.isfinite(problem.q), problem.q - lam * (
             costs_units(problem)[None, :] - budget_units(problem)), -np.inf)
-        rowmax = scores.max(axis=1)
-        tol = 1e-9 * np.maximum(1.0, np.abs(rowmax))
-        rows, actions = np.nonzero((rowmax >= 0.0)[:, None] & (scores >= (rowmax - tol)[:, None]))
+        tol = 1e-9 * np.maximum(1.0, np.abs(top))
+        rows, actions = np.nonzero((top >= 0.0)[:, None] & (scores >= (top - tol)[:, None]))
         cur = np.asarray(chosen, dtype=np.int64)[rows]
         extra = costs_cents[actions] - costs_cents[cur]
         gain = problem.q[rows, actions] - problem.q[rows, cur]
@@ -848,7 +933,7 @@ class TestWindowExactness:
     def test_window_lambda_equals_stacked_solve(self):
         rng = np.random.default_rng(26)
         menu = ActionSet.default()
-        store = WindowStore(menu.all_cents, 87, window_span=300.0, refresh_period=60.0)
+        store = KeptRowsStore(menu.all_cents, 87, window_span=300.0, refresh_period=60.0)
         t, appended, solved = 0.0, 0, 0
         for _ in range(60):
             for _ in range(int(rng.integers(0, 12))):
@@ -868,7 +953,7 @@ class TestWindowExactness:
 
     def test_infeasible_window_publishes_saturating_lambda(self):
         menu = ActionSet.default()
-        store = WindowStore(menu.all_cents, 60)  # below the cheapest bonus, 65
+        store = KeptRowsStore(menu.all_cents, 60)  # below the cheapest bonus, 65
         rng = np.random.default_rng(27)
         for i in range(30):
             decide(store, rng.random(12) + DEFAULT_UNITS, float(i))
@@ -878,12 +963,31 @@ class TestWindowExactness:
         with pytest.raises(InfeasibleProblemError):
             solve_lambda(p)
         assert set(assign(p, lam).chosen) == {0}
-        assert dual_cost_cents(p, lam) == cheapest_total_cents(p)
-        assert lam >= _row_cache(p.q, p._prices)[3].max()
+        assert envelope_dual_cost_cents(p, lam) == cheapest_total_cents(p)
+        assert lam == _row_cache(p.q, p._prices).lam.max()
+
+    def test_infeasible_refresh_whose_move_to_the_cheapest_action_overflows(self):
+        # The first row's move from action 1 to action 0 has lam = inf, so the
+        # walk records no breakpoint for it and a window that holds it looks
+        # infeasible, though action 0 costs 0. The refresh publishes the
+        # window's largest breakpoint (0 without one) instead of solving a
+        # second time.
+        store = WindowStore((0, 100), 40, refresh_period=60.0)
+        with np.errstate(over="ignore"):
+            rows = store.admit(np.array([[-1.5e308, 1.5e308], [0.1, 0.5]]))
+        store.advance(0.0)
+        assert store.allocate_online(rows[0], 0.0) == 1
+        store.advance(60.0)
+        assert store.timeline[-1] == {"ts": 60.0, "lam": 0.0, "window": 1, "infeasible": True}
+        assert store.allocate_online(rows[1], 90.0) == 1
+        store.advance(120.0)
+        lam = _row_cache(np.array([[0.1, 0.5]]), store._prices).lam.max()
+        assert store.timeline[-1] == {"ts": 120.0, "lam": lam, "window": 2, "infeasible": True}
+        assert store.infeasible_refreshes == 2
 
     def test_concurrent_appends_and_refreshes_lose_no_row(self):
         menu = ActionSet.default()
-        store = WindowStore(menu.all_cents, 87)
+        store = KeptRowsStore(menu.all_cents, 87)
         rows = np.random.default_rng(29).random((4, 2000, 12)) + DEFAULT_UNITS
         done = threading.Event()
 
@@ -927,7 +1031,7 @@ class TestWindowExactness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_bad_row_is_rejected_before_it_reaches_the_window(self, bad):
         menu = ActionSet.default()
-        store = WindowStore(menu.all_cents, 87, window_span=1000.0, refresh_period=10.0)
+        store = KeptRowsStore(menu.all_cents, 87, window_span=1000.0, refresh_period=10.0)
         rng = np.random.default_rng(30)
         rows = rng.random((20, 12)) + DEFAULT_UNITS
         for i, q in enumerate(rows[:10]):
@@ -945,8 +1049,9 @@ class TestWindowExactness:
 
 
 # ---------------------------------------------------------------------------
-# The incremental window and the near-row fit check against the whole-window
-# reference (reference_allocator.py): the same bits, refresh by refresh.
+# The compact walk, the incremental window and its sorted breakpoints against
+# the whole-window reference (reference_allocator.py): the same bits, refresh
+# by refresh.
 
 MENU_CENTS = np.asarray(ActionSet.default().all_cents, dtype=np.int64)
 
@@ -959,26 +1064,30 @@ def kernel_lambda(q, costs, budget_cents, total_cents):
     """``_exact_lambda`` over the rows of ``q``, their breakpoints sorted once."""
     prices = _Prices(costs, budget_cents)
     cache = _row_cache(q, prices)
-    return _exact_lambda(cache, _breakpoints(*cache[3:5]), _abs_max(q), prices, total_cents)
+    excess = int(prices.cents[cache.start].sum()) - total_cents
+    return _exact_lambda(excess, _breakpoints(cache.lam, cache.drop))
 
 
-def assert_kernel_matches_reference(q, costs, budget_cents, steps=None):
+def assert_kernel_matches_reference(q, costs, budget_cents):
     """The kernel and the reference agree bit for bit at the budget, or both
-    find it infeasible and then agree at the saturating total. Returns lam,
-    or None when infeasible."""
+    find it infeasible and then agree at the saturating total. At the lam
+    found, the assignment rule and the dual choice fit the total in cents.
+    Returns lam, or None when infeasible."""
     costs = np.asarray(costs, dtype=np.int64)
     cache = ref.row_cache(q, costs)
     total = len(q) * budget_cents
     try:
-        expected = ref.exact_lambda(cache, costs, budget_cents, total, steps)
+        expected = ref.exact_lambda(cache, costs, total)
     except InfeasibleProblemError:
         with pytest.raises(InfeasibleProblemError):
             kernel_lambda(q, costs, budget_cents, total)
         saturating = int(costs[cache[2]].sum())
         assert bits(kernel_lambda(q, costs, budget_cents, saturating)) == bits(
-            ref.exact_lambda(cache, costs, budget_cents, saturating))
+            ref.exact_lambda(cache, costs, saturating))
         return None
     assert bits(kernel_lambda(q, costs, budget_cents, total)) == bits(expected)
+    chosen = ref.assignment_rule(q, cache, costs, budget_cents, expected)[0]
+    assert int(costs[chosen].sum()) <= int(costs[ref.dual_choice(cache, expected)].sum()) <= total
     return expected
 
 
@@ -999,7 +1108,7 @@ def collinear_rows(rng, n, costs):
 
 
 def window_contents(store):
-    """The live rows' timestamps and Q rows of a ``WindowStore`` or ``ConcatWindow``."""
+    """The live rows' timestamps and Q rows of a ``KeptRowsStore`` or ``ConcatWindow``."""
     if isinstance(store, ref.ConcatWindow):
         ts, qm = store.window[:2]
         return ts, np.where(np.isneginf(qm), np.nan, qm)
@@ -1012,19 +1121,21 @@ def assert_same_window(store, reference):
     assert q.tobytes() == ref_q.tobytes()
     assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
     assert store.infeasible_refreshes == reference.infeasible_refreshes
-    # The live rows' entries in the compact layout are the reference's finite
-    # ones, and the sorted breakpoints are the live entries.
+    # The sorted breakpoints hold one position per live breakpoint, and the
+    # live rows' greedy costs, breakpoint counts and sorted (lam, drop) pairs
+    # are the reference's.
     offsets = store._offsets[store._lo:store._hi + 1]
-    first, end = offsets[0], offsets[-1]
     lam, drop, at = store._breaks
     assert (np.diff(lam) >= 0).all()
-    assert np.array_equal(np.sort(at), np.arange(first, end))
-    assert lam.tobytes() == store._entries[0][at].tobytes()
-    assert drop.tobytes() == store._entries[1][at].tobytes()
+    assert np.array_equal(np.sort(at), np.arange(offsets[0], offsets[-1]))
     if isinstance(reference, ref.ConcatWindow):
-        expected = ref.compact(*reference.window[4:])
-        got = (*(a[first:end] for a in store._entries), offsets - first)
-        assert same_arrays(got, expected)
+        _, _, start, _, *tables = reference.window
+        ref_lam, ref_drop, _, ref_offsets = ref.compact(*tables)
+        assert np.array_equal(store._buffers[1][store._lo:store._hi], reference.cents[start])
+        assert np.array_equal(np.diff(offsets), np.diff(ref_offsets))
+        order, ref_order = np.lexsort((drop, lam)), np.lexsort((ref_drop, ref_lam))
+        assert lam[order].tobytes() == ref_lam[ref_order].tobytes()
+        assert drop[order].tobytes() == ref_drop[ref_order].tobytes()
 
 
 class TestKernelAgainstWholeWindowReference:
@@ -1036,8 +1147,9 @@ class TestKernelAgainstWholeWindowReference:
             p = contract_problems(rng)
             costs = np.asarray(p.costs_cents, dtype=np.int64)
             for q in (p.q, with_nans(rng, collinear_rows(rng, p.n, costs))):
-                *rows, lams, drops = ref.row_cache(q, costs)
-                assert same_arrays(_row_cache(q, p._prices), (*rows, *ref.compact(lams, drops)))
+                _, start, cheapest, *tables = ref.row_cache(q, costs)
+                assert same_arrays(_row_cache(q, p._prices),
+                                   (start, cheapest, *ref.compact(*tables)))
 
     def test_random_windows(self):
         rng = np.random.default_rng(41)
@@ -1059,7 +1171,7 @@ class TestKernelAgainstWholeWindowReference:
 
     def test_adversarial_windows(self):
         rng = np.random.default_rng(43)
-        steps, tiny, scaled = [], 0, 0
+        tiny = scaled = 0
         for trial in range(240):
             kind = trial % 4
             n = int(rng.integers(5, 60))
@@ -1074,12 +1186,9 @@ class TestKernelAgainstWholeWindowReference:
                 scale = 10.0 ** float(rng.choice([3, 6, 9, 12]))
                 q = scale * (1.0 + rng.random((n, 1))) + rng.random((n, 12)) * MENU_CENTS / 100
             budget = int(rng.integers(MENU_CENTS.min(), MENU_CENTS.max()))
-            lam = assert_kernel_matches_reference(q, MENU_CENTS, budget, steps)
+            lam = assert_kernel_matches_reference(q, MENU_CENTS, budget)
             tiny += kind == 2 and lam is not None and 0 < lam < 1e-9
             scaled += kind == 3 and lam is not None and lam > 0
-        # The reference's breakpoint failed by rounding and was stepped up at
-        # least once in some windows; the kernel matched it there too.
-        assert sum(s > 0 for s in steps) >= 8
         assert tiny >= 20 and scaled >= 20
 
     def test_batch_solves_match_the_reference(self):
@@ -1090,9 +1199,8 @@ class TestKernelAgainstWholeWindowReference:
                 lam = solve_lambda(p)
             except InfeasibleProblemError:
                 continue
-            expected = ref.exact_lambda(ref.row_cache(p.q, np.asarray(p.costs_cents)),
-                                        np.asarray(p.costs_cents), p.budget_cents,
-                                        p.n * p.budget_cents)
+            costs = np.asarray(p.costs_cents)
+            expected = ref.exact_lambda(ref.row_cache(p.q, costs), costs, p.n * p.budget_cents)
             assert bits(lam) == bits(expected) == bits(solve_and_assign(p).lam)
 
 
@@ -1118,7 +1226,7 @@ class TestWindowAgainstConcatReference:
                      np.sort(rng.choice(MENU_CENTS, 6, replace=trial % 8 == 3)))
             budget = (60, 80, 87, 100)[trial % 4]  # 60 is below every cost
             span = float(rng.choice([40.0, 200.0, 1e9]))
-            store = WindowStore(costs, budget, window_span=span)
+            store = KeptRowsStore(costs, budget, window_span=span)
             reference = ref.ConcatWindow(costs, budget, span)
             t, seen = 0.0, []
             for _ in range(40):
@@ -1145,7 +1253,7 @@ class TestWindowAgainstConcatReference:
             xi=0.3, training_steps=300, seed=3, hidden_sizes=(32, 32), learning_rate=0.01,
             optimizer="adam"))
 
-        class CheckedStore(WindowStore):
+        class CheckedStore(KeptRowsStore):
             """A default store that holds every refresh to the reference window's."""
 
             def __init__(self):
@@ -1170,7 +1278,7 @@ class TestWindowAgainstConcatReference:
 
 class TestWindowEviction:
     def make_pair(self, budget=87, span=100.0):
-        return (WindowStore(MENU_CENTS, budget, window_span=span),
+        return (KeptRowsStore(MENU_CENTS, budget, window_span=span),
                 ref.ConcatWindow(MENU_CENTS, budget, span))
 
     def test_out_of_order_rows_leave_up_to_the_first_row_inside_the_span(self):
@@ -1305,6 +1413,15 @@ class TestAdmissionAgainstRowStore:
             seen["binding"] += any(e["lam"] > 0 and not e["infeasible"] for e in store.timeline)
         assert all(count >= 5 for count in seen.values()), seen
 
+    def test_admitted_rows_are_a_copy(self):
+        # a caller that reuses its matrix after admit changes no decision
+        q = np.random.default_rng(52).random((4, 12)) + DEFAULT_UNITS
+        expected = [decide(WindowStore(MENU_CENTS, 87, initial_lambda=1.5), row, 0.0) for row in q]
+        store = WindowStore(MENU_CENTS, 87, initial_lambda=1.5)
+        rows = store.admit(q)
+        q[:, ::-1] = q.copy()
+        assert [store.allocate_online(row, 0.0) for row in rows] == expected
+
     def test_allocate_online_takes_only_rows_this_store_admitted(self):
         store = WindowStore(MENU_CENTS, 87)
         other = WindowStore(MENU_CENTS, 87)
@@ -1385,12 +1502,13 @@ class TestRowsInParts:
                 q = tie_heavy_q(n, n)
                 pin_cpus(monkeypatch, 1)
                 cache = _row_cache(q, prices)
-                rules = [_assign_choice(cache[0], cache[2], prices, lam)
+                rules = [_assign_rows(q, cache, prices, lam, np.empty(q.shape))
                          for lam in (0.0, 0.5, 2.5)]
                 pin_cpus(monkeypatch, cpus)
                 assert same_arrays(_row_cache(q, prices), cache)
                 for lam, rule in zip((0.0, 0.5, 2.5), rules):
-                    assert same_arrays(_assign_choice(cache[0], cache[2], prices, lam), rule)
+                    assert same_arrays(_assign_rows(q, cache, prices, lam, np.empty(q.shape)),
+                                       rule)
         finally:
             sys.setswitchinterval(interval)
 
@@ -1433,12 +1551,12 @@ class TestRowsInParts:
         q = tie_heavy_q(40000, 5)
         prices = _Prices(MENU_CENTS.tolist(), 87)
         pin_cpus(monkeypatch, 3)
-        *_, lams, drops, offsets = _row_cache(q, prices)
-        assert offsets.size == 40001 and offsets[0] == 0 and offsets[-1] == lams.size
+        cache = _row_cache(q, prices)
+        offsets = cache.offsets
+        assert offsets.size == 40001 and offsets[0] == 0 and offsets[-1] == cache.lam.size
         for i in (0, 4095, 4096, 13332, 13333, 13334, 26666, 26667, 39999):
             row = _row_cache(q[i:i + 1], prices)
-            assert same_arrays((lams[offsets[i]:offsets[i + 1]], drops[offsets[i]:offsets[i + 1]]),
-                               row[3:5])
+            assert same_arrays([a[offsets[i]:offsets[i + 1]] for a in cache[2:5]], row[2:5])
 
     def test_caller_error_settings_reach_the_parts(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -1462,65 +1580,17 @@ class TestRowsInParts:
 
 
 # ---------------------------------------------------------------------------
-# Memory: the fit check's passes over every row and the batch solve make no
-# temporary the size of the value matrix beyond the masked rows.
-
-
-class TestWholeRowFallbacks:
-    """``_exact_lambda`` runs the rules over every row when lam <= delta(lam),
-    and the assignment rule over every row when the near-row bound fails. Each
-    pass sums its cost block by block (``_blocked_total``), in parts."""
-
-    @staticmethod
-    def problems(kind):
-        if kind == "near-bound":  # tie-heavy rows, each 16 times, as a batch samples them
-            return np.tile(tie_heavy_q(2500, 1), (16, 1)), (86,)
-        rng = np.random.default_rng(52)  # breakpoints near 1e-12, far below delta
-        n = 40000
-        return rng.random((n, 1)) + 1e-12 * np.sqrt(MENU_CENTS / 100.0) * rng.random((n, 1)), \
-            (70, 120)
-
-    @pytest.mark.parametrize("kind", ["near-bound", "tiny-lam"])
-    def test_fallbacks_match_the_reference_without_a_matrix_temporary(self, monkeypatch, kind):
-        pin_cpus(monkeypatch, 2)
-        q, budgets = self.problems(kind)
-        passes = []  # per pass over every row: its rows and the memory it added at its peak
-        whole = allocator._blocked_total
-
-        def traced(cost, n):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            total = whole(cost, n)
-            passes.append((n, tracemalloc.get_traced_memory()[1] - before))
-            return total
-
-        monkeypatch.setattr(allocator, "_blocked_total", traced)
-        for budget in budgets:
-            prices = _Prices(MENU_CENTS.tolist(), budget)
-            cache = _row_cache(q, prices)
-            breaks, qmax = _breakpoints(*cache[3:5]), _abs_max(q)
-            passes.clear()
-            tracemalloc.start()
-            try:
-                lam = _exact_lambda(cache, breaks, qmax, prices, len(q) * budget)
-            finally:
-                tracemalloc.stop()
-            assert passes and all(n == len(q) for n, _ in passes)
-            if kind == "tiny-lam":
-                assert 0.0 < lam <= qmax * prices.per_q + lam * prices.per_lam
-            expected = ref.exact_lambda(ref.row_cache(q, MENU_CENTS), MENU_CENTS, budget,
-                                        len(q) * budget)
-            assert bits(lam) == bits(expected) and lam > 0.0
-            assert max(added for _, added in passes) < q.nbytes / 2
+# Memory: the batch solve makes no temporary the size of the value matrix
+# beyond the rule's scores.
 
 
 class TestSolveMemory:
     def test_traced_peak_of_a_40000_row_solve(self, monkeypatch):
-        # The peak is at the breakpoint sort: the masked rows (8 bytes per
-        # entry), the row cache's other arrays and the sorted breakpoints,
-        # about 2.8 times the value matrix in all. The solve that kept
-        # inf-padded breakpoint tables and a separate score matrix peaked at
-        # 4.3 times it.
+        # The walk masks rows block by block, so no masked copy of the matrix
+        # is made; the peak is the rule's scores (8 bytes per entry) beside the
+        # row cache. The solve that kept inf-padded breakpoint tables and a
+        # separate score matrix peaked at 4.3 times the value matrix, and the
+        # one that kept a masked copy at about 2.8 times it.
         pin_cpus(monkeypatch, 2)
         rng = np.random.default_rng(53)
         q = rng.random((40000, 1)) + 0.6 * MENU_CENTS / 100.0 \

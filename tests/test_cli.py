@@ -394,6 +394,22 @@ class TestAllocateStream:
         assert np.mean(late) <= 0.80 * 1.05
 
 
+    def test_window_whose_move_to_the_cheapest_action_overflows(self, tmp_path):
+        # The first row's move from action 1 to action 0 has lam = inf, so the
+        # first window looks infeasible though action 0 costs 0: the run
+        # decides every row and marks that refresh infeasible.
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"ts": 0, "q": [-1.5e308, 1.5e308]}, {"ts": 90, "q": [0.1, 0.5]})))
+        out, timeline = tmp_path / "dec.jsonl", tmp_path / "lam.csv"
+        with np.errstate(over="ignore"):
+            assert run("allocate", "--budget", "0.50", "--costs", "0,1", "--refresh-minutes",
+                       "1", "--stream", str(stream), "--out", str(out),
+                       "--lambda-timeline", str(timeline)) == 0
+        decisions = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [d["action_index"] for d in decisions] == [1, 1]
+        assert timeline.read_text().splitlines()[1:] == ["60.0,0.0,1,True"]
+
     # A list is the third row's Q values; a string is the whole third line, of the wrong shape.
     @pytest.mark.parametrize("bad_q", [
         [None, None, None], [0.5, "inf", 0.7], [0.5, 0.6],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budgetrl.allocator import AllocationProblem, _assign_choice, _Prices, assign
+from budgetrl.allocator import AllocationProblem, WindowStore, _Prices, assign
 from budgetrl.core import (
     ActionSet,
     HyperParams,
@@ -135,28 +135,29 @@ class TestActionSet:
     @given(menu=menus(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_row_assignment_rule_is_its_matrix_row(self, menu, data):
-        # The rule's 1-D case answers as the one-row matrix does: exact score
-        # ties, -inf (ineligible) entries and rows whose every score is negative
-        # (the cheapest fallback), at lam 0, at each lam where two actions'
-        # scores meet, and at a lam past every score.
-        value = st.sampled_from([-np.inf, -1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+        # An online decision (one admitted row, at the store's snapshot)
+        # answers as the batch rule does on that row: exact score ties, NaN
+        # (ineligible) entries and rows whose every score is negative (the
+        # cheapest fallback), at lam 0, at each lam where two actions' scores
+        # meet, and at a lam past every score.
+        value = st.sampled_from([np.nan, -1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
         drawn = data.draw(st.lists(value, min_size=menu.size, max_size=menu.size).filter(
-            lambda r: max(r) > -np.inf))
-        prices = _Prices(menu.all_cents, data.draw(st.integers(0, menu.all_cents[-1])))
+            lambda r: not all(map(math.isnan, r))))
+        budget = data.draw(st.integers(0, menu.all_cents[-1]))
+        prices = _Prices(menu.all_cents, budget)
         for row in (np.array(drawn), np.array(drawn) - 3.0):
             eligible = np.flatnonzero(np.isfinite(row))
-            cheapest = eligible[0]
             lams = [0.0, 1e6]
             for j, k in itertools.combinations(eligible.tolist(), 2):
                 if prices.shift[j] != prices.shift[k]:
                     meet = (row[j] - row[k]) / (prices.shift[j] - prices.shift[k])
                     lams += [float(meet)] if meet > 0.0 else []
+            store = WindowStore(menu.all_cents, budget)
+            problem = AllocationProblem(row[None], menu.all_cents, budget)
             for lam in lams:
-                one = _assign_choice(row, cheapest, prices, lam)
-                matrix = _assign_choice(row[None], [cheapest], prices, lam)
-                assert type(one[0]) is int and one[0] == matrix[0][0]
-                assert one[1].tobytes() == matrix[1][0].tobytes()
-                assert np.float64(one[2]).tobytes() == matrix[2][0].tobytes()
+                store.lambda_snapshot = lam
+                one = store.allocate_online(store.admit(row[None])[0], 0.0)
+                assert type(one) is int and one == assign(problem, lam).chosen[0]
 
     @pytest.mark.parametrize("amount", [math.inf, -math.inf, math.nan, 1e307])
     def test_cents_of_an_amount_that_is_not_finite_refused(self, amount):
