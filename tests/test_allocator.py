@@ -1121,9 +1121,10 @@ def assert_same_window(store, reference):
     assert q.tobytes() == ref_q.tobytes()
     assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
     assert store.infeasible_refreshes == reference.infeasible_refreshes
-    # The sorted breakpoints hold one position per live breakpoint, and the
-    # live rows' greedy costs, breakpoint counts and sorted (lam, drop) pairs
-    # are the reference's.
+    # The sorted breakpoints hold one position per live breakpoint. Positions
+    # number the compact layout row after row, each row's in walk order, so
+    # read by position they are the reference's compact entries: each
+    # position holds its own row's breakpoint, which eviction relies on.
     offsets = store._offsets[store._lo:store._hi + 1]
     lam, drop, at = store._breaks
     assert (np.diff(lam) >= 0).all()
@@ -1132,10 +1133,10 @@ def assert_same_window(store, reference):
         _, _, start, _, *tables = reference.window
         ref_lam, ref_drop, _, ref_offsets = ref.compact(*tables)
         assert np.array_equal(store._buffers[1][store._lo:store._hi], reference.cents[start])
-        assert np.array_equal(np.diff(offsets), np.diff(ref_offsets))
-        order, ref_order = np.lexsort((drop, lam)), np.lexsort((ref_drop, ref_lam))
-        assert lam[order].tobytes() == ref_lam[ref_order].tobytes()
-        assert drop[order].tobytes() == ref_drop[ref_order].tobytes()
+        assert np.array_equal(offsets - offsets[0], ref_offsets)
+        order = np.argsort(at)
+        assert lam[order].tobytes() == ref_lam.tobytes()
+        assert drop[order].tobytes() == ref_drop.tobytes()
 
 
 class TestKernelAgainstWholeWindowReference:
