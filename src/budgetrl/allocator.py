@@ -27,23 +27,35 @@ and each row's in walk order, and row i's are at ``offsets[i]:offsets[i +
 pointing back into the layout. The exact multiplier (``_exact_lambda``) is
 then a cumulative sum of the drops and one search, in integer cents.
 
-A batch solve (``solve_and_assign``) walks the rows once, sorts their
-breakpoints once, solves, applies the assignment rule to every row once at
-the lam found, and slack packing (``_packed``) upgrades rows from the rule's
-scores. ``solve_lambda``, ``assign`` and ``repair_feasibility`` compose the
-same kernels.
+A batch solve (``solve_and_assign``) walks the rows once, finds the
+multiplier by selection (``_problem_lambda``: the answer is a drop-weighted
+quantile of the breakpoints, so halving them by ``argpartition`` leaves a
+block's worth to sort, and no sort of every breakpoint is made), applies the
+assignment rule to every row once at the lam found, and slack packing
+(``_packed``) upgrades rows among the few tied (row, action) candidates the
+rule keeps while it scores its rows block by block. ``solve_lambda``,
+``assign`` and ``repair_feasibility`` compose the same kernels.
 
 The row-by-row passes run in parts (``_in_parts``): ``_row_cache`` and
 ``_assign_rows`` split their rows into consecutive slices, one per CPU the
 process may use (``os.sched_getaffinity``, or ``os.cpu_count`` where that
 does not exist; read on every call), each of at least ``_MIN_PART`` = 2
 ``_WALK_BLOCK`` rows, and each slice fills its own rows of preallocated
-outputs on a thread of its own. A matrix of fewer than 2 ``_MIN_PART`` rows,
-such as a small ``admit`` batch, runs in one part on the caller's thread.
-Each row's arithmetic is the same in any part, so the result does not depend
-on the CPUs. The passes whose order fixes their bits stay whole and serial:
-the breakpoint sort, ``_exact_lambda``'s cumulative sum and search,
-packing's ordering and greedy loop, and the objective's float sum.
+outputs on a thread of its own, in blocks of ``_WALK_BLOCK`` = 8192 rows.
+A matrix of fewer than 2 ``_MIN_PART`` rows, such as a small ``admit``
+batch, runs in one part on the caller's thread. Each row's arithmetic is
+the same in any part, so the result does not depend on the CPUs. The
+passes whose order fixes their bits stay whole and serial: the selection
+and sort of the breakpoints, ``_exact_lambda``'s cumulative sum and
+search, packing's ordering and greedy loop, and the objective's float sum.
+
+Why 8192 rows a block: each numpy call on a block holds the interpreter
+lock to start and end, and on a 4096 x 12 block a call takes only 16-29 us,
+so two parts spend more of their time on that and on call overhead; a much
+larger block's step arrays fall out of cache. On a 2-CPU KVM guest, the walk
+of 100 000 rows of 12 actions (median of 20) took 18.3-19.3 ms on 2 CPUs and
+28.6-29.2 ms on 1 at 8192 rows a block, against 19.3-22.6 and 27.8-29.5 ms
+at 4096 and 18.7-19.4 and 33.4-34.0 ms at 16384.
 
 ``WindowStore`` keeps what a refresh reads for a sliding window of recent
 rows, updated by what changed: each row's timestamp and greedy cost, and the
@@ -157,7 +169,7 @@ class _Prices:
         self.gap = np.where(self.no_move, 1.0, units[:, None] - units)
 
 
-_WALK_BLOCK = 4096  # rows per block of the envelope walk
+_WALK_BLOCK = 8192  # rows per block of the envelope walk and of the rule
 _MIN_PART = 2 * _WALK_BLOCK  # fewest rows a part of ``_in_parts`` takes
 
 
@@ -218,8 +230,11 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> _RowCache:
     Every pass here is row by row, so the rows run in parts (``_in_parts``:
     one per CPU that ``os.sched_getaffinity`` allows, of at least
     ``_MIN_PART`` rows each), and each part in blocks of ``_WALK_BLOCK`` rows,
-    so one step's arrays stay in cache: a block is masked into the part's
-    block buffer, its cheapest and greedy actions found, then walked. The
+    large enough that two parts' numpy calls seldom wait on each other for
+    the interpreter lock and small enough that one step's arrays stay in
+    cache (the module docstring gives the timings): a block is masked into
+    the part's block buffer, its cheapest and greedy actions found, then
+    walked. The
     per-row outputs are allocated once and each block fills only its own
     rows; each block's breakpoints are joined in row order once every part is
     done. No masked copy of the whole matrix is made.
@@ -244,9 +259,13 @@ def _row_cache(q: np.ndarray, prices: _Prices) -> _RowCache:
     _in_parts(part, n)
     offsets[0] = 0
     np.cumsum(offsets, out=offsets)
-    joined = (blocks[at] for at in sorted(blocks))
-    lam, drop, to = (np.concatenate(column) for column in zip(*joined))
-    return _RowCache(start, cheapest, lam, drop, to, offsets)
+    return _RowCache(start, cheapest, *_joined(blocks), offsets)
+
+
+def _joined(blocks: dict) -> tuple[np.ndarray, ...]:
+    """The blocks' arrays, column by column, each column joined in the order of
+    the blocks' first rows, by which ``blocks`` is keyed."""
+    return tuple(np.concatenate(column) for column in zip(*(blocks[at] for at in sorted(blocks))))
 
 
 def _walk(qm, cur, floor, counts, prices: _Prices) -> tuple[np.ndarray, ...]:
@@ -364,10 +383,37 @@ def _exact_lambda(excess: int, breaks) -> float:
 
 
 def _problem_lambda(problem: AllocationProblem, cache: _RowCache) -> float:
-    """``_exact_lambda`` over every row of ``problem``, its breakpoints sorted
-    once; 0 without sorting them when the greedy cost fits."""
+    """``_exact_lambda`` over every row of ``problem``; 0 when the greedy cost
+    fits.
+
+    The answer is the drop-weighted quantile of the breakpoints at the excess,
+    and depends only on the multiset of (lam, drop) and the excess, so it is
+    found by selection (Blum, Floyd, Pratt, Rivest & Tarjan, J. Comput. Syst.
+    Sci. 7(4), 1973) rather than by sorting every breakpoint: each round
+    splits the unsorted entries at their median lam (``argpartition``) and
+    keeps the half that holds the answer, the lower when its drops cover the
+    excess, and otherwise the upper, whose excess is then less the lower's
+    drops. Once at most ``_WALK_BLOCK`` entries are left they are sorted
+    (``_breakpoints``) and ``_exact_lambda`` finds the answer among them, or
+    raises InfeasibleProblemError when all the drops do not cover the
+    excess. On a 2-CPU KVM guest, a 100 000-row batch of 12 actions (about
+    185 000 breakpoints) took 2.5-2.7 ms here against 5.7-6.1 ms with the
+    sort of every breakpoint."""
     excess = int(problem._prices.cents.take(cache.start).sum()) - problem.n * problem.budget_cents
-    return _exact_lambda(excess, _breakpoints(cache.lam, cache.drop)) if excess > 0 else 0.0
+    if excess <= 0:
+        return 0.0
+    lam, drop = cache.lam, cache.drop
+    while lam.size > _WALK_BLOCK:
+        half = lam.size // 2
+        lower, upper = np.split(lam.argpartition(half), [half])
+        below = int(drop.take(lower).sum())
+        if below >= excess:
+            kept = lower
+        else:
+            excess -= below
+            kept = upper
+        lam, drop = lam.take(kept), drop.take(kept)
+    return _exact_lambda(excess, _breakpoints(lam, drop))
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
@@ -396,28 +442,50 @@ def _vertices(cache: _RowCache, lam: float, lo: int, hi: int) -> np.ndarray:
 
 
 def _assign_rows(q: np.ndarray, cache: _RowCache, prices: _Prices, lam: float,
-                 scores: np.ndarray | None = None):
+                 pack: bool = False):
     """The assignment rule at ``lam`` over the rows of ``q``, whose envelope
     walks are ``cache``: each row's dual choice v when its score
     q_v - lam (c_v - budget) is >= 0, else its cheapest eligible action.
-    Returns the choices, ``scores`` and each row's score of v; given
-    ``scores``, every score q_j - lam (c_j - budget) is written there (-inf
-    where ineligible), for slack packing. The rows run in parts
-    (``_in_parts``: one per CPU that ``os.sched_getaffinity`` allows, of at
-    least ``_MIN_PART`` rows each), each filling its rows of the outputs."""
+    Returns the choices, each row's score of v (its top) and, given ``pack``,
+    slack packing's candidates as arrays (rows, actions), row-major, else
+    None. A candidate is an action other than the row's choice whose score
+    q_j - lam (c_j - budget) is within 1e-9 (relative) of the top of a row
+    that takes its vertex (top >= 0); fallback rows have none.
+
+    The rows run in parts (``_in_parts``: one per CPU that
+    ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows each),
+    each filling its rows of the outputs, and each part in blocks of
+    ``_WALK_BLOCK`` rows. Given ``pack``, a block's scores go to a buffer of
+    the part's and only its candidates are kept, a few dozen in a 100 000-row
+    batch: no N x M score matrix or mask is made."""
     step = lam * prices.shift
-    choice = np.empty(len(q), dtype=np.intp)
-    top = np.empty(len(q))
+    n, m = q.shape
+    choice = np.empty(n, dtype=np.intp)
+    top = np.empty(n)
+    found = {}  # each block's candidates (rows, actions), by its first row
 
     def part(lo: int, hi: int) -> None:
-        v = _vertices(cache, lam, lo, hi)
-        np.subtract(q[lo:hi][np.arange(hi - lo), v], step.take(v), out=top[lo:hi])
-        choice[lo:hi] = np.where(top[lo:hi] >= 0.0, v, cache.cheapest[lo:hi])
-        if scores is not None:
-            np.subtract(np.fmax(q[lo:hi], -np.inf, out=scores[lo:hi]), step, out=scores[lo:hi])
+        if pack:
+            scores = np.empty((min(_WALK_BLOCK, hi - lo), m))
+            tied = np.empty(scores.shape, dtype=bool)
+        for at in range(lo, hi, _WALK_BLOCK):
+            end = min(at + _WALK_BLOCK, hi)
+            v = _vertices(cache, lam, at, end)
+            t = np.subtract(q[at:end][np.arange(end - at), v], step.take(v), out=top[at:end])
+            c = choice[at:end]
+            c[:] = np.where(t >= 0.0, v, cache.cheapest[at:end])
+            if pack:
+                score = np.fmax(q[at:end], -np.inf, out=scores[:end - at])  # NaN at -inf
+                np.subtract(score, step, out=score)
+                floor = np.where(t >= 0.0, t - 1e-9 * np.maximum(1.0, np.abs(t)), np.inf)
+                near = np.greater_equal(score, floor[:, None], out=tied[:end - at])
+                near[np.arange(end - at), c] = False
+                i, j = np.divmod(np.flatnonzero(near), m)
+                i += at
+                found[at] = i, j
 
-    _in_parts(part, len(q))
-    return choice, scores, top
+    _in_parts(part, n)
+    return choice, top, _joined(found) if pack else None
 
 
 def _assignment(problem: AllocationProblem, chosen: np.ndarray, lam: float,
@@ -439,26 +507,24 @@ def assign(problem: AllocationProblem, lam: float) -> Assignment:
 def _packed(problem: AllocationProblem, cache: _RowCache, lam: float) -> Assignment:
     """The Assignment of the assignment rule's choices at ``lam`` over the rows
     of ``problem``, whose envelope walks are ``cache``, after spending
-    leftover budget on tied rows, read from the rule's scores.
+    leftover budget on tied rows, read from the candidates the rule keeps
+    (``_assign_rows`` with ``pack``).
 
     At a breakpoint several actions share a row's best assignment score; the
     cheapest-tie rule leaves slack that upgrading some of those rows to a
     dearer tied action hands back (the one-fractional-customer rounding of
     the relaxation). Greedy, deterministic, and never lowers the objective.
+    A (row, action) pair is one candidate, so the order in which the rule's
+    parts return them cannot change the upgrades: the sort below fixes it.
     """
-    chosen, scores, top = _assign_rows(problem.q, cache, problem._prices, lam,
-                                       np.empty(problem.q.shape))
+    chosen, _, (rows, actions) = _assign_rows(problem.q, cache, problem._prices, lam,
+                                              pack=True)
     budget_total = problem.n * problem.budget_cents
     cents = problem._prices.cents
     total = int(cents[chosen].sum())
     if total <= budget_total:
-        # Candidates score within 1e-9 (relative) of their row's top. Fallback
-        # rows (top < 0) have no assignment-rule candidates to swap among, and
-        # a row's current action gains nothing.
-        floor = np.where(top >= 0.0, top - 1e-9 * np.maximum(1.0, np.abs(top)), np.inf)
-        near = scores >= floor[:, None]
-        near[np.arange(chosen.size), chosen] = False
-        rows, actions = np.divmod(np.flatnonzero(near), near.shape[1])
+        # A row's current action gains nothing; an upgrade must cost more and
+        # be worth more.
         cur = chosen[rows]
         extra = cents[actions] - cents[cur]
         gain = problem.q[rows, actions] - problem.q[rows, cur]
@@ -522,20 +588,24 @@ def repair_feasibility(problem: AllocationProblem, assignment: Assignment) -> As
 def solve_and_assign(problem: AllocationProblem) -> Assignment:
     """The exact multiplier (``solve_lambda``), the assignment rule there (which
     fits the budget) and slack packing, in one pass: the rows are masked and
-    walked once, their breakpoints sorted once, the rule runs over every row
-    once at the returned lam, and packing upgrades rows from its scores.
+    walked once, lam is selected from their breakpoints once, the rule runs
+    over every row once at the returned lam, and packing upgrades rows among
+    the candidates it keeps.
     Equal, field by field, to ``_packed`` at ``solve_lambda(problem)``.
     Raises InfeasibleProblemError when even the cheapest eligible assignment
     is over budget.
 
     The walk and the rule run in parts (``_in_parts``), one per CPU that
-    ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows; the
-    sort, the search, packing and the objective's sum run whole and serial,
-    since their order fixes their bits.
+    ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows, each in
+    blocks of ``_WALK_BLOCK`` rows; the selection of lam, packing and the
+    objective's sum run whole and serial, since their order fixes their bits.
     Memory: the walk masks the rows block by block and keeps only the
-    breakpoints it finds (a row has at most M - 1), the sorted breakpoints go
-    before the rule runs, and the solve's largest array is the rule's N x M
-    scores, which packing reads.
+    breakpoints it finds (a row has at most M - 1); the selection copies at
+    most half of them at a time; the rule scores its rows block by block
+    into a buffer of each part's and keeps only packing's candidates. No
+    array the size of the value matrix is made: on a 100 000 x 12 batch the
+    solve's traced peak is about 1.05 times the value matrix: the row cache,
+    each part's block buffers and the per-row outputs.
     """
     cache = _row_cache(problem.q, problem._prices)
     return _packed(problem, cache, _problem_lambda(problem, cache))

@@ -17,11 +17,13 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _Prices,
+    _RowCache,
     _assign_rows,
     _breakpoints,
     _exact_lambda,
     _in_parts,
     _packed,
+    _problem_lambda,
     _row_cache,
     _vertices,
     assign,
@@ -1440,10 +1442,85 @@ class TestAdmissionAgainstRowStore:
 
 
 # ---------------------------------------------------------------------------
+# The batch multiplier by selection: the same bits as the sort of every
+# breakpoint, or the same error.
+
+
+def selected_lambda(excess, lam, drop):
+    """``_problem_lambda`` over the compact entries ``lam`` and ``drop`` of rows
+    whose greedy cost is ``excess`` cents over the budget: one row at its
+    1-cent greedy action, under a budget of 1 - excess cents."""
+    problem = AllocationProblem(np.array([[0.0, 1.0]]), (0, 1), 1 - excess)
+    cache = _RowCache(start=np.ones(1, dtype=np.intp), cheapest=np.zeros(1, dtype=np.intp),
+                      lam=lam, drop=drop, to=np.zeros(lam.size, dtype=np.uint8),
+                      offsets=np.array([0, lam.size]))
+    return _problem_lambda(problem, cache)
+
+
+class TestLambdaBySelection:
+    @pytest.mark.parametrize("grid", [None, 4, 1])
+    def test_equals_the_sort_of_every_breakpoint(self, grid):
+        # grid: lams on a coarse grid (4 values, or 1), so equal lams sit on
+        # both sides of every halving split; sizes below, at and above the
+        # count at which selection stops and sorts
+        rng = np.random.default_rng(61 + (grid or 0))
+        block = allocator._WALK_BLOCK
+        for size in (1, 7, block - 1, block, block + 1, 2 * block + 3, 5 * block + 11):
+            if grid is None:
+                lam = rng.random(size) * 3.0
+            else:
+                lam = rng.integers(0, grid, size) / 4.0
+            drop = rng.integers(1, 120, size).astype(np.int64)
+            total = int(drop.sum())
+            sorted_lam, sorted_drop, _ = _breakpoints(lam, drop)
+            # every cumulative-drop boundary of a tie group, and one past it
+            ends = np.cumsum(sorted_drop)[np.append(sorted_lam[1:] != sorted_lam[:-1], True)]
+            excesses = {-5, 0, 1, total - 1, total, total + 1,
+                        *rng.integers(1, total + 1, 20).tolist(),
+                        *ends[:: max(1, ends.size // 16)].tolist(),
+                        *(ends[:: max(1, ends.size // 16)] + 1).tolist()}
+            lam_before, drop_before = lam.copy(), drop.copy()
+            for excess in sorted(excesses):
+                if excess <= 0:
+                    assert selected_lambda(excess, lam, drop) == 0.0
+                    continue
+                try:
+                    expected = _exact_lambda(excess, _breakpoints(lam, drop))
+                except InfeasibleProblemError:
+                    assert excess > total
+                    with pytest.raises(InfeasibleProblemError):
+                        selected_lambda(excess, lam, drop)
+                else:
+                    result = selected_lambda(excess, lam, drop)
+                    assert type(result) is float and bits(result) == bits(expected)
+            assert lam.tobytes() == lam_before.tobytes() and drop.tobytes() == drop_before.tobytes()
+
+    def test_batch_multiplier_equals_the_sort_of_every_breakpoint(self):
+        # a matrix of more than a block of breakpoints, at budgets that bind,
+        # leave slack and that no assignment meets
+        q = tie_heavy_q(3 * allocator._WALK_BLOCK, 62)
+        for budget in (-10, 66, 70, 87, 120, 200):
+            p = AllocationProblem(q, MENU_CENTS.tolist(), budget)
+            cache = _row_cache(q, p._prices)
+            assert cache.lam.size > allocator._WALK_BLOCK
+            excess = int(p._prices.cents[cache.start].sum()) - p.n * budget
+            try:
+                expected = _exact_lambda(excess, _breakpoints(cache.lam, cache.drop))
+            except InfeasibleProblemError:
+                with pytest.raises(InfeasibleProblemError):
+                    _problem_lambda(p, cache)
+            else:
+                assert bits(_problem_lambda(p, cache)) == bits(expected)
+
+
+# ---------------------------------------------------------------------------
 # Rows in parts: the row-by-row kernels give the same bits however many CPUs
 # split them, and a part's error and the caller's numpy settings cross threads.
 
-PART_SIZES = (16383, 16384, 16385, 40000)  # one part below 2 * _MIN_PART rows, more from it
+# one part below 2 * _MIN_PART rows, more from it; the largest splits into 3
+# parts whose edges fall inside walk blocks
+PART_SIZES = (2 * allocator._MIN_PART - 1, 2 * allocator._MIN_PART,
+              2 * allocator._MIN_PART + 1, 3 * allocator._MIN_PART + allocator._WALK_BLOCK // 3)
 
 
 def pin_cpus(monkeypatch, k):
@@ -1462,6 +1539,12 @@ def tie_heavy_q(n, seed):
 
 def same_arrays(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def rule_arrays(q, cache, prices, lam):
+    """The assignment rule's choices, tops and packing candidates (rows, actions)."""
+    choice, top, (rows, actions) = _assign_rows(q, cache, prices, lam, pack=True)
+    return choice, top, rows, actions
 
 
 class TestRowsInParts:
@@ -1503,13 +1586,12 @@ class TestRowsInParts:
                 q = tie_heavy_q(n, n)
                 pin_cpus(monkeypatch, 1)
                 cache = _row_cache(q, prices)
-                rules = [_assign_rows(q, cache, prices, lam, np.empty(q.shape))
-                         for lam in (0.0, 0.5, 2.5)]
+                rules = [rule_arrays(q, cache, prices, lam) for lam in (0.0, 0.5, 2.5)]
+                assert rules[1][2].size  # tied rows leave packing candidates
                 pin_cpus(monkeypatch, cpus)
                 assert same_arrays(_row_cache(q, prices), cache)
                 for lam, rule in zip((0.0, 0.5, 2.5), rules):
-                    assert same_arrays(_assign_rows(q, cache, prices, lam, np.empty(q.shape)),
-                                       rule)
+                    assert same_arrays(rule_arrays(q, cache, prices, lam), rule)
         finally:
             sys.setswitchinterval(interval)
 
@@ -1524,6 +1606,30 @@ class TestRowsInParts:
             assert bits(result.lam) == bits(expected.lam) and result.lam > 0.0
             assert bits(result.objective) == bits(expected.objective)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_packing_across_block_and_part_edges(self, monkeypatch, cpus):
+        # five tie-heavy rows repeated in turn: at a binding lam the copies of
+        # the tied rows are packing candidates on both sides of every block
+        # edge and every part edge
+        pin_cpus(monkeypatch, cpus)
+        n, block = PART_SIZES[-1], allocator._WALK_BLOCK
+        q = tie_heavy_q(5, 63)[np.arange(n) % 5]
+        bounds = [n * i // cpus for i in range(cpus + 1)]
+        edges = [at for lo, hi in zip(bounds, bounds[1:]) for at in range(lo, hi, block)][1:]
+        upgraded = 0
+        for budget in (70, 87, 120):
+            p = AllocationProblem(q, MENU_CENTS.tolist(), budget)
+            result, expected = solve_and_assign(p), reference_solve_and_assign(p)
+            assert result.chosen == expected.chosen
+            assert result.total_cost_cents == expected.total_cost_cents
+            assert bits(result.lam) == bits(expected.lam) and result.lam > 0.0
+            assert bits(result.objective) == bits(expected.objective)
+            rows = _assign_rows(q, _row_cache(q, p._prices), p._prices, result.lam, pack=True)[2][0]
+            near = np.isin(np.arange(n), rows)
+            assert all(near[at - 5:at].any() and near[at:at + 5].any() for at in edges)
+            upgraded += result.chosen != assign(p, result.lam).chosen
+        assert upgraded
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_first_error_propagates_after_every_part_ends(self, monkeypatch, cpus):
         pin_cpus(monkeypatch, cpus)
@@ -1537,31 +1643,37 @@ class TestRowsInParts:
                     raise ValueError(f"part at {lo}")
             return part
 
+        n = PART_SIZES[-1]  # at least 3 parts' worth of rows
         with pytest.raises(ValueError, match="^part at 0$"):
-            _in_parts(fail_from(0), 40000)
+            _in_parts(fail_from(0), n)
         assert len(ended) == cpus
         ended.clear()
-        with pytest.raises(ValueError, match=f"^part at {40000 // cpus}$"):
-            _in_parts(fail_from(1), 40000)
+        with pytest.raises(ValueError, match=f"^part at {n // cpus}$"):
+            _in_parts(fail_from(1), n)
         assert len(ended) == cpus
         assert threading.active_count() == threads
 
     def test_breakpoints_are_the_compact_layout_of_every_part(self, monkeypatch):
         # each part's blocks are joined in row order: the offsets cover every
         # row, and each row's entries are its own walk's
-        q = tie_heavy_q(40000, 5)
+        n = PART_SIZES[-1]
+        q = tie_heavy_q(n, 5)
         prices = _Prices(MENU_CENTS.tolist(), 87)
         pin_cpus(monkeypatch, 3)
         cache = _row_cache(q, prices)
         offsets = cache.offsets
-        assert offsets.size == 40001 and offsets[0] == 0 and offsets[-1] == cache.lam.size
-        for i in (0, 4095, 4096, 13332, 13333, 13334, 26666, 26667, 39999):
+        assert offsets.size == n + 1 and offsets[0] == 0 and offsets[-1] == cache.lam.size
+        block = allocator._WALK_BLOCK
+        # the rows on both sides of each part's first block edge and of each part edge
+        edges = [at for lo in (0, n // 3, 2 * n // 3) for at in (lo, lo + block)]
+        for i in sorted({0, n - 1, *(at + d for at in edges[1:] for d in (-1, 0, 1))}):
             row = _row_cache(q[i:i + 1], prices)
             assert same_arrays([a[offsets[i]:offsets[i + 1]] for a in cache[2:5]], row[2:5])
 
     def test_caller_error_settings_reach_the_parts(self, monkeypatch):
         rng = np.random.default_rng(3)
-        q = rng.random((20000, MENU_CENTS.size)) + DEFAULT_UNITS
+        n = 2 * allocator._MIN_PART + allocator._WALK_BLOCK // 2  # two parts on 2 CPUs
+        q = rng.random((n, MENU_CENTS.size)) + DEFAULT_UNITS
         q[rng.random(q.shape) < 0.02] = 1.5e308
         q[rng.random(q.shape) < 0.02] = -1.5e308
         p = AllocationProblem(q, MENU_CENTS.tolist(), 87)
@@ -1581,17 +1693,15 @@ class TestRowsInParts:
 
 
 # ---------------------------------------------------------------------------
-# Memory: the batch solve makes no temporary the size of the value matrix
-# beyond the rule's scores.
+# Memory: the batch solve makes no temporary the size of the value matrix.
 
 
 class TestSolveMemory:
     def test_traced_peak_of_a_40000_row_solve(self, monkeypatch):
-        # The walk masks rows block by block, so no masked copy of the matrix
-        # is made; the peak is the rule's scores (8 bytes per entry) beside the
-        # row cache. The solve that kept inf-padded breakpoint tables and a
-        # separate score matrix peaked at 4.3 times the value matrix, and the
-        # one that kept a masked copy at about 2.8 times it.
+        # The walk masks rows and the rule scores them block by block, and
+        # packing keeps only its candidates, so no masked copy or score matrix
+        # is made: the peak, about 1.9 times the value matrix, is the row cache
+        # (0.7 times) beside each part's block buffers and the per-row outputs.
         pin_cpus(monkeypatch, 2)
         rng = np.random.default_rng(53)
         q = rng.random((40000, 1)) + 0.6 * MENU_CENTS / 100.0 \
