@@ -523,8 +523,6 @@ def _packed(problem: AllocationProblem, cache: _RowCache, lam: float) -> Assignm
     cents = problem._prices.cents
     total = int(cents[chosen].sum())
     if total <= budget_total:
-        # A row's current action gains nothing; an upgrade must cost more and
-        # be worth more.
         cur = chosen[rows]
         extra = cents[actions] - cents[cur]
         gain = problem.q[rows, actions] - problem.q[rows, cur]
@@ -598,7 +596,8 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
     The walk and the rule run in parts (``_in_parts``), one per CPU that
     ``os.sched_getaffinity`` allows, of at least ``_MIN_PART`` rows, each in
     blocks of ``_WALK_BLOCK`` rows; the selection of lam, packing and the
-    objective's sum run whole and serial, since their order fixes their bits.
+    objective's sum run whole and serial, the last two because their order
+    fixes their bits.
     Memory: the walk masks the rows block by block and keeps only the
     breakpoints it finds (a row has at most M - 1); the selection copies at
     most half of them at a time; the rule scores its rows block by block
