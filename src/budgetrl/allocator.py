@@ -23,14 +23,13 @@ definition of a row's choice at lam:
 The walk keeps only the breakpoints it finds, in one compact row-major
 layout: arrays ``lam``, ``drop`` and ``to`` hold every row's, row after row
 and each row's in walk order, and row i's are at ``offsets[i]:offsets[i +
-1]``. ``_breakpoints`` sorts them as (lam, drop, position), a position
-pointing back into the layout. The exact multiplier (``_exact_lambda``) is
-then a cumulative sum of the drops and one search, in integer cents.
+1]``. The exact multiplier (``_exact_lambda``) is the one lam kernel of
+the batch and the window: a drop-weighted quantile of the breakpoints in any
+order, found by halving them with ``argpartition`` down to a block's worth,
+then a sort, a cumulative sum of the drops and one search, in integer cents.
 
 A batch solve (``solve_and_assign``) walks the rows once, finds the
-multiplier by selection (``_problem_lambda``: the answer is a drop-weighted
-quantile of the breakpoints, so halving them by ``argpartition`` leaves a
-block's worth to sort, and no sort of every breakpoint is made), applies the
+multiplier from every row's breakpoints (``_problem_lambda``), applies the
 assignment rule to every row once at the lam found, and slack packing
 (``_packed``) upgrades rows among the few tied (row, action) candidates the
 rule keeps while it scores its rows block by block. ``solve_lambda``,
@@ -58,14 +57,14 @@ of 100 000 rows of 12 actions (median of 20) took 18.3-19.3 ms on 2 CPUs and
 at 4096 and 18.7-19.4 and 33.4-34.0 ms at 16384.
 
 ``WindowStore`` keeps what a refresh reads for a sliding window of recent
-rows, updated by what changed: each row's timestamp and greedy cost, and the
-window's breakpoints sorted, with positions that the rows' offsets map back
-to rows. Rows join it in batches: ``admit`` checks a matrix of Q rows once
-and walks their envelopes in one call, and ``allocate_online`` decides one
+rows, in append-only buffers: each row's timestamp and greedy cost, and the
+rows' breakpoints in the compact layout, so the live ones are one contiguous
+slice. Rows join it in batches: ``admit`` checks a matrix of Q rows once and
+walks their envelopes in one call, and ``allocate_online`` decides one
 admitted row by counting its breakpoints <= lam, and queues it. A refresh
-merges the queued rows' breakpoints into the sorted ones by ``searchsorted``
-and drops evicted rows' by the mask ``position >= first live position``, so
-it neither checks, masks nor walks a row again, and neither sorts nor
+copies the queued rows' slices of the layout to the buffers' end, evicts by
+moving the first live row, and runs ``_exact_lambda`` on the live slice, so
+it neither checks, masks nor walks a row again, and neither merges nor
 concatenates the window.
 
 Value matrices are float arrays with NaN marking actions a customer is not
@@ -329,80 +328,37 @@ def _walk(qm, cur, floor, counts, prices: _Prices) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _breakpoints(lam: np.ndarray, drop: np.ndarray,
-                 first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compact breakpoint entries ``lam`` and ``drop`` (``_row_cache``)
-    sorted by lam, as arrays (lam, drop, position), entry j being at
-    ``first + j`` of the layout they were cut from; its row follows from the
-    offsets."""
-    order = lam.argsort()
-    lam, drop = lam[order], drop.take(order)
-    order += first
-    return lam, drop, order
-
-
-def _merged(breaks, added):
-    """The sorted breakpoint arrays ``breaks`` with the sorted ``added`` merged
-    in, each at its ``searchsorted`` position."""
-    at = breaks[0].searchsorted(added[0])
-    at += np.arange(at.size)
-    kept = np.ones(breaks[0].size + at.size, dtype=bool)
-    kept[at] = False
-    merged = []
-    for a, b in zip(breaks, added):
-        c = np.empty(kept.size, dtype=a.dtype)
-        c[at] = b
-        c[kept] = a
-        merged.append(c)
-    return tuple(merged)
-
-
-def _exact_lambda(excess: int, breaks) -> float:
+def _exact_lambda(excess: int, lam: np.ndarray, drop: np.ndarray) -> float:
     """Smallest lam >= 0 at which rows whose greedy cost exceeds a total by
-    ``excess`` cents cost at most that total under the dual choice;
-    ``breaks`` are the rows' breakpoints sorted (``_breakpoints``).
+    ``excess`` cents cost at most that total under the dual choice; ``lam``
+    and ``drop`` are the rows' breakpoints in any order, such as the compact
+    layout's.
 
     A row's dual cost at lam is its greedy cost less the drops of its
     breakpoints <= lam, so the rows' dual cost is the greedy total less the
-    drops of every sorted breakpoint <= lam. It falls only at a breakpoint:
-    the answer is 0 when the excess is not positive, and otherwise the
-    breakpoint where the cumulative drop first covers the excess. Every drop
-    is positive, so the order among equal lams cannot move it, and drops are
+    drops of every breakpoint <= lam. It falls only at a breakpoint: the
+    answer is 0 when the excess is not positive, and otherwise the
+    drop-weighted quantile of the breakpoints at the excess, the one where
+    the cumulative drop in lam order first covers it. Every drop is
+    positive, so the order among equal lams cannot move it, and drops are
     integer cents, so the verdict is exact. Row by row the assignment rule
-    costs no more than the dual choice, so it fits there too. Raises
-    InfeasibleProblemError when all the drops together do not cover the excess.
+    costs no more than the dual choice, so it fits there too.
+
+    The answer depends only on the multiset of (lam, drop) and the excess,
+    so it is found by selection (Blum, Floyd, Pratt, Rivest & Tarjan, J.
+    Comput. Syst. Sci. 7(4), 1973) rather than by sorting every breakpoint:
+    each round splits the entries at their median lam (``argpartition``) and
+    keeps the half that holds the answer, the lower when its drops cover the
+    excess, and otherwise the upper, whose excess is then less the lower's
+    drops. Once at most ``_WALK_BLOCK`` entries are left they are sorted and
+    the cumulative sum of their drops searched. On a 2-CPU KVM guest, a
+    100 000-row batch of 12 actions (about 185 000 breakpoints) took
+    2.5-2.7 ms against 5.7-6.1 ms with the sort of every breakpoint. Raises
+    InfeasibleProblemError when all the drops together do not cover the
+    excess.
     """
     if excess <= 0:
         return 0.0
-    lam_at, drop_at = breaks[:2]
-    k = int(drop_at.cumsum().searchsorted(excess))
-    if k == drop_at.size:
-        raise InfeasibleProblemError(
-            "budget below the cheapest eligible assignment; no multiplier can satisfy it")
-    return float(lam_at[k])
-
-
-def _problem_lambda(problem: AllocationProblem, cache: _RowCache) -> float:
-    """``_exact_lambda`` over every row of ``problem``; 0 when the greedy cost
-    fits.
-
-    The answer is the drop-weighted quantile of the breakpoints at the excess,
-    and depends only on the multiset of (lam, drop) and the excess, so it is
-    found by selection (Blum, Floyd, Pratt, Rivest & Tarjan, J. Comput. Syst.
-    Sci. 7(4), 1973) rather than by sorting every breakpoint: each round
-    splits the unsorted entries at their median lam (``argpartition``) and
-    keeps the half that holds the answer, the lower when its drops cover the
-    excess, and otherwise the upper, whose excess is then less the lower's
-    drops. Once at most ``_WALK_BLOCK`` entries are left they are sorted
-    (``_breakpoints``) and ``_exact_lambda`` finds the answer among them, or
-    raises InfeasibleProblemError when all the drops do not cover the
-    excess. On a 2-CPU KVM guest, a 100 000-row batch of 12 actions (about
-    185 000 breakpoints) took 2.5-2.7 ms here against 5.7-6.1 ms with the
-    sort of every breakpoint."""
-    excess = int(problem._prices.cents.take(cache.start).sum()) - problem.n * problem.budget_cents
-    if excess <= 0:
-        return 0.0
-    lam, drop = cache.lam, cache.drop
     while lam.size > _WALK_BLOCK:
         half = lam.size // 2
         lower, upper = np.split(lam.argpartition(half), [half])
@@ -413,7 +369,19 @@ def _problem_lambda(problem: AllocationProblem, cache: _RowCache) -> float:
             excess -= below
             kept = upper
         lam, drop = lam.take(kept), drop.take(kept)
-    return _exact_lambda(excess, _breakpoints(lam, drop))
+    order = lam.argsort()
+    k = int(drop.take(order).cumsum().searchsorted(excess))
+    if k == order.size:
+        raise InfeasibleProblemError(
+            "budget below the cheapest eligible assignment; no multiplier can satisfy it")
+    return float(lam[order[k]])
+
+
+def _problem_lambda(problem: AllocationProblem, cache: _RowCache) -> float:
+    """``_exact_lambda`` over every row of ``problem``; 0 when the greedy cost
+    fits."""
+    excess = int(problem._prices.cents.take(cache.start).sum()) - problem.n * problem.budget_cents
+    return _exact_lambda(excess, cache.lam, cache.drop)
 
 
 def solve_lambda(problem: AllocationProblem) -> float:
@@ -637,17 +605,17 @@ class WindowStore:
     envelope, and queues it as (now, batch, index). The snapshot is published
     atomically; readers never block on a refresh, queueing decisions do.
 
-    A store keeps only what a refresh reads. A refresh first flushes the
-    queue: it writes the queued rows' timestamps and greedy costs to the end
-    of append-only row buffers, where the live rows are ``[_lo, _hi)``, and
-    merges their breakpoints into the window's sorted ones (``_breakpoints``)
-    by ``searchsorted``. A breakpoint's position counts the breakpoints
-    flushed before it since the store was made, and buffer row i's are at
-    positions ``_offsets[i]:_offsets[i + 1]``. Eviction only moves ``_lo``
-    and drops the sorted breakpoints before ``_offsets[_lo]``; once the dead
-    prefix of the rows passes half the capacity, the next flush moves the
-    live rows to the front. The solve (``_exact_lambda``) is then a
-    cumulative sum and a search over the sorted breakpoints.
+    A store keeps only what a refresh reads, in append-only buffers: per
+    row, its timestamp and greedy cost, and per breakpoint, the compact
+    layout's ``lam`` and ``drop``. The live rows are ``[_lo, _hi)`` and buffer
+    row i's breakpoints are at ``_offsets[i]:_offsets[i + 1]``, so the live
+    breakpoints are one contiguous slice. A refresh first flushes the queue:
+    it copies each queued run's slice of its batch's compact layout to the
+    end of the buffers, with no sort and no merge. Eviction only moves
+    ``_lo``; once the dead prefix of the rows passes half their capacity, or
+    either buffer is short, the next flush moves the live rows and their
+    breakpoints to the front together. The solve (``_exact_lambda``) then
+    reads the live slice.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -670,9 +638,9 @@ class WindowStore:
         # (now, batch, index) per row decided since the last refresh
         self._pending: list[tuple[float, _Batch, int]] = []
         self._buffers = (np.empty(0), np.empty(0, dtype=np.int64))  # ts, greedy cost
+        self._entries = (np.empty(0), np.empty(0, dtype=np.int64))  # lam, drop
         self._offsets = np.zeros(1, dtype=np.intp)
         self._lo = self._hi = 0
-        self._breaks = _breakpoints(np.empty(0), np.empty(0, dtype=np.int64))
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -686,43 +654,48 @@ class WindowStore:
         batch = _Batch(self._prices, q, _row_cache(q, self._prices))
         return list(zip(itertools.repeat(batch), range(len(q))))
 
-    def _make_room(self, rows: int) -> None:
-        """Room at the end of the row buffers for ``rows`` more rows. When it is
-        short, or the dead prefix passes half the capacity, the live rows move
-        to the front of buffers of at least twice what they and the new rows
-        need."""
-        live, capacity, lo = self._hi - self._lo, len(self._buffers[0]), self._lo
-        if lo > capacity // 2 or self._hi + rows > capacity:
-            capacity = max(capacity, 2 * (live + rows))
-            self._buffers = tuple(_moved_to_front(a[lo:self._hi], capacity)
-                                  for a in self._buffers)
-            self._offsets = _moved_to_front(self._offsets[lo:self._hi + 1], capacity + 1)
-            self._lo, self._hi = 0, live
+    def _make_room(self, rows: int, entries: int) -> None:
+        """Room at the end of the row buffers for ``rows`` more rows and at the
+        end of the entry buffers for ``entries`` more breakpoints. When either
+        is short, or the rows' dead prefix passes half their capacity, the live
+        rows and their breakpoints move to the front of buffers of at least
+        twice what they and the new ones need, and the offsets are rebased."""
+        lo, hi = self._lo, self._hi
+        first, end = int(self._offsets[lo]), int(self._offsets[hi])
+        capacity, entry_capacity = len(self._buffers[0]), len(self._entries[0])
+        if lo > capacity // 2 or hi + rows > capacity or end + entries > entry_capacity:
+            capacity = max(capacity, 2 * (hi - lo + rows))
+            entry_capacity = max(entry_capacity, 2 * (end - first + entries))
+            self._buffers = tuple(_moved_to_front(a[lo:hi], capacity) for a in self._buffers)
+            self._entries = tuple(_moved_to_front(a[first:end], entry_capacity)
+                                  for a in self._entries)
+            self._offsets = _moved_to_front(self._offsets[lo:hi + 1] - first, capacity + 1)
+            self._lo, self._hi = 0, hi - lo
 
     def _flush(self) -> None:
-        """Write the queued rows' timestamps and greedy costs to the end of the
-        row buffers, making room first if needed, and merge their breakpoints
-        into the sorted ones."""
-        self._make_room(len(self._pending))
-        row = self._hi
-        start = entry = int(self._offsets[row])
-        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
-        added = []
+        """Copy the queued rows' timestamps, greedy costs and breakpoints to the
+        end of the buffers, making room first if needed."""
         # Rows queued one after another from one batch, at consecutive indexes
         # (decisions in arrival order), are copied as one slice per array.
+        runs = []
         for (batch, _), run in itertools.groupby(
                 enumerate(self._pending), key=lambda item: (item[1][1], item[1][2] - item[0])):
             lo = next(run)[1][2]
-            hi = lo + 1 + sum(1 for _ in run)
-            cache, new_row = batch.cache, row + hi - lo
+            runs.append((batch.cache, lo, lo + 1 + sum(1 for _ in run)))
+        self._make_room(len(self._pending),
+                        sum(int(cache.offsets[hi] - cache.offsets[lo]) for cache, lo, hi in runs))
+        row = self._hi
+        entry = int(self._offsets[row])
+        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
+        for cache, lo, hi in runs:
             first, end = int(cache.offsets[lo]), int(cache.offsets[hi])
+            new_row, new_entry = row + hi - lo, entry + end - first
             self._prices.cents.take(cache.start[lo:hi], out=self._buffers[1][row:new_row])
             np.add(cache.offsets[lo + 1:hi + 1], entry - first,
                    out=self._offsets[row + 1:new_row + 1])
-            added.append((cache.lam[first:end], cache.drop[first:end]))
-            row, entry = new_row, entry + end - first
-        self._breaks = _merged(self._breaks, _breakpoints(
-            *(np.concatenate(column) for column in zip(*added)), first=start))
+            for buffer, column in zip(self._entries, (cache.lam, cache.drop)):
+                buffer[entry:new_entry] = column[first:end]
+            row, entry = new_row, new_entry
         self._hi = row
         self._pending = []
 
@@ -742,28 +715,32 @@ class WindowStore:
             expired = ts <= now - self.window_span
             everyone = np.count_nonzero(expired) == expired.size
             evicted = expired.size if everyone else int(expired.argmin())
-            if evicted:
-                self._lo += evicted
-                keep = self._breaks[2] >= self._offsets[self._lo]
-                self._breaks = tuple(a[keep] for a in self._breaks)
+            self._lo += evicted
             if self._hi > self._lo:
                 excess = (int(self._buffers[1][self._lo:self._hi].sum())
                           - (self._hi - self._lo) * self.budget_cents)
+                lam, drop = (a[self._offsets[self._lo]:self._offsets[self._hi]]
+                             for a in self._entries)
                 try:
-                    self.lambda_snapshot = _exact_lambda(excess, self._breaks)
+                    self.lambda_snapshot = _exact_lambda(excess, lam, drop)
                 except InfeasibleProblemError:
                     self.infeasible_refreshes += 1
-                    lam_at = self._breaks[0]
-                    self.lambda_snapshot = float(lam_at[-1]) if lam_at.size else 0.0
+                    self.lambda_snapshot = float(lam.max()) if lam.size else 0.0
             return self.lambda_snapshot
 
     def advance(self, now: float) -> None:
         """Fire every refresh tick due by ``now``, oldest first, recording each in
         ``timeline``. Ticks fall every ``refresh_period`` after the first call's
-        ``now``; an entry's ``infeasible`` says whether its refresh was."""
+        ``now``; an entry's ``infeasible`` says whether its refresh was. A tick
+        that adding the period does not move (a ts so large that the period
+        is lost in rounding) is a ValueError, raised before its refresh."""
         if self._next_tick is None:
             self._next_tick = now + self.refresh_period
         while self._next_tick <= now:
+            if not self._next_tick + self.refresh_period > self._next_tick:
+                raise ValueError(f"refresh ticks cannot advance past ts {self._next_tick!r}: "
+                                 f"adding the refresh period {self.refresh_period!r} "
+                                 f"rounds back to it")
             infeasible = self.infeasible_refreshes
             lam = self.window_refresh(self._next_tick)
             self.timeline.append({"ts": self._next_tick, "lam": lam, "window": len(self),

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, required=True, help="average budget per customer, currency units")
     p.add_argument("--q-matrix",
                    help="batch mode: CSV of value rows, header = non-decreasing action costs")
-    p.add_argument("--stream", help="stream mode: JSONL of {ts, q} rows")
+    p.add_argument("--stream", help="stream mode: JSONL of {ts, q} rows, ts non-decreasing")
     p.add_argument("--costs",
                    help="stream mode: comma-separated non-decreasing action costs in units")
     p.add_argument("--window-hours", type=float, default=24.0, help="sliding window span")
@@ -284,11 +284,19 @@ _STREAM_CHUNK = 256
 
 def _stream_chunks(f, m: int):
     """The ``(ts, Q row)`` of the stream's non-blank lines, parsed and checked
-    line by line, as lists of up to ``_STREAM_CHUNK``."""
+    line by line, as lists of up to ``_STREAM_CHUNK``. A ts below the previous
+    line's is a ValueError naming the line: the window evicts from its oldest
+    row on, so a late row would outlive its span."""
     chunk = []
+    last = -np.inf
     for n, line in enumerate(f, 1):
         if line.strip():
-            chunk.append(_stream_row(line.strip(), n, m))
+            ts, q = _stream_row(line.strip(), n, m)
+            if ts < last:
+                raise ValueError(f"stream line {n}: ts {ts!r} is before the previous line's "
+                                 f"{last!r}; the stream must be in time order")
+            last = ts
+            chunk.append((ts, q))
             if len(chunk) == _STREAM_CHUNK:
                 yield chunk
                 chunk = []

@@ -6,7 +6,8 @@ at each eviction, and the exact multiplier gathers and argsorts every finite
 breakpoint of the window. The envelope walk is dense: it runs until no row
 moves and fills (N, M - 1) tables, and the dual choice at lam is read from
 them by counting each row's breakpoints <= lam. The package's compact walk,
-incremental window and sorted breakpoints are held to its bits.
+its window's append-only row and breakpoint buffers and its multiplier by
+selection over unsorted breakpoints are held to its bits.
 
 ``RowStore`` is the window store that takes raw Q rows one at a time: each
 decision checks its row and walks its envelope alone, and each flush walks
@@ -22,10 +23,8 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _assign_rows,
-    _breakpoints,
     _check_lambda,
     _checked_rows,
-    _merged,
     _row_cache,
 )
 
@@ -154,13 +153,14 @@ class RowStore(WindowStore):
         q = np.array([q for _, q in self._pending])
         n = len(q)
         cache = _row_cache(q, self._prices)
-        self._make_room(n)
+        self._make_room(n, cache.lam.size)
         rows = slice(self._hi, self._hi + n)
         self._buffers[0][rows] = [t for t, _ in self._pending]
         self._buffers[1][rows] = self._prices.cents[cache.start]
         entry = self._offsets[self._hi]
         self._offsets[self._hi:self._hi + n + 1] = cache.offsets + entry
-        self._breaks = _merged(self._breaks, _breakpoints(cache.lam, cache.drop, first=entry))
+        for buffer, column in zip(self._entries, (cache.lam, cache.drop)):
+            buffer[entry:entry + column.size] = column
         self._hi += n
         self._pending = []
 

@@ -17,9 +17,7 @@ from budgetrl.allocator import (
     InfeasibleProblemError,
     WindowStore,
     _Prices,
-    _RowCache,
     _assign_rows,
-    _breakpoints,
     _exact_lambda,
     _in_parts,
     _packed,
@@ -423,6 +421,19 @@ class TestWindowStore:
         assert [row["ts"] for row in store.timeline] == [1600.0, 2200.0]
         assert [row["window"] for row in store.timeline] == [1, 1]
         assert store.timeline[-1]["lam"] == store.lambda_snapshot
+
+    def test_advance_refuses_a_tick_the_period_cannot_move(self):
+        store = self.make_store(period=600.0)
+        decide(store, np.full(12, 0.5), 1e20)
+        with pytest.raises(ValueError, match=r"1e\+20.*600\.0"):
+            store.advance(1e20)  # 1e20 + 600 == 1e20
+        assert store.timeline == []
+        # ticks of 1 s reach 2**53, past which adding 1 rounds back
+        store = self.make_store(period=1.0)
+        store.advance(2.0 ** 53 - 2)
+        with pytest.raises(ValueError, match=str(2.0 ** 53)):
+            store.advance(2.0 ** 53 + 10)
+        assert [row["ts"] for row in store.timeline] == [2.0 ** 53 - 1]
 
     def test_cold_start_is_greedy(self):
         store = self.make_store()
@@ -1063,11 +1074,11 @@ def bits(lam):
 
 
 def kernel_lambda(q, costs, budget_cents, total_cents):
-    """``_exact_lambda`` over the rows of ``q``, their breakpoints sorted once."""
+    """``_exact_lambda`` over the compact breakpoints of the rows of ``q``."""
     prices = _Prices(costs, budget_cents)
     cache = _row_cache(q, prices)
     excess = int(prices.cents[cache.start].sum()) - total_cents
-    return _exact_lambda(excess, _breakpoints(cache.lam, cache.drop))
+    return _exact_lambda(excess, cache.lam, cache.drop)
 
 
 def assert_kernel_matches_reference(q, costs, budget_cents):
@@ -1117,28 +1128,29 @@ def window_contents(store):
     return store._buffers[0][store._lo:store._hi], window_rows(store)
 
 
+def live_entries(store):
+    """The number of the window's live breakpoints."""
+    return int(store._offsets[store._hi] - store._offsets[store._lo])
+
+
 def assert_same_window(store, reference):
     (ts, q), (ref_ts, ref_q) = window_contents(store), window_contents(reference)
     assert ts.tobytes() == ref_ts.tobytes()
     assert q.tobytes() == ref_q.tobytes()
     assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
     assert store.infeasible_refreshes == reference.infeasible_refreshes
-    # The sorted breakpoints hold one position per live breakpoint. Positions
-    # number the compact layout row after row, each row's in walk order, so
-    # read by position they are the reference's compact entries: each
-    # position holds its own row's breakpoint, which eviction relies on.
+    # The live breakpoints are one slice of the entry buffers in the compact
+    # layout, row after row and each row's in walk order, so they are the
+    # reference's compact entries byte for byte: a breakpoint filed under the
+    # wrong row fails.
     offsets = store._offsets[store._lo:store._hi + 1]
-    lam, drop, at = store._breaks
-    assert (np.diff(lam) >= 0).all()
-    assert np.array_equal(np.sort(at), np.arange(offsets[0], offsets[-1]))
-    if isinstance(reference, ref.ConcatWindow):
-        _, _, start, _, *tables = reference.window
-        ref_lam, ref_drop, _, ref_offsets = ref.compact(*tables)
-        assert np.array_equal(store._buffers[1][store._lo:store._hi], reference.cents[start])
-        assert np.array_equal(offsets - offsets[0], ref_offsets)
-        order = np.argsort(at)
-        assert lam[order].tobytes() == ref_lam.tobytes()
-        assert drop[order].tobytes() == ref_drop.tobytes()
+    lam, drop = (a[offsets[0]:offsets[-1]] for a in store._entries)
+    _, _, start, _, *tables = reference.window
+    ref_lam, ref_drop, _, ref_offsets = ref.compact(*tables)
+    assert np.array_equal(store._buffers[1][store._lo:store._hi], reference.cents[start])
+    assert np.array_equal(offsets - offsets[0], ref_offsets)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert drop.tobytes() == ref_drop.tobytes()
 
 
 class TestKernelAgainstWholeWindowReference:
@@ -1327,13 +1339,16 @@ class TestWindowEviction:
     def test_compaction_moves_the_live_rows_to_the_front(self):
         store, reference = self.make_pair(span=100.0)
         rng = np.random.default_rng(48)
-        compacted = peak = 0
+        compacted = peak = peak_entries = 0
         for i in range(300):
             for j in range(int(rng.integers(1, 6))):
                 q = rng.random(12) + DEFAULT_UNITS
                 decide(store, q, 10.0 * i + j)
                 reference.append(10.0 * i + j, q)
             peak = max(peak, len(store))
+            peak_entries = max(peak_entries, live_entries(store) + sum(
+                int(batch.cache.offsets[k + 1] - batch.cache.offsets[k])
+                for _, batch, k in store._pending))
             buffers, lo = store._buffers, store._lo
             assert bits(store.window_refresh(10.0 * i + 5)) == bits(
                 reference.window_refresh(10.0 * i + 5))
@@ -1341,6 +1356,39 @@ class TestWindowEviction:
             compacted += store._buffers is not buffers and lo > 0
         assert compacted >= 10
         assert len(store._buffers[0]) <= 2 * peak  # 1500 rows passed through; none piled up
+        assert len(store._entries[0]) <= 2 * peak_entries  # nor did their breakpoints
+
+    def test_refreshes_over_more_than_a_block_of_breakpoints(self):
+        # Each refresh sees over _WALK_BLOCK live breakpoints, so _exact_lambda
+        # runs selection rounds on the unsorted live slice; the third batch
+        # adds rows eligible only for the two dearest actions, which no
+        # multiplier fits into the budget.
+        store, reference = self.make_pair(span=100.0)
+        rng = np.random.default_rng(53)
+        dear = np.full((3000, 12), np.nan)
+        dear[:, 10:] = rng.random((3000, 2)) + DEFAULT_UNITS[10:]
+        seen = {"binding": 0, "infeasible": 0, "evicting": 0, "compacted": 0}
+        for k, seed in enumerate(range(70, 76)):
+            q = tie_heavy_q(4000, seed)
+            if k == 2:
+                q = rng.permutation(np.concatenate([q, dear]))
+            ts = 80.0 * k + np.sort(rng.random(len(q))) * 60.0
+            for t, row, admitted in zip(ts.tolist(), q, store.admit(q)):
+                store.allocate_online(admitted, t)
+                reference.append(t, row)
+            buffers, lo, infeasible = store._buffers, store._lo, store.infeasible_refreshes
+            now = 80.0 * k + 65.0
+            assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+            assert_same_window(store, reference)
+            assert live_entries(store) > allocator._WALK_BLOCK
+            compacted = store._buffers is not buffers and lo > 0
+            seen["compacted"] += compacted
+            seen["evicting"] += store._lo > (0 if compacted else lo)
+            if store.infeasible_refreshes > infeasible:
+                seen["infeasible"] += 1
+            else:
+                seen["binding"] += store.lambda_snapshot > 0
+        assert all(seen.values()), seen
 
     def test_window_that_empties_and_refills(self):
         store, reference = self.make_pair(span=100.0)
@@ -1354,7 +1402,7 @@ class TestWindowEviction:
             for now in (start + 40.0, start + 500.0):
                 assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
                 assert_same_window(store, reference)
-            assert len(store) == 0 and store._breaks[0].size == 0
+            assert len(store) == 0
             lams.append(store.lambda_snapshot)  # an empty window keeps the last snapshot
         assert all(lam > 0 for lam in lams)
 
@@ -1446,15 +1494,25 @@ class TestAdmissionAgainstRowStore:
 # breakpoint, or the same error.
 
 
-def selected_lambda(excess, lam, drop):
-    """``_problem_lambda`` over the compact entries ``lam`` and ``drop`` of rows
-    whose greedy cost is ``excess`` cents over the budget: one row at its
-    1-cent greedy action, under a budget of 1 - excess cents."""
-    problem = AllocationProblem(np.array([[0.0, 1.0]]), (0, 1), 1 - excess)
-    cache = _RowCache(start=np.ones(1, dtype=np.intp), cheapest=np.zeros(1, dtype=np.intp),
-                      lam=lam, drop=drop, to=np.zeros(lam.size, dtype=np.uint8),
-                      offsets=np.array([0, lam.size]))
-    return _problem_lambda(problem, cache)
+def sorted_lambda(excess, lam, drop):
+    """The multiplier by the sort of every breakpoint: the lam at which the
+    cumulative drop in stable lam order first reaches ``excess``; 0 when the
+    excess is not positive, None when all the drops do not cover it."""
+    if excess <= 0:
+        return 0.0
+    order = np.argsort(lam, kind="stable")
+    k = int(np.searchsorted(np.cumsum(drop[order]), excess))
+    return float(lam[order[k]]) if k < lam.size else None
+
+
+def assert_lambda_is_the_sorted_one(excess, lam, drop):
+    expected = sorted_lambda(excess, lam, drop)
+    if expected is None:
+        with pytest.raises(InfeasibleProblemError):
+            _exact_lambda(excess, lam, drop)
+    else:
+        result = _exact_lambda(excess, lam, drop)
+        assert type(result) is float and bits(result) == bits(expected)
 
 
 class TestLambdaBySelection:
@@ -1465,34 +1523,23 @@ class TestLambdaBySelection:
         # count at which selection stops and sorts
         rng = np.random.default_rng(61 + (grid or 0))
         block = allocator._WALK_BLOCK
-        for size in (1, 7, block - 1, block, block + 1, 2 * block + 3, 5 * block + 11):
+        for size in (0, 1, 7, block - 1, block, block + 1, 2 * block + 3, 5 * block + 11):
             if grid is None:
                 lam = rng.random(size) * 3.0
             else:
                 lam = rng.integers(0, grid, size) / 4.0
             drop = rng.integers(1, 120, size).astype(np.int64)
             total = int(drop.sum())
-            sorted_lam, sorted_drop, _ = _breakpoints(lam, drop)
+            order = np.argsort(lam, kind="stable")
             # every cumulative-drop boundary of a tie group, and one past it
-            ends = np.cumsum(sorted_drop)[np.append(sorted_lam[1:] != sorted_lam[:-1], True)]
+            ends = np.cumsum(drop[order])[np.append(np.diff(lam[order]) != 0, True)[:size]]
             excesses = {-5, 0, 1, total - 1, total, total + 1,
-                        *rng.integers(1, total + 1, 20).tolist(),
+                        *rng.integers(1, total + 2, 20).tolist(),
                         *ends[:: max(1, ends.size // 16)].tolist(),
                         *(ends[:: max(1, ends.size // 16)] + 1).tolist()}
             lam_before, drop_before = lam.copy(), drop.copy()
             for excess in sorted(excesses):
-                if excess <= 0:
-                    assert selected_lambda(excess, lam, drop) == 0.0
-                    continue
-                try:
-                    expected = _exact_lambda(excess, _breakpoints(lam, drop))
-                except InfeasibleProblemError:
-                    assert excess > total
-                    with pytest.raises(InfeasibleProblemError):
-                        selected_lambda(excess, lam, drop)
-                else:
-                    result = selected_lambda(excess, lam, drop)
-                    assert type(result) is float and bits(result) == bits(expected)
+                assert_lambda_is_the_sorted_one(excess, lam, drop)
             assert lam.tobytes() == lam_before.tobytes() and drop.tobytes() == drop_before.tobytes()
 
     def test_batch_multiplier_equals_the_sort_of_every_breakpoint(self):
@@ -1504,9 +1551,8 @@ class TestLambdaBySelection:
             cache = _row_cache(q, p._prices)
             assert cache.lam.size > allocator._WALK_BLOCK
             excess = int(p._prices.cents[cache.start].sum()) - p.n * budget
-            try:
-                expected = _exact_lambda(excess, _breakpoints(cache.lam, cache.drop))
-            except InfeasibleProblemError:
+            expected = sorted_lambda(excess, cache.lam, cache.drop)
+            if expected is None:
                 with pytest.raises(InfeasibleProblemError):
                     _problem_lambda(p, cache)
             else:

@@ -436,6 +436,31 @@ class TestAllocateStream:
         assert "stream line 3" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
+    def test_a_row_earlier_than_the_line_before_is_refused(self, tmp_path, capsys):
+        # Within a 1 h window, the row at ts 10 would still be live at 6000 s.
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps({"ts": ts, "q": [0.5, 0.6]}) + "\n"
+                                  for ts in (0, 3000, 3000, 10, 6000)))
+        assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87", "--budget",
+                   "0.80", "--window-hours", "1", "--out", str(tmp_path / "dec.jsonl"),
+                   "--lambda-timeline", str(tmp_path / "lam.csv")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert "stream line 4" in err and "10" in err and "3000" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    def test_a_ts_the_refresh_period_cannot_move_is_refused(self, tmp_path, capsys):
+        # 1e20 + 600 == 1e20: the refresh ticks would never pass the rows' ts
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps({"ts": 1e20, "q": q}) + "\n"
+                                  for q in ([0.1, 0.5], [0.2, 0.3])))
+        assert run("allocate", "--budget", "0.5", "--costs", "0,1", "--stream", str(stream),
+                   "--out", str(tmp_path / "dec.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert "1e+20" in err and "600.0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--refresh-minutes", "0"), ("--refresh-minutes", "-5"), ("--refresh-minutes", "nan"),
         ("--window-hours", "nan"), ("--window-hours", "inf"), ("--window-hours", "0"),
