@@ -1062,7 +1062,7 @@ class TestWindowExactness:
 
 
 # ---------------------------------------------------------------------------
-# The compact walk, the incremental window and its sorted breakpoints against
+# The compact walk, the incremental window and its breakpoint buffers against
 # the whole-window reference (reference_allocator.py): the same bits, refresh
 # by refresh.
 
@@ -1490,8 +1490,8 @@ class TestAdmissionAgainstRowStore:
 
 
 # ---------------------------------------------------------------------------
-# The batch multiplier by selection: the same bits as the sort of every
-# breakpoint, or the same error.
+# The one lam kernel of the batch and the window, by selection: the same
+# bits as the sort of every breakpoint, or the same error.
 
 
 def sorted_lambda(excess, lam, drop):
