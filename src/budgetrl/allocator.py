@@ -594,6 +594,12 @@ class _Batch:
         self.prices, self.q, self.cache = prices, q, cache
 
 
+# Most refresh ticks one ``WindowStore.advance`` call may fire: more than a
+# day of one-second ticks. Each tick is a refresh and a timeline entry, so a
+# period far below the gaps between rows would otherwise run without bound.
+_MAX_TICKS = 100_000
+
+
 class WindowStore:
     """Time-ordered record window feeding periodic multiplier refreshes.
 
@@ -733,9 +739,17 @@ class WindowStore:
         ``timeline``. Ticks fall every ``refresh_period`` after the first call's
         ``now``; an entry's ``infeasible`` says whether its refresh was. A tick
         that adding the period does not move (a ts so large that the period
-        is lost in rounding) is a ValueError, raised before its refresh."""
+        is lost in rounding) is a ValueError, raised before its refresh, and
+        so is a call with more than ``_MAX_TICKS`` ticks due, before any of
+        them fires."""
         if self._next_tick is None:
             self._next_tick = now + self.refresh_period
+        if self._next_tick <= now:
+            due = (now - self._next_tick) // self.refresh_period + 1
+            if due > _MAX_TICKS:
+                raise ValueError(f"{due:.6g} refresh ticks of {self.refresh_period!r} s are due "
+                                 f"from ts {self._next_tick!r} to {now!r}, more than the "
+                                 f"{_MAX_TICKS} one advance may fire")
         while self._next_tick <= now:
             if not self._next_tick + self.refresh_period > self._next_tick:
                 raise ValueError(f"refresh ticks cannot advance past ts {self._next_tick!r}: "

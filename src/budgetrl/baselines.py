@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ActionSet, HyperParams, StateVector, Trajectory, claim_masks,
-                   day_mask_indices, load_json, save_json)
+from .core import (ActionSet, HyperParams, StateVector, Trajectory, checked_object,
+                   claim_masks, day_mask_indices, load_json, save_json)
 from .nets import Mlp, softmax
 from .bcq import fit_classifier, state_to_input, transition_arrays
 from .envsim import check_claim_table, table_action
@@ -60,9 +60,12 @@ class RewardModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RewardModel":
+        """The model of a ``reward-model-v1`` JSON object; the document, and each
+        node of it that is read as an object, must be one."""
+        checked_object(payload, "reward model")
         if payload.get("format") != REWARD_MODEL_FORMAT:
             raise ValueError(f"unsupported reward model format {payload.get('format')!r}")
-        return cls(net=Mlp.from_dict(payload["net"]),
+        return cls(net=Mlp.from_dict(checked_object(payload["net"], "net")),
                    actions=ActionSet.from_dict(payload["actions"]))
 
     def save(self, path: str | Path) -> None:

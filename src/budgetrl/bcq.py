@@ -10,10 +10,17 @@ A state with one eligible action takes it; Q is read only to choose among
 two or more. ``BcqPolicy.action`` finds a state's eligible actions first and
 runs the Q-network only when they leave a choice; at the deployed ``xi`` of
 0.3 nearly every logged state has one eligible action.
+
+``BcqPolicy.action`` decides one state at one row's cost. Each claim may take
+a contiguous run of the menu (the normals, or the supers), its span, read
+once per policy from ``ActionSet.claim_table``; the xi rule then compares
+only the span's probabilities, and the decision is the one the full-width
+mask gives.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
-                   checked_keys, claim_masks, field_names, flatten, load_json, save_json)
+                   checked_keys, checked_object, claim_masks, field_names, flatten, load_json,
+                   save_json)
 from .nets import Mlp, Optimizer, StepWorkspace, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
@@ -60,15 +68,24 @@ def state_to_input(state: StateVector) -> np.ndarray:
                     dtype=float)
 
 
-def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
+def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray | slice, xi: float) -> np.ndarray:
     """Boolean mask of the claim-masked actions whose behavior probability is
     >= xi times the masked maximum of their row (last axis).
 
     Never empty on a row with a non-empty claim mask for xi <= 1: the masked
     argmax has ratio exactly 1.
+
+    For one row, ``claim_mask`` may be the claim's span instead, the slice of
+    the contiguous actions its mask marks; the result is then the mask's
+    span, ``span.stop - span.start`` wide. A probability is never negative, so
+    the span's maximum is the masked row's (a NaN propagates in both), and
+    the span's entries of the full-width mask are these.
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
+    if type(claim_mask) is slice:
+        span = probs[claim_mask]
+        return span >= xi * np.maximum.reduce(span)
     masked = np.where(claim_mask, probs, 0.0)
     # one row's maximum is a scalar (see ``softmax``)
     return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=masked.ndim > 1))
@@ -170,6 +187,9 @@ class BcqAgent:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BcqAgent":
+        """The agent of a ``bcq-agent-v1`` JSON object; the document, and each
+        node of it that is read as an object, must be one."""
+        checked_object(payload, "agent")
         if payload.get("format") != AGENT_FORMAT:
             raise ValueError(f"unsupported agent format {payload.get('format')!r}")
         hyper_kw = dict(checked_keys(payload["hyper"], field_names(HyperParams) | {"epsilon"},
@@ -177,8 +197,9 @@ class BcqAgent:
         hyper_kw.pop("epsilon", None)  # written by older versions, never read
         if isinstance(hyper_kw.get("hidden_sizes"), list):  # JSON has no tuples
             hyper_kw["hidden_sizes"] = tuple(hyper_kw["hidden_sizes"])
-        return cls(q_net=Mlp.from_dict(payload["q_net"]),
-                   behavior_model=Mlp.from_dict(payload["behavior_model"]),
+        return cls(q_net=Mlp.from_dict(checked_object(payload["q_net"], "q_net")),
+                   behavior_model=Mlp.from_dict(checked_object(payload["behavior_model"],
+                                                               "behavior_model")),
                    hyper=HyperParams(**hyper_kw),
                    actions=ActionSet.from_dict(payload["actions"]))
 
@@ -276,27 +297,48 @@ def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, a: np.ndarray
     return float(np.mean(_constrained_argmax(agent, x_probe, eligible) == a))
 
 
+def _claim_spans(actions: ActionSet) -> tuple[slice, ...]:
+    """Each claim's span: the slice from the first to one past the last action
+    its ``claim_table`` row marks. A row marks the normals or the supers, a
+    contiguous run, so the span holds exactly the row's actions."""
+    return tuple(slice(int(marked[0]), int(marked[-1]) + 1)
+                 for marked in map(np.flatnonzero, actions.claim_table))
+
+
 class BcqPolicy:
     """The trained agent as a policy: direct greedy play and value rows for the
-    allocator. ``action`` decides one state, with a Q forward call only when
-    more than one action is eligible. ``q_rows`` scores a matrix of network
-    inputs in one Q forward call; ``q_row`` is its one-state case."""
+    allocator. ``action`` decides one state at one row's cost: the behavior
+    forward pass on a vector, the xi rule on the state's claim span (read
+    from ``ActionSet.claim_table`` when the policy is made), and a Q forward
+    call only when more than one action is eligible. ``q_rows`` scores a
+    matrix of network inputs in one Q forward call; ``q_row`` is its
+    one-state case."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
         self.xi = agent.hyper.xi if xi is None else xi
+        self._spans = _claim_spans(agent.actions)
 
     def action(self, state: StateVector) -> int:
         """Highest-Q action among the behavior-eligible set; cheaper action on ties.
         A state with one eligible action takes it; Q is read only to choose
-        among two or more."""
-        # A 1-D input keeps each forward pass a one-row product. With one
-        # eligible action, ``_constrained_argmax``'s rule needs no Q pass.
+        among two or more. The decision is ``_constrained_argmax``'s on the
+        row's ``_eligible`` mask; a claim count that ``claim_masks`` refuses is
+        refused with its error."""
         x = state_to_input(state)
-        eligible = _eligible(self.agent, x, state.bonuses_collected, self.xi)
+        probs = softmax(self.agent.behavior_model.forward(x))
+        claims = state.bonuses_collected
+        if not (type(claims) is int and 0 <= claims < CLAIMS_PER_CYCLE):
+            claim_masks(self.agent.actions, claims)  # refuses what is not a claim count
+            claims = operator.index(claims)  # a numpy integer that it takes
+        span = self._spans[claims]
+        eligible = xi_eligible(probs, span, self.xi)
         if np.count_nonzero(eligible) == 1:
-            return int(eligible.argmax())
-        return int(_constrained_argmax(self.agent, x, eligible))
+            return span.start + int(eligible.argmax())
+        # zero or several eligible actions: the full-width rule reads Q
+        full = np.zeros(probs.size, dtype=bool)
+        full[span] = eligible
+        return int(_constrained_argmax(self.agent, x, full))
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Q values over the claim-eligible actions of the rows of ``x`` (as

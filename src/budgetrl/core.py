@@ -252,12 +252,18 @@ def _require_finite(obj, name: str) -> None:
         raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
+def checked_object(doc, where: str) -> dict:
+    """``doc`` itself, once it is a JSON object; otherwise a ValueError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def checked_keys(doc, allowed, where: str, required=()) -> dict:
     """``doc`` itself, once it is a JSON object with no key outside ``allowed``
     and every key of ``required``; otherwise a ValueError that names the first
     stray or missing key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    checked_object(doc, where)
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r}")
@@ -483,7 +489,10 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
 
 
 def read_manifest(path: str | Path) -> dict:
-    manifest = load_json(Path(path) / MANIFEST_NAME)
+    """The manifest of the dataset directory ``path``; a file that is not a JSON
+    object, or that names another format or cycle length, is a ValueError."""
+    file = Path(path) / MANIFEST_NAME
+    manifest = checked_object(load_json(file), str(file))
     if manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
     if manifest.get("max_steps") != CLAIMS_PER_CYCLE:

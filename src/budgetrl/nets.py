@@ -36,11 +36,19 @@ holds 102 MB. No block is smaller than B, so the output keeps the bits of the
 whole-matrix product: with OpenBLAS 0.3.31, products of 100 rows or fewer
 gave other bits than the whole matrix's, and every block of 101 rows or
 more, probed up to 12 000, gave the same.
+
+Inference on one row (a 1-D input) is the per-decision case: a policy decides
+one state at a time. ``Mlp.forward`` runs it as a short loop over transposed
+weight views made once with the net, and ``softmax`` reduces it with the bare
+ufunc reductions. Each makes the calls of the matrix path in its order, so a
+row's outputs are those of its (1, n) matrix, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import core
 
 MODEL_FORMAT = "mlp-v1"
 
@@ -58,10 +66,15 @@ class TrainingDivergedError(RuntimeError):
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis. A 1-D ``z`` reduces to scalars, which numpy
-    broadcasts with less overhead than a kept (1,) axis; the values are the same."""
-    keep = z.ndim > 1
-    e = np.exp(z - z.max(axis=-1, keepdims=keep))
-    e /= e.sum(axis=-1, keepdims=keep)
+    broadcasts with less overhead than a kept (1,) axis, and reduces with the
+    ufuncs that the ``max`` and ``sum`` methods call, without the methods'
+    argument handling; the values are the same."""
+    if z.ndim == 1:
+        e = np.exp(z - np.maximum.reduce(z))
+        e /= np.add.reduce(e)
+        return e
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -72,7 +85,9 @@ class Mlp:
     ``mlp-v1`` order (W1 row-major, b1, W2, b2, ...). ``weights`` and
     ``biases`` are tuples of views into it: weight matrices have shape
     (fan_out, fan_in), and writing into a view updates ``params``.
-    ``forward`` accepts a single vector or a (batch, fan_in) matrix.
+    ``forward`` accepts a single vector or a (batch, fan_in) matrix; a vector
+    runs over the layers' transposed (fan_in, fan_out) weight views, made once
+    here beside the weights.
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
@@ -82,6 +97,7 @@ class Mlp:
         sizes = zip(self.layer_sizes[1:], self.layer_sizes)
         self.params = np.zeros(sum(fan_out * (fan_in + 1) for fan_out, fan_in in sizes))
         self.weights, self.biases = self._views(self.params)
+        *self._hidden_rows, self._output_row = zip((w.T for w in self.weights), self.biases)
         if rng is not None:
             for w in self.weights:
                 bound = 1.0 / np.sqrt(w.shape[1])
@@ -105,8 +121,10 @@ class Mlp:
 
     def forward(self, x) -> np.ndarray:
         """Deterministic forward pass; returns the identity-head output. A 1-D
-        input goes through as a vector: each layer's product is the BLAS call
-        its (1, fan_in) row would make, with less numpy overhead per layer.
+        input goes through as a vector over the transposed weight views made
+        with the net: each layer's product is the BLAS call its (1, fan_in) row
+        would make, then the bias is added and the ReLU applied in place, with
+        less numpy and Python overhead per layer than the matrix path.
 
         A matrix of 2B rows or more (B = ``_FORWARD_BLOCK``) runs in blocks of
         B rows, the remainder joined to the last block, so every block holds B
@@ -118,6 +136,15 @@ class Mlp:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"input width {x.shape[-1]} != {self.input_size}")
+        if x.ndim == 1:
+            for w_t, b in self._hidden_rows:
+                x = x @ w_t
+                x += b
+                np.maximum(x, 0.0, out=x)
+            w_t, b = self._output_row
+            x = x @ w_t
+            x += b
+            return x
         n = len(x) if x.ndim == 2 else 0
         if n < 2 * _FORWARD_BLOCK:
             return self._forward(x)
@@ -129,13 +156,12 @@ class Mlp:
         return out
 
     def _forward(self, a: np.ndarray, outs=None) -> np.ndarray:
-        """The layers on ``a``, one row or a matrix of rows: layer i writes into
-        ``outs[i]`` (into new arrays without ``outs``), ReLU applied in place on
-        hidden layers. Returns the output layer."""
+        """The layers on ``a``, a matrix of rows: layer i writes into ``outs[i]``
+        (into new arrays without ``outs``), ReLU applied in place on hidden
+        layers. Returns the output layer."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # the operator is the cheaper call for one-row inference
-            a = a @ w.T if outs is None else np.matmul(a, w.T, out=outs[i])
+            a = np.matmul(a, w.T, out=None if outs is None else outs[i])
             a += b
             if i < last:
                 np.maximum(a, 0.0, out=a)
@@ -166,16 +192,27 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Mlp":
+        """The net of an ``mlp-v1`` JSON object. Its ``layer_sizes`` must be two
+        or more positive ints whose parameter count, in Python ints, is the
+        length of its ``params`` list; both are checked before the net is made,
+        so a file cannot make it allocate more than its own ``params`` hold."""
+        core.checked_object(payload, "model")
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload.get('format')!r}")
-        # A null field is a TypeError, and a number past the float or int range
-        # an OverflowError: each is refused as the ValueError of a bad file.
+        sizes = payload["layer_sizes"]
+        if not (type(sizes) is list and len(sizes) >= 2
+                and all(type(s) is int and s > 0 for s in sizes)):
+            raise ValueError(f"model layer_sizes must be a list of two or more positive ints, "
+                             f"not {sizes!r}")
+        params = core.checked_list(payload["params"], "model params")
+        count = sum(fan_out * (fan_in + 1) for fan_out, fan_in in zip(sizes[1:], sizes))
+        if count != len(params):
+            raise ValueError(f"model params hold {len(params)} values, but layer_sizes "
+                             f"{sizes} need {count}")
+        net = cls(sizes)
+        # a number past the float range is an OverflowError, refused as a bad file
         try:
-            net = cls(payload["layer_sizes"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"model layer_sizes are not a list of ints: {exc}") from None
-        try:
-            params = np.asarray(payload["params"], dtype=float)
+            params = np.asarray(params, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"model params are not a list of floats: {exc}") from None
         net.set_params(params)

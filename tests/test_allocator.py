@@ -435,6 +435,30 @@ class TestWindowStore:
             store.advance(2.0 ** 53 + 10)
         assert [row["ts"] for row in store.timeline] == [2.0 ** 53 - 1]
 
+    def test_advance_refuses_more_ticks_than_its_limit_before_any_fires(self, monkeypatch):
+        monkeypatch.setattr(allocator, "_MAX_TICKS", 3)
+        store = self.make_store(period=1.0)
+        refreshes = []
+        monkeypatch.setattr(store, "window_refresh",
+                            lambda now: refreshes.append(now) or store.lambda_snapshot)
+        store.advance(0.0)
+        store.advance(3.5)  # ticks 1, 2 and 3: at the limit
+        assert refreshes == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match=r"4 refresh ticks of 1\.0 s are due from ts 4\.0 "
+                                             r"to 7\.5, more than the 3 one advance may fire"):
+            store.advance(7.5)
+        assert refreshes == [1.0, 2.0, 3.0] and len(store.timeline) == 3
+        store.advance(6.0)  # a call within the limit still fires its ticks
+        assert refreshes[3:] == [4.0, 5.0, 6.0]
+
+    def test_advance_refuses_a_period_far_below_the_gap(self):
+        store = self.make_store(period=6e-19)
+        decide(store, np.full(12, 0.5), 0.0)
+        store.advance(0.0)
+        with pytest.raises(ValueError, match=f"1e\\+20 refresh ticks.*{allocator._MAX_TICKS}"):
+            store.advance(60.0)
+        assert store.timeline == []
+
     def test_cold_start_is_greedy(self):
         store = self.make_store()
         q = np.linspace(0.1, 1.2, 12)

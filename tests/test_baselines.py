@@ -122,6 +122,23 @@ def old_pair_input(state, action_index, n_actions):
     return np.concatenate([state_to_input(state), onehot])
 
 
+class TestRewardModelDocument:
+    @pytest.mark.parametrize("node, value, message", [
+        (None, [1], "reward model must be a JSON object, not list"),
+        ("net", 5, "net must be a JSON object, not int"),
+        ("actions", [65, 172], "actions must be a JSON object, not list"),
+    ])
+    def test_document_or_node_that_is_not_an_object_rejected(self, node, value, message):
+        doc = constant_model([0.5, 0.6, 0.7, 0.8]).to_dict()
+        assert RewardModel.from_dict(doc).to_dict() == doc
+        if node is None:
+            doc = value
+        else:
+            doc[node] = value
+        with pytest.raises(ValueError, match=message):
+            RewardModel.from_dict(doc)
+
+
 class TestPairInputs:
     def test_training_inputs_match_per_row_stack(self):
         segs = (SegmentParams(0.6, 0.6, 0.2), SegmentParams(-0.6, 1.8, 0.2))

@@ -38,7 +38,7 @@ from budgetrl.envsim import (
     default_config,
     generate_dataset,
 )
-from budgetrl.nets import _FORWARD_BLOCK, Mlp, softmax
+from budgetrl.nets import _FORWARD_BLOCK, Mlp, ShapeError, softmax
 
 ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 FAST = HyperParams(training_steps=600, hidden_sizes=(32, 32), learning_rate=0.01,
@@ -349,6 +349,80 @@ class TestOneStateDecision:
         assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
 
 
+def full_mask_decision(agent, s, xi):
+    """The full-width rule on the state's one-row matrix: ``xi_eligible`` of the
+    behavior softmax under the claim's whole ``claim_masks`` row, then
+    ``_constrained_argmax``."""
+    x = state_to_input(s)[None, :]
+    probs = softmax(agent.behavior_model.forward(x))
+    eligible = xi_eligible(probs, claim_masks(agent.actions, [s.bonuses_collected]), xi)
+    return int(bcq._constrained_argmax(agent, x, eligible)[0]), probs[0], eligible[0]
+
+
+class TestOneRowDecision:
+    """``BcqPolicy.action`` runs the xi rule on the state's claim span alone and
+    decides as the full-width mask does."""
+
+    # a behavior output: a logit, one whose probability underflows to 0, or NaN
+    LOGITS = st.one_of(st.floats(-30, 30), st.just(-1e4), st.just(float("nan")))
+
+    @given(n_normal=st.integers(1, 4), n_super=st.integers(1, 3), claims=st.integers(0, 3),
+           xi=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+           data=st.data(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_span_decision_is_the_full_mask_rule(self, n_normal, n_super, claims, xi, data,
+                                                 seed):
+        menu = ActionSet(tuple(range(10, 10 + n_normal)), tuple(range(100, 100 + n_super)))
+        m, d = menu.size, 2
+        rng = np.random.default_rng(seed)
+        behavior = Mlp([input_size(d), 5, m], rng=rng)
+        behavior.biases[-1][:] = data.draw(st.lists(self.LOGITS, min_size=m, max_size=m))
+        # Q values from few levels, so eligible actions often tie
+        q_net = const_net(input_size(d), rng.integers(0, 3, size=m) / 2)
+        agent = BcqAgent(q_net=q_net, behavior_model=behavior, hyper=HyperParams(xi=xi),
+                         actions=menu)
+        s = StateVector(tuple(rng.normal(size=d)), claims + 1, claims)
+        want, probs, eligible = full_mask_decision(agent, s, xi)
+        policy = BcqPolicy(agent)
+        span = policy._spans[claims]
+        assert claim_masks(menu, claims)[span].all() and claim_masks(menu, claims).sum() == (
+            span.stop - span.start)
+        assert xi_eligible(probs, span, xi).tobytes() == eligible[span].tobytes()
+        assert policy.action(s) == want
+
+    def test_underflow_and_nan_outputs(self):
+        # Arms whose probability underflows to 0 lose to a positive one; when the
+        # whole span underflows, every span arm is eligible and Q picks. A NaN
+        # output leaves none eligible, and the full-width rule's pick (action 0,
+        # the first of an all -inf row, even at claim 4) is kept.
+        for logits, claims, want in (([0.0, -1e4, -1e4, 5.0], 0, 0),
+                                     ([-1e4, -1e4, -1e4, 0.0], 1, 1),
+                                     ([1.0, 2.0, float("nan"), 0.0], 3, 0)):
+            agent = BcqAgent(q_net=const_net(input_size(2), [0.1, 0.3, 0.2, 0.4]),
+                             behavior_model=const_net(input_size(2), logits),
+                             hyper=HyperParams(xi=0.3), actions=ACTIONS)
+            s = state(bonuses=claims, day=claims + 1)
+            assert BcqPolicy(agent).action(s) == full_mask_decision(agent, s, 0.3)[0] == want
+
+    @pytest.mark.parametrize("claims", [True, False, 1.0, 0.0, 4, -1, np.float64(2.0)])
+    def test_a_count_that_is_not_a_claim_is_refused(self, claims):
+        agent = tiny_agent([0.1] * 4, [0.25] * 4)
+        with pytest.raises(ValueError, match="no claim available at bonuses_collected="):
+            BcqPolicy(agent).action(StateVector((0.5, 0.5), 1, claims))
+
+    def test_a_numpy_integer_count_decides_as_its_int(self):
+        agent = tiny_agent([0.1, 0.4, 0.2, 0.9], [0.3, 0.3, 0.1, 0.3], xi=0.2)
+        policy = BcqPolicy(agent)
+        for claims in range(4):
+            assert policy.action(StateVector((0.5, 0.5), 1, np.int64(claims))) == \
+                policy.action(StateVector((0.5, 0.5), 1, claims))
+
+    def test_a_wrong_feature_width_is_refused(self):
+        agent = tiny_agent([0.1] * 4, [0.25] * 4)
+        with pytest.raises(ShapeError, match=f"input width 5 != {input_size(2)}"):
+            BcqPolicy(agent).action(state(d=3))
+
+
 class TestStateInput:
     @given(features=st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                              min_size=0, max_size=6),
@@ -484,6 +558,22 @@ class TestAgentSerialization:
         s = state()
         assert BcqPolicy(loaded).action(s) == BcqPolicy(agent).action(s)
 
+    @pytest.mark.parametrize("node, value, message", [
+        (None, [1, 2], "agent must be a JSON object, not list"),
+        ("q_net", 5, "q_net must be a JSON object, not int"),
+        ("behavior_model", [0.5], "behavior_model must be a JSON object, not list"),
+        ("hyper", "fast", "hyper must be a JSON object, not str"),
+        ("actions", None, "actions must be a JSON object, not NoneType"),
+    ])
+    def test_document_or_node_that_is_not_an_object_rejected(self, node, value, message):
+        doc = tiny_agent([0.1] * 4, [0.25] * 4).to_dict()
+        if node is None:
+            doc = value
+        else:
+            doc[node] = value
+        with pytest.raises(ValueError, match=message):
+            BcqAgent.from_dict(doc)
+
     def test_file_with_legacy_epsilon_loads(self, tmp_path):
         # written by an older version whose hyperparameters held an unused epsilon
         path = Path(__file__).parent / "data" / "agent_with_epsilon.json"
@@ -573,8 +663,8 @@ class TestBatchedKernels:
 
     def test_policy_action_rejects_xi_out_of_range(self):
         agent = self.random_agent(0, 0.3)
-        for xi in (-0.1, 1.1):
-            with pytest.raises(ValueError):
+        for xi in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match=r"xi must be in \[0, 1\]"):
                 BcqPolicy(agent, xi).action(self.random_states(0, n=1)[0])
 
     def test_target_net_lags_between_syncs(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from budgetrl import cli
+from budgetrl import allocator, cli
 from budgetrl.cli import build_parser, main
 from budgetrl.core import ActionSet, flatten, load_dataset, validate_dataset
 from budgetrl.envsim import config_to_dict, default_config
@@ -252,6 +252,41 @@ class TestErrors:
         assert "invalid input" in err and field in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("policy, model, node, value", [
+        ("bcq", "model.json", None, [1, 2]), ("bcq", "model.json", "q_net", 5),
+        ("bcq", "model.json", "behavior_model", [0.5]), ("bcq", "model.json", "hyper", "fast"),
+        ("bcq", "model.json", "actions", None), ("lr-lp", "lr.json", None, "model"),
+        ("lr-lp", "lr.json", "net", [1, 2]),
+    ])
+    def test_model_document_that_is_not_an_object_exits_1(self, workspace, tmp_path, capsys,
+                                                          policy, model, node, value):
+        payload = json.loads((workspace / model).read_text())
+        if node is None:
+            payload = value
+        else:
+            payload[node] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert run("simulate", "--policy", policy, "--model", str(path), "--days", "1",
+                   "--arrivals", "5", "--out", str(tmp_path / "out" / "report.json")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert "must be a JSON object" in err and (node is None or node in err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("manifest", ["5", "null", '"1"', "[]"])
+    def test_manifest_that_is_not_an_object_exits_1(self, workspace, tmp_path, capsys,
+                                                    manifest):
+        logs = tmp_path / "logs"
+        shutil.copytree(workspace / "ds", logs)
+        (logs / "manifest.json").write_text(manifest + "\n")
+        assert run("evaluate", "--policy", "expert", "--dataset", str(logs), "--out",
+                   str(tmp_path / "out" / "report.json")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert str(logs / "manifest.json") in err and "must be a JSON object" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
                  "--model", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.json"))
@@ -459,6 +494,18 @@ class TestAllocateStream:
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
         assert "1e+20" in err and "600.0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    def test_a_period_far_below_the_row_gaps_is_refused(self, tmp_path, capsys):
+        # 60 s at a period of 6e-19 s would be 1e20 refreshes
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps({"ts": ts, "q": [0.1, 0.5]}) + "\n"
+                                  for ts in (0, 60)))
+        assert run("allocate", "--budget", "0.5", "--costs", "0,1", "--refresh-minutes", "1e-20",
+                   "--stream", str(stream), "--out", str(tmp_path / "dec.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert "1e+20 refresh ticks" in err and str(allocator._MAX_TICKS) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
     @pytest.mark.parametrize("flag, value", [

@@ -464,6 +464,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="max_steps"):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("doc, kind", [("5", "int"), ("null", "NoneType"), ('"1"', "str"),
+                                           ("[]", "list")])
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, doc, kind):
+        actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
+        write_dataset(tmp_path / "ds", [make_trajectory(actions)], actions, d=3)
+        path = tmp_path / "ds" / "manifest.json"
+        path.write_text(doc + "\n")
+        with pytest.raises(ValueError, match=f"{path} must be a JSON object, not {kind}"):
+            load_dataset(tmp_path / "ds")
+
     @pytest.mark.parametrize("edit, fault", [
         (lambda rec: {**rec, "day_in_cycle": "1"}, "day_in_cycle must be int, not '1'"),
         (lambda rec: {**rec, "state": 5}, "state must be list, not 5"),

@@ -332,6 +332,37 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError):
             Mlp.from_dict(load_json(path))
 
+    @pytest.mark.parametrize("doc", [[1, 2], 5, "mlp-v1", None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="model must be a JSON object"):
+            Mlp.from_dict(doc)
+
+    @pytest.mark.parametrize("sizes", [[3], [], [3, 0], [3, -2], [3, True], [3.0, 2], ["3", 2],
+                                       5, None])
+    def test_layer_sizes_that_are_not_two_or_more_positive_ints_rejected(self, sizes):
+        with pytest.raises(ValueError, match="layer_sizes must be a list of two or more"):
+            Mlp.from_dict({"format": "mlp-v1", "layer_sizes": sizes, "params": [0.0] * 8})
+
+    def test_layer_sizes_checked_against_params_before_allocating(self, monkeypatch):
+        # a 2**40-wide input layer would need 8 TiB; the count is refused first,
+        # so the net is never made
+        def no_net(self, layer_sizes, rng=None):
+            raise AssertionError(f"a net of {layer_sizes} was made")
+
+        monkeypatch.setattr(Mlp, "__init__", no_net)
+        doc = {"format": "mlp-v1", "layer_sizes": [2 ** 40, 2], "params": [0.0, 1.0, 2.0]}
+        with pytest.raises(ValueError, match=f"params hold 3 values, but layer_sizes "
+                                             rf"\[{2 ** 40}, 2\] need {2 * (2 ** 40 + 1)}"):
+            Mlp.from_dict(doc)
+        with pytest.raises(ValueError, match="model params must be a list"):
+            Mlp.from_dict({**doc, "params": 3.0})
+
+    def test_params_of_another_count_rejected(self):
+        doc = Mlp([3, 2]).to_dict()
+        for params in (doc["params"][:-1], doc["params"] + [0.0]):
+            with pytest.raises(ValueError, match="need 8"):
+                Mlp.from_dict({**doc, "params": params})
+
 
 class TestFlatParams:
     def test_params_in_mlp_v1_order(self):
