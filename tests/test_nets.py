@@ -344,7 +344,7 @@ class TestSerializationRoundTrip:
             Mlp.from_dict({"format": "mlp-v1", "layer_sizes": sizes, "params": [0.0] * 8})
 
     def test_layer_sizes_checked_against_params_before_allocating(self, monkeypatch):
-        # a 2**40-wide input layer would need 8 TiB; the count is refused first,
+        # a 2**40-wide input layer would need 16 TiB; the count is refused first,
         # so the net is never made
         def no_net(self, layer_sizes, rng=None):
             raise AssertionError(f"a net of {layer_sizes} was made")
