@@ -34,15 +34,19 @@ class RewardModel:
     actions: ActionSet
 
     def action(self, state: StateVector) -> int:
-        """Best predicted immediate retention within the claim mask; cheaper on ties."""
-        row = self.q_row(state)
-        scores = np.where(np.isfinite(row), row, -np.inf)
-        return int(scores.argmax())
+        """Best predicted immediate retention among the claim's arms, the first
+        (cheapest) of them on ties. A score that is not finite (an overflowed
+        net) counts as no score, so a state whose arms all lack one takes the
+        claim's cheapest arm; the pick never leaves the claim's menu."""
+        arms = day_mask_indices(self.actions, state.bonuses_collected)
+        scores = self.q_row(state)[arms]
+        return int(arms[np.where(np.isfinite(scores), scores, -np.inf).argmax()])
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Retention probability per claim-eligible action of the rows of ``x``
-        (``network_inputs`` rows) at claim counts ``claims``, one row per input
-        row; NaN elsewhere. A 1-D ``x`` with an int ``claims`` gives that one row."""
+        (``states_to_inputs`` rows) at claim counts ``claims``, one row per
+        input row; NaN elsewhere. A 1-D ``x`` with an int ``claims`` gives that
+        one row."""
         mask = claim_masks(self.actions, claims)
         rows, acts = np.nonzero(np.atleast_2d(mask))
         x = _pair_inputs(np.atleast_2d(x)[rows], acts, self.actions.size)

@@ -13,9 +13,13 @@ runs the Q-network only when they leave a choice; at the deployed ``xi`` of
 
 ``BcqPolicy.action`` decides one state at one row's cost. Each claim may take
 a contiguous run of the menu (the normals, or the supers), its span, read
-once per policy from ``ActionSet.claim_table``; the xi rule then compares
-only the span's probabilities, and the decision is the one the full-width
-mask gives.
+once per policy from ``ActionSet.claim_table``; the xi rule compares only the
+span's probabilities, and Q, when read, only the span's values. The pick is
+therefore always on the claim's menu: a span with no eligible action (a NaN
+behavior output) takes its first, cheapest action. Whenever some action is
+eligible and the full-width rule (``xi_eligible`` under the claim's whole
+mask, then ``_constrained_argmax``) stays on the menu, which it does on
+finite outputs, the decision is the one that rule gives.
 """
 
 from __future__ import annotations
@@ -40,55 +44,38 @@ AGENT_FORMAT = "bcq-agent-v1"
 BLOCK_ROWS = 6400
 
 
-def network_inputs(features: Sequence[Sequence[float]], days: Sequence[int],
-                   claims: Sequence[int]) -> np.ndarray:
-    """Network inputs, one row per user: the opaque ``features`` row, then the
-    normalized cycle counters ``days`` (day in cycle) and ``claims`` (bonuses
-    collected). The one input layout (``_input_row``), for logged states and
-    simulated users alike."""
-    return np.array([_input_row(f, d, k) for f, d, k in zip(features, days, claims)],
-                    dtype=float)
+def _input_row(state) -> tuple[float, ...]:
+    """One network input row: the state's opaque ``features``, then its cycle
+    counters ``day_in_cycle`` and ``bonuses_collected``, normalized."""
+    return (*state.features, state.day_in_cycle / CYCLE_DAYS,
+            state.bonuses_collected / CLAIMS_PER_CYCLE)
 
 
-def _input_row(features: Sequence[float], day: int, claims: int) -> tuple[float, ...]:
-    """One network input row: ``features``, then the normalized counters."""
-    return (*features, day / CYCLE_DAYS, claims / CLAIMS_PER_CYCLE)
-
-
-def states_to_inputs(states: Sequence[StateVector]) -> np.ndarray:
-    """``network_inputs`` of each state's features and cycle counters."""
-    return network_inputs([s.features for s in states], [s.day_in_cycle for s in states],
-                          [s.bonuses_collected for s in states])
+def states_to_inputs(states: Sequence) -> np.ndarray:
+    """Network inputs, one ``_input_row`` per state: the one input layout, for
+    logged ``StateVector``s and simulated ``UserSim``s alike (both hold the
+    fields it reads)."""
+    return np.array([_input_row(s) for s in states], dtype=float)
 
 
 def state_to_input(state: StateVector) -> np.ndarray:
     """The network input of one state: its row of ``states_to_inputs``, built
     as one row."""
-    return np.array(_input_row(state.features, state.day_in_cycle, state.bonuses_collected),
-                    dtype=float)
+    return np.array(_input_row(state), dtype=float)
 
 
-def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray | slice, xi: float) -> np.ndarray:
+def xi_eligible(probs: np.ndarray, claim_mask: np.ndarray, xi: float) -> np.ndarray:
     """Boolean mask of the claim-masked actions whose behavior probability is
     >= xi times the masked maximum of their row (last axis).
 
-    Never empty on a row with a non-empty claim mask for xi <= 1: the masked
-    argmax has ratio exactly 1.
-
-    For one row, ``claim_mask`` may be the claim's span instead, the slice of
-    the contiguous actions its mask marks; the result is then the mask's
-    span, ``span.stop - span.start`` wide. A probability is never negative, so
-    the span's maximum is the masked row's (a NaN propagates in both), and
-    the span's entries of the full-width mask are these.
+    Never empty on a row with a non-empty claim mask and finite probabilities
+    for xi <= 1: the masked argmax has ratio exactly 1. A NaN probability in
+    the mask leaves the row empty.
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must be in [0, 1]")
-    if type(claim_mask) is slice:
-        span = probs[claim_mask]
-        return span >= xi * np.maximum.reduce(span)
     masked = np.where(claim_mask, probs, 0.0)
-    # one row's maximum is a scalar (see ``softmax``)
-    return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=masked.ndim > 1))
+    return claim_mask & (masked >= xi * masked.max(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -277,10 +264,10 @@ def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
 
 def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
     """Highest-Q action among the ``eligible`` ones, cheaper on ties: an int
-    array over the rows of ``x``, or one action for one 1-D input. A row with
-    one eligible action takes it; Q is read only to choose among two or more,
-    so an overflowed Q cannot move a row's choice off its eligible set, and
-    the Q pass runs only when some row has a choice."""
+    array over the rows of ``x``. A row with one eligible action takes it; Q
+    is read only to choose among two or more, so an overflowed Q cannot move a
+    row's choice off its eligible set, and the Q pass runs only when some row
+    has a choice."""
     one, only = eligible.sum(axis=-1) == 1, eligible.argmax(axis=-1)
     if one.all():
         return only
@@ -312,19 +299,22 @@ class BcqPolicy:
     from ``ActionSet.claim_table`` when the policy is made), and a Q forward
     call only when more than one action is eligible. ``q_rows`` scores a
     matrix of network inputs in one Q forward call; ``q_row`` is its
-    one-state case."""
+    one-state case. An ``xi`` outside [0, 1] is refused when the policy is
+    made."""
 
     def __init__(self, agent: BcqAgent, xi: float | None = None):
         self.agent = agent
         self.xi = agent.hyper.xi if xi is None else xi
+        if not 0.0 <= self.xi <= 1.0:
+            raise ValueError("xi must be in [0, 1]")
         self._spans = _claim_spans(agent.actions)
 
     def action(self, state: StateVector) -> int:
-        """Highest-Q action among the behavior-eligible set; cheaper action on ties.
-        A state with one eligible action takes it; Q is read only to choose
-        among two or more. The decision is ``_constrained_argmax``'s on the
-        row's ``_eligible`` mask; a claim count that ``claim_masks`` refuses is
-        refused with its error."""
+        """Highest-Q action among the behavior-eligible actions of the state's
+        claim span; cheaper action on ties. A state with one eligible action
+        takes it; Q is read only to choose among two or more, and a state with
+        none takes the span's first action. A claim count that ``claim_masks``
+        refuses is refused with its error."""
         x = state_to_input(state)
         probs = softmax(self.agent.behavior_model.forward(x))
         claims = state.bonuses_collected
@@ -332,18 +322,18 @@ class BcqPolicy:
             claim_masks(self.agent.actions, claims)  # refuses what is not a claim count
             claims = operator.index(claims)  # a numpy integer that it takes
         span = self._spans[claims]
-        eligible = xi_eligible(probs, span, self.xi)
+        # a probability is never negative, so the span's maximum is the claim's
+        p = probs[span]
+        eligible = p >= self.xi * np.maximum.reduce(p)
         if np.count_nonzero(eligible) == 1:
             return span.start + int(eligible.argmax())
-        # zero or several eligible actions: the full-width rule reads Q
-        full = np.zeros(probs.size, dtype=bool)
-        full[span] = eligible
-        return int(_constrained_argmax(self.agent, x, full))
+        q = self.agent.q_net.forward(x)[span]
+        return span.start + int(np.where(eligible, q, -np.inf).argmax())
 
     def q_rows(self, x: np.ndarray, claims) -> np.ndarray:
         """Q values over the claim-eligible actions of the rows of ``x`` (as
-        ``network_inputs`` lays them out) at claim counts ``claims``, one row per
-        input row; NaN marks ineligible entries. A 1-D ``x`` with an int
+        ``states_to_inputs`` lays them out) at claim counts ``claims``, one row
+        per input row; NaN marks ineligible entries. A 1-D ``x`` with an int
         ``claims`` gives that one row."""
         q = self.agent.q_net.forward(x)
         return np.where(claim_masks(self.agent.actions, claims), q, np.nan)

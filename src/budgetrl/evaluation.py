@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .allocator import WindowStore
-from .bcq import network_inputs
+from .bcq import states_to_inputs
 from .core import StateVector, Trajectory, units
 from .envsim import CheckinEnv, UserSim, _spawn_generators
 
@@ -115,14 +115,15 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     draws only from their own generator, in the order the ``envsim`` docstring
     gives, and the run is deterministic per seed. A user's state is fixed from
     the start of the day until their claim, so with a store the day's network
-    inputs are built from the users' fields as one matrix, ``policy.q_rows(x,
-    claims)`` scores it in one call and ``store.admit`` checks and caches the
-    rows once; each claim then calls ``store.advance`` and ``allocate_online``
-    once each on its admitted row, in arrival order. The store's clock starts
-    at day 0, so a store whose clock has already started is a ValueError; the
-    report's ``lambda_timeline`` is the store's timeline. Without a store, the
-    policy's direct action on the user's ``StateVector`` is used. A negative
-    ``n_days`` or ``arrivals_per_day`` is a ValueError, raised before any work.
+    inputs are ``states_to_inputs(users)``, one matrix built from the users'
+    fields, ``policy.q_rows(x, claims)`` scores it in one call and
+    ``store.admit`` checks and caches the rows once; each claim then calls
+    ``store.advance`` and ``allocate_online`` once each on its admitted row, in
+    arrival order. The store's clock starts at day 0, so a store whose clock
+    has already started is a ValueError; the report's ``lambda_timeline`` is
+    the store's timeline. Without a store, the policy's direct action on the
+    user's ``StateVector`` is used. A negative ``n_days`` or
+    ``arrivals_per_day`` is a ValueError, raised before any work.
     """
     check_run_length(n_days, arrivals_per_day)
     cost_cents = env.actions.all_cents
@@ -148,10 +149,8 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         day_rewards = 0
         day_claims = len(users)
         if store is not None and day_claims:
-            claims = [u.bonuses_collected for u in users]
-            x = network_inputs([u.features for u in users], [u.day_in_cycle for u in users],
-                               claims)
-            day_rows = store.admit(policy.q_rows(x, claims))
+            day_rows = store.admit(policy.q_rows(states_to_inputs(users),
+                                                 [u.bonuses_collected for u in users]))
         for slot, user in enumerate(users):
             ts = day * DAY_SECONDS + (slot + 1) * DAY_SECONDS / (day_claims + 1)
             if store is not None:

@@ -46,6 +46,8 @@ row's outputs are those of its (1, n) matrix, bit for bit.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from . import core
@@ -194,8 +196,10 @@ class Mlp:
     def from_dict(cls, payload: dict) -> "Mlp":
         """The net of an ``mlp-v1`` JSON object. Its ``layer_sizes`` must be two
         or more positive ints whose parameter count, in Python ints, is the
-        length of its ``params`` list; both are checked before the net is made,
-        so a file cannot make it allocate more than its own ``params`` hold."""
+        length of its ``params`` list, each param a finite JSON int or float
+        (not a string, bool, NaN or infinity); all are checked before the net
+        is made, so a file cannot make it allocate more than its own ``params``
+        hold."""
         core.checked_object(payload, "model")
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload.get('format')!r}")
@@ -209,13 +213,11 @@ class Mlp:
         if count != len(params):
             raise ValueError(f"model params hold {len(params)} values, but layer_sizes "
                              f"{sizes} need {count}")
+        for i, p in enumerate(params):  # bool is not int here, and NaN fails the bound
+            if not (type(p) in (int, float) and abs(p) <= sys.float_info.max):
+                raise ValueError(f"model params[{i}] is {p!r}, not a finite number")
         net = cls(sizes)
-        # a number past the float range is an OverflowError, refused as a bad file
-        try:
-            params = np.asarray(params, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"model params are not a list of floats: {exc}") from None
-        net.set_params(params)
+        net.set_params(np.asarray(params, dtype=float))
         return net
 
 

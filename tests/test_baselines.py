@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetrl.allocator import AllocationProblem, solve_and_assign
 from budgetrl.baselines import (
@@ -19,6 +21,7 @@ from budgetrl.core import (
     HyperParams,
     StateVector,
     Transition,
+    claim_masks,
     day_mask_indices,
     flatten,
 )
@@ -212,6 +215,56 @@ class TestGreedyPolicy:
             best = max(row[j] for j in finite)
             expected = min((menu.cost_cents(j), j) for j in finite if row[j] == best)[1]
             assert model.action(s) == expected
+
+
+class ArmLogits:
+    """A stand-in for a reward-model net: a (state, arm) pair's outputs are the
+    logits (0, ``logits[arm]``), the arm read off the pair's one-hot, so each
+    arm's score can be any output a net can give."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=float)
+
+    def forward(self, x):
+        arm = x[:, -self.logits.size:].argmax(axis=1)
+        return np.stack([np.zeros(arm.size), self.logits[arm]], axis=1)
+
+
+# a logit, one past exp's range, an infinity (its score is NaN) or NaN
+EXTREME = st.one_of(st.floats(-30, 30),
+                    st.sampled_from([1e300, -1e300, np.inf, -np.inf, np.nan]))
+
+
+class TestGreedyPickOnTheMenu:
+    @given(n_normal=st.integers(1, 4), n_super=st.integers(1, 3), claims=st.integers(0, 3),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pick_is_on_the_menu(self, n_normal, n_super, claims, data):
+        menu = ActionSet(tuple(range(10, 10 + n_normal)), tuple(range(100, 100 + n_super)))
+        logits = data.draw(st.lists(EXTREME, min_size=menu.size, max_size=menu.size))
+        model = RewardModel(net=ArmLogits(logits), actions=menu)
+        s = state(bonuses=claims, day=claims + 1)
+        with np.errstate(invalid="ignore"):  # inf - inf in the softmax
+            row, got = model.q_row(s), model.action(s)
+        arms = day_mask_indices(menu, claims)
+        assert claim_masks(menu, claims)[got]
+        if np.isfinite(row[arms]).any():
+            # the full-mask rule: the first maximum of the row's finite scores
+            assert got == int(np.where(np.isfinite(row), row, -np.inf).argmax())
+        else:
+            assert got == arms[0]
+
+    def test_params_of_1e300_take_the_claims_cheapest_arm(self):
+        # the hidden sums reach about 3e300 and the outputs overflow to inf, so
+        # every score is NaN; the full-mask rule took arm 0 at claim 4 as well
+        net = Mlp([state_to_input(state()).size + ACTIONS.size, 8, 2])
+        net.set_params(np.full(net.params.size, 1e300))
+        model = RewardModel(net=net, actions=ACTIONS)
+        for claims in range(4):
+            s = state(bonuses=claims, day=claims + 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(model.q_row(s)).all()
+                assert model.action(s) == day_mask_indices(ACTIONS, claims)[0]
 
 
 class TestQMatrix:

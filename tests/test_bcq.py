@@ -352,10 +352,14 @@ class TestOneStateDecision:
 def full_mask_decision(agent, s, xi):
     """The full-width rule on the state's one-row matrix: ``xi_eligible`` of the
     behavior softmax under the claim's whole ``claim_masks`` row, then
-    ``_constrained_argmax``."""
+    ``_constrained_argmax``; a state with no eligible action takes its claim's
+    first action."""
     x = state_to_input(s)[None, :]
     probs = softmax(agent.behavior_model.forward(x))
-    eligible = xi_eligible(probs, claim_masks(agent.actions, [s.bonuses_collected]), xi)
+    claim = claim_masks(agent.actions, [s.bonuses_collected])
+    eligible = xi_eligible(probs, claim, xi)
+    if not eligible.any():
+        return int(claim.argmax()), probs[0], eligible[0]
     return int(bcq._constrained_argmax(agent, x, eligible)[0]), probs[0], eligible[0]
 
 
@@ -382,22 +386,20 @@ class TestOneRowDecision:
         agent = BcqAgent(q_net=q_net, behavior_model=behavior, hyper=HyperParams(xi=xi),
                          actions=menu)
         s = StateVector(tuple(rng.normal(size=d)), claims + 1, claims)
-        want, probs, eligible = full_mask_decision(agent, s, xi)
         policy = BcqPolicy(agent)
         span = policy._spans[claims]
         assert claim_masks(menu, claims)[span].all() and claim_masks(menu, claims).sum() == (
             span.stop - span.start)
-        assert xi_eligible(probs, span, xi).tobytes() == eligible[span].tobytes()
-        assert policy.action(s) == want
+        assert policy.action(s) == full_mask_decision(agent, s, xi)[0]
 
     def test_underflow_and_nan_outputs(self):
         # Arms whose probability underflows to 0 lose to a positive one; when the
         # whole span underflows, every span arm is eligible and Q picks. A NaN
-        # output leaves none eligible, and the full-width rule's pick (action 0,
-        # the first of an all -inf row, even at claim 4) is kept.
+        # output leaves none eligible, and the claim's first arm is taken: the
+        # super, 3, at claim 4.
         for logits, claims, want in (([0.0, -1e4, -1e4, 5.0], 0, 0),
                                      ([-1e4, -1e4, -1e4, 0.0], 1, 1),
-                                     ([1.0, 2.0, float("nan"), 0.0], 3, 0)):
+                                     ([1.0, 2.0, float("nan"), 0.0], 3, 3)):
             agent = BcqAgent(q_net=const_net(input_size(2), [0.1, 0.3, 0.2, 0.4]),
                              behavior_model=const_net(input_size(2), logits),
                              hyper=HyperParams(xi=0.3), actions=ACTIONS)
@@ -421,6 +423,61 @@ class TestOneRowDecision:
         agent = tiny_agent([0.1] * 4, [0.25] * 4)
         with pytest.raises(ShapeError, match=f"input width 5 != {input_size(2)}"):
             BcqPolicy(agent).action(state(d=3))
+
+
+# a network output: a logit, one past exp's range, an infinity or NaN
+EXTREME = st.one_of(st.floats(-30, 30),
+                    st.sampled_from([1e300, -1e300, np.inf, -np.inf, np.nan]))
+
+
+class TestPickOnTheMenu:
+    """Whatever the nets output, ``action`` picks an arm of the claim's menu, and
+    the full-mask rule's arm whenever that rule stays on the menu."""
+
+    @given(n_normal=st.integers(1, 4), n_super=st.integers(1, 3), claims=st.integers(0, 3),
+           xi=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_pick_is_on_the_menu(self, n_normal, n_super, claims, xi, data):
+        menu = ActionSet(tuple(range(10, 10 + n_normal)), tuple(range(100, 100 + n_super)))
+        logits, q = (data.draw(st.lists(EXTREME, min_size=menu.size, max_size=menu.size))
+                     for _ in range(2))
+        agent = BcqAgent(q_net=const_net(input_size(2), q),
+                         behavior_model=const_net(input_size(2), logits),
+                         hyper=HyperParams(xi=xi), actions=menu)
+        s = state(bonuses=claims, day=claims + 1)
+        with np.errstate(invalid="ignore"):  # inf - inf in the softmax
+            got = BcqPolicy(agent).action(s)
+            want, _, eligible = full_mask_decision(agent, s, xi)
+        on_menu = claim_masks(menu, claims)
+        assert on_menu[got]
+        if on_menu[want]:
+            assert got == want
+        else:
+            # the full-mask rule leaves the menu only when every eligible arm's Q
+            # is -inf: its all -inf row gives arm 0, the span rule the claim's first
+            assert want == 0 and (np.asarray(q)[eligible] == -np.inf).all()
+            assert got == int(on_menu.argmax())
+
+    def test_params_of_1e300_take_the_claims_first_arm(self):
+        # every behavior param 1e300 overflows the outputs to inf, so the softmax
+        # is NaN and no arm is eligible; the full-width rule took arm 0 at claim 4
+        behavior = Mlp([input_size(2), 8, ACTIONS.size])
+        behavior.set_params(np.full(behavior.params.size, 1e300))
+        agent = BcqAgent(q_net=const_net(input_size(2), [0.1, 0.3, 0.2, 0.4]),
+                         behavior_model=behavior, hyper=HyperParams(xi=0.3), actions=ACTIONS)
+        for claims in range(4):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = BcqPolicy(agent).action(state(bonuses=claims, day=claims + 1))
+            assert got == day_mask_indices(ACTIONS, claims)[0]
+
+    def test_an_all_minus_inf_q_over_two_supers_takes_the_first_super(self):
+        menu = ActionSet(normal_cents=(65, 87), super_cents=(172, 182))
+        agent = BcqAgent(q_net=const_net(input_size(2), [-np.inf] * 4),
+                         behavior_model=behavior_with_probs([0.25] * 4),
+                         hyper=HyperParams(xi=0.3), actions=menu)
+        s = state(bonuses=3, day=4)
+        assert full_mask_decision(agent, s, 0.3)[0] == 0  # off the claim-4 menu
+        assert BcqPolicy(agent).action(s) == 2
 
 
 class TestStateInput:

@@ -11,6 +11,7 @@ from budgetrl import allocator, cli
 from budgetrl.cli import build_parser, main
 from budgetrl.core import ActionSet, flatten, load_dataset, validate_dataset
 from budgetrl.envsim import config_to_dict, default_config
+from budgetrl.evaluation import MatchedSet
 from test_envsim import CONFIG_PROBES, LOAD_PROBES, probe_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -553,6 +554,40 @@ class TestEvaluateAndSimulate:
                    "--full-trajectory", "--out", str(out)) == 0
         assert json.loads(out.read_text())["matched_steps"] > 0
 
+    def test_evaluate_refuses_an_xi_out_of_range_before_scoring(self, workspace, tmp_path,
+                                                                capsys, monkeypatch):
+        scored = []
+        monkeypatch.setattr(cli, "match_records", lambda *args, **kw: scored.append(args))
+        out = tmp_path / "out" / "report.json"
+        assert run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
+                   "--model", str(workspace / "model.json"), "--xi", "1.5",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "xi must be in [0, 1]" in err
+        assert "Traceback" not in err
+        assert scored == [] and not (tmp_path / "out").exists()
+
+    def test_evaluate_with_a_policy_that_matches_no_record_exits_1(self, tmp_path, capsys):
+        # logs whose every first claim took arm 0, scored by an expert table that
+        # takes arm 1 there: no trajectory matches its first step
+        configs = {}
+        for name, first_arm in (("logged", 0), ("scored", 1)):
+            doc = config_to_dict(*default_config())
+            doc["behavior"]["noise"] = 0.0
+            for row in doc["behavior"]["table"]:
+                row[0] = first_arm
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps(doc))
+        assert run("generate-data", "--config", str(configs["logged"]), "--n-users", "30",
+                   "--seed", "2", "--out", str(tmp_path / "ds")) == 0
+        capsys.readouterr()
+        out = tmp_path / "out" / "report.json"
+        assert run("evaluate", "--dataset", str(tmp_path / "ds"), "--policy", "expert",
+                   "--config", str(configs["scored"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "matched no logged records" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("policy", ["bcq", "lr-lp", "lr-greedy", "expert",
                                         "cheapest", "random"])
     def test_simulate_each_policy(self, workspace, tmp_path, policy):
@@ -695,6 +730,15 @@ class TestPipeline:
         assert "invalid input" in err and "already holds a dataset" in err
         assert "Traceback" not in err
         assert tree_hash(work) == before
+
+    def test_a_policy_that_matches_no_record_reports_no_matched_steps(self, tmp_path,
+                                                                        monkeypatch):
+        monkeypatch.setattr(cli, "match_records",
+                            lambda dataset, policy: MatchedSet(0, 0, 0, 0, len(dataset)))
+        work = tmp_path / "w"
+        assert run("pipeline", "--workdir", str(work), "--n-users", "40", "--steps", "20",
+                   "--days", "1", "--arrivals", "5") == 0
+        assert json.loads((work / "eval_report.json").read_text()) == {"matched_steps": 0}
 
     def test_artifacts_chain(self, tmp_path):
         # every artifact written by the pipeline must be readable by the

@@ -363,6 +363,27 @@ class TestSerializationRoundTrip:
             with pytest.raises(ValueError, match="need 8"):
                 Mlp.from_dict({**doc, "params": params})
 
+    @pytest.mark.parametrize("bad", ['"1.5"', '" 2e0 "', '"inf"', "true", "false", "null",
+                                     "NaN", "Infinity", "-Infinity", "1e999", "[1.0]",
+                                     '{"a": 1}', "1" + "0" * 400])
+    def test_a_param_that_is_not_a_finite_json_number_is_rejected_by_index(self, tmp_path,
+                                                                          bad):
+        # the file holds a good first param, the bad one at index 1, and another
+        # bad one later, so the first is named
+        params = ["0.5", bad, "-2", "3", "4", "5", "6", "NaN"]
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "mlp-v1", "layer_sizes": [3, 2], '
+                        f'"params": [{", ".join(params)}]}}')
+        with pytest.raises(ValueError, match=r"model params\[1\] is .*, not a finite number"):
+            Mlp.from_dict(load_json(path))
+
+    def test_int_and_float_params_load_as_floats(self):
+        doc = {"format": "mlp-v1", "layer_sizes": [3, 2],
+               "params": [1, -2, 0.5, 3, 1e308, -1e-300, 0, 7]}
+        net = Mlp.from_dict(doc)
+        assert net.params.dtype == np.float64
+        assert net.params.tolist() == [1.0, -2.0, 0.5, 3.0, 1e308, -1e-300, 0.0, 7.0]
+
 
 class TestFlatParams:
     def test_params_in_mlp_v1_order(self):
