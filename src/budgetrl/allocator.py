@@ -56,16 +56,17 @@ of 100 000 rows of 12 actions (median of 20) took 18.3-19.3 ms on 2 CPUs and
 28.6-29.2 ms on 1 at 8192 rows a block, against 19.3-22.6 and 27.8-29.5 ms
 at 4096 and 18.7-19.4 and 33.4-34.0 ms at 16384.
 
-``WindowStore`` keeps what a refresh reads for a sliding window of recent
-rows, in append-only buffers: each row's timestamp and greedy cost, and the
-rows' breakpoints in the compact layout, so the live ones are one contiguous
-slice. Rows join it in batches: ``admit`` checks a matrix of Q rows once and
-walks their envelopes in one call, and ``allocate_online`` decides one
-admitted row by counting its breakpoints <= lam, and queues it. A refresh
-copies the queued rows' slices of the layout to the buffers' end, evicts by
-moving the first live row, and runs ``_exact_lambda`` on the live slice, so
-it neither checks, masks nor walks a row again, and neither merges nor
-concatenates the window.
+``WindowStore`` keeps a sliding window of recent rows without copying
+them. Rows join it in batches: ``admit`` checks a matrix of Q rows once,
+walks their envelopes in one call and sums their greedy cents into a running
+sum, and ``allocate_online`` decides one admitted row by counting its
+breakpoints <= lam. The window is runs of the decided rows, in decision
+order, each over consecutive rows of one batch: the batch's row cache and
+running sum, and the run's first and end row. A refresh evicts rows from the
+front runs, takes the excess from the running sums and runs
+``_exact_lambda`` on the live rows' slices of their batches' ``lam`` and
+``drop`` (a view of one run, one concatenation of several), so it neither
+checks, masks nor walks a row again.
 
 Value matrices are float arrays with NaN marking actions a customer is not
 eligible for. Costs and budgets are integer cents; the dual itself works in
@@ -79,8 +80,10 @@ breaks ties toward the cheaper action, then the lower index.
 from __future__ import annotations
 
 import bisect
+import collections
 import contextvars
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -584,14 +587,16 @@ def solve_and_assign(problem: AllocationProblem) -> Assignment:
 
 class _Batch:
     """Rows admitted by one ``WindowStore.admit`` call: a copy of their checked
-    Q rows and their ``_row_cache``, kept until the last of them is flushed.
-    ``prices`` are the admitting store's; holding them rather than the store
-    leaves no reference cycle to outlive the store."""
+    Q rows, their ``_row_cache`` and ``greedy``, the running sum of their
+    greedy cents (rows [lo, hi) cost ``greedy[hi] - greedy[lo]``). The window
+    holds the cache and the running sum of a batch while it has a row of it,
+    and never the Q rows. ``prices`` are the admitting store's; holding them
+    rather than the store leaves no reference cycle to outlive the store."""
 
-    __slots__ = ("prices", "q", "cache")
+    __slots__ = ("prices", "q", "cache", "greedy", "__weakref__")
 
-    def __init__(self, prices, q, cache):
-        self.prices, self.q, self.cache = prices, q, cache
+    def __init__(self, prices, q, cache, greedy):
+        self.prices, self.q, self.cache, self.greedy = prices, q, cache, greedy
 
 
 # Most refresh ticks one ``WindowStore.advance`` call may fire: more than a
@@ -608,20 +613,19 @@ class WindowStore:
     of Q rows once and walks their envelopes (``_row_cache``) in one call; it
     returns one admitted row per Q row. ``allocate_online`` then decides one
     admitted row at ``lambda_snapshot`` by the assignment rule on its
-    envelope, and queues it as (now, batch, index). The snapshot is published
-    atomically; readers never block on a refresh, queueing decisions do.
+    envelope, and the row joins the window. The snapshot is published
+    atomically; readers never block on a refresh, joining rows do.
 
-    A store keeps only what a refresh reads, in append-only buffers: per
-    row, its timestamp and greedy cost, and per breakpoint, the compact
-    layout's ``lam`` and ``drop``. The live rows are ``[_lo, _hi)`` and buffer
-    row i's breakpoints are at ``_offsets[i]:_offsets[i + 1]``, so the live
-    breakpoints are one contiguous slice. A refresh first flushes the queue:
-    it copies each queued run's slice of its batch's compact layout to the
-    end of the buffers, with no sort and no merge. Eviction only moves
-    ``_lo``; once the dead prefix of the rows passes half their capacity, or
-    either buffer is short, the next flush moves the live rows and their
-    breakpoints to the front together. The solve (``_exact_lambda``) then
-    reads the live slice.
+    The window copies no row. It keeps each live row's timestamp and runs of
+    the live rows in decision order, a run being [cache, greedy, first, end]:
+    rows [first, end) of one batch, decided one after another, with the
+    batch's row cache and greedy running sum. A decided row extends the last
+    run when it is the next row of that run's batch, and starts a run
+    otherwise. Eviction drops timestamps from the front and moves the front
+    runs' ``first``, dropping each run it empties; the solve
+    (``_exact_lambda``) reads the live rows' slices of their batches'
+    breakpoints in place. A batch's cache is kept while the window holds a
+    row of it, and its Q rows while the caller holds an admitted row of it.
     """
 
     def __init__(self, costs_cents, budget_cents: int,
@@ -641,69 +645,23 @@ class WindowStore:
         self.timeline: list[dict] = []
         self._next_tick: float | None = None
         self.infeasible_refreshes = 0  # refreshes no multiplier could fit into the budget
-        # (now, batch, index) per row decided since the last refresh
-        self._pending: list[tuple[float, _Batch, int]] = []
-        self._buffers = (np.empty(0), np.empty(0, dtype=np.int64))  # ts, greedy cost
-        self._entries = (np.empty(0), np.empty(0, dtype=np.int64))  # lam, drop
-        self._offsets = np.zeros(1, dtype=np.intp)
-        self._lo = self._hi = 0
+        self._ts: collections.deque[float] = collections.deque()  # per live row
+        self._runs: collections.deque[list] = collections.deque()  # [cache, greedy, first, end]
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return self._hi - self._lo + len(self._pending)
+        return len(self._ts)
 
     def admit(self, q) -> list[tuple[_Batch, int]]:
         """The rows of the matrix ``q``, checked and cached for ``allocate_online``:
         one admitted row each, in order. A bad row is a ValueError, and then no
         row is admitted. Admitting changes nothing in the window."""
         q = _checked_rows(q, len(self.costs_cents), 2).copy()
-        batch = _Batch(self._prices, q, _row_cache(q, self._prices))
+        cache = _row_cache(q, self._prices)
+        greedy = np.zeros(len(q) + 1, dtype=np.int64)
+        np.cumsum(self._prices.cents.take(cache.start), out=greedy[1:])
+        batch = _Batch(self._prices, q, cache, greedy)
         return list(zip(itertools.repeat(batch), range(len(q))))
-
-    def _make_room(self, rows: int, entries: int) -> None:
-        """Room at the end of the row buffers for ``rows`` more rows and at the
-        end of the entry buffers for ``entries`` more breakpoints. When either
-        is short, or the rows' dead prefix passes half their capacity, the live
-        rows and their breakpoints move to the front of buffers of at least
-        twice what they and the new ones need, and the offsets are rebased."""
-        lo, hi = self._lo, self._hi
-        first, end = int(self._offsets[lo]), int(self._offsets[hi])
-        capacity, entry_capacity = len(self._buffers[0]), len(self._entries[0])
-        if lo > capacity // 2 or hi + rows > capacity or end + entries > entry_capacity:
-            capacity = max(capacity, 2 * (hi - lo + rows))
-            entry_capacity = max(entry_capacity, 2 * (end - first + entries))
-            self._buffers = tuple(_moved_to_front(a[lo:hi], capacity) for a in self._buffers)
-            self._entries = tuple(_moved_to_front(a[first:end], entry_capacity)
-                                  for a in self._entries)
-            self._offsets = _moved_to_front(self._offsets[lo:hi + 1] - first, capacity + 1)
-            self._lo, self._hi = 0, hi - lo
-
-    def _flush(self) -> None:
-        """Copy the queued rows' timestamps, greedy costs and breakpoints to the
-        end of the buffers, making room first if needed."""
-        # Rows queued one after another from one batch, at consecutive indexes
-        # (decisions in arrival order), are copied as one slice per array.
-        runs = []
-        for (batch, _), run in itertools.groupby(
-                enumerate(self._pending), key=lambda item: (item[1][1], item[1][2] - item[0])):
-            lo = next(run)[1][2]
-            runs.append((batch.cache, lo, lo + 1 + sum(1 for _ in run)))
-        self._make_room(len(self._pending),
-                        sum(int(cache.offsets[hi] - cache.offsets[lo]) for cache, lo, hi in runs))
-        row = self._hi
-        entry = int(self._offsets[row])
-        self._buffers[0][row:row + len(self._pending)] = [t for t, _, _ in self._pending]
-        for cache, lo, hi in runs:
-            first, end = int(cache.offsets[lo]), int(cache.offsets[hi])
-            new_row, new_entry = row + hi - lo, entry + end - first
-            self._prices.cents.take(cache.start[lo:hi], out=self._buffers[1][row:new_row])
-            np.add(cache.offsets[lo + 1:hi + 1], entry - first,
-                   out=self._offsets[row + 1:new_row + 1])
-            for buffer, column in zip(self._entries, (cache.lam, cache.drop)):
-                buffer[entry:new_entry] = column[first:end]
-            row, entry = new_row, new_entry
-        self._hi = row
-        self._pending = []
 
     def window_refresh(self, now: float) -> float:
         """Evict expired records, re-solve the multiplier, publish the snapshot.
@@ -714,19 +672,24 @@ class WindowStore:
         whose walk reached its cheapest eligible action takes it.
         """
         with self._lock:
-            if self._pending:
-                self._flush()
+            ts, runs = self._ts, self._runs
             # Records leave from the front, up to the first one still inside the span.
-            ts = self._buffers[0][self._lo:self._hi]
-            expired = ts <= now - self.window_span
-            everyone = np.count_nonzero(expired) == expired.size
-            evicted = expired.size if everyone else int(expired.argmin())
-            self._lo += evicted
-            if self._hi > self._lo:
-                excess = (int(self._buffers[1][self._lo:self._hi].sum())
-                          - (self._hi - self._lo) * self.budget_cents)
-                lam, drop = (a[self._offsets[self._lo]:self._offsets[self._hi]]
-                             for a in self._entries)
+            cutoff = now - self.window_span
+            while ts and ts[0] <= cutoff:
+                ts.popleft()
+                runs[0][2] += 1
+                if runs[0][2] == runs[0][3]:
+                    runs.popleft()
+            if runs:
+                excess = -len(ts) * self.budget_cents
+                lams, drops = [], []
+                for cache, greedy, first, end in runs:
+                    excess += int(greedy[end] - greedy[first])
+                    live = slice(cache.offsets[first], cache.offsets[end])
+                    lams.append(cache.lam[live])
+                    drops.append(cache.drop[live])
+                lam, drop = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                             for parts in (lams, drops))
                 try:
                     self.lambda_snapshot = _exact_lambda(excess, lam, drop)
                 except InfeasibleProblemError:
@@ -737,11 +700,14 @@ class WindowStore:
     def advance(self, now: float) -> None:
         """Fire every refresh tick due by ``now``, oldest first, recording each in
         ``timeline``. Ticks fall every ``refresh_period`` after the first call's
-        ``now``; an entry's ``infeasible`` says whether its refresh was. A tick
-        that adding the period does not move (a ts so large that the period
-        is lost in rounding) is a ValueError, raised before its refresh, and
-        so is a call with more than ``_MAX_TICKS`` ticks due, before any of
+        ``now``; an entry's ``infeasible`` says whether its refresh was. A
+        ``now`` that is not finite is a ValueError, raised before any tick
+        fires; so is a tick that adding the period does not move (a ts so
+        large that the period is lost in rounding), raised before its refresh,
+        and a call with more than ``_MAX_TICKS`` ticks due, before any of
         them fires."""
+        if not math.isfinite(now):
+            raise ValueError(f"now must be a finite ts, not {now!r}")
         if self._next_tick is None:
             self._next_tick = now + self.refresh_period
         if self._next_tick <= now:
@@ -764,11 +730,14 @@ class WindowStore:
     def allocate_online(self, row, now: float) -> int:
         """The assignment rule's action at the snapshot for a customer arriving at
         ``now``, whose ``row`` (one of this store's ``admit``) then joins the
-        window; a row from elsewhere, or an index ``admit`` did not hand out,
-        is a TypeError and a bad snapshot a ValueError, raised before the row
-        is queued. The row's dual choice is its vertex after its breakpoints
-        <= lam, counted in ``lam[offsets[i]:offsets[i + 1]]``, as
-        ``_vertices`` finds it for a matrix."""
+        window. A ``now`` that is not finite or a bad snapshot is a ValueError,
+        and a row from elsewhere, or an index ``admit`` did not hand out, a
+        TypeError, each raised before the row joins. The row's dual choice is
+        its vertex after its breakpoints <= lam, counted in
+        ``lam[offsets[i]:offsets[i + 1]]``, as ``_vertices`` finds it for a
+        matrix."""
+        if not math.isfinite(now):
+            raise ValueError(f"now must be a finite ts, not {now!r}")
         lam = self.lambda_snapshot
         _check_lambda(lam)
         try:
@@ -786,12 +755,10 @@ class WindowStore:
         score = batch.q[i, v] - lam * self._prices.shift[v]
         action = v if score >= 0.0 else int(cache.cheapest[i])
         with self._lock:
-            self._pending.append((float(now), batch, i))
+            self._ts.append(float(now))
+            last = self._runs[-1] if self._runs else None
+            if last is not None and last[0] is cache and last[3] == i:
+                last[3] = i + 1
+            else:
+                self._runs.append([cache, batch.greedy, i, i + 1])
         return action
-
-
-def _moved_to_front(rows: np.ndarray, capacity: int) -> np.ndarray:
-    """A new buffer of ``capacity`` rows that starts with ``rows``."""
-    buffer = np.empty((capacity, *rows.shape[1:]), dtype=rows.dtype)
-    buffer[:len(rows)] = rows
-    return buffer

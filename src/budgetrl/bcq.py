@@ -16,10 +16,10 @@ a contiguous run of the menu (the normals, or the supers), its span, read
 once per policy from ``ActionSet.claim_table``; the xi rule compares only the
 span's probabilities, and Q, when read, only the span's values. The pick is
 therefore always on the claim's menu: a span with no eligible action (a NaN
-behavior output) takes its first, cheapest action. Whenever some action is
-eligible and the full-width rule (``xi_eligible`` under the claim's whole
-mask, then ``_constrained_argmax``) stays on the menu, which it does on
-finite outputs, the decision is the one that rule gives.
+behavior output), or whose eligible actions' Q are all -inf, takes its first,
+cheapest action. The batched rule of the training log (``xi_eligible`` under
+the claims' whole masks, then ``_constrained_argmax``) makes the same pick
+row by row.
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
             if step % hyper.target_sync_interval == 0:
                 target_net.set_params(q_net.params)
             if step % log_every == 0 or step == hyper.training_steps:
-                agreement = _logged_action_agreement(agent, x[probe], a[probe], eligible[probe])
+                agreement = _logged_action_agreement(agent, x[probe], a[probe], eligible[probe],
+                                                     data.claims[probe])
                 agent.training_log.append({"step": step, "loss": float(loss),
                                            "behavior_agreement": agreement})
     return agent
@@ -262,26 +263,31 @@ def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
                        claim_masks(agent.actions, claims), xi)
 
 
-def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray):
+def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray, claims):
     """Highest-Q action among the ``eligible`` ones, cheaper on ties: an int
-    array over the rows of ``x``. A row with one eligible action takes it; Q
-    is read only to choose among two or more, so an overflowed Q cannot move a
-    row's choice off its eligible set, and the Q pass runs only when some row
-    has a choice."""
+    array over the rows of ``x`` at claim counts ``claims``. A row with one
+    eligible action takes it; Q is read only to choose among two or more, so
+    an overflowed Q cannot move a row's choice off its eligible set, and the Q
+    pass runs only when some row has a choice. A row with no eligible action,
+    or whose eligible actions' Q are all -inf, takes its claim's first arm, as
+    ``BcqPolicy.action`` does, so no pick leaves the claim's menu."""
     one, only = eligible.sum(axis=-1) == 1, eligible.argmax(axis=-1)
     if one.all():
         return only
-    q = agent.q_net.forward(x)
-    best = np.where(eligible, q, -np.inf).argmax(axis=-1)
+    q = np.where(eligible, agent.q_net.forward(x), -np.inf)
+    best = q.argmax(axis=-1)
+    stuck = q.max(axis=-1) == -np.inf
+    if stuck.any():
+        best[stuck] = claim_masks(agent.actions, np.asarray(claims)[stuck]).argmax(axis=-1)
     return np.where(one, only, best)
 
 
 def _logged_action_agreement(agent: BcqAgent, x_probe: np.ndarray, a: np.ndarray,
-                             eligible: np.ndarray) -> float:
+                             eligible: np.ndarray, claims) -> float:
     """Fraction of probe states where the greedy constrained policy matches the
     logged action; ``eligible`` is the probe states' ``_eligible`` mask at the
-    agent's xi."""
-    return float(np.mean(_constrained_argmax(agent, x_probe, eligible) == a))
+    agent's xi and ``claims`` their claim counts."""
+    return float(np.mean(_constrained_argmax(agent, x_probe, eligible, claims) == a))
 
 
 def _claim_spans(actions: ActionSet) -> tuple[slice, ...]:

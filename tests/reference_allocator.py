@@ -6,13 +6,13 @@ at each eviction, and the exact multiplier gathers and argsorts every finite
 breakpoint of the window. The envelope walk is dense: it runs until no row
 moves and fills (N, M - 1) tables, and the dual choice at lam is read from
 them by counting each row's breakpoints <= lam. The package's compact walk,
-its window's append-only row and breakpoint buffers and its multiplier by
-selection over unsorted breakpoints are held to its bits.
+its window of runs over the admitted batches' breakpoints and its multiplier
+by selection over unsorted breakpoints are held to its bits.
 
 ``RowStore`` is the window store that takes raw Q rows one at a time: each
-decision checks its row and walks its envelope alone, and each flush walks
-the queued rows' envelopes. Stores that admit rows in batches are held to
-its bits.
+decision checks its row and walks its envelope alone, and the row joins the
+window admitted alone, as a run of its own. Stores that admit rows in
+batches are held to its bits.
 """
 
 import math
@@ -145,24 +145,9 @@ class ConcatWindow:
 
 class RowStore(WindowStore):
     """``WindowStore`` with a per-row ``allocate_online(q_row, now)`` that
-    checks the raw row and applies the batch assignment rule to it alone, and
-    a flush that walks the queued rows' envelopes; refreshes and ticks are the
-    package's."""
-
-    def _flush(self):
-        q = np.array([q for _, q in self._pending])
-        n = len(q)
-        cache = _row_cache(q, self._prices)
-        self._make_room(n, cache.lam.size)
-        rows = slice(self._hi, self._hi + n)
-        self._buffers[0][rows] = [t for t, _ in self._pending]
-        self._buffers[1][rows] = self._prices.cents[cache.start]
-        entry = self._offsets[self._hi]
-        self._offsets[self._hi:self._hi + n + 1] = cache.offsets + entry
-        for buffer, column in zip(self._entries, (cache.lam, cache.drop)):
-            buffer[entry:entry + column.size] = column
-        self._hi += n
-        self._pending = []
+    checks the raw row and applies the batch assignment rule to it alone; the
+    row then joins the window through the package's ``allocate_online`` on
+    the row admitted alone. Refreshes and ticks are the package's."""
 
     def allocate_online(self, q_row, now):
         lam = self.lambda_snapshot
@@ -174,6 +159,5 @@ class RowStore(WindowStore):
             q_row = _checked_rows(q_row, cents.size, 1)
         q = q_row[None]
         action = int(_assign_rows(q, _row_cache(q, self._prices), self._prices, lam)[0][0])
-        with self._lock:
-            self._pending.append((float(now), q_row))
+        super().allocate_online(self.admit(q)[0], now)
         return action

@@ -186,7 +186,8 @@ def bcq_train(dataset, actions, hyper):
         if (step + 1) % log_every == 0 or step + 1 == hyper.training_steps:
             probe_eligible = xi_eligible(softmax(forward(behavior_model, x[probe])),
                                          claim_masks(actions, data.claims[probe]), hyper.xi)
-            agreement = _logged_action_agreement(agent, x[probe], a[probe], probe_eligible)
+            agreement = _logged_action_agreement(agent, x[probe], a[probe], probe_eligible,
+                                                 data.claims[probe])
             log.append({"step": step + 1, "loss": float(loss), "behavior_agreement": agreement})
     return q_net, behavior_model, log
 

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -347,30 +348,27 @@ def admitted_row(row):
     return batch.q[i]
 
 
-def pending_rows(store):
-    """The (ts, Q row) of each row a ``WindowStore`` has queued, in queue order."""
-    return [(ts, admitted_row((batch, i))) for ts, batch, i in store._pending]
-
-
 class KeptRowsStore(WindowStore):
-    """A ``WindowStore`` that also keeps the Q row of every row it flushes, in
-    flush order. Rows leave the window from the front in that order, so the
-    live rows are the last ``len(window)`` of them."""
+    """A ``WindowStore`` that also keeps the Q rows of every batch it admits,
+    by the batch's row cache, so the window's Q rows can be read from its
+    runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.flushed = []
+        self.admitted = {}  # id(cache): (cache, Q rows); the cache kept keeps its id unique
 
-    def _flush(self):
-        self.flushed.extend(batch.q[i] for _, batch, i in self._pending)
-        super()._flush()
+    def admit(self, q):
+        rows = super().admit(q)
+        batch = rows[0][0]
+        self.admitted[id(batch.cache)] = batch.cache, batch.q
+        return rows
 
 
 def window_rows(store):
-    """The window's Q rows, from those a ``KeptRowsStore`` kept at each flush."""
-    live = store._hi - store._lo
-    rows = store.flushed[len(store.flushed) - live:]
-    return np.array(rows).reshape(live, len(store.costs_cents))
+    """The window's Q rows in window order, read from the runs of a ``KeptRowsStore``."""
+    return np.concatenate([np.empty((0, len(store.costs_cents))),
+                           *(store.admitted[id(cache)][1][first:end]
+                             for cache, _, first, end in store._runs)])
 
 
 class TestWindowStore:
@@ -421,6 +419,23 @@ class TestWindowStore:
         assert [row["ts"] for row in store.timeline] == [1600.0, 2200.0]
         assert [row["window"] for row in store.timeline] == [1, 1]
         assert store.timeline[-1]["lam"] == store.lambda_snapshot
+
+    @pytest.mark.parametrize("now", [np.nan, np.inf, -np.inf])
+    def test_a_now_that_is_not_finite_is_refused(self, now):
+        store = self.make_store(span=3600.0, period=600.0)
+        rows = store.admit(np.full((3, 12), 0.5))
+        store.advance(0.0)
+        store.allocate_online(rows[0], 0.0)
+        with pytest.raises(ValueError, match="now must be a finite ts"):
+            store.advance(now)
+        with pytest.raises(ValueError, match="now must be a finite ts"):
+            store.allocate_online(rows[1], now)
+        assert store.timeline == [] and len(store) == 1
+        # the clock and the window go on as before: the row at ts 0 leaves
+        store.allocate_online(rows[2], 3000.0)
+        store.advance(4200.0)
+        assert [(e["ts"], e["window"]) for e in store.timeline] == [
+            (600.0 * k, 2 if k < 6 else 1) for k in range(1, 8)]
 
     def test_advance_refuses_a_tick_the_period_cannot_move(self):
         store = self.make_store(period=600.0)
@@ -1149,12 +1164,29 @@ def window_contents(store):
     if isinstance(store, ref.ConcatWindow):
         ts, qm = store.window[:2]
         return ts, np.where(np.isneginf(qm), np.nan, qm)
-    return store._buffers[0][store._lo:store._hi], window_rows(store)
+    return np.array(store._ts, dtype=float), window_rows(store)
+
+
+def live_layout(store):
+    """The live rows of a ``WindowStore``, joined run after run from their
+    batches: each row's greedy cents, read from its batch's running sum, and
+    the rows' breakpoints in the compact layout (lam, drop, offsets)."""
+    greedy_cents, lam, drop, offsets = [], [], [], [np.zeros(1, dtype=np.intp)]
+    for cache, greedy, first, end in store._runs:
+        assert 0 <= first < end <= len(cache.start)
+        greedy_cents.append(np.diff(greedy[first:end + 1]))
+        entries = slice(cache.offsets[first], cache.offsets[end])
+        lam.append(cache.lam[entries])
+        drop.append(cache.drop[entries])
+        offsets.append(cache.offsets[first + 1:end + 1] - cache.offsets[first] + offsets[-1][-1])
+    return (np.concatenate([np.empty(0, dtype=np.int64), *greedy_cents]),
+            np.concatenate([np.empty(0), *lam]),
+            np.concatenate([np.empty(0, dtype=np.int64), *drop]), np.concatenate(offsets))
 
 
 def live_entries(store):
     """The number of the window's live breakpoints."""
-    return int(store._offsets[store._hi] - store._offsets[store._lo])
+    return int(live_layout(store)[3][-1])
 
 
 def assert_same_window(store, reference):
@@ -1163,16 +1195,14 @@ def assert_same_window(store, reference):
     assert q.tobytes() == ref_q.tobytes()
     assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)
     assert store.infeasible_refreshes == reference.infeasible_refreshes
-    # The live breakpoints are one slice of the entry buffers in the compact
-    # layout, row after row and each row's in walk order, so they are the
-    # reference's compact entries byte for byte: a breakpoint filed under the
-    # wrong row fails.
-    offsets = store._offsets[store._lo:store._hi + 1]
-    lam, drop = (a[offsets[0]:offsets[-1]] for a in store._entries)
+    # The runs' slices of their batches' breakpoints, joined in window order,
+    # are the reference's compact entries byte for byte: a breakpoint filed
+    # under the wrong row, or a run whose bounds are off by one, fails.
+    greedy_cents, lam, drop, offsets = live_layout(store)
     _, _, start, _, *tables = reference.window
     ref_lam, ref_drop, _, ref_offsets = ref.compact(*tables)
-    assert np.array_equal(store._buffers[1][store._lo:store._hi], reference.cents[start])
-    assert np.array_equal(offsets - offsets[0], ref_offsets)
+    assert np.array_equal(greedy_cents, reference.cents[start])
+    assert np.array_equal(offsets, ref_offsets)
     assert lam.tobytes() == ref_lam.tobytes()
     assert drop.tobytes() == ref_drop.tobytes()
 
@@ -1312,6 +1342,8 @@ class TestWindowAgainstConcatReference:
         report = simulate_online(env, BcqPolicy(agent), store, 7, 150, seed=3)
         assert len(report.lambda_timeline) > 900
         assert sum(row["lam"] > 0 for row in report.lambda_timeline) > 500
+        # the reference takes in the rows decided since the last tick at a refresh
+        store.window_refresh(report.lambda_timeline[-1]["ts"])
         assert_same_window(store, store.reference)
 
 
@@ -1333,6 +1365,22 @@ class TestWindowEviction:
             assert window_contents(store)[0].tolist() == live
             assert_same_window(store, reference)
 
+    def test_rows_of_two_batches_at_consecutive_indexes_are_two_runs(self):
+        # row 1 of the second batch follows row 0 of the first: the index
+        # continues the first batch's run, but the row is not of it
+        store, reference = self.make_pair()
+        rng = np.random.default_rng(57)
+        first, second = (rng.random((3, 12)) + DEFAULT_UNITS for _ in range(2))
+        rows = store.admit(first), store.admit(second)
+        for ts, (k, i) in enumerate([(0, 0), (1, 1), (0, 1), (1, 2)]):
+            store.allocate_online(rows[k][i], float(ts))
+            reference.append(float(ts), (first, second)[k][i])
+        assert len(store._runs) == 4
+        for now in (50.0, 101.5):
+            assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
+            assert_same_window(store, reference)
+        assert len(store) == 2
+
     def test_concurrent_appenders_evict_as_the_reference_does(self):
         store, reference = self.make_pair(span=300.0)
         rows = np.random.default_rng(47).random((4, 300, 12)) + DEFAULT_UNITS
@@ -1352,35 +1400,14 @@ class TestWindowEviction:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
-        for ts, q in pending_rows(store):  # the order the appenders got the lock in
-            reference.append(ts, q)
-        assert not (np.diff([ts for ts, _ in pending_rows(store)]) >= 0).all()
+        ts, q = window_contents(store)  # in the order the appenders got the lock in
+        for t, row in zip(ts.tolist(), q):
+            reference.append(t, row)
+        assert not (np.diff(ts) >= 0).all()
         for now in (300.0, 350.0, 420.0, 500.0, 640.0):
             assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
             assert_same_window(store, reference)
         assert len(store) == 0
-
-    def test_compaction_moves_the_live_rows_to_the_front(self):
-        store, reference = self.make_pair(span=100.0)
-        rng = np.random.default_rng(48)
-        compacted = peak = peak_entries = 0
-        for i in range(300):
-            for j in range(int(rng.integers(1, 6))):
-                q = rng.random(12) + DEFAULT_UNITS
-                decide(store, q, 10.0 * i + j)
-                reference.append(10.0 * i + j, q)
-            peak = max(peak, len(store))
-            peak_entries = max(peak_entries, live_entries(store) + sum(
-                int(batch.cache.offsets[k + 1] - batch.cache.offsets[k])
-                for _, batch, k in store._pending))
-            buffers, lo = store._buffers, store._lo
-            assert bits(store.window_refresh(10.0 * i + 5)) == bits(
-                reference.window_refresh(10.0 * i + 5))
-            assert_same_window(store, reference)  # a refresh right after compaction too
-            compacted += store._buffers is not buffers and lo > 0
-        assert compacted >= 10
-        assert len(store._buffers[0]) <= 2 * peak  # 1500 rows passed through; none piled up
-        assert len(store._entries[0]) <= 2 * peak_entries  # nor did their breakpoints
 
     def test_refreshes_over_more_than_a_block_of_breakpoints(self):
         # Each refresh sees over _WALK_BLOCK live breakpoints, so _exact_lambda
@@ -1391,7 +1418,7 @@ class TestWindowEviction:
         rng = np.random.default_rng(53)
         dear = np.full((3000, 12), np.nan)
         dear[:, 10:] = rng.random((3000, 2)) + DEFAULT_UNITS[10:]
-        seen = {"binding": 0, "infeasible": 0, "evicting": 0, "compacted": 0}
+        seen = {"binding": 0, "infeasible": 0, "evicting": 0, "one_run": 0, "two_runs": 0}
         for k, seed in enumerate(range(70, 76)):
             q = tie_heavy_q(4000, seed)
             if k == 2:
@@ -1400,14 +1427,14 @@ class TestWindowEviction:
             for t, row, admitted in zip(ts.tolist(), q, store.admit(q)):
                 store.allocate_online(admitted, t)
                 reference.append(t, row)
-            buffers, lo, infeasible = store._buffers, store._lo, store.infeasible_refreshes
+            live, infeasible = len(store), store.infeasible_refreshes
             now = 80.0 * k + 65.0
             assert bits(store.window_refresh(now)) == bits(reference.window_refresh(now))
             assert_same_window(store, reference)
             assert live_entries(store) > allocator._WALK_BLOCK
-            compacted = store._buffers is not buffers and lo > 0
-            seen["compacted"] += compacted
-            seen["evicting"] += store._lo > (0 if compacted else lo)
+            seen["evicting"] += len(store) < live
+            seen["one_run"] += len(store._runs) == 1  # the solve reads a view
+            seen["two_runs"] += len(store._runs) > 1  # the solve joins two batches' slices
             if store.infeasible_refreshes > infeasible:
                 seen["infeasible"] += 1
             else:
@@ -1431,6 +1458,60 @@ class TestWindowEviction:
         assert all(lam > 0 for lam in lams)
 
 
+class TestWindowReleases:
+    """The window holds a batch's row cache and running sum only while it holds
+    a row decided from it, and never the batch itself or its Q rows."""
+
+    def admit_and_decide(self, store, rng, n, ts):
+        rows = store.admit(rng.random((n, 12)) + DEFAULT_UNITS)
+        for t, row in zip(ts, rows):
+            store.allocate_online(row, t)
+        return rows
+
+    def test_a_batch_is_freed_once_its_rows_are_evicted_and_dropped(self):
+        rng = np.random.default_rng(54)
+        for drop_first in (True, False):
+            store = WindowStore(MENU_CENTS, 87, window_span=100.0)
+            rows = self.admit_and_decide(store, rng, 6, [0.0, 1.0, 2.0, 3.0])
+            batch = weakref.ref(rows[0][0])
+            kept = [weakref.ref(a) for a in (rows[0][0].cache.lam, rows[0][0].greedy)]
+            self.admit_and_decide(store, rng, 3, [50.0, 60.0, 70.0])
+            if drop_first:
+                del rows
+                assert batch() is None  # the window holds no batch and no Q rows
+            store.window_refresh(102.0)  # evicts the rows at ts 0, 1 and 2
+            assert len(store) == 4 and all(r() is not None for r in kept)
+            store.window_refresh(103.0)  # and the batch's last decided row
+            assert len(store) == 3
+            assert all(r() is None for r in kept) == drop_first
+            if not drop_first:
+                assert batch() is not None  # the caller still holds its admitted rows
+                del rows
+                assert batch() is None and all(r() is None for r in kept)
+
+    def test_an_emptied_window_holds_no_batch(self):
+        store = WindowStore(MENU_CENTS, 87, window_span=100.0)
+        rows = self.admit_and_decide(store, np.random.default_rng(56), 4, [0.0, 1.0, 2.0, 3.0])
+        held = [weakref.ref(a) for a in (rows[0][0], rows[0][0].cache.lam, rows[0][0].greedy)]
+        del rows
+        store.window_refresh(103.0)
+        assert len(store) == 0 and all(r() is None for r in held)
+
+    def test_a_batch_none_of_whose_rows_was_decided_is_not_held(self):
+        rng = np.random.default_rng(55)
+        store = WindowStore(MENU_CENTS, 87, window_span=100.0, refresh_period=10.0)
+        store.advance(0.0)
+        self.admit_and_decide(store, rng, 2, [0.0, 1.0])
+        skipped = store.admit(rng.random((5, 12)) + DEFAULT_UNITS)
+        held = [weakref.ref(a) for a in (skipped[0][0], skipped[0][0].cache.lam,
+                                         skipped[0][0].greedy)]
+        self.admit_and_decide(store, rng, 2, [20.0, 30.0])
+        store.advance(40.0)
+        del skipped
+        assert all(r() is None for r in held)
+        assert len(store) == 4 and len(store.timeline) == 4
+
+
 # ---------------------------------------------------------------------------
 # Rows admitted in batches against the store that takes raw rows one at a time
 # (reference_allocator.RowStore): the same decisions and the same bits.
@@ -1443,7 +1524,7 @@ def timeline_bits(store):
 class TestAdmissionAgainstRowStore:
     def test_random_streams_admitted_in_random_chunks(self):
         rng = np.random.default_rng(50)
-        seen = {"evicting": 0, "infeasible": 0, "shared_flush": 0, "binding": 0}
+        seen = {"evicting": 0, "infeasible": 0, "two_batches": 0, "split_batch": 0, "binding": 0}
         for trial in range(36):
             costs = MENU_CENTS if trial % 2 else np.sort(rng.choice(MENU_CENTS, 6,
                                                                    replace=trial % 6 == 3))
@@ -1458,7 +1539,8 @@ class TestAdmissionAgainstRowStore:
             q = np.array(q)
             ts = np.cumsum(rng.random(n) * 12.0) - 30.0 * rng.random(n) * (rng.random(n) < 0.1)
             # chunk sizes from 1 to n; rows are decided mostly in order, with
-            # neighbours swapped, so a flush can take rows of two batches
+            # neighbours swapped, so the window holds runs of two batches and
+            # a batch whose rows are in two runs
             cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n, int(rng.integers(0, 8)))]))
             chunk_of = np.searchsorted(cuts, np.arange(n), "right") - 1
             order = np.arange(n)
@@ -1472,7 +1554,9 @@ class TestAdmissionAgainstRowStore:
                     admitted[lo:hi] = store.admit(q[lo:hi])
                 store.advance(float(ts[k]))
                 reference.advance(float(ts[k]))
-                seen["shared_flush"] += len({id(b) for _, b, _ in store._pending}) > 1
+                batches = len({id(cache) for cache, *_ in store._runs})
+                seen["two_batches"] += batches > 1
+                seen["split_batch"] += len(store._runs) > batches
                 assert store.allocate_online(admitted[k], float(ts[k])) == \
                     reference.allocate_online(q[k], float(ts[k]))
                 assert bits(store.lambda_snapshot) == bits(reference.lambda_snapshot)

@@ -21,6 +21,7 @@ from budgetrl.bcq import (
     xi_eligible,
 )
 from budgetrl.core import (
+    CLAIMS_PER_CYCLE,
     ActionSet,
     HyperParams,
     StateVector,
@@ -306,8 +307,9 @@ class TestOneStateDecision:
     def test_action_is_the_batched_argmax_row(self, trained, xi):
         agent, states = trained
         x = states_to_inputs(states)
-        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], xi)
-        batched = bcq._constrained_argmax(agent, x, eligible)
+        claims = [s.bonuses_collected for s in states]
+        eligible = bcq._eligible(agent, x, claims, xi)
+        batched = bcq._constrained_argmax(agent, x, eligible, claims)
         policy = BcqPolicy(agent, xi)
         for s, row, want in zip(states, eligible, batched):
             one_row = bcq._eligible(agent, state_to_input(s), s.bonuses_collected, xi)
@@ -330,8 +332,9 @@ class TestOneStateDecision:
         # the batched rule skips the Q pass too when no row has a choice
         states = [state(), state(bonuses=3, day=4)]
         x = states_to_inputs(states)
-        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], 0.5)
-        assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
+        claims = [s.bonuses_collected for s in states]
+        eligible = bcq._eligible(agent, x, claims, 0.5)
+        assert bcq._constrained_argmax(agent, x, eligible, claims).tolist() == [1, 3]
 
     def test_an_overflowed_q_still_takes_the_one_eligible_action(self):
         agent = tiny_agent([0.0] * 4, [0.1, 0.7, 0.1, 0.1], xi=0.5)
@@ -345,22 +348,20 @@ class TestOneStateDecision:
         # the batched rule, which the training log's agreement probe uses, agrees
         states = [state(), state(bonuses=3, day=4)]
         x = states_to_inputs(states)
-        eligible = bcq._eligible(agent, x, [s.bonuses_collected for s in states], 0.5)
-        assert bcq._constrained_argmax(agent, x, eligible).tolist() == [1, 3]
+        claims = [s.bonuses_collected for s in states]
+        eligible = bcq._eligible(agent, x, claims, 0.5)
+        assert bcq._constrained_argmax(agent, x, eligible, claims).tolist() == [1, 3]
 
 
 def full_mask_decision(agent, s, xi):
     """The full-width rule on the state's one-row matrix: ``xi_eligible`` of the
     behavior softmax under the claim's whole ``claim_masks`` row, then
-    ``_constrained_argmax``; a state with no eligible action takes its claim's
-    first action."""
+    ``_constrained_argmax``."""
     x = state_to_input(s)[None, :]
     probs = softmax(agent.behavior_model.forward(x))
-    claim = claim_masks(agent.actions, [s.bonuses_collected])
-    eligible = xi_eligible(probs, claim, xi)
-    if not eligible.any():
-        return int(claim.argmax()), probs[0], eligible[0]
-    return int(bcq._constrained_argmax(agent, x, eligible)[0]), probs[0], eligible[0]
+    claims = [s.bonuses_collected]
+    eligible = xi_eligible(probs, claim_masks(agent.actions, claims), xi)
+    return int(bcq._constrained_argmax(agent, x, eligible, claims)[0]), probs[0], eligible[0]
 
 
 class TestOneRowDecision:
@@ -432,43 +433,42 @@ EXTREME = st.one_of(st.floats(-30, 30),
 
 class TestPickOnTheMenu:
     """Whatever the nets output, ``action`` picks an arm of the claim's menu, and
-    the full-mask rule's arm whenever that rule stays on the menu."""
+    the batched rule of the training log picks the same arm row by row."""
 
-    @given(n_normal=st.integers(1, 4), n_super=st.integers(1, 3), claims=st.integers(0, 3),
+    @given(n_normal=st.integers(1, 4), n_super=st.integers(1, 3),
            xi=st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)), data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_pick_is_on_the_menu(self, n_normal, n_super, claims, xi, data):
+    def test_pick_is_on_the_menu(self, n_normal, n_super, xi, data):
         menu = ActionSet(tuple(range(10, 10 + n_normal)), tuple(range(100, 100 + n_super)))
         logits, q = (data.draw(st.lists(EXTREME, min_size=menu.size, max_size=menu.size))
                      for _ in range(2))
         agent = BcqAgent(q_net=const_net(input_size(2), q),
                          behavior_model=const_net(input_size(2), logits),
                          hyper=HyperParams(xi=xi), actions=menu)
-        s = state(bonuses=claims, day=claims + 1)
+        claims = list(range(CLAIMS_PER_CYCLE))
+        states = [state(bonuses=c, day=c + 1) for c in claims]
+        x = states_to_inputs(states)
         with np.errstate(invalid="ignore"):  # inf - inf in the softmax
-            got = BcqPolicy(agent).action(s)
-            want, _, eligible = full_mask_decision(agent, s, xi)
-        on_menu = claim_masks(menu, claims)
-        assert on_menu[got]
-        if on_menu[want]:
-            assert got == want
-        else:
-            # the full-mask rule leaves the menu only when every eligible arm's Q
-            # is -inf: its all -inf row gives arm 0, the span rule the claim's first
-            assert want == 0 and (np.asarray(q)[eligible] == -np.inf).all()
-            assert got == int(on_menu.argmax())
+            got = [BcqPolicy(agent).action(s) for s in states]
+            batched = bcq._constrained_argmax(agent, x, bcq._eligible(agent, x, claims, xi),
+                                              claims)
+        assert claim_masks(menu, claims)[np.arange(len(claims)), got].all()
+        assert batched.tolist() == got
 
     def test_params_of_1e300_take_the_claims_first_arm(self):
         # every behavior param 1e300 overflows the outputs to inf, so the softmax
-        # is NaN and no arm is eligible; the full-width rule took arm 0 at claim 4
+        # is NaN and no arm is eligible
         behavior = Mlp([input_size(2), 8, ACTIONS.size])
         behavior.set_params(np.full(behavior.params.size, 1e300))
         agent = BcqAgent(q_net=const_net(input_size(2), [0.1, 0.3, 0.2, 0.4]),
                          behavior_model=behavior, hyper=HyperParams(xi=0.3), actions=ACTIONS)
-        for claims in range(4):
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = BcqPolicy(agent).action(state(bonuses=claims, day=claims + 1))
-            assert got == day_mask_indices(ACTIONS, claims)[0]
+        first = [int(day_mask_indices(ACTIONS, claims)[0]) for claims in range(4)]
+        states = [state(bonuses=claims, day=claims + 1) for claims in range(4)]
+        x = states_to_inputs(states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert [BcqPolicy(agent).action(s) for s in states] == first
+            eligible = bcq._eligible(agent, x, range(4), 0.3)
+            assert bcq._constrained_argmax(agent, x, eligible, range(4)).tolist() == first
 
     def test_an_all_minus_inf_q_over_two_supers_takes_the_first_super(self):
         menu = ActionSet(normal_cents=(65, 87), super_cents=(172, 182))
@@ -476,8 +476,7 @@ class TestPickOnTheMenu:
                          behavior_model=behavior_with_probs([0.25] * 4),
                          hyper=HyperParams(xi=0.3), actions=menu)
         s = state(bonuses=3, day=4)
-        assert full_mask_decision(agent, s, 0.3)[0] == 0  # off the claim-4 menu
-        assert BcqPolicy(agent).action(s) == 2
+        assert full_mask_decision(agent, s, 0.3)[0] == BcqPolicy(agent).action(s) == 2
 
 
 class TestStateInput:
@@ -706,8 +705,8 @@ class TestBatchedKernels:
             logged = np.random.default_rng(seed).integers(0, self.MENU.size, size=len(states))
             expected, picks = old_probe_agreement(agent, x, logged)
             eligible = bcq._eligible(agent, x, claims, xi)
-            assert _logged_action_agreement(agent, x, logged, eligible) == expected
-            assert _logged_action_agreement(agent, x, picks, eligible) == 1.0
+            assert _logged_action_agreement(agent, x, logged, eligible, claims) == expected
+            assert _logged_action_agreement(agent, x, picks, eligible, claims) == 1.0
             # the tie groups are hit: some pick is the cheapest member of a tie
             assert np.isin(picks, [0, 4, 10]).any()
 
