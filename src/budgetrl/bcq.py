@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +35,7 @@ import numpy as np
 from .core import (CLAIMS_PER_CYCLE, CYCLE_DAYS, ActionSet, HyperParams, StateVector, Trajectory,
                    checked_keys, checked_object, claim_masks, field_names, flatten, load_json,
                    save_json)
-from .nets import Mlp, Optimizer, StepWorkspace, softmax, train_step
+from .nets import _FORWARD_BLOCK, Mlp, Optimizer, StepWorkspace, softmax, train_step
 
 AGENT_FORMAT = "bcq-agent-v1"
 
@@ -54,8 +55,16 @@ def _input_row(state) -> tuple[float, ...]:
 def states_to_inputs(states: Sequence) -> np.ndarray:
     """Network inputs, one ``_input_row`` per state: the one input layout, for
     logged ``StateVector``s and simulated ``UserSim``s alike (both hold the
-    fields it reads)."""
-    return np.array([_input_row(s) for s in states], dtype=float)
+    fields it reads). The rows stream into one float array, with no list of
+    them made first; states whose ``features`` differ in length are refused
+    with a ValueError, and no states give an empty vector."""
+    if not len(states):
+        return np.empty(0)
+    width = len(states[0].features)
+    if any(len(s.features) != width for s in states):
+        raise ValueError("states_to_inputs: states hold features of different lengths")
+    rows = chain.from_iterable(map(_input_row, states))
+    return np.fromiter(rows, float, len(states) * (width + 2)).reshape(len(states), width + 2)
 
 
 def state_to_input(state: StateVector) -> np.ndarray:
@@ -99,15 +108,16 @@ def transition_arrays(dataset: Sequence[Trajectory]) -> TransitionArrays:
     transitions = flatten(dataset)
     if not transitions:
         raise ValueError("empty dataset")
-    done = np.array([tr.done for tr in transitions], dtype=bool)
+    n = len(transitions)
+    done = np.fromiter((tr.done for tr in transitions), bool, n)
     last_rows = np.cumsum([len(traj) for traj in dataset if len(traj)]) - 1
     if not done[last_rows].all():
         raise ValueError("a transition that is not done has no next state; is the log truncated?")
     return TransitionArrays(
         x=states_to_inputs([tr.state for tr in transitions]),
-        action=np.array([tr.action_index for tr in transitions], dtype=int),
-        reward=np.array([tr.reward for tr in transitions], dtype=float),
-        claims=np.array([tr.state.bonuses_collected for tr in transitions], dtype=int),
+        action=np.fromiter((tr.action_index for tr in transitions), int, n),
+        reward=np.fromiter((tr.reward for tr in transitions), float, n),
+        claims=np.fromiter((tr.state.bonuses_collected for tr in transitions), int, n),
         done=done)
 
 
@@ -258,9 +268,23 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
 
 def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
     """The xi-eligible actions of the rows of ``x`` and ``claims`` under the
-    agent's behavior model."""
-    return xi_eligible(softmax(agent.behavior_model.forward(x)),
-                       claim_masks(agent.actions, claims), xi)
+    agent's behavior model.
+
+    On a matrix the softmax, the claim masks and the xi rule run on chunks of
+    ``_FORWARD_BLOCK`` rows of the behavior net's output, each chunk written
+    into its rows of the result, so their temporaries take a chunk's rows
+    however long the log is. Each is a per-row rule, so every row keeps the
+    bits of the whole-matrix expression. A 1-D ``x`` (one state, an int
+    ``claims``) runs that expression on its one row."""
+    z = agent.behavior_model.forward(x)
+    if z.ndim == 1:
+        return xi_eligible(softmax(z), claim_masks(agent.actions, claims), xi)
+    claims = np.asarray(claims)
+    out = np.empty(z.shape, dtype=bool)
+    for lo in range(0, len(z), _FORWARD_BLOCK):
+        rows = slice(lo, lo + _FORWARD_BLOCK)
+        out[rows] = xi_eligible(softmax(z[rows]), claim_masks(agent.actions, claims[rows]), xi)
+    return out
 
 
 def _constrained_argmax(agent: BcqAgent, x: np.ndarray, eligible: np.ndarray, claims):

@@ -2,6 +2,8 @@
 
 A logged trajectory is a plain tuple of its ``Transition`` records, one user's
 cycle in time order; ``Trajectory`` names that type and nothing constructs it.
+A log holds a ``Transition`` and a ``StateVector`` per record, so both are
+slotted: their fields, and no ``__dict__``.
 
 Money is stored as integer hundredths of a currency unit (``*_cents``) so
 budget arithmetic stays exact; values are converted to floats only inside
@@ -154,7 +156,7 @@ def claim_masks(actions: ActionSet, bonuses_collected) -> np.ndarray:
     return actions.claim_table[b].copy() if one else actions.claim_table[b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Observable user state: opaque feature vector plus cycle counters."""
 
@@ -163,7 +165,7 @@ class StateVector:
     bonuses_collected: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One log record: a claim's state, bonus and outcome. Its next state is the
     following transition's state, or none when ``done``."""
@@ -490,13 +492,15 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
 
 def read_manifest(path: str | Path) -> dict:
     """The manifest of the dataset directory ``path``; a file that is not a JSON
-    object, or that names another format or cycle length, is a ValueError."""
+    object, or that names another format or cycle length, is a ValueError that
+    names the file."""
     file = Path(path) / MANIFEST_NAME
     manifest = checked_object(load_json(file), str(file))
     if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
+        raise ValueError(f"{file}: unsupported dataset format {manifest.get('format')!r}")
     if manifest.get("max_steps") != CLAIMS_PER_CYCLE:
-        raise ValueError(f"dataset max_steps {manifest.get('max_steps')!r} != {CLAIMS_PER_CYCLE}")
+        raise ValueError(f"{file}: dataset max_steps {manifest.get('max_steps')!r} != "
+                         f"{CLAIMS_PER_CYCLE}")
     return manifest
 
 

@@ -27,15 +27,16 @@ the straightforward allocating expressions, in their order, so trained
 parameters are bit-identical to them.
 
 Inference on a large matrix runs in row blocks. ``Mlp.forward`` splits a
-matrix of 2B rows or more (B = ``_FORWARD_BLOCK``, 4096) into blocks of B
+matrix of 2B rows or more (B = ``_FORWARD_BLOCK``, 512) into blocks of B
 rows, the last one taking the remainder, and runs each block's layers into
 hidden buffers reused across blocks and into its rows of one output array. The
 hidden activations held at once are then under 2B rows a layer whatever the
-batch: under 8.4 MB for two 64-wide layers, where a whole 100 000-row pass
-holds 102 MB. No block is smaller than B, so the output keeps the bits of the
-whole-matrix product: with OpenBLAS 0.3.31, products of 100 rows or fewer
-gave other bits than the whole matrix's, and every block of 101 rows or
-more, probed up to 12 000, gave the same.
+batch: under 512 KiB a 64-wide layer, 1.05 MB for two, where a whole
+100 000-row pass holds 102 MB. No block is smaller than B, so the output keeps
+the bits of the whole-matrix product. With OpenBLAS 0.3.31 (Haswell kernels,
+2 CPUs), blocks of 1 to 100 rows gave other bits than the whole matrix's rows,
+and every block of 101 to 12 000 rows gave the same: each size was probed
+once, at its own row offset, on 12-64-64-12, 12-32-12 and 12-128-128-12 nets.
 
 Inference on one row (a 1-D input) is the per-decision case: a policy decides
 one state at a time. ``Mlp.forward`` runs it as a short loop over transposed
@@ -54,8 +55,9 @@ from . import core
 
 MODEL_FORMAT = "mlp-v1"
 
-# Rows per block of ``Mlp.forward`` on a large matrix (see there).
-_FORWARD_BLOCK = 4096
+# Rows per block of ``Mlp.forward`` on a large matrix (see there), and per
+# chunk of the xi filter over a log (``bcq._eligible``).
+_FORWARD_BLOCK = 512
 
 
 class ShapeError(ValueError):
@@ -128,13 +130,13 @@ class Mlp:
         would make, then the bias is added and the ReLU applied in place, with
         less numpy and Python overhead per layer than the matrix path.
 
-        A matrix of 2B rows or more (B = ``_FORWARD_BLOCK``) runs in blocks of
-        B rows, the remainder joined to the last block, so every block holds B
-        to 2B - 1 rows; hidden activations then take under 2B rows a layer
-        however many rows ``x`` has. No block is smaller than B because a
-        product of 100 rows or fewer can differ in its bits from the
-        whole-matrix one (see the module docstring); the output is the
-        whole-matrix pass's, bit for bit. Smaller matrices run whole."""
+        A matrix of 2B rows or more (B = ``_FORWARD_BLOCK``, 512) runs in blocks
+        of B rows, the remainder joined to the last block, so every block holds
+        B to 2B - 1 rows; a hidden layer then holds under 2B rows (under 8 KiB
+        a unit, 512 KiB at width 64) however many rows ``x`` has. No block is
+        smaller than B because a product of 100 rows or fewer can differ in its
+        bits from the whole-matrix one (see the module docstring); the output
+        is the whole-matrix pass's, bit for bit. Smaller matrices run whole."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"input width {x.shape[-1]} != {self.input_size}")

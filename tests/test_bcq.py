@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,14 +195,19 @@ def old_prepare_arrays(dataset, actions):
     return x, a, r, done, x_next, next_mask, claims
 
 
+def assert_same_array(got, want):
+    """Same dtype, shape and bytes."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestTransitionArrays:
     def assert_matches_per_row_loop(self, dataset, actions):
         data = transition_arrays(dataset)
         x, a, r, done, x_next, next_mask, claims = old_prepare_arrays(dataset, actions)
         for new, old in ((data.x, x), (data.action, a), (data.reward, r), (data.done, done),
                          (data.claims, claims)):
-            assert new.dtype == old.dtype
-            np.testing.assert_array_equal(new, old)
+            assert_same_array(new, old)
         # a live row's next state and next claim mask are those of row i + 1
         live = np.flatnonzero(~data.done)
         np.testing.assert_array_equal(data.x[live + 1], x_next[live])
@@ -735,6 +741,11 @@ class TestBatchedKernels:
         assert not np.array_equal(lagged.q_net.params, every_step.q_net.params)
 
 
+def list_built_inputs(states):
+    """The list of rows that ``states_to_inputs`` made before it streamed them (reference)."""
+    return np.array([bcq._input_row(s) for s in states], dtype=float)
+
+
 class TestStatesToInputs:
     def test_rows_equal_state_to_input(self):
         rng = np.random.default_rng(0)
@@ -744,10 +755,103 @@ class TestStatesToInputs:
         x = states_to_inputs(states)
         assert x.dtype == np.float64 and x.shape == (41, 5)
         assert x.tobytes() == np.stack([state_to_input(s) for s in states]).tobytes()
+        assert_same_array(x, list_built_inputs(states))
+
+    def test_logged_states_equal_list_built_rows(self):
+        env_config, behavior, actions = default_config()
+        dataset = generate_dataset(CheckinEnv(env_config, actions), behavior, 200, seed=3)
+        states = [tr.state for tr in flatten(dataset)]
+        assert_same_array(states_to_inputs(states), list_built_inputs(states))
+
+    def test_simulated_users_equal_list_built_rows(self):
+        env_config, _, actions = default_config()
+        env = CheckinEnv(env_config, actions)
+        rng = np.random.default_rng(4)
+        users = [env.spawn_user(uid, rng) for uid in range(60)]
+        for user in users[::2]:
+            env.step(user, 0)
+        users = [user for user in users if not user.done]
+        assert {user.bonuses_collected for user in users} == {0, 1}
+        assert_same_array(states_to_inputs(users), list_built_inputs(users))
+
+    @pytest.mark.parametrize("states", [[state(d=4)], [state(d=0)], [], ()],
+                             ids=["one state", "no features", "empty list", "empty tuple"])
+    def test_one_state_and_no_states(self, states):
+        assert_same_array(states_to_inputs(states), list_built_inputs(states))
 
     def test_ragged_features_rejected(self):
-        with pytest.raises(ValueError):
-            states_to_inputs([state(d=2), state(d=3)])
+        # (2, 3, 1) holds as many values as three rows of two features
+        for dims in ((2, 3), (2, 3, 1), (3, 1), (0, 1)):
+            with pytest.raises(ValueError):
+                states_to_inputs([state(d=d) for d in dims])
+
+
+class TestChunkedEligible:
+    """``_eligible`` runs the softmax and the xi rule on chunks of the behavior
+    output: the bits of the whole-matrix rule, in a few chunks' temporaries."""
+
+    B = _FORWARD_BLOCK
+    MENU = ActionSet.default()
+
+    def agent(self, d=5):
+        behavior = Mlp([input_size(d), 64, 64, self.MENU.size], rng=np.random.default_rng(8))
+        return BcqAgent(q_net=Mlp([input_size(d), self.MENU.size]), behavior_model=behavior,
+                        hyper=HyperParams(), actions=self.MENU)
+
+    def rows(self, agent, n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(scale=3.0, size=(n, agent.behavior_model.input_size)),
+                rng.integers(0, CLAIMS_PER_CYCLE, size=n))
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+    def test_bits_of_the_whole_matrix_rule(self, xi):
+        agent = self.agent()
+        net = agent.behavior_model
+        for n in (self.B - 1, self.B, self.B + 1, 3 * self.B + 7):
+            x, claims = self.rows(agent, n, n)
+            want = xi_eligible(softmax(ref.forward(net, x)), claim_masks(self.MENU, claims), xi)
+            assert_same_array(bcq._eligible(agent, x, claims, xi), want)
+        for claim, row in enumerate(x[:CLAIMS_PER_CYCLE]):  # one state
+            want = xi_eligible(softmax(ref.forward(net, row)), claim_masks(self.MENU, claim), xi)
+            assert_same_array(bcq._eligible(agent, row, claim, xi), want)
+
+    def test_temporaries_stay_within_a_few_chunks(self):
+        agent = self.agent()
+        n, m = 50_000, self.MENU.size
+        x, claims = self.rows(agent, n, 9)
+        tracemalloc.start()
+        try:
+            out = bcq._eligible(agent, x, claims, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the behavior output and the mask over every row, the forward pass's two
+        # 64-wide hidden layers of under 2B rows, and four chunks' worth of float
+        # temporaries: 6.7 MB, where the rule on the whole matrix holds several
+        # n x m float temporaries (14 MB here)
+        assert peak < n * m * 8 + out.nbytes + 2 * (2 * self.B) * 64 * 8 + 4 * self.B * m * 8
+
+    def test_training_peak_on_a_4000_user_log(self):
+        env_config, behavior, actions = default_config()
+        dataset = generate_dataset(CheckinEnv(env_config, actions), behavior, 4000, seed=0)
+        hyper = HyperParams(training_steps=5, hidden_sizes=(64, 64), learning_rate=0.01,
+                            optimizer="adam")
+        data = transition_arrays(dataset)
+        n, m = len(data.done), actions.size
+        columns = sum(column.nbytes for column in vars(data).values())
+        del data
+        tracemalloc.start()
+        try:
+            bcq_train(dataset, actions, hyper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-log arrays: the log's columns, the behavior output and mask
+        # over every row and the forward pass's two hidden layers of under 2B
+        # rows; and 1 MB for the nets, their optimizers and a block's minibatch
+        # arrays. That is 4.0 MB on these 10 209 rows: the peak read 3.2 MB,
+        # and 8.7 MB with list-built columns and the whole-matrix rule.
+        assert peak < columns + n * m * 9 + 2 * (2 * self.B) * 64 * 8 + 2 ** 20
 
 
 @pytest.mark.parametrize("n", [3, 50, 3808, 10274, 65536])

@@ -1,10 +1,15 @@
+import copy
 import itertools
 import json
 import math
+import pickle
+import tempfile
+from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from budgetrl.allocator import AllocationProblem, WindowStore, _Prices, assign
@@ -22,6 +27,8 @@ from budgetrl.core import (
     write_csv,
     write_dataset,
 )
+from budgetrl.envsim import CheckinEnv, default_config, generate_dataset
+from mutation import EDITS, mutate, node_paths
 
 
 def make_state(d=3, day=1, bonuses=0, fill=0.0):
@@ -285,6 +292,43 @@ class TestHyperParams:
         assert h.gamma == 1 and h.seed == 3 and h.hidden_sizes == (4, 5)
 
 
+class TestSlottedRecords:
+    """Log records hold their fields in slots, with no ``__dict__``, and behave
+    as the plain frozen dataclasses they were."""
+
+    def records(self):
+        state = StateVector((0.5, 1), day_in_cycle=2, bonuses_collected=1)
+        return state, Transition(3, 2, state, 1, 1, 87, False)
+
+    def test_no_dict_and_still_frozen(self):
+        for record in self.records():
+            assert not hasattr(record, "__dict__")
+            for name in asdict(record):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(record, name, 0)
+            # a name that is no field is refused too; before Python 3.12 a
+            # frozen slotted dataclass refuses it with a TypeError
+            with pytest.raises((FrozenInstanceError, TypeError)):
+                record.extra = 0
+            assert not hasattr(record, "extra")
+
+    def test_equality_hash_replace_and_asdict(self):
+        state, tr = self.records()
+        twin = Transition(3, 2, StateVector((0.5, 1), 2, 1), 1, 1, 87, False)
+        assert tr == twin and hash(tr) == hash(twin)
+        assert hash(tr) == hash((3, 2, state, 1, 1, 87, False))
+        assert hash(state) == hash(((0.5, 1), 2, 1))
+        assert tr != (3, 2, state, 1, 1, 87, False)
+        done = replace(tr, done=True)
+        assert type(done) is Transition and done.done and done != tr
+        assert replace(done, done=False) == tr
+        assert asdict(tr) == {"user_id": 3, "t": 2, "action_index": 1, "reward": 1,
+                              "cost_cents": 87, "done": False,
+                              "state": {"features": (0.5, 1), "day_in_cycle": 2,
+                                        "bonuses_collected": 1}}
+        assert pickle.loads(pickle.dumps(tr)) == tr and copy.deepcopy(tr) == tr
+
+
 class TestValidateDataset:
     def setup_method(self):
         self.actions = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
@@ -301,7 +345,7 @@ class TestValidateDataset:
 
     def test_cost_mismatch_flagged(self):
         traj = make_trajectory(self.actions, action_seq=(0,))
-        bad = Transition(**{**traj[0].__dict__, "cost_cents": 999})
+        bad = replace(traj[0], cost_cents=999)
         report = validate_dataset([(bad,)], self.actions, d=3)
         assert any("cost mismatch" in v for v in report)
 
@@ -340,7 +384,7 @@ class TestValidateDataset:
         traj = make_trajectory(self.actions, uid=5, action_seq=(0, 1, 2, 0))
         fourth = traj[3]
         first_claim = StateVector(fourth.state.features, fourth.state.day_in_cycle, 0)
-        bad = traj[:3] + (Transition(**{**fourth.__dict__, "state": first_claim}),)
+        bad = traj[:3] + (replace(fourth, state=first_claim),)
         report = validate_dataset([bad], self.actions, d=3)
         assert report == ["user 5 t=4: bonuses_collected 0 != claims before this step (3)"]
 
@@ -375,7 +419,7 @@ class TestValidateDataset:
         second = traj[1]
         bad_state = StateVector((0.1, value, 0.1), second.state.day_in_cycle,
                                 second.state.bonuses_collected)
-        bad = (traj[0], Transition(**{**second.__dict__, "state": bad_state}))
+        bad = (traj[0], replace(second, state=bad_state))
         report = validate_dataset([bad], self.actions, d=3)
         assert report == [f"user 4 t=2: feature 1 = {value!r} not finite"]
 
@@ -386,19 +430,19 @@ class TestValidateDataset:
         second = traj[1]
         bad_state = StateVector((value, 0.1, float("nan")), second.state.day_in_cycle,
                                 second.state.bonuses_collected)
-        bad = (traj[0], Transition(**{**second.__dict__, "state": bad_state}))
+        bad = (traj[0], replace(second, state=bad_state))
         report = validate_dataset([bad], self.actions, d=3)
         assert report == [f"user 4 t=2: feature 0 = {value!r} not a number"]
 
     def test_transition_after_done_flagged(self):
         first, second = make_trajectory(self.actions, uid=2, action_seq=(0, 1))
-        early_done = Transition(**{**first.__dict__, "done": True})
+        early_done = replace(first, done=True)
         report = validate_dataset([(early_done, second)], self.actions, d=3)
         assert report == ["user 2 t=1: transition after done"]
 
     def test_trajectory_not_ending_with_done_flagged(self):
         first, second = make_trajectory(self.actions, uid=3, action_seq=(0, 1))
-        cut = Transition(**{**second.__dict__, "done": False})
+        cut = replace(second, done=False)
         report = validate_dataset([(first, cut)], self.actions, d=3)
         assert report == ["user 3: trajectory does not end with done"]
 
@@ -508,6 +552,60 @@ class TestSerialization:
         with pytest.raises(ValueError) as caught:
             load_dataset(tmp_path / "ds")
         assert str(caught.value).startswith(f"{shard} line 3: ")
+
+
+# ---------------------------------------------------------------------------
+# A mutated log is refused by name or read: ``load_dataset`` either raises a
+# ValueError that names the shard and line, or the manifest, or returns the
+# records, one per line, which ``validate_dataset`` checks.
+
+
+def _written_log():
+    """The menu, feature count, manifest and 60 records of a generated shard, as
+    ``write_dataset`` writes them."""
+    env_config, behavior, actions = default_config()
+    dataset = generate_dataset(CheckinEnv(env_config, actions), behavior, 23, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        shard = write_dataset(tmp, dataset, actions, env_config.feature_dim)
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+        records = [json.loads(line) for line in shard.read_text().splitlines()]
+    assert len(records) == 60
+    return actions, env_config.feature_dim, manifest, records
+
+
+LOG_ACTIONS, LOG_D, LOG_MANIFEST, LOG_RECORDS = _written_log()
+# (0, path) is a node of the manifest and (1, path) a node of the shard's
+# records, drawn evenly, so the manifest's few nodes are not drowned out
+LOG_NODES = st.one_of(st.tuples(st.just(0), st.sampled_from(list(node_paths(LOG_MANIFEST)))),
+                      st.tuples(st.just(1), st.sampled_from(list(node_paths(LOG_RECORDS)))))
+
+
+class TestMutatedShards:
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=st.lists(st.tuples(LOG_NODES, st.sampled_from(EDITS)), min_size=1,
+                              max_size=3))
+    @example(mutations=[((0, ("format",)), ("swap", "1"))])
+    @example(mutations=[((0, ()), ("swap", 5))])
+    @example(mutations=[((1, (7, "reward")), ("swap", math.nan))])
+    @example(mutations=[((1, (7, "state", 1)), ("swap", {}))])
+    def test_refused_by_name_or_validated(self, mutations):
+        boxes = [copy.deepcopy(LOG_MANIFEST)], [copy.deepcopy(LOG_RECORDS)]
+        for (file, path), edit in mutations:
+            mutate(boxes[file], path, edit)
+        (manifest,), (records,) = boxes
+        # a shard holds one record a line; records that are no longer a list are its one line
+        lines = records if isinstance(records, list) else [records]
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest_path, shard = Path(tmp, "manifest.json"), Path(tmp, "data-00000.jsonl")
+            manifest_path.write_text(json.dumps(manifest) + "\n")
+            shard.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in lines))
+            try:
+                dataset, _ = load_dataset(tmp)
+            except ValueError as exc:
+                assert str(exc).startswith((f"{shard} line ", str(manifest_path))), exc
+                return
+        assert sum(map(len, dataset)) == len(lines)
+        assert all(type(v) is str for v in validate_dataset(dataset, LOG_ACTIONS, LOG_D))
 
 
 class TestFailedWrite:

@@ -36,6 +36,7 @@ from budgetrl.envsim import (
     _spawn_generators,
 )
 from budgetrl.evaluation import simulate_online
+from mutation import EDITS, mutate, node_paths
 
 SMALL_ACTIONS = ActionSet(normal_cents=(65, 87, 105), super_cents=(172,))
 
@@ -461,50 +462,7 @@ class TestSpawnGenerators:
 # random mutations is either refused by ``config_from_dict`` or runs.
 
 
-def _node_paths(node, path=()):
-    """The path to every node of a JSON document, the root's included."""
-    yield path
-    children = (node.items() if isinstance(node, dict)
-                else enumerate(node) if isinstance(node, list) else ())
-    for key, child in children:
-        yield from _node_paths(child, (*path, key))
-
-
-DEFAULT_DOC_PATHS = list(_node_paths(config_to_dict(*default_config())))
-
-# Values swapped in for a node: other JSON types, non-finite numbers, and
-# numbers out of (or at the edge of) the ranges the loader checks.
-SWAPS = (math.nan, math.inf, -math.inf, "1", True, False, None, [], {}, 0, 1, -1, 0.5, 2,
-         2 ** 31, -1e30, 1e30, -1e308, 1e308, [1.0, 2.0, 0.5])
-# What a mutation does to a node: swap in a value, or drop it from its
-# parent, empty it, add a key to it, or push a number by negating it,
-# scaling it by 10**6 or adding 1.
-EDITS = ("drop", "empty", "add key", "negate", "scale", "nudge") + tuple(
-    ("swap", value) for value in SWAPS)
-
-
-def _mutate(box: list, path: tuple, edit) -> None:
-    """Apply ``edit`` to the node at ``path`` of the document ``box[0]``; a path
-    that an earlier mutation removed changes nothing."""
-    parent, key = box, 0
-    for step in path:
-        node = parent[key]
-        if not (isinstance(node, dict) and step in node
-                or isinstance(node, list) and isinstance(step, int) and step < len(node)):
-            return
-        parent, key = node, step
-    node = parent[key]
-    number = isinstance(node, (int, float)) and not isinstance(node, bool)
-    if isinstance(edit, tuple):
-        parent[key] = edit[1]
-    elif edit == "drop" and parent is not box:
-        del parent[key]
-    elif edit == "empty" and isinstance(node, (dict, list)):
-        node.clear()
-    elif edit == "add key" and isinstance(node, dict):
-        node["extra"] = 1
-    elif number and edit in ("negate", "scale", "nudge"):
-        parent[key] = {"negate": -node, "scale": node * 10 ** 6, "nudge": node + 1}[edit]
+DEFAULT_DOC_PATHS = list(node_paths(config_to_dict(*default_config())))
 
 
 class TestMutatedConfigs:
@@ -517,7 +475,7 @@ class TestMutatedConfigs:
     def test_refused_at_load_or_runs_end_to_end(self, mutations, n_users, days, seed):
         box = [config_to_dict(*default_config())]
         for path, edit in mutations:
-            _mutate(box, path, edit)
+            mutate(box, path, edit)
         try:
             env_config, behavior, actions = config_from_dict(box[0])
         except ValueError:
