@@ -267,18 +267,15 @@ def bcq_train(dataset: Sequence[Trajectory], actions: ActionSet, hyper: HyperPar
 
 
 def _eligible(agent: BcqAgent, x: np.ndarray, claims, xi: float) -> np.ndarray:
-    """The xi-eligible actions of the rows of ``x`` and ``claims`` under the
-    agent's behavior model.
+    """The xi-eligible actions of the rows of the matrix ``x`` at claim counts
+    ``claims`` under the agent's behavior model.
 
-    On a matrix the softmax, the claim masks and the xi rule run on chunks of
+    The softmax, the claim masks and the xi rule run on chunks of
     ``_FORWARD_BLOCK`` rows of the behavior net's output, each chunk written
     into its rows of the result, so their temporaries take a chunk's rows
     however long the log is. Each is a per-row rule, so every row keeps the
-    bits of the whole-matrix expression. A 1-D ``x`` (one state, an int
-    ``claims``) runs that expression on its one row."""
+    bits of the whole-matrix expression."""
     z = agent.behavior_model.forward(x)
-    if z.ndim == 1:
-        return xi_eligible(softmax(z), claim_masks(agent.actions, claims), xi)
     claims = np.asarray(claims)
     out = np.empty(z.shape, dtype=bool)
     for lo in range(0, len(z), _FORWARD_BLOCK):

@@ -197,12 +197,10 @@ def _write_logs(args, config, out: Path):
 
 def _run_simulation(args, env, policy, budgeted: bool, out: Path, timeline):
     """Stage of ``simulate`` and ``pipeline``: run the simulation, through a window
-    store when ``budgeted``, and write its report, with the count of refreshes
-    that no multiplier fitted into the budget, and (if given) per-day ``timeline``."""
+    store when ``budgeted``, and write its report and (if given) per-day ``timeline``."""
     store = WindowStore(env.actions.all_cents, cents(args.budget)) if budgeted else None
     report = simulate_online(env, policy, store, args.days, args.arrivals, args.seed)
-    write_json(out, {**asdict(report),
-                     "infeasible_refreshes": store.infeasible_refreshes if budgeted else None})
+    write_json(out, asdict(report))
     if timeline:
         write_csv(timeline, TIMELINE_FIELDS, report.per_day)
     return report
@@ -259,13 +257,15 @@ def _read_q_matrix_csv(path: Path):
 
 
 def _stream_row(line: str, n: int, m: int) -> tuple[float, np.ndarray]:
-    """The ``ts`` and Q row over ``m`` actions of stream line ``n``, where a null Q
-    value marks an ineligible action; a line of any other shape, or a row that
-    ``_checked_rows`` refuses, is a ValueError naming the line."""
+    """The ``ts`` and Q row over ``m`` actions of stream line ``n``, where each Q
+    value is a JSON number (never a bool) or null, which marks an ineligible
+    action; a line of any other shape, or a row that ``_checked_rows`` refuses,
+    is a ValueError naming the line."""
     try:
         rec = json.loads(line)
         ts, q = rec["ts"], rec["q"]
-        if not (type(ts) in (int, float) and np.isfinite(ts) and type(q) is list):
+        if not (type(ts) in (int, float) and np.isfinite(ts) and type(q) is list
+                and all(v is None or type(v) in (int, float) for v in q)):
             raise TypeError
         q = np.array([np.nan if v is None else float(v) for v in q])
     except (KeyError, TypeError, ValueError, OverflowError):  # an int past the float range
@@ -381,16 +381,15 @@ def cmd_evaluate(args) -> int:
     dataset_dir, dataset, actions = _load_logs(args.dataset)
     env_config, behavior, _ = _load_config_arg(args.config)
     policy = _policy_from_args(args, actions, env_config, behavior)
-    matched = match_records(dataset, policy, full_trajectory=args.full_trajectory)
-    if matched.matched_steps == 0:
+    report = offline_report(match_records(dataset, policy,
+                                          full_trajectory=args.full_trajectory))
+    if report.matched_steps == 0:
         return _fail("policy matched no logged records; metrics undefined")
-    report = offline_report(matched)
     out = Path(args.out)
-    write_json(out, {**asdict(report), "match_rate": matched.match_rate,
-                     "total_trajectories": matched.total_trajectories})
+    write_json(out, asdict(report))
     _snapshot(out, "evaluate", {"policy": args.policy, "dataset": dataset_dir.name,
                                 "full_trajectory": args.full_trajectory})
-    print(f"matched {matched.matched_trajectories}/{matched.total_trajectories} trajectories: "
+    print(f"matched {report.matched_trajectories}/{report.total_trajectories} trajectories: "
           f"retention={report.retention_rate:.4f} avg_cost={report.avg_cost_units:.4f}")
     return 0
 
@@ -432,10 +431,8 @@ def cmd_pipeline(args) -> int:
     sim_report = _run_simulation(args, env, BcqPolicy(agent), True,
                                  workdir / "simulate_report.json", workdir / "timeline.csv")
 
-    matched = match_records(dataset, BcqPolicy(agent))
-    eval_payload = ({**asdict(offline_report(matched)), "match_rate": matched.match_rate}
-                    if matched.matched_steps else {"matched_steps": 0})
-    write_json(workdir / "eval_report.json", eval_payload)
+    write_json(workdir / "eval_report.json",
+               asdict(offline_report(match_records(dataset, BcqPolicy(agent)))))
 
     write_json(workdir / "run_config.json", {
         "command": "pipeline", "seed": args.seed, "n_users": args.n_users,

@@ -492,8 +492,9 @@ def write_dataset(path: str | Path, dataset: Iterable[Trajectory], actions: Acti
 
 def read_manifest(path: str | Path) -> dict:
     """The manifest of the dataset directory ``path``; a file that is not a JSON
-    object, or that names another format or cycle length, is a ValueError that
-    names the file."""
+    object, that names another format or cycle length, whose ``feature_dim`` is
+    not a positive JSON int or whose ``actions`` ``ActionSet.from_dict`` refuses,
+    is a ValueError that names the file."""
     file = Path(path) / MANIFEST_NAME
     manifest = checked_object(load_json(file), str(file))
     if manifest.get("format") != MANIFEST_FORMAT:
@@ -501,6 +502,14 @@ def read_manifest(path: str | Path) -> dict:
     if manifest.get("max_steps") != CLAIMS_PER_CYCLE:
         raise ValueError(f"{file}: dataset max_steps {manifest.get('max_steps')!r} != "
                          f"{CLAIMS_PER_CYCLE}")
+    d = manifest.get("feature_dim")
+    if not (type(d) is int and d > 0):
+        got = repr(d) if "feature_dim" in manifest else "missing"
+        raise ValueError(f"{file}: feature_dim must be a positive int, not {got}")
+    try:
+        ActionSet.from_dict(manifest.get("actions"))
+    except ValueError as exc:
+        raise ValueError(f"{file}: {exc}") from None
     return manifest
 
 

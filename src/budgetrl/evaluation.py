@@ -1,24 +1,27 @@
 """Policy evaluation: matched-record scoring on logged data, and a virtual-time
 online simulation that exercises the sliding-window allocator end to end.
 
-Matched-record evaluation counts, per trajectory, the longest prefix on which
-the evaluated policy would have taken exactly the logged actions, and scores
-retention and cost on those steps only.
+Each kind of run has one report, which the CLI writes as it is:
+
+- ``EvalReport``, the offline score that ``offline_report`` makes of a
+  ``MatchedSet``. Matched-record evaluation counts, per trajectory, the
+  longest prefix on which the evaluated policy would have taken exactly the
+  logged actions, and scores retention and cost on those steps only; with no
+  matched step both rates are None.
+- ``SimReport``, the online run that ``simulate_online`` returns: retention
+  and cost over every claim, the per-day rows, the store's multiplier
+  timeline and its count of infeasible refreshes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .allocator import WindowStore
 from .bcq import states_to_inputs
-from .core import StateVector, Trajectory, units
+from .core import Trajectory, units
 from .envsim import CheckinEnv, UserSim, _spawn_generators
-
-
-class UndefinedMetricError(ValueError):
-    """No matched steps: the metric denominator is zero."""
 
 
 @dataclass(frozen=True)
@@ -32,21 +35,35 @@ class MatchedSet:
     cost_cents: int
     total_trajectories: int
 
-    @property
-    def match_rate(self) -> float:
-        if self.total_trajectories == 0:
-            return 0.0
-        return self.matched_trajectories / self.total_trajectories
-
 
 @dataclass
 class EvalReport:
+    """The offline score: retention and cost per matched step (None when no
+    step matched), the matched counts, and the share of the log's
+    trajectories that matched."""
+
+    retention_rate: float | None
+    avg_cost_units: float | None
+    matched_trajectories: int
+    matched_steps: int
+    match_rate: float
+    total_trajectories: int
+
+
+@dataclass
+class SimReport:
+    """The online run: retention and cost over every claim, the users started
+    (``matched_trajectories``) and the claims made (``matched_steps``), one row
+    per day, the store's multiplier timeline and its count of refreshes that no
+    multiplier fitted into the budget (None without a store)."""
+
     retention_rate: float
     avg_cost_units: float
     matched_trajectories: int
     matched_steps: int
-    per_day: list[dict] = field(default_factory=list)
-    lambda_timeline: list[dict] = field(default_factory=list)
+    per_day: list[dict]
+    lambda_timeline: list[dict]
+    infeasible_refreshes: int | None
 
 
 def match_records(dataset: Sequence[Trajectory], policy,
@@ -78,15 +95,15 @@ def match_records(dataset: Sequence[Trajectory], policy,
 
 def offline_report(matched: MatchedSet) -> EvalReport:
     """Retention and cost per matched step: total logged reward, and total logged
-    cost in currency units, over the matched steps."""
-    steps = matched.matched_steps
-    if steps == 0:
-        raise UndefinedMetricError("no matched steps")
+    cost in currency units, over the matched steps; both None when no step matched."""
+    steps, total = matched.matched_steps, matched.total_trajectories
     return EvalReport(
-        retention_rate=matched.rewards / steps,
-        avg_cost_units=units(matched.cost_cents) / steps,
+        retention_rate=matched.rewards / steps if steps else None,
+        avg_cost_units=units(matched.cost_cents) / steps if steps else None,
         matched_trajectories=matched.matched_trajectories,
         matched_steps=steps,
+        match_rate=matched.matched_trajectories / total if total else 0.0,
+        total_trajectories=total,
     )
 
 
@@ -105,7 +122,7 @@ def check_run_length(n_days: int, arrivals_per_day: int) -> None:
 
 
 def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
-                    n_days: int, arrivals_per_day: int, seed: int) -> EvalReport:
+                    n_days: int, arrivals_per_day: int, seed: int) -> SimReport:
     """Drive arrivals, decisions, and multiplier refreshes on a virtual clock.
 
     Each day ``arrivals_per_day`` fresh users start a cycle through
@@ -120,10 +137,12 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
     ``store.admit`` checks and caches the rows once; each claim then calls
     ``store.advance`` and ``allocate_online`` once each on its admitted row, in
     arrival order. The store's clock starts at day 0, so a store whose clock
-    has already started is a ValueError; the report's ``lambda_timeline`` is
-    the store's timeline. Without a store, the policy's direct action on the
-    user's ``StateVector`` is used. A negative ``n_days`` or
-    ``arrivals_per_day`` is a ValueError, raised before any work.
+    has already started is a ValueError; the report's ``lambda_timeline`` and
+    ``infeasible_refreshes`` are the store's. Without a store, the policy's
+    direct action on the user is used: a ``UserSim`` holds the ``features``,
+    ``day_in_cycle`` and ``bonuses_collected`` that a policy reads of a state.
+    A negative ``n_days`` or ``arrivals_per_day`` is a ValueError, raised
+    before any work.
     """
     check_run_length(n_days, arrivals_per_day)
     cost_cents = env.actions.all_cents
@@ -157,9 +176,7 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
                 store.advance(ts)
                 action = store.allocate_online(day_rows[slot], ts)
             else:
-                action = policy.action(StateVector(tuple(user.features),
-                                                   day_in_cycle=user.day_in_cycle,
-                                                   bonuses_collected=user.bonuses_collected))
+                action = policy.action(user)
             day_rewards += step(user, action)[0]
             day_cost_cents += cost_cents[action]
         users = [u for u in users if not u.done]
@@ -175,11 +192,12 @@ def simulate_online(env: CheckinEnv, policy, store: WindowStore | None,
         total_steps += day_claims
         total_cost_cents += day_cost_cents
 
-    return EvalReport(
+    return SimReport(
         retention_rate=total_rewards / total_steps if total_steps else 0.0,
         avg_cost_units=units(total_cost_cents) / total_steps if total_steps else 0.0,
         matched_trajectories=n_users,
         matched_steps=total_steps,
         per_day=per_day,
         lambda_timeline=store.timeline if store is not None else [],
+        infeasible_refreshes=store.infeasible_refreshes if store is not None else None,
     )

@@ -16,7 +16,7 @@ from budgetrl.bcq import states_to_inputs
 from budgetrl.core import (CLAIMS_PER_CYCLE, StateVector, Trajectory, Transition,
                            day_mask_indices, units)
 from budgetrl.envsim import PROB_CLAMP, IneligibleActionError, sigmoid
-from budgetrl.evaluation import DAY_SECONDS, EvalReport
+from budgetrl.evaluation import DAY_SECONDS, SimReport
 
 
 class UserSim:
@@ -114,7 +114,7 @@ def generate_dataset(env, behavior, n_users: int, seed: int) -> list[Trajectory]
 
 
 def simulate_online(env, policy, store, n_days: int, arrivals_per_day: int,
-                    seed: int) -> EvalReport:
+                    seed: int) -> SimReport:
     """With a store, each non-empty day's Q rows come from one
     ``policy.q_rows(states_to_inputs(states), claims)`` call on the day's states."""
     active: list = []
@@ -156,11 +156,12 @@ def simulate_online(env, policy, store, n_days: int, arrivals_per_day: int,
         total_rewards += day_rewards
         total_steps += day_claims
         total_cost_cents += day_cost_cents
-    return EvalReport(
+    return SimReport(
         retention_rate=total_rewards / total_steps if total_steps else 0.0,
         avg_cost_units=units(total_cost_cents) / total_steps if total_steps else 0.0,
         matched_trajectories=next_user_id,
         matched_steps=total_steps,
         per_day=per_day,
         lambda_timeline=store.timeline if store is not None else [],
+        infeasible_refreshes=store.infeasible_refreshes if store is not None else None,
     )

@@ -288,6 +288,32 @@ class TestErrors:
         assert str(logs / "manifest.json") in err and "must be a JSON object" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("feature_dim", "5"), ("feature_dim", True), ("feature_dim", 5.0), ("feature_dim", 1e30),
+        ("feature_dim", [5]),
+        ("feature_dim", 0), ("feature_dim", None), ("actions", 5), ("actions", None),
+        ("actions", {"normal_cents": [65, 87]}),
+        ("actions", {"normal_cents": [87, 65], "super_cents": [172]}),
+        ("actions", {"normal_cents": [65.5, 87], "super_cents": [172]}),
+    ])
+    def test_manifest_field_is_refused_naming_the_manifest(self, workspace, tmp_path, key,
+                                                           value):
+        # None stands for the key left out
+        logs = tmp_path / "logs"
+        shutil.copytree(workspace / "ds", logs)
+        manifest = json.loads((logs / "manifest.json").read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (logs / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            cli._load_logs(str(logs))
+        message = str(exc.value)
+        assert message.startswith(f"{logs / 'manifest.json'}: ")
+        assert key == "actions" or "feature_dim must be a positive int" in message
+        assert "feature length" not in message
+
     def test_missing_model_file(self, workspace, tmp_path, capsys):
         rc = run("evaluate", "--dataset", str(workspace / "ds"), "--policy", "bcq",
                  "--model", str(tmp_path / "ghost.json"), "--out", str(tmp_path / "r.json"))
@@ -538,6 +564,28 @@ class TestAllocateStream:
         assert "stream line 2" in err and "stream line 4" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", " 2e-1 ", "nan", {"v": 0.5}])
+    def test_a_q_value_that_is_not_a_json_number_or_null_is_refused(self, tmp_path, capsys,
+                                                                     value):
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text("".join(json.dumps({"ts": 60 * i, "q": q}) + "\n"
+                                  for i, q in enumerate(([0.5, 0.6, 0.7], [0.4, value, 0.8]))))
+        assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87,1.05",
+                   "--budget", "0.80", "--out", str(tmp_path / "dec.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+        assert ("stream line 2 is not an object with a numeric 'ts' and a list of numbers "
+                "'q'") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    def test_q_values_may_be_ints_floats_or_null(self, tmp_path):
+        stream = tmp_path / "rows.jsonl"
+        stream.write_text('{"ts": 0, "q": [1, null, 0.5]}\n{"ts": 60, "q": [null, 0, 2e-1]}\n')
+        out = tmp_path / "dec.jsonl"
+        assert run("allocate", "--stream", str(stream), "--costs", "0.65,0.87,1.05",
+                   "--budget", "0.80", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2
+
 
 class TestEvaluateAndSimulate:
     def test_evaluate_bcq(self, workspace, tmp_path):
@@ -547,6 +595,10 @@ class TestEvaluateAndSimulate:
         report = json.loads(out.read_text())
         assert 0.0 <= report["retention_rate"] <= 1.0
         assert report["matched_steps"] > 0
+        assert sorted(report) == ["avg_cost_units", "match_rate", "matched_steps",
+                                  "matched_trajectories", "retention_rate",
+                                  "total_trajectories"]
+        assert report["total_trajectories"] == 150
 
     def test_evaluate_expert_full_trajectory(self, workspace, tmp_path):
         out = tmp_path / "expert.json"
@@ -602,6 +654,9 @@ class TestEvaluateAndSimulate:
         assert run(*argv) == 0
         report = json.loads((tmp_path / f"{policy}.json").read_text())
         assert report["matched_steps"] > 0
+        assert sorted(report) == ["avg_cost_units", "infeasible_refreshes", "lambda_timeline",
+                                  "matched_steps", "matched_trajectories", "per_day",
+                                  "retention_rate"]
         # only the budgeted policies run through a window store that refreshes
         assert (report["infeasible_refreshes"] is None) == (policy not in ("bcq", "lr-lp"))
         assert (tmp_path / f"{policy}.csv").read_text().startswith(
@@ -738,7 +793,36 @@ class TestPipeline:
         work = tmp_path / "w"
         assert run("pipeline", "--workdir", str(work), "--n-users", "40", "--steps", "20",
                    "--days", "1", "--arrivals", "5") == 0
-        assert json.loads((work / "eval_report.json").read_text()) == {"matched_steps": 0}
+        assert json.loads((work / "eval_report.json").read_text()) == {
+            "retention_rate": None, "avg_cost_units": None, "matched_trajectories": 0,
+            "matched_steps": 0, "match_rate": 0.0, "total_trajectories": 40}
+
+    def test_every_artifact_is_what_its_command_writes(self, tmp_path):
+        work, alone = tmp_path / "w", tmp_path / "alone"
+        settings = {"--seed": "3", "--n-users": "120", "--steps": "100", "--days": "2",
+                    "--arrivals": "20", "--budget": "0.87"}
+
+        def options(*names):
+            return [x for name in names for x in (name, settings[name])]
+
+        assert run("pipeline", "--workdir", str(work), *options(*settings)) == 0
+        assert run("generate-data", *options("--seed", "--n-users"),
+                   "--out", str(alone / "dataset")) == 0
+        assert run("train", "--dataset", str(alone / "dataset"), "--xi", "0.3",
+                   "--hidden", "64,64", "--lr", "0.01", "--optimizer", "adam",
+                   *options("--steps", "--seed"), "--out", str(alone / "model.json"),
+                   "--log", str(alone / "training_log.csv")) == 0
+        assert run("simulate", "--policy", "bcq", "--model", str(alone / "model.json"),
+                   *options("--seed", "--days", "--arrivals", "--budget"),
+                   "--out", str(alone / "simulate_report.json"),
+                   "--timeline", str(alone / "timeline.csv")) == 0
+        assert run("evaluate", "--policy", "bcq", "--dataset", str(alone / "dataset"),
+                   "--model", str(alone / "model.json"),
+                   "--out", str(alone / "eval_report.json")) == 0
+        for name in ("dataset/manifest.json", "dataset/data-00000.jsonl", "model.json",
+                     "training_log.csv", "simulate_report.json", "timeline.csv",
+                     "eval_report.json"):
+            assert (work / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_artifacts_chain(self, tmp_path):
         # every artifact written by the pipeline must be readable by the

@@ -11,13 +11,13 @@ from budgetrl.envsim import (
     CheckinEnv,
     EnvConfig,
     SegmentParams,
+    UserSim,
     default_behavior_table,
     generate_dataset,
 )
 from budgetrl.evaluation import (
     EvalReport,
     MatchedSet,
-    UndefinedMetricError,
     match_records,
     offline_report,
     simulate_online,
@@ -101,13 +101,13 @@ class TestMatchRecords:
         ds = [make_traj(0, (1, 1), (1, 0)), make_traj(1, (1,), (0,))]
         matched = match_records(ds, FixedPolicy(1))
         assert counts(matched) == (2, 3, 1, 3 * 87, 2)
-        assert matched.match_rate == 1.0
+        assert offline_report(matched).match_rate == 1.0
 
     def test_total_disagreement_empty(self):
         ds = [make_traj(0, (1, 1), (1, 0))]
         matched = match_records(ds, FixedPolicy(0))
         assert counts(matched) == (0, 0, 0, 0, 1)
-        assert matched.match_rate == 0.0
+        assert offline_report(matched).match_rate == 0.0
 
     def test_prefix_matching_counts_first_steps(self):
         ds = [make_traj(uid, (0, 0, 0), (1, 1, 0)) for uid in range(5)]
@@ -182,12 +182,16 @@ class TestMetrics:
         single = scored([make_traj(0, (2,), (1,))], FixedPolicy(2))
         assert single.avg_cost_units == pytest.approx(1.05)
 
-    def test_zero_matched_steps_errors(self):
-        with pytest.raises(UndefinedMetricError):
-            scored([make_traj(0, (1, 1), (1, 0))], FixedPolicy(0))
-        with pytest.raises(UndefinedMetricError):
-            offline_report(MatchedSet(matched_trajectories=0, matched_steps=0, rewards=0,
-                                      cost_cents=0, total_trajectories=3))
+    def test_zero_matched_steps_leaves_the_rates_undefined(self):
+        assert scored([make_traj(0, (1, 1), (1, 0))], FixedPolicy(0)) == EvalReport(
+            retention_rate=None, avg_cost_units=None, matched_trajectories=0,
+            matched_steps=0, match_rate=0.0, total_trajectories=1)
+        for total in (3, 0):  # an empty log matches nothing too
+            report = offline_report(MatchedSet(matched_trajectories=0, matched_steps=0,
+                                               rewards=0, cost_cents=0,
+                                               total_trajectories=total))
+            assert (report.retention_rate, report.avg_cost_units, report.match_rate) == (
+                None, None, 0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -221,8 +225,9 @@ class TestSelfEvaluation:
         assert isinstance(report, EvalReport)
         assert report.matched_trajectories == 1
         assert report.matched_steps == 2
-        assert 0.0 <= report.retention_rate <= 1.0
-        assert 0.65 <= report.avg_cost_units <= 1.05
+        assert report.total_trajectories == 4 and report.match_rate == 0.25
+        assert report.retention_rate == 0.5
+        assert report.avg_cost_units == pytest.approx(0.85)
 
 
 def mid_env(feature_noise=0.02):
@@ -300,6 +305,13 @@ class TestSimulateOnline:
         r2 = simulate_online(env2, CheapestPolicy(ACTIONS), None, 3, 40, seed=9)
         assert r1 == r2
 
+    def test_without_a_store_the_policy_decides_on_the_user(self):
+        # the user's own features and counters, with no StateVector copy made
+        policy = RecordingPolicy(CheapestPolicy(ACTIONS))
+        report = simulate_online(mid_env(), policy, None, 2, 20, seed=9)
+        assert len(policy.asked) == report.matched_steps
+        assert all(type(user) is UserSim for user in policy.asked)
+
     def test_huge_budget_matches_direct_greedy_cost(self):
         # with budget above the dearest action, lam stays 0 and the allocator
         # mirrors the policy's own greedy argmax
@@ -332,7 +344,7 @@ class TestSimulateOnline:
         assert report.avg_cost_units == pytest.approx(cheapest.avg_cost_units, abs=0.02)
         # every infeasible refresh is flagged in the timeline the report carries
         flagged = [row["infeasible"] for row in report.lambda_timeline]
-        assert sum(flagged) == store.infeasible_refreshes
+        assert sum(flagged) == store.infeasible_refreshes == report.infeasible_refreshes
 
     def test_no_ineligible_actions_and_claim_masks(self):
         report = simulate_online(mid_env(), CheapestPolicy(ACTIONS), None, 6, 30, seed=12)
